@@ -258,9 +258,23 @@ def test_criterion_11_negative_controls():
     rep = verify_weight_grading(hahn, tm, bad_delta)
     witnesses.append(("grading", rep.first_failure()))
 
+    expected = {
+        "contiguity": ("raising-contiguity", {"N": "0", "n": "0", "k": "0"}, "1", "2"),
+        "three-term": ("three-term-recurrence", {"N": "0", "n": "0", "k": "0"}, "5", "6"),
+        "relations": ("sl2-commutator", {"level": "0", "row": "0", "col": "0"}, "-3", "3"),
+        "homomorphism": ("oscillator-commutator", {"level": "1", "row": "0", "col": "1"},
+                         "8/15", "0"),
+        "algebraic-form": ("xp-agreement", {"n": "0", "m": "0"}, "9/5", "4/5"),
+        "raising": ("raising", {"N": "1", "n": "1", "k": "0"}, "2", "1"),
+        "lowering": ("lowering", {"N": "2", "n": "0", "k": "0"}, "-2/3", "-2"),
+        "grading": ("weight-grading", {"N": "0", "row": "0", "col": "0"}, "1", "0"),
+    }
     for name, fail in witnesses:
         assert fail is not None, f"{name} missed the corruption"
         assert fail.witness is not None, f"{name} failure carries no witness"
+        check, where, lhs, rhs = expected[name]
+        assert (fail.name, fail.witness.to_dict()) == \
+            (check, {"where": where, "lhs": lhs, "rhs": rhs}), name
 
     # orthogonality: a singular block must be refused loudly
     with pytest.raises(WeightSolutionError):
