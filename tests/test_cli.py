@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite
 from askeycg.families import FamilyKind, make_instance
@@ -37,6 +39,37 @@ def test_verify_unknown_check_exit_two(capsys):
 
 def test_verify_bad_rational_exit_two(capsys):
     assert main(["verify", "--family", "krawtchouk", "--p", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--nmax", "--seed"])
+def test_verify_non_integer_flag_exit_two(flag, capsys):
+    code = main(["verify", "--family", "krawtchouk", "--p", "1/3", flag, "abc"])
+    assert code == 2
+    assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["nmax", "seed"])
+def test_config_non_integer_value_exit_two(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"family = krawtchouk\np = 1/3\n{key} = abc\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+
+
+def test_verify_q_zero_exit_two(capsys):
+    code = main(["verify", "--family", "q-racah", "--q", "0", "--kappa1", "1/2",
+                 "--kappa2", "1/3", "--alpha", "1/5", "--beta", "1/7", "--nmax", "3"])
+    assert code == 2
+    assert "q must avoid" in capsys.readouterr().err
+
+
+def test_verify_every_selected_check_skipped_exit_two(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["verify", "--family", "hahn", "--alpha", "1", "--beta", "1/2",
+                 "--nmax", "3", "--checks", "twist", "--output", str(out)])
+    assert code == 2
+    doc = json.loads(out.read_text())
+    assert not any(c["name"] == "twist" and not c["skipped"] for c in doc["checks"])
+    assert "only defined for q-racah" in capsys.readouterr().err
 
 
 def test_verify_subset_lists_all_checks(tmp_path):

@@ -55,6 +55,13 @@ def test_degenerate_q_rejected():
         make_instance(FamilyKind.Q_HAHN, q=F(1), alpha=F(1, 3), beta=F(1, 5))
 
 
+@pytest.mark.parametrize("q", [F(0), F(1), F(-1)])
+def test_q_racah_degenerate_q_rejected_before_gamma(q):
+    with pytest.raises(InvalidParameterError, match="q must avoid"):
+        make_instance(FamilyKind.Q_RACAH, q=q, kappa1=F(1, 2), kappa2=F(1, 3),
+                      alpha=F(1, 5), beta=F(1, 7))
+
+
 def test_krawtchouk_p_restrictions():
     with pytest.raises(InvalidParameterError):
         make_instance(FamilyKind.KRAWTCHOUK, p=F(0))
