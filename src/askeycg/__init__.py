@@ -13,8 +13,9 @@ from .algebras import (AlgebraKind, AlgebraTag, CasimirCheck, GradedOperator,
                        check_relations, phi)
 from .cgverify import (CGBlock, DegenerateKernelError, WeightData,
                        WeightSolutionError, cg_block, lowest_weight_oracle,
-                       orthogonality_weights, tensor_lowering_eigenvalue,
-                       verify_lowering, verify_raising, verify_weight_grading)
+                       orthogonality_weights, random_instance,
+                       tensor_lowering_eigenvalue, verify_lowering,
+                       verify_raising, verify_weight_grading)
 from .coproduct import (AlgebraicForm, CoassocResult, CoproductCoeffs, Delta,
                         TensorModule, algebraic_form, build_delta,
                         check_algebraic_form, check_homomorphism,
@@ -27,7 +28,7 @@ from .exactmath import (InvalidParameterError, Scalar, SingularParameterError,
 from .families import (ContiguityData, FamilyInstance, FamilyKind,
                        check_contiguity, check_three_term_dual_hahn, contiguity,
                        labels, limit_hahn_to_krawtchouk, limit_racah_to_dual_hahn,
-                       make_instance, poly_value, random_instance)
+                       make_instance, poly_value)
 from .report import TOOL_VERSION, CheckResult, Report, Witness
 
 __version__ = TOOL_VERSION

@@ -26,13 +26,13 @@ from typing import Callable, Iterable, Mapping
 
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .linalg import RatMat
-from .report import CheckResult, Report
+from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
     "AlgebraTag", "AlgebraKind", "ModuleSpec", "GradedOperator", "Generators",
     "phi", "build_generators", "check_relations", "casimir", "CasimirCheck",
     "identity_operator", "diagonal_operator", "scalar_operator",
-    "invert_diagonal", "first_block_mismatch", "rational_sqrt",
+    "invert_diagonal", "block_entries", "first_block_mismatch", "rational_sqrt",
 ]
 
 
@@ -216,9 +216,10 @@ def invert_diagonal(op: GradedOperator) -> GradedOperator:
     return GradedOperator(0, op.dims, out)
 
 
-def first_block_mismatch(lhs: GradedOperator, rhs: GradedOperator,
-                         levels: Iterable[int]):
-    """First (level, row, col, lhs, rhs) where the operators differ, or None."""
+def block_entries(lhs: GradedOperator, rhs: GradedOperator,
+                  levels: Iterable[int], level_key: str = "level"):
+    """(where, lhs entry, rhs entry) over every entry of the blocks at the
+    given levels, row by row; blocks that are equal as a whole are skipped."""
     for n in levels:
         a, b = lhs.blocks.get(n), rhs.blocks.get(n)
         if a is None or b is None:
@@ -227,20 +228,14 @@ def first_block_mismatch(lhs: GradedOperator, rhs: GradedOperator,
             continue
         for i in range(a.rows):
             for j in range(a.cols):
-                if a.entry(i, j) != b.entry(i, j):
-                    return n, i, j, a.entry(i, j), b.entry(i, j)
-    return None
+                yield {level_key: n, "row": i, "col": j}, a.entry(i, j), b.entry(i, j)
 
 
-def _compare(name: str, lhs: GradedOperator, rhs: GradedOperator,
-             levels: Iterable[int], checked_range: str) -> CheckResult:
-    levels = list(levels)
-    hit = first_block_mismatch(lhs, rhs, levels)
-    if hit is None:
-        return CheckResult.ok(name, checked_range)
-    n, i, j, a, b = hit
-    return CheckResult.fail(name, checked_range,
-                            {"level": n, "row": i, "col": j}, a, b)
+def first_block_mismatch(lhs: GradedOperator, rhs: GradedOperator,
+                         levels: Iterable[int]):
+    """First (level, row, col, lhs, rhs) where the operators differ, or None."""
+    return next(((w["level"], w["row"], w["col"], a, b)
+                 for w, a, b in block_entries(lhs, rhs, levels) if a != b), None)
 
 
 def rational_sqrt(x: Scalar) -> Scalar | None:
@@ -292,34 +287,29 @@ def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
     composition stay inside the truncation.
     """
     top = e.top
-    dims = e.dims
-    ident = identity_operator(dims)
-    lo = range(0, top)          # levels where E-compositions stay inside
-    full = range(0, top + 1)
-    out = []
-    rng_lo = f"levels 0..{top - 1}"
-    rng_full = f"levels 0..{top}"
+    ident = identity_operator(e.dims)
+    lo = (range(0, top), f"levels 0..{top - 1}")  # E-compositions stay inside
+    full = (range(0, top + 1), f"levels 0..{top}")
     if not kind.is_q:
-        two_e = e.scaled(2)
-        out.append(_compare("cartan-raising", hk @ e - e @ hk, two_e, lo, rng_lo))
-        out.append(_compare("cartan-lowering", hk @ f - f @ hk, f.scaled(-2), full, rng_full))
         ef = e @ f - f @ e
-        if kind.tag is AlgebraTag.OSC:
-            out.append(_compare("oscillator-commutator", ef, ident, lo, rng_lo))
-        else:
-            out.append(_compare("sl2-commutator", ef, hk, lo, rng_lo))
+        relations = [
+            ("cartan-raising", hk @ e - e @ hk, e.scaled(2), lo),
+            ("cartan-lowering", hk @ f - f @ hk, f.scaled(-2), full),
+            ("oscillator-commutator", ef, ident, lo) if kind.tag is AlgebraTag.OSC
+            else ("sl2-commutator", ef, hk, lo),
+        ]
     else:
         q = kind.q
-        out.append(_compare("cartan-raising", hk @ e, (e @ hk).scaled(q), lo, rng_lo))
-        out.append(_compare("cartan-lowering", (hk @ f).scaled(q), f @ hk, full, rng_full))
         qef = (e @ f).scaled(q) - f @ e
-        if kind.tag is AlgebraTag.OSC_Q:
-            out.append(_compare("q-oscillator-commutator", qef,
-                                ident.scaled(q - 1), lo, rng_lo))
-        else:
-            rhs = (ident - hk @ hk).scaled(q - 1)
-            out.append(_compare("uq-sl2-commutator", qef, rhs, lo, rng_lo))
-    return out
+        relations = [
+            ("cartan-raising", hk @ e, (e @ hk).scaled(q), lo),
+            ("cartan-lowering", (hk @ f).scaled(q), f @ hk, full),
+            ("q-oscillator-commutator", qef, ident.scaled(q - 1), lo)
+            if kind.tag is AlgebraTag.OSC_Q
+            else ("uq-sl2-commutator", qef, (ident - hk @ hk).scaled(q - 1), lo),
+        ]
+    return [first_mismatch(name, rng, block_entries(lhs, rhs, levels))
+            for name, lhs, rhs, (levels, rng) in relations]
 
 
 def _uqsl2_standard_form_check(kind: AlgebraKind, e: GradedOperator,
@@ -336,7 +326,8 @@ def _uqsl2_standard_form_check(kind: AlgebraKind, e: GradedOperator,
     lhs = e @ ft - ft @ e
     rhs = (k - kinv).scaled(1 / (root - 1 / root))
     top = e.top
-    return _compare(name, lhs, rhs, range(0, top), f"levels 0..{top - 1}")
+    return first_mismatch(name, f"levels 0..{top - 1}",
+                          block_entries(lhs, rhs, range(0, top)))
 
 
 def check_relations(module: ModuleSpec, gens: Generators | None = None) -> Report:

@@ -12,6 +12,9 @@ The oracle rebuilds the same columns without evaluating a single polynomial:
 the kernel of Delta(F) on block k (which must be one-dimensional) seeds the
 k-th tower, and repeated application of Delta(E) fills in the higher levels.
 Entrywise agreement with the polynomial route is the central certificate.
+
+random_instance draws seeded instances whose blocks all admit orthogonality
+weights; it lives here because that test is orthogonality_weights itself.
 """
 
 from __future__ import annotations
@@ -21,16 +24,17 @@ from fractions import Fraction
 
 from .algebras import phi
 from .coproduct import Delta, TensorModule, build_delta
-from .exactmath import Scalar, format_scalar, parse_scalar
-from .families import FamilyInstance, algebra_for, poly_value, tensor_label
+from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
+from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
+                       make_instance, poly_value, tensor_label)
 from .linalg import RatMat, nullspace, rank
-from .report import CheckResult, Report
+from .report import Report, first_mismatch
 
 __all__ = [
     "CGBlock", "WeightData", "DegenerateKernelError", "WeightSolutionError",
     "cg_block", "verify_raising", "verify_lowering", "lowest_weight_oracle",
     "orthogonality_weights", "verify_weight_grading",
-    "tensor_lowering_eigenvalue",
+    "tensor_lowering_eigenvalue", "random_instance",
 ]
 
 
@@ -101,14 +105,9 @@ def verify_raising(inst: FamilyInstance, tm: TensorModule, N: int,
     above = blocks.get(N + 1) or cg_block(inst, N + 1)
     image = delta.e.blocks[N] @ here.P
     rep = Report(suite=f"raising:{inst.kind.value}", params=inst.to_doc())
-    rng = f"block {N} -> {N + 1}, 0<=k<={N}"
-    for k in range(N + 1):
-        for n in range(N + 2):
-            if image.entry(n, k) != above.P.entry(n, k):
-                rep.add(CheckResult.fail("raising", rng, {"N": N, "n": n, "k": k},
-                                         image.entry(n, k), above.P.entry(n, k)))
-                return rep
-    rep.add(CheckResult.ok("raising", rng))
+    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}", (
+        ({"N": N, "n": n, "k": k}, image.entry(n, k), above.P.entry(n, k))
+        for k in range(N + 1) for n in range(N + 2))))
     return rep
 
 
@@ -124,29 +123,32 @@ def verify_lowering(inst: FamilyInstance, tm: TensorModule, N: int,
     here = blocks.get(N) or cg_block(inst, N)
     below = blocks.get(N - 1) or cg_block(inst, N - 1)
     image = delta.f.blocks[N] @ here.P
+
+    def sides():
+        for k in range(N + 1):
+            eig = tensor_lowering_eigenvalue(inst, k, N - k) if k < N else Fraction(0)
+            for n in range(N):
+                want = eig * below.P.entry(n, k) if k < N else Fraction(0)
+                yield {"N": N, "n": n, "k": k}, image.entry(n, k), want
+
     rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())
-    rng = f"block {N} -> {N - 1}, 0<=k<={N}"
-    for k in range(N + 1):
-        eig = tensor_lowering_eigenvalue(inst, k, N - k) if k < N else Fraction(0)
-        for n in range(N):
-            want = eig * below.P.entry(n, k) if k < N else Fraction(0)
-            if image.entry(n, k) != want:
-                rep.add(CheckResult.fail("lowering", rng, {"N": N, "n": n, "k": k},
-                                         image.entry(n, k), want))
-                return rep
-    rep.add(CheckResult.ok("lowering", rng))
+    rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}", sides()))
     return rep
 
 
-def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule) -> list[CGBlock]:
+def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule,
+                         blocks: dict[int, CGBlock] | None = None,
+                         delta: Delta | None = None) -> list[CGBlock]:
     """Rebuild every CG block from the coproduct alone.
 
     For each k the kernel of Delta(F) on block k must be exactly
     one-dimensional; the kernel vector is normalized so its n = 0 entry
     matches P_0(k, k) (anchoring at the smallest nonzero entry if that one
-    ever vanished), then pushed up with Delta(E).
+    ever vanished), then pushed up with Delta(E). The anchor values are read
+    from `blocks` when given; nothing else is taken from the polynomials.
     """
-    delta = build_delta(inst, tm)
+    delta = delta or build_delta(inst, tm)
+    value = block_values(inst, blocks)
     nm = tm.n_max
     columns: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for k in range(nm + 1):
@@ -157,12 +159,12 @@ def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule) -> list[CGBlock
                 f"{len(basis)}, expected 1")
         vec = basis[0]
         anchor = next((i for i in range(k + 1)
-                       if vec[i] != 0 and poly_value(inst, i, k, k) != 0), None)
+                       if vec[i] != 0 and value(i, k, k) != 0), None)
         if anchor is None:
             raise DegenerateKernelError(
                 f"kernel vector on block {k} cannot be normalized against the "
                 f"polynomial column")
-        scale = poly_value(inst, anchor, k, k) / vec[anchor]
+        scale = value(anchor, k, k) / vec[anchor]
         vec = tuple(scale * x for x in vec)
         columns[(k, k)] = vec
         for N in range(k, nm):
@@ -219,21 +221,76 @@ def verify_weight_grading(inst: FamilyInstance, tm: TensorModule,
     lambda1 + lambda2 + 2N (or kappa1 kappa2 q^N)."""
     delta = delta or build_delta(inst, tm)
     alg = tm.left.algebra
+    l1, l2 = tm.left.label, tm.right.label
+
+    def sides():
+        for N in range(tm.n_max + 1):
+            want = l1 * l2 * alg.q ** N if alg.is_q else l1 + l2 + 2 * N
+            b = delta.hk.blocks[N]
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    yield ({"N": N, "row": i, "col": j}, b.entry(i, j),
+                           want if i == j else Fraction(0))
+
     rep = Report(suite=f"weight-grading:{inst.kind.value}", params=inst.to_doc())
-    rng = f"blocks 0..{tm.n_max}"
-    for N in range(tm.n_max + 1):
-        if alg.is_q:
-            want = tm.left.label * tm.right.label * alg.q ** N
-        else:
-            want = tm.left.label + tm.right.label + 2 * N
-        b = delta.hk.blocks[N]
-        for i in range(N + 1):
-            for j in range(N + 1):
-                expected = want if i == j else Fraction(0)
-                if b.entry(i, j) != expected:
-                    rep.add(CheckResult.fail("weight-grading", rng,
-                                             {"N": N, "row": i, "col": j},
-                                             b.entry(i, j), expected))
-                    return rep
-    rep.add(CheckResult.ok("weight-grading", rng))
+    rep.add(first_mismatch("weight-grading", f"blocks 0..{tm.n_max}", sides()))
     return rep
+
+
+# ---------------------------------------------------------------------------
+# random draws
+# ---------------------------------------------------------------------------
+
+def _unit_fraction(rng) -> Fraction:
+    den = rng.randint(2, 20)
+    return Fraction(rng.randint(1, den - 1), den)
+
+
+def _positive_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(1, 20), rng.randint(1, 20))
+
+
+def _draw_params(kind: FamilyKind, rng) -> dict:
+    if kind is FamilyKind.HAHN:
+        return {"alpha": _positive_fraction(rng), "beta": _positive_fraction(rng),
+                "lambda1": _positive_fraction(rng), "lambda2": _positive_fraction(rng)}
+    if kind is FamilyKind.KRAWTCHOUK:
+        return {"p": _unit_fraction(rng),
+                "lambda1": _positive_fraction(rng), "lambda2": _positive_fraction(rng)}
+    if kind is FamilyKind.DUAL_HAHN:
+        l1 = 1 + _positive_fraction(rng)
+        l2 = 1 + _positive_fraction(rng)
+        # alpha strictly between 0 and l1 + l2 - 2 keeps both alpha, beta > -1
+        return {"lambda1": l1, "lambda2": l2,
+                "alpha": (l1 + l2 - 2) * _unit_fraction(rng)}
+    if kind is FamilyKind.RACAH:
+        return {"lambda1": 1 + _positive_fraction(rng),
+                "lambda2": 1 + _positive_fraction(rng),
+                "alpha": _unit_fraction(rng), "beta": _unit_fraction(rng)}
+    base = Fraction(rng.randint(1, 3), rng.randint(2, 4))
+    while base >= 1:
+        base = Fraction(rng.randint(1, 3), rng.randint(2, 4))
+    q = base ** 2  # squares keep q^(1/2) rational for the U_q(sl2) checks
+    # labels in (0, 1) keep every kappa-dependent denominator away from 1
+    return {"q": q, "alpha": _unit_fraction(rng), "beta": _unit_fraction(rng),
+            "kappa1": _unit_fraction(rng), "kappa2": _unit_fraction(rng)}
+
+
+def random_instance(kind: FamilyKind | str, rng, n_max: int = 8,
+                    max_tries: int = 200) -> FamilyInstance:
+    """Draw a valid instance: numerators and denominators of drawn rationals
+    stay <= 20, redrawing on validation failure. A draw is also rejected when
+    orthogonality_weights fails on some block 1..n_max (a singular block, a
+    weight system without a one-dimensional solution, or a zero norm), since
+    that would defeat the basis-change and orthogonality checks the draws
+    exist to feed."""
+    kind = FamilyKind(kind)
+    for _ in range(max_tries):
+        try:
+            inst = make_instance(kind, n_max=n_max, **_draw_params(kind, rng))
+            for N in range(1, n_max + 1):
+                orthogonality_weights(inst, N)
+        except (InvalidParameterError, WeightSolutionError):
+            continue
+        return inst
+    raise RuntimeError(f"no valid draw for {kind.value} after {max_tries} tries")

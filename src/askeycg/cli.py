@@ -7,8 +7,13 @@ Subcommands:
     coassoc   compare the two Krawtchouk recoupling compositions
     version   print the tool version
 
+`run_verify_suite` runs the named checks from one table; each entry has an
+optional skip rule and a runner. The runners share the tensor module, Delta
+and the CG blocks of the instance, each built on first use within one call.
+
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
-parameters or unknown check names, 3 I/O or config parse errors.
+parameters, unknown check names, or every selected check skipped, 3 I/O or
+config parse errors.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .algebras import ModuleSpec, casimir, check_relations, first_block_mismatch, scalar_operator
+from .algebras import ModuleSpec, block_entries, casimir, check_relations, scalar_operator
 from .cgverify import (DegenerateKernelError, WeightSolutionError, cg_block,
                        lowest_weight_oracle, orthogonality_weights,
                        verify_lowering, verify_raising, verify_weight_grading)
@@ -28,21 +34,35 @@ from .coproduct import (build_delta, check_algebraic_form, check_homomorphism,
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, check_contiguity,
                        check_three_term_dual_hahn, labels, make_instance)
-from .report import TOOL_VERSION, CheckResult, Report, Witness
+from .report import TOOL_VERSION, CheckResult, Report, Witness, first_mismatch
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
 
-CHECK_NAMES = [
-    "contiguity", "three-term", "relations", "casimir", "homomorphism",
-    "algebraic-form", "grading", "raising", "lowering", "cg-oracle",
-    "orthogonality", "twist",
-]
-
 _PARAM_FLAGS = ("alpha", "beta", "p", "q", "kappa1", "kappa2",
                 "lambda1", "lambda2")
+
+
+class _Artifacts:
+    """Objects shared by the checks of one verify run, each built on first
+    use. They belong to the run and are dropped with it."""
+
+    def __init__(self, inst: FamilyInstance):
+        self.inst = inst
+
+    @cached_property
+    def tm(self):
+        return tensor_module(self.inst)
+
+    @cached_property
+    def delta(self):
+        return build_delta(self.inst, self.tm)
+
+    @cached_property
+    def blocks(self):
+        return {N: cg_block(self.inst, N) for N in range(self.inst.n_max + 1)}
 
 
 def _collapse(name: str, rep: Report) -> CheckResult:
@@ -59,6 +79,97 @@ def _error_result(name: str, rng: str, exc: Exception) -> CheckResult:
                        witness=Witness({"error": str(exc)}, "", ""))
 
 
+def _until_failure(reports) -> Report:
+    """Per-level reports joined in order, stopping after the first failure."""
+    out = Report(suite="levels")
+    for rep in reports:
+        out.extend(rep.checks)
+        if not rep.passed:
+            break
+    return out
+
+
+def _relations(inst: FamilyInstance, art: _Artifacts) -> Report:
+    return Report(suite="relations", checks=[
+        c for label in labels(inst)
+        for c in check_relations(ModuleSpec(algebra_for(inst), label, inst.n_max)).checks])
+
+
+def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
+    def sides():
+        for label in labels(inst):
+            res = casimir(ModuleSpec(algebra_for(inst), label, inst.n_max))
+            expected = scalar_operator(res.op.dims, lambda n: res.eigenvalue)
+            for where, a, b in block_entries(res.op, expected, range(inst.n_max)):
+                yield {"label": label, "level": where["level"]}, a, b
+
+    return first_mismatch("casimir", f"levels 0..{inst.n_max - 1}", sides())
+
+
+def _oracle(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
+    rng = f"all blocks N<={inst.n_max}"
+    try:
+        oracle = lowest_weight_oracle(inst, art.tm, art.blocks, art.delta)
+    except DegenerateKernelError as exc:
+        return _error_result("cg-oracle", rng, exc)
+    return first_mismatch("cg-oracle", rng, (
+        ({"N": N, "n": n, "k": k}, oracle[N].P.entry(n, k), art.blocks[N].P.entry(n, k))
+        for N in range(inst.n_max + 1) for n in range(N + 1) for k in range(N + 1)))
+
+
+def _orthogonality(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
+    rng = f"blocks 0..{inst.n_max}"
+    for N in range(inst.n_max + 1):
+        try:
+            orthogonality_weights(inst, N, art.blocks[N])
+        except WeightSolutionError as exc:
+            return _error_result("orthogonality", rng, exc)
+    return CheckResult.ok("orthogonality", rng)
+
+
+def _three_term_skip(inst: FamilyInstance) -> str | None:
+    if inst.kind is not FamilyKind.DUAL_HAHN:
+        return "only defined for dual-hahn"
+    if inst.alpha != inst.lambda1 - 1:
+        return "needs alpha = lambda1 - 1"
+    return None
+
+
+def _twist_skip(inst: FamilyInstance) -> str | None:
+    if inst.kind is not FamilyKind.Q_RACAH:
+        return "only defined for q-racah"
+    if inst.beta != 0 or inst.alpha != inst.kappa1 ** 2 / inst.q:
+        return "needs beta = 0 and alpha = kappa1^2/q"
+    return None
+
+
+# name -> (skip rule giving a reason or None, runner); a runner returns a
+# CheckResult, or a Report that is folded into one entry under the name
+_CHECKS = {
+    "contiguity": (None, lambda inst, art: check_contiguity(inst, blocks=art.blocks)),
+    "three-term": (_three_term_skip,
+                   lambda inst, art: check_three_term_dual_hahn(inst, blocks=art.blocks)),
+    "relations": (None, _relations),
+    "casimir": (None, _casimir),
+    "homomorphism": (None, lambda inst, art: check_homomorphism(inst, art.tm,
+                                                                delta=art.delta)),
+    "algebraic-form": (None, lambda inst, art: check_algebraic_form(inst, art.tm)),
+    "grading": (None, lambda inst, art: verify_weight_grading(inst, art.tm, art.delta)),
+    "raising": (None, lambda inst, art: _until_failure(
+        verify_raising(inst, art.tm, N, art.blocks, art.delta)
+        for N in range(inst.n_max))),
+    "lowering": (None, lambda inst, art: _until_failure(
+        verify_lowering(inst, art.tm, N, art.blocks, art.delta)
+        for N in range(1, inst.n_max + 1))),
+    "cg-oracle": (None, _oracle),
+    "orthogonality": (None, _orthogonality),
+    "twist": (_twist_skip, lambda inst, art: check_twist_qracah_specialization(
+        inst.q, inst.kappa1, inst.kappa2, inst.n_max)),
+}
+
+CHECK_NAMES = list(_CHECKS)
+
+
 def run_verify_suite(inst: FamilyInstance, checks: list[str] | None = None,
                      seed: int = 0) -> Report:
     """Run the selected named checks; every known check appears in the report,
@@ -69,111 +180,16 @@ def run_verify_suite(inst: FamilyInstance, checks: list[str] | None = None,
         raise InvalidParameterError(
             f"unknown check names: {', '.join(unknown)} "
             f"(known: {', '.join(CHECK_NAMES)})")
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
-    blocks = {N: cg_block(inst, N) for N in range(inst.n_max + 1)}
+    art = _Artifacts(inst)
     rep = Report(suite=f"verify:{inst.kind.value}",
                  params={**inst.to_doc(), "seed": str(seed)})
-
-    def relations_result() -> CheckResult:
-        sub = Report(suite="relations")
-        for label in labels(inst):
-            sub.extend(check_relations(
-                ModuleSpec(algebra_for(inst), label, inst.n_max)).checks)
-        return _collapse("relations", sub)
-
-    def casimir_result() -> CheckResult:
-        rng = f"levels 0..{inst.n_max - 1}"
-        for label in labels(inst):
-            mod = ModuleSpec(algebra_for(inst), label, inst.n_max)
-            res = casimir(mod)
-            if not res.ok:
-                hit = first_block_mismatch(
-                    res.op, scalar_operator(res.op.dims, lambda n: res.eigenvalue),
-                    range(inst.n_max))
-                n, i, j, a, b = hit
-                return CheckResult.fail("casimir", rng,
-                                        {"label": label, "level": n}, a, b)
-        return CheckResult.ok("casimir", rng)
-
-    def raising_result() -> CheckResult:
-        sub = Report(suite="raising")
-        for N in range(inst.n_max):
-            sub.extend(verify_raising(inst, tm, N, blocks, delta).checks)
-            if not sub.passed:
-                break
-        return _collapse("raising", sub)
-
-    def lowering_result() -> CheckResult:
-        sub = Report(suite="lowering")
-        for N in range(1, inst.n_max + 1):
-            sub.extend(verify_lowering(inst, tm, N, blocks, delta).checks)
-            if not sub.passed:
-                break
-        return _collapse("lowering", sub)
-
-    def oracle_result() -> CheckResult:
-        rng = f"all blocks N<={inst.n_max}"
-        try:
-            oracle = lowest_weight_oracle(inst, tm)
-        except DegenerateKernelError as exc:
-            return _error_result("cg-oracle", rng, exc)
-        for N in range(inst.n_max + 1):
-            if oracle[N].P != blocks[N].P:
-                for n in range(N + 1):
-                    for k in range(N + 1):
-                        if oracle[N].P.entry(n, k) != blocks[N].P.entry(n, k):
-                            return CheckResult.fail(
-                                "cg-oracle", rng, {"N": N, "n": n, "k": k},
-                                oracle[N].P.entry(n, k), blocks[N].P.entry(n, k))
-        return CheckResult.ok("cg-oracle", rng)
-
-    def orthogonality_result() -> CheckResult:
-        rng = f"blocks 0..{inst.n_max}"
-        for N in range(inst.n_max + 1):
-            try:
-                orthogonality_weights(inst, N, blocks[N])
-            except WeightSolutionError as exc:
-                return _error_result("orthogonality", rng, exc)
-        return CheckResult.ok("orthogonality", rng)
-
-    def three_term_result() -> CheckResult:
-        if inst.kind is not FamilyKind.DUAL_HAHN:
-            return CheckResult.skip("three-term", "only defined for dual-hahn")
-        if inst.alpha != inst.lambda1 - 1:
-            return CheckResult.skip("three-term", "needs alpha = lambda1 - 1")
-        return _collapse("three-term", check_three_term_dual_hahn(inst))
-
-    def twist_result() -> CheckResult:
-        if inst.kind is not FamilyKind.Q_RACAH:
-            return CheckResult.skip("twist", "only defined for q-racah")
-        if inst.beta != 0 or inst.alpha != inst.kappa1 ** 2 / inst.q:
-            return CheckResult.skip("twist", "needs beta = 0 and alpha = kappa1^2/q")
-        return _collapse("twist", check_twist_qracah_specialization(
-            inst.q, inst.kappa1, inst.kappa2, inst.n_max))
-
-    runners = {
-        "contiguity": lambda: _collapse("contiguity", check_contiguity(inst)),
-        "three-term": three_term_result,
-        "relations": relations_result,
-        "casimir": casimir_result,
-        "homomorphism": lambda: _collapse("homomorphism",
-                                          check_homomorphism(inst, tm)),
-        "algebraic-form": lambda: _collapse("algebraic-form",
-                                            check_algebraic_form(inst, tm)),
-        "grading": lambda: _collapse("grading",
-                                     verify_weight_grading(inst, tm, delta)),
-        "raising": raising_result,
-        "lowering": lowering_result,
-        "cg-oracle": oracle_result,
-        "orthogonality": orthogonality_result,
-        "twist": twist_result,
-    }
-    for name in CHECK_NAMES:
-        if name not in selected:
-            rep.add(CheckResult.skip(name, "not selected"))
-        else:
-            rep.add(runners[name]())
+    for name, (skip, run) in _CHECKS.items():
+        reason = "not selected" if name not in selected else skip and skip(inst)
+        if reason:
+            rep.add(CheckResult.skip(name, reason))
+            continue
+        result = run(inst, art)
+        rep.add(result if isinstance(result, CheckResult) else _collapse(name, result))
     return rep
 
 
@@ -237,16 +253,23 @@ def _merge_settings(args) -> RunConfig:
     return RunConfig(
         family=settings.get("family"),
         parameters={k: v for k, v in settings.items() if k in _PARAM_FLAGS},
-        n_max=int(settings.get("nmax", 8)),
-        seed=int(settings.get("seed", 0)),
+        n_max=_integer(settings, "nmax", 8),
+        seed=_integer(settings, "seed", 0),
         checks=checks,
         output=settings.get("output"),
         format=settings.get("format", "text"),
     )
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+def _integer(settings: dict, key: str, default: int) -> int:
+    try:
+        return int(settings.get(key, default))
+    except ValueError:
+        raise InvalidParameterError(
+            f"{key} must be an integer, got {settings[key]!r}") from None
+
+
+def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -254,30 +277,52 @@ def _emit(doc: dict, output: str | None) -> None:
         print(text)
 
 
+def _fail(code: int, message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _instance_command(args, work) -> int:
+    """Shared plumbing of verify and table: merge the config file and flags,
+    build the instance, let work(config, inst) return (text, exit code), and
+    write the text. Errors map to the documented exit codes."""
+    try:
+        config = _merge_settings(args)
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot read config: {exc}")
+    except InvalidParameterError as exc:  # before ValueError, its base class
+        return _fail(EXIT_INVALID, f"invalid parameters: {exc}")
+    except ValueError as exc:
+        return _fail(EXIT_IO, str(exc))
+    try:
+        text, code = work(config, config.instance())
+    except InvalidParameterError as exc:
+        return _fail(EXIT_INVALID, f"invalid parameters: {exc}")
+    except (WeightSolutionError, DegenerateKernelError) as exc:
+        return _fail(EXIT_CHECK_FAILED, str(exc))
+    try:
+        _emit(text, config.output)
+    except OSError as exc:
+        return _fail(EXIT_IO, f"cannot write output: {exc}")
+    return code
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _verify(config: RunConfig, inst: FamilyInstance) -> tuple[str, int]:
+    rep = run_verify_suite(inst, config.checks, config.seed)
+    code = EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    if all(c.skipped for c in rep.checks):
+        selected = config.checks or CHECK_NAMES
+        reasons = "; ".join(f"{c.name}: {c.reason}" for c in rep.checks if c.name in selected)
+        code = _fail(EXIT_INVALID, f"every selected check was skipped ({reasons})")
+    return json.dumps(rep.to_dict(), indent=2), code
+
+
 def cmd_verify(args) -> int:
-    try:
-        config = _merge_settings(args)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        rep = run_verify_suite(config.instance(), config.checks, config.seed)
-    except InvalidParameterError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        _emit(rep.to_dict(), config.output)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _instance_command(args, _verify)
 
 
 def table_doc(inst: FamilyInstance) -> dict:
@@ -305,37 +350,14 @@ def _format_table_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _table(config: RunConfig, inst: FamilyInstance) -> tuple[str, int]:
+    doc = table_doc(inst)
+    text = json.dumps(doc, indent=2) if config.format == "json" else _format_table_text(doc)
+    return text, EXIT_OK
+
+
 def cmd_table(args) -> int:
-    try:
-        config = _merge_settings(args)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        doc = table_doc(config.instance())
-    except InvalidParameterError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (WeightSolutionError, DegenerateKernelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    try:
-        if config.format == "json":
-            _emit(doc, config.output)
-        else:
-            text = _format_table_text(doc)
-            if config.output:
-                with open(config.output, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
-    except OSError as exc:
-        print(f"error: cannot write table: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    return _instance_command(args, _table)
 
 
 def cmd_coassoc(args) -> int:
@@ -343,8 +365,7 @@ def cmd_coassoc(args) -> int:
         p, q, p2, q2 = (parse_scalar(v) for v in (args.p, args.q, args.p2, args.q2))
         result = krawtchouk_coassoc(p, q, p2, q2, n_max=args.nmax)
     except InvalidParameterError as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(EXIT_INVALID, f"invalid parameters: {exc}")
     doc = {
         "suite": "coassoc:krawtchouk", "version": TOOL_VERSION,
         "params": {"p": format_scalar(p), "q": format_scalar(q),
@@ -355,10 +376,9 @@ def cmd_coassoc(args) -> int:
         "witness": result.witness,
     }
     try:
-        _emit(doc, args.output)
+        _emit(json.dumps(doc, indent=2), args.output)
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"cannot write report: {exc}")
     confirmed = result.constraint_holds == result.lhs_equals_rhs
     return EXIT_OK if confirmed else EXIT_CHECK_FAILED
 

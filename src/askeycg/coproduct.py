@@ -21,16 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable
 
-from .algebras import (GradedOperator, ModuleSpec, _relation_checks,
-                       diagonal_operator, first_block_mismatch, invert_diagonal,
-                       phi, scalar_operator)
-from .exactmath import InvalidParameterError, Scalar, SingularParameterError, format_scalar
+from .algebras import (GradedOperator, ModuleSpec, _relation_checks, block_entries,
+                       diagonal_operator, invert_diagonal, phi, scalar_operator)
+from .exactmath import InvalidParameterError, Scalar, SingularParameterError
 from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity,
                        labels)
 from .linalg import RatMat
-from .report import CheckResult, Report
+from .report import Report, first_mismatch
 
 __all__ = [
     "TensorModule", "tensor_module", "CoproductCoeffs", "coproduct_coeffs",
@@ -285,10 +285,13 @@ def build_delta(inst: FamilyInstance, tm: TensorModule,
 
 
 def check_homomorphism(inst: FamilyInstance, tm: TensorModule,
-                       coeffs: CoproductCoeffs | None = None) -> Report:
+                       coeffs: CoproductCoeffs | None = None,
+                       delta: Delta | None = None) -> Report:
     """The coproduct images must satisfy the defining relations of the
-    algebra on every block where the compositions stay inside the truncation."""
-    delta = build_delta(inst, tm, coeffs)
+    algebra on every block where the compositions stay inside the truncation.
+    An already built `delta` is used as is; otherwise it is built from
+    `coeffs` (or from the contiguity coefficients when those are omitted)."""
+    delta = delta or build_delta(inst, tm, coeffs)
     rep = Report(suite=f"homomorphism:{inst.kind.value}", params=inst.to_doc())
     rep.extend(_relation_checks(algebra_for(inst), delta.e, delta.f, delta.hk))
     return rep
@@ -309,13 +312,8 @@ def check_algebraic_form(inst: FamilyInstance, tm: TensorModule,
         dfn = getattr(derived, name)
         cfn = getattr(closed, name)
         rng = (f"n+m in 1..{nm}" if name in ("x", "y") else f"n+m in 0..{nm - 1}")
-        bad = next(((n, m) for n, m in pts if dfn(n, m) != cfn(n, m)), None)
-        if bad is None:
-            rep.add(CheckResult.ok(f"{name}-agreement", rng))
-        else:
-            n, m = bad
-            rep.add(CheckResult.fail(f"{name}-agreement", rng, {"n": n, "m": m},
-                                     dfn(n, m), cfn(n, m)))
+        rep.add(first_mismatch(f"{name}-agreement", rng,
+                               (({"n": n, "m": m}, dfn(n, m), cfn(n, m)) for n, m in pts)))
     return rep
 
 
@@ -323,26 +321,42 @@ def check_algebraic_form(inst: FamilyInstance, tm: TensorModule,
 # tensor factor operators (for closed-form comparisons)
 # ---------------------------------------------------------------------------
 
-def _pair_operator(dims: tuple[int, ...], deg1: int, coeff1, deg2: int, coeff2) -> GradedOperator:
-    """Operator A x B on the two-factor module, where A shifts the first level
-    by deg1 with coefficient coeff1(source level), and likewise B."""
-    deg = deg1 + deg2
+def _compositions(N: int, parts: int) -> list[tuple[int, ...]]:
+    """Ways to write N as an ordered sum of `parts` levels, lexicographic:
+    the level-N basis of a `parts`-fold tensor module."""
+    if parts == 1:
+        return [(N,)]
+    return [(n,) + rest for n in range(N + 1) for rest in _compositions(N - n, parts - 1)]
+
+
+def _factor_operator(dims: tuple[int, ...],
+                     slots: list[tuple[int, Callable[[int], Scalar]]]) -> GradedOperator:
+    """Tensor product A_1 x ... x A_k on a k-fold module, where slots[i] =
+    (degree, coeff) makes A_i shift the level of factor i by degree with
+    coefficient coeff(source level); (0, _one) is the identity."""
+    degree = sum(d for d, _ in slots)
     top = len(dims) - 1
     blocks = {}
     for N in range(top + 1):
-        tgt = N + deg
+        tgt = N + degree
         if tgt > top:
             continue
-        rows = dims[tgt] if tgt >= 0 else 0
-        mat = [[Fraction(0)] * dims[N] for _ in range(rows)]
-        for n in range(N + 1):
-            m = N - n
-            tn, tmm = n + deg1, m + deg2
-            if tn < 0 or tmm < 0:
-                continue
-            mat[tn][n] = coeff1(n) * coeff2(m)
-        blocks[N] = RatMat.from_rows(mat) if rows else RatMat.zeros(0, dims[N])
-    return GradedOperator(deg, dims, blocks)
+        src = _compositions(N, len(slots))
+        if tgt < 0:
+            blocks[N] = RatMat.zeros(0, len(src))
+            continue
+        index = {t: i for i, t in enumerate(_compositions(tgt, len(slots)))}
+        mat = [[Fraction(0)] * len(src) for _ in range(dims[tgt])]
+        for col, levels in enumerate(src):
+            moved = tuple(n + d for n, (d, _) in zip(levels, slots))
+            if min(moved) < 0:
+                continue  # lowering a vacuum factor: the coefficient is zero anyway
+            value = Fraction(1)
+            for n, (_, coeff) in zip(levels, slots):
+                value *= coeff(n)
+            mat[index[moved]][col] = value
+        blocks[N] = RatMat.from_rows(mat)
+    return GradedOperator(degree, dims, blocks)
 
 
 def _one(_: int) -> Fraction:
@@ -380,35 +394,27 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
     phi1 = lambda n: phi(alg, kappa1, n)
     phi2 = lambda m: phi(alg, kappa2, m)
     kcoeff = lambda n: kappa1 * q ** n
-    e_x_id = _pair_operator(dims, +1, _one, 0, _one)
-    k_x_e = _pair_operator(dims, 0, kcoeff, +1, _one)
-    f_x_id = _pair_operator(dims, -1, phi1, 0, _one)
-    k_x_f = _pair_operator(dims, 0, kcoeff, -1, phi2)
+    e_x_id = _factor_operator(dims, [(+1, _one), (0, _one)])
+    k_x_e = _factor_operator(dims, [(0, kcoeff), (+1, _one)])
+    f_x_id = _factor_operator(dims, [(-1, phi1), (0, _one)])
+    k_x_f = _factor_operator(dims, [(0, kcoeff), (-1, phi2)])
 
     rep = Report(suite="twist:q-racah", params=inst.to_doc())
     rng_e = f"blocks 0..{n_max - 1}"
     rng_f = f"blocks 0..{n_max}"
 
-    expected_e = e_x_id + k_x_e.scaled(1 / kappa1)
-    expected_f = f_x_id + k_x_f.scaled(kappa1)
-    rep.add(_cmp("specialized-raising", delta.e, expected_e, range(n_max), rng_e))
-    rep.add(_cmp("specialized-lowering", delta.f, expected_f, range(n_max + 1), rng_f))
-
     twist = diagonal_operator(dims, lambda N, i: kappa1 ** (N - i))
     tinv = invert_diagonal(twist)
-    rep.add(_cmp("twisted-raising", twist @ delta.e @ tinv, e_x_id + k_x_e,
-                 range(n_max), rng_e))
-    rep.add(_cmp("twisted-lowering", twist @ delta.f @ tinv, f_x_id + k_x_f,
-                 range(n_max + 1), rng_f))
+    for name, lhs, rhs, levels, rng in (
+            ("specialized-raising", delta.e, e_x_id + k_x_e.scaled(1 / kappa1),
+             range(n_max), rng_e),
+            ("specialized-lowering", delta.f, f_x_id + k_x_f.scaled(kappa1),
+             range(n_max + 1), rng_f),
+            ("twisted-raising", twist @ delta.e @ tinv, e_x_id + k_x_e, range(n_max), rng_e),
+            ("twisted-lowering", twist @ delta.f @ tinv, f_x_id + k_x_f,
+             range(n_max + 1), rng_f)):
+        rep.add(first_mismatch(name, rng, block_entries(lhs, rhs, levels, "block")))
     return rep
-
-
-def _cmp(name, lhs, rhs, levels, rng) -> CheckResult:
-    hit = first_block_mismatch(lhs, rhs, levels)
-    if hit is None:
-        return CheckResult.ok(name, rng)
-    n, i, j, a, b = hit
-    return CheckResult.fail(name, rng, {"block": n, "row": i, "col": j}, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -420,37 +426,6 @@ class CoassocResult:
     lhs_equals_rhs: bool
     constraint_holds: bool
     witness: dict | None = None
-
-
-def _triple_basis(N: int) -> list[tuple[int, int, int]]:
-    return [(n1, n2, N - n1 - n2)
-            for n1 in range(N + 1) for n2 in range(N - n1 + 1)]
-
-
-def _triple_factor_op(dims: tuple[int, ...], pos: int, degree: int,
-                      coeff: Callable[[int], Scalar]) -> GradedOperator:
-    """Operator acting as (degree, coeff) in slot pos of a three-factor
-    oscillator module, identity elsewhere."""
-    top = len(dims) - 1
-    blocks = {}
-    for N in range(top + 1):
-        tgt = N + degree
-        if tgt > top:
-            continue
-        src = _triple_basis(N)
-        if tgt < 0:
-            blocks[N] = RatMat.zeros(0, len(src))
-            continue
-        index = {t: i for i, t in enumerate(_triple_basis(tgt))}
-        mat = [[Fraction(0)] * len(src) for _ in range(dims[tgt])]
-        for col, triple in enumerate(src):
-            moved = list(triple)
-            moved[pos] += degree
-            if moved[pos] < 0:
-                continue  # lowering the vacuum slot: coefficient is zero anyway
-            mat[index[tuple(moved)]][col] = coeff(triple[pos])
-        blocks[N] = RatMat.from_rows(mat) if dims[tgt] else RatMat.zeros(0, len(src))
-    return GradedOperator(degree, dims, blocks)
 
 
 def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
@@ -474,11 +449,13 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
     lam = tuple(Fraction(v) for v in module_labels)
     dims = tuple((N + 1) * (N + 2) // 2 for N in range(n_max + 1))
 
-    minus_n = lambda n: Fraction(-n)
-    f_ops = [_triple_factor_op(dims, i, -1, minus_n) for i in range(3)]
-    e_ops = [_triple_factor_op(dims, i, +1, _one) for i in range(3)]
-    h_ops = [_triple_factor_op(dims, i, 0, lambda n, i=i: lam[i] + 2 * n)
-             for i in range(3)]
+    def in_slot(i, degree, coeff):
+        return _factor_operator(dims, [(degree, coeff) if j == i else (0, _one)
+                                       for j in range(3)])
+
+    f_ops = [in_slot(i, -1, lambda n: Fraction(-n)) for i in range(3)]
+    e_ops = [in_slot(i, +1, _one) for i in range(3)]
+    h_ops = [in_slot(i, 0, lambda n, i=i: lam[i] + 2 * n) for i in range(3)]
 
     f_lhs = (f_ops[0].scaled(p * q) + f_ops[1].scaled(p * (1 - q))
              + f_ops[2].scaled(1 - p))
@@ -487,20 +464,13 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
     e_both = e_ops[0] + e_ops[1] + e_ops[2]
     h_both = h_ops[0] + h_ops[1] + h_ops[2]
 
-    witness = None
-    hit = first_block_mismatch(f_lhs, f_rhs, range(n_max + 1))
-    if hit is None:
-        for op_pair, levels in (((e_both, e_both), range(n_max)),
-                                ((h_both, h_both), range(n_max + 1))):
-            sub = first_block_mismatch(op_pair[0], op_pair[1], levels)
-            if sub is not None:
-                hit = sub
-                break
-    if hit is not None:
-        n, i, j, a, b = hit
-        witness = {"block": n, "row": i, "col": j,
-                   "lhs": format_scalar(a), "rhs": format_scalar(b)}
-    equal = hit is None
+    result = first_mismatch("recoupling", "", chain(
+        block_entries(f_lhs, f_rhs, range(n_max + 1), "block"),
+        block_entries(e_both, e_both, range(n_max), "block"),
+        block_entries(h_both, h_both, range(n_max + 1), "block")))
+    equal = result.passed
+    witness = None if equal else {**result.witness.where, "lhs": result.witness.lhs,
+                                  "rhs": result.witness.rhs}
     constraint = (p2 == p * q) and (1 - p == (1 - p2) * (1 - q2))
     if constraint and not equal:
         raise RuntimeError("internal error: constraint satisfied but the "

@@ -38,14 +38,13 @@ from .algebras import AlgebraKind, AlgebraTag, phi
 from .exactmath import (InvalidParameterError, Scalar, as_scalar, binomial,
                         format_scalar, hyper_terminating, q_binomial,
                         q_hyper_terminating)
-from .linalg import RatMat, nullspace, rank
-from .report import CheckResult, Report
+from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
     "FamilyKind", "FamilyInstance", "ContiguityData", "make_instance",
     "poly_value", "contiguity", "check_contiguity",
     "check_three_term_dual_hahn", "limit_hahn_to_krawtchouk",
-    "limit_racah_to_dual_hahn", "random_instance", "algebra_for", "labels",
+    "limit_racah_to_dual_hahn", "block_values", "algebra_for", "labels",
 ]
 
 
@@ -180,6 +179,7 @@ def make_instance(kind: FamilyKind | str, n_max: int = 8, **params) -> FamilyIns
             f"{kind.value} needs parameters: {', '.join(missing)}")
 
     if kind.is_q:
+        _require(vals["q"] not in (0, 1, -1), "q must avoid {0, 1, -1}")
         if kind is FamilyKind.Q_RACAH and not {"kappa1", "kappa2"} <= vals.keys():
             raise InvalidParameterError("q-racah needs kappa1 and kappa2")
         vals.setdefault("kappa1", Fraction(1))
@@ -210,7 +210,6 @@ def _validate(inst: FamilyInstance) -> None:
     kind = inst.kind
     if kind.is_q:
         q = inst.q
-        _require(q not in (0, 1, -1), "q must avoid {0, 1, -1}")
         _require(inst.kappa1 != 0 and inst.kappa2 != 0, "kappa labels must be nonzero")
         ab = inst.alpha * inst.beta
         for e in range(-nm, 2 * nm + 3):
@@ -315,6 +314,16 @@ def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
         [a * q, b * g * q, q ** -N], q, q, n)
 
 
+def block_values(inst: FamilyInstance,
+                 blocks: dict | None = None) -> Callable[[int, int, int], Scalar]:
+    """(n, k, N) -> P_n(k, N), 0 for n outside 0..N. Values are read from
+    `blocks` (level -> CG block, as built by cgverify.cg_block) when given,
+    so one table serves every check of a run; otherwise they are evaluated."""
+    if blocks is None:
+        return lambda n, k, N: poly_value(inst, n, k, N)
+    return lambda n, k, N: blocks[N].P.entry(n, k) if 0 <= n <= N else Fraction(0)
+
+
 # ---------------------------------------------------------------------------
 # contiguity coefficient data
 # ---------------------------------------------------------------------------
@@ -396,71 +405,56 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
 # checks
 # ---------------------------------------------------------------------------
 
-def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None) -> Report:
+def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
+                     blocks: dict | None = None) -> Report:
     """Verify both contiguity relations exactly on the whole truncated grid.
 
     Boundary terms enter through the zero convention; coefficients are never
     evaluated against a vanishing polynomial factor, so every coefficient
-    evaluation stays inside the validated grid.
+    evaluation stays inside the validated grid. Polynomial values come from
+    `blocks` when given (see block_values).
     """
     data = data or contiguity(inst)
+    P = block_values(inst, blocks)
     nm = inst.n_max
+
+    def raising(n, k, N):
+        rhs = Fraction(0)
+        if 0 <= n - 1 <= N:
+            rhs += data.alpha1(n, N) * P(n - 1, k, N)
+        if 0 <= n <= N:
+            rhs += data.alpha2(n, N) * P(n, k, N)
+        return P(n, k, N + 1), rhs
+
+    def lowering(n, k, N):
+        m = data.mu(k, N)
+        lhs = m * P(n, k, N - 1) if m != 0 and N >= 1 else Fraction(0)
+        rhs = Fraction(0)
+        if 0 <= n + 1 <= N:
+            rhs += data.beta1(n, N) * P(n + 1, k, N)
+        if 0 <= n <= N:
+            rhs += data.beta2(n, N) * P(n, k, N)
+        return lhs, rhs
+
     rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
-
     rng = f"0<=N<{nm}, -1<=n<=N+1, 0<=k<=N"
-    witness = None
-    for N in range(nm):
-        for n in range(-1, N + 2):
-            for k in range(N + 1):
-                lhs = poly_value(inst, n, k, N + 1)
-                rhs = Fraction(0)
-                if 0 <= n - 1 <= N:
-                    rhs += data.alpha1(n, N) * poly_value(inst, n - 1, k, N)
-                if 0 <= n <= N:
-                    rhs += data.alpha2(n, N) * poly_value(inst, n, k, N)
-                if lhs != rhs:
-                    witness = ({"N": N, "n": n, "k": k}, lhs, rhs)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add(CheckResult.ok("raising-contiguity", rng) if witness is None
-            else CheckResult.fail("raising-contiguity", rng, *witness))
-
-    witness = None
-    for N in range(nm):
-        for n in range(-1, N + 2):
-            for k in range(N + 1):
-                m = data.mu(k, N)
-                lhs = Fraction(0)
-                if m != 0 and N >= 1:
-                    lhs = m * poly_value(inst, n, k, N - 1)
-                rhs = Fraction(0)
-                if 0 <= n + 1 <= N:
-                    rhs += data.beta1(n, N) * poly_value(inst, n + 1, k, N)
-                if 0 <= n <= N:
-                    rhs += data.beta2(n, N) * poly_value(inst, n, k, N)
-                if lhs != rhs:
-                    witness = ({"N": N, "n": n, "k": k}, lhs, rhs)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add(CheckResult.ok("lowering-contiguity", rng) if witness is None
-            else CheckResult.fail("lowering-contiguity", rng, *witness))
+    for name, sides in (("raising-contiguity", raising), ("lowering-contiguity", lowering)):
+        rep.add(first_mismatch(name, rng, (
+            ({"N": N, "n": n, "k": k}, *sides(n, k, N))
+            for N in range(nm) for n in range(-1, N + 2) for k in range(N + 1))))
     return rep
 
 
 def check_three_term_dual_hahn(inst: FamilyInstance,
-                               mu_fn: Callable[[int, int], Scalar] | None = None) -> Report:
+                               mu_fn: Callable[[int, int], Scalar] | None = None,
+                               blocks: dict | None = None) -> Report:
     """Three-term recurrence of the dual Hahn family at alpha = lambda1 - 1:
 
         A_n P_{n+1} + (A_n + C_n) P_n + C_n P_{n-1} = mu(k) P_n
 
     with A_n = (n+1)(n+lambda1), C_n = (N-n+1)(N-n+lambda2) and
-    mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N.
+    mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N. Polynomial
+    values come from `blocks` when given (see block_values).
     """
     if inst.kind is not FamilyKind.DUAL_HAHN:
         raise InvalidParameterError("three-term recurrence check needs a dual Hahn instance")
@@ -468,24 +462,20 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
         raise InvalidParameterError("three-term recurrence check needs alpha = lambda1 - 1")
     l1, l2 = inst.lambda1, inst.lambda2
     nm = inst.n_max
-    rep = Report(suite="three-term:dual-hahn", params=inst.to_doc())
-    rng = f"0<=n,k<=N<={nm}"
+    P = block_values(inst, blocks)
     if mu_fn is None:
         mu_fn = lambda k, N: (N - k + 1) * (N + k + l1 + l2)
-    for N in range(nm + 1):
-        for n in range(N + 1):
-            for k in range(N + 1):
-                a_n = (n + 1) * (n + l1)
-                c_n = (N - n + 1) * (N - n + l2)
-                lhs = (a_n * poly_value(inst, n + 1, k, N)
-                       + (a_n + c_n) * poly_value(inst, n, k, N)
-                       + c_n * poly_value(inst, n - 1, k, N))
-                rhs = mu_fn(k, N) * poly_value(inst, n, k, N)
-                if lhs != rhs:
-                    rep.add(CheckResult.fail("three-term-recurrence", rng,
-                                             {"N": N, "n": n, "k": k}, lhs, rhs))
-                    return rep
-    rep.add(CheckResult.ok("three-term-recurrence", rng))
+
+    def sides(n, k, N):
+        a_n = (n + 1) * (n + l1)
+        c_n = (N - n + 1) * (N - n + l2)
+        return (a_n * P(n + 1, k, N) + (a_n + c_n) * P(n, k, N) + c_n * P(n - 1, k, N),
+                mu_fn(k, N) * P(n, k, N))
+
+    rep = Report(suite="three-term:dual-hahn", params=inst.to_doc())
+    rep.add(first_mismatch("three-term-recurrence", f"0<=n,k<=N<={nm}", (
+        ({"N": N, "n": n, "k": k}, *sides(n, k, N))
+        for N in range(nm + 1) for n in range(N + 1) for k in range(N + 1))))
     return rep
 
 
@@ -530,10 +520,8 @@ def limit_hahn_to_krawtchouk(p: Scalar, z_list: list[Scalar],
         ("beta2", kdata.beta2(n, N), -(1 - p) * (N - n)),
         ("mu", kdata.mu(k, N), Fraction(k - N)),
     ]
-    bad = next(((nme, got, want) for nme, got, want in limits if got != want), None)
-    rep.add(CheckResult.ok("coefficient-limits", f"(n,k,N)=({n},{k},{N})") if bad is None
-            else CheckResult.fail("coefficient-limits", f"(n,k,N)=({n},{k},{N})",
-                                  {"coefficient": bad[0]}, bad[1], bad[2]))
+    rep.add(first_mismatch("coefficient-limits", f"(n,k,N)=({n},{k},{N})",
+                           (({"coefficient": nme}, got, want) for nme, got, want in limits)))
     return rep
 
 
@@ -579,88 +567,8 @@ def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
             if not result.passed:
                 break
         rep.add(result)
-    mu_ok = CheckResult.ok("mu-equality", f"0<=k<=N<={n_max}")
     rdata = contiguity(insts[0])
-    for N in range(n_max + 1):
-        for k in range(N + 1):
-            if rdata.mu(k, N) != ddata.mu(k, N):
-                mu_ok = CheckResult.fail("mu-equality", f"0<=k<=N<={n_max}",
-                                         {"k": k, "N": N},
-                                         rdata.mu(k, N), ddata.mu(k, N))
-                break
-    rep.add(mu_ok)
+    rep.add(first_mismatch("mu-equality", f"0<=k<=N<={n_max}", (
+        ({"k": k, "N": N}, rdata.mu(k, N), ddata.mu(k, N))
+        for N in range(n_max + 1) for k in range(N + 1))))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# random draws
-# ---------------------------------------------------------------------------
-
-def _unit_fraction(rng) -> Fraction:
-    den = rng.randint(2, 20)
-    return Fraction(rng.randint(1, den - 1), den)
-
-
-def _positive_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(1, 20), rng.randint(1, 20))
-
-
-def _draw_params(kind: FamilyKind, rng) -> dict:
-    if kind is FamilyKind.HAHN:
-        return {"alpha": _positive_fraction(rng), "beta": _positive_fraction(rng),
-                "lambda1": _positive_fraction(rng), "lambda2": _positive_fraction(rng)}
-    if kind is FamilyKind.KRAWTCHOUK:
-        return {"p": _unit_fraction(rng),
-                "lambda1": _positive_fraction(rng), "lambda2": _positive_fraction(rng)}
-    if kind is FamilyKind.DUAL_HAHN:
-        l1 = 1 + _positive_fraction(rng)
-        l2 = 1 + _positive_fraction(rng)
-        # alpha strictly between 0 and l1 + l2 - 2 keeps both alpha, beta > -1
-        return {"lambda1": l1, "lambda2": l2,
-                "alpha": (l1 + l2 - 2) * _unit_fraction(rng)}
-    if kind is FamilyKind.RACAH:
-        return {"lambda1": 1 + _positive_fraction(rng),
-                "lambda2": 1 + _positive_fraction(rng),
-                "alpha": _unit_fraction(rng), "beta": _unit_fraction(rng)}
-    base = Fraction(rng.randint(1, 3), rng.randint(2, 4))
-    while base >= 1:
-        base = Fraction(rng.randint(1, 3), rng.randint(2, 4))
-    q = base ** 2  # squares keep q^(1/2) rational for the U_q(sl2) checks
-    # labels in (0, 1) keep every kappa-dependent denominator away from 1
-    return {"q": q, "alpha": _unit_fraction(rng), "beta": _unit_fraction(rng),
-            "kappa1": _unit_fraction(rng), "kappa2": _unit_fraction(rng)}
-
-
-def random_instance(kind: FamilyKind | str, rng, n_max: int = 8,
-                    max_tries: int = 200) -> FamilyInstance:
-    """Draw a valid instance: numerators and denominators of drawn rationals
-    stay <= 20, redrawing on validation failure. A draw is also rejected when
-    a coefficient block is singular or the invariant form degenerates (a zero
-    norm on some level), since either would defeat the basis-change and
-    orthogonality checks the draws exist to feed."""
-    kind = FamilyKind(kind)
-    for _ in range(max_tries):
-        try:
-            inst = make_instance(kind, n_max=n_max, **_draw_params(kind, rng))
-        except InvalidParameterError:
-            continue
-        if all(_block_nondegenerate(inst, N) for N in range(1, n_max + 1)):
-            return inst
-    raise RuntimeError(f"no valid draw for {kind.value} after {max_tries} tries")
-
-
-def _block_nondegenerate(inst: FamilyInstance, N: int) -> bool:
-    mat = RatMat.build(N + 1, N + 1, lambda n, k: poly_value(inst, n, k, N))
-    if rank(mat) != N + 1:
-        return False
-    rows = []
-    for k in range(N + 1):
-        for l in range(k + 1, N + 1):
-            rows.append([mat.entry(n, k) * mat.entry(n, l) for n in range(N + 1)])
-    basis = nullspace(RatMat.from_rows(rows))
-    if len(basis) != 1 or basis[0][0] == 0:
-        return False
-    omega = basis[0]
-    return all(
-        sum((mat.entry(n, l) ** 2 * omega[n] for n in range(N + 1)), Fraction(0)) != 0
-        for l in range(N + 1))

@@ -129,7 +129,8 @@ def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:
             for j in range(c + 1, m.cols):
                 val = work[r][c] * work[i][j] - head * work[r][j]
                 quot, rem = divmod(val, prev)
-                assert rem == 0, "inexact division in fraction-free elimination"
+                if rem:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
                 work[i][j] = quot
             work[i][c] = 0
         prev = work[r][c]

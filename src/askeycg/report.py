@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 TOOL_VERSION = "0.1.0"
 
-__all__ = ["TOOL_VERSION", "Witness", "CheckResult", "Report"]
+__all__ = ["TOOL_VERSION", "Witness", "CheckResult", "Report", "first_mismatch"]
 
 
 @dataclass
@@ -54,6 +55,16 @@ class CheckResult:
             "checked_range": self.checked_range,
             "witness": self.witness.to_dict() if self.witness else None,
         }
+
+
+def first_mismatch(name: str, checked_range: str,
+                   sides: Iterable[tuple[dict, object, object]]) -> CheckResult:
+    """Compare lazily produced (where, lhs, rhs) triples in order; the check
+    fails at the first unequal pair, and nothing after it is evaluated."""
+    for where, lhs, rhs in sides:
+        if lhs != rhs:
+            return CheckResult.fail(name, checked_range, where, lhs, rhs)
+    return CheckResult.ok(name, checked_range)
 
 
 @dataclass

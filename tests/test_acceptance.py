@@ -17,7 +17,7 @@ from askeycg.algebras import (AlgebraKind, AlgebraTag, Generators, GradedOperato
                               check_relations, scalar_operator)
 from askeycg.cgverify import (CGBlock, WeightSolutionError, cg_block,
                               lowest_weight_oracle, orthogonality_weights,
-                              verify_lowering, verify_raising)
+                              random_instance, verify_lowering, verify_raising)
 from askeycg.coproduct import (CoproductCoeffs, Delta, build_delta,
                                check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
@@ -26,7 +26,7 @@ from askeycg.coproduct import (CoproductCoeffs, Delta, build_delta,
 from askeycg.families import (ContiguityData, FamilyKind, check_contiguity,
                               check_three_term_dual_hahn, contiguity,
                               limit_hahn_to_krawtchouk, limit_racah_to_dual_hahn,
-                              make_instance, poly_value, random_instance)
+                              make_instance, poly_value)
 from askeycg.cgverify import verify_weight_grading
 from askeycg.linalg import RatMat
 

@@ -181,7 +181,7 @@ def test_suite_failure_yields_exit_one(tmp_path, monkeypatch):
     from askeycg import families
     from askeycg.report import CheckResult
 
-    def broken(inst, data=None):
+    def broken(inst, data=None, blocks=None):
         from askeycg.report import Report
         out = Report(suite="contiguity")
         out.add(CheckResult.fail("raising-contiguity", "", {"N": 0}, "1", "2"))

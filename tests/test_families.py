@@ -5,11 +5,12 @@ import pytest
 
 from askeycg.exactmath import (InvalidParameterError, binomial, q_binomial,
                                q_pochhammer)
+from askeycg.cgverify import random_instance
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind,
                               check_contiguity, check_three_term_dual_hahn,
                               contiguity, limit_hahn_to_krawtchouk,
                               limit_racah_to_dual_hahn, make_instance,
-                              poly_value, random_instance)
+                              poly_value)
 
 ALL_KINDS = list(FamilyKind)
 
