@@ -132,7 +132,6 @@ def _three_term_skip(inst: FamilyInstance) -> str | None:
         return "only defined for dual-hahn"
     if inst.alpha != inst.lambda1 - 1:
         return "needs alpha = lambda1 - 1"
-    return None
 
 
 def _twist_skip(inst: FamilyInstance) -> str | None:
@@ -140,7 +139,6 @@ def _twist_skip(inst: FamilyInstance) -> str | None:
         return "only defined for q-racah"
     if inst.beta != 0 or inst.alpha != inst.kappa1 ** 2 / inst.q:
         return "needs beta = 0 and alpha = kappa1^2/q"
-    return None
 
 
 # name -> (skip rule giving a reason or None, runner); a runner returns a
