@@ -123,3 +123,13 @@ def test_graded_operator_serialization_round_trip():
     back = GradedOperator.from_doc(doc, gens.f.dims)
     assert back == gens.f
     assert doc["blocks"][0] == {"N": 0, "rows": 0, "cols": 1, "entries": []}
+
+
+def test_graded_operator_from_doc_rejects_wrong_block_shape():
+    gens = build_generators(ModuleSpec(OSC, F(2), 3))
+    doc = gens.f.to_doc()
+    # level 2 of a lowering map on a single module is 1x1; this record is 2x2
+    doc["blocks"][2] = {"N": 2, "rows": 2, "cols": 2,
+                        "entries": [["1", "0"], ["0", "1"]]}
+    with pytest.raises(ValueError):
+        GradedOperator.from_doc(doc, gens.f.dims)

@@ -168,6 +168,12 @@ def test_coassoc_out_of_range_exit_two(capsys):
     assert main(["coassoc", "3/2", "1/3", "1/2", "1/2"]) == 2
 
 
+@pytest.mark.parametrize("nmax", ["0", "-1", "-3"])
+def test_coassoc_vacuous_nmax_exit_two(capsys, nmax):
+    assert main(["coassoc", "1/2", "1/3", "1/5", "2/5", "--nmax", nmax]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_version(capsys):
     assert main(["version"]) == 0
     assert "askeycg" in capsys.readouterr().out

@@ -240,3 +240,10 @@ def test_coassoc_partial_constraint_not_enough():
 def test_coassoc_rejects_degenerate_probabilities():
     with pytest.raises(InvalidParameterError):
         krawtchouk_coassoc(F(1, 2), F(1), F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize("n_max", [0, -1, -3])
+def test_coassoc_rejects_vacuous_truncation(n_max):
+    # below n_max = 1 no block would be compared, so any quadruple would pass
+    with pytest.raises(InvalidParameterError):
+        krawtchouk_coassoc(F(1, 2), F(1, 3), F(1, 5), F(2, 5), n_max=n_max)
