@@ -11,9 +11,13 @@ and the lowering coefficient phi determines the algebra. For the q-kinds the
 Cartan generator is carried as K = q^{H/2} with eigenvalue kappa * q^n, where
 kappa = q^{l/2} labels the module, so everything stays rational.
 
-Operators are stored block per weight level (GradedOperator). Compositions
-are truncation-aware: a block exists only when every intermediate level stays
-inside the truncated module, and anything below level 0 is the zero space.
+Operators are stored block per weight level (GradedOperator), each block as
+the map of its nonzero entries; every operator here is a weighted shift or a
+diagonal, so the blocks stay sparse. One constructor, tensor_operator, builds
+every weighted shift on a k-fold tensor module (k = 1 for a single module).
+Compositions are truncation-aware: a block exists only when every
+intermediate level stays inside the truncated module, and anything below
+level 0 is the zero space.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
     "AlgebraTag", "AlgebraKind", "ModuleSpec", "GradedOperator", "Generators",
-    "phi", "build_generators", "check_relations", "casimir", "CasimirCheck",
-    "identity_operator", "diagonal_operator", "scalar_operator",
+    "phi", "cartan", "build_generators", "check_relations", "casimir", "CasimirCheck",
+    "tensor_operator", "identity_operator", "scalar_operator",
     "invert_diagonal", "block_entries", "first_block_mismatch", "rational_sqrt",
 ]
 
@@ -97,48 +101,63 @@ def phi(algebra: AlgebraKind, label: Scalar, n: int) -> Scalar:
 class GradedOperator:
     """Weight-graded linear map on a truncated (tensor) module.
 
-    blocks[N] sends level-N coordinates to level-(N+degree) coordinates.
-    Levels below 0 are zero-dimensional; levels above len(dims)-1 do not
-    exist, so blocks targeting them are simply absent (truncation).
+    blocks[N] holds the nonzero entries {(row, col): value} of the map from
+    level-N coordinates to level-(N+degree) coordinates; its shape follows
+    from dims and degree. Levels below 0 are zero-dimensional; levels above
+    len(dims)-1 do not exist, so blocks targeting them are simply absent
+    (truncation).
     """
 
     degree: int
     dims: tuple[int, ...]
-    blocks: Mapping[int, RatMat]
+    blocks: Mapping[int, Mapping[tuple[int, int], Fraction]]
+
+    def __post_init__(self):
+        # zeros are dropped, so equal operators have equal entry maps
+        object.__setattr__(self, "blocks", {
+            n: {ij: v for ij, v in b.items() if v} for n, b in self.blocks.items()})
 
     @property
     def top(self) -> int:
         return len(self.dims) - 1
 
-    def dim(self, level: int) -> int:
-        if level < 0:
-            return 0
-        if level > self.top:
-            raise ValueError(f"level {level} beyond truncation")
-        return self.dims[level]
+    def shape(self, level: int) -> tuple[int, int]:
+        """(rows, cols) of the block at a source level that has a block."""
+        tgt = level + self.degree
+        if not 0 <= level <= self.top or tgt > self.top:
+            raise ValueError(f"no block at level {level}")
+        return (self.dims[tgt] if tgt >= 0 else 0), self.dims[level]
 
-    def block(self, level: int) -> RatMat | None:
-        """Matrix at source level, or None when the target is truncated away."""
-        if level in self.blocks:
-            return self.blocks[level]
-        if level < 0:
-            tgt = level + self.degree
-            return RatMat.zeros(self.dim(tgt) if tgt >= 0 else 0, 0)
-        return None
+    def dense(self, level: int) -> RatMat:
+        b = self.blocks[level]
+        return RatMat.build(*self.shape(level), lambda i, j: b.get((i, j), 0))
 
-    def levels(self) -> list[int]:
-        return sorted(self.blocks)
+    def apply(self, level: int, vec) -> tuple[Fraction, ...]:
+        """Image of the level-`level` coordinate vector `vec`."""
+        rows, cols = self.shape(level)
+        if len(vec) != cols:
+            raise ValueError("vector length mismatch")
+        out = [Fraction(0)] * rows
+        for (i, j), v in self.blocks[level].items():
+            out[i] += v * vec[j]
+        return tuple(out)
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         if self.dims != other.dims:
             raise ValueError("operators live on different modules")
         out = {}
-        for n in other.levels():
+        for n, right in other.blocks.items():
             mid = n + other.degree
-            left = self.block(mid) if mid <= self.top else None
-            if left is None:
-                continue
-            out[n] = left @ other.blocks[n]
+            if mid >= 0 and mid not in self.blocks:
+                continue  # the intermediate level's image is truncated away
+            by_col = {}  # the left factor's entries, keyed by the level-mid index
+            for (i, k), v in self.blocks.get(mid, {}).items():
+                by_col.setdefault(k, []).append((i, v))
+            acc = {}
+            for (k, j), w in right.items():
+                for i, v in by_col.get(k, ()):
+                    acc[i, j] = acc.get((i, j), 0) + v * w
+            out[n] = acc
         return GradedOperator(self.degree + other.degree, self.dims, out)
 
     def _merge(self, other: "GradedOperator", op) -> "GradedOperator":
@@ -146,9 +165,12 @@ class GradedOperator:
             raise ValueError("operators live on different modules")
         if self.degree != other.degree:
             raise ValueError("cannot combine operators of different degree")
-        keys = set(self.blocks) & set(other.blocks)
-        return GradedOperator(self.degree, self.dims,
-                              {n: op(self.blocks[n], other.blocks[n]) for n in keys})
+        zero = Fraction(0)
+        out = {}
+        for n in self.blocks.keys() & other.blocks.keys():
+            a, b = self.blocks[n], other.blocks[n]
+            out[n] = {ij: op(a.get(ij, zero), b.get(ij, zero)) for ij in a.keys() | b.keys()}
+        return GradedOperator(self.degree, self.dims, out)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         return self._merge(other, lambda a, b: a + b)
@@ -157,78 +179,105 @@ class GradedOperator:
         return self._merge(other, lambda a, b: a - b)
 
     def scaled(self, s: Scalar) -> "GradedOperator":
-        return GradedOperator(self.degree, self.dims,
-                              {n: b.scaled(s) for n, b in self.blocks.items()})
+        return GradedOperator(self.degree, self.dims, {
+            n: {ij: s * v for ij, v in b.items()} for n, b in self.blocks.items()})
 
     def to_doc(self) -> dict:
-        return {
-            "degree": self.degree,
-            "blocks": [
-                {"N": n, "rows": b.rows, "cols": b.cols,
-                 "entries": [[format_scalar(x) for x in row] for row in b.a]}
-                for n, b in sorted(self.blocks.items())
-            ],
-        }
+        zero = Fraction(0)
+        docs = []
+        for n, b in sorted(self.blocks.items()):
+            rows, cols = self.shape(n)
+            docs.append({"N": n, "rows": rows, "cols": cols, "entries": [
+                [format_scalar(b.get((i, j), zero)) for j in range(cols)]
+                for i in range(rows)]})
+        return {"degree": self.degree, "blocks": docs}
 
     @staticmethod
     def from_doc(doc: dict, dims: Iterable[int]) -> "GradedOperator":
+        """Rebuild an operator on a module with the given level dimensions;
+        every block must have the shape its level and the degree dictate."""
+        shape = GradedOperator(int(doc["degree"]), tuple(dims), {}).shape
         blocks = {}
         for rec in doc["blocks"]:
-            entries = [[parse_scalar(x) for x in row] for row in rec["entries"]]
-            mat = (RatMat.from_rows(entries) if entries
-                   else RatMat.zeros(rec["rows"], rec["cols"]))
-            if (mat.rows, mat.cols) != (rec["rows"], rec["cols"]):
-                raise ValueError("block shape mismatch in document")
-            blocks[int(rec["N"])] = mat
+            n = int(rec["N"])
+            rows, cols = shape(n)
+            entries = rec["entries"]
+            if ((rec["rows"], rec["cols"]) != (rows, cols) or len(entries) != rows
+                    or any(len(row) != cols for row in entries)):
+                raise ValueError(f"block {n} in document is not {rows}x{cols}")
+            blocks[n] = {(i, j): parse_scalar(x)
+                         for i, row in enumerate(entries) for j, x in enumerate(row)}
         return GradedOperator(int(doc["degree"]), tuple(dims), blocks)
 
 
-def identity_operator(dims: tuple[int, ...]) -> GradedOperator:
-    return GradedOperator(0, dims, {n: RatMat.identity(d) for n, d in enumerate(dims)})
+def _compositions(N: int, parts: int) -> list[tuple[int, ...]]:
+    """Ways to write N as an ordered sum of `parts` levels, lexicographic:
+    the level-N basis of a `parts`-fold tensor module."""
+    if parts == 1:
+        return [(N,)]
+    return [(n,) + rest for n in range(N + 1) for rest in _compositions(N - n, parts - 1)]
+
+
+def tensor_operator(dims: tuple[int, ...], shifts: tuple[int, ...],
+                    coeff: Callable[[tuple[int, ...]], Scalar]) -> GradedOperator:
+    """Weighted shift on a k-fold tensor module, k = len(shifts), with the
+    lexicographic basis of compositions at each level: the basis vector with
+    factor levels c goes to coeff(c) times the one with levels c + shifts.
+    A shift below level 0 of some factor contributes nothing, and coeff is
+    not evaluated there."""
+    degree = sum(shifts)
+    blocks = {}
+    for N in range(len(dims)):
+        if N + degree >= len(dims):
+            continue
+        index = {t: i for i, t in enumerate(_compositions(N + degree, len(shifts)))}
+        entries = {}
+        for col, src in enumerate(_compositions(N, len(shifts))):
+            moved = tuple(n + d for n, d in zip(src, shifts))
+            if min(moved) >= 0:
+                entries[index[moved], col] = Fraction(coeff(src))
+        blocks[N] = entries
+    return GradedOperator(degree, dims, blocks)
 
 
 def scalar_operator(dims: tuple[int, ...], value: Callable[[int], Scalar]) -> GradedOperator:
     """Degree-0 operator acting on level N as the scalar value(N)."""
-    return GradedOperator(0, dims, {n: RatMat.identity(d).scaled(value(n))
+    return GradedOperator(0, dims, {n: {(i, i): Fraction(value(n)) for i in range(d)}
                                     for n, d in enumerate(dims)})
 
 
-def diagonal_operator(dims: tuple[int, ...],
-                      entry: Callable[[int, int], Scalar]) -> GradedOperator:
-    """Degree-0 operator, diagonal in the given basis: entry(level, index)."""
-    return GradedOperator(0, dims, {
-        n: RatMat.build(d, d, lambda i, j, n=n: entry(n, i) if i == j else Fraction(0))
-        for n, d in enumerate(dims)})
+def identity_operator(dims: tuple[int, ...]) -> GradedOperator:
+    return scalar_operator(dims, lambda n: 1)
 
 
 def invert_diagonal(op: GradedOperator) -> GradedOperator:
     """Inverse of a degree-0 operator whose blocks are diagonal."""
     if op.degree != 0:
         raise ValueError("only degree-0 operators can be inverted blockwise")
-    out = {}
-    for n, b in op.blocks.items():
-        for i in range(b.rows):
-            for j in range(b.cols):
-                if i != j and b.entry(i, j) != 0:
-                    raise ValueError("block is not diagonal")
-        out[n] = RatMat.build(b.rows, b.cols,
-                              lambda i, j, b=b: 1 / b.entry(i, i) if i == j else Fraction(0))
-    return GradedOperator(0, op.dims, out)
+    if any(i != j for b in op.blocks.values() for i, j in b):
+        raise ValueError("block is not diagonal")
+    return GradedOperator(0, op.dims, {
+        n: {(i, i): 1 / b.get((i, i), Fraction(0)) for i in range(op.dims[n])}
+        for n, b in op.blocks.items()})
 
 
 def block_entries(lhs: GradedOperator, rhs: GradedOperator,
                   levels: Iterable[int], level_key: str = "level"):
-    """(where, lhs entry, rhs entry) over every entry of the blocks at the
-    given levels, row by row; blocks that are equal as a whole are skipped."""
+    """(where, lhs entry, rhs entry) over the entries stored in either
+    operator at the given levels, row by row; blocks that are equal as a
+    whole are skipped. Entries stored in neither are zero on both sides, so
+    the first unequal pair is the first one of the full row-major walk."""
+    if lhs.dims != rhs.dims or lhs.degree != rhs.degree:
+        raise ValueError("operators of different modules or degrees")
+    zero = Fraction(0)
     for n in levels:
         a, b = lhs.blocks.get(n), rhs.blocks.get(n)
         if a is None or b is None:
             raise ValueError(f"block {n} outside the checked operators")
         if a == b:
             continue
-        for i in range(a.rows):
-            for j in range(a.cols):
-                yield {level_key: n, "row": i, "col": j}, a.entry(i, j), b.entry(i, j)
+        for i, j in sorted(a.keys() | b.keys()):
+            yield {level_key: n, "row": i, "col": j}, a.get((i, j), zero), b.get((i, j), zero)
 
 
 def first_block_mismatch(lhs: GradedOperator, rhs: GradedOperator,
@@ -249,33 +298,28 @@ def rational_sqrt(x: Scalar) -> Scalar | None:
     return None
 
 
+def cartan(algebra: AlgebraKind, label: Scalar, n: int) -> Scalar:
+    """Eigenvalue of H (or K for the q-kinds) at level n."""
+    return label * algebra.q ** n if algebra.is_q else label + 2 * n
+
+
 @dataclass(frozen=True)
 class Generators:
+    """E, F and H (or K) acting on one module, or their coproduct images
+    on a tensor module."""
     e: GradedOperator
     f: GradedOperator
     hk: GradedOperator
 
 
-def single_module_dims(levels: int) -> tuple[int, ...]:
-    return (1,) * (levels + 1)
-
-
 def build_generators(module: ModuleSpec) -> Generators:
     """E, F and H (or K for the q-kinds) on the truncated module."""
-    L = module.levels
-    dims = single_module_dims(L)
-    one = Fraction(1)
-    e = GradedOperator(+1, dims, {n: RatMat.from_rows([[one]]) for n in range(L)})
-    f_blocks = {0: RatMat.zeros(0, 1)}
-    for n in range(1, L + 1):
-        f_blocks[n] = RatMat.from_rows([[phi(module.algebra, module.label, n)]])
-    f = GradedOperator(-1, dims, f_blocks)
-    if module.algebra.is_q:
-        q = module.algebra.q
-        hk = scalar_operator(dims, lambda n: module.label * q ** n)
-    else:
-        hk = scalar_operator(dims, lambda n: module.label + 2 * n)
-    return Generators(e, f, hk)
+    dims = (1,) * (module.levels + 1)
+    alg, label = module.algebra, module.label
+    return Generators(
+        tensor_operator(dims, (+1,), lambda c: 1),
+        tensor_operator(dims, (-1,), lambda c: phi(alg, label, c[0])),
+        tensor_operator(dims, (0,), lambda c: cartan(alg, label, c[0])))
 
 
 def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
@@ -348,7 +392,11 @@ def check_relations(module: ModuleSpec, gens: Generators | None = None) -> Repor
 class CasimirCheck:
     op: GradedOperator
     eigenvalue: Scalar
-    ok: bool
+    mismatch: tuple | None  # first (level, row, col, op entry, scalar entry)
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatch is None
 
 
 def casimir(module: ModuleSpec, gens: Generators | None = None) -> CasimirCheck:
@@ -379,5 +427,4 @@ def casimir(module: ModuleSpec, gens: Generators | None = None) -> CasimirCheck:
         op = e @ f @ kinv - hk.scaled(1 / q) - kinv
         eig = -(lam / q + 1 / lam)
     expected = scalar_operator(op.dims, lambda n: eig)
-    hit = first_block_mismatch(op, expected, range(0, module.levels))
-    return CasimirCheck(op, eig, hit is None)
+    return CasimirCheck(op, eig, first_block_mismatch(op, expected, range(0, module.levels)))

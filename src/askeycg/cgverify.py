@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import phi
+from .algebras import block_entries, phi, scalar_operator
 from .coproduct import Delta, TensorModule, build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
@@ -103,11 +103,15 @@ def verify_raising(inst: FamilyInstance, tm: TensorModule, N: int,
     blocks = blocks or {}
     here = blocks.get(N) or cg_block(inst, N)
     above = blocks.get(N + 1) or cg_block(inst, N + 1)
-    image = delta.e.blocks[N] @ here.P
+
+    def sides():
+        for k in range(N + 1):
+            image = delta.e.apply(N, here.P.column(k))
+            for n in range(N + 2):
+                yield {"N": N, "n": n, "k": k}, image[n], above.P.entry(n, k)
+
     rep = Report(suite=f"raising:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}", (
-        ({"N": N, "n": n, "k": k}, image.entry(n, k), above.P.entry(n, k))
-        for k in range(N + 1) for n in range(N + 2))))
+    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}", sides()))
     return rep
 
 
@@ -122,14 +126,14 @@ def verify_lowering(inst: FamilyInstance, tm: TensorModule, N: int,
     blocks = blocks or {}
     here = blocks.get(N) or cg_block(inst, N)
     below = blocks.get(N - 1) or cg_block(inst, N - 1)
-    image = delta.f.blocks[N] @ here.P
 
     def sides():
         for k in range(N + 1):
+            image = delta.f.apply(N, here.P.column(k))
             eig = tensor_lowering_eigenvalue(inst, k, N - k) if k < N else Fraction(0)
             for n in range(N):
                 want = eig * below.P.entry(n, k) if k < N else Fraction(0)
-                yield {"N": N, "n": n, "k": k}, image.entry(n, k), want
+                yield {"N": N, "n": n, "k": k}, image[n], want
 
     rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())
     rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}", sides()))
@@ -152,7 +156,7 @@ def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule,
     nm = tm.n_max
     columns: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for k in range(nm + 1):
-        basis = nullspace(delta.f.blocks[k])
+        basis = nullspace(delta.f.dense(k))
         if len(basis) != 1:
             raise DegenerateKernelError(
                 f"kernel of the lowering map on block {k} has dimension "
@@ -168,7 +172,7 @@ def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule,
         vec = tuple(scale * x for x in vec)
         columns[(k, k)] = vec
         for N in range(k, nm):
-            vec = delta.e.blocks[N].apply(vec)
+            vec = delta.e.apply(N, vec)
             columns[(k, N + 1)] = vec
     out = []
     for N in range(nm + 1):
@@ -222,18 +226,11 @@ def verify_weight_grading(inst: FamilyInstance, tm: TensorModule,
     delta = delta or build_delta(inst, tm)
     alg = tm.left.algebra
     l1, l2 = tm.left.label, tm.right.label
-
-    def sides():
-        for N in range(tm.n_max + 1):
-            want = l1 * l2 * alg.q ** N if alg.is_q else l1 + l2 + 2 * N
-            b = delta.hk.blocks[N]
-            for i in range(N + 1):
-                for j in range(N + 1):
-                    yield ({"N": N, "row": i, "col": j}, b.entry(i, j),
-                           want if i == j else Fraction(0))
-
+    expected = scalar_operator(delta.hk.dims, lambda N: l1 * l2 * alg.q ** N
+                               if alg.is_q else l1 + l2 + 2 * N)
     rep = Report(suite=f"weight-grading:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("weight-grading", f"blocks 0..{tm.n_max}", sides()))
+    rep.add(first_mismatch("weight-grading", f"blocks 0..{tm.n_max}", block_entries(
+        delta.hk, expected, range(tm.n_max + 1), "N")))
     return rep
 
 

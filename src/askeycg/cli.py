@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebras import ModuleSpec, block_entries, casimir, check_relations, scalar_operator
+from .algebras import ModuleSpec, casimir, check_relations
 from .cgverify import (DegenerateKernelError, WeightSolutionError, cg_block,
                        lowest_weight_oracle, orthogonality_weights,
                        verify_lowering, verify_raising, verify_weight_grading)
@@ -98,10 +98,10 @@ def _relations(inst: FamilyInstance, art: _Artifacts) -> Report:
 def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
     def sides():
         for label in labels(inst):
-            res = casimir(ModuleSpec(algebra_for(inst), label, inst.n_max))
-            expected = scalar_operator(res.op.dims, lambda n: res.eigenvalue)
-            for where, a, b in block_entries(res.op, expected, range(inst.n_max)):
-                yield {"label": label, "level": where["level"]}, a, b
+            hit = casimir(ModuleSpec(algebra_for(inst), label, inst.n_max)).mismatch
+            if hit:
+                level, _, _, op_entry, scalar_entry = hit
+                yield {"label": label, "level": level}, op_entry, scalar_entry
 
     return first_mismatch("casimir", f"levels 0..{inst.n_max - 1}", sides())
 

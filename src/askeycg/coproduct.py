@@ -7,14 +7,16 @@ weight blocks: block N has basis (n, N-n), n = 0..N. The coproduct images
     Delta(F) = x'(F x I) + y'(I x F)
     Delta(H) = H x I + I x H      (Delta(K) = K x K for the q-kinds)
 
-are built with the diagonal coefficients x, y, x', y' evaluated at the target
-basis vector of each shift. Two independent constructions are supported: the
-matrices can be assembled straight from the family's contiguity coefficients
-(no division anywhere), or from the coefficient functions x, y, x', y', which
-in turn can be compared with the closed operator expressions in the Cartan
-and Casimir eigenvalues. Certifying that all of these agree, and that the
-images satisfy the defining relations of the algebra, is the job of the
-checks below.
+are weighted shifts on the product basis, each a sum of two
+algebras.tensor_operator calls, with the diagonal coefficients x, y, x', y'
+evaluated at the target basis vector of each shift; Delta(H) and Delta(K)
+are diagonal, built from the eigenvalues on each factor. Two independent
+constructions are supported: the shifts can be weighted straight with the
+family's contiguity coefficients (no division anywhere), or with the
+coefficient functions x, y, x', y', which in turn can be compared with the
+closed operator expressions in the Cartan and Casimir eigenvalues.
+Certifying that all of these agree, and that the images satisfy the defining
+relations of the algebra, is the job of the checks below.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable
 
-from .algebras import (GradedOperator, ModuleSpec, _relation_checks, block_entries,
-                       diagonal_operator, invert_diagonal, phi, scalar_operator)
+from .algebras import (AlgebraKind, AlgebraTag, Generators, ModuleSpec,
+                       _relation_checks, block_entries, cartan, invert_diagonal,
+                       phi, tensor_operator)
 from .exactmath import InvalidParameterError, Scalar, SingularParameterError
 from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity,
-                       labels)
-from .linalg import RatMat
+                       labels, make_instance)
 from .report import Report, first_mismatch
 
 __all__ = [
@@ -64,11 +66,17 @@ def tensor_module(inst: FamilyInstance, n_max: int | None = None) -> TensorModul
 
 @dataclass(frozen=True)
 class CoproductCoeffs:
-    """Diagonal coefficient functions on the product basis, arguments (n, m)."""
+    """Diagonal coefficient functions on the product basis, arguments (n, m):
+    read off from the contiguity relations (coproduct_coeffs), or the closed
+    operator expressions in the eigenvalues of the commuting diagonal
+    elements, Cartan and Casimir on each factor (algebraic_form)."""
     x: Callable[[int, int], Scalar]
     y: Callable[[int, int], Scalar]
     xp: Callable[[int, int], Scalar]
     yp: Callable[[int, int], Scalar]
+
+
+AlgebraicForm = CoproductCoeffs
 
 
 def coproduct_coeffs(inst: FamilyInstance) -> CoproductCoeffs:
@@ -100,17 +108,6 @@ def coproduct_coeffs(inst: FamilyInstance) -> CoproductCoeffs:
         xp=xp,
         yp=yp,
     )
-
-
-@dataclass(frozen=True)
-class AlgebraicForm:
-    """The closed operator expressions for x, y, x', y', evaluated through
-    the eigenvalues of the commuting diagonal elements (Cartan and Casimir
-    on each factor)."""
-    x: Callable[[int, int], Scalar]
-    y: Callable[[int, int], Scalar]
-    xp: Callable[[int, int], Scalar]
-    yp: Callable[[int, int], Scalar]
 
 
 def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
@@ -222,66 +219,47 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
     )
 
 
-@dataclass(frozen=True)
-class Delta:
-    e: GradedOperator
-    f: GradedOperator
-    hk: GradedOperator
+Delta = Generators
 
 
 def build_delta(inst: FamilyInstance, tm: TensorModule,
                 coeffs: CoproductCoeffs | None = None) -> Delta:
     """Coproduct images on the tensor module.
 
-    With coeffs omitted the matrices come straight from the contiguity
+    With coeffs omitted the shifts are weighted straight with the contiguity
     coefficients, which involves no division at all. Passing explicit
-    coefficient functions instead reconstructs the entries as coefficient
-    times lowering factor; the two routes agree on every valid instance.
+    coefficient functions instead weights them with coefficient times
+    lowering factor; the two routes agree on every valid instance.
     """
     if labels(inst) != (tm.left.label, tm.right.label):
         raise InvalidParameterError("tensor module labels do not match the instance")
-    dims = tm.dims
-    nm = tm.n_max
     alg = tm.left.algebra
     l1, l2 = tm.left.label, tm.right.label
 
+    # weights of E x I, I x E, F x I and I x F at the source basis vector (n, m)
     if coeffs is None:
         data = contiguity(inst)
-        entry_raise_1 = lambda n, N: data.alpha1(n, N)
-        entry_raise_2 = lambda n, N: data.alpha2(n, N)
-        entry_lower_1 = lambda n, N: data.beta1(n, N)
-        entry_lower_2 = lambda n, N: data.beta2(n, N)
+        raise1 = lambda n, m: data.alpha1(n + 1, n + m)
+        raise2 = lambda n, m: data.alpha2(n, n + m)
+        lower1 = lambda n, m: data.beta1(n - 1, n + m)
+        lower2 = lambda n, m: data.beta2(n, n + m)
     else:
-        entry_raise_1 = lambda n, N: coeffs.x(n, N + 1 - n)
-        entry_raise_2 = lambda n, N: coeffs.y(n, N + 1 - n)
-        entry_lower_1 = lambda n, N: coeffs.xp(n, N - 1 - n) * phi(alg, l1, n + 1)
-        entry_lower_2 = lambda n, N: coeffs.yp(n, N - 1 - n) * phi(alg, l2, N - n)
+        raise1 = lambda n, m: coeffs.x(n + 1, m)
+        raise2 = lambda n, m: coeffs.y(n, m + 1)
+        lower1 = lambda n, m: coeffs.xp(n - 1, m) * phi(alg, l1, n)
+        lower2 = lambda n, m: coeffs.yp(n, m - 1) * phi(alg, l2, m)
 
-    e_blocks = {}
-    for N in range(nm):
-        mat = [[Fraction(0)] * (N + 1) for _ in range(N + 2)]
-        for n in range(N + 1):
-            mat[n + 1][n] = entry_raise_1(n + 1, N)
-            mat[n][n] = entry_raise_2(n, N)
-        e_blocks[N] = RatMat.from_rows(mat)
-    f_blocks = {0: RatMat.zeros(0, 1)}
-    for N in range(1, nm + 1):
-        mat = [[Fraction(0)] * (N + 1) for _ in range(N)]
-        for n in range(N + 1):
-            if n >= 1:
-                mat[n - 1][n] = entry_lower_1(n - 1, N)
-            if n <= N - 1:
-                mat[n][n] = entry_lower_2(n, N)
-        f_blocks[N] = RatMat.from_rows(mat)
+    def shift(shifts, weight):
+        return tensor_operator(tm.dims, shifts, lambda c: weight(*c))
 
-    de = GradedOperator(+1, dims, e_blocks)
-    df = GradedOperator(-1, dims, f_blocks)
+    h1 = lambda n, m: cartan(alg, l1, n)
+    h2 = lambda n, m: cartan(alg, l2, m)
     if alg.is_q:
-        q = alg.q
-        dhk = scalar_operator(dims, lambda N: l1 * l2 * q ** N)
+        dhk = shift((0, 0), lambda n, m: h1(n, m) * h2(n, m))      # K x K
     else:
-        dhk = scalar_operator(dims, lambda N: l1 + l2 + 2 * N)
-    return Delta(de, df, dhk)
+        dhk = shift((0, 0), h1) + shift((0, 0), h2)                # H x I + I x H
+    return Delta(shift((+1, 0), raise1) + shift((0, +1), raise2),
+                 shift((-1, 0), lower1) + shift((0, -1), lower2), dhk)
 
 
 def check_homomorphism(inst: FamilyInstance, tm: TensorModule,
@@ -317,52 +295,6 @@ def check_algebraic_form(inst: FamilyInstance, tm: TensorModule,
     return rep
 
 
-# ---------------------------------------------------------------------------
-# tensor factor operators (for closed-form comparisons)
-# ---------------------------------------------------------------------------
-
-def _compositions(N: int, parts: int) -> list[tuple[int, ...]]:
-    """Ways to write N as an ordered sum of `parts` levels, lexicographic:
-    the level-N basis of a `parts`-fold tensor module."""
-    if parts == 1:
-        return [(N,)]
-    return [(n,) + rest for n in range(N + 1) for rest in _compositions(N - n, parts - 1)]
-
-
-def _factor_operator(dims: tuple[int, ...],
-                     slots: list[tuple[int, Callable[[int], Scalar]]]) -> GradedOperator:
-    """Tensor product A_1 x ... x A_k on a k-fold module, where slots[i] =
-    (degree, coeff) makes A_i shift the level of factor i by degree with
-    coefficient coeff(source level); (0, _one) is the identity."""
-    degree = sum(d for d, _ in slots)
-    top = len(dims) - 1
-    blocks = {}
-    for N in range(top + 1):
-        tgt = N + degree
-        if tgt > top:
-            continue
-        src = _compositions(N, len(slots))
-        if tgt < 0:
-            blocks[N] = RatMat.zeros(0, len(src))
-            continue
-        index = {t: i for i, t in enumerate(_compositions(tgt, len(slots)))}
-        mat = [[Fraction(0)] * len(src) for _ in range(dims[tgt])]
-        for col, levels in enumerate(src):
-            moved = tuple(n + d for n, (d, _) in zip(levels, slots))
-            if min(moved) < 0:
-                continue  # lowering a vacuum factor: the coefficient is zero anyway
-            value = Fraction(1)
-            for n, (_, coeff) in zip(levels, slots):
-                value *= coeff(n)
-            mat[index[moved]][col] = value
-        blocks[N] = RatMat.from_rows(mat)
-    return GradedOperator(degree, dims, blocks)
-
-
-def _one(_: int) -> Fraction:
-    return Fraction(1)
-
-
 def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
                                       n_max: int = 6) -> Report:
     """At beta = 0, alpha = kappa1^2/q the q-Racah coproduct must collapse to
@@ -391,19 +323,17 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
     dims = tm.dims
     alg = algebra_for(inst)
 
-    phi1 = lambda n: phi(alg, kappa1, n)
-    phi2 = lambda m: phi(alg, kappa2, m)
-    kcoeff = lambda n: kappa1 * q ** n
-    e_x_id = _factor_operator(dims, [(+1, _one), (0, _one)])
-    k_x_e = _factor_operator(dims, [(0, kcoeff), (+1, _one)])
-    f_x_id = _factor_operator(dims, [(-1, phi1), (0, _one)])
-    k_x_f = _factor_operator(dims, [(0, kcoeff), (-1, phi2)])
+    k1 = lambda c: cartan(alg, kappa1, c[0])
+    e_x_id = tensor_operator(dims, (+1, 0), lambda c: 1)
+    k_x_e = tensor_operator(dims, (0, +1), k1)
+    f_x_id = tensor_operator(dims, (-1, 0), lambda c: phi(alg, kappa1, c[0]))
+    k_x_f = tensor_operator(dims, (0, -1), lambda c: k1(c) * phi(alg, kappa2, c[1]))
 
     rep = Report(suite="twist:q-racah", params=inst.to_doc())
     rng_e = f"blocks 0..{n_max - 1}"
     rng_f = f"blocks 0..{n_max}"
 
-    twist = diagonal_operator(dims, lambda N, i: kappa1 ** (N - i))
+    twist = tensor_operator(dims, (0, 0), lambda c: kappa1 ** c[1])
     tinv = invert_diagonal(twist)
     for name, lhs, rhs, levels, rng in (
             ("specialized-raising", delta.e, e_x_id + k_x_e.scaled(1 / kappa1),
@@ -428,17 +358,64 @@ class CoassocResult:
     witness: dict | None = None
 
 
+def _recoupled_weight(outer: CoproductCoeffs, inner: CoproductCoeffs,
+                      inner_left: bool, names: tuple[str, str], slot: int,
+                      t: tuple[int, int, int]) -> Scalar:
+    """Coefficient of the shift in `slot` under (Delta_inner x 1) Delta_outer
+    when inner_left, else (1 x Delta_inner) Delta_outer, at the target factor
+    levels t; names picks the coefficients, ("x", "y") for E, ("xp", "yp") for F."""
+    first, second = (getattr(outer, a) for a in names)
+    inner_first, inner_second = (getattr(inner, a) for a in names)
+    if inner_left:
+        o, i = (t[0] + t[1], t[2]), (t[0], t[1])
+        return (first(*o) * inner_first(*i), first(*o) * inner_second(*i),
+                second(*o))[slot]
+    o, i = (t[0], t[1] + t[2]), (t[1], t[2])
+    return (first(*o), second(*o) * inner_first(*i),
+            second(*o) * inner_second(*i))[slot]
+
+
+def _recoupling(dims: tuple[int, ...], lam: tuple[Scalar, Scalar, Scalar],
+                outer: CoproductCoeffs, inner: CoproductCoeffs,
+                inner_left: bool) -> Generators:
+    """E, F and H on a triple tensor product of oscillator modules under one
+    recoupling of two two-factor coproducts."""
+    osc = AlgebraKind(AlgebraTag.OSC)
+
+    def image(degree, names, factor):
+        total = None
+        for slot in range(3):
+            shifts = tuple(degree if j == slot else 0 for j in range(3))
+
+            def coeff(c, slot=slot, shifts=shifts):
+                weight = 1
+                if names:
+                    target = tuple(n + d for n, d in zip(c, shifts))
+                    weight = _recoupled_weight(outer, inner, inner_left, names, slot, target)
+                return weight * factor(lam[slot], c[slot])
+
+            op = tensor_operator(dims, shifts, coeff)
+            total = op if total is None else total + op
+        return total
+
+    return Generators(image(+1, ("x", "y"), lambda label, n: 1),
+                      image(-1, ("xp", "yp"), lambda label, n: phi(osc, label, n)),
+                      image(0, None, lambda label, n: cartan(osc, label, n)))
+
+
 def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
                        module_labels: tuple[Scalar, Scalar, Scalar] = (0, 0, 0),
                        n_max: int = 4) -> CoassocResult:
     """Compare the two recouplings of a triple tensor product under the
     Krawtchouk oscillator coproduct Delta_p(F) = p F x I + (1-p) I x F.
 
-    Composing on the left factor with inner parameter q and outer p gives
-    lowering weights (pq, p(1-q), 1-p); composing on the right factor with
-    outer p2 and inner q2 gives (p2, (1-p2)q2, (1-p2)(1-q2)). The raising and
-    Cartan images agree identically, so equality of the compositions reduces
-    to those two weight triples, and it must follow whenever
+    Each side is built from the two-factor Krawtchouk coefficients
+    (algebraic_form) of its own coproducts: (Delta_q x 1) Delta_p on the left,
+    (1 x Delta_q2) Delta_p2 on the right. Their E, F and H images are compared
+    on every block up to n_max, which must be at least 1: below that no block
+    has an entry to compare, and any quadruple would pass. The lowering
+    weights are (pq, p(1-q), 1-p) on the left and (p2, (1-p2)q2, (1-p2)(1-q2))
+    on the right, so equality must follow whenever
 
         p2 = p q   and   1 - p = (1 - p2)(1 - q2).
     """
@@ -446,28 +423,19 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
     for name, v in (("p", p), ("q", q), ("p2", p2), ("q2", q2)):
         if not 0 < v < 1:
             raise InvalidParameterError(f"{name} must lie strictly between 0 and 1")
+    if n_max < 1:
+        raise InvalidParameterError("n_max must be at least 1")
     lam = tuple(Fraction(v) for v in module_labels)
     dims = tuple((N + 1) * (N + 2) // 2 for N in range(n_max + 1))
-
-    def in_slot(i, degree, coeff):
-        return _factor_operator(dims, [(degree, coeff) if j == i else (0, _one)
-                                       for j in range(3)])
-
-    f_ops = [in_slot(i, -1, lambda n: Fraction(-n)) for i in range(3)]
-    e_ops = [in_slot(i, +1, _one) for i in range(3)]
-    h_ops = [in_slot(i, 0, lambda n, i=i: lam[i] + 2 * n) for i in range(3)]
-
-    f_lhs = (f_ops[0].scaled(p * q) + f_ops[1].scaled(p * (1 - q))
-             + f_ops[2].scaled(1 - p))
-    f_rhs = (f_ops[0].scaled(p2) + f_ops[1].scaled((1 - p2) * q2)
-             + f_ops[2].scaled((1 - p2) * (1 - q2)))
-    e_both = e_ops[0] + e_ops[1] + e_ops[2]
-    h_both = h_ops[0] + h_ops[1] + h_ops[2]
+    coproduct = {v: algebraic_form(make_instance(FamilyKind.KRAWTCHOUK, p=v, n_max=n_max))
+                 for v in (p, q, p2, q2)}
+    lhs = _recoupling(dims, lam, coproduct[p], coproduct[q], inner_left=True)
+    rhs = _recoupling(dims, lam, coproduct[p2], coproduct[q2], inner_left=False)
 
     result = first_mismatch("recoupling", "", chain(
-        block_entries(f_lhs, f_rhs, range(n_max + 1), "block"),
-        block_entries(e_both, e_both, range(n_max), "block"),
-        block_entries(h_both, h_both, range(n_max + 1), "block")))
+        block_entries(lhs.f, rhs.f, range(n_max + 1), "block"),
+        block_entries(lhs.e, rhs.e, range(n_max), "block"),
+        block_entries(lhs.hk, rhs.hk, range(n_max + 1), "block")))
     equal = result.passed
     witness = None if equal else {**result.witness.where, "lhs": result.witness.lhs,
                                   "rhs": result.witness.rhs}

@@ -1,4 +1,6 @@
-"""Dense exact rational matrices: just enough linear algebra for block checks.
+"""Dense exact rational matrices: the CG blocks, and the nullspaces, ranks and
+inverses the block checks need. Graded operators keep their own sparse
+blocks (algebras.GradedOperator) and become dense only to enter a nullspace.
 
 Matrices are small (block sizes stay below ~20), so everything is plain
 row-major tuples of Fractions. Nullspaces are computed fraction-free: rows are
@@ -52,30 +54,6 @@ class RatMat:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.a)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.a for x in row)
-
-    def __add__(self, other: "RatMat") -> "RatMat":
-        self._same_shape(other)
-        return RatMat(self.rows, self.cols,
-                      tuple(tuple(x + y for x, y in zip(r, s))
-                            for r, s in zip(self.a, other.a)))
-
-    def __sub__(self, other: "RatMat") -> "RatMat":
-        self._same_shape(other)
-        return RatMat(self.rows, self.cols,
-                      tuple(tuple(x - y for x, y in zip(r, s))
-                            for r, s in zip(self.a, other.a)))
-
-    def __neg__(self) -> "RatMat":
-        return RatMat(self.rows, self.cols,
-                      tuple(tuple(-x for x in r) for r in self.a))
-
-    def scaled(self, s: Fraction) -> "RatMat":
-        s = Fraction(s)
-        return RatMat(self.rows, self.cols,
-                      tuple(tuple(s * x for x in r) for r in self.a))
-
     def __matmul__(self, other: "RatMat") -> "RatMat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
@@ -97,17 +75,8 @@ class RatMat:
         return tuple(sum((self.a[i][k] * vec[k] for k in range(self.cols)),
                          Fraction(0)) for i in range(self.rows))
 
-    def transpose(self) -> "RatMat":
-        return RatMat(self.cols, self.rows,
-                      tuple(tuple(self.a[i][j] for i in range(self.rows))
-                            for j in range(self.cols)))
-
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self.a]
-
-    def _same_shape(self, other: "RatMat") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
 
 def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:

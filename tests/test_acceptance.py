@@ -221,7 +221,7 @@ def test_criterion_11_negative_controls():
     mod = ModuleSpec(AlgebraKind(AlgebraTag.SL2), F(3), 4)
     gens = build_generators(mod)
     bad_f = GradedOperator(-1, gens.f.dims,
-                           {n: blk.scaled(-1) for n, blk in gens.f.blocks.items()})
+                           gens.f.scaled(-1).blocks)
     rep = check_relations(mod, Generators(gens.e, bad_f, gens.hk))
     witnesses.append(("relations", rep.first_failure()))
 

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generators,
-                              ModuleSpec, build_generators, casimir,
+                              ModuleSpec, block_entries, build_generators, casimir,
                               check_relations, identity_operator, phi,
-                              scalar_operator, first_block_mismatch)
+                              scalar_operator, first_block_mismatch,
+                              tensor_operator)
+from askeycg.report import first_mismatch
 
 OSC = AlgebraKind(AlgebraTag.OSC)
 SL2 = AlgebraKind(AlgebraTag.SL2)
@@ -79,7 +81,7 @@ def test_corrupted_phi_fails_with_witness():
     mod = ModuleSpec(OSC, F(0), 4)
     gens = build_generators(mod)
     bad_f = GradedOperator(-1, gens.f.dims,
-                           {n: b.scaled(-1) for n, b in gens.f.blocks.items()})
+                           gens.f.scaled(-1).blocks)
     rep = check_relations(mod, Generators(gens.e, bad_f, gens.hk))
     bad = rep.first_failure()
     assert bad is not None and bad.witness is not None
@@ -133,3 +135,30 @@ def test_graded_operator_from_doc_rejects_wrong_block_shape():
                         "entries": [["1", "0"], ["0", "1"]]}
     with pytest.raises(ValueError):
         GradedOperator.from_doc(doc, gens.f.dims)
+
+
+def test_block_entries_witness_is_row_major_first():
+    # the differing entries are stored in reverse row-major order
+    lhs = GradedOperator(0, (1, 3), {0: {}, 1: {(2, 0): F(5), (0, 1): F(7)}})
+    rhs = GradedOperator(0, (1, 3), {0: {}, 1: {}})
+    assert list(lhs.blocks[1]) == [(2, 0), (0, 1)]
+    assert first_block_mismatch(lhs, rhs, range(2)) == (1, 0, 1, F(7), F(0))
+    res = first_mismatch("m", "", block_entries(lhs, rhs, range(2)))
+    assert res.witness.where == {"level": 1, "row": 0, "col": 1}
+
+
+def test_tensor_operator_on_three_fold_module():
+    # level 1 basis (0,0,1), (0,1,0), (1,0,0); level 2 basis (0,0,2), (0,1,1),
+    # (0,2,0), (1,0,1), (1,1,0), (2,0,0)
+    dims = (1, 3, 6)
+    raise_middle = tensor_operator(dims, (0, +1, 0),
+                                   lambda c: 1 + c[0] + 2 * c[1] + 4 * c[2])
+    assert raise_middle.degree == 1 and sorted(raise_middle.blocks) == [0, 1]
+    assert raise_middle.dense(1).to_lists() == [
+        [0, 0, 0], [5, 0, 0], [0, 3, 0], [0, 0, 0], [0, 0, 2], [0, 0, 0]]
+    # lowering a vacuum factor contributes nothing, and coeff is not evaluated there
+    lower_first = tensor_operator(dims, (-1, 0, 0), lambda c: F(1, c[0]))
+    assert lower_first.shape(0) == (0, 1) and lower_first.blocks[0] == {}
+    assert lower_first.dense(1).to_lists() == [[0, 0, 1]]
+    assert lower_first.dense(2).to_lists() == [
+        [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, F(1, 2)]]

@@ -49,7 +49,7 @@ def test_krawtchouk_pascal_row():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
     tm = tensor_module(inst)
     delta = build_delta(inst, tm)
-    image = delta.e.blocks[0] @ cg_block(inst, 0).P
+    image = delta.e.dense(0) @ cg_block(inst, 0).P
     assert image.column(0) == (F(1), F(1))
     assert cg_block(inst, 1).P.column(0) == (F(1), F(1))
 
@@ -75,7 +75,7 @@ def test_lowering_annihilates_top_column():
         tm = tensor_module(inst)
         delta = build_delta(inst, tm)
         for N in range(1, 4):
-            image = delta.f.blocks[N] @ cg_block(inst, N).P
+            image = delta.f.dense(N) @ cg_block(inst, N).P
             assert all(image.entry(n, N) == 0 for n in range(N))
 
 
@@ -180,11 +180,11 @@ def test_weight_grading_eigenvalues():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
     tm = tensor_module(inst)
     delta = build_delta(inst, tm)
-    assert delta.hk.blocks[0].entry(0, 0) == inst.lambda1 + inst.lambda2
-    assert delta.hk.blocks[3].entry(1, 1) == inst.lambda1 + inst.lambda2 + 6
+    assert delta.hk.dense(0).entry(0, 0) == inst.lambda1 + inst.lambda2
+    assert delta.hk.dense(3).entry(1, 1) == inst.lambda1 + inst.lambda2 + 6
     qinst = sample_instance(FamilyKind.Q_RACAH)
     qdelta = build_delta(qinst, tensor_module(qinst))
-    assert (qdelta.hk.blocks[2].entry(0, 0)
+    assert (qdelta.hk.dense(2).entry(0, 0)
             == qinst.kappa1 * qinst.kappa2 * qinst.q ** 2)
 
 
@@ -211,7 +211,7 @@ def test_lowering_is_diagonalized_in_cg_basis():
     for N in range(1, 5):
         u_here = cg_block(inst, N).P
         u_below = cg_block(inst, N - 1).P
-        recoupled = inverse(u_below) @ delta.f.blocks[N] @ u_here
+        recoupled = inverse(u_below) @ delta.f.dense(N) @ u_here
         for k in range(N + 1):
             for row in range(N):
                 want = (tensor_lowering_eigenvalue(inst, k, N - k)

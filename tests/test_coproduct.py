@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from askeycg.algebras import first_block_mismatch, identity_operator, phi
+from askeycg.algebras import GradedOperator, first_block_mismatch, identity_operator, phi
 from askeycg.coproduct import (CoproductCoeffs, algebraic_form, build_delta,
                                check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
@@ -79,7 +79,7 @@ def test_weight_diagonal_eigenvalues():
     tm = tensor_module(inst)
     delta = build_delta(inst, tm)
     for N in range(tm.n_max + 1):
-        blk = delta.hk.blocks[N]
+        blk = delta.hk.dense(N)
         want = inst.lambda1 + inst.lambda2 + 2 * N
         assert all(blk.entry(i, i) == want for i in range(N + 1))
 
@@ -87,14 +87,21 @@ def test_weight_diagonal_eigenvalues():
 def test_krawtchouk_block0_raising():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
     delta = build_delta(inst, tensor_module(inst))
-    blk = delta.e.blocks[0]
+    blk = delta.e.dense(0)
     assert blk.to_lists() == [[F(1)], [F(1)]]
+
+
+def test_delta_serialization_round_trip():
+    inst = sample_instance(FamilyKind.Q_RACAH)
+    tm = tensor_module(inst)
+    e = build_delta(inst, tm).e
+    assert GradedOperator.from_doc(e.to_doc(), tm.dims) == e
 
 
 def test_hahn_lowering_kernel_on_block_one():
     inst = sample_instance(FamilyKind.HAHN)  # alph=1, beta=1/2
     delta = build_delta(inst, tensor_module(inst))
-    basis = nullspace(delta.f.blocks[1])
+    basis = nullspace(delta.f.dense(1))
     assert len(basis) == 1
     v = basis[0]
     v = tuple(x / v[0] for x in v)
@@ -203,7 +210,7 @@ def test_twist_block_zero_to_one_coefficients():
                          alpha=k1 ** 2 / q, beta=F(0), n_max=4)
     delta = build_delta(inst, tensor_module(inst))
     # raising block 0 -> 1: column (0,0) has entries (E x I, kappa1^{-1} K x E)
-    blk = delta.e.blocks[0]
+    blk = delta.e.dense(0)
     assert blk.to_lists() == [[F(1)], [q ** 0]]
 
 
