@@ -383,20 +383,19 @@ def _recoupling(dims: tuple[int, ...], lam: tuple[Scalar, Scalar, Scalar],
     osc = AlgebraKind(AlgebraTag.OSC)
 
     def image(degree, names, factor):
-        total = None
-        for slot in range(3):
+        def in_slot(slot):
             shifts = tuple(degree if j == slot else 0 for j in range(3))
 
-            def coeff(c, slot=slot, shifts=shifts):
+            def coeff(c):
                 weight = 1
                 if names:
                     target = tuple(n + d for n, d in zip(c, shifts))
                     weight = _recoupled_weight(outer, inner, inner_left, names, slot, target)
                 return weight * factor(lam[slot], c[slot])
 
-            op = tensor_operator(dims, shifts, coeff)
-            total = op if total is None else total + op
-        return total
+            return tensor_operator(dims, shifts, coeff)
+
+        return in_slot(0) + in_slot(1) + in_slot(2)
 
     return Generators(image(+1, ("x", "y"), lambda label, n: 1),
                       image(-1, ("xp", "yp"), lambda label, n: phi(osc, label, n)),
