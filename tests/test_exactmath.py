@@ -159,6 +159,32 @@ def test_hyper_singular_term_names_index():
     assert exc.value.term == 2
 
 
+def test_hyper_pole_scan_outlives_vanished_numerator():
+    # the numerator dies at term 2 (factor -1 + 1), the denominator (-2) only
+    # at term 3: the pole is still found, and at its own index
+    with pytest.raises(SingularParameterError) as exc:
+        hyper_terminating([F(-3), F(-1)], [F(-2)], F(1), 3)
+    assert exc.value.term == 3
+
+
+@pytest.mark.parametrize("num, den, q, n, term", [
+    # 1 - q^{j-1} b with b = q^-1 vanishes at j = 2
+    ([F(8)], [F(2)], F(1, 2), 3, 2),
+    # b = q^-2 vanishes at j = 3, after the numerator factor 1 - a, a = 1,
+    # already killed term 1
+    ([F(8), F(1)], [F(5), F(4)], F(1, 2), 3, 3),
+    # the implicit (q; q)_j factor: 1 - q^2 = 0 at q = -1
+    ([F(1)], [], F(-1), 2, 2),
+    # ... and 1 - q = 0 at q = 1
+    ([F(1)], [], F(1), 1, 1),
+])
+def test_q_hyper_singular_term_names_index(num, den, q, n, term):
+    with pytest.raises(SingularParameterError) as exc:
+        q_hyper_terminating(num, den, q, F(7), n)
+    assert exc.value.term == term
+    assert str(exc.value) == f"denominator parameter hits a pole at term k={term}"
+
+
 def test_q_hyper_order_zero_and_unit_parameter():
     q = F(1, 2)
     assert q_hyper_terminating([F(1)], [F(3)], q, F(2), 0) == 1
