@@ -25,22 +25,13 @@ class RatMat:
     a: tuple[tuple[Fraction, ...], ...]
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Fraction]], cols: int | None = None) -> "RatMat":
+    def from_rows(rows: Sequence[Sequence[Fraction]]) -> "RatMat":
         data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else (cols if cols is not None else 0)
+        ncols = len(data[0]) if data else 0
         for row in data:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
         return RatMat(len(data), ncols, data)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RatMat":
-        z = Fraction(0)
-        return RatMat(rows, cols, tuple((z,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "RatMat":
-        return RatMat.build(n, n, lambda i, j: Fraction(i == j))
 
     @staticmethod
     def build(rows: int, cols: int, f: Callable[[int, int], Fraction]) -> "RatMat":
@@ -68,12 +59,6 @@ class RatMat:
                 row.append(acc)
             out.append(tuple(row))
         return RatMat(self.rows, other.cols, tuple(out))
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((self.a[i][k] * vec[k] for k in range(self.cols)),
-                         Fraction(0)) for i in range(self.rows))
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(row) for row in self.a]

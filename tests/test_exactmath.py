@@ -11,6 +11,11 @@ from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 small_q = st.fractions(min_value=F(1, 9), max_value=F(9, 10), max_denominator=10)
+# either sign, |q| on both sides of 1; 0 and 1 are invalid and -1 is a root
+# of unity, where (q; q)_k vanishes
+any_q = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+    lambda q: q not in (0, 1, -1))
+params = st.lists(rationals, min_size=0, max_size=3)
 
 
 # -- independent reference implementations (kept deliberately naive) --------
@@ -23,7 +28,8 @@ def ref_poch(b, k):
 
 
 def ref_hyper(num, den, z, n):
-    """Term-by-term from scratch, summed in reverse order."""
+    """Term-by-term from scratch, summed in reverse order. A vanishing term
+    denominator raises ZeroDivisionError carrying the term index."""
     terms = []
     for j in range(n + 1):
         t = F(1)
@@ -34,25 +40,30 @@ def ref_hyper(num, den, z, n):
             d *= i
         for b in den:
             d *= ref_poch(b, j)
+        if d == 0:
+            raise ZeroDivisionError(j)
         terms.append(t * z ** j / d)
     return sum(reversed(terms), F(0))
 
 
-def ref_q_hyper(num, den, q, z, n):
-    def qp(b, k):
-        out = F(1)
-        for i in range(k):
-            out *= 1 - q ** i * b
-        return out
+def ref_qp(b, q, k):
+    out = F(1)
+    for i in range(k):
+        out *= 1 - q ** i * b
+    return out
 
+
+def ref_q_hyper(num, den, q, z, n):
     terms = []
     for j in range(n + 1):
         t = F(1)
         for a in num:
-            t *= qp(a, j)
-        d = qp(q, j)
+            t *= ref_qp(a, q, j)
+        d = ref_qp(q, q, j)
         for b in den:
-            d *= qp(b, j)
+            d *= ref_qp(b, q, j)
+        if d == 0:
+            raise ZeroDivisionError(j)
         terms.append(t * z ** j / d)
     return sum(reversed(terms), F(0))
 
@@ -107,6 +118,22 @@ def test_q_pascal(N, n, q):
                                    + q ** n * q_binomial(N - 1, n, q))
 
 
+@given(N=st.integers(min_value=0, max_value=12),
+       n=st.integers(min_value=-1, max_value=13), q=any_q)
+def test_q_binomial_matches_q_factorial_quotient(N, n, q):
+    expected = (ref_qp(q, q, N) / (ref_qp(q, q, n) * ref_qp(q, q, N - n))
+                if 0 <= n <= N else 0)
+    assert q_binomial(N, n, q) == expected
+
+
+def test_q_binomial_at_minus_one():
+    # 1 - q^2 = 0: a vanishing factor below is an error, one above only a zero
+    with pytest.raises(SingularParameterError):
+        q_binomial(3, 1, F(-1))
+    assert q_binomial(2, 1, F(-1)) == 0
+    assert q_binomial(1, 0, F(-1)) == 1
+
+
 def test_q_binomial_rejects_degenerate_q():
     with pytest.raises(InvalidParameterError):
         q_binomial(2, 1, F(1))
@@ -140,10 +167,23 @@ def test_hyper_binomial_theorem(n, z):
     assert hyper_terminating([F(-n)], [], z, n) == (1 - z) ** n
 
 
-@given(n=st.integers(min_value=0, max_value=8), a=rationals, z=rationals)
-def test_hyper_matches_reversed_reference(n, a, z):
-    num, den = [F(-n), a], [F(19, 3)]
-    assert hyper_terminating(num, den, z, n) == ref_hyper(num, den, z, n)
+def assert_matches_reference(kernel, reference, *args):
+    """Same value as the reference, or a pole at the same term."""
+    try:
+        expected = reference(*args)
+    except ZeroDivisionError as pole:
+        with pytest.raises(SingularParameterError) as exc:
+            kernel(*args)
+        assert exc.value.term == pole.args[0]
+    else:
+        assert kernel(*args) == expected
+
+
+@given(n=st.integers(min_value=0, max_value=8), extra=params, den=params,
+       z=rationals)
+def test_hyper_matches_reversed_reference(n, extra, den, z):
+    assert_matches_reference(hyper_terminating, ref_hyper,
+                             [F(-n)] + extra, den, z, n)
 
 
 def test_hyper_requires_leading_minus_n():
@@ -200,10 +240,11 @@ def test_q_hyper_two_term_example():
     assert q_hyper_terminating(num, den, q, q, 1) == -6
 
 
-@given(n=st.integers(min_value=0, max_value=6), q=small_q, a=rationals)
-def test_q_hyper_matches_reversed_reference(n, q, a):
-    num, den = [q ** -n, a], [F(1, 7)]
-    assert q_hyper_terminating(num, den, q, q, n) == ref_q_hyper(num, den, q, q, n)
+@given(n=st.integers(min_value=0, max_value=6), extra=params, den=params,
+       q=any_q, z=rationals)
+def test_q_hyper_matches_reversed_reference(n, extra, den, q, z):
+    assert_matches_reference(q_hyper_terminating, ref_q_hyper,
+                             [q ** -n] + extra, den, q, z, n)
 
 
 def test_q_hyper_requires_leading_q_minus_n():

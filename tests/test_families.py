@@ -1,10 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from askeycg.exactmath import (InvalidParameterError, binomial, q_binomial,
-                               q_pochhammer)
+from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
 from askeycg.cgverify import random_instance
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind,
                               check_contiguity, check_three_term_dual_hahn,
@@ -122,38 +122,44 @@ def test_krawtchouk_value():
 
 
 def poly_reference(inst, n, k, N):
-    """Second, independent summand implementation for every family."""
+    """Second, independent summand implementation for every family: each term
+    is its own product of Fractions, and the (q-)binomial prefactor is a
+    quotient of plain products, so no exactmath routine is involved."""
     if n < 0 or n > N:
         return F(0)
     a, b, g, q = inst.alpha, inst.beta, inst.gamma, inst.q
 
-    def classical(num, den, z):
+    def poch(x, j):
+        out = F(1)
+        for i in range(j):
+            out *= x + i
+        return out
+
+    def qpoch(x, j):
+        out = F(1)
+        for i in range(j):
+            out *= 1 - q ** i * x
+        return out
+
+    def series(num, den, z, factor):
+        # den carries the implicit j! = (1)_j or (q; q)_j
         total = F(0)
         for j in range(n, -1, -1):
             t = F(1)
             for x in num:
-                for i in range(j):
-                    t *= x + i
+                t *= factor(x, j)
             d = F(1)
-            for i in range(1, j + 1):
-                d *= i
             for x in den:
-                for i in range(j):
-                    d *= x + i
+                d *= factor(x, j)
             total += t * z ** j / d
-        return binomial(N, n) * total
+        return total
+
+    def classical(num, den, z):
+        return math.comb(N, n) * series(num, den + [F(1)], z, poch)
 
     def basic(num, den):
-        total = F(0)
-        for j in range(n, -1, -1):
-            t = F(1)
-            for x in num:
-                t *= q_pochhammer(x, q, j)
-            d = q_pochhammer(q, q, j)
-            for x in den:
-                d *= q_pochhammer(x, q, j)
-            total += t * q ** j / d
-        return q_binomial(N, n, q) * total
+        prefactor = qpoch(q, N) / (qpoch(q, n) * qpoch(q, N - n))
+        return prefactor * series(num, den + [q], q, qpoch)
 
     kind = inst.kind
     if kind is FamilyKind.HAHN:
@@ -173,10 +179,11 @@ def poly_reference(inst, n, k, N):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_series_against_second_implementation(kind):
-    inst = sample_instance(kind, n_max=5)
-    for N in range(6):
+    # every (n, k, N) up to n_max = 6, n one past each end included
+    inst = sample_instance(kind, n_max=6)
+    for N in range(7):
         for k in range(N + 1):
-            for n in range(N + 1):
+            for n in range(-1, N + 2):
                 assert poly_value(inst, n, k, N) == poly_reference(inst, n, k, N)
 
 

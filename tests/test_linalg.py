@@ -22,16 +22,24 @@ def ref_rank(m: RatMat) -> int:
     return rnk
 
 
+def identity(n: int) -> RatMat:
+    return RatMat.build(n, n, lambda i, j: F(i == j))
+
+
+def apply(m: RatMat, v) -> list:
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in m.a]
+
+
 def test_matmul_identity():
     m = RatMat.from_rows([[F(1), F(2)], [F(3), F(4)]])
-    assert m @ RatMat.identity(2) == m
-    assert RatMat.identity(2) @ m == m
+    assert m @ identity(2) == m
+    assert identity(2) @ m == m
 
 
 def test_empty_shapes_compose_to_zero():
-    a = RatMat.zeros(2, 0)
-    b = RatMat.zeros(0, 3)
-    assert (a @ b) == RatMat.zeros(2, 3)
+    a = RatMat.build(2, 0, lambda i, j: F(0))
+    b = RatMat(0, 3, ())
+    assert (a @ b) == RatMat.build(2, 3, lambda i, j: F(0))
 
 
 def test_nullspace_known():
@@ -41,7 +49,7 @@ def test_nullspace_known():
 
 
 def test_nullspace_of_empty_matrix_is_everything():
-    basis = nullspace(RatMat.zeros(0, 3))
+    basis = nullspace(RatMat(0, 3, ()))
     assert len(basis) == 3
 
 
@@ -55,7 +63,7 @@ def test_nullspace_random(seed):
     assert len(basis) == cols - ref_rank(m)
     assert rank(m) == ref_rank(m)
     for v in basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in apply(m, v))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -66,8 +74,8 @@ def test_inverse_random(seed):
         m = RatMat.build(n, n, lambda i, j: F(rng.randint(-5, 5), rng.randint(1, 3)))
         if ref_rank(m) == n:
             break
-    assert m @ inverse(m) == RatMat.identity(n)
-    assert inverse(m) @ m == RatMat.identity(n)
+    assert m @ inverse(m) == identity(n)
+    assert inverse(m) @ m == identity(n)
 
 
 def test_inverse_rejects_singular():
