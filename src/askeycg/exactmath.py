@@ -126,7 +126,10 @@ def q_binomial(N: int, n: int, q: Scalar) -> Scalar:
     """Gaussian binomial (q;q)_N / ((q;q)_n (q;q)_{N-n}); 0 outside range.
 
     With q = u/v, 1 - q^i = (v^i - u^i) / v^i, and the powers of v cancel to
-    v^{-n(N-n)}; the factors v^i - u^i are multiplied as integers.
+    v^{-n(N-n)}. The integer factors v^i - u^i for i up to the larger of n
+    and N-n cancel against (q;q)_N, so only they are checked for zero; the
+    ones above it form the numerator and those up to the smaller one the
+    denominator.
     """
     if N < 0:
         raise ValueError("q_binomial needs N >= 0")
