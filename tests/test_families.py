@@ -236,6 +236,132 @@ def test_corrupted_alpha2_fails_with_smallest_witness():
     assert fail.witness.where == {"N": 0, "n": 0, "k": 0}
 
 
+# -- coefficient values against a second implementation -----------------------
+
+def wide_instance(kind: FamilyKind, rng, n_max: int) -> FamilyInstance:
+    """A valid instance drawn from parameters of either sign; the q of a
+    q-kind has either sign and lies below or above 1 in size. A draw that
+    make_instance rejects is redrawn."""
+    def rat():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 12))
+
+    while True:
+        params = {"q": rat(), "alpha": rat(), "beta": rat(),
+                  "kappa1": rat(), "kappa2": rat()} if kind.is_q else {
+            FamilyKind.HAHN: {"alpha": rat(), "beta": rat()},
+            FamilyKind.KRAWTCHOUK: {"p": rat()},
+            FamilyKind.DUAL_HAHN: {"alpha": rat()},
+            FamilyKind.RACAH: {"alpha": rat(), "beta": rat()},
+        }[kind] | {"lambda1": rat(), "lambda2": rat()}
+        try:
+            return make_instance(kind, n_max=n_max, **params)
+        except InvalidParameterError:
+            continue
+
+
+def wide_draws(kind: FamilyKind, seed: str, count: int = 12) -> list[FamilyInstance]:
+    """count wide instances at n_max 1..6; for a q-kind the draws include q
+    of both signs, both below and above 1 in size."""
+    rng = random.Random(f"{seed}:{kind.value}")
+    draws = [wide_instance(kind, rng, rng.randint(1, 6)) for _ in range(count)]
+    if kind.is_q:
+        assert {(d.q > 0, abs(d.q) > 1) for d in draws} == {
+            (s, b) for s in (True, False) for b in (True, False)}
+    return draws
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or ZeroDivisionError when it divides by zero."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def ref_contiguity(inst: FamilyInstance) -> dict:
+    """The contiguity coefficients written out term by term, with nothing
+    folded or memoized, as a second implementation of `contiguity`."""
+    kind = inst.kind
+    a, b, g, q = inst.alpha, inst.beta, inst.gamma, inst.q
+    if kind is FamilyKind.HAHN:
+        return {
+            "alpha1": lambda n, N: (n + a + b + 1) / (2 * n + a + b - N),
+            "alpha2": lambda n, N: (n + a + b - N) / (2 * n + a + b - N),
+            "beta1": lambda n, N: -(n + 1 + a) * (n + 1) / (2 * n + 2 + a + b - N),
+            "beta2": lambda n, N: -(n + 1 + b - N) * (N - n) / (2 * n + 2 + a + b - N),
+            "mu": lambda k, N: F(k - N),
+        }
+    if kind is FamilyKind.KRAWTCHOUK:
+        p = inst.p
+        return {
+            "alpha1": lambda n, N: F(1),
+            "alpha2": lambda n, N: F(1),
+            "beta1": lambda n, N: -p * (n + 1),
+            "beta2": lambda n, N: -(1 - p) * (N - n),
+            "mu": lambda k, N: F(k - N),
+        }
+    if kind is FamilyKind.DUAL_HAHN:
+        return {
+            "alpha1": lambda n, N: F(1),
+            "alpha2": lambda n, N: F(1),
+            "beta1": lambda n, N: -(n + 1 + a) * (n + 1),
+            "beta2": lambda n, N: (N - n + b) * (n - N),
+            "mu": lambda k, N: (k - N) * (N + k + a + b + 1),
+        }
+    if kind is FamilyKind.RACAH:
+        return {
+            "alpha1": lambda n, N: (n + a + b + 1) / (2 * n + a + b - N),
+            "alpha2": lambda n, N: (n + a + b - N) / (2 * n + a + b - N),
+            "beta1": lambda n, N: -(n + b + g + 1) * (n + a + 1) * (n + 1)
+                                  / (2 * n + 2 + a + b - N),
+            "beta2": lambda n, N: (n + 1 + b - N) * (n + 1 + a - g - N) * (N - n)
+                                  / (2 * n + 2 + a + b - N),
+            "mu": lambda k, N: (k - N) * (N + k + g),
+        }
+    shared = {
+        "alpha1": lambda n, N: (1 - a * b * q ** (n + 1)) / (1 - a * b * q ** (2 * n - N)),
+        "alpha2": lambda n, N: q ** n * (1 - a * b * q ** (n - N))
+                               / (1 - a * b * q ** (2 * n - N)),
+    }
+    if kind is FamilyKind.Q_HAHN:
+        return shared | {
+            "beta1": lambda n, N: (1 - a * q ** (n + 1)) * (1 - q ** (n + 1))
+                                  / (1 - a * b * q ** (2 * n + 2 - N)),
+            "beta2": lambda n, N: a * q ** (n + 1) * (1 - b * q ** (n + 1 - N))
+                                  * (1 - q ** (N - n)) / (1 - a * b * q ** (2 * n + 2 - N)),
+            "mu": lambda k, N: 1 - q ** (N - k),
+        }
+    return shared | {
+        "beta1": lambda n, N: (1 - b * g * q ** (n + 1)) * (1 - a * q ** (n + 1))
+                              * (1 - q ** (n + 1)) / (1 - a * b * q ** (2 * n + 2 - N)),
+        "beta2": lambda n, N: (1 - b * q ** (n + 1 - N)) * (a * q ** (n + 1) - g * q ** N)
+                              * (1 - q ** (N - n)) / (1 - a * b * q ** (2 * n + 2 - N)),
+        "mu": lambda k, N: (1 - q ** (N - k)) * (1 - g * q ** (N + k)),
+    }
+
+
+def assert_contiguity_matches_reference(inst: FamilyInstance) -> None:
+    # every (n, N) and (k, N) with N up to n_max and n, k one past each end
+    data, ref = contiguity(inst), ref_contiguity(inst)
+    for name, want in ref.items():
+        got = getattr(data, name)
+        for N in range(inst.n_max + 1):
+            for n in range(-1, N + 2):
+                assert outcome(got, n, N) == outcome(want, n, N), (
+                    name, n, N, inst.to_doc())
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_contiguity_matches_reference_on_sample(kind):
+    assert_contiguity_matches_reference(sample_instance(kind))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_contiguity_matches_reference_on_wide_draws(kind):
+    for inst in wide_draws(kind, "contiguity"):
+        assert_contiguity_matches_reference(inst)
+
+
 # -- dual Hahn three-term recurrence ----------------------------------------
 
 def test_three_term_passes():
@@ -307,6 +433,27 @@ def test_limit_z_list_must_increase():
 def test_limit_racah_to_dual_hahn():
     rep = limit_racah_to_dual_hahn(F(1), F(2), F(3), [F(1000), F(10 ** 6)], n_max=4)
     assert rep.passed
+
+
+@pytest.mark.parametrize("betas, want", [
+    ([F(1, 3), F(2, 3)], [
+        ("alpha1-decay", ({"beta1": F(1, 3), "beta2": F(2, 3), "n": 0, "N": 2}, "18/5", "18/7")),
+        ("alpha2-decay", ({"beta1": F(1, 3), "beta2": F(2, 3), "n": 1, "N": 4}, "6/5", "6/7")),
+        ("beta1-decay", ({"beta1": F(1, 3), "beta2": F(2, 3), "n": 0, "N": 4},
+                         "117/10", "117/14")),
+        ("beta2-decay", ({"beta1": F(1, 3), "beta2": F(2, 3), "n": 0, "N": 4},
+                         "234/5", "234/7")),
+        ("mu-equality", None)]),
+    # the first pair passes, the second fails
+    ([F(4, 3), F(5, 3), F(7, 3)], [
+        ("alpha1-decay", ({"beta1": F(5, 3), "beta2": F(7, 3), "n": 0, "N": 3}, "24", "48/7")),
+        ("alpha2-decay", None), ("beta1-decay", None), ("beta2-decay", None),
+        ("mu-equality", None)]),
+])
+def test_limit_racah_to_dual_hahn_witnesses(betas, want):
+    rep = limit_racah_to_dual_hahn(F(1, 2), F(2), F(3), betas, n_max=4)
+    assert [(c.name, c.witness and (c.witness.where, c.witness.lhs, c.witness.rhs))
+            for c in rep.checks] == want
 
 
 # -- random draws ------------------------------------------------------------

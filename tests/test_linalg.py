@@ -66,6 +66,66 @@ def test_nullspace_random(seed):
         assert all(x == 0 for x in apply(m, v))
 
 
+def ref_nullspace(m: RatMat) -> list[tuple]:
+    """Kernel basis by plain Fraction Gauss-Jordan elimination: one vector per
+    free column, 1 at that column, 0 at the other free columns."""
+    rows = [list(r) for r in m.a]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [F(0)] * m.cols
+        v[free] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def random_matrix(rng) -> RatMat:
+    """A random rational matrix, made rank-deficient or given a zero row or a
+    zero column in some draws."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    a = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
+         for _ in range(rows)]
+    shape = rng.choice(("full", "deficient", "zero-row", "zero-col"))
+    if shape == "deficient" and rows > 1:
+        # the last row becomes a combination of the others
+        coef = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows - 1)]
+        a[-1] = [sum((c * a[i][j] for i, c in enumerate(coef)), F(0)) for j in range(cols)]
+    elif shape == "zero-row":
+        a[rng.randrange(rows)] = [F(0)] * cols
+    elif shape == "zero-col":
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = F(0)
+    return RatMat.from_rows(a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nullspace_equals_gauss_jordan_reference(seed):
+    rng = random.Random(f"nullspace:{seed}")
+    for _ in range(50):
+        m = random_matrix(rng)
+        assert nullspace(m) == ref_nullspace(m), m.to_lists()
+
+
+def test_nullspace_of_zero_matrix_is_unit_vectors():
+    m = RatMat.build(2, 3, lambda i, j: F(0))
+    assert nullspace(m) == [tuple(F(i == j) for j in range(3)) for i in range(3)]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_inverse_random(seed):
     rng = random.Random(100 + seed)
