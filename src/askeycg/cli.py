@@ -8,8 +8,9 @@ Subcommands:
     version   print the tool version
 
 `run_verify_suite` runs the named checks from one table; each entry has an
-optional skip rule and a runner. The runners share the tensor module, Delta
-and the CG blocks of the instance, each built on first use within one call.
+optional skip rule and a runner. The runners share the tensor module, the
+contiguity data, Delta and the CG blocks of the instance, each built on first
+use within one call.
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
 parameters, unknown check names, or every selected check skipped, 3 I/O or
@@ -29,11 +30,11 @@ from .cgverify import (DegenerateKernelError, WeightSolutionError, cg_block,
                        lowest_weight_oracle, orthogonality_weights,
                        verify_lowering, verify_raising, verify_weight_grading)
 from .coproduct import (build_delta, check_algebraic_form, check_homomorphism,
-                        check_twist_qracah_specialization, krawtchouk_coassoc,
-                        tensor_module)
+                        check_twist_qracah_specialization, coproduct_coeffs,
+                        krawtchouk_coassoc, tensor_module)
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, check_contiguity,
-                       check_three_term_dual_hahn, labels, make_instance)
+                       check_three_term_dual_hahn, contiguity, labels, make_instance)
 from .report import TOOL_VERSION, CheckResult, Report, Witness, first_mismatch
 
 EXIT_OK = 0
@@ -47,7 +48,12 @@ _PARAM_FLAGS = ("alpha", "beta", "p", "q", "kappa1", "kappa2",
 
 class _Artifacts:
     """Objects shared by the checks of one verify run, each built on first
-    use. They belong to the run and are dropped with it."""
+    use: the tensor module, the contiguity data, Delta and the CG blocks.
+    The contiguity data memoizes every coefficient it evaluates, so
+    `contiguity`, Delta (hence `homomorphism`, `grading`, `raising`,
+    `lowering`, `cg-oracle`) and the derived side of `algebraic-form`
+    evaluate each coefficient once per run. Everything belongs to the run
+    and is dropped with it."""
 
     def __init__(self, inst: FamilyInstance):
         self.inst = inst
@@ -57,8 +63,12 @@ class _Artifacts:
         return tensor_module(self.inst)
 
     @cached_property
+    def contiguity(self):
+        return contiguity(self.inst)
+
+    @cached_property
     def delta(self):
-        return build_delta(self.inst, self.tm)
+        return build_delta(self.inst, self.tm, data=self.contiguity)
 
     @cached_property
     def blocks(self):
@@ -144,14 +154,16 @@ def _twist_skip(inst: FamilyInstance) -> str | None:
 # name -> (skip rule giving a reason or None, runner); a runner returns a
 # CheckResult, or a Report that is folded into one entry under the name
 _CHECKS = {
-    "contiguity": (None, lambda inst, art: check_contiguity(inst, blocks=art.blocks)),
+    "contiguity": (None, lambda inst, art: check_contiguity(inst, art.contiguity,
+                                                            art.blocks)),
     "three-term": (_three_term_skip,
                    lambda inst, art: check_three_term_dual_hahn(inst, blocks=art.blocks)),
     "relations": (None, _relations),
     "casimir": (None, _casimir),
     "homomorphism": (None, lambda inst, art: check_homomorphism(inst, art.tm,
                                                                 delta=art.delta)),
-    "algebraic-form": (None, lambda inst, art: check_algebraic_form(inst, art.tm)),
+    "algebraic-form": (None, lambda inst, art: check_algebraic_form(
+        inst, art.tm, coproduct_coeffs(inst, art.contiguity))),
     "grading": (None, lambda inst, art: verify_weight_grading(inst, art.tm, art.delta)),
     "raising": (None, lambda inst, art: _until_failure(
         verify_raising(inst, art.tm, N, art.blocks, art.delta)

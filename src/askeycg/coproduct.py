@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Callable
 
@@ -30,8 +31,8 @@ from .algebras import (AlgebraKind, AlgebraTag, Generators, ModuleSpec,
                        _relation_checks, block_entries, cartan, invert_diagonal,
                        phi, tensor_operator)
 from .exactmath import InvalidParameterError, Scalar, SingularParameterError
-from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity,
-                       labels, make_instance)
+from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
+                       contiguity, labels, make_instance)
 from .report import Report, first_mismatch
 
 __all__ = [
@@ -79,25 +80,33 @@ class CoproductCoeffs:
 AlgebraicForm = CoproductCoeffs
 
 
-def coproduct_coeffs(inst: FamilyInstance) -> CoproductCoeffs:
+def coproduct_coeffs(inst: FamilyInstance,
+                     data: ContiguityData | None = None) -> CoproductCoeffs:
     """Coefficients read off from the contiguity relations:
 
         x(n, N+1-n) = alpha1(n, N)          y(n, N+1-n) = alpha2(n, N)
         x'(n, N-1-n) = beta1(n, N) / phi(label1, n+1)
         y'(n, N-1-n) = beta2(n, N) / phi(label2, N-n)
+
+    The contiguity values come from `data` when given, so a run that already
+    holds them (the one behind its Delta) evaluates none twice; otherwise
+    from contiguity(inst). The lowering factors phi are memoized per level
+    for as long as the returned object lives.
     """
-    data = contiguity(inst)
+    data = data or contiguity(inst)
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
+    phi1 = cache(lambda j: phi(alg, l1, j))
+    phi2 = cache(lambda j: phi(alg, l2, j))
 
     def xp(n, m):
-        d = phi(alg, l1, n + 1)
+        d = phi1(n + 1)
         if d == 0:
             raise SingularParameterError(f"phi(label1, {n + 1}) = 0")
         return data.beta1(n, n + m + 1) / d
 
     def yp(n, m):
-        d = phi(alg, l2, m + 1)
+        d = phi2(m + 1)
         if d == 0:
             raise SingularParameterError(f"phi(label2, {m + 1}) = 0")
         return data.beta2(n, n + m + 1) / d
@@ -111,6 +120,17 @@ def coproduct_coeffs(inst: FamilyInstance) -> CoproductCoeffs:
 
 
 def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
+    """The closed operator expressions for x, y, x', y' in the eigenvalues of
+    the Cartan element and the Casimir on each factor: h_i = l_i + 2n and
+    c_i = l_i classically, K_i = kappa_i q^n and c_i = 1/kappa_i for the
+    q-kinds.
+
+    Constants that depend only on the parameters are folded once per call;
+    the per-level eigenvalue factors (l1 + 2n, kappa1 q^n, c_i kappa_i q^n)
+    and the shared denominator are memoized for as long as the returned
+    object lives. This never reads the contiguity data, so the
+    algebraic-form check compares two independent evaluations.
+    """
     kind = inst.kind
     a, b, g = inst.alpha, inst.beta, inst.gamma
 
@@ -123,97 +143,79 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
             yp=lambda n, m: 1 - p,
         )
 
-    if kind is FamilyKind.HAHN:
+    if not kind.is_q:
         l1, l2 = inst.lambda1, inst.lambda2
+        h1 = cache(lambda n: l1 + 2 * n)  # Cartan eigenvalues; the Casimir is l_i
+        h2 = cache(lambda m: l2 + 2 * m)
+        a2, ab2 = 2 * a + 2, 2 * a + 2 * b + 2
+        if kind is FamilyKind.DUAL_HAHN:
+            return AlgebraicForm(
+                x=lambda n, m: Fraction(1),
+                y=lambda n, m: Fraction(1),
+                xp=lambda n, m: (h1(n) - l1 + a2) / (h1(n) + l1),
+                yp=lambda n, m: (h2(m) - l2 + 2 * b + 2) / (h2(m) + l2),
+            )
 
-        def dd(n, m):
-            h1, h2, c1, c2 = l1 + 2 * n, l2 + 2 * m, l1, l2
-            return h1 - h2 - c1 + c2 + 2 * a + 2 * b + 2
+        shift = l2 - l1 + ab2  # h1 - h2 - c1 + c2 + 2a + 2b + 2 = h1 - h2 + shift
+        dd = cache(lambda n, m: h1(n) - h2(m) + shift)
+        x = lambda n, m: (h1(n) - l1 + ab2) / dd(n, m)
+        y = lambda n, m: (l2 - h2(m) + ab2) / dd(n, m)
+        if kind is FamilyKind.HAHN:
+            return AlgebraicForm(
+                x=x,
+                y=y,
+                xp=lambda n, m: (h1(n) - l1 + a2) / dd(n, m),
+                yp=lambda n, m: (l2 - h2(m) + 2 * b) / dd(n, m),
+            )
 
-        return AlgebraicForm(
-            x=lambda n, m: (l1 + 2 * n - l1 + 2 * a + 2 * b + 2) / dd(n, m),
-            y=lambda n, m: (l2 - (l2 + 2 * m) + 2 * a + 2 * b + 2) / dd(n, m),
-            xp=lambda n, m: (l1 + 2 * n - l1 + 2 * a + 2) / dd(n, m),
-            yp=lambda n, m: (l2 - (l2 + 2 * m) + 2 * b) / dd(n, m),
-        )
-
-    if kind is FamilyKind.DUAL_HAHN:
-        l1, l2 = inst.lambda1, inst.lambda2
-        return AlgebraicForm(
-            x=lambda n, m: Fraction(1),
-            y=lambda n, m: Fraction(1),
-            xp=lambda n, m: ((l1 + 2 * n) - l1 + 2 * a + 2) / ((l1 + 2 * n) + l1),
-            yp=lambda n, m: ((l2 + 2 * m) - l2 + 2 * b + 2) / ((l2 + 2 * m) + l2),
-        )
-
-    if kind is FamilyKind.RACAH:
-        l1, l2 = inst.lambda1, inst.lambda2
-
-        def dd(n, m):
-            return (l1 + 2 * n) - (l2 + 2 * m) - l1 + l2 + 2 * a + 2 * b + 2
+        bg2, ag2 = 2 * b + 2 * g + 2, 2 * g - 2 * a
 
         def xp(n, m):
-            h1 = l1 + 2 * n
-            return ((h1 - l1 + 2 * a + 2) * (h1 - l1 + 2 * b + 2 * g + 2)
-                    / ((h1 + l1) * dd(n, m)))
+            return ((h1(n) - l1 + a2) * (h1(n) - l1 + bg2)
+                    / ((h1(n) + l1) * dd(n, m)))
 
         def yp(n, m):
-            h2 = l2 + 2 * m
-            return ((l2 - h2 + 2 * b) * (h2 - l2 - 2 * a + 2 * g)
-                    / ((h2 + l2) * dd(n, m)))
+            return ((l2 - h2(m) + 2 * b) * (h2(m) - l2 + ag2)
+                    / ((h2(m) + l2) * dd(n, m)))
 
-        return AlgebraicForm(
-            x=lambda n, m: ((l1 + 2 * n) - l1 + 2 * a + 2 * b + 2) / dd(n, m),
-            y=lambda n, m: (l2 - (l2 + 2 * m) + 2 * a + 2 * b + 2) / dd(n, m),
-            xp=xp,
-            yp=yp,
-        )
+        return AlgebraicForm(x=x, y=y, xp=xp, yp=yp)
 
     q = inst.q
+    qp = cache(lambda e: q ** e)
     if kind is FamilyKind.Q_HAHN:
         k1v, k2v = inst.kappa1, inst.kappa2
         c1, c2 = 1 / k1v, 1 / k2v  # Casimir eigenvalues q^{-lambda_i/2}
-
-        def ck1(n):
-            return c1 * (k1v * q ** n)
-
-        def ck2(m):
-            return c2 * (k2v * q ** m)
-
-        def dd(n, m):
-            return 1 - q * a * b * ck1(n) / ck2(m)
-
+        ck1 = cache(lambda n: c1 * (k1v * qp(n)))
+        ck2 = cache(lambda m: c2 * (k2v * qp(m)))
+        qa, qab = q * a, q * a * b
+        dd = cache(lambda n, m: 1 - qab * ck1(n) / ck2(m))
         return AlgebraicForm(
-            x=lambda n, m: (1 - q * a * b * ck1(n)) / dd(n, m),
-            y=lambda n, m: ck1(n) * (1 - q * a * b / ck2(m)) / dd(n, m),
-            xp=lambda n, m: (1 - q * a * ck1(n)) / dd(n, m),
-            yp=lambda n, m: q * a * ck1(n) * (1 - b / ck2(m)) / dd(n, m),
+            x=lambda n, m: (1 - qab * ck1(n)) / dd(n, m),
+            y=lambda n, m: ck1(n) * (1 - qab / ck2(m)) / dd(n, m),
+            xp=lambda n, m: (1 - qa * ck1(n)) / dd(n, m),
+            yp=lambda n, m: qa * ck1(n) * (1 - b / ck2(m)) / dd(n, m),
         )
 
     # q-Racah: q^{+-lambda_i/2} enter as kappa_i^{+-1}
     kap1, kap2 = inst.kappa1, inst.kappa2
-
-    def k1(n):
-        return kap1 * q ** n
-
-    def k2(m):
-        return kap2 * q ** m
-
-    def dd(n, m):
-        return 1 - q * (1 / kap1) * kap2 * a * b * k1(n) / k2(m)
+    c1, c2 = 1 / kap1, 1 / kap2
+    k1 = cache(lambda n: kap1 * qp(n))
+    k2 = cache(lambda m: kap2 * qp(m))
+    qab = q * a * b
+    qc1a, qc1bg, qc1ab = q * c1 * a, q * c1 * b * g, qab * c1
+    dd = cache(lambda n, m: 1 - qc1ab * kap2 * k1(n) / k2(m))
 
     def xp(n, m):
-        return ((1 - q * (1 / kap1) * a * k1(n)) * (1 - q * (1 / kap1) * b * g * k1(n))
+        return ((1 - qc1a * k1(n)) * (1 - qc1bg * k1(n))
                 / ((1 - kap1 * k1(n)) * dd(n, m)))
 
     def yp(n, m):
-        return (q * (1 / kap1) * a * k1(n)
-                * (1 - kap2 * b / k2(m)) * (1 - (1 / kap2) * g * k2(m) / a)
+        return (qc1a * k1(n) * (1 - kap2 * b / k2(m)) * (1 - c2 * g * k2(m) / a)
                 / ((1 - kap2 * k2(m)) * dd(n, m)))
 
     return AlgebraicForm(
-        x=lambda n, m: (1 - a * b * q * (1 / kap1) * k1(n)) / dd(n, m),
-        y=lambda n, m: (1 / kap1) * k1(n) * (1 - a * b * q * kap2 / k2(m)) / dd(n, m),
+        x=lambda n, m: (1 - qc1ab * k1(n)) / dd(n, m),
+        y=lambda n, m: c1 * k1(n) * (1 - qab * kap2 / k2(m)) / dd(n, m),
         xp=xp,
         yp=yp,
     )
@@ -223,13 +225,15 @@ Delta = Generators
 
 
 def build_delta(inst: FamilyInstance, tm: TensorModule,
-                coeffs: CoproductCoeffs | None = None) -> Delta:
+                coeffs: CoproductCoeffs | None = None,
+                data: ContiguityData | None = None) -> Delta:
     """Coproduct images on the tensor module.
 
     With coeffs omitted the shifts are weighted straight with the contiguity
-    coefficients, which involves no division at all. Passing explicit
-    coefficient functions instead weights them with coefficient times
-    lowering factor; the two routes agree on every valid instance.
+    coefficients, which involves no division at all; they come from `data`
+    when given, else from contiguity(inst). Passing explicit coefficient
+    functions instead weights them with coefficient times lowering factor;
+    the two routes agree on every valid instance.
     """
     if labels(inst) != (tm.left.label, tm.right.label):
         raise InvalidParameterError("tensor module labels do not match the instance")
@@ -238,7 +242,7 @@ def build_delta(inst: FamilyInstance, tm: TensorModule,
 
     # weights of E x I, I x E, F x I and I x F at the source basis vector (n, m)
     if coeffs is None:
-        data = contiguity(inst)
+        data = data or contiguity(inst)
         raise1 = lambda n, m: data.alpha1(n + 1, n + m)
         raise2 = lambda n, m: data.alpha2(n, n + m)
         lower1 = lambda n, m: data.beta1(n - 1, n + m)
@@ -278,7 +282,10 @@ def check_homomorphism(inst: FamilyInstance, tm: TensorModule,
 def check_algebraic_form(inst: FamilyInstance, tm: TensorModule,
                          derived: CoproductCoeffs | None = None) -> Report:
     """The closed operator expressions must reproduce the contiguity-derived
-    coefficient functions on every tensor basis vector of the grid."""
+    coefficient functions on every tensor basis vector of the grid. The
+    derived side is `derived` when given (a verify run passes the one built
+    on its shared contiguity data), else coproduct_coeffs(inst); the closed
+    side is always evaluated afresh by algebraic_form."""
     derived = derived or coproduct_coeffs(inst)
     closed = algebraic_form(inst)
     nm = tm.n_max

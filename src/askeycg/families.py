@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .algebras import AlgebraKind, AlgebraTag, phi
@@ -330,6 +331,9 @@ def block_values(inst: FamilyInstance,
 
 @dataclass(frozen=True)
 class ContiguityData:
+    """The five coefficient functions of the contiguity relations. Built by
+    `contiguity`, each is memoized on its integer arguments for as long as
+    this object lives; one object serves every check of one verify run."""
     alpha1: Callable[[int, int], Scalar]
     alpha2: Callable[[int, int], Scalar]
     beta1: Callable[[int, int], Scalar]
@@ -337,67 +341,99 @@ class ContiguityData:
     mu: Callable[[int, int], Scalar]
 
 
+def _memoized(alpha1, alpha2, beta1, beta2, mu) -> ContiguityData:
+    return ContiguityData(cache(alpha1), cache(alpha2), cache(beta1), cache(beta2),
+                          cache(mu))
+
+
 def contiguity(inst: FamilyInstance) -> ContiguityData:
-    """Coefficient functions of the two contiguity relations."""
+    """Coefficient functions of the two contiguity relations.
+
+    Sums and products of the parameters alone (a+b, a*b, b*g, a-g, ...) are
+    folded once per call. The five functions, the powers of q and the
+    factors 1 - c q^e that several coefficients share are each memoized on
+    their integer arguments, in closures owned by the returned object: the
+    memo lives exactly as long as that object, and nothing is cached on the
+    instance or at module level.
+    """
     kind = inst.kind
     a, b, g = inst.alpha, inst.beta, inst.gamma
-    if kind is FamilyKind.HAHN:
-        # second relation rescaled by -1 so mu matches the oscillator lowering
-        return ContiguityData(
-            alpha1=lambda n, N: (n + a + b + 1) / (2 * n + a + b - N),
-            alpha2=lambda n, N: (n + a + b - N) / (2 * n + a + b - N),
-            beta1=lambda n, N: -(n + 1 + a) * (n + 1) / (2 * n + 2 + a + b - N),
-            beta2=lambda n, N: -(n + 1 + b - N) * (N - n) / (2 * n + 2 + a + b - N),
-            mu=lambda k, N: Fraction(k - N),
-        )
     if kind is FamilyKind.KRAWTCHOUK:
-        p = inst.p
-        return ContiguityData(
+        minus_p, p_minus_1 = -inst.p, inst.p - 1
+        return _memoized(
             alpha1=lambda n, N: Fraction(1),
             alpha2=lambda n, N: Fraction(1),
-            beta1=lambda n, N: -p * (n + 1),
-            beta2=lambda n, N: -(1 - p) * (N - n),
+            beta1=lambda n, N: minus_p * (n + 1),
+            beta2=lambda n, N: p_minus_1 * (N - n),
             mu=lambda k, N: Fraction(k - N),
         )
     if kind is FamilyKind.DUAL_HAHN:
-        return ContiguityData(
+        a1, ab1 = a + 1, a + b + 1
+        return _memoized(
             alpha1=lambda n, N: Fraction(1),
             alpha2=lambda n, N: Fraction(1),
-            beta1=lambda n, N: -(n + 1 + a) * (n + 1),
+            beta1=lambda n, N: (n + a1) * (-n - 1),
             beta2=lambda n, N: (N - n + b) * (n - N),
-            mu=lambda k, N: (k - N) * (N + k + a + b + 1),
+            mu=lambda k, N: (k - N) * (N + k + ab1),
         )
-    if kind is FamilyKind.RACAH:
-        return ContiguityData(
-            alpha1=lambda n, N: (n + a + b + 1) / (2 * n + a + b - N),
-            alpha2=lambda n, N: (n + a + b - N) / (2 * n + a + b - N),
-            beta1=lambda n, N: -(n + b + g + 1) * (n + a + 1) * (n + 1)
-                               / (2 * n + 2 + a + b - N),
-            beta2=lambda n, N: (n + 1 + b - N) * (n + 1 + a - g - N) * (N - n)
-                               / (2 * n + 2 + a + b - N),
+    if kind in (FamilyKind.HAHN, FamilyKind.RACAH):
+        s = a + b
+        s1, a1, b1 = s + 1, a + 1, b + 1
+
+        def alpha1(n, N):
+            return (n + s1) / (2 * n - N + s)
+
+        def alpha2(n, N):
+            return (n - N + s) / (2 * n - N + s)
+
+        if kind is FamilyKind.HAHN:
+            # second relation rescaled by -1 so mu matches the oscillator lowering
+            return _memoized(
+                alpha1, alpha2,
+                beta1=lambda n, N: (n + a1) * (-n - 1) / (2 * n + 2 - N + s),
+                beta2=lambda n, N: (n - N + b1) * (n - N) / (2 * n + 2 - N + s),
+                mu=lambda k, N: Fraction(k - N),
+            )
+        bg1, ag1 = b + g + 1, a - g + 1
+        return _memoized(
+            alpha1, alpha2,
+            beta1=lambda n, N: (n + bg1) * (n + a1) * (-n - 1) / (2 * n + 2 - N + s),
+            beta2=lambda n, N: (n - N + b1) * (n - N + ag1) * (N - n) / (2 * n + 2 - N + s),
             mu=lambda k, N: (k - N) * (N + k + g),
         )
+
     q = inst.q
+    qp = cache(lambda e: q ** e)
+
+    def one_minus(c):
+        """e -> 1 - c q^e, memoized."""
+        return cache(lambda e: 1 - c * qp(e))
+
+    one_minus_ab, one_minus_a, one_minus_q = one_minus(a * b), one_minus(a), one_minus(1)
+
+    def alpha1(n, N):
+        return one_minus_ab(n + 1) / one_minus_ab(2 * n - N)
+
+    def alpha2(n, N):
+        return qp(n) * one_minus_ab(n - N) / one_minus_ab(2 * n - N)
+
     if kind is FamilyKind.Q_HAHN:
-        return ContiguityData(
-            alpha1=lambda n, N: (1 - a * b * q ** (n + 1)) / (1 - a * b * q ** (2 * n - N)),
-            alpha2=lambda n, N: q ** n * (1 - a * b * q ** (n - N))
-                                / (1 - a * b * q ** (2 * n - N)),
-            beta1=lambda n, N: (1 - a * q ** (n + 1)) * (1 - q ** (n + 1))
-                               / (1 - a * b * q ** (2 * n + 2 - N)),
-            beta2=lambda n, N: a * q ** (n + 1) * (1 - b * q ** (n + 1 - N))
-                               * (1 - q ** (N - n)) / (1 - a * b * q ** (2 * n + 2 - N)),
-            mu=lambda k, N: 1 - q ** (N - k),
+        return _memoized(
+            alpha1, alpha2,
+            beta1=lambda n, N: one_minus_a(n + 1) * one_minus_q(n + 1)
+                               / one_minus_ab(2 * n + 2 - N),
+            beta2=lambda n, N: a * qp(n + 1) * (1 - b * qp(n + 1 - N)) * one_minus_q(N - n)
+                               / one_minus_ab(2 * n + 2 - N),
+            mu=lambda k, N: one_minus_q(N - k),
         )
-    return ContiguityData(
-        alpha1=lambda n, N: (1 - a * b * q ** (n + 1)) / (1 - a * b * q ** (2 * n - N)),
-        alpha2=lambda n, N: q ** n * (1 - a * b * q ** (n - N))
-                            / (1 - a * b * q ** (2 * n - N)),
-        beta1=lambda n, N: (1 - b * g * q ** (n + 1)) * (1 - a * q ** (n + 1))
-                           * (1 - q ** (n + 1)) / (1 - a * b * q ** (2 * n + 2 - N)),
-        beta2=lambda n, N: (1 - b * q ** (n + 1 - N)) * (a * q ** (n + 1) - g * q ** N)
-                           * (1 - q ** (N - n)) / (1 - a * b * q ** (2 * n + 2 - N)),
-        mu=lambda k, N: (1 - q ** (N - k)) * (1 - g * q ** (N + k)),
+    bg = b * g
+    return _memoized(
+        alpha1, alpha2,
+        beta1=lambda n, N: (1 - bg * qp(n + 1)) * one_minus_a(n + 1) * one_minus_q(n + 1)
+                           / one_minus_ab(2 * n + 2 - N),
+        beta2=lambda n, N: (1 - b * qp(n + 1 - N)) * (a * qp(n + 1) - g * qp(N))
+                           * one_minus_q(N - n) / one_minus_ab(2 * n + 2 - N),
+        mu=lambda k, N: one_minus_q(N - k) * (1 - g * qp(N + k)),
     )
 
 
@@ -411,8 +447,10 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
 
     Boundary terms enter through the zero convention; coefficients are never
     evaluated against a vanishing polynomial factor, so every coefficient
-    evaluation stays inside the validated grid. Polynomial values come from
-    `blocks` when given (see block_values).
+    evaluation stays inside the validated grid. Coefficients come from
+    `data` when given (a run shares one memoized table with its Delta),
+    otherwise from contiguity(inst); polynomial values come from `blocks`
+    when given (see block_values).
     """
     data = data or contiguity(inst)
     P = block_values(inst, blocks)
@@ -547,12 +585,13 @@ def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
                          "beta_list": ",".join(format_scalar(b) for b in betas),
                          "n_max": n_max})
     grid = [(n, N) for N in range(n_max + 1) for n in range(N + 1)]
+    rdata = [contiguity(i) for i in insts]  # one memo per beta, shared by all four
     for coeff in ("alpha1", "alpha2", "beta1", "beta2"):
         dual_fn = getattr(ddata, coeff)
         result = CheckResult.ok(f"{coeff}-decay", f"0<=n<=N<={n_max}")
-        for (b1, i1), (b2, i2) in zip(zip(betas, insts), zip(betas[1:], insts[1:])):
-            d1fn = getattr(contiguity(i1), coeff)
-            d2fn = getattr(contiguity(i2), coeff)
+        for (b1, r1), (b2, r2) in zip(zip(betas, rdata), zip(betas[1:], rdata[1:])):
+            d1fn = getattr(r1, coeff)
+            d2fn = getattr(r2, coeff)
             for n, N in grid:
                 want = dual_fn(n, N)
                 d1 = abs(d1fn(n, N) - want)
@@ -567,8 +606,7 @@ def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
             if not result.passed:
                 break
         rep.add(result)
-    rdata = contiguity(insts[0])
     rep.add(first_mismatch("mu-equality", f"0<=k<=N<={n_max}", (
-        ({"k": k, "N": N}, rdata.mu(k, N), ddata.mu(k, N))
+        ({"k": k, "N": N}, rdata[0].mu(k, N), ddata.mu(k, N))
         for N in range(n_max + 1) for k in range(N + 1))))
     return rep

@@ -5,14 +5,15 @@ blocks (algebras.GradedOperator) and become dense only to enter a nullspace.
 Matrices are small (block sizes stay below ~20), so everything is plain
 row-major tuples of Fractions. Nullspaces are computed fraction-free: rows are
 cleared to integers and eliminated Bareiss-style, so only exact integer
-divisions occur.
+divisions occur, and back-substituted over integers with one common
+denominator per basis vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 __all__ = ["RatMat", "nullspace", "rank", "inverse"]
@@ -69,7 +70,7 @@ def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:
     work: list[list[int]] = []
     for row in m.a:
         scale = lcm(*(x.denominator for x in row)) if row else 1
-        work.append([int(x * scale) for x in row])
+        work.append([x.numerator * (scale // x.denominator) for x in row])
     piv_cols: list[int] = []
     r = 0
     prev = 1
@@ -100,21 +101,32 @@ def rank(m: RatMat) -> int:
 
 
 def nullspace(m: RatMat) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {v : m v = 0}, one vector per free column."""
+    """Basis of the right kernel {v : m v = 0}, one vector per free column:
+    1 at that column, 0 at the other free columns.
+
+    Back-substitution stays in integers: each vector is kept as integer
+    numerators over one common denominator, rescaled by the part of a pivot
+    that does not divide its row sum, and one Fraction per entry is built
+    at the end."""
     work, piv_cols = _integer_echelon(m)
     pivset = set(piv_cols)
     basis = []
     for free in range(m.cols):
         if free in pivset:
             continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
+        num = [0] * m.cols
+        num[free] = den = 1
         for i in reversed(range(len(piv_cols))):
-            pc = piv_cols[i]
-            s = sum((work[i][j] * v[j] for j in range(pc + 1, m.cols)),
-                    Fraction(0))
-            v[pc] = -s / work[i][pc]
-        basis.append(tuple(v))
+            pc, row = piv_cols[i], work[i]
+            s = sum(row[j] * num[j] for j in range(pc + 1, m.cols))
+            # v[pc] = -s / (den * row[pc]); multiply through by row[pc] / g
+            g = gcd(s, row[pc])
+            scale = row[pc] // g
+            if scale != 1:
+                num = [x * scale for x in num]
+                den *= scale
+            num[pc] = -s // g
+        basis.append(tuple(Fraction(x, den) for x in num))
     return basis
 
 

@@ -1,11 +1,15 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from askeycg import coproduct, families
 from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite
 from askeycg.families import FamilyKind, make_instance
+
+from test_families import sample_instance
 
 
 def test_verify_exit_zero_and_report(tmp_path, capsys):
@@ -197,3 +201,64 @@ def test_suite_failure_yields_exit_one(tmp_path, monkeypatch):
     code = main(["verify", "--family", "krawtchouk", "--p", "1/3", "--nmax", "3",
                  "--checks", "contiguity", "--output", str(tmp_path / "r.json")])
     assert code == 1
+
+
+# -- shared artifacts: each built at most once, and only when a check needs it --
+
+def count_calls(monkeypatch, module, name, replacement=None) -> list:
+    """Route every askeycg binding of module.name through a recorder; the
+    recorded calls are returned, and replacement, when given, runs instead."""
+    original = getattr(module, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return (replacement or original)(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "askeycg" or key.startswith("askeycg."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_full_run_evaluates_contiguity_once(kind, monkeypatch):
+    # contiguity, Delta and the derived side of algebraic-form share one table
+    inst = sample_instance(kind, n_max=3)
+    calls = count_calls(monkeypatch, families, "contiguity")
+    deltas = count_calls(monkeypatch, coproduct, "build_delta")
+    rep = run_verify_suite(inst)
+    assert [c.name for c in rep.checks if c.skipped] == (
+        ["three-term", "twist"] if kind is not FamilyKind.DUAL_HAHN else ["twist"])
+    assert len(calls) == 1 and len(deltas) == 1
+
+
+def test_relations_and_casimir_build_no_coefficients(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, families, "contiguity")
+    deltas = count_calls(monkeypatch, coproduct, "build_delta")
+    code = main(["verify", "--family", "q-racah", "--q", "1/4", "--kappa1", "1/2",
+                 "--kappa2", "1/3", "--alpha", "1/5", "--beta", "1/7", "--nmax", "3",
+                 "--checks", "relations,casimir", "--output", str(tmp_path / "r.json")])
+    assert code == 0
+    assert calls == [] and deltas == []
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
+    inst = sample_instance(kind, n_max=5)
+    derived = coproduct.coproduct_coeffs(inst)  # built before the patch
+
+    def refuse(inst):
+        raise AssertionError("algebraic_form read the contiguity data")
+
+    count_calls(monkeypatch, families, "contiguity", refuse)
+    closed = coproduct.algebraic_form(inst)
+    for name in ("x", "y", "xp", "yp"):
+        fn = getattr(closed, name)
+        for n in range(inst.n_max + 1):
+            for m in range(inst.n_max + 1):
+                fn(n, m)
+    assert coproduct.check_algebraic_form(inst, coproduct.tensor_module(inst),
+                                          derived).passed
