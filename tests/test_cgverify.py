@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, cg_block,
                               lowest_weight_oracle, orthogonality_weights,
-                              tensor_lowering_eigenvalue, verify_lowering,
-                              verify_raising, verify_weight_grading)
+                              random_instance, tensor_lowering_eigenvalue,
+                              verify_lowering, verify_raising,
+                              verify_weight_grading)
 from askeycg.coproduct import build_delta, tensor_module
 from askeycg.exactmath import binomial, q_binomial
 from askeycg.families import FamilyKind, poly_value
@@ -231,3 +233,35 @@ def test_weight_data_doc_round_trip():
     inst = sample_instance(FamilyKind.RACAH)
     w = orthogonality_weights(inst, 3)
     assert WeightData.from_doc(w.to_doc()) == w
+
+# -- random draws -------------------------------------------------------------
+
+# random_instance(kind, random.Random(seed), n_max=6).to_doc() for every family
+# and seeds 0-2, less kind and n_max: what the acceptance predicate (every
+# block 1..n_max admits orthogonality weights) let through when recorded
+PINNED_DRAWS = {
+    ("hahn", 0): {"alpha": "13/14", "beta": "2/9", "lambda1": "17/16", "lambda2": "13/10"},
+    ("hahn", 1): {"alpha": "5/19", "beta": "1/3", "lambda1": "1/4", "lambda2": "15/16"},
+    ("hahn", 2): {"alpha": "2/3", "beta": "1/4", "lambda1": "3/5", "lambda2": "9/20"},
+    ("krawtchouk", 0): {"p": "13/14", "lambda1": "7", "lambda2": "9/17"},
+    ("krawtchouk", 1): {"p": "5/6", "lambda1": "1/3", "lambda2": "1/4"},
+    ("krawtchouk", 2): {"p": "1/3", "lambda1": "1/4", "lambda2": "3/5"},
+    ("dual-hahn", 0): {"alpha": "580/567", "beta": "145/1134", "lambda1": "27/14", "lambda2": "11/9"},
+    ("dual-hahn", 1): {"alpha": "136/285", "beta": "34/285", "lambda1": "24/19", "lambda2": "4/3"},
+    ("dual-hahn", 2): {"alpha": "11/14", "beta": "11/84", "lambda1": "5/3", "lambda2": "5/4"},
+    ("racah", 0): {"alpha": "8/9", "beta": "13/14", "gamma": "271/126", "lambda1": "27/14", "lambda2": "11/9"},
+    ("racah", 1): {"alpha": "4/5", "beta": "1/2", "gamma": "91/57", "lambda1": "24/19", "lambda2": "4/3"},
+    ("racah", 2): {"alpha": "6/7", "beta": "5/11", "gamma": "23/12", "lambda1": "5/3", "lambda2": "5/4"},
+    ("q-hahn", 0): {"alpha": "2/3", "beta": "8/9", "q": "4/9", "kappa1": "13/14", "kappa2": "8/11"},
+    ("q-hahn", 1): {"alpha": "1/2", "beta": "4/5", "q": "1/16", "kappa1": "1/2", "kappa2": "13/14"},
+    ("q-hahn", 2): {"alpha": "1/2", "beta": "6/7", "q": "1/4", "kappa1": "5/11", "kappa2": "5/8"},
+    ("q-racah", 0): {"alpha": "2/3", "beta": "8/9", "gamma": "6084/5929", "q": "4/9", "kappa1": "13/14", "kappa2": "8/11"},
+    ("q-racah", 1): {"alpha": "1/2", "beta": "4/5", "gamma": "169/49", "q": "1/16", "kappa1": "1/2", "kappa2": "13/14"},
+    ("q-racah", 2): {"alpha": "1/2", "beta": "6/7", "gamma": "625/1936", "q": "1/4", "kappa1": "5/11", "kappa2": "5/8"},
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(PINNED_DRAWS))
+def test_random_instance_draws_pinned(kind, seed):
+    inst = random_instance(kind, random.Random(seed), n_max=6)
+    assert inst.to_doc() == {"kind": kind, "n_max": "6", **PINNED_DRAWS[kind, seed]}
