@@ -13,6 +13,18 @@ the kernel of Delta(F) on block k (which must be one-dimensional) seeds the
 k-th tower, and repeated application of Delta(E) fills in the higher levels.
 Entrywise agreement with the polynomial route is the central certificate.
 
+The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
+k != l. The columns of block N are eigenvectors of the tridiagonal
+T_N = Delta(E) Delta(F) on level N, and the diagonal that symmetrizes T_N is
+a candidate Omega, read in O(N) from two bidiagonal blocks of Delta. The
+candidate is certified on P alone, in integer arithmetic: it solves every
+off-diagonal equation (existence), the equations (0, l) have rank N modulo a
+prime, so no other normalized solution exists (uniqueness), and every norm
+Omega'_l is nonzero, which also makes P nonsingular. When T_N has a zero
+off-diagonal entry or a step fails, Omega comes from the full solve, Bareiss
+elimination of all N(N+1)/2 equations, whose result or error is the verdict.
+Delta only proposes; the weights never rest on it.
+
 random_instance draws seeded instances whose blocks all admit orthogonality
 weights; it lives here because that test is orthogonality_weights itself.
 """
@@ -21,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebras import block_entries, phi, scalar_operator
-from .coproduct import Delta, TensorModule, build_delta
+from .coproduct import Delta, TensorModule, build_delta, tensor_module
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
                        make_instance, poly_value, tensor_label)
@@ -182,7 +195,8 @@ def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule,
 
 
 def orthogonality_weights(inst: FamilyInstance, N: int,
-                          block: CGBlock | None = None) -> WeightData:
+                          block: CGBlock | None = None,
+                          delta: Delta | None = None) -> WeightData:
     """Solve for the diagonal weights Omega making the CG columns orthogonal:
 
         sum_n P[n][k] P[n][l] Omega_n = delta_{k,l} Omega'_l
@@ -190,8 +204,19 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     The homogeneous off-diagonal system must have a one-dimensional solution
     space; Omega is normalized to Omega_0 = 1 and every Omega'_l must be
     nonzero. Signs are reported as found; no positivity is claimed.
+
+    With `delta` given, the diagonal that symmetrizes T_N = Delta(E) Delta(F)
+    is tried first and certified on P (see the module docstring): existence,
+    uniqueness by a rank mod a prime, and nonzero norms. When T_N has a zero
+    off-diagonal entry or a step fails, the full solve below runs, and its
+    result or error is the verdict.
     """
     P = (block or cg_block(inst, N)).P
+    if delta is not None:
+        omega = _symmetrizer(delta, N)
+        found = _certified_weights(P, N, omega) if omega else None
+        if found:
+            return found
     if rank(P) != N + 1:
         raise WeightSolutionError(f"CG block {N} is singular")
     if N == 0:
@@ -217,6 +242,77 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
             raise WeightSolutionError(f"Omega' vanishes at column {l}")
         omega_prime.append(norm)
     return WeightData(N, omega, tuple(omega_prime))
+
+
+def _symmetrizer(delta: Delta, N: int) -> list[Fraction] | None:
+    """Omega with Omega_0 = 1 and Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n]
+    for the tridiagonal T = Delta(E)_{N-1 -> N} Delta(F)_{N -> N-1}, read off
+    the two bidiagonal blocks; None when an off-diagonal entry of T vanishes."""
+    e, f = delta.e.blocks.get(N - 1, {}), delta.f.blocks.get(N, {})
+    omega = [Fraction(1)]
+    for n in range(N):
+        up = e.get((n, n), 0) * f.get((n, n + 1), 0)
+        down = e.get((n + 1, n), 0) * f.get((n, n), 0)
+        if not up or not down:
+            return None
+        omega.append(omega[-1] * up / down)
+    return omega
+
+
+# a fixed prime for the uniqueness step; any prime gives a valid certificate
+_PRIME = (1 << 61) - 1
+
+
+def _integer_vector(xs) -> tuple[list[int], int]:
+    """(a, c) with xs[i] = a[i] / c and c the common denominator."""
+    c = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (c // x.denominator) for x in xs], c
+
+
+def _rank_mod_prime(rows: list[list[int]]) -> int:
+    rows = [[x % _PRIME for x in row] for row in rows]
+    rnk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rnk, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rnk], rows[piv] = rows[piv], rows[rnk]
+        inv = pow(rows[rnk][c], -1, _PRIME)
+        top = [x * inv % _PRIME for x in rows[rnk]]
+        for i in range(rnk + 1, len(rows)):
+            h = rows[i][c]
+            if h:
+                rows[i] = [(x - h * y) % _PRIME for x, y in zip(rows[i], top)]
+        rnk += 1
+    return rnk
+
+
+def _certified_weights(P: RatMat, N: int, omega: list[Fraction]) -> WeightData | None:
+    """WeightData(N, omega, ...) if omega provably is the normalized solution
+    of the weight system of P and every norm is nonzero, else None. All sums
+    run over integers: column l of P is a_l / c_l and Omega is w / L."""
+    cols = [_integer_vector(P.column(k)) for k in range(N + 1)]
+    w, L = _integer_vector(omega)
+    weighted = [[x * y for x, y in zip(a, w)] for a, _ in cols]
+    # existence: omega solves every off-diagonal row
+    for k in range(N + 1):
+        a = cols[k][0]
+        for l in range(k + 1, N + 1):
+            if sum(x * y for x, y in zip(a, weighted[l])):
+                return None
+    # uniqueness: the rows (0, l) alone leave at most a line of solutions
+    a0 = cols[0][0]
+    if _rank_mod_prime([[x * y for x, y in zip(a0, cols[l][0])]
+                        for l in range(1, N + 1)]) != N:
+        return None
+    # norms: nonzero, so P^T Omega P is nonsingular and so is P
+    omega_prime = []
+    for (a, c), aw in zip(cols, weighted):
+        norm = sum(x * y for x, y in zip(a, aw))
+        if not norm:
+            return None
+        omega_prime.append(Fraction(norm, c * c * L))
+    return WeightData(N, tuple(omega), tuple(omega_prime))
 
 
 def verify_weight_grading(inst: FamilyInstance, tm: TensorModule,
@@ -285,8 +381,9 @@ def random_instance(kind: FamilyKind | str, rng, n_max: int = 8,
     for _ in range(max_tries):
         try:
             inst = make_instance(kind, n_max=n_max, **_draw_params(kind, rng))
+            delta = build_delta(inst, tensor_module(inst))
             for N in range(1, n_max + 1):
-                orthogonality_weights(inst, N)
+                orthogonality_weights(inst, N, delta=delta)
         except (InvalidParameterError, WeightSolutionError):
             continue
         return inst

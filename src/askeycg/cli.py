@@ -131,7 +131,7 @@ def _orthogonality(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
     rng = f"blocks 0..{inst.n_max}"
     for N in range(inst.n_max + 1):
         try:
-            orthogonality_weights(inst, N, art.blocks[N])
+            orthogonality_weights(inst, N, art.blocks[N], art.delta)
         except WeightSolutionError as exc:
             return _error_result("orthogonality", rng, exc)
     return CheckResult.ok("orthogonality", rng)
@@ -337,9 +337,10 @@ def cmd_verify(args) -> int:
 
 def table_doc(inst: FamilyInstance) -> dict:
     blocks = []
+    delta = build_delta(inst, tensor_module(inst))
     for N in range(inst.n_max + 1):
         blk = cg_block(inst, N)
-        weights = orthogonality_weights(inst, N, blk)
+        weights = orthogonality_weights(inst, N, blk, delta)
         blocks.append({**blk.to_doc(), **{k: v for k, v in weights.to_doc().items()
                                           if k != "N"}})
     return {"suite": f"table:{inst.kind.value}", "version": TOOL_VERSION,

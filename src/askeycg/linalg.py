@@ -1,6 +1,6 @@
-"""Dense exact rational matrices: the CG blocks, and the nullspaces, ranks and
-inverses the block checks need. Graded operators keep their own sparse
-blocks (algebras.GradedOperator) and become dense only to enter a nullspace.
+"""Dense exact rational matrices: the CG blocks, and the nullspaces and ranks
+the block checks need. Graded operators keep their own sparse blocks
+(algebras.GradedOperator) and become dense only to enter a nullspace.
 
 Matrices are small (block sizes stay below ~20), so everything is plain
 row-major tuples of Fractions. Nullspaces are computed fraction-free: rows are
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-__all__ = ["RatMat", "nullspace", "rank", "inverse"]
+__all__ = ["RatMat", "nullspace", "rank"]
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class RatMat:
                 row.append(acc)
             out.append(tuple(row))
         return RatMat(self.rows, other.cols, tuple(out))
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.a]
 
 
 def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:
@@ -129,27 +126,3 @@ def nullspace(m: RatMat) -> list[tuple[Fraction, ...]]:
         basis.append(tuple(Fraction(x, den) for x in num))
     return basis
 
-
-def inverse(m: RatMat) -> RatMat:
-    """Inverse of a square nonsingular matrix by Gauss-Jordan elimination."""
-    if m.rows != m.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    left = [list(row) for row in m.a]
-    right = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if left[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        left[c], left[pr] = left[pr], left[c]
-        right[c], right[pr] = right[pr], right[c]
-        piv = left[c][c]
-        left[c] = [x / piv for x in left[c]]
-        right[c] = [x / piv for x in right[c]]
-        for i in range(n):
-            if i == c or left[i][c] == 0:
-                continue
-            f = left[i][c]
-            left[i] = [x - f * y for x, y in zip(left[i], left[c])]
-            right[i] = [x - f * y for x, y in zip(right[i], right[c])]
-    return RatMat.from_rows(right)

@@ -9,6 +9,8 @@ from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generator
                               tensor_operator)
 from askeycg.report import first_mismatch
 
+from test_linalg import to_lists
+
 OSC = AlgebraKind(AlgebraTag.OSC)
 SL2 = AlgebraKind(AlgebraTag.SL2)
 
@@ -154,11 +156,11 @@ def test_tensor_operator_on_three_fold_module():
     raise_middle = tensor_operator(dims, (0, +1, 0),
                                    lambda c: 1 + c[0] + 2 * c[1] + 4 * c[2])
     assert raise_middle.degree == 1 and sorted(raise_middle.blocks) == [0, 1]
-    assert raise_middle.dense(1).to_lists() == [
+    assert to_lists(raise_middle.dense(1)) == [
         [0, 0, 0], [5, 0, 0], [0, 3, 0], [0, 0, 0], [0, 0, 2], [0, 0, 0]]
     # lowering a vacuum factor contributes nothing, and coeff is not evaluated there
     lower_first = tensor_operator(dims, (-1, 0, 0), lambda c: F(1, c[0]))
     assert lower_first.shape(0) == (0, 1) and lower_first.blocks[0] == {}
-    assert lower_first.dense(1).to_lists() == [[0, 0, 1]]
-    assert lower_first.dense(2).to_lists() == [
+    assert to_lists(lower_first.dense(1)) == [[0, 0, 1]]
+    assert to_lists(lower_first.dense(2)) == [
         [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, F(1, 2)]]

@@ -1,29 +1,35 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, cg_block,
+from askeycg.algebras import GradedOperator, scalar_operator
+from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, _draw_params, cg_block,
                               lowest_weight_oracle, orthogonality_weights,
                               random_instance, tensor_lowering_eigenvalue,
                               verify_lowering, verify_raising,
                               verify_weight_grading)
-from askeycg.coproduct import build_delta, tensor_module
-from askeycg.exactmath import binomial, q_binomial
-from askeycg.families import FamilyKind, poly_value
-from askeycg.linalg import RatMat, inverse
+from askeycg.cli import run_verify_suite
+from askeycg.coproduct import Delta, build_delta, tensor_module
+from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
+from askeycg.families import FamilyKind, make_instance, poly_value
+from askeycg.linalg import RatMat
 
 from test_families import ALL_KINDS, sample_instance
+from test_linalg import inverse, matmul, to_lists
 
 
 def test_block_zero_is_unit():
     inst = sample_instance(FamilyKind.Q_RACAH)
-    assert cg_block(inst, 0).P.to_lists() == [[F(1)]]
+    assert to_lists(cg_block(inst, 0).P) == [[F(1)]]
 
 
 def test_dual_hahn_block_one():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
-    assert cg_block(inst, 1).P.to_lists() == [[F(1), F(1)], [F(1), F(-3, 2)]]
+    assert to_lists(cg_block(inst, 1).P) == [[F(1), F(1)], [F(1), F(-3, 2)]]
 
 
 def test_first_column_is_binomial_vector():
@@ -51,7 +57,7 @@ def test_krawtchouk_pascal_row():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
     tm = tensor_module(inst)
     delta = build_delta(inst, tm)
-    image = delta.e.dense(0) @ cg_block(inst, 0).P
+    image = matmul(delta.e.dense(0), cg_block(inst, 0).P)
     assert image.column(0) == (F(1), F(1))
     assert cg_block(inst, 1).P.column(0) == (F(1), F(1))
 
@@ -77,7 +83,7 @@ def test_lowering_annihilates_top_column():
         tm = tensor_module(inst)
         delta = build_delta(inst, tm)
         for N in range(1, 4):
-            image = delta.f.dense(N) @ cg_block(inst, N).P
+            image = matmul(delta.f.dense(N), cg_block(inst, N).P)
             assert all(image.entry(n, N) == 0 for n in range(N))
 
 
@@ -116,7 +122,7 @@ def test_oracle_block_one_standard_sl2():
 def test_oracle_first_column_trivial_kernel():
     inst = sample_instance(FamilyKind.Q_HAHN)
     oracle = lowest_weight_oracle(inst, tensor_module(inst))
-    assert oracle[0].P.to_lists() == [[F(1)]]
+    assert to_lists(oracle[0].P) == [[F(1)]]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -170,6 +176,121 @@ def test_weights_reject_singular_block():
         orthogonality_weights(inst, 1, bad)
 
 
+# -- orthogonality weights from T_N = Delta(E) Delta(F) ------------------------
+
+def weights_or_error(inst, N, blk, delta=None):
+    try:
+        return orthogonality_weights(inst, N, blk, delta)
+    except WeightSolutionError as exc:
+        return f"error: {exc}"
+
+
+def assert_paths_agree(inst):
+    """The certified guess from Delta gives what the full solve gives, block
+    by block, WeightData or error message."""
+    delta = build_delta(inst, tensor_module(inst))
+    for N in range(inst.n_max + 1):
+        blk = cg_block(inst, N)
+        assert weights_or_error(inst, N, blk, delta) == weights_or_error(inst, N, blk)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 10 ** 6),
+       n_max=st.integers(1, 6))
+def test_symmetrizer_path_equals_full_solve(kind, seed, n_max):
+    try:
+        inst = make_instance(kind, n_max=n_max,
+                             **_draw_params(kind, random.Random(seed)))
+    except InvalidParameterError:
+        assume(False)
+    assert_paths_agree(inst)
+
+
+def test_symmetrizer_path_on_degenerate_racah_point():
+    # T_N is reducible on blocks 2..4, which fall back and fail as in
+    # tests/golden/racah-degenerate.json: "Omega_0 vanishes"
+    inst = make_instance("racah", n_max=4, alpha=F(1, 3), beta=F(1),
+                         lambda1=F(3, 2), lambda2=F(5))
+    assert_paths_agree(inst)
+    delta = build_delta(inst, tensor_module(inst))
+    failed = {N: weights_or_error(inst, N, cg_block(inst, N), delta) for N in range(5)}
+    assert {N: err for N, err in failed.items() if isinstance(err, str)} == {
+        N: "error: weight normalization Omega_0 vanishes" for N in (2, 3, 4)}
+
+
+def spy_callers(monkeypatch, name):
+    """Record the name of the function calling askeycg.cgverify.<name>."""
+    import askeycg.cgverify as cgverify
+    callers = []
+    original = getattr(cgverify, name)
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(cgverify, name, spy)
+    return callers
+
+
+def with_f_entry_scaled(delta, level, ij, factor):
+    f = delta.f
+    blocks = {n: dict(b) for n, b in f.blocks.items()}
+    blocks[level][ij] *= factor
+    return Delta(delta.e, GradedOperator(f.degree, f.dims, blocks), delta.hk)
+
+
+def test_corrupted_delta_falls_back_to_the_same_verdict(monkeypatch):
+    # one I x F entry of level 3 feeds T_3[2][1], so only block 3's guess is wrong
+    inst = sample_instance(FamilyKind.RACAH)
+    good = build_delta(inst, tensor_module(inst))
+    bad = with_f_entry_scaled(good, 3, (1, 1), 2)
+    blocks = [cg_block(inst, N) for N in range(inst.n_max + 1)]
+    want = [orthogonality_weights(inst, N, blk) for N, blk in enumerate(blocks)]
+    want_report = run_verify_suite(inst, ["orthogonality"]).to_dict()
+    rank_callers = spy_callers(monkeypatch, "rank")
+    assert [orthogonality_weights(inst, N, blk, bad) for N, blk in enumerate(blocks)] == want
+    assert rank_callers == ["orthogonality_weights"]  # block 3 took the full solve
+    monkeypatch.setattr("askeycg.cli.build_delta", lambda *args, **kwargs: bad)
+    assert run_verify_suite(inst, ["orthogonality"]).to_dict() == want_report
+
+
+def test_unconstrained_weights_are_not_certified():
+    # P = I leaves every Omega a solution; the guess from a real Delta solves
+    # the system and has nonzero norms, yet it is not the only solution
+    inst = sample_instance(FamilyKind.HAHN)
+    delta = build_delta(inst, tensor_module(inst))
+    eye = CGBlock(2, RatMat.build(3, 3, lambda i, j: F(i == j)))
+    with pytest.raises(WeightSolutionError, match="has dimension 3, expected 1"):
+        orthogonality_weights(inst, 2, eye, delta)
+
+
+def test_vanishing_norm_is_not_certified():
+    # T_1 = [[*, 1], [-1, *]] guesses Omega = (1, -1): it solves the one
+    # off-diagonal row of P = [[1, 1], [1, 1]] uniquely, but both norms vanish
+    inst = sample_instance(FamilyKind.HAHN)
+    dims = (1, 2)
+    e = GradedOperator(1, dims, {0: {(0, 0): F(1), (1, 0): F(1)}})
+    f = GradedOperator(-1, dims, {0: {}, 1: {(0, 0): F(-1), (0, 1): F(1)}})
+    delta = Delta(e, f, scalar_operator(dims, lambda n: 1))
+    bad = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
+    with pytest.raises(WeightSolutionError, match="CG block 1 is singular"):
+        orthogonality_weights(inst, 1, bad, delta)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_verify_suite_certifies_weights_without_a_solve(kind, monkeypatch):
+    inst = sample_instance(kind)
+    rank_callers = spy_callers(monkeypatch, "rank")
+    nullspace_callers = spy_callers(monkeypatch, "nullspace")
+    assert run_verify_suite(inst).passed
+    assert "orthogonality_weights" not in rank_callers + nullspace_callers
+    assert "lowest_weight_oracle" in nullspace_callers  # the spy sees calls
+    rank_callers.clear()
+    nullspace_callers.clear()
+    orthogonality_weights(inst, 2)  # no Delta, no guess: the full solve
+    assert rank_callers == nullspace_callers == ["orthogonality_weights"]
+
+
 # -- weight grading -----------------------------------------------------------
 
 def test_weight_grading_all_families():
@@ -213,7 +334,7 @@ def test_lowering_is_diagonalized_in_cg_basis():
     for N in range(1, 5):
         u_here = cg_block(inst, N).P
         u_below = cg_block(inst, N - 1).P
-        recoupled = inverse(u_below) @ delta.f.dense(N) @ u_here
+        recoupled = matmul(matmul(inverse(u_below), delta.f.dense(N)), u_here)
         for k in range(N + 1):
             for row in range(N):
                 want = (tensor_lowering_eigenvalue(inst, k, N - k)

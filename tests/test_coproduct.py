@@ -13,6 +13,7 @@ from askeycg.families import FamilyKind, algebra_for, contiguity, labels, make_i
 from askeycg.linalg import nullspace
 
 from test_families import ALL_KINDS, outcome, sample_instance, wide_draws
+from test_linalg import to_lists
 
 
 # -- coefficient functions ----------------------------------------------------
@@ -88,7 +89,7 @@ def test_krawtchouk_block0_raising():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
     delta = build_delta(inst, tensor_module(inst))
     blk = delta.e.dense(0)
-    assert blk.to_lists() == [[F(1)], [F(1)]]
+    assert to_lists(blk) == [[F(1)], [F(1)]]
 
 
 def test_delta_serialization_round_trip():
@@ -304,7 +305,7 @@ def test_twist_block_zero_to_one_coefficients():
     delta = build_delta(inst, tensor_module(inst))
     # raising block 0 -> 1: column (0,0) has entries (E x I, kappa1^{-1} K x E)
     blk = delta.e.dense(0)
-    assert blk.to_lists() == [[F(1)], [q ** 0]]
+    assert to_lists(blk) == [[F(1)], [q ** 0]]
 
 
 def test_beta_zero_collapses_yp():
