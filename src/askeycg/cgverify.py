@@ -33,14 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebras import block_entries, phi, scalar_operator
 from .coproduct import Delta, TensorModule, build_delta, tensor_module
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
                        make_instance, poly_value, tensor_label)
-from .linalg import RatMat, nullspace, rank
+from .linalg import RatMat, integer_vector, nullspace, rank, rank_mod
 from .report import Report, first_mismatch
 
 __all__ = [
@@ -263,36 +262,12 @@ def _symmetrizer(delta: Delta, N: int) -> list[Fraction] | None:
 _PRIME = (1 << 61) - 1
 
 
-def _integer_vector(xs) -> tuple[list[int], int]:
-    """(a, c) with xs[i] = a[i] / c and c the common denominator."""
-    c = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (c // x.denominator) for x in xs], c
-
-
-def _rank_mod_prime(rows: list[list[int]]) -> int:
-    rows = [[x % _PRIME for x in row] for row in rows]
-    rnk = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rnk, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rnk], rows[piv] = rows[piv], rows[rnk]
-        inv = pow(rows[rnk][c], -1, _PRIME)
-        top = [x * inv % _PRIME for x in rows[rnk]]
-        for i in range(rnk + 1, len(rows)):
-            h = rows[i][c]
-            if h:
-                rows[i] = [(x - h * y) % _PRIME for x, y in zip(rows[i], top)]
-        rnk += 1
-    return rnk
-
-
 def _certified_weights(P: RatMat, N: int, omega: list[Fraction]) -> WeightData | None:
     """WeightData(N, omega, ...) if omega provably is the normalized solution
     of the weight system of P and every norm is nonzero, else None. All sums
     run over integers: column l of P is a_l / c_l and Omega is w / L."""
-    cols = [_integer_vector(P.column(k)) for k in range(N + 1)]
-    w, L = _integer_vector(omega)
+    cols = [integer_vector(P.column(k)) for k in range(N + 1)]
+    w, L = integer_vector(omega)
     weighted = [[x * y for x, y in zip(a, w)] for a, _ in cols]
     # existence: omega solves every off-diagonal row
     for k in range(N + 1):
@@ -302,8 +277,8 @@ def _certified_weights(P: RatMat, N: int, omega: list[Fraction]) -> WeightData |
                 return None
     # uniqueness: the rows (0, l) alone leave at most a line of solutions
     a0 = cols[0][0]
-    if _rank_mod_prime([[x * y for x, y in zip(a0, cols[l][0])]
-                        for l in range(1, N + 1)]) != N:
+    if rank_mod([[x * y for x, y in zip(a0, cols[l][0])]
+                 for l in range(1, N + 1)], _PRIME) != N:
         return None
     # norms: nonzero, so P^T Omega P is nonsingular and so is P
     omega_prime = []

@@ -1,6 +1,7 @@
 """Dense exact rational matrices: the CG blocks, and the nullspaces and ranks
-the block checks need. Graded operators keep their own sparse blocks
-(algebras.GradedOperator) and become dense only to enter a nullspace.
+the block checks need, with ranks of integer matrices modulo a prime. Graded
+operators keep their own sparse blocks (algebras.GradedOperator) and become
+dense only to enter a nullspace.
 
 Matrices are small (block sizes stay below ~20), so everything is plain
 row-major tuples of Fractions. Nullspaces are computed fraction-free: rows are
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-__all__ = ["RatMat", "nullspace", "rank"]
+__all__ = ["RatMat", "nullspace", "rank", "integer_vector", "rank_mod"]
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,15 @@ class RatMat:
         return RatMat(self.rows, other.cols, tuple(out))
 
 
+def integer_vector(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(a, c) with xs[i] = a[i] / c and c the least common denominator."""
+    c = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (c // x.denominator) for x in xs], c
+
+
 def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form; returns (rows, pivot column list)."""
-    work: list[list[int]] = []
-    for row in m.a:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+    work = [integer_vector(row)[0] for row in m.a]
     piv_cols: list[int] = []
     r = 0
     prev = 1
@@ -126,3 +130,22 @@ def nullspace(m: RatMat) -> list[tuple[Fraction, ...]]:
         basis.append(tuple(Fraction(x, den) for x in num))
     return basis
 
+
+def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix modulo the prime p. It never exceeds the
+    rank over the rationals."""
+    rows = [[x % p for x in row] for row in rows]
+    rnk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rnk, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rnk], rows[piv] = rows[piv], rows[rnk]
+        inv = pow(rows[rnk][c], -1, p)
+        top = [x * inv % p for x in rows[rnk]]
+        for i in range(rnk + 1, len(rows)):
+            h = rows[i][c]
+            if h:
+                rows[i] = [(x - h * y) % p for x, y in zip(rows[i], top)]
+        rnk += 1
+    return rnk

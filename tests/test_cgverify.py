@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import askeycg.cgverify as cgverify
 from askeycg.algebras import GradedOperator, scalar_operator
-from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, _draw_params, cg_block,
-                              lowest_weight_oracle, orthogonality_weights,
+from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, _draw_params,
+                              cg_block, lowest_weight_oracle, orthogonality_weights,
                               random_instance, tensor_lowering_eigenvalue,
-                              verify_lowering, verify_raising,
-                              verify_weight_grading)
+                              verify_lowering, verify_raising, verify_weight_grading)
 from askeycg.cli import run_verify_suite
 from askeycg.coproduct import Delta, build_delta, tensor_module
 from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
@@ -220,7 +220,6 @@ def test_symmetrizer_path_on_degenerate_racah_point():
 
 def spy_callers(monkeypatch, name):
     """Record the name of the function calling askeycg.cgverify.<name>."""
-    import askeycg.cgverify as cgverify
     callers = []
     original = getattr(cgverify, name)
 
