@@ -14,11 +14,12 @@ from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, _draw_pa
                               verify_lowering, verify_raising, verify_weight_grading)
 from askeycg.cli import run_verify_suite
 from askeycg.coproduct import Delta, build_delta, tensor_module
-from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
-from askeycg.families import FamilyKind, make_instance, poly_value
+from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
+                               binomial, q_binomial)
+from askeycg.families import FamilyInstance, FamilyKind, make_instance, poly_value
 from askeycg.linalg import RatMat
 
-from test_families import ALL_KINDS, sample_instance
+from test_families import ALL_KINDS, poly_reference, sample_instance, wide_draws
 from test_linalg import inverse, matmul, to_lists
 
 
@@ -30,6 +31,70 @@ def test_block_zero_is_unit():
 def test_dual_hahn_block_one():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
     assert to_lists(cg_block(inst, 1).P) == [[F(1), F(1)], [F(1), F(-3, 2)]]
+
+
+def assert_block_matches_entries(inst):
+    """Every entry of every block equals poly_value and the second,
+    exactmath-free implementation poly_reference."""
+    for N in range(inst.n_max + 1):
+        P = cg_block(inst, N).P
+        assert (P.rows, P.cols) == (N + 1, N + 1)
+        for n in range(N + 1):
+            for k in range(N + 1):
+                assert P.entry(n, k) == poly_value(inst, n, k, N) == poly_reference(inst, n, k, N)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_block_entries_on_sample(kind):
+    assert_block_matches_entries(sample_instance(kind, n_max=8))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_block_entries_on_wide_draws(kind):
+    for inst in wide_draws(kind, "cg-block"):
+        assert_block_matches_entries(inst)
+
+
+def first_entry_error(inst, N):
+    """The error of the first poly_value call of block N, in row-major order."""
+    for n in range(N + 1):
+        for k in range(N + 1):
+            try:
+                poly_value(inst, n, k, N)
+            except SingularParameterError as exc:
+                return exc
+    raise AssertionError(f"block {N} has no singular entry")
+
+
+# FamilyInstance(...) skips validation, so each of these has a series pole: a
+# vanishing (alpha+1)_j, (beta+gamma+1)_j, (alpha q; q)_j or (beta gamma q; q)_j,
+# or at q = -1 a vanishing (q; q) factor, in the prefactor first
+SINGULAR = [
+    FamilyInstance(FamilyKind.HAHN, 4, alpha=F(-2), beta=F(1, 2),
+                   lambda1=F(1), lambda2=F(2)),
+    FamilyInstance(FamilyKind.HAHN, 4, alpha=F(-3), beta=F(1, 2),
+                   lambda1=F(1), lambda2=F(2)),
+    FamilyInstance(FamilyKind.DUAL_HAHN, 4, alpha=F(-3), beta=F(7, 2),
+                   lambda1=F(2), lambda2=F(5, 2)),
+    FamilyInstance(FamilyKind.RACAH, 4, alpha=F(1, 3), beta=F(-5, 2), gamma=F(1, 2),
+                   lambda1=F(1), lambda2=F(1, 2)),
+    FamilyInstance(FamilyKind.Q_HAHN, 4, q=F(1, 3), alpha=F(9), beta=F(2, 5),
+                   kappa1=F(1), kappa2=F(1)),
+    FamilyInstance(FamilyKind.Q_RACAH, 4, q=F(-2), alpha=F(1, 5), beta=F(1, 2),
+                   gamma=F(-1, 4), kappa1=F(1, 2), kappa2=F(1, 3)),
+    FamilyInstance(FamilyKind.Q_HAHN, 4, q=F(-1), alpha=F(1, 3), beta=F(2, 5),
+                   kappa1=F(1), kappa2=F(1)),
+]
+
+
+@pytest.mark.parametrize("inst", SINGULAR, ids=lambda i: i.kind.value)
+@pytest.mark.parametrize("N", [3, 4])
+def test_block_raises_the_first_entry_error(inst, N):
+    want = first_entry_error(inst, N)
+    with pytest.raises(SingularParameterError) as got:
+        cg_block(inst, N)
+    assert type(got.value) is type(want)
+    assert (got.value.term, str(got.value)) == (want.term, str(want))
 
 
 def test_first_column_is_binomial_vector():

@@ -7,7 +7,7 @@ import pytest
 from askeycg import coproduct, families
 from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite
-from askeycg.families import FamilyKind, make_instance
+from askeycg.families import FamilyKind, make_instance, poly_value
 
 from test_families import sample_instance
 
@@ -152,6 +152,9 @@ def test_table_json_round_trips(tmp_path):
         blk = CGBlock.from_doc(rec)
         weights = WeightData.from_doc(rec)
         assert blk == cg_block(inst, blk.N)
+        assert [list(row) for row in blk.P.a] == [
+            [poly_value(inst, n, k, blk.N) for k in range(blk.N + 1)]
+            for n in range(blk.N + 1)]
         assert weights == orthogonality_weights(inst, blk.N)
 
 
