@@ -206,6 +206,16 @@ def test_weights_block_zero():
     assert w.omega == (F(1),) and w.omega_prime == (F(1),)
 
 
+def test_weights_block_zero_norm_is_the_square():
+    # sum_n P[n][0]^2 Omega_n = P[0][0]^2 on block 0, on both paths
+    inst = sample_instance(FamilyKind.HAHN)
+    delta = build_delta(inst, tensor_module(inst))
+    blk = CGBlock(0, RatMat.from_rows([[F(2)]]))
+    for d in (None, delta):
+        w = orthogonality_weights(inst, 0, blk, d)
+        assert (w.omega, w.omega_prime) == ((F(1),), (F(4),))
+
+
 def test_weights_dual_hahn_example():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
     w = orthogonality_weights(inst, 1)
