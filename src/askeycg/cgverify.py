@@ -219,7 +219,7 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     if rank(P) != N + 1:
         raise WeightSolutionError(f"CG block {N} is singular")
     if N == 0:
-        return WeightData(0, (Fraction(1),), (Fraction(1),))
+        return WeightData(0, (Fraction(1),), (P.entry(0, 0) ** 2,))
     rows = []
     for k in range(N + 1):
         for l in range(k + 1, N + 1):
