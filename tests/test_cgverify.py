@@ -28,6 +28,13 @@ def test_block_zero_is_unit():
     assert to_lists(cg_block(inst, 0).P) == [[F(1)]]
 
 
+@pytest.mark.parametrize("N", [-2, -1, 7, 8])
+def test_block_outside_the_grid_is_rejected(N):
+    inst = sample_instance(FamilyKind.HAHN)
+    with pytest.raises(ValueError, match=r"^N must lie in 0\.\.6$"):
+        cg_block(inst, N)
+
+
 def test_dual_hahn_block_one():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
     assert to_lists(cg_block(inst, 1).P) == [[F(1), F(1)], [F(1), F(-3, 2)]]
