@@ -3,7 +3,9 @@ orthogonality weights.
 
 A CG block at total level N is the (N+1) x (N+1) matrix P with P[n][k] =
 P_n(k, N); its column k holds the coordinates of the k-th adapted basis
-vector in the product basis (n, N-n). Column k of the level-N block must be
+vector in the product basis (n, N-n). cg_block builds it in one integer pass
+(families.poly_block), straight from the series, never from the contiguity
+recurrence or another block; it equals poly_value entry by entry. Column k of the level-N block must be
 mapped by Delta(E) onto column k of level N+1, and by Delta(F) onto the
 lowering coefficient of the component with label index k times column k of
 level N-1; the k = N column must be annihilated.
@@ -38,7 +40,7 @@ from .algebras import block_entries, phi, scalar_operator
 from .coproduct import Delta, TensorModule, build_delta, tensor_module
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
-                       make_instance, poly_value, tensor_label)
+                       make_instance, poly_block, tensor_label)
 from .linalg import RatMat, integer_vector, nullspace, rank, rank_mod
 from .report import Report, first_mismatch
 
@@ -96,8 +98,9 @@ class WeightData:
 
 
 def cg_block(inst: FamilyInstance, N: int) -> CGBlock:
-    return CGBlock(N, RatMat.build(N + 1, N + 1,
-                                   lambda n, k: poly_value(inst, n, k, N)))
+    """The CG block at level N, from families.poly_block: every entry equals
+    poly_value(inst, n, k, N), and N outside 0..n_max is a ValueError."""
+    return CGBlock(N, RatMat(N + 1, N + 1, poly_block(inst, N)))
 
 
 def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:

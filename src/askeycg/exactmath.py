@@ -19,6 +19,12 @@ ratio of consecutive terms becomes one integer pair p_k / q_k, and the series
 is accumulated in nested form, 1 + r_1 (1 + r_2 (1 + ... r_n)), as one
 integer numerator and denominator; the single reduction is the Fraction
 returned at the end.
+
+The integer cores are public: parameter_factors and ratio_scales build the
+term ratios, nested_sum scans them for poles and sums them, and
+q_binomial_pair is the Gaussian binomial before its reduction. The kernels
+here and families.poly_block, which builds a whole CG block from tables
+split once per block, share them, so both follow one pole and term rule.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Scalar = Fraction
 
@@ -41,6 +47,10 @@ __all__ = [
     "q_pochhammer",
     "binomial",
     "q_binomial",
+    "q_binomial_pair",
+    "parameter_factors",
+    "ratio_scales",
+    "nested_sum",
     "hyper_terminating",
     "q_hyper_terminating",
 ]
@@ -123,7 +133,15 @@ def binomial(N: int, n: int) -> Scalar:
 
 
 def q_binomial(N: int, n: int, q: Scalar) -> Scalar:
-    """Gaussian binomial (q;q)_N / ((q;q)_n (q;q)_{N-n}); 0 outside range.
+    """Gaussian binomial (q;q)_N / ((q;q)_n (q;q)_{N-n}); 0 outside range."""
+    if N < 0:
+        raise ValueError("q_binomial needs N >= 0")
+    return Fraction(*q_binomial_pair(N, n, q))
+
+
+def q_binomial_pair(N: int, n: int, q: Scalar) -> tuple[int, int]:
+    """The Gaussian binomial as an unreduced integer pair (top, bottom);
+    (0, 1) outside 0 <= n <= N.
 
     With q = u/v, 1 - q^i = (v^i - u^i) / v^i, and the powers of v cancel to
     v^{-n(N-n)}. The integer factors v^i - u^i for i up to the larger of n
@@ -131,12 +149,10 @@ def q_binomial(N: int, n: int, q: Scalar) -> Scalar:
     ones above it form the numerator and those up to the smaller one the
     denominator.
     """
-    if N < 0:
-        raise ValueError("q_binomial needs N >= 0")
     if q == 0 or q == 1:
         raise InvalidParameterError("q_binomial undefined at q in {0, 1}")
     if n < 0 or n > N:
-        return Fraction(0)
+        return 0, 1
     u, v = q.numerator, q.denominator
     low, high = sorted((n, N - n))
     top = bottom = 1
@@ -151,38 +167,89 @@ def q_binomial(N: int, n: int, q: Scalar) -> Scalar:
             raise SingularParameterError(f"(q;q) factor vanishes for q={q}")
         elif i <= low:
             bottom *= factor
-    return Fraction(top, bottom * v ** (n * (N - n)))
+    return top, bottom * v ** (n * (N - n))
 
 
-def _split(params: Sequence[Scalar]) -> list[tuple[int, int]]:
-    return [(x.numerator, x.denominator) for x in params]
+# ---------------------------------------------------------------------------
+# terminating series over integers: the kernels below and families.poly_block
+# build their term ratios from the same three integer cores
+# ---------------------------------------------------------------------------
 
+def parameter_factors(params: Sequence[Scalar], n: int,
+                      q: Scalar | None = None) -> tuple[list[int], int]:
+    """(f, d): the parameters' share of the first n term ratios of a series.
 
-def _fixed_ratio(nums: list[tuple[int, int]], dens: list[tuple[int, int]],
-                 z: Scalar) -> tuple[int, int]:
-    """z prod(bd) / prod(ad): the factor that every term ratio shares."""
-    return (z.numerator * math.prod(bd for _, bd in dens),
-            z.denominator * math.prod(ad for _, ad in nums))
-
-
-def _terminating_sum(ratios: Iterable[tuple[int, int]]) -> Scalar:
-    """1 + r_1 (1 + r_2 (1 + ... (1 + r_n))) for the term ratios r_j = p_j / q_j,
-    given as integer pairs in term order, reduced once at the end.
-
-    A zero q_j is a pole at term j, reported even past a vanished p_j; the
-    terms after a vanished p_j are zero and stay out of the sum.
+    For i < n, f[i] is prod(an + i ad) classically and, with q = u/v,
+    prod(v^i ad - u^i an), over the parameters a = an/ad; d is prod(ad).
+    So prod(a + i) = f[i] / d and prod(1 - q^i a) = f[i] / (d v^{i m}) for
+    m parameters.
     """
-    kept = []
-    for j, (p, q) in enumerate(ratios, 1):
-        if q == 0:
-            raise SingularParameterError(
-                f"denominator parameter hits a pole at term k={j}", term=j)
-        if p and len(kept) == j - 1:
-            kept.append((p, q))
+    pairs = [(x.numerator, x.denominator) for x in params]
+    f = []
+    if q is None:
+        for i in range(n):
+            x = 1
+            for an, ad in pairs:
+                x *= an + i * ad
+            f.append(x)
+    else:
+        u, v = q.numerator, q.denominator
+        u_i = v_i = 1
+        for _ in range(n):
+            x = 1
+            for an, ad in pairs:
+                x *= v_i * ad - u_i * an
+            f.append(x)
+            u_i *= u
+            v_i *= v
+    return f, math.prod(ad for _, ad in pairs)
+
+
+def ratio_scales(den: Sequence[Scalar], z: Scalar, n: int, r: int,
+                 q: Scalar | None = None) -> tuple[list[int], list[int]]:
+    """(tops, bottoms): what the first n term ratios of a series with r
+    numerator parameters owe to everything but those parameters.
+
+    Term i+1 over term i is z prod(a + i) / prod(b + i), or z prod(1 - q^i a)
+    / prod(1 - q^i b), with the implicit j! = (1)_j or (q; q)_j among the b.
+    Given the numerators' (f, d) from parameter_factors, that ratio is
+    f[i] tops[i] / (d bottoms[i]): tops[i] = zn prod(bd) v^{max(i e, 0)} and
+    bottoms[i] = zd v^{max(-i e, 0)} prod(bn + i bd), or prod(v^i bd - u^i bn),
+    where e is the number of b, implicit one included, less r.
+    """
+    f, d = parameter_factors([*den, Fraction(1) if q is None else q], n, q)
+    top, bottom = z.numerator * d, z.denominator
+    if q is None:
+        return [top] * n, [bottom * x for x in f]
+    e, v = len(den) + 1 - r, q.denominator
+    return ([top * v ** max(i * e, 0) for i in range(n)],
+            [bottom * v ** max(-i * e, 0) * x for i, x in enumerate(f)])
+
+
+def nested_sum(tops: Sequence[int], bottoms: Sequence[int]) -> tuple[int, int]:
+    """1 + r_1 (1 + r_2 (1 + ... (1 + r_n))) for the term ratios r_j =
+    tops[j-1] / bottoms[j-1], as an unreduced integer pair.
+
+    A zero bottom is a pole at term j, reported even past a vanished top;
+    the terms after a vanished top are zero and stay out of the sum.
+    """
+    if 0 in bottoms:
+        j = bottoms.index(0) + 1
+        raise SingularParameterError(
+            f"denominator parameter hits a pole at term k={j}", term=j)
+    m = tops.index(0) if 0 in tops else len(tops)
     top = bottom = 1
-    for p, q in reversed(kept):
+    for p, q in zip(reversed(tops[:m]), reversed(bottoms[:m])):
         top, bottom = q * bottom + p * top, q * bottom
-    return Fraction(top, bottom)
+    return top, bottom
+
+
+def _series(num: Sequence[Scalar], den: Sequence[Scalar], z: Scalar, n: int,
+            q: Scalar | None) -> Scalar:
+    f, d = parameter_factors(num, n, q)
+    tops, bottoms = ratio_scales(den, z, n, len(num), q)
+    return Fraction(*nested_sum([x * y for x, y in zip(f, tops)],
+                                [d * y for y in bottoms]))
 
 
 def hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],
@@ -200,19 +267,7 @@ def hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],
         raise ValueError("termination order n must be >= 0")
     if not num or num[0] != Fraction(-n):
         raise ValueError("first numerator parameter must be -n")
-    nums, dens = _split(num), _split(den)
-    fixed_p, fixed_q = _fixed_ratio(nums, dens, z)
-
-    def ratios():
-        for i in range(n):  # term j = i + 1
-            p_j, q_j = fixed_p, fixed_q * (i + 1)
-            for an, ad in nums:
-                p_j *= an + i * ad
-            for bn, bd in dens:
-                q_j *= bn + i * bd
-            yield p_j, q_j
-
-    return _terminating_sum(ratios())
+    return _series(num, den, z, n, None)
 
 
 def q_hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],
@@ -232,22 +287,4 @@ def q_hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],
     u, v = q.numerator, q.denominator
     if not num or num[0].numerator * u ** n != num[0].denominator * v ** n:
         raise ValueError("first numerator parameter must be q^{-n}")
-    nums, dens = _split(num), _split(den)
-    fixed_p, fixed_q = _fixed_ratio(nums, dens, z)
-    step = 1 + len(dens) - len(nums)
-
-    def ratios():
-        u_i = v_i = 1  # u^{j-1}, v^{j-1} for term j = i + 1
-        for i in range(n):
-            e = i * step + 1
-            p_j = fixed_p * v ** max(e, 0)
-            q_j = fixed_q * v ** max(-e, 0) * (v_i * v - u_i * u)
-            for an, ad in nums:
-                p_j *= v_i * ad - u_i * an
-            for bn, bd in dens:
-                q_j *= v_i * bd - u_i * bn
-            yield p_j, q_j
-            u_i *= u
-            v_i *= v
-
-    return _terminating_sum(ratios())
+    return _series(num, den, z, n, q)

@@ -33,17 +33,18 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from math import comb
 from typing import Callable
 
 from .algebras import AlgebraKind, AlgebraTag, phi
-from .exactmath import (InvalidParameterError, Scalar, as_scalar, binomial,
-                        format_scalar, hyper_terminating, q_binomial,
-                        q_hyper_terminating)
+from .exactmath import (InvalidParameterError, Scalar, as_scalar, format_scalar,
+                        hyper_terminating, nested_sum, parameter_factors,
+                        q_binomial_pair, q_hyper_terminating, ratio_scales)
 from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
     "FamilyKind", "FamilyInstance", "ContiguityData", "make_instance",
-    "poly_value", "contiguity", "check_contiguity",
+    "poly_value", "poly_block", "contiguity", "check_contiguity",
     "check_three_term_dual_hahn", "limit_hahn_to_krawtchouk",
     "limit_racah_to_dual_hahn", "block_values", "algebra_for", "labels",
 ]
@@ -280,39 +281,86 @@ def _validate(inst: FamilyInstance) -> None:
 # polynomial values
 # ---------------------------------------------------------------------------
 
+def _series(inst: FamilyInstance, N: int):
+    """The series of P_n(k, N) on level N as (row, col, den, z): row(n) and
+    col(k) are the numerator parameters that vary with n and with k, row(n)
+    leading with -n (or q^{-n}); den holds the denominator parameters, the
+    implicit k! (or (q; q)_k) aside, and z is the argument (q for q-kinds)."""
+    a, b, g, q = inst.alpha, inst.beta, inst.gamma, inst.q
+    kind = inst.kind
+    if kind is FamilyKind.HAHN:
+        return (lambda n: [Fraction(-n), n + a + b - N + 1], lambda k: [Fraction(-k)],
+                [a + 1, Fraction(-N)], Fraction(1))
+    if kind is FamilyKind.KRAWTCHOUK:
+        return (lambda n: [Fraction(-n)], lambda k: [Fraction(-k)],
+                [Fraction(-N)], 1 / inst.p)
+    if kind is FamilyKind.DUAL_HAHN:
+        return (lambda n: [Fraction(-n)], lambda k: [Fraction(-k), k + a + b + 1],
+                [a + 1, Fraction(-N)], Fraction(1))
+    if kind is FamilyKind.RACAH:
+        return (lambda n: [Fraction(-n), n + a + b - N + 1],
+                lambda k: [Fraction(-k), k + g],
+                [a + 1, b + g + 1, Fraction(-N)], Fraction(1))
+    if kind is FamilyKind.Q_HAHN:
+        return (lambda n: [q ** -n, a * b * q ** (n - N + 1)], lambda k: [q ** -k],
+                [a * q, q ** -N], q)
+    return (lambda n: [q ** -n, a * b * q ** (n - N + 1)],
+            lambda k: [q ** -k, g * q ** k],
+            [a * q, b * g * q, q ** -N], q)
+
+
+def _prefactor(inst: FamilyInstance, n: int, N: int) -> tuple[int, int]:
+    """The (q-)binomial prefactor of P_n(k, N) as an integer pair."""
+    return q_binomial_pair(N, n, inst.q) if inst.kind.is_q else (comb(N, n), 1)
+
+
 def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
-    """P_n(k, N), including the (q-)binomial prefactor; 0 for n outside 0..N."""
+    """P_n(k, N), including the (q-)binomial prefactor; 0 for n outside 0..N.
+    The public single-entry route, through the public (q-)series kernels."""
     if not 0 <= N <= inst.n_max:
         raise ValueError(f"N must lie in 0..{inst.n_max}")
     if not 0 <= k <= N:
         raise ValueError("k must lie in 0..N")
     if n < 0 or n > N:
         return Fraction(0)
-    a, b, g = inst.alpha, inst.beta, inst.gamma
-    kind = inst.kind
-    if kind is FamilyKind.HAHN:
-        return binomial(N, n) * hyper_terminating(
-            [Fraction(-n), n + a + b - N + 1, Fraction(-k)],
-            [a + 1, Fraction(-N)], Fraction(1), n)
-    if kind is FamilyKind.KRAWTCHOUK:
-        return binomial(N, n) * hyper_terminating(
-            [Fraction(-n), Fraction(-k)], [Fraction(-N)], 1 / inst.p, n)
-    if kind is FamilyKind.DUAL_HAHN:
-        return binomial(N, n) * hyper_terminating(
-            [Fraction(-n), Fraction(-k), k + a + b + 1],
-            [a + 1, Fraction(-N)], Fraction(1), n)
-    if kind is FamilyKind.RACAH:
-        return binomial(N, n) * hyper_terminating(
-            [Fraction(-n), n + a + b - N + 1, Fraction(-k), k + g],
-            [a + 1, b + g + 1, Fraction(-N)], Fraction(1), n)
-    q = inst.q
-    if kind is FamilyKind.Q_HAHN:
-        return q_binomial(N, n, q) * q_hyper_terminating(
-            [q ** -n, a * b * q ** (n - N + 1), q ** -k],
-            [a * q, q ** -N], q, q, n)
-    return q_binomial(N, n, q) * q_hyper_terminating(
-        [q ** -n, a * b * q ** (n - N + 1), q ** -k, g * q ** k],
-        [a * q, b * g * q, q ** -N], q, q, n)
+    prefactor = Fraction(*_prefactor(inst, n, N))
+    row, col, den, z = _series(inst, N)
+    if inst.kind.is_q:
+        return prefactor * q_hyper_terminating(row(n) + col(k), den, inst.q, z, n)
+    return prefactor * hyper_terminating(row(n) + col(k), den, z, n)
+
+
+def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[Scalar, ...], ...]:
+    """The rows n of the CG block P[n][k] = P_n(k, N), built in one pass over
+    integers.
+
+    The parameters are split once per block: the row factors and prefactor
+    once per n, the column factors once per k, and the term denominators and
+    powers of q once for all (exactmath.parameter_factors, ratio_scales).
+    Each entry is then one exactmath.nested_sum and one Fraction. Values,
+    and errors in row-major order, are those of poly_value; nothing is read
+    from the contiguity recurrence or from another block.
+    """
+    if not 0 <= N <= inst.n_max:
+        raise ValueError(f"N must lie in 0..{inst.n_max}")
+    prefactors = [_prefactor(inst, n, N) for n in range(N + 1)]
+    row, col, den, z = _series(inst, N)
+    q = inst.q if inst.kind.is_q else None
+    tops, bottoms = ratio_scales(den, z, N, len(row(0)) + len(col(0)), q)
+    cols = []
+    for k in range(N + 1):
+        f, d = parameter_factors(col(k), N, q)
+        cols.append((f, [d * y for y in bottoms]))
+    rows = []
+    for n, (pre_top, pre_bottom) in enumerate(prefactors):
+        f, d = parameter_factors(row(n), n, q)
+        f = [x * y for x, y in zip(f, tops)]
+        rows.append(tuple(
+            Fraction(pre_top * top, pre_bottom * bottom)
+            for top, bottom in (nested_sum([x * y for x, y in zip(f, cf)],
+                                           [d * y for y in cb[:n]])
+                                for cf, cb in cols)))
+    return tuple(rows)
 
 
 def block_values(inst: FamilyInstance,

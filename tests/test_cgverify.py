@@ -62,6 +62,28 @@ def test_block_entries_on_wide_draws(kind):
         assert_block_matches_entries(inst)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_block_needs_neither_the_recurrence_nor_the_entry_route(kind, monkeypatch):
+    # no value may come from the contiguity recurrence, and the block builder
+    # does not route through the per-entry path or the public series kernels
+    inst = sample_instance(kind)
+    want = [cg_block(inst, N) for N in range(inst.n_max + 1)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the block builder called a forbidden route")
+
+    names = ("contiguity", "poly_value", "hyper_terminating", "q_hyper_terminating")
+    patched = 0
+    for module in [m for name, m in sys.modules.items()
+                   if name == "askeycg" or name.startswith("askeycg.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+                patched += 1
+    assert patched >= 8  # each is defined in one module and re-exported by the package
+    assert [cg_block(inst, N) for N in range(inst.n_max + 1)] == want
+
+
 def first_entry_error(inst, N):
     """The error of the first poly_value call of block N, in row-major order."""
     for n in range(N + 1):
