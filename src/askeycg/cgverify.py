@@ -41,6 +41,7 @@ from .coproduct import Delta, TensorModule, build_delta, tensor_module
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
                        make_instance, poly_block, tensor_label)
+from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
 from .linalg import RatMat, integer_vector, nullspace, rank, rank_mod
 from .report import Report, first_mismatch
 

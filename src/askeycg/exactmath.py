@@ -185,23 +185,9 @@ def parameter_factors(params: Sequence[Scalar], n: int,
     m parameters.
     """
     pairs = [(x.numerator, x.denominator) for x in params]
-    f = []
-    if q is None:
-        for i in range(n):
-            x = 1
-            for an, ad in pairs:
-                x *= an + i * ad
-            f.append(x)
-    else:
-        u, v = q.numerator, q.denominator
-        u_i = v_i = 1
-        for _ in range(n):
-            x = 1
-            for an, ad in pairs:
-                x *= v_i * ad - u_i * an
-            f.append(x)
-            u_i *= u
-            v_i *= v
+    steps = ([(1, i) for i in range(n)] if q is None else
+             [(-q.numerator ** i, q.denominator ** i) for i in range(n)])
+    f = [math.prod(s * an + t * ad for an, ad in pairs) for s, t in steps]
     return f, math.prod(ad for _, ad in pairs)
 
 
@@ -244,7 +230,7 @@ def nested_sum(tops: Sequence[int], bottoms: Sequence[int]) -> tuple[int, int]:
     return top, bottom
 
 
-def _series(num: Sequence[Scalar], den: Sequence[Scalar], z: Scalar, n: int,
+def _sum(num: Sequence[Scalar], den: Sequence[Scalar], z: Scalar, n: int,
             q: Scalar | None) -> Scalar:
     f, d = parameter_factors(num, n, q)
     tops, bottoms = ratio_scales(den, z, n, len(num), q)
@@ -267,7 +253,7 @@ def hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],
         raise ValueError("termination order n must be >= 0")
     if not num or num[0] != Fraction(-n):
         raise ValueError("first numerator parameter must be -n")
-    return _series(num, den, z, n, None)
+    return _sum(num, den, z, n, None)
 
 
 def q_hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],
@@ -287,4 +273,4 @@ def q_hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],
     u, v = q.numerator, q.denominator
     if not num or num[0].numerator * u ** n != num[0].denominator * v ** n:
         raise ValueError("first numerator parameter must be q^{-n}")
-    return _series(num, den, z, n, q)
+    return _sum(num, den, z, n, q)

@@ -7,7 +7,10 @@ level N:
     P_n(k, N+1)      = alpha1(n, N) P_{n-1}(k, N) + alpha2(n, N) P_n(k, N)
     mu(k, N) P_n(k, N-1) = beta1(n, N) P_{n+1}(k, N) + beta2(n, N) P_n(k, N)
 
-with the boundary convention P_{-1} = P_{N+1} = 0. The left-hand coefficient
+with the boundary convention P_{-1} = P_{N+1} = 0. Each family's series
+parameters are written once (_series): poly_value evaluates one P_n(k, N)
+through the public (q-)series kernels, and poly_block builds a whole level N
+from integer tables split once per level. The left-hand coefficient
 mu(k, N) matches the lowering coefficient of an algebra acting on a tensor
 product of two lowest-weight modules, which is what makes these families
 Clebsch-Gordan coefficients; the mapping is
