@@ -5,10 +5,12 @@ A CG block at total level N is the (N+1) x (N+1) matrix P with P[n][k] =
 P_n(k, N); its column k holds the coordinates of the k-th adapted basis
 vector in the product basis (n, N-n). cg_block builds it in one integer pass
 (families.poly_block), straight from the series, never from the contiguity
-recurrence or another block; it equals poly_value entry by entry. Column k of the level-N block must be
-mapped by Delta(E) onto column k of level N+1, and by Delta(F) onto the
-lowering coefficient of the component with label index k times column k of
-level N-1; the k = N column must be annihilated.
+recurrence or another block; it equals poly_value entry by entry.
+
+Column k of the level-N block must be mapped by Delta(E) onto column k of
+level N+1, and by Delta(F) onto the lowering coefficient of the component
+with label index k times column k of level N-1; the k = N column must be
+annihilated.
 
 The oracle rebuilds the same columns without evaluating a single polynomial:
 the kernel of Delta(F) on block k (which must be one-dimensional) seeds the
