@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generators,
                               ModuleSpec, block_entries, build_generators, casimir,
@@ -164,3 +166,158 @@ def test_tensor_operator_on_three_fold_module():
     assert to_lists(lower_first.dense(1)) == [[0, 0, 1]]
     assert to_lists(lower_first.dense(2)) == [
         [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, F(1, 2)]]
+
+
+# -- the operator kernels against a Fraction reference -------------------------
+# ref_* are the per-term Fraction kernels GradedOperator used before it formed
+# each entry as an integer pair; they return blocks as entry maps without zeros.
+
+def ref_matmul(a, b):
+    out = {}
+    for n, right in b.blocks.items():
+        mid = n + b.degree
+        if mid >= 0 and mid not in a.blocks:
+            continue
+        by_col = {}
+        for (i, k), v in a.blocks.get(mid, {}).items():
+            by_col.setdefault(k, []).append((i, v))
+        acc = {}
+        for (k, j), w in right.items():
+            for i, v in by_col.get(k, ()):
+                acc[i, j] = acc.get((i, j), 0) + v * w
+        out[n] = {ij: v for ij, v in acc.items() if v}
+    return out
+
+
+def ref_merge(a, b, op):
+    zero = F(0)
+    out = {}
+    for n in a.blocks.keys() & b.blocks.keys():
+        x, y = a.blocks[n], b.blocks[n]
+        out[n] = {ij: v for ij in x.keys() | y.keys()
+                  if (v := op(x.get(ij, zero), y.get(ij, zero)))}
+    return out
+
+
+def ref_scaled(a, s):
+    return {n: {ij: s * v for ij, v in b.items() if s * v} for n, b in a.blocks.items()}
+
+
+def ref_apply(a, level, vec):
+    out = [F(0)] * a.shape(level)[0]
+    for (i, j), v in a.blocks[level].items():
+        out[i] += v * vec[j]
+    return tuple(out)
+
+
+def assert_entry_maps(op, degree, want):
+    assert op.degree == degree and op.blocks.keys() == want.keys()
+    for n, block in op.blocks.items():
+        assert block.keys() == want[n].keys()
+        assert all(type(v) is F and v != 0 for v in block.values())
+        assert block == want[n]
+
+
+SMALL = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 4), F(-4, 3)])
+WIDE = st.builds(F, st.one_of(st.integers(-60, 60), st.integers(2 ** 200, 2 ** 203),
+                              st.integers(-2 ** 203, -2 ** 200)),
+                 st.one_of(st.integers(1, 12), st.integers(2 ** 200, 2 ** 201))).filter(bool)
+VALUES = st.one_of(SMALL, WIDE)
+
+
+@st.composite
+def modules(draw):
+    return tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 6))))
+
+
+@st.composite
+def operators(draw, dims, degree):
+    """Random sparse operator; a block goes missing now and then, as after a
+    truncated composition."""
+    blocks = {}
+    for n in range(len(dims)):
+        tgt = n + degree
+        if tgt >= len(dims) or draw(st.integers(0, 5)) == 0:
+            continue
+        keys = [(i, j) for i in range(dims[tgt] if tgt >= 0 else 0) for j in range(dims[n])]
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+        blocks[n] = {ij: draw(VALUES) for ij in chosen}
+    return GradedOperator(degree, dims, blocks)
+
+
+def plant_product_zeros(draw, a, b):
+    """Rewrite b so that, now and then, two products of one entry of a @ b
+    cancel: a[i,k1] b[k1,j] + a[i,k2] b[k2,j] = 0."""
+    blocks = {n: dict(blk) for n, blk in b.blocks.items()}
+    for n, blk in blocks.items():
+        left = a.blocks.get(n + b.degree, {})
+        rows = {}
+        for (i, k), v in left.items():
+            rows.setdefault(i, []).append((k, v))
+        pairs = [r for r in rows.values() if len(r) >= 2]
+        if not pairs or not draw(st.booleans()):
+            continue
+        (k1, v1), (k2, v2) = draw(st.sampled_from(pairs))[:2]
+        j = draw(st.integers(0, b.dims[n] - 1))
+        w1 = blk.setdefault((k1, j), draw(VALUES))
+        blk[k2, j] = -v1 * w1 / v2
+    return GradedOperator(b.degree, b.dims, blocks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_matmul_matches_fraction_reference(data):
+    dims = data.draw(modules())
+    a = data.draw(operators(dims, data.draw(st.sampled_from([-1, 0, 1]))))
+    b = data.draw(operators(dims, data.draw(st.sampled_from([-1, 0, 1]))))
+    b = plant_product_zeros(data.draw, a, b)
+    assert_entry_maps(a @ b, a.degree + b.degree, ref_matmul(a, b))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sum_and_difference_match_fraction_reference(data):
+    dims = data.draw(modules())
+    degree = data.draw(st.sampled_from([-1, 0, 1]))
+    a = data.draw(operators(dims, degree))
+    b = data.draw(operators(dims, degree))
+    # entries of a copied into b, negated or not, cancel in a + b or a - b
+    for n, blk in b.blocks.items():
+        for ij, v in a.blocks.get(n, {}).items():
+            if data.draw(st.integers(0, 2)) == 0:
+                blk[ij] = data.draw(st.sampled_from([v, -v]))
+    b = GradedOperator(degree, dims, b.blocks)
+    assert_entry_maps(a + b, degree, ref_merge(a, b, lambda x, y: x + y))
+    assert_entry_maps(a - b, degree, ref_merge(a, b, lambda x, y: x - y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), s=st.one_of(st.just(0), st.just(F(0)), st.integers(-5, 5),
+                                   st.integers(2 ** 200, 2 ** 201), VALUES))
+def test_scaled_matches_fraction_reference(data, s):
+    dims = data.draw(modules())
+    a = data.draw(operators(dims, data.draw(st.sampled_from([-1, 0, 1]))))
+    assert_entry_maps(a.scaled(s), a.degree, ref_scaled(a, s))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_apply_matches_fraction_reference(data):
+    dims = data.draw(modules())
+    a = data.draw(operators(dims, data.draw(st.sampled_from([-1, 0, 1]))))
+    assume(a.blocks)
+    level = data.draw(st.sampled_from(sorted(a.blocks)))
+    cols = a.shape(level)[1]
+    ints = st.one_of(st.integers(-9, 9), st.integers(2 ** 200, 2 ** 201))
+    vec = data.draw(st.lists(st.one_of(ints, VALUES) if data.draw(st.booleans())
+                             else ints, min_size=cols, max_size=cols))
+    # a vector that the row of two stored entries maps to zero
+    row = [(j, v) for (i, j), v in a.blocks[level].items() if i == 0]
+    if len(row) >= 2 and data.draw(st.booleans()):
+        (j1, v1), (j2, v2) = row[:2]
+        vec[j2] = -v1 * F(vec[j1]) / v2
+    got = a.apply(level, vec)
+    assert all(type(x) is F for x in got)
+    assert got == ref_apply(a, level, vec)
+    with pytest.raises(ValueError):
+        a.apply(level, vec + [1])

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -489,3 +490,12 @@ PINNED_DRAWS = {
 def test_random_instance_draws_pinned(kind, seed):
     inst = random_instance(kind, random.Random(seed), n_max=6)
     assert inst.to_doc() == {"kind": kind, "n_max": "6", **PINNED_DRAWS[kind, seed]}
+
+
+def test_readme_library_example_runs():
+    # the Library section of the README, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "lowest_weight_oracle" in code
+    exec(compile(code, "README.md", "exec"), {})

@@ -236,6 +236,35 @@ def test_corrupted_alpha2_fails_with_smallest_witness():
     assert fail.witness.where == {"N": 0, "n": 0, "k": 0}
 
 
+@pytest.mark.parametrize("coeff, name, witness", [
+    ("alpha1", "raising-contiguity",
+     {"where": {"N": "4", "n": "2", "k": "0"}, "lhs": "5797/4096", "rhs": "22789/8192"}),
+    ("alpha2", "raising-contiguity",
+     {"where": {"N": "4", "n": "2", "k": "0"}, "lhs": "5797/4096", "rhs": "11993/8192"}),
+    ("beta1", "lowering-contiguity",
+     {"where": {"N": "4", "n": "2", "k": "0"}, "lhs": "1370285/1048576",
+      "rhs": "765546635/293076992"}),
+    ("beta2", "lowering-contiguity",
+     {"where": {"N": "4", "n": "2", "k": "0"}, "lhs": "1370285/1048576",
+      "rhs": "766874675/586153984"}),
+    ("mu", "lowering-contiguity",
+     {"where": {"N": "4", "n": "0", "k": "2"}, "lhs": "184315/98304",
+      "rhs": "184315/196608"}),
+])
+def test_corrupted_interior_coefficient_witness(coeff, name, witness):
+    # one coefficient doubled at the interior point (2, 4) of a q-Racah
+    # instance, where both terms of each two-term side are live
+    inst = sample_instance(FamilyKind.Q_RACAH)
+    data = contiguity(inst)
+    good = getattr(data, coeff)
+    bad = ContiguityData(**{**{f: getattr(data, f) for f in
+                               ("alpha1", "alpha2", "beta1", "beta2", "mu")},
+                            coeff: lambda a, N: good(a, N) * (2 if (a, N) == (2, 4) else 1)})
+    rep = check_contiguity(inst, bad)
+    assert [(c.name, c.witness.to_dict()) for c in rep.checks if not c.passed] == [
+        (name, witness)]
+
+
 # -- coefficient values against a second implementation -----------------------
 
 def wide_instance(kind: FamilyKind, rng, n_max: int) -> FamilyInstance:
