@@ -41,6 +41,19 @@ def test_verify_unknown_check_exit_two(capsys):
     assert "unknown check names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [",", " , ,", ""])
+def test_verify_checks_naming_no_check_exit_two(value, tmp_path, capsys):
+    args = ["verify", "--family", "krawtchouk", "--p", "1/3", "--nmax", "2"]
+    assert main(args + ["--checks", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "names no check" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"checks = {value}\n")
+    assert main(args + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "names no check" in err
+
+
 def test_verify_bad_rational_exit_two(capsys):
     assert main(["verify", "--family", "krawtchouk", "--p", "0.5"]) == 2
 
