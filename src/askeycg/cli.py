@@ -13,8 +13,8 @@ contiguity data, Delta and the CG blocks of the instance, each built on first
 use within one call.
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
-parameters, unknown check names, or every selected check skipped, 3 I/O or
-config parse errors.
+parameters, unknown check names, a checks value that names no check, or
+every selected check skipped, 3 I/O or config parse errors.
 """
 
 from __future__ import annotations
@@ -258,8 +258,12 @@ def _merge_settings(args) -> RunConfig:
         if val is not None:
             settings[key] = val
     checks = None
-    if settings.get("checks"):
+    if "checks" in settings:
         checks = [c.strip() for c in str(settings["checks"]).split(",") if c.strip()]
+        if not checks:
+            raise InvalidParameterError(
+                f"checks {settings['checks']!r} names no check "
+                f"(known: {', '.join(CHECK_NAMES)})")
     return RunConfig(
         family=settings.get("family"),
         parameters={k: v for k, v in settings.items() if k in _PARAM_FLAGS},
