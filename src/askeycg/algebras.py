@@ -18,6 +18,12 @@ every weighted shift on a k-fold tensor module (k = 1 for a single module).
 Compositions are truncation-aware: a block exists only when every
 intermediate level stays inside the truncated module, and anything below
 level 0 is the zero space.
+
+The exact kernels (composition, sum, difference, scaling, apply) split each
+stored Fraction into its integer numerator and denominator once, form every
+output entry as one integer pair (exactmath.pair_sum) and reduce it once, into
+one Fraction. An entry that only one side of a sum stores is copied as it is
+(negated for a difference); only entries stored on both sides are added.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
+from .exactmath import (InvalidParameterError, Scalar, format_scalar, pair_sum,
+                        parse_scalar)
 from .linalg import RatMat
 from .report import CheckResult, Report, first_mismatch
 
@@ -106,6 +113,10 @@ class GradedOperator:
     from dims and degree. Levels below 0 are zero-dimensional; levels above
     len(dims)-1 do not exist, so blocks targeting them are simply absent
     (truncation).
+
+    @, +, - and scaled reduce each output entry once, from integer products
+    and sums, and leave out the entries that cancel to zero; an entry stored
+    in one operand of a sum only is copied.
     """
 
     degree: int
@@ -132,15 +143,29 @@ class GradedOperator:
         b = self.blocks[level]
         return RatMat.build(*self.shape(level), lambda i, j: b.get((i, j), 0))
 
+    @classmethod
+    def _nonzero(cls, degree: int, dims: tuple[int, ...], blocks: dict) -> "GradedOperator":
+        """The operator on fresh blocks that store no zeros, as the kernels
+        below build them; skips the copy and zero filter of __init__."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "degree", degree)
+        object.__setattr__(op, "dims", dims)
+        object.__setattr__(op, "blocks", blocks)
+        return op
+
     def apply(self, level: int, vec) -> tuple[Fraction, ...]:
-        """Image of the level-`level` coordinate vector `vec`."""
+        """Image of the level-`level` coordinate vector `vec` (Fractions or
+        ints); each coordinate is one reduced sum of integer-pair products."""
         rows, cols = self.shape(level)
         if len(vec) != cols:
             raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * rows
+        xs = [x.as_integer_ratio() for x in vec]
+        terms = [[] for _ in range(rows)]
         for (i, j), v in self.blocks[level].items():
-            out[i] += v * vec[j]
-        return tuple(out)
+            vn, vd = v.as_integer_ratio()
+            xn, xd = xs[j]
+            terms[i].append((vn * xn, vd * xd))
+        return tuple(Fraction(*pair_sum(t)) for t in terms)
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         if self.dims != other.dims:
@@ -152,35 +177,61 @@ class GradedOperator:
                 continue  # the intermediate level's image is truncated away
             by_col = {}  # the left factor's entries, keyed by the level-mid index
             for (i, k), v in self.blocks.get(mid, {}).items():
-                by_col.setdefault(k, []).append((i, v))
-            acc = {}
+                by_col.setdefault(k, []).append((i, *v.as_integer_ratio()))
+            terms = {}  # the products that make each output entry
             for (k, j), w in right.items():
-                for i, v in by_col.get(k, ()):
-                    acc[i, j] = acc.get((i, j), 0) + v * w
-            out[n] = acc
-        return GradedOperator(self.degree + other.degree, self.dims, out)
+                wn, wd = w.as_integer_ratio()
+                for i, vn, vd in by_col.get(k, ()):
+                    terms.setdefault((i, j), []).append((vn * wn, vd * wd))
+            block = out[n] = {}
+            for ij, pairs in terms.items():
+                top, bottom = pair_sum(pairs)
+                if top:
+                    block[ij] = Fraction(top, bottom)
+        return GradedOperator._nonzero(self.degree + other.degree, self.dims, out)
 
-    def _merge(self, other: "GradedOperator", op) -> "GradedOperator":
+    def _merge(self, other: "GradedOperator", sign: int) -> "GradedOperator":
+        """self + sign * other. An entry stored on one side only is copied
+        (negated for sign -1); one stored on both is reduced once."""
         if self.dims != other.dims:
             raise ValueError("operators live on different modules")
         if self.degree != other.degree:
             raise ValueError("cannot combine operators of different degree")
-        zero = Fraction(0)
         out = {}
         for n in self.blocks.keys() & other.blocks.keys():
-            a, b = self.blocks[n], other.blocks[n]
-            out[n] = {ij: op(a.get(ij, zero), b.get(ij, zero)) for ij in a.keys() | b.keys()}
-        return GradedOperator(self.degree, self.dims, out)
+            a = self.blocks[n]
+            block = out[n] = dict(a)
+            for ij, w in other.blocks[n].items():
+                v = a.get(ij)
+                if v is None:
+                    block[ij] = w if sign > 0 else -w
+                    continue
+                vn, vd = v.as_integer_ratio()
+                wn, wd = w.as_integer_ratio()
+                top, bottom = pair_sum(((vn, vd), (sign * wn, wd)))
+                if top:
+                    block[ij] = Fraction(top, bottom)
+                else:
+                    del block[ij]
+        return GradedOperator._nonzero(self.degree, self.dims, out)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._merge(other, lambda a, b: a + b)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._merge(other, lambda a, b: a - b)
+        return self._merge(other, -1)
 
     def scaled(self, s: Scalar) -> "GradedOperator":
-        return GradedOperator(self.degree, self.dims, {
-            n: {ij: s * v for ij, v in b.items()} for n, b in self.blocks.items()})
+        """s times the operator, each entry reduced once from integer products."""
+        sn, sd = s.as_integer_ratio()
+        out = {}
+        for n, b in self.blocks.items():
+            block = out[n] = {}
+            if sn:
+                for ij, v in b.items():
+                    vn, vd = v.as_integer_ratio()
+                    block[ij] = Fraction(sn * vn, sd * vd)
+        return GradedOperator._nonzero(self.degree, self.dims, out)
 
     def to_doc(self) -> dict:
         zero = Fraction(0)
@@ -235,7 +286,8 @@ def tensor_operator(dims: tuple[int, ...], shifts: tuple[int, ...],
         for col, src in enumerate(_compositions(N, len(shifts))):
             moved = tuple(n + d for n, d in zip(src, shifts))
             if min(moved) >= 0:
-                entries[index[moved], col] = Fraction(coeff(src))
+                c = coeff(src)
+                entries[index[moved], col] = c if isinstance(c, Fraction) else Fraction(c)
         blocks[N] = entries
     return GradedOperator(degree, dims, blocks)
 

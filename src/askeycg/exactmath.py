@@ -25,6 +25,9 @@ term ratios, nested_sum scans them for poles and sums them, and
 q_binomial_pair is the Gaussian binomial before its reduction. The kernels
 here and families.poly_block, which builds a whole CG block from tables
 split once per block, share them, so both follow one pole and term rule.
+pair_sum adds integer pairs without reducing; the graded-operator kernels
+and the contiguity check sum their exact products with it and make one
+Fraction per entry.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Scalar = Fraction
 
@@ -51,6 +54,7 @@ __all__ = [
     "parameter_factors",
     "ratio_scales",
     "nested_sum",
+    "pair_sum",
     "hyper_terminating",
     "q_hyper_terminating",
 ]
@@ -227,6 +231,19 @@ def nested_sum(tops: Sequence[int], bottoms: Sequence[int]) -> tuple[int, int]:
     top = bottom = 1
     for p, q in zip(reversed(tops[:m]), reversed(bottoms[:m])):
         top, bottom = q * bottom + p * top, q * bottom
+    return top, bottom
+
+
+def pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions n/d, each given as an integer pair with d > 0, as
+    one unreduced pair (0, 1) when empty; equal denominators add without a
+    product. Callers that sum exact products make one Fraction from it."""
+    top, bottom = 0, 1
+    for n, d in pairs:
+        if d == bottom:
+            top += n
+        else:
+            top, bottom = top * d + n * bottom, bottom * d
     return top, bottom
 
 
