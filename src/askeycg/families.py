@@ -41,7 +41,7 @@ from typing import Callable
 
 from .algebras import AlgebraKind, AlgebraTag, phi
 from .exactmath import (InvalidParameterError, Scalar, as_scalar, format_scalar,
-                        hyper_terminating, nested_sum, parameter_factors,
+                        hyper_terminating, nested_sum, pair_sum, parameter_factors,
                         q_binomial_pair, q_hyper_terminating, ratio_scales)
 from .report import CheckResult, Report, first_mismatch
 
@@ -501,29 +501,39 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
     evaluation stays inside the validated grid. Coefficients come from
     `data` when given (a run shares one memoized table with its Delta),
     otherwise from contiguity(inst); polynomial values come from `blocks`
-    when given (see block_values).
+    when given (see block_values). Each two-term side, alpha1 P + alpha2 P
+    and beta1 P + beta2 P, is summed from integer products and reduced once.
     """
     data = data or contiguity(inst)
     P = block_values(inst, blocks)
     nm = inst.n_max
 
+    def combination(terms):
+        # sum of coefficient * value over the terms, reduced once
+        pairs = []
+        for c, p in terms:
+            cn, cd = c.as_integer_ratio()
+            pn, pd = p.as_integer_ratio()
+            pairs.append((cn * pn, cd * pd))
+        return Fraction(*pair_sum(pairs))
+
     def raising(n, k, N):
-        rhs = Fraction(0)
+        terms = []
         if 0 <= n - 1 <= N:
-            rhs += data.alpha1(n, N) * P(n - 1, k, N)
+            terms.append((data.alpha1(n, N), P(n - 1, k, N)))
         if 0 <= n <= N:
-            rhs += data.alpha2(n, N) * P(n, k, N)
-        return P(n, k, N + 1), rhs
+            terms.append((data.alpha2(n, N), P(n, k, N)))
+        return P(n, k, N + 1), combination(terms)
 
     def lowering(n, k, N):
         m = data.mu(k, N)
         lhs = m * P(n, k, N - 1) if m != 0 and N >= 1 else Fraction(0)
-        rhs = Fraction(0)
+        terms = []
         if 0 <= n + 1 <= N:
-            rhs += data.beta1(n, N) * P(n + 1, k, N)
+            terms.append((data.beta1(n, N), P(n + 1, k, N)))
         if 0 <= n <= N:
-            rhs += data.beta2(n, N) * P(n, k, N)
-        return lhs, rhs
+            terms.append((data.beta2(n, N), P(n, k, N)))
+        return lhs, combination(terms)
 
     rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
     rng = f"0<=N<{nm}, -1<=n<=N+1, 0<=k<=N"
