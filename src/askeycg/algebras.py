@@ -19,11 +19,11 @@ Compositions are truncation-aware: a block exists only when every
 intermediate level stays inside the truncated module, and anything below
 level 0 is the zero space.
 
-The exact kernels (composition, sum, difference, scaling, apply) split each
-stored Fraction into its integer numerator and denominator once, form every
-output entry as one integer pair (exactmath.pair_sum) and reduce it once, into
-one Fraction. An entry that only one side of a sum stores is copied as it is
-(negated for a difference); only entries stored on both sides are added.
+The exact kernels (composition, sum, difference, scaling, apply) work on the
+integer numerators and denominators of the stored Fractions: every output
+entry is formed as one integer pair (exactmath.product_sum) and reduced once,
+into one Fraction. An entry that only one side of a sum stores is copied as
+it is (negated for a difference); only entries stored on both sides are added.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactmath import (InvalidParameterError, Scalar, format_scalar, pair_sum,
-                        parse_scalar)
+from .exactmath import (InvalidParameterError, Scalar, format_scalar, parse_scalar,
+                        product_sum)
 from .linalg import RatMat
 from .report import CheckResult, Report, first_mismatch
 
@@ -159,13 +159,10 @@ class GradedOperator:
         rows, cols = self.shape(level)
         if len(vec) != cols:
             raise ValueError("vector length mismatch")
-        xs = [x.as_integer_ratio() for x in vec]
         terms = [[] for _ in range(rows)]
         for (i, j), v in self.blocks[level].items():
-            vn, vd = v.as_integer_ratio()
-            xn, xd = xs[j]
-            terms[i].append((vn * xn, vd * xd))
-        return tuple(Fraction(*pair_sum(t)) for t in terms)
+            terms[i].append((v, vec[j]))
+        return tuple(Fraction(*product_sum(t)) for t in terms)
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         if self.dims != other.dims:
@@ -177,15 +174,14 @@ class GradedOperator:
                 continue  # the intermediate level's image is truncated away
             by_col = {}  # the left factor's entries, keyed by the level-mid index
             for (i, k), v in self.blocks.get(mid, {}).items():
-                by_col.setdefault(k, []).append((i, *v.as_integer_ratio()))
-            terms = {}  # the products that make each output entry
+                by_col.setdefault(k, []).append((i, v))
+            terms = {}  # the factor pairs whose products make each output entry
             for (k, j), w in right.items():
-                wn, wd = w.as_integer_ratio()
-                for i, vn, vd in by_col.get(k, ()):
-                    terms.setdefault((i, j), []).append((vn * wn, vd * wd))
+                for i, v in by_col.get(k, ()):
+                    terms.setdefault((i, j), []).append((v, w))
             block = out[n] = {}
             for ij, pairs in terms.items():
-                top, bottom = pair_sum(pairs)
+                top, bottom = product_sum(pairs)
                 if top:
                     block[ij] = Fraction(top, bottom)
         return GradedOperator._nonzero(self.degree + other.degree, self.dims, out)
@@ -206,9 +202,7 @@ class GradedOperator:
                 if v is None:
                     block[ij] = w if sign > 0 else -w
                     continue
-                vn, vd = v.as_integer_ratio()
-                wn, wd = w.as_integer_ratio()
-                top, bottom = pair_sum(((vn, vd), (sign * wn, wd)))
+                top, bottom = product_sum(((v, 1), (w, sign)))
                 if top:
                     block[ij] = Fraction(top, bottom)
                 else:

@@ -25,9 +25,8 @@ term ratios, nested_sum scans them for poles and sums them, and
 q_binomial_pair is the Gaussian binomial before its reduction. The kernels
 here and families.poly_block, which builds a whole CG block from tables
 split once per block, share them, so both follow one pole and term rule.
-pair_sum adds integer pairs without reducing; the graded-operator kernels
-and the contiguity check sum their exact products with it and make one
-Fraction per entry.
+product_sum adds exact products as one integer pair; the graded-operator
+kernels and the contiguity check make one Fraction per entry from it.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ __all__ = [
     "parameter_factors",
     "ratio_scales",
     "nested_sum",
-    "pair_sum",
+    "product_sum",
     "hyper_terminating",
     "q_hyper_terminating",
 ]
@@ -234,12 +233,17 @@ def nested_sum(tops: Sequence[int], bottoms: Sequence[int]) -> tuple[int, int]:
     return top, bottom
 
 
-def pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of the fractions n/d, each given as an integer pair with d > 0, as
-    one unreduced pair (0, 1) when empty; equal denominators add without a
-    product. Callers that sum exact products make one Fraction from it."""
+def product_sum(terms: Iterable[tuple[Scalar, Scalar]]) -> tuple[int, int]:
+    """The sum of a * b over the (a, b) terms, Fractions or ints, as one
+    unreduced integer pair; (0, 1) when there is no term. Each product is
+    formed from the factors' integer numerators and denominators, and equal
+    denominators add without a product, so the caller's Fraction of the pair
+    is the only reduction."""
     top, bottom = 0, 1
-    for n, d in pairs:
+    for a, b in terms:
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        n, d = an * bn, ad * bd
         if d == bottom:
             top += n
         else:

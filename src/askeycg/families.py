@@ -41,7 +41,7 @@ from typing import Callable
 
 from .algebras import AlgebraKind, AlgebraTag, phi
 from .exactmath import (InvalidParameterError, Scalar, as_scalar, format_scalar,
-                        hyper_terminating, nested_sum, pair_sum, parameter_factors,
+                        hyper_terminating, nested_sum, parameter_factors, product_sum,
                         q_binomial_pair, q_hyper_terminating, ratio_scales)
 from .report import CheckResult, Report, first_mismatch
 
@@ -508,22 +508,13 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
     P = block_values(inst, blocks)
     nm = inst.n_max
 
-    def combination(terms):
-        # sum of coefficient * value over the terms, reduced once
-        pairs = []
-        for c, p in terms:
-            cn, cd = c.as_integer_ratio()
-            pn, pd = p.as_integer_ratio()
-            pairs.append((cn * pn, cd * pd))
-        return Fraction(*pair_sum(pairs))
-
     def raising(n, k, N):
         terms = []
         if 0 <= n - 1 <= N:
             terms.append((data.alpha1(n, N), P(n - 1, k, N)))
         if 0 <= n <= N:
             terms.append((data.alpha2(n, N), P(n, k, N)))
-        return P(n, k, N + 1), combination(terms)
+        return P(n, k, N + 1), Fraction(*product_sum(terms))
 
     def lowering(n, k, N):
         m = data.mu(k, N)
@@ -533,7 +524,7 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
             terms.append((data.beta1(n, N), P(n + 1, k, N)))
         if 0 <= n <= N:
             terms.append((data.beta2(n, N), P(n, k, N)))
-        return lhs, combination(terms)
+        return lhs, Fraction(*product_sum(terms))
 
     rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
     rng = f"0<=N<{nm}, -1<=n<=N+1, 0<=k<=N"
