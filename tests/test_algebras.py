@@ -9,6 +9,7 @@ from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generator
                               check_relations, identity_operator, phi,
                               scalar_operator, first_block_mismatch,
                               tensor_operator)
+from askeycg.exactmath import InvalidParameterError
 from askeycg.report import first_mismatch
 
 from test_linalg import to_lists
@@ -71,6 +72,13 @@ def test_check_relations_passes(algebra, label):
     rep = check_relations(ModuleSpec(algebra, label, 8))
     assert rep.passed
     assert not any(c.skipped for c in rep.checks)
+
+
+@pytest.mark.parametrize("algebra", [oscq(F(1, 4)), uqsl2(F(1, 4))])
+def test_zero_label_on_q_algebra_rejected(algebra):
+    # kappa = q^(lambda/2) is never 0; K^{-1} and the Casimir would divide by it
+    with pytest.raises(InvalidParameterError, match="label"):
+        ModuleSpec(algebra, F(0), 3)
 
 
 def test_uqsl2_standard_form_skipped_for_non_square_q():

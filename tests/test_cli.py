@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from askeycg import coproduct, families
+from askeycg import algebras, coproduct, families
 from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
-from askeycg.cli import CHECK_NAMES, main, run_verify_suite
+from askeycg.cli import CHECK_NAMES, main, run_verify_suite, table_doc
 from askeycg.families import FamilyKind, make_instance, poly_value
 
 from test_families import sample_instance
@@ -70,6 +70,31 @@ def test_config_non_integer_value_exit_two(key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"family = krawtchouk\np = 1/3\n{key} = abc\n")
     assert main(["verify", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_config_unknown_key_exit_two(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = hahn\nalpha = 1\nbeta = 1/2\nlamda1 = 3\nnmax = 2\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "lamda1" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_config_invalid_format_exit_two(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = krawtchouk\np = 1/3\nnmax = 2\nformat = xml\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "xml" in err
+
+
+def test_config_format_json_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = krawtchouk\np = 1/3\nnmax = 2\nformat = json\n")
+    assert main(["table", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["suite"] == "table:krawtchouk"
 
 
 def test_verify_q_zero_exit_two(capsys):
@@ -249,6 +274,22 @@ def test_full_run_evaluates_contiguity_once(kind, monkeypatch):
     assert [c.name for c in rep.checks if c.skipped] == (
         ["three-term", "twist"] if kind is not FamilyKind.DUAL_HAHN else ["twist"])
     assert len(calls) == 1 and len(deltas) == 1
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_full_run_builds_each_factor_module_and_delta_once(kind, monkeypatch):
+    # relations and casimir share the generators of the two factor modules
+    inst = sample_instance(kind, n_max=3)
+    gens = count_calls(monkeypatch, algebras, "build_generators")
+    deltas = count_calls(monkeypatch, coproduct, "build_delta")
+    assert run_verify_suite(inst).passed
+    assert len(gens) == 2 and len(deltas) == 1
+
+
+def test_table_builds_one_delta(monkeypatch):
+    deltas = count_calls(monkeypatch, coproduct, "build_delta")
+    table_doc(sample_instance(FamilyKind.RACAH, n_max=3))
+    assert len(deltas) == 1
 
 
 def test_relations_and_casimir_build_no_coefficients(tmp_path, monkeypatch):
