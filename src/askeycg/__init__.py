@@ -17,10 +17,9 @@ from .cgverify import (CGBlock, DegenerateKernelError, WeightData,
                        tensor_lowering_eigenvalue, verify_lowering,
                        verify_raising, verify_weight_grading)
 from .coproduct import (AlgebraicForm, CoassocResult, CoproductCoeffs, Delta,
-                        TensorModule, algebraic_form, build_delta,
-                        check_algebraic_form, check_homomorphism,
-                        check_twist_qracah_specialization, coproduct_coeffs,
-                        krawtchouk_coassoc, tensor_module)
+                        algebraic_form, build_delta, check_algebraic_form,
+                        check_homomorphism, check_twist_qracah_specialization,
+                        coproduct_coeffs, krawtchouk_coassoc)
 from .exactmath import (InvalidParameterError, Scalar, SingularParameterError,
                         as_scalar, binomial, format_scalar, hyper_terminating,
                         parse_scalar, pochhammer, q_binomial, q_hyper_terminating,

@@ -87,6 +87,10 @@ class ModuleSpec:
     label: Scalar
     levels: int
 
+    def __post_init__(self):
+        if self.algebra.is_q and self.label == 0:
+            raise InvalidParameterError("a q-module label kappa must be nonzero")
+
 
 def phi(algebra: AlgebraKind, label: Scalar, n: int) -> Scalar:
     """Lowering coefficient of F at level n; phi(label, 0) == 0 always."""

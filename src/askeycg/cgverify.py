@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import block_entries, phi, scalar_operator
-from .coproduct import Delta, TensorModule, build_delta, tensor_module
+from .coproduct import Delta, build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
                        make_instance, poly_block, tensor_label)
@@ -111,13 +111,13 @@ def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:
     return phi(algebra_for(inst), tensor_label(inst, k), j)
 
 
-def verify_raising(inst: FamilyInstance, tm: TensorModule, N: int,
+def verify_raising(inst: FamilyInstance, N: int,
                    blocks: dict[int, CGBlock] | None = None,
                    delta: Delta | None = None) -> Report:
     """Delta(E) must map column k of block N to column k of block N+1."""
-    if not 0 <= N < tm.n_max:
+    if not 0 <= N < inst.n_max:
         raise ValueError("raising check needs 0 <= N < n_max")
-    delta = delta or build_delta(inst, tm)
+    delta = delta or build_delta(inst)
     blocks = blocks or {}
     here = blocks.get(N) or cg_block(inst, N)
     above = blocks.get(N + 1) or cg_block(inst, N + 1)
@@ -133,14 +133,14 @@ def verify_raising(inst: FamilyInstance, tm: TensorModule, N: int,
     return rep
 
 
-def verify_lowering(inst: FamilyInstance, tm: TensorModule, N: int,
+def verify_lowering(inst: FamilyInstance, N: int,
                     blocks: dict[int, CGBlock] | None = None,
                     delta: Delta | None = None) -> Report:
     """Delta(F) on column k of block N gives the component lowering
     eigenvalue times column k of block N-1; the k = N column dies."""
-    if not 1 <= N <= tm.n_max:
+    if not 1 <= N <= inst.n_max:
         raise ValueError("lowering check needs 1 <= N <= n_max")
-    delta = delta or build_delta(inst, tm)
+    delta = delta or build_delta(inst)
     blocks = blocks or {}
     here = blocks.get(N) or cg_block(inst, N)
     below = blocks.get(N - 1) or cg_block(inst, N - 1)
@@ -158,7 +158,7 @@ def verify_lowering(inst: FamilyInstance, tm: TensorModule, N: int,
     return rep
 
 
-def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule,
+def lowest_weight_oracle(inst: FamilyInstance,
                          blocks: dict[int, CGBlock] | None = None,
                          delta: Delta | None = None) -> list[CGBlock]:
     """Rebuild every CG block from the coproduct alone.
@@ -169,9 +169,9 @@ def lowest_weight_oracle(inst: FamilyInstance, tm: TensorModule,
     ever vanished), then pushed up with Delta(E). The anchor values are read
     from `blocks` when given; nothing else is taken from the polynomials.
     """
-    delta = delta or build_delta(inst, tm)
+    delta = delta or build_delta(inst)
     value = block_values(inst, blocks)
-    nm = tm.n_max
+    nm = inst.n_max
     columns: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for k in range(nm + 1):
         basis = nullspace(delta.f.dense(k))
@@ -296,18 +296,14 @@ def _certified_weights(P: RatMat, N: int, omega: list[Fraction]) -> WeightData |
     return WeightData(N, tuple(omega), tuple(omega_prime))
 
 
-def verify_weight_grading(inst: FamilyInstance, tm: TensorModule,
-                          delta: Delta | None = None) -> Report:
+def verify_weight_grading(inst: FamilyInstance, delta: Delta | None = None) -> Report:
     """Delta(H) (or Delta(K)) must act on block N as the scalar
-    lambda1 + lambda2 + 2N (or kappa1 kappa2 q^N)."""
-    delta = delta or build_delta(inst, tm)
-    alg = tm.left.algebra
-    l1, l2 = tm.left.label, tm.right.label
-    expected = scalar_operator(delta.hk.dims, lambda N: l1 * l2 * alg.q ** N
-                               if alg.is_q else l1 + l2 + 2 * N)
+    tensor_label(inst, N): lambda1 + lambda2 + 2N (or kappa1 kappa2 q^N)."""
+    delta = delta or build_delta(inst)
+    expected = scalar_operator(delta.hk.dims, lambda N: tensor_label(inst, N))
     rep = Report(suite=f"weight-grading:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("weight-grading", f"blocks 0..{tm.n_max}", block_entries(
-        delta.hk, expected, range(tm.n_max + 1), "N")))
+    rep.add(first_mismatch("weight-grading", f"blocks 0..{inst.n_max}", block_entries(
+        delta.hk, expected, range(inst.n_max + 1), "N")))
     return rep
 
 
@@ -362,7 +358,7 @@ def random_instance(kind: FamilyKind | str, rng, n_max: int = 8,
     for _ in range(max_tries):
         try:
             inst = make_instance(kind, n_max=n_max, **_draw_params(kind, rng))
-            delta = build_delta(inst, tensor_module(inst))
+            delta = build_delta(inst)
             for N in range(1, n_max + 1):
                 orthogonality_weights(inst, N, delta=delta)
         except (InvalidParameterError, WeightSolutionError):

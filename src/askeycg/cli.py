@@ -8,9 +8,9 @@ Subcommands:
     version   print the tool version
 
 `run_verify_suite` runs the named checks from one table; each entry has an
-optional skip rule and a runner. The runners share the tensor module, the
-contiguity data, Delta and the CG blocks of the instance, each built on first
-use within one call.
+optional skip rule and a runner. The runners share the generators of the two
+factor modules, the contiguity data, Delta and the CG blocks of the instance,
+each built on first use within one call.
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
 parameters, unknown check names, a checks value that names no check, or
@@ -25,13 +25,13 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebras import ModuleSpec, casimir, check_relations
+from .algebras import ModuleSpec, build_generators, casimir, check_relations
 from .cgverify import (DegenerateKernelError, WeightSolutionError, cg_block,
                        lowest_weight_oracle, orthogonality_weights,
                        verify_lowering, verify_raising, verify_weight_grading)
 from .coproduct import (build_delta, check_algebraic_form, check_homomorphism,
                         check_twist_qracah_specialization, coproduct_coeffs,
-                        krawtchouk_coassoc, tensor_module)
+                        krawtchouk_coassoc)
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, check_contiguity,
                        check_three_term_dual_hahn, contiguity, labels, make_instance)
@@ -44,23 +44,27 @@ EXIT_IO = 3
 
 _PARAM_FLAGS = ("alpha", "beta", "p", "q", "kappa1", "kappa2",
                 "lambda1", "lambda2")
+_CONFIG_KEYS = ("family", "nmax", "seed", "checks", "output", "format") + _PARAM_FLAGS
+_FORMATS = ("text", "json")
 
 
 class _Artifacts:
     """Objects shared by the checks of one verify run, each built on first
-    use: the tensor module, the contiguity data, Delta and the CG blocks.
-    The contiguity data memoizes every coefficient it evaluates, so
-    `contiguity`, Delta (hence `homomorphism`, `grading`, `raising`,
-    `lowering`, `cg-oracle`) and the derived side of `algebraic-form`
-    evaluate each coefficient once per run. Everything belongs to the run
-    and is dropped with it."""
+    use: each factor module with its generators (shared by `relations` and
+    `casimir`), the contiguity data, Delta and the CG blocks. The contiguity
+    data memoizes every coefficient it evaluates, so `contiguity`, Delta
+    (hence `homomorphism`, `grading`, `raising`, `lowering`, `cg-oracle`)
+    and the derived side of `algebraic-form` evaluate each coefficient once
+    per run. Everything belongs to the run and is dropped with it."""
 
     def __init__(self, inst: FamilyInstance):
         self.inst = inst
 
     @cached_property
-    def tm(self):
-        return tensor_module(self.inst)
+    def factors(self):
+        modules = [ModuleSpec(algebra_for(self.inst), label, self.inst.n_max)
+                   for label in labels(self.inst)]
+        return [(module, build_generators(module)) for module in modules]
 
     @cached_property
     def contiguity(self):
@@ -68,7 +72,7 @@ class _Artifacts:
 
     @cached_property
     def delta(self):
-        return build_delta(self.inst, self.tm, data=self.contiguity)
+        return build_delta(self.inst, data=self.contiguity)
 
     @cached_property
     def blocks(self):
@@ -101,17 +105,16 @@ def _until_failure(reports) -> Report:
 
 def _relations(inst: FamilyInstance, art: _Artifacts) -> Report:
     return Report(suite="relations", checks=[
-        c for label in labels(inst)
-        for c in check_relations(ModuleSpec(algebra_for(inst), label, inst.n_max)).checks])
+        c for module, gens in art.factors for c in check_relations(module, gens).checks])
 
 
 def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
     def sides():
-        for label in labels(inst):
-            hit = casimir(ModuleSpec(algebra_for(inst), label, inst.n_max)).mismatch
+        for module, gens in art.factors:
+            hit = casimir(module, gens).mismatch
             if hit:
                 level, _, _, op_entry, scalar_entry = hit
-                yield {"label": label, "level": level}, op_entry, scalar_entry
+                yield {"label": module.label, "level": level}, op_entry, scalar_entry
 
     return first_mismatch("casimir", f"levels 0..{inst.n_max - 1}", sides())
 
@@ -119,7 +122,7 @@ def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
 def _oracle(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
     rng = f"all blocks N<={inst.n_max}"
     try:
-        oracle = lowest_weight_oracle(inst, art.tm, art.blocks, art.delta)
+        oracle = lowest_weight_oracle(inst, art.blocks, art.delta)
     except DegenerateKernelError as exc:
         return _error_result("cg-oracle", rng, exc)
     return first_mismatch("cg-oracle", rng, (
@@ -160,16 +163,15 @@ _CHECKS = {
                    lambda inst, art: check_three_term_dual_hahn(inst, blocks=art.blocks)),
     "relations": (None, _relations),
     "casimir": (None, _casimir),
-    "homomorphism": (None, lambda inst, art: check_homomorphism(inst, art.tm,
-                                                                delta=art.delta)),
+    "homomorphism": (None, lambda inst, art: check_homomorphism(inst, delta=art.delta)),
     "algebraic-form": (None, lambda inst, art: check_algebraic_form(
-        inst, art.tm, coproduct_coeffs(inst, art.contiguity))),
-    "grading": (None, lambda inst, art: verify_weight_grading(inst, art.tm, art.delta)),
+        inst, coproduct_coeffs(inst, art.contiguity))),
+    "grading": (None, lambda inst, art: verify_weight_grading(inst, art.delta)),
     "raising": (None, lambda inst, art: _until_failure(
-        verify_raising(inst, art.tm, N, art.blocks, art.delta)
+        verify_raising(inst, N, art.blocks, art.delta)
         for N in range(inst.n_max))),
     "lowering": (None, lambda inst, art: _until_failure(
-        verify_lowering(inst, art.tm, N, art.blocks, art.delta)
+        verify_lowering(inst, N, art.blocks, art.delta)
         for N in range(1, inst.n_max + 1))),
     "cg-oracle": (None, _oracle),
     "orthogonality": (None, _orthogonality),
@@ -249,14 +251,17 @@ def _merge_settings(args) -> RunConfig:
     settings = {}
     if getattr(args, "config", None):
         settings.update(_read_config(args.config))
-    for key in ("family", "nmax", "seed", "checks", "output", "format"):
+    unknown = [k for k in settings if k not in _CONFIG_KEYS]
+    if unknown:
+        raise InvalidParameterError(f"unknown config keys: {', '.join(unknown)} "
+                                    f"(known: {', '.join(_CONFIG_KEYS)})")
+    for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
-    for key in _PARAM_FLAGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = val
+    if settings.get("format", "text") not in _FORMATS:
+        raise InvalidParameterError(
+            f"format must be one of {', '.join(_FORMATS)}, got {settings['format']!r}")
     checks = None
     if "checks" in settings:
         checks = [c.strip() for c in str(settings["checks"]).split(",") if c.strip()]
@@ -340,11 +345,10 @@ def cmd_verify(args) -> int:
 
 
 def table_doc(inst: FamilyInstance) -> dict:
+    art = _Artifacts(inst)
     blocks = []
-    delta = build_delta(inst, tensor_module(inst))
-    for N in range(inst.n_max + 1):
-        blk = cg_block(inst, N)
-        weights = orthogonality_weights(inst, N, blk, delta)
+    for N, blk in art.blocks.items():
+        weights = orthogonality_weights(inst, N, blk, art.delta)
         blocks.append({**blk.to_doc(), **{k: v for k, v in weights.to_doc().items()
                                           if k != "N"}})
     return {"suite": f"table:{inst.kind.value}", "version": TOOL_VERSION,
@@ -422,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="print CG blocks and weights")
     _add_instance_flags(sp)
-    sp.add_argument("--format", choices=("text", "json"), default=None)
+    sp.add_argument("--format", choices=_FORMATS, default=None)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("coassoc", help="Krawtchouk recoupling comparison")

@@ -27,8 +27,7 @@ from functools import cache
 from itertools import chain
 from typing import Callable
 
-from .algebras import (AlgebraKind, AlgebraTag, Generators, ModuleSpec,
-                       _relation_checks, block_entries, cartan, invert_diagonal,
+from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks, block_entries, cartan, invert_diagonal,
                        phi, tensor_operator)
 from .exactmath import InvalidParameterError, Scalar, SingularParameterError
 from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
@@ -36,33 +35,11 @@ from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
 from .report import Report, first_mismatch
 
 __all__ = [
-    "TensorModule", "tensor_module", "CoproductCoeffs", "coproduct_coeffs",
+    "CoproductCoeffs", "coproduct_coeffs",
     "AlgebraicForm", "algebraic_form", "Delta", "build_delta",
     "check_homomorphism", "check_algebraic_form",
     "check_twist_qracah_specialization", "CoassocResult", "krawtchouk_coassoc",
 ]
-
-
-@dataclass(frozen=True)
-class TensorModule:
-    left: ModuleSpec
-    right: ModuleSpec
-    n_max: int
-
-    def __post_init__(self):
-        if self.left.algebra != self.right.algebra:
-            raise InvalidParameterError("tensor factors must share the algebra")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(N + 1 for N in range(self.n_max + 1))
-
-
-def tensor_module(inst: FamilyInstance, n_max: int | None = None) -> TensorModule:
-    n_max = inst.n_max if n_max is None else n_max
-    alg = algebra_for(inst)
-    l1, l2 = labels(inst)
-    return TensorModule(ModuleSpec(alg, l1, n_max), ModuleSpec(alg, l2, n_max), n_max)
 
 
 @dataclass(frozen=True)
@@ -224,10 +201,11 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
 Delta = Generators
 
 
-def build_delta(inst: FamilyInstance, tm: TensorModule,
-                coeffs: CoproductCoeffs | None = None,
+def build_delta(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
                 data: ContiguityData | None = None) -> Delta:
-    """Coproduct images on the tensor module.
+    """Coproduct images on the tensor module of the instance: the two factor
+    modules of labels(inst) under algebra_for(inst), truncated at total
+    level inst.n_max, so level N has dimension N + 1.
 
     With coeffs omitted the shifts are weighted straight with the contiguity
     coefficients, which involves no division at all; they come from `data`
@@ -235,10 +213,9 @@ def build_delta(inst: FamilyInstance, tm: TensorModule,
     functions instead weights them with coefficient times lowering factor;
     the two routes agree on every valid instance.
     """
-    if labels(inst) != (tm.left.label, tm.right.label):
-        raise InvalidParameterError("tensor module labels do not match the instance")
-    alg = tm.left.algebra
-    l1, l2 = tm.left.label, tm.right.label
+    alg = algebra_for(inst)
+    l1, l2 = labels(inst)
+    dims = tuple(range(1, inst.n_max + 2))
 
     # weights of E x I, I x E, F x I and I x F at the source basis vector (n, m)
     if coeffs is None:
@@ -254,7 +231,7 @@ def build_delta(inst: FamilyInstance, tm: TensorModule,
         lower2 = lambda n, m: coeffs.yp(n, m - 1) * phi(alg, l2, m)
 
     def shift(shifts, weight):
-        return tensor_operator(tm.dims, shifts, lambda c: weight(*c))
+        return tensor_operator(dims, shifts, lambda c: weight(*c))
 
     h1 = lambda n, m: cartan(alg, l1, n)
     h2 = lambda n, m: cartan(alg, l2, m)
@@ -266,20 +243,19 @@ def build_delta(inst: FamilyInstance, tm: TensorModule,
                  shift((-1, 0), lower1) + shift((0, -1), lower2), dhk)
 
 
-def check_homomorphism(inst: FamilyInstance, tm: TensorModule,
-                       coeffs: CoproductCoeffs | None = None,
+def check_homomorphism(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
                        delta: Delta | None = None) -> Report:
     """The coproduct images must satisfy the defining relations of the
     algebra on every block where the compositions stay inside the truncation.
     An already built `delta` is used as is; otherwise it is built from
     `coeffs` (or from the contiguity coefficients when those are omitted)."""
-    delta = delta or build_delta(inst, tm, coeffs)
+    delta = delta or build_delta(inst, coeffs)
     rep = Report(suite=f"homomorphism:{inst.kind.value}", params=inst.to_doc())
     rep.extend(_relation_checks(algebra_for(inst), delta.e, delta.f, delta.hk))
     return rep
 
 
-def check_algebraic_form(inst: FamilyInstance, tm: TensorModule,
+def check_algebraic_form(inst: FamilyInstance,
                          derived: CoproductCoeffs | None = None) -> Report:
     """The closed operator expressions must reproduce the contiguity-derived
     coefficient functions on every tensor basis vector of the grid. The
@@ -288,7 +264,7 @@ def check_algebraic_form(inst: FamilyInstance, tm: TensorModule,
     side is always evaluated afresh by algebraic_form."""
     derived = derived or coproduct_coeffs(inst)
     closed = algebraic_form(inst)
-    nm = tm.n_max
+    nm = inst.n_max
     rep = Report(suite=f"algebraic-form:{inst.kind.value}", params=inst.to_doc())
     raising_pts = [(n, s - n) for s in range(1, nm + 1) for n in range(s + 1)]
     lowering_pts = [(n, s - n) for s in range(0, nm) for n in range(s + 1)]
@@ -325,9 +301,8 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
                           alpha=kappa1 ** 2 / q, beta=Fraction(0),
                           gamma=kappa1 ** 2 * kappa2 ** 2 / q,
                           q=q, kappa1=kappa1, kappa2=kappa2)
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
-    dims = tm.dims
+    delta = build_delta(inst)
+    dims = delta.e.dims
     alg = algebra_for(inst)
 
     k1 = lambda c: cartan(alg, kappa1, c[0])

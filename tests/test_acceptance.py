@@ -21,8 +21,7 @@ from askeycg.cgverify import (CGBlock, WeightSolutionError, cg_block,
 from askeycg.coproduct import (CoproductCoeffs, Delta, build_delta,
                                check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
-                               coproduct_coeffs, krawtchouk_coassoc,
-                               tensor_module)
+                               coproduct_coeffs, krawtchouk_coassoc)
 from askeycg.families import (ContiguityData, FamilyKind, check_contiguity,
                               check_three_term_dual_hahn, contiguity,
                               limit_hahn_to_krawtchouk, limit_racah_to_dual_hahn,
@@ -93,7 +92,7 @@ def test_criterion_03_representation_suite():
 def test_criterion_04_homomorphism_suite():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            rep = check_homomorphism(inst, tensor_module(inst))
+            rep = check_homomorphism(inst)
             assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
     _report(4, "coproduct homomorphism, 6 families x 5 draws, blocks<=7", True)
 
@@ -101,15 +100,14 @@ def test_criterion_04_homomorphism_suite():
 def test_criterion_05_cg_equivalence():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            tm = tensor_module(inst)
-            oracle = lowest_weight_oracle(inst, tm)
+            oracle = lowest_weight_oracle(inst)
             for N in range(N_MAX + 1):
                 assert oracle[N].P == cg_block(inst, N).P, \
                     (kind.value, N, inst.to_doc())
             for N in range(N_MAX):
-                assert verify_raising(inst, tm, N).passed, (kind.value, N)
+                assert verify_raising(inst, N).passed, (kind.value, N)
             for N in range(1, N_MAX + 1):
-                assert verify_lowering(inst, tm, N).passed, (kind.value, N)
+                assert verify_lowering(inst, N).passed, (kind.value, N)
     _report(5, "CG blocks equal the lowest-weight oracle; raising/lowering "
                "exact incl. top-column annihilation", True)
 
@@ -117,7 +115,7 @@ def test_criterion_05_cg_equivalence():
 def test_criterion_06_algebraic_form_agreement():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            rep = check_algebraic_form(inst, tensor_module(inst))
+            rep = check_algebraic_form(inst)
             assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
     _report(6, "closed coproduct expressions match contiguity-derived "
                "coefficients everywhere", True)
@@ -228,34 +226,33 @@ def test_criterion_11_negative_controls():
     # homomorphism: y coefficient replaced by 1
     hahn = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
     cf = coproduct_coeffs(hahn)
-    rep = check_homomorphism(hahn, tensor_module(hahn), CoproductCoeffs(
+    rep = check_homomorphism(hahn, CoproductCoeffs(
         x=cf.x, y=lambda n, m: F(1), xp=cf.xp, yp=cf.yp))
     witnesses.append(("homomorphism", rep.first_failure()))
 
     # algebraic form: derived xp shifted
-    rep = check_algebraic_form(hahn, tensor_module(hahn), derived=CoproductCoeffs(
+    rep = check_algebraic_form(hahn, derived=CoproductCoeffs(
         x=cf.x, y=cf.y, xp=lambda n, m: cf.xp(n, m) + 1, yp=cf.yp))
     witnesses.append(("algebraic-form", rep.first_failure()))
 
     # raising: binomial prefactor dropped from the blocks
     from askeycg.exactmath import binomial
-    tm = tensor_module(hahn)
     corrupt = {N: CGBlock(N, RatMat.build(
         N + 1, N + 1, lambda n, k, N=N: poly_value(hahn, n, k, N) / binomial(N, n)))
         for N in range(5)}
-    rep = verify_raising(hahn, tm, 1, corrupt)
+    rep = verify_raising(hahn, 1, corrupt)
     witnesses.append(("raising", rep.first_failure()))
 
     # lowering: same corruption; N = 2 is the smallest level where a
     # binomial prefactor differs from 1
-    rep = verify_lowering(hahn, tm, 2, corrupt)
+    rep = verify_lowering(hahn, 2, corrupt)
     witnesses.append(("lowering", rep.first_failure()))
 
     # weight grading: Delta(H) shifted by one
-    delta = build_delta(hahn, tm)
+    delta = build_delta(hahn)
     bad_delta = Delta(delta.e, delta.f, scalar_operator(
         delta.hk.dims, lambda N: hahn.lambda1 + hahn.lambda2 + 2 * N + 1))
-    rep = verify_weight_grading(hahn, tm, bad_delta)
+    rep = verify_weight_grading(hahn, bad_delta)
     witnesses.append(("grading", rep.first_failure()))
 
     expected = {

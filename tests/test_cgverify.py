@@ -14,7 +14,7 @@ from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, _draw_pa
                               random_instance, tensor_lowering_eigenvalue,
                               verify_lowering, verify_raising, verify_weight_grading)
 from askeycg.cli import run_verify_suite
-from askeycg.coproduct import Delta, build_delta, tensor_module
+from askeycg.coproduct import Delta, build_delta
 from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
                                binomial, q_binomial)
 from askeycg.families import FamilyInstance, FamilyKind, make_instance, poly_value
@@ -141,17 +141,15 @@ def test_first_column_is_binomial_vector():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_raising_and_lowering(kind):
     inst = sample_instance(kind)
-    tm = tensor_module(inst)
-    for N in range(tm.n_max):
-        assert verify_raising(inst, tm, N).passed
-    for N in range(1, tm.n_max + 1):
-        assert verify_lowering(inst, tm, N).passed
+    for N in range(inst.n_max):
+        assert verify_raising(inst, N).passed
+    for N in range(1, inst.n_max + 1):
+        assert verify_lowering(inst, N).passed
 
 
 def test_krawtchouk_pascal_row():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
+    delta = build_delta(inst)
     image = matmul(delta.e.dense(0), cg_block(inst, 0).P)
     assert image.column(0) == (F(1), F(1))
     assert cg_block(inst, 1).P.column(0) == (F(1), F(1))
@@ -159,15 +157,14 @@ def test_krawtchouk_pascal_row():
 
 def test_raising_detects_missing_binomial_prefactor():
     inst = sample_instance(FamilyKind.HAHN)
-    tm = tensor_module(inst)
 
     def corrupt(N):
         return CGBlock(N, RatMat.build(
             N + 1, N + 1,
             lambda n, k: poly_value(inst, n, k, N) / binomial(N, n)))
 
-    blocks = {N: corrupt(N) for N in range(tm.n_max + 1)}
-    rep = verify_raising(inst, tm, 1, blocks)
+    blocks = {N: corrupt(N) for N in range(inst.n_max + 1)}
+    rep = verify_raising(inst, 1, blocks)
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
 
@@ -175,8 +172,7 @@ def test_raising_detects_missing_binomial_prefactor():
 def test_lowering_annihilates_top_column():
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
-        tm = tensor_module(inst)
-        delta = build_delta(inst, tm)
+        delta = build_delta(inst)
         for N in range(1, 4):
             image = matmul(delta.f.dense(N), cg_block(inst, N).P)
             assert all(image.entry(n, N) == 0 for n in range(N))
@@ -204,26 +200,26 @@ def test_q_racah_lowering_eigenvalue():
 
 def test_oracle_block_one_hahn():
     inst = sample_instance(FamilyKind.HAHN)
-    oracle = lowest_weight_oracle(inst, tensor_module(inst))
+    oracle = lowest_weight_oracle(inst)
     assert oracle[1].P.column(1) == (F(1), F(-1, 4))
 
 
 def test_oracle_block_one_standard_sl2():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
-    oracle = lowest_weight_oracle(inst, tensor_module(inst))
+    oracle = lowest_weight_oracle(inst)
     assert oracle[1].P.column(1) == (F(1), -inst.lambda2 / inst.lambda1)
 
 
 def test_oracle_first_column_trivial_kernel():
     inst = sample_instance(FamilyKind.Q_HAHN)
-    oracle = lowest_weight_oracle(inst, tensor_module(inst))
+    oracle = lowest_weight_oracle(inst)
     assert to_lists(oracle[0].P) == [[F(1)]]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_oracle_equals_polynomial_blocks(kind):
     inst = sample_instance(kind, n_max=5)
-    oracle = lowest_weight_oracle(inst, tensor_module(inst))
+    oracle = lowest_weight_oracle(inst)
     for N in range(6):
         assert oracle[N].P == cg_block(inst, N).P
 
@@ -239,7 +235,7 @@ def test_weights_block_zero():
 def test_weights_block_zero_norm_is_the_square():
     # sum_n P[n][0]^2 Omega_n = P[0][0]^2 on block 0, on both paths
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst, tensor_module(inst))
+    delta = build_delta(inst)
     blk = CGBlock(0, RatMat.from_rows([[F(2)]]))
     for d in (None, delta):
         w = orthogonality_weights(inst, 0, blk, d)
@@ -293,7 +289,7 @@ def weights_or_error(inst, N, blk, delta=None):
 def assert_paths_agree(inst):
     """The certified guess from Delta gives what the full solve gives, block
     by block, WeightData or error message."""
-    delta = build_delta(inst, tensor_module(inst))
+    delta = build_delta(inst)
     for N in range(inst.n_max + 1):
         blk = cg_block(inst, N)
         assert weights_or_error(inst, N, blk, delta) == weights_or_error(inst, N, blk)
@@ -317,7 +313,7 @@ def test_symmetrizer_path_on_degenerate_racah_point():
     inst = make_instance("racah", n_max=4, alpha=F(1, 3), beta=F(1),
                          lambda1=F(3, 2), lambda2=F(5))
     assert_paths_agree(inst)
-    delta = build_delta(inst, tensor_module(inst))
+    delta = build_delta(inst)
     failed = {N: weights_or_error(inst, N, cg_block(inst, N), delta) for N in range(5)}
     assert {N: err for N, err in failed.items() if isinstance(err, str)} == {
         N: "error: weight normalization Omega_0 vanishes" for N in (2, 3, 4)}
@@ -346,7 +342,7 @@ def with_f_entry_scaled(delta, level, ij, factor):
 def test_corrupted_delta_falls_back_to_the_same_verdict(monkeypatch):
     # one I x F entry of level 3 feeds T_3[2][1], so only block 3's guess is wrong
     inst = sample_instance(FamilyKind.RACAH)
-    good = build_delta(inst, tensor_module(inst))
+    good = build_delta(inst)
     bad = with_f_entry_scaled(good, 3, (1, 1), 2)
     blocks = [cg_block(inst, N) for N in range(inst.n_max + 1)]
     want = [orthogonality_weights(inst, N, blk) for N, blk in enumerate(blocks)]
@@ -362,7 +358,7 @@ def test_unconstrained_weights_are_not_certified():
     # P = I leaves every Omega a solution; the guess from a real Delta solves
     # the system and has nonzero norms, yet it is not the only solution
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst, tensor_module(inst))
+    delta = build_delta(inst)
     eye = CGBlock(2, RatMat.build(3, 3, lambda i, j: F(i == j)))
     with pytest.raises(WeightSolutionError, match="has dimension 3, expected 1"):
         orthogonality_weights(inst, 2, eye, delta)
@@ -400,31 +396,29 @@ def test_verify_suite_certifies_weights_without_a_solve(kind, monkeypatch):
 def test_weight_grading_all_families():
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
-        assert verify_weight_grading(inst, tensor_module(inst)).passed
+        assert verify_weight_grading(inst).passed
 
 
 def test_weight_grading_eigenvalues():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
+    delta = build_delta(inst)
     assert delta.hk.dense(0).entry(0, 0) == inst.lambda1 + inst.lambda2
     assert delta.hk.dense(3).entry(1, 1) == inst.lambda1 + inst.lambda2 + 6
     qinst = sample_instance(FamilyKind.Q_RACAH)
-    qdelta = build_delta(qinst, tensor_module(qinst))
+    qdelta = build_delta(qinst)
     assert (qdelta.hk.dense(2).entry(0, 0)
             == qinst.kappa1 * qinst.kappa2 * qinst.q ** 2)
 
 
 def test_weight_grading_negative_control():
     inst = sample_instance(FamilyKind.HAHN)
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
+    delta = build_delta(inst)
     from askeycg.algebras import scalar_operator
     from askeycg.coproduct import Delta
     bad = Delta(delta.e, delta.f,
                 scalar_operator(delta.hk.dims,
                                 lambda N: inst.lambda1 + inst.lambda2 + 2 * N + 1))
-    rep = verify_weight_grading(inst, tm, bad)
+    rep = verify_weight_grading(inst, bad)
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
 
@@ -433,8 +427,7 @@ def test_weight_grading_negative_control():
 
 def test_lowering_is_diagonalized_in_cg_basis():
     inst = sample_instance(FamilyKind.RACAH)
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
+    delta = build_delta(inst)
     for N in range(1, 5):
         u_here = cg_block(inst, N).P
         u_below = cg_block(inst, N - 1).P

@@ -317,5 +317,4 @@ def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
         for n in range(inst.n_max + 1):
             for m in range(inst.n_max + 1):
                 fn(n, m)
-    assert coproduct.check_algebraic_form(inst, coproduct.tensor_module(inst),
-                                          derived).passed
+    assert coproduct.check_algebraic_form(inst, derived).passed

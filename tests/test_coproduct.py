@@ -6,8 +6,7 @@ from askeycg.algebras import GradedOperator, first_block_mismatch, identity_oper
 from askeycg.coproduct import (CoproductCoeffs, algebraic_form, build_delta,
                                check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
-                               coproduct_coeffs, krawtchouk_coassoc,
-                               tensor_module)
+                               coproduct_coeffs, krawtchouk_coassoc)
 from askeycg.exactmath import InvalidParameterError
 from askeycg.families import FamilyKind, algebra_for, contiguity, labels, make_instance
 from askeycg.linalg import nullspace
@@ -77,9 +76,8 @@ def test_coefficients_reproduce_contiguity_data():
 
 def test_weight_diagonal_eigenvalues():
     inst = sample_instance(FamilyKind.RACAH)
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
-    for N in range(tm.n_max + 1):
+    delta = build_delta(inst)
+    for N in range(inst.n_max + 1):
         blk = delta.hk.dense(N)
         want = inst.lambda1 + inst.lambda2 + 2 * N
         assert all(blk.entry(i, i) == want for i in range(N + 1))
@@ -87,21 +85,21 @@ def test_weight_diagonal_eigenvalues():
 
 def test_krawtchouk_block0_raising():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
-    delta = build_delta(inst, tensor_module(inst))
+    delta = build_delta(inst)
     blk = delta.e.dense(0)
     assert to_lists(blk) == [[F(1)], [F(1)]]
 
 
 def test_delta_serialization_round_trip():
     inst = sample_instance(FamilyKind.Q_RACAH)
-    tm = tensor_module(inst)
-    e = build_delta(inst, tm).e
-    assert GradedOperator.from_doc(e.to_doc(), tm.dims) == e
+    e = build_delta(inst).e
+    dims = tuple(N + 1 for N in range(inst.n_max + 1))
+    assert GradedOperator.from_doc(e.to_doc(), dims) == e
 
 
 def test_hahn_lowering_kernel_on_block_one():
     inst = sample_instance(FamilyKind.HAHN)  # alph=1, beta=1/2
-    delta = build_delta(inst, tensor_module(inst))
+    delta = build_delta(inst)
     basis = nullspace(delta.f.dense(1))
     assert len(basis) == 1
     v = basis[0]
@@ -114,10 +112,9 @@ def test_two_construction_routes_agree():
     # straight from contiguity data vs through the coefficient quotients
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
-        tm = tensor_module(inst)
-        direct = build_delta(inst, tm)
-        via_coeffs = build_delta(inst, tm, coproduct_coeffs(inst))
-        nm = tm.n_max
+        direct = build_delta(inst)
+        via_coeffs = build_delta(inst, coproduct_coeffs(inst))
+        nm = inst.n_max
         assert first_block_mismatch(direct.e, via_coeffs.e, range(nm)) is None
         assert first_block_mismatch(direct.f, via_coeffs.f, range(nm + 1)) is None
 
@@ -127,23 +124,22 @@ def test_two_construction_routes_agree():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_homomorphism(kind):
     inst = sample_instance(kind)
-    assert check_homomorphism(inst, tensor_module(inst)).passed
+    assert check_homomorphism(inst).passed
 
 
 def test_hahn_delta_commutator_is_identity():
     inst = sample_instance(FamilyKind.HAHN)
-    tm = tensor_module(inst)
-    delta = build_delta(inst, tm)
+    delta = build_delta(inst)
     comm = delta.e @ delta.f - delta.f @ delta.e
     assert first_block_mismatch(comm, identity_operator(comm.dims),
-                                range(tm.n_max)) is None
+                                range(inst.n_max)) is None
 
 
 def test_corrupted_y_fails_homomorphism():
     inst = sample_instance(FamilyKind.HAHN)
     cf = coproduct_coeffs(inst)
     bad = CoproductCoeffs(x=cf.x, y=lambda n, m: F(1), xp=cf.xp, yp=cf.yp)
-    rep = check_homomorphism(inst, tensor_module(inst), bad)
+    rep = check_homomorphism(inst, bad)
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
 
@@ -153,7 +149,7 @@ def test_corrupted_y_fails_homomorphism():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_algebraic_form_agreement(kind):
     inst = sample_instance(kind)
-    assert check_algebraic_form(inst, tensor_module(inst)).passed
+    assert check_algebraic_form(inst).passed
 
 
 def test_hahn_localization_denominator():
@@ -284,7 +280,7 @@ def test_algebraic_form_negative_control():
     cf = coproduct_coeffs(inst)
     bad = CoproductCoeffs(x=cf.x, y=cf.y,
                           xp=lambda n, m: cf.xp(n, m) + 1, yp=cf.yp)
-    rep = check_algebraic_form(inst, tensor_module(inst), derived=bad)
+    rep = check_algebraic_form(inst, derived=bad)
     fail = rep.first_failure()
     assert fail is not None and fail.name == "xp-agreement"
 
@@ -302,7 +298,7 @@ def test_twist_block_zero_to_one_coefficients():
     q, k1, k2 = F(1, 4), F(1, 2), F(1, 3)
     inst = make_instance(FamilyKind.Q_RACAH, q=q, kappa1=k1, kappa2=k2,
                          alpha=k1 ** 2 / q, beta=F(0), n_max=4)
-    delta = build_delta(inst, tensor_module(inst))
+    delta = build_delta(inst)
     # raising block 0 -> 1: column (0,0) has entries (E x I, kappa1^{-1} K x E)
     blk = delta.e.dense(0)
     assert to_lists(blk) == [[F(1)], [q ** 0]]
