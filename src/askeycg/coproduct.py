@@ -27,8 +27,8 @@ from functools import cache
 from itertools import chain
 from typing import Callable
 
-from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks, block_entries, cartan, invert_diagonal,
-                       phi, tensor_operator)
+from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks,
+                       block_entries, cartan, invert_diagonal, phi, tensor_operator)
 from .exactmath import InvalidParameterError, Scalar, SingularParameterError
 from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                        contiguity, labels, make_instance)
