@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generators,
                               ModuleSpec, block_entries, build_generators, casimir,
-                              check_relations, identity_operator, phi,
+                              cartan, check_relations, identity_operator, phi,
                               scalar_operator, first_block_mismatch,
                               tensor_operator)
 from askeycg.exactmath import InvalidParameterError
@@ -34,6 +34,44 @@ def test_phi_values():
     for alg, label in ((OSC, F(4)), (SL2, F(3, 2)),
                        (oscq(F(1, 4)), F(2)), (uqsl2(F(1, 4)), F(1, 3))):
         assert phi(alg, label, 0) == 0
+
+
+def ref_phi(alg, label, n):
+    """phi written out over Fractions, one factor at a time."""
+    if alg.tag is AlgebraTag.OSC:
+        return F(-n)
+    if alg.tag is AlgebraTag.SL2:
+        return -F(n) * (F(n) + label - 1)
+    q = alg.q
+    one_minus_qn = 1 - q ** n
+    if alg.tag is AlgebraTag.OSC_Q:
+        return one_minus_qn
+    return one_minus_qn * (1 - q ** (n - 1) * label * label)
+
+
+def ref_cartan(alg, label, n):
+    return label * alg.q ** n if alg.is_q else label + F(2 * n)
+
+
+PIN_QS = (F(1, 4), F(-2, 3), F(5, 2), F(-7, 3))  # both signs, |q| below and above 1
+
+
+@pytest.mark.parametrize("alg", [OSC, SL2] + [make(q) for make in (oscq, uqsl2)
+                                              for q in PIN_QS], ids=repr)
+@pytest.mark.parametrize("label", [F(7, 3), F(-5, 2), F(1), F(-3)])
+def test_phi_and_cartan_match_fraction_reference(alg, label):
+    for n in range(9):
+        assert phi(alg, label, n) == ref_phi(alg, label, n), (n,)
+        assert cartan(alg, label, n) == ref_cartan(alg, label, n), (n,)
+    with pytest.raises(ValueError):
+        phi(alg, label, -1)
+
+
+def test_scalar_operator_evaluates_value_once_per_level():
+    levels = []
+    op = scalar_operator((1, 2, 3, 4), lambda n: levels.append(n) or F(n, 3))
+    assert levels == [0, 1, 2, 3]
+    assert op.blocks[3] == {(i, i): F(1) for i in range(4)}
 
 
 def test_osc_commutator_is_identity():

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import askeycg
 from askeycg import algebras, coproduct, families
 from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite, table_doc
@@ -90,6 +93,15 @@ def test_config_invalid_format_exit_two(command, tmp_path, capsys):
     assert out == "" and "xml" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_config_repeated_key_exit_two(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = krawtchouk\np = 1/3\nnmax = 2\n# p again\np = 1/4\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'p'" in err and "line 2" in err and "line 5" in err
+
+
 def test_config_format_json_accepted(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = krawtchouk\np = 1/3\nnmax = 2\nformat = json\n")
@@ -161,6 +173,25 @@ def test_malformed_config_exit_three(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")
     assert main(["verify", "--config", str(cfg)]) == 3
+
+
+def run_module(*args):
+    """`python -m askeycg` with the given arguments, importing this checkout."""
+    src = os.path.dirname(os.path.dirname(askeycg.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "askeycg", *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_python_dash_m_runs_the_command_line():
+    done = run_module("version")
+    assert done.returncode == 0 and done.stdout.startswith("askeycg ")
+    # the Racah point whose orthogonality weights degenerate on block 2
+    done = run_module("verify", "--family", "racah", "--alpha", "1/3", "--beta", "1",
+                      "--lambda1", "3/2", "--lambda2", "5", "--nmax", "3",
+                      "--checks", "orthogonality")
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["passed"] is False
 
 
 def test_unwritable_output_exit_three(tmp_path):

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from askeycg import coproduct
+
 from askeycg.algebras import GradedOperator, first_block_mismatch, identity_operator, phi
 from askeycg.coproduct import (CoproductCoeffs, algebraic_form, build_delta,
                                check_algebraic_form, check_homomorphism,
@@ -117,6 +119,24 @@ def test_two_construction_routes_agree():
         nm = inst.n_max
         assert first_block_mismatch(direct.e, via_coeffs.e, range(nm)) is None
         assert first_block_mismatch(direct.f, via_coeffs.f, range(nm + 1)) is None
+
+
+@pytest.mark.parametrize("route", ["contiguity", "coefficients"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_build_delta_evaluates_cartan_and_phi_once_per_factor_level(kind, route,
+                                                                    monkeypatch):
+    inst = sample_instance(kind, n_max=5)
+    coeffs = algebraic_form(inst) if route == "coefficients" else None
+    calls = {}
+    for name in ("cartan", "phi"):
+        original = getattr(coproduct, name)
+        calls[name] = []
+        monkeypatch.setattr(coproduct, name, lambda *a, f=original, c=calls[name]:
+                            c.append(a) or f(*a))
+    build_delta(inst, coeffs)
+    levels = inst.n_max + 1  # per factor
+    assert len(calls["cartan"]) <= 2 * levels
+    assert len(calls["phi"]) <= (2 * levels if coeffs else 0)
 
 
 # -- homomorphism ---------------------------------------------------------------
