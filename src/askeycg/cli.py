@@ -13,8 +13,9 @@ factor modules, the contiguity data, Delta and the CG blocks of the instance,
 each built on first use within one call.
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
-parameters, unknown check names, a checks value that names no check, or
-every selected check skipped, 3 I/O or config parse errors.
+parameters, unknown check names, a checks value that names no check, a
+config key set twice, or every selected check skipped, 3 I/O or config parse
+errors.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ class RunConfig:
 
 
 def _read_config(path: str) -> dict:
-    values = {}
+    """The file's key = value lines; a key set twice is invalid, not overwritten."""
+    values, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -243,7 +245,12 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in lines:
+                raise InvalidParameterError(
+                    f"{path}: config key {key!r} is set on line {lines[key]} "
+                    f"and again on line {lineno}")
+            values[key], lines[key] = val.strip(), lineno
     return values
 
 
