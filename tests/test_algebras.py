@@ -62,6 +62,7 @@ PIN_QS = (F(1, 4), F(-2, 3), F(5, 2), F(-7, 3))  # both signs, |q| below and abo
 def test_phi_and_cartan_match_fraction_reference(alg, label):
     for n in range(9):
         assert phi(alg, label, n) == ref_phi(alg, label, n), (n,)
+    for n in range(-3, 9):  # cartan also answers below level 0
         assert cartan(alg, label, n) == ref_cartan(alg, label, n), (n,)
     with pytest.raises(ValueError):
         phi(alg, label, -1)
