@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
+from operator import add
 from typing import Callable, Iterable, Mapping
 
 from .exactmath import (InvalidParameterError, Scalar, format_scalar, parse_scalar,
@@ -93,19 +95,30 @@ class ModuleSpec:
 
 
 def phi(algebra: AlgebraKind, label: Scalar, n: int) -> Scalar:
-    """Lowering coefficient of F at level n; phi(label, 0) == 0 always."""
+    """Lowering coefficient of F at level n; phi(label, 0) == 0 always.
+
+    The value is one Fraction of integers: with label = s/t and q = u/v,
+    -n (n t + s - t) / t for sl2, (v^n - u^n) / v^n for the q-oscillator and
+    (v^n - u^n)(v^{n-1} t^2 - u^{n-1} s^2) / (v^{2n-1} t^2) for U_q(sl2).
+    """
     if n < 0:
         raise ValueError("level must be >= 0")
     tag = algebra.tag
     if tag is AlgebraTag.OSC:
         return Fraction(-n)
+    s, t = label.numerator, label.denominator
     if tag is AlgebraTag.SL2:
-        return -Fraction(n) * (n + label - 1)
-    q = algebra.q
+        return Fraction(-n * (n * t + s - t), t)
+    u, v = algebra.q.numerator, algebra.q.denominator
+    v_n = v ** n
     if tag is AlgebraTag.OSC_Q:
-        return 1 - q ** n
+        return Fraction(v_n - u ** n, v_n)
+    if n == 0:
+        return Fraction(0)
     # U_q(sl2): label is kappa, and q^{lambda} = kappa^2
-    return (1 - q ** n) * (1 - q ** (n - 1) * label ** 2)
+    v_n1 = v_n // v
+    return Fraction((v_n - u ** n) * (v_n1 * t * t - u ** (n - 1) * s * s),
+                    v_n * v_n1 * t * t)
 
 
 @dataclass(frozen=True)
@@ -259,12 +272,16 @@ class GradedOperator:
         return GradedOperator(int(doc["degree"]), tuple(dims), blocks)
 
 
-def _compositions(N: int, parts: int) -> list[tuple[int, ...]]:
+@cache
+def _compositions(N: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Ways to write N as an ordered sum of `parts` levels, lexicographic:
-    the level-N basis of a `parts`-fold tensor module."""
+    the level-N basis of a `parts`-fold tensor module, empty below level 0.
+    Memoized: it depends on two small integers only, and every operator on
+    the module reads it."""
     if parts == 1:
-        return [(N,)]
-    return [(n,) + rest for n in range(N + 1) for rest in _compositions(N - n, parts - 1)]
+        return ((N,),) if N >= 0 else ()
+    return tuple((n,) + rest for n in range(N + 1)
+                 for rest in _compositions(N - n, parts - 1))
 
 
 def tensor_operator(dims: tuple[int, ...], shifts: tuple[int, ...],
@@ -282,18 +299,22 @@ def tensor_operator(dims: tuple[int, ...], shifts: tuple[int, ...],
         index = {t: i for i, t in enumerate(_compositions(N + degree, len(shifts)))}
         entries = {}
         for col, src in enumerate(_compositions(N, len(shifts))):
-            moved = tuple(n + d for n, d in zip(src, shifts))
-            if min(moved) >= 0:
+            row = index.get(tuple(map(add, src, shifts)))  # None below level 0
+            if row is not None:
                 c = coeff(src)
-                entries[index[moved], col] = c if isinstance(c, Fraction) else Fraction(c)
+                entries[row, col] = c if isinstance(c, Fraction) else Fraction(c)
         blocks[N] = entries
     return GradedOperator(degree, dims, blocks)
 
 
 def scalar_operator(dims: tuple[int, ...], value: Callable[[int], Scalar]) -> GradedOperator:
-    """Degree-0 operator acting on level N as the scalar value(N)."""
-    return GradedOperator(0, dims, {n: {(i, i): Fraction(value(n)) for i in range(d)}
-                                    for n, d in enumerate(dims)})
+    """Degree-0 operator acting on level N as the scalar value(N); value is
+    evaluated once per level."""
+    blocks = {}
+    for n, d in enumerate(dims):
+        v = Fraction(value(n))
+        blocks[n] = {(i, i): v for i in range(d)}
+    return GradedOperator(0, dims, blocks)
 
 
 def identity_operator(dims: tuple[int, ...]) -> GradedOperator:
@@ -349,8 +370,15 @@ def rational_sqrt(x: Scalar) -> Scalar | None:
 
 
 def cartan(algebra: AlgebraKind, label: Scalar, n: int) -> Scalar:
-    """Eigenvalue of H (or K for the q-kinds) at level n."""
-    return label * algebra.q ** n if algebra.is_q else label + 2 * n
+    """Eigenvalue of H (or K for the q-kinds) at level n: with label = s/t
+    and q = u/v, the one Fraction (s + 2n t) / t, or s u^n / (t v^n)."""
+    s, t = label.numerator, label.denominator
+    if not algebra.is_q:
+        return Fraction(s + 2 * n * t, t)
+    u, v = algebra.q.numerator, algebra.q.denominator
+    if n < 0:
+        u, v, n = v, u, -n
+    return Fraction(s * u ** n, t * v ** n)
 
 
 @dataclass(frozen=True)

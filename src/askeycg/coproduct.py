@@ -29,7 +29,8 @@ from typing import Callable
 
 from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks,
                        block_entries, cartan, invert_diagonal, phi, tensor_operator)
-from .exactmath import InvalidParameterError, Scalar, SingularParameterError
+from .exactmath import (InvalidParameterError, Scalar, SingularParameterError, Unreduced,
+                        q_powers)
 from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                        contiguity, labels, make_instance)
 from .report import Report, first_mismatch
@@ -102,15 +103,15 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
     c_i = l_i classically, K_i = kappa_i q^n and c_i = 1/kappa_i for the
     q-kinds.
 
-    Constants that depend only on the parameters are folded once per call;
-    the per-level eigenvalue factors (l1 + 2n, kappa1 q^n, c_i kappa_i q^n)
-    and the shared denominator are memoized for as long as the returned
-    object lives. This never reads the contiguity data, so the
-    algebraic-form check compares two independent evaluations.
+    The parameters enter as exactmath.Unreduced pairs, and constants that
+    depend on them alone are folded once per call. The per-level eigenvalue factors
+    (l1 + 2n, kappa1 q^n, c_i kappa_i q^n) and the shared denominator are
+    Unreduced pairs memoized for as long as the returned object lives, so
+    each coefficient is one chain of integer-pair operations reduced once,
+    into the Fraction it returns. This never reads the contiguity data, so
+    the algebraic-form check compares two independent evaluations.
     """
     kind = inst.kind
-    a, b, g = inst.alpha, inst.beta, inst.gamma
-
     if kind is FamilyKind.KRAWTCHOUK:
         p = inst.p
         return AlgebraicForm(
@@ -120,8 +121,10 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
             yp=lambda n, m: 1 - p,
         )
 
+    lift = Unreduced.of
+    a, b = lift(inst.alpha), lift(inst.beta)
     if not kind.is_q:
-        l1, l2 = inst.lambda1, inst.lambda2
+        l1, l2 = lift(inst.lambda1), lift(inst.lambda2)
         h1 = cache(lambda n: l1 + 2 * n)  # Cartan eigenvalues; the Casimir is l_i
         h2 = cache(lambda m: l2 + 2 * m)
         a2, ab2 = 2 * a + 2, 2 * a + 2 * b + 2
@@ -129,52 +132,52 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
             return AlgebraicForm(
                 x=lambda n, m: Fraction(1),
                 y=lambda n, m: Fraction(1),
-                xp=lambda n, m: (h1(n) - l1 + a2) / (h1(n) + l1),
-                yp=lambda n, m: (h2(m) - l2 + 2 * b + 2) / (h2(m) + l2),
+                xp=lambda n, m: ((h1(n) - l1 + a2) / (h1(n) + l1)).reduce(),
+                yp=lambda n, m: ((h2(m) - l2 + 2 * b + 2) / (h2(m) + l2)).reduce(),
             )
 
         shift = l2 - l1 + ab2  # h1 - h2 - c1 + c2 + 2a + 2b + 2 = h1 - h2 + shift
         dd = cache(lambda n, m: h1(n) - h2(m) + shift)
-        x = lambda n, m: (h1(n) - l1 + ab2) / dd(n, m)
-        y = lambda n, m: (l2 - h2(m) + ab2) / dd(n, m)
+        x = lambda n, m: ((h1(n) - l1 + ab2) / dd(n, m)).reduce()
+        y = lambda n, m: ((l2 - h2(m) + ab2) / dd(n, m)).reduce()
         if kind is FamilyKind.HAHN:
             return AlgebraicForm(
                 x=x,
                 y=y,
-                xp=lambda n, m: (h1(n) - l1 + a2) / dd(n, m),
-                yp=lambda n, m: (l2 - h2(m) + 2 * b) / dd(n, m),
+                xp=lambda n, m: ((h1(n) - l1 + a2) / dd(n, m)).reduce(),
+                yp=lambda n, m: ((l2 - h2(m) + 2 * b) / dd(n, m)).reduce(),
             )
 
+        g = lift(inst.gamma)
         bg2, ag2 = 2 * b + 2 * g + 2, 2 * g - 2 * a
 
         def xp(n, m):
             return ((h1(n) - l1 + a2) * (h1(n) - l1 + bg2)
-                    / ((h1(n) + l1) * dd(n, m)))
+                    / ((h1(n) + l1) * dd(n, m))).reduce()
 
         def yp(n, m):
             return ((l2 - h2(m) + 2 * b) * (h2(m) - l2 + ag2)
-                    / ((h2(m) + l2) * dd(n, m)))
+                    / ((h2(m) + l2) * dd(n, m))).reduce()
 
         return AlgebraicForm(x=x, y=y, xp=xp, yp=yp)
 
-    q = inst.q
-    qp = cache(lambda e: q ** e)
+    q, qp = lift(inst.q), q_powers(inst.q)
     if kind is FamilyKind.Q_HAHN:
-        k1v, k2v = inst.kappa1, inst.kappa2
+        k1v, k2v = lift(inst.kappa1), lift(inst.kappa2)
         c1, c2 = 1 / k1v, 1 / k2v  # Casimir eigenvalues q^{-lambda_i/2}
         ck1 = cache(lambda n: c1 * (k1v * qp(n)))
         ck2 = cache(lambda m: c2 * (k2v * qp(m)))
         qa, qab = q * a, q * a * b
         dd = cache(lambda n, m: 1 - qab * ck1(n) / ck2(m))
         return AlgebraicForm(
-            x=lambda n, m: (1 - qab * ck1(n)) / dd(n, m),
-            y=lambda n, m: ck1(n) * (1 - qab / ck2(m)) / dd(n, m),
-            xp=lambda n, m: (1 - qa * ck1(n)) / dd(n, m),
-            yp=lambda n, m: qa * ck1(n) * (1 - b / ck2(m)) / dd(n, m),
+            x=lambda n, m: ((1 - qab * ck1(n)) / dd(n, m)).reduce(),
+            y=lambda n, m: (ck1(n) * (1 - qab / ck2(m)) / dd(n, m)).reduce(),
+            xp=lambda n, m: ((1 - qa * ck1(n)) / dd(n, m)).reduce(),
+            yp=lambda n, m: (qa * ck1(n) * (1 - b / ck2(m)) / dd(n, m)).reduce(),
         )
 
     # q-Racah: q^{+-lambda_i/2} enter as kappa_i^{+-1}
-    kap1, kap2 = inst.kappa1, inst.kappa2
+    kap1, kap2, g = lift(inst.kappa1), lift(inst.kappa2), lift(inst.gamma)
     c1, c2 = 1 / kap1, 1 / kap2
     k1 = cache(lambda n: kap1 * qp(n))
     k2 = cache(lambda m: kap2 * qp(m))
@@ -184,15 +187,15 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
 
     def xp(n, m):
         return ((1 - qc1a * k1(n)) * (1 - qc1bg * k1(n))
-                / ((1 - kap1 * k1(n)) * dd(n, m)))
+                / ((1 - kap1 * k1(n)) * dd(n, m))).reduce()
 
     def yp(n, m):
         return (qc1a * k1(n) * (1 - kap2 * b / k2(m)) * (1 - c2 * g * k2(m) / a)
-                / ((1 - kap2 * k2(m)) * dd(n, m)))
+                / ((1 - kap2 * k2(m)) * dd(n, m))).reduce()
 
     return AlgebraicForm(
-        x=lambda n, m: (1 - qc1ab * k1(n)) / dd(n, m),
-        y=lambda n, m: c1 * k1(n) * (1 - qab * kap2 / k2(m)) / dd(n, m),
+        x=lambda n, m: ((1 - qc1ab * k1(n)) / dd(n, m)).reduce(),
+        y=lambda n, m: (c1 * k1(n) * (1 - qab * kap2 / k2(m)) / dd(n, m)).reduce(),
         xp=xp,
         yp=yp,
     )
@@ -211,11 +214,17 @@ def build_delta(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
     coefficients, which involves no division at all; they come from `data`
     when given, else from contiguity(inst). Passing explicit coefficient
     functions instead weights them with coefficient times lowering factor;
-    the two routes agree on every valid instance.
+    the two routes agree on every valid instance. The Cartan eigenvalues,
+    and on the coefficient route the lowering factors phi, are evaluated
+    once per factor and level.
     """
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
-    dims = tuple(range(1, inst.n_max + 2))
+    levels = range(inst.n_max + 1)
+    dims = tuple(n + 1 for n in levels)
+    # Cartan eigenvalues of each factor, one per level
+    h1 = [cartan(alg, l1, n) for n in levels]
+    h2 = [cartan(alg, l2, m) for m in levels]
 
     # weights of E x I, I x E, F x I and I x F at the source basis vector (n, m)
     if coeffs is None:
@@ -225,20 +234,20 @@ def build_delta(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
         lower1 = lambda n, m: data.beta1(n - 1, n + m)
         lower2 = lambda n, m: data.beta2(n, n + m)
     else:
+        phi1 = [phi(alg, l1, n) for n in levels]
+        phi2 = [phi(alg, l2, m) for m in levels]
         raise1 = lambda n, m: coeffs.x(n + 1, m)
         raise2 = lambda n, m: coeffs.y(n, m + 1)
-        lower1 = lambda n, m: coeffs.xp(n - 1, m) * phi(alg, l1, n)
-        lower2 = lambda n, m: coeffs.yp(n, m - 1) * phi(alg, l2, m)
+        lower1 = lambda n, m: coeffs.xp(n - 1, m) * phi1[n]
+        lower2 = lambda n, m: coeffs.yp(n, m - 1) * phi2[m]
 
     def shift(shifts, weight):
         return tensor_operator(dims, shifts, lambda c: weight(*c))
 
-    h1 = lambda n, m: cartan(alg, l1, n)
-    h2 = lambda n, m: cartan(alg, l2, m)
     if alg.is_q:
-        dhk = shift((0, 0), lambda n, m: h1(n, m) * h2(n, m))      # K x K
+        dhk = shift((0, 0), lambda n, m: h1[n] * h2[m])      # K x K
     else:
-        dhk = shift((0, 0), h1) + shift((0, 0), h2)                # H x I + I x H
+        dhk = shift((0, 0), lambda n, m: h1[n] + h2[m])      # H x I + I x H
     return Delta(shift((+1, 0), raise1) + shift((0, +1), raise2),
                  shift((-1, 0), lower1) + shift((0, -1), lower2), dhk)
 

@@ -27,6 +27,12 @@ here and families.poly_block, which builds a whole CG block from tables
 split once per block, share them, so both follow one pole and term rule.
 product_sum adds exact products as one integer pair; the graded-operator
 kernels and the contiguity check make one Fraction per entry from it.
+
+Unreduced carries the same idea into closed-form expressions: an exact
+rational held as one integer pair that + - * / combine without any gcd. The
+coefficient closures of families.contiguity and coproduct.algebraic_form fold
+their parameters, powers of q (q_powers) and shared factors as Unreduced
+values and reduce each coefficient once, into one Fraction.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, Sequence
 
 Scalar = Fraction
 
@@ -54,6 +61,8 @@ __all__ = [
     "ratio_scales",
     "nested_sum",
     "product_sum",
+    "Unreduced",
+    "q_powers",
     "hyper_terminating",
     "q_hyper_terminating",
 ]
@@ -249,6 +258,85 @@ def product_sum(terms: Iterable[tuple[Scalar, Scalar]]) -> tuple[int, int]:
         else:
             top, bottom = top * d + n * bottom, bottom * d
     return top, bottom
+
+
+def _pair(x) -> tuple[int, int]:
+    if type(x) is Unreduced:
+        return x.top, x.bottom
+    return x.numerator, x.denominator
+
+
+class Unreduced:
+    """An exact rational as an unreduced integer pair top / bottom.
+
+    + - * / combine it with ints, Fractions and other Unreduced values into a
+    new pair, with integer products only; reduce() is the one Fraction of the
+    pair. A zero divisor leaves a zero bottom, which every later operation
+    keeps (a quotient by a value with a zero bottom gets one too), so reduce()
+    raises ZeroDivisionError exactly when the same chain of Fraction
+    operations would have raised it. Values are never changed in place.
+    """
+
+    __slots__ = ("top", "bottom")
+
+    def __init__(self, top: int, bottom: int = 1):
+        self.top = top
+        self.bottom = bottom
+
+    @classmethod
+    def of(cls, x) -> "Unreduced":
+        """An int, a Fraction or an Unreduced value as an Unreduced."""
+        return cls(*_pair(x))
+
+    def __add__(self, other) -> "Unreduced":
+        n, d = _pair(other)
+        if d == self.bottom:
+            return Unreduced(self.top + n, d)
+        return Unreduced(self.top * d + n * self.bottom, self.bottom * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Unreduced":
+        n, d = _pair(other)
+        if d == self.bottom:
+            return Unreduced(self.top - n, d)
+        return Unreduced(self.top * d - n * self.bottom, self.bottom * d)
+
+    def __rsub__(self, other) -> "Unreduced":
+        n, d = _pair(other)
+        if d == self.bottom:
+            return Unreduced(n - self.top, d)
+        return Unreduced(n * self.bottom - self.top * d, self.bottom * d)
+
+    def __mul__(self, other) -> "Unreduced":
+        n, d = _pair(other)
+        return Unreduced(self.top * n, self.bottom * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Unreduced":
+        n, d = _pair(other)
+        return Unreduced(self.top * d, self.bottom * n if d else 0)
+
+    def __rtruediv__(self, other) -> "Unreduced":
+        n, d = _pair(other)
+        return Unreduced(n * self.bottom, d * self.top if self.bottom else 0)
+
+    def reduce(self) -> Fraction:
+        """The value as one Fraction; ZeroDivisionError on a zero bottom."""
+        return Fraction(self.top, self.bottom)
+
+    def __repr__(self) -> str:
+        return f"Unreduced({self.top}, {self.bottom})"
+
+
+def q_powers(q: Scalar) -> Callable[[int], Unreduced]:
+    """e -> q^e, for every integer e, as an Unreduced pair of powers of the
+    numerator and denominator of q (nonzero); memoized for as long as the
+    returned function lives."""
+    u, v = q.numerator, q.denominator
+    return cache(lambda e: Unreduced(u ** e, v ** e) if e >= 0 else
+                 Unreduced(v ** -e, u ** -e))
 
 
 def _sum(num: Sequence[Scalar], den: Sequence[Scalar], z: Scalar, n: int,

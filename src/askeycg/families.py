@@ -40,9 +40,10 @@ from math import comb
 from typing import Callable
 
 from .algebras import AlgebraKind, AlgebraTag, phi
-from .exactmath import (InvalidParameterError, Scalar, as_scalar, format_scalar,
-                        hyper_terminating, nested_sum, parameter_factors, product_sum,
-                        q_binomial_pair, q_hyper_terminating, ratio_scales)
+from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
+                        format_scalar, hyper_terminating, nested_sum, parameter_factors,
+                        product_sum, q_binomial_pair, q_hyper_terminating, q_powers,
+                        ratio_scales)
 from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
@@ -400,61 +401,67 @@ def _memoized(alpha1, alpha2, beta1, beta2, mu) -> ContiguityData:
 def contiguity(inst: FamilyInstance) -> ContiguityData:
     """Coefficient functions of the two contiguity relations.
 
-    Sums and products of the parameters alone (a+b, a*b, b*g, a-g, ...) are
-    folded once per call. The five functions, the powers of q and the
-    factors 1 - c q^e that several coefficients share are each memoized on
-    their integer arguments, in closures owned by the returned object: the
-    memo lives exactly as long as that object, and nothing is cached on the
-    instance or at module level.
+    The parameters enter as exactmath.Unreduced pairs, and their sums and
+    products alone (a+b, a*b, b*g, a-g, ...) are folded once per call. The powers of q and the factors 1 - c q^e that
+    several coefficients share are Unreduced pairs memoized on their integer
+    arguments, so each coefficient is one chain of integer-pair operations
+    and one reduction, into the Fraction it returns; a zero divisor raises
+    ZeroDivisionError as a chain of Fractions would. The five functions are
+    memoized on their integer arguments too. All memos live in closures owned
+    by the returned object: they last exactly as long as that object, and
+    nothing is cached on the instance or at module level.
     """
     kind = inst.kind
-    a, b, g = inst.alpha, inst.beta, inst.gamma
+    lift = Unreduced.of
     if kind is FamilyKind.KRAWTCHOUK:
-        minus_p, p_minus_1 = -inst.p, inst.p - 1
+        minus_p, p_minus_1 = lift(-inst.p), lift(inst.p - 1)
         return _memoized(
             alpha1=lambda n, N: Fraction(1),
             alpha2=lambda n, N: Fraction(1),
-            beta1=lambda n, N: minus_p * (n + 1),
-            beta2=lambda n, N: p_minus_1 * (N - n),
+            beta1=lambda n, N: (minus_p * (n + 1)).reduce(),
+            beta2=lambda n, N: (p_minus_1 * (N - n)).reduce(),
             mu=lambda k, N: Fraction(k - N),
         )
+    a, b = lift(inst.alpha), lift(inst.beta)
     if kind is FamilyKind.DUAL_HAHN:
         a1, ab1 = a + 1, a + b + 1
         return _memoized(
             alpha1=lambda n, N: Fraction(1),
             alpha2=lambda n, N: Fraction(1),
-            beta1=lambda n, N: (n + a1) * (-n - 1),
-            beta2=lambda n, N: (N - n + b) * (n - N),
-            mu=lambda k, N: (k - N) * (N + k + ab1),
+            beta1=lambda n, N: ((n + a1) * (-n - 1)).reduce(),
+            beta2=lambda n, N: ((N - n + b) * (n - N)).reduce(),
+            mu=lambda k, N: ((k - N) * (N + k + ab1)).reduce(),
         )
     if kind in (FamilyKind.HAHN, FamilyKind.RACAH):
         s = a + b
         s1, a1, b1 = s + 1, a + 1, b + 1
 
         def alpha1(n, N):
-            return (n + s1) / (2 * n - N + s)
+            return ((n + s1) / (2 * n - N + s)).reduce()
 
         def alpha2(n, N):
-            return (n - N + s) / (2 * n - N + s)
+            return ((n - N + s) / (2 * n - N + s)).reduce()
 
         if kind is FamilyKind.HAHN:
             # second relation rescaled by -1 so mu matches the oscillator lowering
             return _memoized(
                 alpha1, alpha2,
-                beta1=lambda n, N: (n + a1) * (-n - 1) / (2 * n + 2 - N + s),
-                beta2=lambda n, N: (n - N + b1) * (n - N) / (2 * n + 2 - N + s),
+                beta1=lambda n, N: ((n + a1) * (-n - 1) / (2 * n + 2 - N + s)).reduce(),
+                beta2=lambda n, N: ((n - N + b1) * (n - N) / (2 * n + 2 - N + s)).reduce(),
                 mu=lambda k, N: Fraction(k - N),
             )
+        g = lift(inst.gamma)
         bg1, ag1 = b + g + 1, a - g + 1
         return _memoized(
             alpha1, alpha2,
-            beta1=lambda n, N: (n + bg1) * (n + a1) * (-n - 1) / (2 * n + 2 - N + s),
-            beta2=lambda n, N: (n - N + b1) * (n - N + ag1) * (N - n) / (2 * n + 2 - N + s),
-            mu=lambda k, N: (k - N) * (N + k + g),
+            beta1=lambda n, N: ((n + bg1) * (n + a1) * (-n - 1)
+                                / (2 * n + 2 - N + s)).reduce(),
+            beta2=lambda n, N: ((n - N + b1) * (n - N + ag1) * (N - n)
+                                / (2 * n + 2 - N + s)).reduce(),
+            mu=lambda k, N: ((k - N) * (N + k + g)).reduce(),
         )
 
-    q = inst.q
-    qp = cache(lambda e: q ** e)
+    qp = q_powers(inst.q)
 
     def one_minus(c):
         """e -> 1 - c q^e, memoized."""
@@ -463,28 +470,29 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
     one_minus_ab, one_minus_a, one_minus_q = one_minus(a * b), one_minus(a), one_minus(1)
 
     def alpha1(n, N):
-        return one_minus_ab(n + 1) / one_minus_ab(2 * n - N)
+        return (one_minus_ab(n + 1) / one_minus_ab(2 * n - N)).reduce()
 
     def alpha2(n, N):
-        return qp(n) * one_minus_ab(n - N) / one_minus_ab(2 * n - N)
+        return (qp(n) * one_minus_ab(n - N) / one_minus_ab(2 * n - N)).reduce()
 
     if kind is FamilyKind.Q_HAHN:
         return _memoized(
             alpha1, alpha2,
-            beta1=lambda n, N: one_minus_a(n + 1) * one_minus_q(n + 1)
-                               / one_minus_ab(2 * n + 2 - N),
-            beta2=lambda n, N: a * qp(n + 1) * (1 - b * qp(n + 1 - N)) * one_minus_q(N - n)
-                               / one_minus_ab(2 * n + 2 - N),
-            mu=lambda k, N: one_minus_q(N - k),
+            beta1=lambda n, N: (one_minus_a(n + 1) * one_minus_q(n + 1)
+                                / one_minus_ab(2 * n + 2 - N)).reduce(),
+            beta2=lambda n, N: (a * qp(n + 1) * (1 - b * qp(n + 1 - N)) * one_minus_q(N - n)
+                                / one_minus_ab(2 * n + 2 - N)).reduce(),
+            mu=lambda k, N: one_minus_q(N - k).reduce(),
         )
+    g = lift(inst.gamma)
     bg = b * g
     return _memoized(
         alpha1, alpha2,
-        beta1=lambda n, N: (1 - bg * qp(n + 1)) * one_minus_a(n + 1) * one_minus_q(n + 1)
-                           / one_minus_ab(2 * n + 2 - N),
-        beta2=lambda n, N: (1 - b * qp(n + 1 - N)) * (a * qp(n + 1) - g * qp(N))
-                           * one_minus_q(N - n) / one_minus_ab(2 * n + 2 - N),
-        mu=lambda k, N: one_minus_q(N - k) * (1 - g * qp(N + k)),
+        beta1=lambda n, N: ((1 - bg * qp(n + 1)) * one_minus_a(n + 1) * one_minus_q(n + 1)
+                            / one_minus_ab(2 * n + 2 - N)).reduce(),
+        beta2=lambda n, N: ((1 - b * qp(n + 1 - N)) * (a * qp(n + 1) - g * qp(N))
+                            * one_minus_q(N - n) / one_minus_ab(2 * n + 2 - N)).reduce(),
+        mu=lambda k, N: (one_minus_q(N - k) * (1 - g * qp(N + k))).reduce(),
     )
 
 
