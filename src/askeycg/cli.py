@@ -412,7 +412,8 @@ def cmd_coassoc(args) -> int:
 def _add_instance_flags(sp) -> None:
     sp.add_argument("--family", help="one of " + ", ".join(k.value for k in FamilyKind))
     for name in _PARAM_FLAGS:
-        sp.add_argument(f"--{name}", help="rational, as a/b or an integer")
+        sp.add_argument(f"--{name}", help="rational, as a/b or an integer; "
+                                          f"write a negative one as --{name}=-1/4")
     sp.add_argument("--nmax", help="largest total level (default 8)")
     sp.add_argument("--config", help="flat key = value file; flags win")
     sp.add_argument("--output", help="write the JSON document here instead of stdout")

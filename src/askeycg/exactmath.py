@@ -326,9 +326,6 @@ class Unreduced:
         """The value as one Fraction; ZeroDivisionError on a zero bottom."""
         return Fraction(self.top, self.bottom)
 
-    def __repr__(self) -> str:
-        return f"Unreduced({self.top}, {self.bottom})"
-
 
 def q_powers(q: Scalar) -> Callable[[int], Unreduced]:
     """e -> q^e, for every integer e, as an Unreduced pair of powers of the
