@@ -402,14 +402,15 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
     """Coefficient functions of the two contiguity relations.
 
     The parameters enter as exactmath.Unreduced pairs, and their sums and
-    products alone (a+b, a*b, b*g, a-g, ...) are folded once per call. The powers of q and the factors 1 - c q^e that
-    several coefficients share are Unreduced pairs memoized on their integer
-    arguments, so each coefficient is one chain of integer-pair operations
-    and one reduction, into the Fraction it returns; a zero divisor raises
-    ZeroDivisionError as a chain of Fractions would. The five functions are
-    memoized on their integer arguments too. All memos live in closures owned
-    by the returned object: they last exactly as long as that object, and
-    nothing is cached on the instance or at module level.
+    products alone (a+b, a*b, b*g, a-g, ...) are folded once per call. The
+    powers of q and the factors 1 - c q^e that several coefficients share
+    are Unreduced pairs memoized on their integer arguments, so each
+    coefficient is one chain of integer-pair operations and one reduction,
+    into the Fraction it returns; a zero divisor raises ZeroDivisionError as
+    a chain of Fractions would. The five functions are memoized on their
+    integer arguments too. All memos live in closures owned by the returned
+    object: they last exactly as long as that object, and nothing is cached
+    on the instance or at module level.
     """
     kind = inst.kind
     lift = Unreduced.of
