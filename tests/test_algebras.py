@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +9,13 @@ from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generator
                               ModuleSpec, block_entries, build_generators, casimir,
                               cartan, check_relations, identity_operator, phi,
                               scalar_operator, first_block_mismatch,
-                              tensor_operator)
+                              tensor_operator, _relation_checks)
+from askeycg.coproduct import build_delta
 from askeycg.exactmath import InvalidParameterError
+from askeycg.families import algebra_for
 from askeycg.report import first_mismatch
 
+from test_families import ALL_KINDS, wide_instance
 from test_linalg import to_lists
 
 OSC = AlgebraKind(AlgebraTag.OSC)
@@ -73,6 +77,19 @@ def test_scalar_operator_evaluates_value_once_per_level():
     op = scalar_operator((1, 2, 3, 4), lambda n: levels.append(n) or F(n, 3))
     assert levels == [0, 1, 2, 3]
     assert op.blocks[3] == {(i, i): F(1) for i in range(4)}
+
+
+@pytest.mark.parametrize("zero", [0, F(0)], ids=["int", "Fraction"])
+def test_constructors_store_no_zero_coefficients(zero):
+    dims = (1, 2, 3)  # a two-fold tensor module
+    op = tensor_operator(dims, (0, 0), lambda c: zero if c[0] % 2 else c[1] + 1)
+    assert op.blocks == {0: {(0, 0): F(1)}, 1: {(0, 0): F(2)},
+                         2: {(0, 0): F(3), (2, 2): F(1)}}
+    assert all(type(v) is F for b in op.blocks.values() for v in b.values())
+    assert scalar_operator(dims, lambda n: zero) == GradedOperator(
+        0, dims, {n: {} for n in range(len(dims))})
+    partly = scalar_operator(dims, lambda n: zero if n == 1 else n + 1)
+    assert partly.blocks == {0: {(0, 0): F(1)}, 1: {}, 2: {(i, i): F(3) for i in range(3)}}
 
 
 def test_osc_commutator_is_identity():
@@ -368,3 +385,91 @@ def test_apply_matches_fraction_reference(data):
     assert got == ref_apply(a, level, vec)
     with pytest.raises(ValueError):
         a.apply(level, vec + [1])
+
+
+# -- the relation checks against their composition-based reference ------------
+
+def ref_relation_checks(kind, e, f, hk):
+    """The relation checks as they were first written: each side composed
+    with @, -, scaled and the identity, compared by block_entries."""
+    top = e.top
+    ident = identity_operator(e.dims)
+    lo = (range(0, top), f"levels 0..{top - 1}")
+    full = (range(0, top + 1), f"levels 0..{top}")
+    if not kind.is_q:
+        ef = e @ f - f @ e
+        relations = [
+            ("cartan-raising", hk @ e - e @ hk, e.scaled(2), lo),
+            ("cartan-lowering", hk @ f - f @ hk, f.scaled(-2), full),
+            ("oscillator-commutator", ef, ident, lo) if kind.tag is AlgebraTag.OSC
+            else ("sl2-commutator", ef, hk, lo),
+        ]
+    else:
+        q = kind.q
+        qef = (e @ f).scaled(q) - f @ e
+        relations = [
+            ("cartan-raising", hk @ e, (e @ hk).scaled(q), lo),
+            ("cartan-lowering", (hk @ f).scaled(q), f @ hk, full),
+            ("q-oscillator-commutator", qef, ident.scaled(q - 1), lo)
+            if kind.tag is AlgebraTag.OSC_Q
+            else ("uq-sl2-commutator", qef, (ident - hk @ hk).scaled(q - 1), lo),
+        ]
+    return [first_mismatch(name, rng, block_entries(lhs, rhs, levels))
+            for name, lhs, rhs, (levels, rng) in relations]
+
+
+Q_VALUES = st.sampled_from([F(1, 4), F(-2, 3), F(5, 2), F(-7, 3), F(9, 16), F(4)])
+
+
+@st.composite
+def relation_operands(draw):
+    """(algebra, e, f, hk): the generators of a single module or the coproduct
+    images of a family instance, with, now and then, one entry changed or
+    one block dropped."""
+    if draw(st.booleans()):
+        tag = draw(st.sampled_from(list(AlgebraTag)))
+        kind = AlgebraKind(tag, draw(Q_VALUES)) if tag in (
+            AlgebraTag.OSC_Q, AlgebraTag.UQ_SL2) else AlgebraKind(tag)
+        gens = build_generators(ModuleSpec(kind, draw(VALUES), draw(st.integers(1, 6))))
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        inst = wide_instance(draw(st.sampled_from(ALL_KINDS)), rng, draw(st.integers(1, 5)))
+        kind = algebra_for(inst)
+        try:
+            gens = build_delta(inst)
+        except ZeroDivisionError:
+            assume(False)
+    ops = [gens.e, gens.f, gens.hk]
+    change = draw(st.sampled_from(["none", "none", "entry", "entry", "block"]))
+    if change != "none":
+        which = draw(st.integers(0, 2))
+        op = ops[which]
+        blocks = {n: dict(b) for n, b in op.blocks.items()}
+        n = draw(st.sampled_from(sorted(blocks)))
+        rows, cols = op.shape(n)
+        if change == "block":
+            del blocks[n]
+        elif rows and cols:
+            ij = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            old = blocks[n].get(ij, F(0))
+            blocks[n][ij] = draw(st.one_of(st.just(F(0)), st.just(-old), VALUES,
+                                           VALUES.map(lambda v: old + v)))
+        ops[which] = GradedOperator(op.degree, op.dims, blocks)
+    return (kind, *ops)
+
+
+def relation_outcome(fn, operands):
+    try:
+        return fn(*operands)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands=relation_operands())
+def test_relation_checks_match_composition_reference(operands):
+    got = relation_outcome(_relation_checks, operands)
+    want = relation_outcome(ref_relation_checks, operands)
+    assert got == want
+    if isinstance(want, list):
+        assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
