@@ -24,6 +24,15 @@ integer numerators and denominators of the stored Fractions: every output
 entry is formed as one integer pair (exactmath.product_sum) and reduced once,
 into one Fraction. An entry that only one side of a sum stores is copied as
 it is (negated for a difference); only entries stored on both sides are added.
+Every composition goes through one block kernel, _block_product, which yields
+the unreduced pairs; a block that is diagonal (degree 0, row == col for every
+entry) only rescales the rows or columns of the other factor.
+
+The defining relations are not composed at all: each is two short sums of
+products of at most two generators, and per level the residual lhs - rhs of
+every entry is one unreduced pair, the two sides cross-multiplied, so a
+passing entry builds no Fraction; only the first unequal entry is reduced,
+for the witness.
 """
 
 from __future__ import annotations
@@ -133,7 +142,9 @@ class GradedOperator:
 
     @, +, - and scaled reduce each output entry once, from integer products
     and sums, and leave out the entries that cancel to zero; an entry stored
-    in one operand of a sum only is copied.
+    in one operand of a sum only is copied. @ takes each block from
+    _block_product as unreduced pairs; a diagonal degree-0 block on either
+    side only rescales the rows or columns of the other.
     """
 
     degree: int
@@ -163,7 +174,8 @@ class GradedOperator:
     @classmethod
     def _nonzero(cls, degree: int, dims: tuple[int, ...], blocks: dict) -> "GradedOperator":
         """The operator on fresh blocks that store no zeros, as the kernels
-        below build them; skips the copy and zero filter of __init__."""
+        and constructors below build them; skips the copy and zero filter of
+        __init__."""
         op = object.__new__(cls)
         object.__setattr__(op, "degree", degree)
         object.__setattr__(op, "dims", dims)
@@ -182,25 +194,16 @@ class GradedOperator:
         return tuple(Fraction(*product_sum(t)) for t in terms)
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
+        """self after other: every nonzero pair of _block_product, the one
+        composition kernel, reduced into one Fraction."""
         if self.dims != other.dims:
             raise ValueError("operators live on different modules")
         out = {}
-        for n, right in other.blocks.items():
-            mid = n + other.degree
-            if mid >= 0 and mid not in self.blocks:
-                continue  # the intermediate level's image is truncated away
-            by_col = {}  # the left factor's entries, keyed by the level-mid index
-            for (i, k), v in self.blocks.get(mid, {}).items():
-                by_col.setdefault(k, []).append((i, v))
-            terms = {}  # the factor pairs whose products make each output entry
-            for (k, j), w in right.items():
-                for i, v in by_col.get(k, ()):
-                    terms.setdefault((i, j), []).append((v, w))
-            block = out[n] = {}
-            for ij, pairs in terms.items():
-                top, bottom = product_sum(pairs)
-                if top:
-                    block[ij] = Fraction(top, bottom)
+        for n in other.blocks:
+            pairs = _block_product(self, other, n)
+            if pairs is not None:
+                out[n] = {ij: Fraction(top, bottom)
+                          for ij, (top, bottom) in pairs.items() if top}
         return GradedOperator._nonzero(self.degree + other.degree, self.dims, out)
 
     def _merge(self, other: "GradedOperator", sign: int) -> "GradedOperator":
@@ -272,6 +275,39 @@ class GradedOperator:
         return GradedOperator(int(doc["degree"]), tuple(dims), blocks)
 
 
+def _diagonal(op: GradedOperator, block: Mapping) -> bool:
+    return op.degree == 0 and all(i == j for i, j in block)
+
+
+def _block_product(a: GradedOperator, b: GradedOperator, n: int):
+    """Block n of a @ b as unreduced integer pairs {(i, j): (top, bottom)},
+    with a top of 0 where products cancel; None where a @ b has no block n
+    (b has none, or the intermediate level is truncated out of a). A
+    diagonal block on either side only rescales the rows or columns of the
+    other; any other pair of blocks sums its products with product_sum."""
+    right = b.blocks.get(n)
+    mid = n + b.degree
+    if right is None or mid >= 0 and mid not in a.blocks:
+        return None
+    left = a.blocks.get(mid, {})  # nothing below level 0
+    if _diagonal(b, right):
+        scale = {k: w.as_integer_ratio() for (k, _), w in right.items()}
+        return {(i, k): (v.numerator * s[0], v.denominator * s[1])
+                for (i, k), v in left.items() if (s := scale.get(k))}
+    if _diagonal(a, left):
+        scale = {k: v.as_integer_ratio() for (k, _), v in left.items()}
+        return {(k, j): (s[0] * w.numerator, s[1] * w.denominator)
+                for (k, j), w in right.items() if (s := scale.get(k))}
+    by_col = {}  # the left block's entries, keyed by the level-mid index
+    for (i, k), v in left.items():
+        by_col.setdefault(k, []).append((i, v))
+    terms = {}  # the factor pairs whose products make each output entry
+    for (k, j), w in right.items():
+        for i, v in by_col.get(k, ()):
+            terms.setdefault((i, j), []).append((v, w))
+    return {ij: product_sum(pairs) for ij, pairs in terms.items()}
+
+
 @cache
 def _compositions(N: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Ways to write N as an ordered sum of `parts` levels, lexicographic:
@@ -300,11 +336,10 @@ def tensor_operator(dims: tuple[int, ...], shifts: tuple[int, ...],
         entries = {}
         for col, src in enumerate(_compositions(N, len(shifts))):
             row = index.get(tuple(map(add, src, shifts)))  # None below level 0
-            if row is not None:
-                c = coeff(src)
+            if row is not None and (c := coeff(src)):
                 entries[row, col] = c if isinstance(c, Fraction) else Fraction(c)
         blocks[N] = entries
-    return GradedOperator(degree, dims, blocks)
+    return GradedOperator._nonzero(degree, dims, blocks)
 
 
 def scalar_operator(dims: tuple[int, ...], value: Callable[[int], Scalar]) -> GradedOperator:
@@ -313,8 +348,8 @@ def scalar_operator(dims: tuple[int, ...], value: Callable[[int], Scalar]) -> Gr
     blocks = {}
     for n, d in enumerate(dims):
         v = Fraction(value(n))
-        blocks[n] = {(i, i): v for i in range(d)}
-    return GradedOperator(0, dims, blocks)
+        blocks[n] = {(i, i): v for i in range(d)} if v else {}
+    return GradedOperator._nonzero(0, dims, blocks)
 
 
 def identity_operator(dims: tuple[int, ...]) -> GradedOperator:
@@ -327,7 +362,7 @@ def invert_diagonal(op: GradedOperator) -> GradedOperator:
         raise ValueError("only degree-0 operators can be inverted blockwise")
     if any(i != j for b in op.blocks.values() for i, j in b):
         raise ValueError("block is not diagonal")
-    return GradedOperator(0, op.dims, {
+    return GradedOperator._nonzero(0, op.dims, {
         n: {(i, i): 1 / b.get((i, i), Fraction(0)) for i in range(op.dims[n])}
         for n, b in op.blocks.items()})
 
@@ -400,6 +435,39 @@ def build_generators(module: ModuleSpec) -> Generators:
         tensor_operator(dims, (0,), lambda c: cartan(alg, label, c[0])))
 
 
+def _combination(terms, dims: tuple[int, ...], n: int):
+    """Block n of the sum of c * (product of factors) over the (c, factors)
+    terms, as unreduced pairs; an empty factor tuple is the identity. None
+    when some term has no block n."""
+    total = None
+    for c, factors in terms:
+        if not factors:
+            pairs = {(i, i): (1, 1) for i in range(dims[n])}
+        elif len(factors) == 1:
+            block = factors[0].blocks.get(n)
+            pairs = None if block is None else {
+                ij: v.as_integer_ratio() for ij, v in block.items()}
+        else:
+            pairs = _block_product(*factors, n)
+        if pairs is None:
+            return None
+        cn, cd = c.as_integer_ratio()
+        if total is None:
+            total = pairs if cn == cd else {
+                ij: (top * cn, bottom * cd) for ij, (top, bottom) in pairs.items()}
+            continue
+        for ij, (top, bottom) in pairs.items():
+            top, bottom = top * cn, bottom * cd
+            old = total.get(ij)
+            if old is None:
+                total[ij] = top, bottom
+            elif old[1] == bottom:
+                total[ij] = old[0] + top, bottom
+            else:
+                total[ij] = old[0] * bottom + top * old[1], old[1] * bottom
+    return total
+
+
 def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
                      hk: GradedOperator) -> list[CheckResult]:
     """Defining relations of the algebra, checked blockwise up to truncation.
@@ -407,31 +475,59 @@ def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
     Shared between single modules and tensor modules: only the operators
     differ. EF-type relations are restricted to levels where both orders of
     composition stay inside the truncation.
+
+    Each relation is two sides, each a short list of (scalar, factors)
+    terms with at most two factors; no factors means the identity. Nothing
+    is composed into an operator: per level, the residual lhs - rhs of
+    every entry is one unreduced integer pair (products from
+    _block_product), which is the two sides cross-multiplied, so an entry
+    that agrees builds no Fraction.
     """
     top = e.top
-    ident = identity_operator(e.dims)
     lo = (range(0, top), f"levels 0..{top - 1}")  # E-compositions stay inside
     full = (range(0, top + 1), f"levels 0..{top}")
     if not kind.is_q:
-        ef = e @ f - f @ e
+        ef = [(1, (e, f)), (-1, (f, e))]
         relations = [
-            ("cartan-raising", hk @ e - e @ hk, e.scaled(2), lo),
-            ("cartan-lowering", hk @ f - f @ hk, f.scaled(-2), full),
-            ("oscillator-commutator", ef, ident, lo) if kind.tag is AlgebraTag.OSC
-            else ("sl2-commutator", ef, hk, lo),
+            ("cartan-raising", [(1, (hk, e)), (-1, (e, hk))], [(2, (e,))], lo),
+            ("cartan-lowering", [(1, (hk, f)), (-1, (f, hk))], [(-2, (f,))], full),
+            ("oscillator-commutator", ef, [(1, ())], lo) if kind.tag is AlgebraTag.OSC
+            else ("sl2-commutator", ef, [(1, (hk,))], lo),
         ]
     else:
         q = kind.q
-        qef = (e @ f).scaled(q) - f @ e
+        qef = [(q, (e, f)), (-1, (f, e))]
         relations = [
-            ("cartan-raising", hk @ e, (e @ hk).scaled(q), lo),
-            ("cartan-lowering", (hk @ f).scaled(q), f @ hk, full),
-            ("q-oscillator-commutator", qef, ident.scaled(q - 1), lo)
+            ("cartan-raising", [(1, (hk, e))], [(q, (e, hk))], lo),
+            ("cartan-lowering", [(q, (hk, f))], [(1, (f, hk))], full),
+            ("q-oscillator-commutator", qef, [(q - 1, ())], lo)
             if kind.tag is AlgebraTag.OSC_Q
-            else ("uq-sl2-commutator", qef, (ident - hk @ hk).scaled(q - 1), lo),
+            else ("uq-sl2-commutator", qef, [(q - 1, ()), (1 - q, (hk, hk))], lo),
         ]
-    return [first_mismatch(name, rng, block_entries(lhs, rhs, levels))
+    return [_residual_check(name, rng, levels, lhs, rhs, e.dims)
             for name, lhs, rhs, (levels, rng) in relations]
+
+
+def _residual_check(name: str, checked_range: str, levels: Iterable[int],
+                    lhs, rhs, dims: tuple[int, ...]) -> CheckResult:
+    """The check that lhs equals rhs at the given levels, with the result
+    first_mismatch gives on block_entries of the composed sides: a level
+    passes when every residual top is 0; otherwise the row-major first
+    nonzero residual is the witness, and only there are both sides reduced,
+    to Fractions. A level where some term has no block raises ValueError."""
+    residual = lhs + [(-c, factors) for c, factors in rhs]
+    for n in levels:
+        diff = _combination(residual, dims, n)
+        if diff is None:
+            raise ValueError(f"block {n} outside the checked operators")
+        if any(top for top, _ in diff.values()):
+            i, j = min(ij for ij, (top, _) in diff.items() if top)
+            zero = (0, 1)
+            return CheckResult.fail(
+                name, checked_range, {"level": n, "row": i, "col": j},
+                Fraction(*_combination(lhs, dims, n).get((i, j), zero)),
+                Fraction(*_combination(rhs, dims, n).get((i, j), zero)))
+    return CheckResult.ok(name, checked_range)
 
 
 def _uqsl2_standard_form_check(kind: AlgebraKind, e: GradedOperator,

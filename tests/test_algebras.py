@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,12 +12,12 @@ from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generator
                               cartan, check_relations, identity_operator, phi,
                               scalar_operator, first_block_mismatch,
                               tensor_operator, _relation_checks)
-from askeycg.coproduct import build_delta
+from askeycg.coproduct import build_delta, check_homomorphism
 from askeycg.exactmath import InvalidParameterError
-from askeycg.families import algebra_for
+from askeycg.families import FamilyKind, algebra_for, labels, make_instance
 from askeycg.report import first_mismatch
 
-from test_families import ALL_KINDS, wide_instance
+from test_families import ALL_KINDS, sample_instance, wide_instance
 from test_linalg import to_lists
 
 OSC = AlgebraKind(AlgebraTag.OSC)
@@ -328,14 +330,38 @@ def plant_product_zeros(draw, a, b):
     return GradedOperator(b.degree, b.dims, blocks)
 
 
-@settings(max_examples=120, deadline=None)
+@st.composite
+def diagonal_operators(draw, dims):
+    """Random degree-0 operator with diagonal blocks; a block or a diagonal
+    entry goes missing now and then."""
+    blocks = {}
+    for n, d in enumerate(dims):
+        if draw(st.integers(0, 5)):
+            blocks[n] = {(i, i): draw(VALUES) for i in range(d) if draw(st.integers(0, 4))}
+    return GradedOperator(0, dims, blocks)
+
+
+def factor(draw, dims):
+    """(operator, whether it is diagonal)"""
+    if draw(st.booleans()):
+        return draw(diagonal_operators(dims)), True
+    return draw(operators(dims, draw(st.sampled_from([-1, 0, 1])))), False
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_matmul_matches_fraction_reference(data):
     dims = data.draw(modules())
-    a = data.draw(operators(dims, data.draw(st.sampled_from([-1, 0, 1]))))
-    b = data.draw(operators(dims, data.draw(st.sampled_from([-1, 0, 1]))))
-    b = plant_product_zeros(data.draw, a, b)
-    assert_entry_maps(a @ b, a.degree + b.degree, ref_matmul(a, b))
+    (a, a_diagonal), (b, b_diagonal) = factor(data.draw, dims), factor(data.draw, dims)
+    if not b_diagonal:
+        b = plant_product_zeros(data.draw, a, b)
+    if a_diagonal or b_diagonal:
+        # a diagonal block on either side only rescales the other one
+        with patch("askeycg.algebras.product_sum", side_effect=AssertionError):
+            got = a @ b
+    else:
+        got = a @ b
+    assert_entry_maps(got, a.degree + b.degree, ref_matmul(a, b))
 
 
 @settings(max_examples=120, deadline=None)
@@ -473,3 +499,50 @@ def test_relation_checks_match_composition_reference(operands):
     assert got == want
     if isinstance(want, list):
         assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
+
+
+def count_compositions(monkeypatch) -> list:
+    calls = []
+    compose = GradedOperator.__matmul__
+    monkeypatch.setattr(GradedOperator, "__matmul__",
+                        lambda a, b: calls.append((a.degree, b.degree)) or compose(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("inst", [
+    sample_instance(FamilyKind.HAHN, 5), sample_instance(FamilyKind.RACAH, 5),
+    # q = 1/2 is not a square, so the U_q(sl2) standard form, which composes
+    # through @, is skipped
+    make_instance(FamilyKind.Q_HAHN, 5, q=F(1, 2), alpha=F(1, 3), beta=F(2, 5)),
+    make_instance(FamilyKind.Q_RACAH, 5, q=F(1, 2), kappa1=F(1, 2), kappa2=F(1, 3),
+                  alpha=F(1, 5), beta=F(1, 7))], ids=lambda inst: inst.kind.value)
+def test_relation_checks_compose_nothing(inst, monkeypatch):
+    # one family per algebra tag
+    delta = build_delta(inst)
+    module = ModuleSpec(algebra_for(inst), labels(inst)[0], inst.n_max)
+    gens = build_generators(module)
+    calls = count_compositions(monkeypatch)
+    assert check_homomorphism(inst, delta=delta).passed
+    rep = check_relations(module, gens)
+    assert rep.passed and calls == []
+    assert [c.skipped for c in rep.checks] == [False] * 3 + [True] * (
+        algebra_for(inst).tag is AlgebraTag.UQ_SL2)
+
+
+def test_uqsl2_standard_form_is_the_only_composing_relation_check(monkeypatch):
+    module = ModuleSpec(uqsl2(F(9, 16)), F(3, 5), 5)
+    gens = build_generators(module)
+    calls = count_compositions(monkeypatch)
+    assert check_relations(module, gens).passed
+    assert calls == [(0, -1), (1, -1), (-1, 1)]  # K^{-1} F, E Ft and Ft E
+
+
+@pytest.mark.parametrize("which,level", [("e", 2), ("f", 2), ("hk", 1)])
+def test_relation_check_without_a_checked_block_raises_value_error(which, level):
+    # without block 2 of H, H E has no block 1
+    inst = sample_instance(FamilyKind.RACAH, n_max=4)
+    delta = build_delta(inst)
+    op = getattr(delta, which)
+    cut = GradedOperator(op.degree, op.dims, {n: b for n, b in op.blocks.items() if n != 2})
+    with pytest.raises(ValueError, match=f"block {level} outside the checked operators"):
+        check_homomorphism(inst, delta=replace(delta, **{which: cut}))
