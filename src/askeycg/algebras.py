@@ -24,15 +24,11 @@ integer numerators and denominators of the stored Fractions: every output
 entry is formed as one integer pair (exactmath.product_sum) and reduced once,
 into one Fraction. An entry that only one side of a sum stores is copied as
 it is (negated for a difference); only entries stored on both sides are added.
-Every composition goes through one block kernel, _block_product, which yields
-the unreduced pairs; a block that is diagonal (degree 0, row == col for every
-entry) only rescales the rows or columns of the other factor.
-
-The defining relations are not composed at all: each is two short sums of
-products of at most two generators, and per level the residual lhs - rhs of
-every entry is one unreduced pair, the two sides cross-multiplied, so a
-passing entry builds no Fraction; only the first unequal entry is reduced,
-for the witness.
+Every composition goes through one block kernel, _block_product, where a
+diagonal block only rescales the other factor. The defining relations are
+not composed into operators: the residual lhs - rhs of each entry is one
+unreduced pair, the two sides cross-multiplied, and only the first unequal
+entry is reduced, for the witness.
 """
 
 from __future__ import annotations
@@ -142,9 +138,8 @@ class GradedOperator:
 
     @, +, - and scaled reduce each output entry once, from integer products
     and sums, and leave out the entries that cancel to zero; an entry stored
-    in one operand of a sum only is copied. @ takes each block from
-    _block_product as unreduced pairs; a diagonal degree-0 block on either
-    side only rescales the rows or columns of the other.
+    in one operand of a sum only is copied. A diagonal degree-0 block on
+    either side of @ only rescales the rows or columns of the other.
     """
 
     degree: int
@@ -275,10 +270,6 @@ class GradedOperator:
         return GradedOperator(int(doc["degree"]), tuple(dims), blocks)
 
 
-def _diagonal(op: GradedOperator, block: Mapping) -> bool:
-    return op.degree == 0 and all(i == j for i, j in block)
-
-
 def _block_product(a: GradedOperator, b: GradedOperator, n: int):
     """Block n of a @ b as unreduced integer pairs {(i, j): (top, bottom)},
     with a top of 0 where products cancel; None where a @ b has no block n
@@ -290,11 +281,11 @@ def _block_product(a: GradedOperator, b: GradedOperator, n: int):
     if right is None or mid >= 0 and mid not in a.blocks:
         return None
     left = a.blocks.get(mid, {})  # nothing below level 0
-    if _diagonal(b, right):
+    if b.degree == 0 and all(i == j for i, j in right):
         scale = {k: w.as_integer_ratio() for (k, _), w in right.items()}
         return {(i, k): (v.numerator * s[0], v.denominator * s[1])
                 for (i, k), v in left.items() if (s := scale.get(k))}
-    if _diagonal(a, left):
+    if a.degree == 0 and all(i == j for i, j in left):
         scale = {k: v.as_integer_ratio() for (k, _), v in left.items()}
         return {(k, j): (s[0] * w.numerator, s[1] * w.denominator)
                 for (k, j), w in right.items() if (s := scale.get(k))}
@@ -510,11 +501,9 @@ def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
 
 def _residual_check(name: str, checked_range: str, levels: Iterable[int],
                     lhs, rhs, dims: tuple[int, ...]) -> CheckResult:
-    """The check that lhs equals rhs at the given levels, with the result
-    first_mismatch gives on block_entries of the composed sides: a level
-    passes when every residual top is 0; otherwise the row-major first
-    nonzero residual is the witness, and only there are both sides reduced,
-    to Fractions. A level where some term has no block raises ValueError."""
+    """first_mismatch over block_entries of the composed sides: a level
+    passes when every residual top is 0, else the row-major first nonzero
+    residual is the witness, the one place both sides become Fractions."""
     residual = lhs + [(-c, factors) for c, factors in rhs]
     for n in levels:
         diff = _combination(residual, dims, n)
