@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction as F
 from unittest.mock import patch
@@ -355,11 +356,9 @@ def test_matmul_matches_fraction_reference(data):
     (a, a_diagonal), (b, b_diagonal) = factor(data.draw, dims), factor(data.draw, dims)
     if not b_diagonal:
         b = plant_product_zeros(data.draw, a, b)
-    if a_diagonal or b_diagonal:
-        # a diagonal block on either side only rescales the other one
-        with patch("askeycg.algebras.product_sum", side_effect=AssertionError):
-            got = a @ b
-    else:
+    # a diagonal block on either side only rescales the other one
+    with (patch("askeycg.algebras.product_sum", side_effect=AssertionError)
+          if a_diagonal or b_diagonal else nullcontext()):
         got = a @ b
     assert_entry_maps(got, a.degree + b.degree, ref_matmul(a, b))
 
@@ -509,15 +508,14 @@ def count_compositions(monkeypatch) -> list:
     return calls
 
 
+# one family per algebra tag; q = 1/2 is not a square, so the U_q(sl2)
+# standard form, which composes through @, is skipped
 @pytest.mark.parametrize("inst", [
     sample_instance(FamilyKind.HAHN, 5), sample_instance(FamilyKind.RACAH, 5),
-    # q = 1/2 is not a square, so the U_q(sl2) standard form, which composes
-    # through @, is skipped
     make_instance(FamilyKind.Q_HAHN, 5, q=F(1, 2), alpha=F(1, 3), beta=F(2, 5)),
     make_instance(FamilyKind.Q_RACAH, 5, q=F(1, 2), kappa1=F(1, 2), kappa2=F(1, 3),
                   alpha=F(1, 5), beta=F(1, 7))], ids=lambda inst: inst.kind.value)
 def test_relation_checks_compose_nothing(inst, monkeypatch):
-    # one family per algebra tag
     delta = build_delta(inst)
     module = ModuleSpec(algebra_for(inst), labels(inst)[0], inst.n_max)
     gens = build_generators(module)
