@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generators,
                               ModuleSpec, block_entries, build_generators, casimir,
-                              cartan, check_relations, identity_operator, phi,
-                              scalar_operator, first_block_mismatch,
-                              tensor_operator, _relation_checks)
+                              cartan, check_relations, identity_operator, invert_diagonal,
+                              phi, rational_sqrt, scalar_operator, first_block_mismatch,
+                              tensor_operator, _relation_checks, _uqsl2_standard_form_check)
 from askeycg.coproduct import build_delta, check_homomorphism
 from askeycg.exactmath import InvalidParameterError
 from askeycg.families import FamilyKind, algebra_for, labels, make_instance
-from askeycg.report import first_mismatch
+from askeycg.report import CheckResult, first_mismatch
 
 from test_families import ALL_KINDS, sample_instance, wide_instance
 from test_linalg import to_lists
@@ -412,35 +412,123 @@ def test_apply_matches_fraction_reference(data):
         a.apply(level, vec + [1])
 
 
-# -- the relation checks against their composition-based reference ------------
+# -- the operator identities against a composition-based reference -----------
+# Each side is composed with the ref_* kernels above and compared entry by
+# entry, row-major; no GradedOperator kernel takes part.
+
+def ref_mul(a, b):
+    return GradedOperator(a.degree + b.degree, a.dims, ref_matmul(a, b))
+
+
+def ref_lin(*terms):
+    """The sum of s * op over the (s, op) terms, all of one degree."""
+    out = None
+    for s, op in terms:
+        term = GradedOperator(op.degree, op.dims, ref_scaled(op, F(s)))
+        out = term if out is None else GradedOperator(
+            op.degree, op.dims, ref_merge(out, term, lambda x, y: x + y))
+    return out
+
+
+def ref_scalar(dims, value):
+    return GradedOperator(0, dims, {n: {(i, i): F(value) for i in range(d)}
+                                    for n, d in enumerate(dims)})
+
+
+def ref_check(name, checked_range, lhs, rhs, levels, level_key="level"):
+    """The row-major first entry where the composed sides differ."""
+    zero = F(0)
+    for n in levels:
+        a, b = lhs.blocks.get(n), rhs.blocks.get(n)
+        if a is None or b is None:
+            raise ValueError(f"block {n} outside the checked operators")
+        for i, j in sorted(a.keys() | b.keys()):
+            x, y = a.get((i, j), zero), b.get((i, j), zero)
+            if x != y:
+                return CheckResult.fail(name, checked_range,
+                                        {level_key: n, "row": i, "col": j}, x, y)
+    return CheckResult.ok(name, checked_range)
+
 
 def ref_relation_checks(kind, e, f, hk):
-    """The relation checks as they were first written: each side composed
-    with @, -, scaled and the identity, compared by block_entries."""
+    """The relation checks as they were first written: each side composed."""
     top = e.top
-    ident = identity_operator(e.dims)
+    ident = ref_scalar(e.dims, 1)
     lo = (range(0, top), f"levels 0..{top - 1}")
     full = (range(0, top + 1), f"levels 0..{top}")
     if not kind.is_q:
-        ef = e @ f - f @ e
+        ef = ref_lin((1, ref_mul(e, f)), (-1, ref_mul(f, e)))
         relations = [
-            ("cartan-raising", hk @ e - e @ hk, e.scaled(2), lo),
-            ("cartan-lowering", hk @ f - f @ hk, f.scaled(-2), full),
+            ("cartan-raising", ref_lin((1, ref_mul(hk, e)), (-1, ref_mul(e, hk))),
+             ref_lin((2, e)), lo),
+            ("cartan-lowering", ref_lin((1, ref_mul(hk, f)), (-1, ref_mul(f, hk))),
+             ref_lin((-2, f)), full),
             ("oscillator-commutator", ef, ident, lo) if kind.tag is AlgebraTag.OSC
             else ("sl2-commutator", ef, hk, lo),
         ]
     else:
         q = kind.q
-        qef = (e @ f).scaled(q) - f @ e
+        qef = ref_lin((q, ref_mul(e, f)), (-1, ref_mul(f, e)))
         relations = [
-            ("cartan-raising", hk @ e, (e @ hk).scaled(q), lo),
-            ("cartan-lowering", (hk @ f).scaled(q), f @ hk, full),
-            ("q-oscillator-commutator", qef, ident.scaled(q - 1), lo)
+            ("cartan-raising", ref_mul(hk, e), ref_lin((q, ref_mul(e, hk))), lo),
+            ("cartan-lowering", ref_lin((q, ref_mul(hk, f))), ref_mul(f, hk), full),
+            ("q-oscillator-commutator", qef, ref_lin((q - 1, ident)), lo)
             if kind.tag is AlgebraTag.OSC_Q
-            else ("uq-sl2-commutator", qef, (ident - hk @ hk).scaled(q - 1), lo),
+            else ("uq-sl2-commutator", qef,
+                  ref_lin((q - 1, ident), (1 - q, ref_mul(hk, hk))), lo),
         ]
-    return [first_mismatch(name, rng, block_entries(lhs, rhs, levels))
+    return [ref_check(name, rng, lhs, rhs, levels)
             for name, lhs, rhs, (levels, rng) in relations]
+
+
+def ref_standard_form(kind, e, f, k):
+    """[E, Ft] against (K - K^{-1}) / (q^{1/2} - q^{-1/2}), Ft composed."""
+    name = "uq-sl2-standard-form"
+    q = kind.q
+    root = rational_sqrt(q)
+    if root is None:
+        return CheckResult.skip(name, "q^(1/2) is not rational; pick q a square")
+    kinv = invert_diagonal(k)
+    ft = ref_lin((-root / (q - 1) ** 2, ref_mul(kinv, f)))
+    lhs = ref_lin((1, ref_mul(e, ft)), (-1, ref_mul(ft, e)))
+    rhs = ref_lin((1 / (root - 1 / root), k), (-1 / (root - 1 / root), kinv))
+    return ref_check(name, f"levels 0..{e.top - 1}", lhs, rhs, range(e.top))
+
+
+def ref_casimir(module, e, f, hk):
+    """(eigenvalue, check) of the Casimir composed as an operator."""
+    tag, lam = module.algebra.tag, module.label
+    if tag is AlgebraTag.OSC:
+        op, eig = ref_lin((2, ref_mul(e, f)), (1, hk)), lam
+    elif tag is AlgebraTag.SL2:
+        op = ref_lin((4, ref_mul(e, f)), (1, ref_mul(hk, hk)), (-2, hk))
+        eig = lam * (lam - 2)
+    elif tag is AlgebraTag.OSC_Q:
+        kinv = invert_diagonal(hk)
+        op = ref_mul(ref_lin((1, ref_scalar(hk.dims, 1)), (-1, ref_mul(e, f))), kinv)
+        eig = 1 / lam
+    else:
+        q = module.algebra.q
+        kinv = invert_diagonal(hk)
+        op = ref_lin((1, ref_mul(ref_mul(e, f), kinv)), (-1 / q, hk), (-1, kinv))
+        eig = -(lam / q + 1 / lam)
+    levels = module.levels
+    return eig, ref_check("casimir", f"levels 0..{levels - 1}", op,
+                          ref_scalar(hk.dims, eig), range(levels))
+
+
+def casimir_outcome(module, e, f, hk):
+    """(eigenvalue, witness as (where, lhs, rhs) or None) of casimir."""
+    check = casimir(module, Generators(e, f, hk))
+    hit = check.mismatch
+    return check.eigenvalue, None if hit is None else (
+        {"level": hit[0], "row": hit[1], "col": hit[2]}, str(hit[3]), str(hit[4]))
+
+
+def ref_casimir_outcome(module, e, f, hk):
+    eig, check = ref_casimir(module, e, f, hk)
+    w = check.witness
+    return eig, None if w is None else (w.where, w.lhs, w.rhs)
 
 
 Q_VALUES = st.sampled_from([F(1, 4), F(-2, 3), F(5, 2), F(-7, 3), F(9, 16), F(4)])
@@ -448,18 +536,19 @@ Q_VALUES = st.sampled_from([F(1, 4), F(-2, 3), F(5, 2), F(-7, 3), F(9, 16), F(4)
 
 @st.composite
 def relation_operands(draw):
-    """(algebra, e, f, hk): the generators of a single module or the coproduct
-    images of a family instance, with, now and then, one entry changed or
-    one block dropped."""
+    """(module, e, f, hk): the generators of a single module, or the coproduct
+    images of a family instance with a module of its first label, with, now
+    and then, one entry changed or one block dropped."""
     if draw(st.booleans()):
         tag = draw(st.sampled_from(list(AlgebraTag)))
         kind = AlgebraKind(tag, draw(Q_VALUES)) if tag in (
             AlgebraTag.OSC_Q, AlgebraTag.UQ_SL2) else AlgebraKind(tag)
-        gens = build_generators(ModuleSpec(kind, draw(VALUES), draw(st.integers(1, 6))))
+        module = ModuleSpec(kind, draw(VALUES), draw(st.integers(1, 6)))
+        gens = build_generators(module)
     else:
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
         inst = wide_instance(draw(st.sampled_from(ALL_KINDS)), rng, draw(st.integers(1, 5)))
-        kind = algebra_for(inst)
+        module = ModuleSpec(algebra_for(inst), labels(inst)[0], inst.n_max)
         try:
             gens = build_delta(inst)
         except ZeroDivisionError:
@@ -480,24 +569,35 @@ def relation_operands(draw):
             blocks[n][ij] = draw(st.one_of(st.just(F(0)), st.just(-old), VALUES,
                                            VALUES.map(lambda v: old + v)))
         ops[which] = GradedOperator(op.degree, op.dims, blocks)
-    return (kind, *ops)
+    return (module, *ops)
 
 
-def relation_outcome(fn, operands):
+def relation_outcome(fn, *operands):
     try:
         return fn(*operands)
-    except ValueError as exc:
-        return ValueError, str(exc)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def as_dicts(outcome):
+    return [c.to_dict() for c in outcome] if isinstance(outcome, list) else outcome
 
 
 @settings(max_examples=150, deadline=None)
 @given(operands=relation_operands())
 def test_relation_checks_match_composition_reference(operands):
-    got = relation_outcome(_relation_checks, operands)
-    want = relation_outcome(ref_relation_checks, operands)
+    module, e, f, hk = operands
+    kind = module.algebra
+    got = relation_outcome(_relation_checks, kind, e, f, hk)
+    want = relation_outcome(ref_relation_checks, kind, e, f, hk)
     assert got == want
-    if isinstance(want, list):
-        assert [c.to_dict() for c in got] == [c.to_dict() for c in want]
+    assert as_dicts(got) == as_dicts(want)
+    assert (relation_outcome(casimir_outcome, module, e, f, hk)
+            == relation_outcome(ref_casimir_outcome, module, e, f, hk))
+    if kind.tag is AlgebraTag.UQ_SL2:
+        got = relation_outcome(lambda *a: [_uqsl2_standard_form_check(*a)], kind, e, f, hk)
+        want = relation_outcome(lambda *a: [ref_standard_form(*a)], kind, e, f, hk)
+        assert as_dicts(got) == as_dicts(want)
 
 
 def count_compositions(monkeypatch) -> list:
@@ -544,3 +644,40 @@ def test_relation_check_without_a_checked_block_raises_value_error(which, level)
     cut = GradedOperator(op.degree, op.dims, {n: b for n, b in op.blocks.items() if n != 2})
     with pytest.raises(ValueError, match=f"block {level} outside the checked operators"):
         check_homomorphism(inst, delta=replace(delta, **{which: cut}))
+
+
+# -- witnesses pinned on corrupted inputs --------------------------------------
+
+def with_entry(op, level, ij, value):
+    blocks = {n: dict(b) for n, b in op.blocks.items()}
+    blocks[level][ij] = value
+    return GradedOperator(op.degree, op.dims, blocks)
+
+
+@pytest.mark.parametrize("algebra,label,eig,lhs", [
+    (OSC, F(5), F(5), F(7)), (SL2, F(3), F(3), F(7)),
+    (oscq(F(1, 4)), F(2, 3), F(3, 2), F(-189, 2)),
+    (uqsl2(F(9, 16)), F(2, 5), F(-289, 90), F(78991, 7290))], ids=repr)
+def test_casimir_witness_on_corrupted_lowering(algebra, label, eig, lhs):
+    module = ModuleSpec(algebra, label, 5)
+    gens = build_generators(module)
+    f = with_entry(gens.f, 3, (0, 0), gens.f.blocks[3][0, 0] + 1)
+    assert casimir_outcome(module, gens.e, f, gens.hk) == (
+        eig, ({"level": 3, "row": 0, "col": 0}, str(lhs), str(eig)))
+
+
+def test_standard_form_witnesses_on_corrupted_generators():
+    module = ModuleSpec(uqsl2(F(9, 16)), F(3, 5), 5)
+    gens = build_generators(module)
+    rep = check_relations(module, Generators(gens.e, with_entry(gens.f, 4, (0, 0), F(1, 2)),
+                                             gens.hk))
+    assert [(c.name, c.witness and c.witness.to_dict()) for c in rep.checks] == [
+        ("cartan-raising", None), ("cartan-lowering", None),
+        ("uq-sl2-commutator", {"where": {"level": "3", "row": "0", "col": "0"},
+                               "lhs": "-37866887/419430400", "rhs": "-2902532017/6710886400"}),
+        ("uq-sl2-standard-form", {"where": {"level": "3", "row": "0", "col": "0"},
+                                  "lhs": "37866887/11430720", "rhs": "414647431/26127360"})]
+    std = _uqsl2_standard_form_check(module.algebra, gens.e, gens.f,
+                                     with_entry(gens.hk, 1, (0, 0), F(7)))
+    assert std.to_dict()["witness"] == {"where": {"level": "1", "row": "0", "col": "0"},
+                                        "lhs": "-23887/15680", "rhs": "-576/49"}

@@ -349,3 +349,45 @@ def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
             for m in range(inst.n_max + 1):
                 fn(n, m)
     assert coproduct.check_algebraic_form(inst, derived).passed
+
+
+def with_entry(op, level, ij, value):
+    blocks = {n: dict(b) for n, b in op.blocks.items()}
+    blocks[level][ij] = value
+    return algebras.GradedOperator(op.degree, op.dims, blocks)
+
+
+@pytest.mark.parametrize("inst,corrupt,witness", [
+    (make_instance(FamilyKind.Q_HAHN, n_max=4, q=F(1, 4), alpha=F(1, 3), beta=F(2, 5)),
+     lambda g: algebras.Generators(g.e, g.f, with_entry(g.hk, 2, (0, 0), 2 * g.hk.blocks[2][0, 0])),
+     {"where": {"label": "1", "level": "2"}, "lhs": "1/2", "rhs": "1"}),
+    (make_instance(FamilyKind.RACAH, n_max=4, lambda1=F(2), lambda2=F(5, 2),
+                   alpha=F(1, 3), beta=F(1, 5)),
+     lambda g: algebras.Generators(g.e, with_entry(g.f, 2, (0, 0), F(1)), g.hk),
+     {"where": {"label": "2", "level": "2"}, "lhs": "28", "rhs": "0"})],
+    ids=["q-hahn", "racah"])
+def test_casimir_witness_names_the_factor_module(inst, corrupt, witness, monkeypatch):
+    build = algebras.build_generators
+    monkeypatch.setattr("askeycg.cli.build_generators", lambda module: corrupt(build(module)))
+    check = run_verify_suite(inst, ["casimir"]).to_dict()["checks"][CHECK_NAMES.index("casimir")]
+    assert check == {"name": "casimir", "passed": False, "skipped": False, "reason": "",
+                     "checked_range": "levels 0..3", "witness": witness}
+
+
+def test_every_public_name_resolves():
+    # each module's __all__, and every name the package imports from its modules
+    import ast
+    import importlib
+    import pkgutil
+    for info in pkgutil.iter_modules(askeycg.__path__):
+        module = importlib.import_module(f"askeycg.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+    tree = ast.parse(open(askeycg.__file__, encoding="utf-8").read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"askeycg.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)
+            assert getattr(askeycg, alias.asname or alias.name) is getattr(module, alias.name)

@@ -335,6 +335,43 @@ def test_beta_zero_collapses_yp():
             assert cf.yp(n, m) == k1 ** 2 * q ** n
 
 
+def with_entry(op, level, ij, value):
+    blocks = {n: dict(b) for n, b in op.blocks.items()}
+    blocks[level][ij] = value
+    return GradedOperator(op.degree, op.dims, blocks)
+
+
+def passed_and_witness(rep):
+    return [(c["name"], c["witness"]) for c in rep.to_dict()["checks"]]
+
+
+def test_twist_witnesses_on_a_corrupted_delta(monkeypatch):
+    build = coproduct.build_delta
+
+    def scaled_lowering(inst):
+        d = build(inst)
+        return coproduct.Delta(d.e, with_entry(d.f, 3, (1, 2), 3 * d.f.blocks[3][1, 2]), d.hk)
+
+    monkeypatch.setattr(coproduct, "build_delta", scaled_lowering)
+    lowering = {"where": {"block": "3", "row": "1", "col": "2"},
+                "lhs": "675/256", "rhs": "225/256"}
+    assert passed_and_witness(check_twist_qracah_specialization(F(1, 4), F(1, 2), F(1, 3), 4)) == [
+        ("specialized-raising", None), ("specialized-lowering", lowering),
+        ("twisted-raising", None), ("twisted-lowering", lowering)]
+
+    def planted_raising(inst):
+        d = build(inst)
+        return coproduct.Delta(with_entry(d.e, 2, (3, 1), F(5)), d.f, d.hk)
+
+    monkeypatch.setattr(coproduct, "build_delta", planted_raising)
+    where = {"block": "2", "row": "3", "col": "1"}
+    assert passed_and_witness(check_twist_qracah_specialization(F(1, 4), F(2), F(3), 4)) == [
+        ("specialized-raising", {"where": where, "lhs": "5", "rhs": "0"}),
+        ("specialized-lowering", None),
+        ("twisted-raising", {"where": where, "lhs": "5/2", "rhs": "0"}),
+        ("twisted-lowering", None)]
+
+
 # -- Krawtchouk coassociativity ---------------------------------------------------
 
 def test_coassoc_central_charge_quadruple():
@@ -364,3 +401,15 @@ def test_coassoc_rejects_vacuous_truncation(n_max):
     # below n_max = 1 no block would be compared, so any quadruple would pass
     with pytest.raises(InvalidParameterError):
         krawtchouk_coassoc(F(1, 2), F(1, 3), F(1, 5), F(2, 5), n_max=n_max)
+
+
+@pytest.mark.parametrize("args,labels,n_max,witness", [
+    ((F(1, 2), F(1, 2), F(1, 2), F(1, 2)), (0, 0, 0), 4, (0, "-1/2", "-1/4")),
+    ((F(1, 2), F(1, 3), F(1, 6), F(1, 2)), (0, 0, 0), 4, (0, "-1/2", "-5/12")),
+    ((F(1, 2), F(1, 3), F(1, 4), F(1, 3)), (F(1), F(2, 3), F(-1, 2)), 3, (1, "-1/3", "-1/4")),
+    ((F(1, 3), F(3, 4), F(1, 5), F(2, 7)), (F(4), F(0), F(5, 2)), 2, (0, "-2/3", "-4/7"))])
+def test_coassoc_witnesses(args, labels, n_max, witness):
+    res = krawtchouk_coassoc(*args, module_labels=labels, n_max=n_max)
+    col, lhs, rhs = witness
+    assert (res.lhs_equals_rhs, res.constraint_holds) == (False, False)
+    assert res.witness == {"block": 1, "row": 0, "col": col, "lhs": lhs, "rhs": rhs}
