@@ -140,6 +140,14 @@ def test_zero_label_on_q_algebra_rejected(algebra):
         ModuleSpec(algebra, F(0), 3)
 
 
+@pytest.mark.parametrize("levels", [0, -1, -5])
+@pytest.mark.parametrize("algebra", [OSC, SL2, oscq(F(1, 4)), uqsl2(F(1, 4))], ids=repr)
+def test_module_without_a_level_above_zero_rejected(algebra, levels):
+    # at levels 0 no relation or Casimir entry would be compared: a vacuous pass
+    with pytest.raises(InvalidParameterError, match="levels"):
+        ModuleSpec(algebra, F(2), levels)
+
+
 def test_uqsl2_standard_form_skipped_for_non_square_q():
     rep = check_relations(ModuleSpec(uqsl2(F(1, 2)), F(3), 4))
     std = next(c for c in rep.checks if c.name == "uq-sl2-standard-form")

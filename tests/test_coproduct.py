@@ -314,6 +314,13 @@ def test_twist_specialization_passes():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n_max", [0, -1, -3])
+def test_twist_rejects_vacuous_truncation(n_max):
+    # below n_max = 1 the raising checks would compare no block at all
+    with pytest.raises(InvalidParameterError, match="n_max"):
+        check_twist_qracah_specialization(F(1, 4), F(1, 2), F(1, 3), n_max=n_max)
+
+
 def test_twist_block_zero_to_one_coefficients():
     q, k1, k2 = F(1, 4), F(1, 2), F(1, 3)
     inst = make_instance(FamilyKind.Q_RACAH, q=q, kappa1=k1, kappa2=k2,
