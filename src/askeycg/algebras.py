@@ -86,7 +86,8 @@ class AlgebraKind:
 @dataclass(frozen=True)
 class ModuleSpec:
     """Truncated lowest-weight module; label is lambda, or kappa = q^{lambda/2}
-    for the q-kinds. Irreducibility up to the truncation means phi(label, n)
+    for the q-kinds, and levels >= 1, below which no relation or Casimir
+    entry is compared. Irreducibility up to the truncation means phi(label, n)
     never vanishes for 1 <= n <= levels; that is certified at the family
     level, not here, since the defining relations hold regardless."""
 
@@ -95,6 +96,8 @@ class ModuleSpec:
     levels: int
 
     def __post_init__(self):
+        if self.levels < 1:
+            raise InvalidParameterError("a module needs levels >= 1")
         if self.algebra.is_q and self.label == 0:
             raise InvalidParameterError("a q-module label kappa must be nonzero")
 

@@ -299,13 +299,16 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
 
     No coefficient here ever divides by a lowering coefficient, so module
     labels with a vanishing phi inside the truncation are acceptable; only
-    the q and kappa plumbing is validated.
+    q, the kappas and n_max >= 1 (below it no raising block is compared) are
+    validated.
     """
     q, kappa1, kappa2 = (Fraction(v) for v in (q, kappa1, kappa2))
     if q in (0, 1, -1):
         raise InvalidParameterError("q must avoid {0, 1, -1}")
     if kappa1 == 0 or kappa2 == 0:
         raise InvalidParameterError("kappa labels must be nonzero")
+    if n_max < 1:
+        raise InvalidParameterError("n_max must be at least 1")
     inst = FamilyInstance(kind=FamilyKind.Q_RACAH, n_max=n_max,
                           alpha=kappa1 ** 2 / q, beta=Fraction(0),
                           gamma=kappa1 ** 2 * kappa2 ** 2 / q,
