@@ -19,16 +19,15 @@ Compositions are truncation-aware: a block exists only when every
 intermediate level stays inside the truncated module, and anything below
 level 0 is the zero space.
 
-The exact kernels (composition, sum, difference, scaling, apply) work on the
-integer numerators and denominators of the stored Fractions: every output
-entry is formed as one integer pair (exactmath.product_sum) and reduced once,
-into one Fraction. An entry that only one side of a sum stores is copied as
-it is (negated for a difference); only entries stored on both sides are added.
-Every composition goes through one block kernel, _block_product, where a
-diagonal block only rescales the other factor. The defining relations are
-not composed into operators: the residual lhs - rhs of each entry is one
-unreduced pair, the two sides cross-multiplied, and only the first unequal
-entry is reduced, for the witness.
+Composition and apply work on the integer numerators and denominators of
+the stored Fractions: every output entry is formed as one integer pair
+(exactmath.product_sum) and reduced once, into one Fraction. Every
+composition goes through one block kernel, _block_product, where a diagonal
+block only rescales the other factor. Operator identities (the defining
+relations, the Casimir, and the coproduct identities of the other modules)
+are not composed into operators: check_identity forms the residual lhs - rhs
+of each entry as one unreduced pair, the two sides cross-multiplied, and
+reduces only the first unequal entry, for the witness.
 """
 
 from __future__ import annotations
@@ -44,13 +43,13 @@ from typing import Callable, Iterable, Mapping
 from .exactmath import (InvalidParameterError, Scalar, format_scalar, parse_scalar,
                         product_sum)
 from .linalg import RatMat
-from .report import CheckResult, Report, first_mismatch
+from .report import CheckResult, Report
 
 __all__ = [
     "AlgebraTag", "AlgebraKind", "ModuleSpec", "GradedOperator", "Generators",
     "phi", "cartan", "build_generators", "check_relations", "casimir", "CasimirCheck",
-    "tensor_operator", "identity_operator", "scalar_operator",
-    "invert_diagonal", "block_entries", "first_block_mismatch", "rational_sqrt",
+    "tensor_operator", "scalar_operator", "invert_diagonal", "check_identity",
+    "rational_sqrt",
 ]
 
 
@@ -139,9 +138,8 @@ class GradedOperator:
     len(dims)-1 do not exist, so blocks targeting them are simply absent
     (truncation).
 
-    @, +, - and scaled reduce each output entry once, from integer products
-    and sums, and leave out the entries that cancel to zero; an entry stored
-    in one operand of a sum only is copied. A diagonal degree-0 block on
+    @ reduces each output entry once, from integer products and sums, and
+    leaves out the entries that cancel to zero. A diagonal degree-0 block on
     either side of @ only rescales the rows or columns of the other.
     """
 
@@ -203,47 +201,6 @@ class GradedOperator:
                 out[n] = {ij: Fraction(top, bottom)
                           for ij, (top, bottom) in pairs.items() if top}
         return GradedOperator._nonzero(self.degree + other.degree, self.dims, out)
-
-    def _merge(self, other: "GradedOperator", sign: int) -> "GradedOperator":
-        """self + sign * other. An entry stored on one side only is copied
-        (negated for sign -1); one stored on both is reduced once."""
-        if self.dims != other.dims:
-            raise ValueError("operators live on different modules")
-        if self.degree != other.degree:
-            raise ValueError("cannot combine operators of different degree")
-        out = {}
-        for n in self.blocks.keys() & other.blocks.keys():
-            a = self.blocks[n]
-            block = out[n] = dict(a)
-            for ij, w in other.blocks[n].items():
-                v = a.get(ij)
-                if v is None:
-                    block[ij] = w if sign > 0 else -w
-                    continue
-                top, bottom = product_sum(((v, 1), (w, sign)))
-                if top:
-                    block[ij] = Fraction(top, bottom)
-                else:
-                    del block[ij]
-        return GradedOperator._nonzero(self.degree, self.dims, out)
-
-    def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self._merge(other, -1)
-
-    def scaled(self, s: Scalar) -> "GradedOperator":
-        """s times the operator, each entry reduced once from integer products."""
-        sn, sd = s.as_integer_ratio()
-        out = {}
-        for n, b in self.blocks.items():
-            block = out[n] = {}
-            if sn:
-                for ij, v in b.items():
-                    vn, vd = v.as_integer_ratio()
-                    block[ij] = Fraction(sn * vn, sd * vd)
-        return GradedOperator._nonzero(self.degree, self.dims, out)
 
     def to_doc(self) -> dict:
         zero = Fraction(0)
@@ -314,25 +271,28 @@ def _compositions(N: int, parts: int) -> tuple[tuple[int, ...], ...]:
                  for rest in _compositions(N - n, parts - 1))
 
 
-def tensor_operator(dims: tuple[int, ...], shifts: tuple[int, ...],
-                    coeff: Callable[[tuple[int, ...]], Scalar]) -> GradedOperator:
-    """Weighted shift on a k-fold tensor module, k = len(shifts), with the
-    lexicographic basis of compositions at each level: the basis vector with
-    factor levels c goes to coeff(c) times the one with levels c + shifts.
-    A shift below level 0 of some factor contributes nothing, and coeff is
-    not evaluated there."""
-    degree = sum(shifts)
-    blocks = {}
-    for N in range(len(dims)):
-        if N + degree >= len(dims):
-            continue
-        index = {t: i for i, t in enumerate(_compositions(N + degree, len(shifts)))}
-        entries = {}
-        for col, src in enumerate(_compositions(N, len(shifts))):
-            row = index.get(tuple(map(add, src, shifts)))  # None below level 0
-            if row is not None and (c := coeff(src)):
-                entries[row, col] = c if isinstance(c, Fraction) else Fraction(c)
-        blocks[N] = entries
+def tensor_operator(dims: tuple[int, ...],
+                    *terms: tuple[tuple[int, ...], Callable[[tuple[int, ...]], Scalar]]
+                    ) -> GradedOperator:
+    """Sum of weighted shifts of one degree on a k-fold tensor module, with
+    the lexicographic basis of compositions at each level. Each term
+    (shifts, coeff), k = len(shifts), sends the basis vector with factor
+    levels c to coeff(c) times the one with levels c + shifts. Distinct
+    shifts never write the same entry, so the shifts must differ. A shift
+    below level 0 of some factor contributes nothing, and coeff is not
+    evaluated there; each term is evaluated level by level, in order."""
+    shifts = [s for s, _ in terms]
+    degree = sum(shifts[0])
+    if len(set(shifts)) < len(shifts) or any(sum(s) != degree for s in shifts):
+        raise ValueError("terms need distinct shifts of one degree")
+    blocks = {N: {} for N in range(len(dims)) if N + degree < len(dims)}
+    for shift, coeff in terms:
+        for N, entries in blocks.items():
+            index = {t: i for i, t in enumerate(_compositions(N + degree, len(shift)))}
+            for col, src in enumerate(_compositions(N, len(shift))):
+                row = index.get(tuple(map(add, src, shift)))  # None below level 0
+                if row is not None and (c := coeff(src)):
+                    entries[row, col] = c if isinstance(c, Fraction) else Fraction(c)
     return GradedOperator._nonzero(degree, dims, blocks)
 
 
@@ -346,10 +306,6 @@ def scalar_operator(dims: tuple[int, ...], value: Callable[[int], Scalar]) -> Gr
     return GradedOperator._nonzero(0, dims, blocks)
 
 
-def identity_operator(dims: tuple[int, ...]) -> GradedOperator:
-    return scalar_operator(dims, lambda n: 1)
-
-
 def invert_diagonal(op: GradedOperator) -> GradedOperator:
     """Inverse of a degree-0 operator whose blocks are diagonal."""
     if op.degree != 0:
@@ -359,32 +315,6 @@ def invert_diagonal(op: GradedOperator) -> GradedOperator:
     return GradedOperator._nonzero(0, op.dims, {
         n: {(i, i): 1 / b.get((i, i), Fraction(0)) for i in range(op.dims[n])}
         for n, b in op.blocks.items()})
-
-
-def block_entries(lhs: GradedOperator, rhs: GradedOperator,
-                  levels: Iterable[int], level_key: str = "level"):
-    """(where, lhs entry, rhs entry) over the entries stored in either
-    operator at the given levels, row by row; blocks that are equal as a
-    whole are skipped. Entries stored in neither are zero on both sides, so
-    the first unequal pair is the first one of the full row-major walk."""
-    if lhs.dims != rhs.dims or lhs.degree != rhs.degree:
-        raise ValueError("operators of different modules or degrees")
-    zero = Fraction(0)
-    for n in levels:
-        a, b = lhs.blocks.get(n), rhs.blocks.get(n)
-        if a is None or b is None:
-            raise ValueError(f"block {n} outside the checked operators")
-        if a == b:
-            continue
-        for i, j in sorted(a.keys() | b.keys()):
-            yield {level_key: n, "row": i, "col": j}, a.get((i, j), zero), b.get((i, j), zero)
-
-
-def first_block_mismatch(lhs: GradedOperator, rhs: GradedOperator,
-                         levels: Iterable[int]):
-    """First (level, row, col, lhs, rhs) where the operators differ, or None."""
-    return next(((w["level"], w["row"], w["col"], a, b)
-                 for w, a, b in block_entries(lhs, rhs, levels) if a != b), None)
 
 
 def rational_sqrt(x: Scalar) -> Scalar | None:
@@ -424,9 +354,9 @@ def build_generators(module: ModuleSpec) -> Generators:
     dims = (1,) * (module.levels + 1)
     alg, label = module.algebra, module.label
     return Generators(
-        tensor_operator(dims, (+1,), lambda c: 1),
-        tensor_operator(dims, (-1,), lambda c: phi(alg, label, c[0])),
-        tensor_operator(dims, (0,), lambda c: cartan(alg, label, c[0])))
+        tensor_operator(dims, ((+1,), lambda c: 1)),
+        tensor_operator(dims, ((-1,), lambda c: phi(alg, label, c[0]))),
+        tensor_operator(dims, ((0,), lambda c: cartan(alg, label, c[0]))))
 
 
 def _combination(terms, dims: tuple[int, ...], n: int):
@@ -470,12 +400,8 @@ def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
     differ. EF-type relations are restricted to levels where both orders of
     composition stay inside the truncation.
 
-    Each relation is two sides, each a short list of (scalar, factors)
-    terms with at most two factors; no factors means the identity. Nothing
-    is composed into an operator: per level, the residual lhs - rhs of
-    every entry is one unreduced integer pair (products from
-    _block_product), which is the two sides cross-multiplied, so an entry
-    that agrees builds no Fraction.
+    Each relation is two sides of (scalar, factors) terms, checked by
+    check_identity; nothing is composed into an operator.
     """
     top = e.top
     lo = (range(0, top), f"levels 0..{top - 1}")  # E-compositions stay inside
@@ -498,16 +424,26 @@ def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
             if kind.tag is AlgebraTag.OSC_Q
             else ("uq-sl2-commutator", qef, [(q - 1, ()), (1 - q, (hk, hk))], lo),
         ]
-    return [_residual_check(name, rng, levels, lhs, rhs, e.dims)
+    return [check_identity(name, rng, levels, lhs, rhs, e.dims)
             for name, lhs, rhs, (levels, rng) in relations]
 
 
-def _residual_check(name: str, checked_range: str, levels: Iterable[int],
-                    lhs, rhs, dims: tuple[int, ...]) -> CheckResult:
-    """first_mismatch over block_entries of the composed sides: a level
-    passes when every residual top is 0, else the row-major first nonzero
-    residual is the witness, the one place both sides become Fractions."""
+def check_identity(name: str, checked_range: str, levels: Iterable[int], lhs, rhs,
+                   dims: tuple[int, ...], level_key: str = "level") -> CheckResult:
+    """Certify lhs == rhs on the given levels of a module with these level
+    dimensions. Each side is a list of (scalar, factors) terms with at most
+    two factors; no factors means the identity. Per level, the residual
+    lhs - rhs of every entry is one unreduced integer pair (products from
+    _block_product), the two sides cross-multiplied, so an entry that agrees
+    builds no Fraction. A level passes when every residual top is 0; else
+    the row-major first nonzero residual is the witness, {level_key: level,
+    "row": i, "col": j}, the one place both sides become Fractions. Terms
+    of another module or degree, and a checked level where some term has no
+    block, raise ValueError."""
     residual = lhs + [(-c, factors) for c, factors in rhs]
+    if (len({sum(op.degree for op in factors) for _, factors in residual}) > 1
+            or any(op.dims != dims for _, factors in residual for op in factors)):
+        raise ValueError("terms of different modules or degrees")
     for n in levels:
         diff = _combination(residual, dims, n)
         if diff is None:
@@ -516,7 +452,7 @@ def _residual_check(name: str, checked_range: str, levels: Iterable[int],
             i, j = min(ij for ij, (top, _) in diff.items() if top)
             zero = (0, 1)
             return CheckResult.fail(
-                name, checked_range, {"level": n, "row": i, "col": j},
+                name, checked_range, {level_key: n, "row": i, "col": j},
                 Fraction(*_combination(lhs, dims, n).get((i, j), zero)),
                 Fraction(*_combination(rhs, dims, n).get((i, j), zero)))
     return CheckResult.ok(name, checked_range)
@@ -532,12 +468,10 @@ def _uqsl2_standard_form_check(kind: AlgebraKind, e: GradedOperator,
         return CheckResult.skip(name, "q^(1/2) is not rational; pick q a square")
     q = kind.q
     kinv = invert_diagonal(k)
-    ft = (kinv @ f).scaled(-root / (q - 1) ** 2)
-    lhs = e @ ft - ft @ e
-    rhs = (k - kinv).scaled(1 / (root - 1 / root))
-    top = e.top
-    return first_mismatch(name, f"levels 0..{top - 1}",
-                          block_entries(lhs, rhs, range(0, top)))
+    kf = kinv @ f
+    c, s = -root / (q - 1) ** 2, 1 / (root - 1 / root)
+    return check_identity(name, f"levels 0..{e.top - 1}", range(e.top),
+                          [(c, (e, kf)), (-c, (kf, e))], [(s, (k,)), (-s, (kinv,))], e.dims)
 
 
 def check_relations(module: ModuleSpec, gens: Generators | None = None) -> Report:
@@ -556,41 +490,40 @@ def check_relations(module: ModuleSpec, gens: Generators | None = None) -> Repor
 
 @dataclass(frozen=True)
 class CasimirCheck:
-    op: GradedOperator
     eigenvalue: Scalar
-    mismatch: tuple | None  # first (level, row, col, op entry, scalar entry)
+    result: CheckResult  # "casimir" on levels 0..levels-1, witness key "level"
 
     @property
     def ok(self) -> bool:
-        return self.mismatch is None
+        return self.result.passed
 
 
 def casimir(module: ModuleSpec, gens: Generators | None = None) -> CasimirCheck:
-    """Build the Casimir element and test that it is the expected scalar.
+    """Test that the Casimir element acts as the expected scalar.
 
     osc:      2EF + H            eigenvalue lambda
     sl2:      4EF + H^2 - 2H     eigenvalue lambda(lambda - 2)
     osc_q:    (1 - EF) K^{-1}    eigenvalue 1/kappa
     U_q(sl2): EF K^{-1} - K/q - K^{-1}   eigenvalue -(kappa/q + 1/kappa)
+
+    Each is one check_identity against the scalar; only F K^{-1} is composed.
     """
     gens = gens or build_generators(module)
     e, f, hk = gens.e, gens.f, gens.hk
     tag = module.algebra.tag
     lam = module.label
     if tag is AlgebraTag.OSC:
-        op = (e @ f).scaled(2) + hk
-        eig = lam
+        lhs, eig = [(2, (e, f)), (1, (hk,))], lam
     elif tag is AlgebraTag.SL2:
-        op = (e @ f).scaled(4) + hk @ hk - hk.scaled(2)
-        eig = lam * (lam - 2)
+        lhs, eig = [(4, (e, f)), (1, (hk, hk)), (-2, (hk,))], lam * (lam - 2)
     elif tag is AlgebraTag.OSC_Q:
         kinv = invert_diagonal(hk)
-        op = (identity_operator(hk.dims) - e @ f) @ kinv
-        eig = 1 / lam
+        lhs, eig = [(1, (kinv,)), (-1, (e, f @ kinv))], 1 / lam
     else:
         q = module.algebra.q
         kinv = invert_diagonal(hk)
-        op = e @ f @ kinv - hk.scaled(1 / q) - kinv
+        lhs = [(1, (e, f @ kinv)), (-1 / q, (hk,)), (-1, (kinv,))]
         eig = -(lam / q + 1 / lam)
-    expected = scalar_operator(op.dims, lambda n: eig)
-    return CasimirCheck(op, eig, first_block_mismatch(op, expected, range(0, module.levels)))
+    levels = module.levels
+    return CasimirCheck(eig, check_identity("casimir", f"levels 0..{levels - 1}",
+                                            range(levels), lhs, [(eig, ())], hk.dims))

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import block_entries, phi, scalar_operator
+from .algebras import check_identity, phi, scalar_operator
 from .coproduct import Delta, build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
@@ -302,8 +302,8 @@ def verify_weight_grading(inst: FamilyInstance, delta: Delta | None = None) -> R
     delta = delta or build_delta(inst)
     expected = scalar_operator(delta.hk.dims, lambda N: tensor_label(inst, N))
     rep = Report(suite=f"weight-grading:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("weight-grading", f"blocks 0..{inst.n_max}", block_entries(
-        delta.hk, expected, range(inst.n_max + 1), "N")))
+    rep.add(check_identity("weight-grading", f"blocks 0..{inst.n_max}", range(inst.n_max + 1),
+                           [(1, (delta.hk,))], [(1, (expected,))], delta.hk.dims, "N"))
     return rep
 
 

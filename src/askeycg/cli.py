@@ -110,14 +110,14 @@ def _relations(inst: FamilyInstance, art: _Artifacts) -> Report:
 
 
 def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
-    def sides():
-        for module, gens in art.factors:
-            hit = casimir(module, gens).mismatch
-            if hit:
-                level, _, _, op_entry, scalar_entry = hit
-                yield {"label": module.label, "level": level}, op_entry, scalar_entry
-
-    return first_mismatch("casimir", f"levels 0..{inst.n_max - 1}", sides())
+    rng = f"levels 0..{inst.n_max - 1}"
+    for module, gens in art.factors:
+        hit = casimir(module, gens).result.witness
+        if hit:
+            return CheckResult.fail("casimir", rng, {"label": module.label,
+                                                     "level": hit.where["level"]},
+                                    hit.lhs, hit.rhs)
+    return CheckResult.ok("casimir", rng)
 
 
 def _oracle(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
@@ -254,7 +254,7 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge_settings(args) -> RunConfig:
+def _settings(args) -> RunConfig:
     settings = {}
     if getattr(args, "config", None):
         settings.update(_read_config(args.config))
@@ -313,7 +313,7 @@ def _instance_command(args, work) -> int:
     build the instance, let work(config, inst) return (text, exit code), and
     write the text. Errors map to the documented exit codes."""
     try:
-        config = _merge_settings(args)
+        config = _settings(args)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read config: {exc}")
     except InvalidParameterError as exc:  # before ValueError, its base class

@@ -7,8 +7,8 @@ weight blocks: block N has basis (n, N-n), n = 0..N. The coproduct images
     Delta(F) = x'(F x I) + y'(I x F)
     Delta(H) = H x I + I x H      (Delta(K) = K x K for the q-kinds)
 
-are weighted shifts on the product basis, each a sum of two
-algebras.tensor_operator calls, with the diagonal coefficients x, y, x', y'
+are weighted shifts on the product basis, each one algebras.tensor_operator
+call with two terms, with the diagonal coefficients x, y, x', y'
 evaluated at the target basis vector of each shift; Delta(H) and Delta(K)
 are diagonal, built from the eigenvalues on each factor. Two independent
 constructions are supported: the shifts can be weighted straight with the
@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from typing import Callable
 
-from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks,
-                       block_entries, cartan, invert_diagonal, phi, tensor_operator)
+from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks, cartan,
+                       check_identity, invert_diagonal, phi, tensor_operator)
 from .exactmath import (InvalidParameterError, Scalar, SingularParameterError, Unreduced,
                         q_powers)
 from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
@@ -241,15 +240,15 @@ def build_delta(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
         lower1 = lambda n, m: coeffs.xp(n - 1, m) * phi1[n]
         lower2 = lambda n, m: coeffs.yp(n, m - 1) * phi2[m]
 
-    def shift(shifts, weight):
-        return tensor_operator(dims, shifts, lambda c: weight(*c))
+    def shift(*terms):
+        return tensor_operator(dims, *((s, lambda c, w=w: w(*c)) for s, w in terms))
 
     if alg.is_q:
-        dhk = shift((0, 0), lambda n, m: h1[n] * h2[m])      # K x K
+        dhk = shift(((0, 0), lambda n, m: h1[n] * h2[m]))      # K x K
     else:
-        dhk = shift((0, 0), lambda n, m: h1[n] + h2[m])      # H x I + I x H
-    return Delta(shift((+1, 0), raise1) + shift((0, +1), raise2),
-                 shift((-1, 0), lower1) + shift((0, -1), lower2), dhk)
+        dhk = shift(((0, 0), lambda n, m: h1[n] + h2[m]))      # H x I + I x H
+    return Delta(shift(((+1, 0), raise1), ((0, +1), raise2)),
+                 shift(((-1, 0), lower1), ((0, -1), lower2)), dhk)
 
 
 def check_homomorphism(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
@@ -318,26 +317,27 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
     alg = algebra_for(inst)
 
     k1 = lambda c: cartan(alg, kappa1, c[0])
-    e_x_id = tensor_operator(dims, (+1, 0), lambda c: 1)
-    k_x_e = tensor_operator(dims, (0, +1), k1)
-    f_x_id = tensor_operator(dims, (-1, 0), lambda c: phi(alg, kappa1, c[0]))
-    k_x_f = tensor_operator(dims, (0, -1), lambda c: k1(c) * phi(alg, kappa2, c[1]))
+    e_x_id = tensor_operator(dims, ((+1, 0), lambda c: 1))
+    k_x_e = tensor_operator(dims, ((0, +1), k1))
+    f_x_id = tensor_operator(dims, ((-1, 0), lambda c: phi(alg, kappa1, c[0])))
+    k_x_f = tensor_operator(dims, ((0, -1), lambda c: k1(c) * phi(alg, kappa2, c[1])))
 
     rep = Report(suite="twist:q-racah", params=inst.to_doc())
     rng_e = f"blocks 0..{n_max - 1}"
     rng_f = f"blocks 0..{n_max}"
 
-    twist = tensor_operator(dims, (0, 0), lambda c: kappa1 ** c[1])
+    twist = tensor_operator(dims, ((0, 0), lambda c: kappa1 ** c[1]))
     tinv = invert_diagonal(twist)
     for name, lhs, rhs, levels, rng in (
-            ("specialized-raising", delta.e, e_x_id + k_x_e.scaled(1 / kappa1),
-             range(n_max), rng_e),
-            ("specialized-lowering", delta.f, f_x_id + k_x_f.scaled(kappa1),
-             range(n_max + 1), rng_f),
-            ("twisted-raising", twist @ delta.e @ tinv, e_x_id + k_x_e, range(n_max), rng_e),
-            ("twisted-lowering", twist @ delta.f @ tinv, f_x_id + k_x_f,
-             range(n_max + 1), rng_f)):
-        rep.add(first_mismatch(name, rng, block_entries(lhs, rhs, levels, "block")))
+            ("specialized-raising", [(1, (delta.e,))],
+             [(1, (e_x_id,)), (1 / kappa1, (k_x_e,))], range(n_max), rng_e),
+            ("specialized-lowering", [(1, (delta.f,))],
+             [(1, (f_x_id,)), (kappa1, (k_x_f,))], range(n_max + 1), rng_f),
+            ("twisted-raising", [(1, (twist, delta.e @ tinv))],
+             [(1, (e_x_id,)), (1, (k_x_e,))], range(n_max), rng_e),
+            ("twisted-lowering", [(1, (twist, delta.f @ tinv))],
+             [(1, (f_x_id,)), (1, (k_x_f,))], range(n_max + 1), rng_f)):
+        rep.add(check_identity(name, rng, levels, lhs, rhs, dims, "block"))
     return rep
 
 
@@ -381,19 +381,19 @@ def _recoupling(dims: tuple[int, ...], lam: tuple[Scalar, Scalar, Scalar],
             shifts = tuple(degree if j == slot else 0 for j in range(3))
 
             def coeff(c):
-                weight = 1
-                if names:
-                    target = tuple(n + d for n, d in zip(c, shifts))
-                    weight = _recoupled_weight(outer, inner, inner_left, names, slot, target)
+                target = tuple(n + d for n, d in zip(c, shifts))
+                weight = _recoupled_weight(outer, inner, inner_left, names, slot, target)
                 return weight * factor(lam[slot], c[slot])
 
-            return tensor_operator(dims, shifts, coeff)
+            return shifts, coeff
 
-        return in_slot(0) + in_slot(1) + in_slot(2)
+        return tensor_operator(dims, in_slot(0), in_slot(1), in_slot(2))
 
+    # H x I x I + I x H x I + I x I x H: one diagonal term
+    hk = tensor_operator(dims, ((0, 0, 0), lambda c: sum(
+        cartan(osc, label, n) for label, n in zip(lam, c))))
     return Generators(image(+1, ("x", "y"), lambda label, n: 1),
-                      image(-1, ("xp", "yp"), lambda label, n: phi(osc, label, n)),
-                      image(0, None, lambda label, n: cartan(osc, label, n)))
+                      image(-1, ("xp", "yp"), lambda label, n: phi(osc, label, n)), hk)
 
 
 def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
@@ -425,13 +425,13 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
     lhs = _recoupling(dims, lam, coproduct[p], coproduct[q], inner_left=True)
     rhs = _recoupling(dims, lam, coproduct[p2], coproduct[q2], inner_left=False)
 
-    result = first_mismatch("recoupling", "", chain(
-        block_entries(lhs.f, rhs.f, range(n_max + 1), "block"),
-        block_entries(lhs.e, rhs.e, range(n_max), "block"),
-        block_entries(lhs.hk, rhs.hk, range(n_max + 1), "block")))
-    equal = result.passed
-    witness = None if equal else {**result.witness.where, "lhs": result.witness.lhs,
-                                  "rhs": result.witness.rhs}
+    checks = (check_identity("recoupling", "", range(top), [(1, (a,))], [(1, (b,))],
+                             dims, "block")
+              for a, b, top in ((lhs.f, rhs.f, n_max + 1), (lhs.e, rhs.e, n_max),
+                                (lhs.hk, rhs.hk, n_max + 1)))
+    witness = next(({**c.witness.where, "lhs": c.witness.lhs, "rhs": c.witness.rhs}
+                    for c in checks if not c.passed), None)
+    equal = witness is None
     constraint = (p2 == p * q) and (1 - p == (1 - p2) * (1 - q2))
     if constraint and not equal:
         raise RuntimeError("internal error: constraint satisfied but the "

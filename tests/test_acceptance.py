@@ -218,8 +218,8 @@ def test_criterion_11_negative_controls():
     # representation relations: lowering sign flipped
     mod = ModuleSpec(AlgebraKind(AlgebraTag.SL2), F(3), 4)
     gens = build_generators(mod)
-    bad_f = GradedOperator(-1, gens.f.dims,
-                           gens.f.scaled(-1).blocks)
+    bad_f = GradedOperator(-1, gens.f.dims, {n: {ij: -v for ij, v in b.items()}
+                                             for n, b in gens.f.blocks.items()})
     rep = check_relations(mod, Generators(gens.e, bad_f, gens.hk))
     witnesses.append(("relations", rep.first_failure()))
 

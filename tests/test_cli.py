@@ -12,6 +12,7 @@ from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weight
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite, table_doc
 from askeycg.families import FamilyKind, make_instance, poly_value
 
+from test_algebras import with_entry
 from test_families import sample_instance
 
 
@@ -349,12 +350,6 @@ def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
             for m in range(inst.n_max + 1):
                 fn(n, m)
     assert coproduct.check_algebraic_form(inst, derived).passed
-
-
-def with_entry(op, level, ij, value):
-    blocks = {n: dict(b) for n, b in op.blocks.items()}
-    blocks[level][ij] = value
-    return algebras.GradedOperator(op.degree, op.dims, blocks)
 
 
 @pytest.mark.parametrize("inst,corrupt,witness", [

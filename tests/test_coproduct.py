@@ -4,7 +4,7 @@ import pytest
 
 from askeycg import coproduct
 
-from askeycg.algebras import GradedOperator, first_block_mismatch, identity_operator, phi
+from askeycg.algebras import GradedOperator, check_identity, phi, scalar_operator
 from askeycg.coproduct import (CoproductCoeffs, algebraic_form, build_delta,
                                check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
@@ -13,6 +13,7 @@ from askeycg.exactmath import InvalidParameterError
 from askeycg.families import FamilyKind, algebra_for, contiguity, labels, make_instance
 from askeycg.linalg import nullspace
 
+from test_algebras import with_entry
 from test_families import ALL_KINDS, outcome, sample_instance, wide_draws
 from test_linalg import to_lists
 
@@ -116,9 +117,7 @@ def test_two_construction_routes_agree():
         inst = sample_instance(kind)
         direct = build_delta(inst)
         via_coeffs = build_delta(inst, coproduct_coeffs(inst))
-        nm = inst.n_max
-        assert first_block_mismatch(direct.e, via_coeffs.e, range(nm)) is None
-        assert first_block_mismatch(direct.f, via_coeffs.f, range(nm + 1)) is None
+        assert direct == via_coeffs
 
 
 @pytest.mark.parametrize("route", ["contiguity", "coefficients"])
@@ -150,9 +149,9 @@ def test_homomorphism(kind):
 def test_hahn_delta_commutator_is_identity():
     inst = sample_instance(FamilyKind.HAHN)
     delta = build_delta(inst)
-    comm = delta.e @ delta.f - delta.f @ delta.e
-    assert first_block_mismatch(comm, identity_operator(comm.dims),
-                                range(inst.n_max)) is None
+    assert check_identity("commutator", "", range(inst.n_max),
+                          [(1, (delta.e, delta.f)), (-1, (delta.f, delta.e))], [(1, ())],
+                          delta.e.dims).passed
 
 
 def test_corrupted_y_fails_homomorphism():
@@ -342,12 +341,6 @@ def test_beta_zero_collapses_yp():
             assert cf.yp(n, m) == k1 ** 2 * q ** n
 
 
-def with_entry(op, level, ij, value):
-    blocks = {n: dict(b) for n, b in op.blocks.items()}
-    blocks[level][ij] = value
-    return GradedOperator(op.degree, op.dims, blocks)
-
-
 def passed_and_witness(rep):
     return [(c["name"], c["witness"]) for c in rep.to_dict()["checks"]]
 
@@ -420,3 +413,15 @@ def test_coassoc_witnesses(args, labels, n_max, witness):
     col, lhs, rhs = witness
     assert (res.lhs_equals_rhs, res.constraint_holds) == (False, False)
     assert res.witness == {"block": 1, "row": 0, "col": col, "lhs": lhs, "rhs": rhs}
+
+
+@pytest.mark.parametrize("inner_left", [True, False])
+def test_recoupled_cartan_acts_as_the_total_weight(inner_left):
+    # H x I x I + I x H x I + I x I x H on level N is l1 + l2 + l3 + 2N
+    lam, n_max = (F(1), F(2, 3), F(-1, 2)), 3
+    dims = tuple((N + 1) * (N + 2) // 2 for N in range(n_max + 1))
+    form = algebraic_form(make_instance(FamilyKind.KRAWTCHOUK, p=F(1, 3), n_max=n_max))
+    hk = coproduct._recoupling(dims, lam, form, form, inner_left).hk
+    total = scalar_operator(dims, lambda N: sum(lam) + 2 * N)
+    assert check_identity("weight", "", range(n_max + 1), [(1, (hk,))], [(1, (total,))],
+                          dims).passed
