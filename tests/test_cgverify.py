@@ -377,6 +377,100 @@ def test_vanishing_norm_is_not_certified():
         orthogonality_weights(inst, 1, bad, delta)
 
 
+def two_level_delta(e, f):
+    """Delta on levels 0 and 1 (dims 1 and 2) from E's column e, level 0 -> 1,
+    and F's row f, level 1 -> 0; so T_1 = E F has entries e[i] f[j]."""
+    dims = (1, 2)
+    return Delta(GradedOperator(1, dims, {0: {(i, 0): x for i, x in enumerate(e) if x}}),
+                 GradedOperator(-1, dims, {0: {}, 1: {(0, j): x for j, x in enumerate(f) if x}}),
+                 scalar_operator(dims, lambda n: 1))
+
+
+def with_columns(blk, cols):
+    """blk with column k replaced by the column cols[k] (None keeps it)."""
+    n = blk.P.rows
+    return CGBlock(blk.N, RatMat.build(n, n, lambda i, k: (
+        blk.P.entry(i, k) if cols[k] is None else cols[k][i])))
+
+
+def test_eigenvectors_of_a_repeated_eigenvalue_are_not_certified(monkeypatch):
+    # column 1 duplicates column 0 and its eigenvalue is patched to repeat
+    # Lambda_0, so T P = P Lambda holds, T symmetrizes and the norms are
+    # nonzero; only the distinct eigenvalues rule out the singular P
+    inst = sample_instance(FamilyKind.HAHN)
+    delta = build_delta(inst)
+    blk = cg_block(inst, 3)
+    twin = with_columns(blk, [None, blk.P.column(0), None, None])
+    original = cgverify.tensor_lowering_eigenvalue
+    monkeypatch.setattr(cgverify, "tensor_lowering_eigenvalue",
+                        lambda inst, k, j: original(inst, 0, j + 1) if k == 1
+                        else original(inst, k, j))
+    with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
+        orthogonality_weights(inst, 3, twin, delta)
+
+
+def test_zero_column_is_not_certified():
+    # a zero column is an eigenvector of anything; its norm vanishes
+    inst = sample_instance(FamilyKind.HAHN)
+    delta = build_delta(inst)
+    blk = cg_block(inst, 3)
+    holed = with_columns(blk, [None, None, (F(0),) * 4, None])
+    with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
+        orthogonality_weights(inst, 3, holed, delta)
+
+
+def test_weights_of_non_eigenvectors_are_not_certified():
+    # T_1 = [[1, 2], [1, 2]] symmetrizes with Omega = (1, 2), and P's columns
+    # have nonzero norms under it, but they are not eigenvectors of T_1:
+    # the weights are those of the full solve, Omega = (1, 1)
+    inst = sample_instance(FamilyKind.HAHN)
+    blk = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(-1)]]))
+    delta = two_level_delta([1, 1], [1, 2])
+    assert orthogonality_weights(inst, 1, blk, delta) == orthogonality_weights(inst, 1, blk) \
+        == WeightData(1, (F(1), F(1)), (F(2), F(2)))
+
+
+def test_zero_lower_entry_of_t_is_declined():
+    # T_1 = [[0, c], [0, c]] with c = Lambda_0 has the eigenvectors (1, 1) and
+    # (1, 0) of P, but T_1[1][0] = 0 leaves no symmetrizer; the full solve
+    # gives the verdict
+    inst = sample_instance(FamilyKind.HAHN)
+    c = tensor_lowering_eigenvalue(inst, 0, 1)
+    blk = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(0)]]))
+    delta = two_level_delta([1, 1], [0, c])
+    with pytest.raises(WeightSolutionError, match="Omega_0 vanishes"):
+        orthogonality_weights(inst, 1, blk, delta)
+
+
+def test_zero_upper_entry_of_t_is_declined_before_any_eigenvalue(monkeypatch):
+    # T_1 = [[c, 0], [c, 0]] with c = Lambda_0 has the eigenvectors (1, 1) and
+    # (0, 1) of P, but T_1[0][1] = 0: the certificate declines at once, and
+    # the full solve finds the vanishing norm
+    inst = sample_instance(FamilyKind.HAHN)
+    c = tensor_lowering_eigenvalue(inst, 0, 1)
+    blk = CGBlock(1, RatMat.from_rows([[F(1), F(0)], [F(1), F(1)]]))
+    delta = two_level_delta([1, 1], [c, 0])
+    eigen_callers = spy_callers(monkeypatch, "tensor_lowering_eigenvalue")
+    with pytest.raises(WeightSolutionError, match="Omega' vanishes at column 1"):
+        orthogonality_weights(inst, 1, blk, delta)
+    assert eigen_callers == []
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_certified_weights_equal_the_full_solve_at_nmax_10(kind, monkeypatch):
+    # one pinned draw per family: every block is certified without a solve,
+    # and the certified WeightData is the full solve's
+    inst = random_instance(kind, random.Random(0), n_max=10)
+    delta = build_delta(inst)
+    for N in range(inst.n_max + 1):
+        blk = cg_block(inst, N)
+        rank_callers = spy_callers(monkeypatch, "rank")
+        certified = orthogonality_weights(inst, N, blk, delta)
+        assert rank_callers == []
+        monkeypatch.undo()
+        assert certified == orthogonality_weights(inst, N, blk)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_verify_suite_certifies_weights_without_a_solve(kind, monkeypatch):
     inst = sample_instance(kind)
