@@ -14,6 +14,7 @@ from askeycg.families import FamilyKind, make_instance, poly_value
 
 from test_algebras import with_entry
 from test_families import sample_instance
+from test_golden_reports import report as golden_report
 
 
 def test_verify_exit_zero_and_report(tmp_path, capsys):
@@ -316,6 +317,14 @@ def test_full_run_builds_each_factor_module_and_delta_once(kind, monkeypatch):
     deltas = count_calls(monkeypatch, coproduct, "build_delta")
     assert run_verify_suite(inst).passed
     assert len(gens) == 2 and len(deltas) == 1
+
+
+def test_twist_run_builds_one_delta(monkeypatch):
+    # the twist check reads the run's Delta instead of building its own
+    deltas = count_calls(monkeypatch, coproduct, "build_delta")
+    rep = golden_report("q-racah-twist")
+    assert not next(c for c in rep["checks"] if c["name"] == "twist")["skipped"]
+    assert len(deltas) == 1
 
 
 def test_table_builds_one_delta(monkeypatch):
