@@ -54,7 +54,8 @@ class _Artifacts:
     use: each factor module with its generators (shared by `relations` and
     `casimir`), the contiguity data, Delta and the CG blocks. The contiguity
     data memoizes every coefficient it evaluates, so `contiguity`, Delta
-    (hence `homomorphism`, `grading`, `raising`, `lowering`, `cg-oracle`)
+    (hence `homomorphism`, `grading`, `raising`, `lowering`, `cg-oracle`,
+    `orthogonality`, `twist`)
     and the derived side of `algebraic-form` evaluate each coefficient once
     per run. Everything belongs to the run and is dropped with it."""
 
@@ -177,7 +178,7 @@ _CHECKS = {
     "cg-oracle": (None, _oracle),
     "orthogonality": (None, _orthogonality),
     "twist": (_twist_skip, lambda inst, art: check_twist_qracah_specialization(
-        inst.q, inst.kappa1, inst.kappa2, inst.n_max)),
+        inst.q, inst.kappa1, inst.kappa2, inst.n_max, art.delta)),
 }
 
 CHECK_NAMES = list(_CHECKS)

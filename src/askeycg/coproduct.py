@@ -287,7 +287,7 @@ def check_algebraic_form(inst: FamilyInstance,
 
 
 def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
-                                      n_max: int = 6) -> Report:
+                                      n_max: int = 6, delta: Delta | None = None) -> Report:
     """At beta = 0, alpha = kappa1^2/q the q-Racah coproduct must collapse to
 
         Delta(E) = E x I + kappa1^{-1} K x E
@@ -299,7 +299,8 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
     No coefficient here ever divides by a lowering coefficient, so module
     labels with a vanishing phi inside the truncation are acceptable; only
     q, the kappas and n_max >= 1 (below it no raising block is compared) are
-    validated.
+    validated. An already built `delta` of this point is used as is; otherwise
+    it is built here.
     """
     q, kappa1, kappa2 = (Fraction(v) for v in (q, kappa1, kappa2))
     if q in (0, 1, -1):
@@ -312,7 +313,7 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
                           alpha=kappa1 ** 2 / q, beta=Fraction(0),
                           gamma=kappa1 ** 2 * kappa2 ** 2 / q,
                           q=q, kappa1=kappa1, kappa2=kappa2)
-    delta = build_delta(inst)
+    delta = delta or build_delta(inst)
     dims = delta.e.dims
     alg = algebra_for(inst)
 

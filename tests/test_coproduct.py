@@ -372,6 +372,19 @@ def test_twist_witnesses_on_a_corrupted_delta(monkeypatch):
         ("twisted-lowering", None)]
 
 
+def test_twist_reads_a_given_delta():
+    q, k1, k2 = F(1, 4), F(1, 2), F(1, 3)
+    inst = make_instance(FamilyKind.Q_RACAH, q=q, kappa1=k1, kappa2=k2,
+                         alpha=k1 ** 2 / q, beta=F(0), n_max=4)
+    d = build_delta(inst)
+    bad = coproduct.Delta(d.e, with_entry(d.f, 3, (1, 2), 3 * d.f.blocks[3][1, 2]), d.hk)
+    lowering = {"where": {"block": "3", "row": "1", "col": "2"},
+                "lhs": "675/256", "rhs": "225/256"}
+    assert passed_and_witness(check_twist_qracah_specialization(q, k1, k2, 4, bad)) == [
+        ("specialized-raising", None), ("specialized-lowering", lowering),
+        ("twisted-raising", None), ("twisted-lowering", lowering)]
+
+
 # -- Krawtchouk coassociativity ---------------------------------------------------
 
 def test_coassoc_central_charge_quadruple():
