@@ -40,8 +40,7 @@ from functools import cache
 from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .exactmath import (InvalidParameterError, Scalar, format_scalar, parse_scalar,
-                        product_sum)
+from .exactmath import InvalidParameterError, Scalar, format_scalar, product_sum
 from .linalg import RatMat
 from .report import CheckResult, Report
 
@@ -201,33 +200,6 @@ class GradedOperator:
                 out[n] = {ij: Fraction(top, bottom)
                           for ij, (top, bottom) in pairs.items() if top}
         return GradedOperator._nonzero(self.degree + other.degree, self.dims, out)
-
-    def to_doc(self) -> dict:
-        zero = Fraction(0)
-        docs = []
-        for n, b in sorted(self.blocks.items()):
-            rows, cols = self.shape(n)
-            docs.append({"N": n, "rows": rows, "cols": cols, "entries": [
-                [format_scalar(b.get((i, j), zero)) for j in range(cols)]
-                for i in range(rows)]})
-        return {"degree": self.degree, "blocks": docs}
-
-    @staticmethod
-    def from_doc(doc: dict, dims: Iterable[int]) -> "GradedOperator":
-        """Rebuild an operator on a module with the given level dimensions;
-        every block must have the shape its level and the degree dictate."""
-        shape = GradedOperator(int(doc["degree"]), tuple(dims), {}).shape
-        blocks = {}
-        for rec in doc["blocks"]:
-            n = int(rec["N"])
-            rows, cols = shape(n)
-            entries = rec["entries"]
-            if ((rec["rows"], rec["cols"]) != (rows, cols) or len(entries) != rows
-                    or any(len(row) != cols for row in entries)):
-                raise ValueError(f"block {n} in document is not {rows}x{cols}")
-            blocks[n] = {(i, j): parse_scalar(x)
-                         for i, row in enumerate(entries) for j, x in enumerate(row)}
-        return GradedOperator(int(doc["degree"]), tuple(dims), blocks)
 
 
 def _block_product(a: GradedOperator, b: GradedOperator, n: int):

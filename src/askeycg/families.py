@@ -116,22 +116,6 @@ class FamilyInstance:
                 doc[name] = format_scalar(value)
         return doc
 
-    @staticmethod
-    def from_doc(doc: dict) -> "FamilyInstance":
-        kind = FamilyKind(doc["kind"])
-        known = {k: as_scalar(v) for k, v in doc.items()
-                 if k not in ("kind", "n_max")}
-        free = {k: v for k, v in known.items()
-                if k in _FREE_PARAMS[kind]
-                or k in ("lambda1", "lambda2", "kappa1", "kappa2")}
-        inst = make_instance(kind, n_max=int(doc["n_max"]), **free)
-        for k, v in known.items():
-            if getattr(inst, k) != v:
-                raise InvalidParameterError(
-                    f"inconsistent document: {k}={v} does not match the "
-                    f"resolved value {getattr(inst, k)}")
-        return inst
-
 
 def algebra_for(inst: FamilyInstance) -> AlgebraKind:
     tag = _ALGEBRA_OF[inst.kind]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -95,6 +94,3 @@ class Report:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

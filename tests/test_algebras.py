@@ -198,24 +198,6 @@ def test_composition_associative_and_degree_additive():
     assert common and all(left.blocks[n] == right.blocks[n] for n in common)
 
 
-def test_graded_operator_serialization_round_trip():
-    gens = build_generators(ModuleSpec(oscq(F(1, 4)), F(2, 3), 3))
-    doc = gens.f.to_doc()
-    back = GradedOperator.from_doc(doc, gens.f.dims)
-    assert back == gens.f
-    assert doc["blocks"][0] == {"N": 0, "rows": 0, "cols": 1, "entries": []}
-
-
-def test_graded_operator_from_doc_rejects_wrong_block_shape():
-    gens = build_generators(ModuleSpec(OSC, F(2), 3))
-    doc = gens.f.to_doc()
-    # level 2 of a lowering map on a single module is 1x1; this record is 2x2
-    doc["blocks"][2] = {"N": 2, "rows": 2, "cols": 2,
-                        "entries": [["1", "0"], ["0", "1"]]}
-    with pytest.raises(ValueError):
-        GradedOperator.from_doc(doc, gens.f.dims)
-
-
 @pytest.mark.parametrize("level_key", ["level", "N"])
 def test_check_identity_witness_is_row_major_first(level_key):
     # the differing entries are stored in reverse row-major order

@@ -10,7 +10,9 @@ import askeycg
 from askeycg import algebras, coproduct, families
 from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite, table_doc
+from askeycg.exactmath import parse_scalar
 from askeycg.families import FamilyKind, make_instance, poly_value
+from askeycg.linalg import RatMat
 
 from test_algebras import with_entry
 from test_families import sample_instance
@@ -220,8 +222,11 @@ def test_table_json_round_trips(tmp_path):
     inst = make_instance(FamilyKind.Q_HAHN, q=F(1, 4), alpha=F(1, 3),
                          beta=F(2, 5), n_max=3)
     for rec in doc["blocks"]:
-        blk = CGBlock.from_doc(rec)
-        weights = WeightData.from_doc(rec)
+        blk = CGBlock(int(rec["N"]), RatMat.from_rows(
+            [[parse_scalar(x) for x in row] for row in rec["P"]]))
+        weights = WeightData(int(rec["N"]), tuple(parse_scalar(x) for x in rec["omega"]),
+                             tuple(parse_scalar(x) for x in rec["omega_prime"]),
+                             rec["normalization"])
         assert blk == cg_block(inst, blk.N)
         assert [list(row) for row in blk.P.a] == [
             [poly_value(inst, n, k, blk.N) for k in range(blk.N + 1)]

@@ -4,7 +4,7 @@ import pytest
 
 from askeycg import coproduct
 
-from askeycg.algebras import GradedOperator, check_identity, phi, scalar_operator
+from askeycg.algebras import check_identity, phi, scalar_operator
 from askeycg.coproduct import (CoproductCoeffs, algebraic_form, build_delta,
                                check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
@@ -91,13 +91,6 @@ def test_krawtchouk_block0_raising():
     delta = build_delta(inst)
     blk = delta.e.dense(0)
     assert to_lists(blk) == [[F(1)], [F(1)]]
-
-
-def test_delta_serialization_round_trip():
-    inst = sample_instance(FamilyKind.Q_RACAH)
-    e = build_delta(inst).e
-    dims = tuple(N + 1 for N in range(inst.n_max + 1))
-    assert GradedOperator.from_doc(e.to_doc(), dims) == e
 
 
 def test_hahn_lowering_kernel_on_block_one():

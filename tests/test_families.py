@@ -80,19 +80,6 @@ def test_unknown_parameter_rejected():
         make_instance(FamilyKind.KRAWTCHOUK, p=F(1, 3), gamma=F(2))
 
 
-def test_instance_doc_round_trip():
-    for kind in ALL_KINDS:
-        inst = sample_instance(kind)
-        assert FamilyInstance.from_doc(inst.to_doc()) == inst
-
-
-def test_inconsistent_doc_rejected():
-    doc = sample_instance(FamilyKind.DUAL_HAHN).to_doc()
-    doc["beta"] = "100"
-    with pytest.raises(InvalidParameterError, match="inconsistent"):
-        FamilyInstance.from_doc(doc)
-
-
 # -- polynomial values -------------------------------------------------------
 
 def test_k_zero_column_is_binomial():
