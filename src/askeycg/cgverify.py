@@ -18,16 +18,17 @@ k-th tower, and repeated application of Delta(E) fills in the higher levels.
 Entrywise agreement with the polynomial route is the central certificate.
 
 The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
-k != l. The columns of block N are eigenvectors of the tridiagonal
-T_N = Delta(E) Delta(F) on level N, and the diagonal that symmetrizes T_N is
-a candidate Omega, read in O(N) from two bidiagonal blocks of Delta. The
-candidate is certified on P alone, in integer arithmetic: it solves every
-off-diagonal equation (existence), the equations (0, l) have rank N modulo a
-prime, so no other normalized solution exists (uniqueness), and every norm
-Omega'_l is nonzero, which also makes P nonsingular. When T_N has a zero
-off-diagonal entry or a step fails, Omega comes from the full solve, Bareiss
-elimination of all N(N+1)/2 equations, whose result or error is the verdict.
-Delta only proposes; the weights never rest on it.
+k != l. Since the CG matrix intertwines the coproduct with the sum of the
+irreducible components, column k of block N is an eigenvector of the
+tridiagonal T_N = Delta(E) Delta(F) on level N with eigenvalue the component
+lowering coefficient phi(tensor_label(k), N - k), and the diagonal that
+symmetrizes T_N is Omega. So Omega is certified by commutation, in O(N^2)
+integer operations: T_N has nonzero off-diagonal entries and distinct
+eigenvalues, T_N P = P Lambda exactly, and every norm Omega'_l is nonzero
+(_certified_weights gives the proof). When a step fails, Omega comes from
+the full solve, Bareiss elimination of all N(N+1)/2 equations, whose result
+or error is the verdict. T_N is a witness checked exactly: the weights never
+rest on Delta being right.
 
 random_instance draws seeded instances whose blocks all admit orthogonality
 weights; it lives here because that test is orthogonality_weights itself.
@@ -38,13 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import check_identity, phi, scalar_operator
+from .algebras import _block_product, check_identity, phi, scalar_operator
 from .coproduct import Delta, build_delta
-from .exactmath import InvalidParameterError, Scalar, format_scalar, parse_scalar
+from .exactmath import InvalidParameterError, Scalar, format_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
                        make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
-from .linalg import RatMat, integer_vector, nullspace, rank, rank_mod
+from .linalg import RatMat, integer_vector, nullspace, rank
 from .report import Report, first_mismatch
 
 __all__ = [
@@ -73,11 +74,6 @@ class CGBlock:
         return {"N": self.N,
                 "P": [[format_scalar(x) for x in row] for row in self.P.a]}
 
-    @staticmethod
-    def from_doc(doc: dict) -> "CGBlock":
-        P = RatMat.from_rows([[parse_scalar(x) for x in row] for row in doc["P"]])
-        return CGBlock(int(doc["N"]), P)
-
 
 @dataclass(frozen=True)
 class WeightData:
@@ -91,13 +87,6 @@ class WeightData:
                 "omega": [format_scalar(x) for x in self.omega],
                 "omega_prime": [format_scalar(x) for x in self.omega_prime],
                 "normalization": self.normalization}
-
-    @staticmethod
-    def from_doc(doc: dict) -> "WeightData":
-        return WeightData(int(doc["N"]),
-                          tuple(parse_scalar(x) for x in doc["omega"]),
-                          tuple(parse_scalar(x) for x in doc["omega_prime"]),
-                          doc.get("normalization", "omega0=1"))
 
 
 def cg_block(inst: FamilyInstance, N: int) -> CGBlock:
@@ -211,15 +200,14 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     nonzero. Signs are reported as found; no positivity is claimed.
 
     With `delta` given, the diagonal that symmetrizes T_N = Delta(E) Delta(F)
-    is tried first and certified on P (see the module docstring): existence,
-    uniqueness by a rank mod a prime, and nonzero norms. When T_N has a zero
+    is tried first and certified by commutation (_certified_weights): T_N P =
+    P Lambda with distinct eigenvalues and nonzero norms. When T_N has a zero
     off-diagonal entry or a step fails, the full solve below runs, and its
     result or error is the verdict.
     """
     P = (block or cg_block(inst, N)).P
     if delta is not None:
-        omega = _symmetrizer(delta, N)
-        found = _certified_weights(P, N, omega) if omega else None
+        found = _certified_weights(inst, P, N, delta)
         if found:
             return found
     if rank(P) != N + 1:
@@ -249,47 +237,57 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     return WeightData(N, omega, tuple(omega_prime))
 
 
-def _symmetrizer(delta: Delta, N: int) -> list[Fraction] | None:
-    """Omega with Omega_0 = 1 and Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n]
-    for the tridiagonal T = Delta(E)_{N-1 -> N} Delta(F)_{N -> N-1}, read off
-    the two bidiagonal blocks; None when an off-diagonal entry of T vanishes."""
-    e, f = delta.e.blocks.get(N - 1, {}), delta.f.blocks.get(N, {})
+def _certified_weights(inst: FamilyInstance, P: RatMat, N: int,
+                       delta: Delta) -> WeightData | None:
+    """The weights of P certified by commutation with T = T_N = Delta(E)
+    Delta(F) on level N, or None when a step fails:
+
+    1. every nonzero entry of T lies on its three central diagonals, and
+       none of T[n][n+1], T[n+1][n] is zero;
+    2. Omega_0 = 1 and Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so
+       W T is symmetric for W = diag(Omega);
+    3. Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), which is 0 at
+       k = N, are pairwise distinct;
+    4. T P = P Lambda exactly;
+    5. every norm Omega'_l = sum_n P[n][l]^2 Omega_n is nonzero.
+
+    Proof. G = P^T W P satisfies Lambda G = P^T T^T W P = P^T W T P = G Lambda
+    by 4 and 2, so by 3 G is diagonal: Omega solves every off-diagonal
+    equation, and G's diagonal holds the norms. By 5 G is nonsingular, hence
+    so is P. Any diagonal W' with P^T W' P = D' diagonal gives
+    W' T = P^-T D' Lambda P^-1, which is symmetric, so W'_{n+1} T[n+1][n] =
+    W'_n T[n][n+1], and by 1 W' = W'_0 Omega: the solution space is the line
+    through Omega. T is a witness checked exactly, so the proof never rests
+    on Delta being right. All checks run over integers: row i of T is t_i /
+    d_i and column l of P is a_l / c_l."""
+    T = {ij: Fraction(*pair)
+         for ij, pair in (_block_product(delta.e, delta.f, N) or {}).items() if pair[0]}
+    if any(abs(i - j) > 1 or max(i, j) > N for i, j in T):
+        return None
     omega = [Fraction(1)]
     for n in range(N):
-        up = e.get((n, n), 0) * f.get((n, n + 1), 0)
-        down = e.get((n + 1, n), 0) * f.get((n, n), 0)
+        up, down = T.get((n, n + 1)), T.get((n + 1, n))
         if not up or not down:
             return None
         omega.append(omega[-1] * up / down)
-    return omega
-
-
-# a fixed prime for the uniqueness step; any prime gives a valid certificate
-_PRIME = (1 << 61) - 1
-
-
-def _certified_weights(P: RatMat, N: int, omega: list[Fraction]) -> WeightData | None:
-    """WeightData(N, omega, ...) if omega provably is the normalized solution
-    of the weight system of P and every norm is nonzero, else None. All sums
-    run over integers: column l of P is a_l / c_l and Omega is w / L."""
-    cols = [integer_vector(P.column(k)) for k in range(N + 1)]
-    w, L = integer_vector(omega)
-    weighted = [[x * y for x, y in zip(a, w)] for a, _ in cols]
-    # existence: omega solves every off-diagonal row
-    for k in range(N + 1):
-        a = cols[k][0]
-        for l in range(k + 1, N + 1):
-            if sum(x * y for x, y in zip(a, weighted[l])):
-                return None
-    # uniqueness: the rows (0, l) alone leave at most a line of solutions
-    a0 = cols[0][0]
-    if rank_mod([[x * y for x, y in zip(a0, cols[l][0])]
-                 for l in range(1, N + 1)], _PRIME) != N:
+    lam = [tensor_lowering_eigenvalue(inst, k, N - k) for k in range(N + 1)]
+    if len(set(lam)) <= N:
         return None
-    # norms: nonzero, so P^T Omega P is nonsingular and so is P
+    rows = []
+    for i in range(N + 1):
+        band = [j for j in (i - 1, i, i + 1) if (i, j) in T]
+        t, d = integer_vector([T[i, j] for j in band])
+        rows.append((list(zip(band, t)), d))
+    cols = [integer_vector(P.column(l)) for l in range(N + 1)]
+    for (a, _), x in zip(cols, lam):
+        xn, xd = x.as_integer_ratio()
+        for i, (row, d) in enumerate(rows):
+            if xd * sum(t * a[j] for j, t in row) != xn * d * a[i]:
+                return None
+    w, L = integer_vector(omega)
     omega_prime = []
-    for (a, c), aw in zip(cols, weighted):
-        norm = sum(x * y for x, y in zip(a, aw))
+    for a, c in cols:
+        norm = sum(x * x * y for x, y in zip(a, w))
         if not norm:
             return None
         omega_prime.append(Fraction(norm, c * c * L))

@@ -1,7 +1,6 @@
 """Dense exact rational matrices: the CG blocks, and the nullspaces and ranks
-the block checks need, with ranks of integer matrices modulo a prime. Graded
-operators keep their own sparse blocks (algebras.GradedOperator) and become
-dense only to enter a nullspace.
+the block checks need. Graded operators keep their own sparse blocks
+(algebras.GradedOperator) and become dense only to enter a nullspace.
 
 Matrices are small (block sizes stay below ~20), so everything is plain
 row-major tuples of Fractions. Nullspaces are computed fraction-free: rows are
@@ -17,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-__all__ = ["RatMat", "nullspace", "rank", "integer_vector", "rank_mod"]
+__all__ = ["RatMat", "nullspace", "rank", "integer_vector"]
 
 
 @dataclass(frozen=True)
@@ -130,22 +129,3 @@ def nullspace(m: RatMat) -> list[tuple[Fraction, ...]]:
         basis.append(tuple(Fraction(x, den) for x in num))
     return basis
 
-
-def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix modulo the prime p. It never exceeds the
-    rank over the rationals."""
-    rows = [[x % p for x in row] for row in rows]
-    rnk = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rnk, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rnk], rows[piv] = rows[piv], rows[rnk]
-        inv = pow(rows[rnk][c], -1, p)
-        top = [x * inv % p for x in rows[rnk]]
-        for i in range(rnk + 1, len(rows)):
-            h = rows[i][c]
-            if h:
-                rows[i] = [(x - h * y) % p for x, y in zip(rows[i], top)]
-        rnk += 1
-    return rnk

@@ -533,19 +533,6 @@ def test_lowering_is_diagonalized_in_cg_basis():
                 assert recoupled.entry(row, k) == want
 
 
-# -- serialization ------------------------------------------------------------
-
-def test_cg_block_doc_round_trip():
-    inst = sample_instance(FamilyKind.Q_RACAH)
-    blk = cg_block(inst, 3)
-    assert CGBlock.from_doc(blk.to_doc()) == blk
-
-
-def test_weight_data_doc_round_trip():
-    inst = sample_instance(FamilyKind.RACAH)
-    w = orthogonality_weights(inst, 3)
-    assert WeightData.from_doc(w.to_doc()) == w
-
 # -- random draws -------------------------------------------------------------
 
 # random_instance(kind, random.Random(seed), n_max=6).to_doc() for every family

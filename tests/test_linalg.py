@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from askeycg.linalg import RatMat, integer_vector, nullspace, rank, rank_mod
+from askeycg.linalg import RatMat, integer_vector, nullspace, rank
 
 
 def ref_rank(m: RatMat) -> int:
@@ -182,18 +182,3 @@ def test_inverse_rejects_singular():
 def test_integer_vector_shares_the_least_common_denominator():
     assert integer_vector([F(1, 2), F(-2, 3), F(0), F(5)]) == ([3, -4, 0, 30], 6)
     assert integer_vector([]) == ([], 1)
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_rank_mod_large_prime_equals_rank(seed):
-    rng = random.Random(f"rank_mod:{seed}")
-    for _ in range(50):
-        m = random_matrix(rng)
-        ints = [integer_vector(row)[0] for row in m.a]
-        assert rank_mod(ints, (1 << 61) - 1) == ref_rank(m), to_lists(m)
-
-
-def test_rank_mod_small_prime_can_fall_below_rank():
-    rows = [[1, 2], [3, 4]]  # determinant -2
-    assert rank_mod(rows, 2) == 1 < rank_mod(rows, 3) == 2
-    assert rank_mod([], 5) == 0 and rank_mod([[0, 0]], 5) == 0
