@@ -239,11 +239,10 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
 
 def _certified_weights(inst: FamilyInstance, P: RatMat, N: int,
                        delta: Delta) -> WeightData | None:
-    """The weights of P certified by commutation with T = T_N = Delta(E)
-    Delta(F) on level N, or None when a step fails:
+    """The weights of P certified by commutation with T, the tridiagonal part
+    of T_N = Delta(E) Delta(F) on level N, or None when a step fails:
 
-    1. every nonzero entry of T lies on its three central diagonals, and
-       none of T[n][n+1], T[n+1][n] is zero;
+    1. none of T[n][n+1], T[n+1][n] is zero;
     2. Omega_0 = 1 and Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so
        W T is symmetric for W = diag(Omega);
     3. Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), which is 0 at
@@ -262,8 +261,6 @@ def _certified_weights(inst: FamilyInstance, P: RatMat, N: int,
     d_i and column l of P is a_l / c_l."""
     T = {ij: Fraction(*pair)
          for ij, pair in (_block_product(delta.e, delta.f, N) or {}).items() if pair[0]}
-    if any(abs(i - j) > 1 or max(i, j) > N for i, j in T):
-        return None
     omega = [Fraction(1)]
     for n in range(N):
         up, down = T.get((n, n + 1)), T.get((n + 1, n))
