@@ -224,6 +224,24 @@ def test_oracle_equals_polynomial_blocks(kind):
         assert oracle[N].P == cg_block(inst, N).P
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_oracle_evaluates_no_polynomial(kind, monkeypatch):
+    # every column, its scale included, comes from Delta alone
+    inst = sample_instance(kind, n_max=5)
+    delta = build_delta(inst)
+    want = [cg_block(inst, N) for N in range(inst.n_max + 1)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle evaluated a polynomial")
+
+    for module in [m for name, m in sys.modules.items()
+                   if name == "askeycg" or name.startswith("askeycg.")]:
+        for name in ("poly_block", "poly_value", "cg_block"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert lowest_weight_oracle(inst, delta=delta) == want
+
+
 # -- orthogonality weights ----------------------------------------------------
 
 def test_weights_block_zero():

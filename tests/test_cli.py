@@ -282,6 +282,21 @@ def test_suite_failure_yields_exit_one(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_oracle_catches_a_rescaled_column(monkeypatch):
+    # column 1 tripled at every level still satisfies every linear check;
+    # only the oracle, which fixes each tower's scale from Delta, tells
+    def tripled(inst, N):
+        P = cg_block(inst, N).P
+        return CGBlock(N, RatMat.build(N + 1, N + 1,
+                                       lambda n, k: P.entry(n, k) * (3 if k == 1 else 1)))
+
+    monkeypatch.setattr("askeycg.cli.cg_block", tripled)
+    failed = {c["name"]: c["witness"] for c in golden_report("hahn")["checks"]
+              if not c["passed"]}
+    assert failed == {"cg-oracle": {"where": {"N": "1", "n": "0", "k": "1"},
+                                    "lhs": "1", "rhs": "3"}}
+
+
 # -- shared artifacts: each built at most once, and only when a check needs it --
 
 def count_calls(monkeypatch, module, name, replacement=None) -> list:
