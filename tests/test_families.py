@@ -44,6 +44,74 @@ def test_hahn_integer_alpha_plus_beta_rejected():
         make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1))
 
 
+# one input per validation message, with the exact text each must keep
+PINNED_REJECTIONS = [
+    ("q-hahn", 4, dict(q=F(1, 2), alpha=F(1, 3), beta=F(2, 5), kappa1=F(0)),
+     "kappa labels must be nonzero"),
+    ("q-hahn", 4, dict(q=F(1), alpha=F(1, 3), beta=F(2, 5)), "q must avoid {0, 1, -1}"),
+    ("q-hahn", 4, dict(q=F(1, 2), alpha=F(2), beta=F(1)),
+     "1 - alpha*beta*q^1 vanishes (contiguity denominator)"),
+    ("q-hahn", 4, dict(q=F(1, 2), alpha=F(4), beta=F(3)),
+     "series denominator (alpha*q; q) vanishes at q^2"),
+    ("q-racah", 4, dict(q=F(1, 2), alpha=F(0), beta=F(1, 7), kappa1=F(1, 2), kappa2=F(1, 3)),
+     "q-racah needs alpha nonzero"),
+    ("q-racah", 4, dict(q=F(1, 2), alpha=F(3), beta=F(1), kappa1=F(1), kappa2=F(1)),
+     "series denominator (beta*gamma*q; q) vanishes at q^1"),
+    ("q-racah", 4, dict(q=F(1, 4), alpha=F(1, 5), beta=F(1, 7), kappa1=F(2), kappa2=F(1, 3)),
+     "kappa1^2 q^1 = 1: module label hits a zero of the lowering coefficient"),
+    ("q-racah", 4, dict(q=F(1, 4), alpha=F(1, 5), beta=F(1, 7), kappa1=F(1, 3), kappa2=F(2)),
+     "kappa2^2 q^1 = 1: module label hits a zero of the lowering coefficient"),
+    ("q-racah", 1, dict(q=F(1, 4), alpha=F(1, 5), beta=F(1, 7), kappa1=F(3), kappa2=F(4, 3)),
+     "(kappa1*kappa2)^2 q^2 = 1: a tensor component label hits a zero of the lowering "
+     "coefficient"),
+    ("krawtchouk", 4, dict(p=F(0)), "p must be nonzero"),
+    ("krawtchouk", 4, dict(p=F(1)), "p = 1 degenerates the orthogonality weights"),
+    ("hahn", 4, dict(alpha=F(1), beta=F(1)),
+     "2n + alpha + beta - N vanishes at (n=0, N=2); alpha + beta must avoid the integers "
+     "(genericity)"),
+    ("hahn", 4, dict(alpha=F(-2), beta=F(1, 2)),
+     "series denominator (alpha+1)_k vanishes (alpha = -2)"),
+    ("racah", 4, dict(alpha=F(1, 3), beta=F(-9, 2), lambda1=F(2), lambda2=F(5, 2)),
+     "series denominator (beta+gamma+1)_k vanishes"),
+    ("dual-hahn", 4, dict(alpha=F(1), lambda1=F(-1), lambda2=F(3)),
+     "lambda1 = -1 makes the module reducible within the truncation (lambda1 must avoid "
+     "0, -1, ..., -3)"),
+    ("dual-hahn", 4, dict(alpha=F(1), lambda1=F(3), lambda2=F(-2)),
+     "lambda2 = -2 makes the module reducible within the truncation (lambda2 must avoid "
+     "0, -1, ..., -3)"),
+    ("dual-hahn", 4, dict(alpha=F(1), lambda1=F(3, 2), lambda2=F(-7, 2)),
+     "lambda1 + lambda2 = -2 makes a tensor component reducible within the truncation"),
+    ("racah", 4, dict(alpha=F(1, 3), beta=F(1, 5), lambda1=F(3, 2), lambda2=F(-7, 2)),
+     "lambda1 + lambda2 = -2 makes a tensor component reducible within the truncation"),
+]
+
+
+@pytest.mark.parametrize("kind,n_max,params,message", PINNED_REJECTIONS,
+                         ids=[m[:40] for *_, m in PINNED_REJECTIONS])
+def test_validation_message_is_pinned(kind, n_max, params, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        make_instance(kind, n_max=n_max, **params)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.HAHN, FamilyKind.RACAH])
+@pytest.mark.parametrize("n_max", [1, 2, 4, 7])
+def test_integer_alpha_plus_beta_is_rejected_by_genericity(kind, n_max):
+    # 2n + s - N = 0 has a solution with 0 <= n <= n_max + 1, 0 <= N <= n_max
+    # exactly for the integers s in -2 n_max - 2 .. n_max; the first in the
+    # scan order (n, then N) has the smallest n
+    labels = dict(lambda1=F(2), lambda2=F(5, 2)) if kind is FamilyKind.RACAH else {}
+    for s in range(-2 * n_max - 2, n_max + 1):
+        n = max(0, -(s // 2))
+        with pytest.raises(InvalidParameterError) as exc:
+            make_instance(kind, n_max=n_max, alpha=s + F(1, 2), beta=F(-1, 2), **labels)
+        assert str(exc.value) == (
+            f"2n + alpha + beta - N vanishes at (n={n}, N={2 * n + s}); "
+            f"alpha + beta must avoid the integers (genericity)")
+    for s in (-2 * n_max - 3, n_max + 1):  # just outside: accepted
+        make_instance(kind, n_max=n_max, alpha=s + F(1, 2), beta=F(-1, 2), **labels)
+
+
 def test_sl2_label_restrictions():
     with pytest.raises(InvalidParameterError):
         make_instance(FamilyKind.DUAL_HAHN, lambda1=F(-1), lambda2=F(3), alpha=F(1))
