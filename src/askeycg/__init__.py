@@ -16,10 +16,10 @@ from .cgverify import (CGBlock, DegenerateKernelError, WeightData,
                        orthogonality_weights, random_instance,
                        tensor_lowering_eigenvalue, verify_lowering,
                        verify_raising, verify_weight_grading)
-from .coproduct import (AlgebraicForm, CoassocResult, CoproductCoeffs, Delta,
-                        algebraic_form, build_delta, check_algebraic_form,
-                        check_homomorphism, check_twist_qracah_specialization,
-                        coproduct_coeffs, krawtchouk_coassoc)
+from .coproduct import (CoassocResult, CoproductCoeffs, Delta, algebraic_form,
+                        build_delta, check_algebraic_form, check_homomorphism,
+                        check_twist_qracah_specialization, coproduct_coeffs,
+                        krawtchouk_coassoc)
 from .exactmath import (InvalidParameterError, Scalar, SingularParameterError,
                         as_scalar, binomial, format_scalar, hyper_terminating,
                         parse_scalar, pochhammer, q_binomial, q_hyper_terminating,

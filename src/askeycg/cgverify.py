@@ -12,8 +12,9 @@ level N+1, and by Delta(F) onto the lowering coefficient of the component
 with label index k times column k of level N-1; the k = N column must be
 annihilated.
 
-The oracle rebuilds the same columns without evaluating a single polynomial:
-the kernel of Delta(F) on block k (which must be one-dimensional) seeds the
+The oracle rebuilds the same columns from Delta alone, reading no CG value
+and evaluating no polynomial: the kernel of Delta(F) on block k (which must
+be one-dimensional), scaled to first entry v_0 = 1 = P_0(k, k), seeds the
 k-th tower, and repeated application of Delta(E) fills in the higher levels.
 Entrywise agreement with the polynomial route is the central certificate.
 
@@ -42,8 +43,8 @@ from fractions import Fraction
 from .algebras import _block_product, check_identity, phi, scalar_operator
 from .coproduct import Delta, build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar
-from .families import (FamilyInstance, FamilyKind, algebra_for, block_values,
-                       make_instance, poly_block, tensor_label)
+from .families import (FamilyInstance, FamilyKind, algebra_for, make_instance,
+                       poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
 from .linalg import RatMat, integer_vector, nullspace, rank
 from .report import Report, first_mismatch
@@ -57,7 +58,7 @@ __all__ = [
 
 
 class DegenerateKernelError(RuntimeError):
-    """The lowering kernel on some block is not one-dimensional."""
+    """The lowering kernel on some block is not a line with nonzero first entry."""
 
 
 class WeightSolutionError(RuntimeError):
@@ -80,13 +81,12 @@ class WeightData:
     N: int
     omega: tuple[Scalar, ...]
     omega_prime: tuple[Scalar, ...]
-    normalization: str = "omega0=1"
 
     def to_doc(self) -> dict:
         return {"N": self.N,
                 "omega": [format_scalar(x) for x in self.omega],
                 "omega_prime": [format_scalar(x) for x in self.omega_prime],
-                "normalization": self.normalization}
+                "normalization": "omega0=1"}
 
 
 def cg_block(inst: FamilyInstance, N: int) -> CGBlock:
@@ -147,19 +147,22 @@ def verify_lowering(inst: FamilyInstance, N: int,
     return rep
 
 
-def lowest_weight_oracle(inst: FamilyInstance,
-                         blocks: dict[int, CGBlock] | None = None,
-                         delta: Delta | None = None) -> list[CGBlock]:
-    """Rebuild every CG block from the coproduct alone.
+def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> list[CGBlock]:
+    """Rebuild every CG block from the coproduct alone; no CG value is read.
 
     For each k the kernel of Delta(F) on block k must be exactly
-    one-dimensional; the kernel vector is normalized so its n = 0 entry
-    matches P_0(k, k) (anchoring at the smallest nonzero entry if that one
-    ever vanished), then pushed up with Delta(E). The anchor values are read
-    from `blocks` when given; nothing else is taken from the polynomials.
+    one-dimensional; the kernel vector is scaled to first entry v_0 = 1,
+    which is P_0(k, k) in every family (the (q-)binomial prefactor and the
+    first series term are both 1 at n = 0), then pushed up with Delta(E).
+
+    Accepted instances raise neither DegenerateKernelError. On block k,
+    Delta(F) is the k x (k+1) upper bidiagonal matrix with Delta(F)[i][i] =
+    beta2(i, k) and Delta(F)[i][i+1] = beta1(i, k), and make_instance
+    certifies every factor of beta1(i, k) nonzero for 0 <= i < k <= n_max.
+    So v_{i+1} = -beta2(i, k) v_i / beta1(i, k): the kernel is one line, and
+    v_0 = 0 would force v = 0.
     """
     delta = delta or build_delta(inst)
-    value = block_values(inst, blocks)
     nm = inst.n_max
     columns: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for k in range(nm + 1):
@@ -169,23 +172,17 @@ def lowest_weight_oracle(inst: FamilyInstance,
                 f"kernel of the lowering map on block {k} has dimension "
                 f"{len(basis)}, expected 1")
         vec = basis[0]
-        anchor = next((i for i in range(k + 1)
-                       if vec[i] != 0 and value(i, k, k) != 0), None)
-        if anchor is None:
+        if vec[0] == 0:
             raise DegenerateKernelError(
-                f"kernel vector on block {k} cannot be normalized against the "
-                f"polynomial column")
-        scale = value(anchor, k, k) / vec[anchor]
-        vec = tuple(scale * x for x in vec)
+                f"kernel vector on block {k} has first entry 0, so it cannot be "
+                f"scaled to P_0({k}, {k}) = 1")
+        vec = tuple(x / vec[0] for x in vec)
         columns[(k, k)] = vec
         for N in range(k, nm):
             vec = delta.e.apply(N, vec)
             columns[(k, N + 1)] = vec
-    out = []
-    for N in range(nm + 1):
-        out.append(CGBlock(N, RatMat.build(
-            N + 1, N + 1, lambda n, k: columns[(k, N)][n])))
-    return out
+    return [CGBlock(N, RatMat.build(N + 1, N + 1, lambda n, k, N=N: columns[k, N][n]))
+            for N in range(nm + 1)]
 
 
 def orthogonality_weights(inst: FamilyInstance, N: int,
@@ -341,8 +338,10 @@ def _draw_params(kind: FamilyKind, rng) -> dict:
             "kappa1": _unit_fraction(rng), "kappa2": _unit_fraction(rng)}
 
 
-def random_instance(kind: FamilyKind | str, rng, n_max: int = 8,
-                    max_tries: int = 200) -> FamilyInstance:
+_MAX_TRIES = 200
+
+
+def random_instance(kind: FamilyKind | str, rng, n_max: int = 8) -> FamilyInstance:
     """Draw a valid instance: numerators and denominators of drawn rationals
     stay <= 20, redrawing on validation failure. A draw is also rejected when
     orthogonality_weights fails on some block 1..n_max (a singular block, a
@@ -350,7 +349,7 @@ def random_instance(kind: FamilyKind | str, rng, n_max: int = 8,
     that would defeat the basis-change and orthogonality checks the draws
     exist to feed."""
     kind = FamilyKind(kind)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         try:
             inst = make_instance(kind, n_max=n_max, **_draw_params(kind, rng))
             delta = build_delta(inst)
@@ -359,4 +358,4 @@ def random_instance(kind: FamilyKind | str, rng, n_max: int = 8,
         except (InvalidParameterError, WeightSolutionError):
             continue
         return inst
-    raise RuntimeError(f"no valid draw for {kind.value} after {max_tries} tries")
+    raise RuntimeError(f"no valid draw for {kind.value} after {_MAX_TRIES} tries")

@@ -124,7 +124,7 @@ def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
 def _oracle(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
     rng = f"all blocks N<={inst.n_max}"
     try:
-        oracle = lowest_weight_oracle(inst, art.blocks, art.delta)
+        oracle = lowest_weight_oracle(inst, art.delta)
     except DegenerateKernelError as exc:
         return _error_result("cg-oracle", rng, exc)
     return first_mismatch("cg-oracle", rng, (

@@ -10,13 +10,13 @@ weight blocks: block N has basis (n, N-n), n = 0..N. The coproduct images
 are weighted shifts on the product basis, each one algebras.tensor_operator
 call with two terms, with the diagonal coefficients x, y, x', y'
 evaluated at the target basis vector of each shift; Delta(H) and Delta(K)
-are diagonal, built from the eigenvalues on each factor. Two independent
-constructions are supported: the shifts can be weighted straight with the
-family's contiguity coefficients (no division anywhere), or with the
-coefficient functions x, y, x', y', which in turn can be compared with the
-closed operator expressions in the Cartan and Casimir eigenvalues.
-Certifying that all of these agree, and that the images satisfy the defining
-relations of the algebra, is the job of the checks below.
+are diagonal, built from the eigenvalues on each factor. Delta has one
+construction: its shifts are weighted straight with the family's contiguity
+coefficients, with no division anywhere. The coefficient functions x, y,
+x', y' read off from the same data are compared, at every grid point, with
+the closed operator expressions in the Cartan and Casimir eigenvalues
+(check_algebraic_form); that the images satisfy the defining relations of
+the algebra is certified by check_homomorphism.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
 from .report import Report, first_mismatch
 
 __all__ = [
-    "CoproductCoeffs", "coproduct_coeffs",
-    "AlgebraicForm", "algebraic_form", "Delta", "build_delta",
+    "CoproductCoeffs", "coproduct_coeffs", "algebraic_form", "Delta", "build_delta",
     "check_homomorphism", "check_algebraic_form",
     "check_twist_qracah_specialization", "CoassocResult", "krawtchouk_coassoc",
 ]
@@ -52,9 +51,6 @@ class CoproductCoeffs:
     y: Callable[[int, int], Scalar]
     xp: Callable[[int, int], Scalar]
     yp: Callable[[int, int], Scalar]
-
-
-AlgebraicForm = CoproductCoeffs
 
 
 def coproduct_coeffs(inst: FamilyInstance,
@@ -96,7 +92,7 @@ def coproduct_coeffs(inst: FamilyInstance,
     )
 
 
-def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
+def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
     """The closed operator expressions for x, y, x', y' in the eigenvalues of
     the Cartan element and the Casimir on each factor: h_i = l_i + 2n and
     c_i = l_i classically, K_i = kappa_i q^n and c_i = 1/kappa_i for the
@@ -113,7 +109,7 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
     kind = inst.kind
     if kind is FamilyKind.KRAWTCHOUK:
         p = inst.p
-        return AlgebraicForm(
+        return CoproductCoeffs(
             x=lambda n, m: Fraction(1),
             y=lambda n, m: Fraction(1),
             xp=lambda n, m: p,
@@ -128,7 +124,7 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
         h2 = cache(lambda m: l2 + 2 * m)
         a2, ab2 = 2 * a + 2, 2 * a + 2 * b + 2
         if kind is FamilyKind.DUAL_HAHN:
-            return AlgebraicForm(
+            return CoproductCoeffs(
                 x=lambda n, m: Fraction(1),
                 y=lambda n, m: Fraction(1),
                 xp=lambda n, m: ((h1(n) - l1 + a2) / (h1(n) + l1)).reduce(),
@@ -140,7 +136,7 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
         x = lambda n, m: ((h1(n) - l1 + ab2) / dd(n, m)).reduce()
         y = lambda n, m: ((l2 - h2(m) + ab2) / dd(n, m)).reduce()
         if kind is FamilyKind.HAHN:
-            return AlgebraicForm(
+            return CoproductCoeffs(
                 x=x,
                 y=y,
                 xp=lambda n, m: ((h1(n) - l1 + a2) / dd(n, m)).reduce(),
@@ -158,7 +154,7 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
             return ((l2 - h2(m) + 2 * b) * (h2(m) - l2 + ag2)
                     / ((h2(m) + l2) * dd(n, m))).reduce()
 
-        return AlgebraicForm(x=x, y=y, xp=xp, yp=yp)
+        return CoproductCoeffs(x=x, y=y, xp=xp, yp=yp)
 
     q, qp = lift(inst.q), q_powers(inst.q)
     if kind is FamilyKind.Q_HAHN:
@@ -168,7 +164,7 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
         ck2 = cache(lambda m: c2 * (k2v * qp(m)))
         qa, qab = q * a, q * a * b
         dd = cache(lambda n, m: 1 - qab * ck1(n) / ck2(m))
-        return AlgebraicForm(
+        return CoproductCoeffs(
             x=lambda n, m: ((1 - qab * ck1(n)) / dd(n, m)).reduce(),
             y=lambda n, m: (ck1(n) * (1 - qab / ck2(m)) / dd(n, m)).reduce(),
             xp=lambda n, m: ((1 - qa * ck1(n)) / dd(n, m)).reduce(),
@@ -192,7 +188,7 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
         return (qc1a * k1(n) * (1 - kap2 * b / k2(m)) * (1 - c2 * g * k2(m) / a)
                 / ((1 - kap2 * k2(m)) * dd(n, m))).reduce()
 
-    return AlgebraicForm(
+    return CoproductCoeffs(
         x=lambda n, m: ((1 - qc1ab * k1(n)) / dd(n, m)).reduce(),
         y=lambda n, m: (c1 * k1(n) * (1 - qab * kap2 / k2(m)) / dd(n, m)).reduce(),
         xp=xp,
@@ -203,20 +199,17 @@ def algebraic_form(inst: FamilyInstance) -> AlgebraicForm:
 Delta = Generators
 
 
-def build_delta(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
-                data: ContiguityData | None = None) -> Delta:
+def build_delta(inst: FamilyInstance, data: ContiguityData | None = None) -> Delta:
     """Coproduct images on the tensor module of the instance: the two factor
     modules of labels(inst) under algebra_for(inst), truncated at total
     level inst.n_max, so level N has dimension N + 1.
 
-    With coeffs omitted the shifts are weighted straight with the contiguity
-    coefficients, which involves no division at all; they come from `data`
-    when given, else from contiguity(inst). Passing explicit coefficient
-    functions instead weights them with coefficient times lowering factor;
-    the two routes agree on every valid instance. The Cartan eigenvalues,
-    and on the coefficient route the lowering factors phi, are evaluated
-    once per factor and level.
+    The shifts are weighted straight with the contiguity coefficients, which
+    involves no division at all; they come from `data` when given, else from
+    contiguity(inst). The Cartan eigenvalues are evaluated once per factor
+    and level.
     """
+    data = data or contiguity(inst)
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
     levels = range(inst.n_max + 1)
@@ -225,21 +218,6 @@ def build_delta(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
     h1 = [cartan(alg, l1, n) for n in levels]
     h2 = [cartan(alg, l2, m) for m in levels]
 
-    # weights of E x I, I x E, F x I and I x F at the source basis vector (n, m)
-    if coeffs is None:
-        data = data or contiguity(inst)
-        raise1 = lambda n, m: data.alpha1(n + 1, n + m)
-        raise2 = lambda n, m: data.alpha2(n, n + m)
-        lower1 = lambda n, m: data.beta1(n - 1, n + m)
-        lower2 = lambda n, m: data.beta2(n, n + m)
-    else:
-        phi1 = [phi(alg, l1, n) for n in levels]
-        phi2 = [phi(alg, l2, m) for m in levels]
-        raise1 = lambda n, m: coeffs.x(n + 1, m)
-        raise2 = lambda n, m: coeffs.y(n, m + 1)
-        lower1 = lambda n, m: coeffs.xp(n - 1, m) * phi1[n]
-        lower2 = lambda n, m: coeffs.yp(n, m - 1) * phi2[m]
-
     def shift(*terms):
         return tensor_operator(dims, *((s, lambda c, w=w: w(*c)) for s, w in terms))
 
@@ -247,17 +225,18 @@ def build_delta(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
         dhk = shift(((0, 0), lambda n, m: h1[n] * h2[m]))      # K x K
     else:
         dhk = shift(((0, 0), lambda n, m: h1[n] + h2[m]))      # H x I + I x H
-    return Delta(shift(((+1, 0), raise1), ((0, +1), raise2)),
-                 shift(((-1, 0), lower1), ((0, -1), lower2)), dhk)
+    # weights of E x I, I x E, F x I and I x F at the source basis vector (n, m)
+    return Delta(shift(((+1, 0), lambda n, m: data.alpha1(n + 1, n + m)),
+                       ((0, +1), lambda n, m: data.alpha2(n, n + m))),
+                 shift(((-1, 0), lambda n, m: data.beta1(n - 1, n + m)),
+                       ((0, -1), lambda n, m: data.beta2(n, n + m))), dhk)
 
 
-def check_homomorphism(inst: FamilyInstance, coeffs: CoproductCoeffs | None = None,
-                       delta: Delta | None = None) -> Report:
+def check_homomorphism(inst: FamilyInstance, delta: Delta | None = None) -> Report:
     """The coproduct images must satisfy the defining relations of the
     algebra on every block where the compositions stay inside the truncation.
-    An already built `delta` is used as is; otherwise it is built from
-    `coeffs` (or from the contiguity coefficients when those are omitted)."""
-    delta = delta or build_delta(inst, coeffs)
+    An already built `delta` is used as is; otherwise build_delta(inst)."""
+    delta = delta or build_delta(inst)
     rep = Report(suite=f"homomorphism:{inst.kind.value}", params=inst.to_doc())
     rep.extend(_relation_checks(algebra_for(inst), delta.e, delta.f, delta.hk))
     return rep

@@ -190,9 +190,10 @@ def make_instance(kind: FamilyKind | str, n_max: int = 8, **params) -> FamilyIns
     return inst
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Unless cond, raise InvalidParameterError(message % args), formatted only then."""
     if not cond:
-        raise InvalidParameterError(message)
+        raise InvalidParameterError(message % args)
 
 
 def _validate(inst: FamilyInstance) -> None:
@@ -204,26 +205,26 @@ def _validate(inst: FamilyInstance) -> None:
         ab = inst.alpha * inst.beta
         for e in range(-nm, 2 * nm + 3):
             _require(ab * q ** e != 1,
-                     f"1 - alpha*beta*q^{e} vanishes (contiguity denominator)")
+                     "1 - alpha*beta*q^%d vanishes (contiguity denominator)", e)
         for e in range(1, nm + 1):
             _require(inst.alpha * q ** e != 1,
-                     f"series denominator (alpha*q; q) vanishes at q^{e}")
+                     "series denominator (alpha*q; q) vanishes at q^%d", e)
         if kind is FamilyKind.Q_RACAH:
             _require(inst.alpha != 0, "q-racah needs alpha nonzero")
             bg = inst.beta * inst.gamma
             for e in range(1, nm + 1):
                 _require(bg * q ** e != 1,
-                         f"series denominator (beta*gamma*q; q) vanishes at q^{e}")
+                         "series denominator (beta*gamma*q; q) vanishes at q^%d", e)
             for kap, name in ((inst.kappa1, "kappa1"), (inst.kappa2, "kappa2")):
                 for e in range(0, nm + 1):
                     _require(kap ** 2 * q ** e != 1,
-                             f"{name}^2 q^{e} = 1: module label hits a zero of "
-                             f"the lowering coefficient")
+                             "%s^2 q^%d = 1: module label hits a zero of "
+                             "the lowering coefficient", name, e)
             k12 = (inst.kappa1 * inst.kappa2) ** 2
             for e in range(0, 3 * nm):
                 _require(k12 * q ** e != 1,
-                         f"(kappa1*kappa2)^2 q^{e} = 1: a tensor component label "
-                         f"hits a zero of the lowering coefficient")
+                         "(kappa1*kappa2)^2 q^%d = 1: a tensor component label "
+                         "hits a zero of the lowering coefficient", e)
         return
 
     if kind is FamilyKind.KRAWTCHOUK:
@@ -233,20 +234,17 @@ def _validate(inst: FamilyInstance) -> None:
 
     # Hahn, dual Hahn, Racah
     if kind in (FamilyKind.HAHN, FamilyKind.RACAH):
+        # rejects every integer s in -2 n_max - 2 .. n_max, which covers the
+        # coproduct denominator n - m + s + 1 for 0 <= n, m <= n_max too
         s = inst.alpha + inst.beta
         for n in range(0, nm + 2):
             for N in range(0, nm + 1):
                 _require(2 * n + s - N != 0,
-                         f"2n + alpha + beta - N vanishes at (n={n}, N={N}); "
-                         f"alpha + beta must avoid the integers (genericity)")
-        for n in range(0, nm + 1):
-            for m in range(0, nm + 1):
-                _require(n - m + s + 1 != 0,
-                         f"coproduct denominator vanishes on the grid at "
-                         f"(n={n}, m={m})")
+                         "2n + alpha + beta - N vanishes at (n=%d, N=%d); "
+                         "alpha + beta must avoid the integers (genericity)", n, N)
     for i in range(0, nm):
         _require(inst.alpha + 1 + i != 0,
-                 f"series denominator (alpha+1)_k vanishes (alpha = {inst.alpha})")
+                 "series denominator (alpha+1)_k vanishes (alpha = %s)", inst.alpha)
     if kind is FamilyKind.RACAH:
         for i in range(0, nm):
             _require(inst.beta + inst.gamma + 1 + i != 0,
@@ -256,13 +254,14 @@ def _validate(inst: FamilyInstance) -> None:
         for lam, name in ((inst.lambda1, "lambda1"), (inst.lambda2, "lambda2")):
             for j in range(1, nm + 1):
                 _require(phi(alg, lam, j) != 0,
-                         f"{name} = {lam} makes the module reducible within the "
-                         f"truncation ({name} must avoid 0, -1, ..., {1 - nm})")
+                         "%s = %s makes the module reducible within the "
+                         "truncation (%s must avoid 0, -1, ..., %d)", name, lam, name, 1 - nm)
+        l12 = inst.lambda1 + inst.lambda2
         for k in range(0, nm + 1):
             for j in range(1, nm + 1):
-                _require(phi(alg, inst.lambda1 + inst.lambda2 + 2 * k, j) != 0,
-                         f"lambda1 + lambda2 = {inst.lambda1 + inst.lambda2} makes "
-                         f"a tensor component reducible within the truncation")
+                _require(phi(alg, l12 + 2 * k, j) != 0,
+                         "lambda1 + lambda2 = %s makes "
+                         "a tensor component reducible within the truncation", l12)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +354,12 @@ def block_values(inst: FamilyInstance,
                  blocks: dict | None = None) -> Callable[[int, int, int], Scalar]:
     """(n, k, N) -> P_n(k, N), 0 for n outside 0..N. Values are read from
     `blocks` (level -> CG block, as built by cgverify.cg_block) when given,
-    so one table serves every check of a run; otherwise they are evaluated."""
-    if blocks is None:
-        return lambda n, k, N: poly_value(inst, n, k, N)
-    return lambda n, k, N: blocks[N].P.entry(n, k) if 0 <= n <= N else Fraction(0)
+    so one table serves every check of a run; otherwise each level N is
+    built by poly_block(inst, N) on first use and kept for as long as the
+    returned function lives. Either way the values are poly_block's."""
+    rows = cache(lambda N: poly_block(inst, N)) if blocks is None else (
+        lambda N: blocks[N].P.a)
+    return lambda n, k, N: rows(N)[n][k] if 0 <= n <= N else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

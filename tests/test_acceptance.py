@@ -8,6 +8,7 @@ standard pair z = 10^3, 10^6).
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -225,12 +226,12 @@ def test_criterion_11_negative_controls():
 
     # homomorphism: y coefficient replaced by 1
     hahn = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
-    cf = coproduct_coeffs(hahn)
-    rep = check_homomorphism(hahn, CoproductCoeffs(
-        x=cf.x, y=lambda n, m: F(1), xp=cf.xp, yp=cf.yp))
+    rep = check_homomorphism(hahn, delta=build_delta(
+        hahn, data=replace(contiguity(hahn), alpha2=lambda n, N: F(1))))
     witnesses.append(("homomorphism", rep.first_failure()))
 
     # algebraic form: derived xp shifted
+    cf = coproduct_coeffs(hahn)
     rep = check_algebraic_form(hahn, derived=CoproductCoeffs(
         x=cf.x, y=cf.y, xp=lambda n, m: cf.xp(n, m) + 1, yp=cf.yp))
     witnesses.append(("algebraic-form", rep.first_failure()))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import askeycg.cgverify as cgverify
 from askeycg.algebras import GradedOperator, scalar_operator
-from askeycg.cgverify import (CGBlock, WeightData, WeightSolutionError, _draw_params,
+from askeycg.cgverify import (CGBlock, DegenerateKernelError, WeightData,
+                              WeightSolutionError, _draw_params,
                               cg_block, lowest_weight_oracle, orthogonality_weights,
                               random_instance, tensor_lowering_eigenvalue,
                               verify_lowering, verify_raising, verify_weight_grading)
@@ -20,6 +21,7 @@ from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
 from askeycg.families import FamilyInstance, FamilyKind, make_instance, poly_value
 from askeycg.linalg import RatMat
 
+from test_algebras import with_entry
 from test_families import ALL_KINDS, poly_reference, sample_instance, wide_draws
 from test_linalg import inverse, matmul, to_lists
 
@@ -240,6 +242,25 @@ def test_oracle_evaluates_no_polynomial(kind, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     assert lowest_weight_oracle(inst, delta=delta) == want
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({(0, 0): F(0), (0, 1): F(0)},
+     "kernel of the lowering map on block 1 has dimension 2, expected 1"),
+    ({(0, 1): F(0)},
+     "kernel vector on block 1 has first entry 0, so it cannot be scaled to P_0(1, 1) = 1"),
+], ids=["zero-row", "zero-first-entry"])
+def test_oracle_degenerate_kernel(entries, message):
+    # Delta(F) on block 1 is the row (beta2(0, 1), beta1(0, 1))
+    inst = sample_instance(FamilyKind.HAHN)
+    delta = build_delta(inst)
+    f = delta.f
+    assert f.dense(1).entry(0, 0) != 0 and f.dense(1).entry(0, 1) != 0
+    for ij, value in entries.items():
+        f = with_entry(f, 1, ij, value)
+    with pytest.raises(DegenerateKernelError) as exc:
+        lowest_weight_oracle(inst, delta=Delta(delta.e, f, delta.hk))
+    assert str(exc.value) == message
 
 
 # -- orthogonality weights ----------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -225,8 +226,8 @@ def test_table_json_round_trips(tmp_path):
         blk = CGBlock(int(rec["N"]), RatMat.from_rows(
             [[parse_scalar(x) for x in row] for row in rec["P"]]))
         weights = WeightData(int(rec["N"]), tuple(parse_scalar(x) for x in rec["omega"]),
-                             tuple(parse_scalar(x) for x in rec["omega_prime"]),
-                             rec["normalization"])
+                             tuple(parse_scalar(x) for x in rec["omega_prime"]))
+        assert rec["normalization"] == "omega0=1"
         assert blk == cg_block(inst, blk.N)
         assert [list(row) for row in blk.P.a] == [
             [poly_value(inst, n, k, blk.N) for k in range(blk.N + 1)]
@@ -396,6 +397,32 @@ def test_casimir_witness_names_the_factor_module(inst, corrupt, witness, monkeyp
     check = run_verify_suite(inst, ["casimir"]).to_dict()["checks"][CHECK_NAMES.index("casimir")]
     assert check == {"name": "casimir", "passed": False, "skipped": False, "reason": "",
                      "checked_range": "levels 0..3", "witness": witness}
+
+
+def test_benchmark_surface_resolves():
+    # every span the benchmark traces names a live function or method, read
+    # from bench/run.py without importing it, and the block rows it measures
+    # hold Fractions
+    import ast
+    import importlib
+    source = (Path(__file__).resolve().parent.parent / "bench" / "run.py").read_text(
+        encoding="utf-8")
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    assert len(traced) >= 20
+    for span, (module, attr) in traced.items():
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(target, part), (span, module, attr)
+            target = getattr(target, part)
+        assert callable(target), span
+    for kind in FamilyKind:
+        inst = sample_instance(kind, n_max=3)
+        for N in range(inst.n_max + 1):
+            rows = cg_block(inst, N).P.a
+            assert len(rows) == N + 1
+            assert all(len(row) == N + 1 and all(type(x) is F for x in row) for row in rows)
 
 
 def test_every_public_name_resolves():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -104,31 +105,19 @@ def test_hahn_lowering_kernel_on_block_one():
     assert v[1] == -inst.beta / (inst.alpha + 1)
 
 
-def test_two_construction_routes_agree():
-    # straight from contiguity data vs through the coefficient quotients
-    for kind in ALL_KINDS:
-        inst = sample_instance(kind)
-        direct = build_delta(inst)
-        via_coeffs = build_delta(inst, coproduct_coeffs(inst))
-        assert direct == via_coeffs
-
-
-@pytest.mark.parametrize("route", ["contiguity", "coefficients"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_build_delta_evaluates_cartan_and_phi_once_per_factor_level(kind, route,
-                                                                    monkeypatch):
+def test_build_delta_evaluates_cartan_and_phi_once_per_factor_level(kind, monkeypatch):
     inst = sample_instance(kind, n_max=5)
-    coeffs = algebraic_form(inst) if route == "coefficients" else None
     calls = {}
     for name in ("cartan", "phi"):
         original = getattr(coproduct, name)
         calls[name] = []
         monkeypatch.setattr(coproduct, name, lambda *a, f=original, c=calls[name]:
                             c.append(a) or f(*a))
-    build_delta(inst, coeffs)
+    build_delta(inst)
     levels = inst.n_max + 1  # per factor
     assert len(calls["cartan"]) <= 2 * levels
-    assert len(calls["phi"]) <= (2 * levels if coeffs else 0)
+    assert calls["phi"] == []  # the contiguity weights need no lowering factor
 
 
 # -- homomorphism ---------------------------------------------------------------
@@ -149,9 +138,8 @@ def test_hahn_delta_commutator_is_identity():
 
 def test_corrupted_y_fails_homomorphism():
     inst = sample_instance(FamilyKind.HAHN)
-    cf = coproduct_coeffs(inst)
-    bad = CoproductCoeffs(x=cf.x, y=lambda n, m: F(1), xp=cf.xp, yp=cf.yp)
-    rep = check_homomorphism(inst, bad)
+    bad = build_delta(inst, data=replace(contiguity(inst), alpha2=lambda n, N: F(1)))
+    rep = check_homomorphism(inst, delta=bad)
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
 
