@@ -155,7 +155,7 @@ def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> li
     which is P_0(k, k) in every family (the (q-)binomial prefactor and the
     first series term are both 1 at n = 0), then pushed up with Delta(E).
 
-    Accepted instances raise neither DegenerateKernelError. On block k,
+    An accepted instance reaches neither DegenerateKernelError. On block k,
     Delta(F) is the k x (k+1) upper bidiagonal matrix with Delta(F)[i][i] =
     beta2(i, k) and Delta(F)[i][i+1] = beta1(i, k), and make_instance
     certifies every factor of beta1(i, k) nonzero for 0 <= i < k <= n_max.
