@@ -6,12 +6,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import askeycg
 from askeycg import algebras, coproduct, families
 from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite, table_doc
-from askeycg.exactmath import parse_scalar
+from askeycg.exactmath import InvalidParameterError, parse_scalar
 from askeycg.families import FamilyKind, make_instance, poly_value
 from askeycg.linalg import RatMat
 
@@ -281,6 +283,38 @@ def test_suite_failure_yields_exit_one(tmp_path, monkeypatch):
     code = main(["verify", "--family", "krawtchouk", "--p", "1/3", "--nmax", "3",
                  "--checks", "contiguity", "--output", str(tmp_path / "r.json")])
     assert code == 1
+
+
+# the parameters make_instance accepts, per kind
+_DRAWN_PARAMS = {
+    FamilyKind.HAHN: ("alpha", "beta", "lambda1", "lambda2"),
+    FamilyKind.KRAWTCHOUK: ("p", "lambda1", "lambda2"),
+    FamilyKind.DUAL_HAHN: ("alpha", "lambda1", "lambda2"),
+    FamilyKind.RACAH: ("alpha", "beta", "lambda1", "lambda2"),
+    FamilyKind.Q_HAHN: ("q", "alpha", "beta", "kappa1", "kappa2"),
+    FamilyKind.Q_RACAH: ("q", "alpha", "beta", "kappa1", "kappa2"),
+}
+
+
+@st.composite
+def accepted_instances(draw):
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    params = {name: draw(small) for name in _DRAWN_PARAMS[kind]}
+    try:
+        return make_instance(kind, n_max=draw(st.integers(1, 3)), **params)
+    except InvalidParameterError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(inst=accepted_instances())
+def test_accepted_instance_never_raises_in_verify(inst):
+    # an accepted instance is a certificate: every check runs to a verdict,
+    # and each failure names its counterexample
+    rep = run_verify_suite(inst)
+    assert [c.name for c in rep.checks] == CHECK_NAMES
+    assert all(c.witness is not None for c in rep.checks if not c.passed)
 
 
 def test_oracle_catches_a_rescaled_column(monkeypatch):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import askeycg.families as families
+from askeycg.algebras import AlgebraKind, AlgebraTag, phi
 from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
 from askeycg.cgverify import random_instance
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind,
@@ -110,6 +113,103 @@ def test_integer_alpha_plus_beta_is_rejected_by_genericity(kind, n_max):
             f"alpha + beta must avoid the integers (genericity)")
     for s in (-2 * n_max - 3, n_max + 1):  # just outside: accepted
         make_instance(kind, n_max=n_max, alpha=s + F(1, 2), beta=F(-1, 2), **labels)
+
+
+def _scanned_rejection(kind, nm, alpha, beta, gamma, lambda1, lambda2):
+    """Reference for the classical conditions of make_instance: each one scanned
+    over the grid points where it is used, in the order make_instance tests
+    them. Returns the message of the first violated condition, or None."""
+    if kind in (FamilyKind.HAHN, FamilyKind.RACAH):
+        s = alpha + beta
+        for n in range(0, nm + 2):
+            for N in range(0, nm + 1):
+                if 2 * n + s - N == 0:
+                    return ("2n + alpha + beta - N vanishes at (n=%d, N=%d); "
+                            "alpha + beta must avoid the integers (genericity)" % (n, N))
+    for i in range(0, nm):
+        if alpha + 1 + i == 0:
+            return "series denominator (alpha+1)_k vanishes (alpha = %s)" % alpha
+    if kind is FamilyKind.RACAH:
+        for i in range(0, nm):
+            if beta + gamma + 1 + i == 0:
+                return "series denominator (beta+gamma+1)_k vanishes"
+    if kind in (FamilyKind.DUAL_HAHN, FamilyKind.RACAH):
+        alg = AlgebraKind(AlgebraTag.SL2)
+        for lam, name in ((lambda1, "lambda1"), (lambda2, "lambda2")):
+            for j in range(1, nm + 1):
+                if phi(alg, lam, j) == 0:
+                    return ("%s = %s makes the module reducible within the truncation "
+                            "(%s must avoid 0, -1, ..., %d)" % (name, lam, name, 1 - nm))
+        l12 = lambda1 + lambda2
+        for k in range(0, nm + 1):
+            for j in range(1, nm + 1):
+                if phi(alg, l12 + 2 * k, j) == 0:
+                    return ("lambda1 + lambda2 = %s makes "
+                            "a tensor component reducible within the truncation" % l12)
+    return None
+
+
+def _halves(lo, hi):
+    """Every integer and half-integer in lo..hi."""
+    return [F(i, 2) for i in range(2 * lo, 2 * hi + 1)]
+
+
+def _classical_sweep(nm):
+    """(kind, params) taking alpha + beta, alpha, beta + gamma, lambda1, lambda2
+    and lambda1 + lambda2 through every integer and half-integer of a window
+    around its excluded set, with the other conditions held at a value that
+    passes and at one that fails, so the order of the conditions shows too."""
+    hahn, dual, racah = FamilyKind.HAHN, FamilyKind.DUAL_HAHN, FamilyKind.RACAH
+    window_a, window_s = _halves(-nm - 2, 2), _halves(-2 * nm - 4, nm + 2)
+    window_l, window_l12 = _halves(-nm - 1, 2), _halves(-3 * nm - 2, 2)
+    labels = dict(lambda1=F(2), lambda2=F(5, 2))  # gamma = 7/2
+    for s in window_s:
+        for a in (F(1, 3), F(-1)):
+            yield hahn, dict(alpha=a, beta=s - a)
+            yield racah, dict(alpha=a, beta=s - a, **labels)
+    for a in window_a:
+        for s in (F(1, 2), F(-1)):
+            yield hahn, dict(alpha=a, beta=s - a)
+            yield racah, dict(alpha=a, beta=s - a, **labels)
+        for l2 in (F(5, 2), F(-1)):
+            yield dual, dict(alpha=a, lambda1=F(2), lambda2=l2)
+    for bg in window_a:
+        for a in (F(1, 3), F(1, 2), F(-1)):
+            yield racah, dict(alpha=a, beta=bg - F(7, 2), **labels)
+    pairs = [(lam, other) for lam in window_l for other in (F(5, 2), F(-1), F(-1, 2))]
+    pairs += [(l2, l1) for l1, l2 in pairs]
+    pairs += [(l12 - l2, l2) for l12 in window_l12 for l2 in (F(5, 2), F(-1, 2))]
+    for l1, l2 in pairs:
+        for a in (F(1, 3), F(-1)):
+            yield dual, dict(alpha=a, lambda1=l1, lambda2=l2)
+            yield racah, dict(alpha=a, beta=F(1, 5), lambda1=l1, lambda2=l2)
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_classical_validation_matches_the_grid_scan(n_max):
+    for kind, params in _classical_sweep(n_max):
+        l1, l2 = params.get("lambda1", F(0)), params.get("lambda2", F(0))
+        a = params["alpha"]
+        b = params["beta"] if "beta" in params else l1 + l2 - 2 - a
+        g = l1 + l2 - 1 if kind is FamilyKind.RACAH else None
+        want = _scanned_rejection(kind, n_max, a, b, g, l1, l2)
+        if want is None:
+            make_instance(kind, n_max=n_max, **params)
+            continue
+        with pytest.raises(InvalidParameterError) as exc:
+            make_instance(kind, n_max=n_max, **params)
+        assert str(exc.value) == want, (kind, n_max, params)
+
+
+def test_lambda_sum_minus_one_is_accepted_at_n_max_one():
+    # at n_max = 1 the tensor labels lambda1 + lambda2 + 2k, k = 0, 1, hit the
+    # zero of phi(., 1) only for lambda1 + lambda2 in {0, -2}
+    make_instance(FamilyKind.DUAL_HAHN, n_max=1, alpha=F(1, 3), lambda1=F(1, 2),
+                  lambda2=F(-3, 2))
+    for l2 in (F(-1, 2), F(-5, 2)):
+        with pytest.raises(InvalidParameterError, match="tensor component"):
+            make_instance(FamilyKind.DUAL_HAHN, n_max=1, alpha=F(1, 3),
+                          lambda1=F(1, 2), lambda2=l2)
 
 
 def test_sl2_label_restrictions():
@@ -507,6 +607,42 @@ def test_limit_degenerate_points_have_zero_difference():
     for (n, k) in ((0, 2), (2, 0)):
         rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], n, k, 2)
         assert rep.passed
+
+
+def test_limit_hahn_to_krawtchouk_reads_the_hahn_coefficients(monkeypatch):
+    real = families.contiguity
+
+    def hahn_beta1_times_seven(inst):
+        data = real(inst)
+        if inst.kind is not FamilyKind.HAHN:
+            return data
+        return dataclasses.replace(data, beta1=lambda n, N: 7 * data.beta1(n, N))
+
+    monkeypatch.setattr(families, "contiguity", hahn_beta1_times_seven)
+    rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.name for c in failed] == ["beta1-decay"]
+    assert failed[0].witness.where == {"z1": F(1000), "z2": F(10 ** 6), "n": 1, "N": 2}
+
+
+@pytest.mark.parametrize("zs, n, k, N, where, lhs, rhs", [
+    # d(z1) = 0 < d(z2): the bound is 0
+    ([F(3, 2), F(203, 2)], 2, 2, 3, {"z1": F(3, 2), "z2": F(203, 2)}, "2880/8987", "0"),
+    # d(1/2) = 18/7, d(3/2) = 2 > 18/7 * 2/3
+    ([F(1, 2), F(3, 2)], 1, 1, 2, {"z1": F(1, 2), "z2": F(3, 2)}, "2", "12/7"),
+])
+def test_limit_hahn_difference_decay_witness(zs, n, k, N, where, lhs, rhs):
+    rep = limit_hahn_to_krawtchouk(F(1, 3), zs, n, k, N)
+    decay = rep.checks[0]
+    assert decay.name == "difference-decay" and not decay.passed
+    assert (decay.witness.where, decay.witness.lhs, decay.witness.rhs) == (where, lhs, rhs)
+
+
+def test_limit_hahn_to_krawtchouk_check_names():
+    rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
+    assert [c.name for c in rep.checks] == [
+        "difference-decay", "alpha1-decay", "alpha2-decay", "beta1-decay",
+        "beta2-decay", "mu-equality"]
 
 
 def test_limit_z_list_must_increase():
