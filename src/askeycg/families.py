@@ -24,10 +24,11 @@ coefficient -(N-k); this only rescales the lowering generator.
 
 Constrained parameters are computed, never supplied: beta for dual Hahn
 (alpha + beta = lambda1 + lambda2 - 2), gamma for Racah (lambda1 + lambda2
-- 1) and for q-Racah (kappa1^2 kappa2^2 / q). Validation is eager and
-exhaustive over the finite grid up to n_max, so a constructed instance is a
-certificate that no denominator in the contiguity or coproduct coefficients
-vanishes anywhere it is used.
+- 1) and for q-Racah (kappa1^2 kappa2^2 / q). Validation is eager and covers
+the grid up to n_max: a classical condition is one exact test against the
+range of integers it excludes, a q condition a scan over the O(n_max) powers
+of q it excludes. So a constructed instance is a certificate that no
+denominator in the contiguity or coproduct coefficients vanishes where used.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb
 from typing import Callable
 
-from .algebras import AlgebraKind, AlgebraTag, phi
+from .algebras import AlgebraKind, AlgebraTag
 from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
                         format_scalar, hyper_terminating, nested_sum, parameter_factors,
                         product_sum, q_binomial_pair, q_hyper_terminating, q_powers,
@@ -232,36 +233,41 @@ def _validate(inst: FamilyInstance) -> None:
         _require(inst.p != 1, "p = 1 degenerates the orthogonality weights")
         return
 
-    # Hahn, dual Hahn, Racah
+    # Hahn, dual Hahn, Racah: each excluded set is a range of integers
     if kind in (FamilyKind.HAHN, FamilyKind.RACAH):
-        # rejects every integer s in -2 n_max - 2 .. n_max, which covers the
-        # coproduct denominator n - m + s + 1 for 0 <= n, m <= n_max too
+        # 2n + s - N (0 <= n <= n_max + 1, 0 <= N <= n_max) vanishes exactly for
+        # the integers s in -2 n_max - 2 .. n_max, as does the coproduct's
+        # n - m + s + 1 (0 <= n, m <= n_max); reported: the zero of least n
         s = inst.alpha + inst.beta
-        for n in range(0, nm + 2):
-            for N in range(0, nm + 1):
-                _require(2 * n + s - N != 0,
-                         "2n + alpha + beta - N vanishes at (n=%d, N=%d); "
-                         "alpha + beta must avoid the integers (genericity)", n, N)
-    for i in range(0, nm):
-        _require(inst.alpha + 1 + i != 0,
-                 "series denominator (alpha+1)_k vanishes (alpha = %s)", inst.alpha)
+        n = max(0, -(s.numerator // 2))
+        _require(not _integer_in(s, -2 * nm - 2, nm),
+                 "2n + alpha + beta - N vanishes at (n=%d, N=%d); "
+                 "alpha + beta must avoid the integers (genericity)", n, 2 * n + s.numerator)
+    # (alpha+1)_k, k <= n_max, vanishes exactly for alpha in -n_max .. -1
+    _require(not _integer_in(inst.alpha, -nm, -1),
+             "series denominator (alpha+1)_k vanishes (alpha = %s)", inst.alpha)
     if kind is FamilyKind.RACAH:
-        for i in range(0, nm):
-            _require(inst.beta + inst.gamma + 1 + i != 0,
-                     "series denominator (beta+gamma+1)_k vanishes")
+        # likewise (beta+gamma+1)_k for beta + gamma in -n_max .. -1
+        _require(not _integer_in(inst.beta + inst.gamma, -nm, -1),
+                 "series denominator (beta+gamma+1)_k vanishes")
     if kind in (FamilyKind.DUAL_HAHN, FamilyKind.RACAH):
-        alg = AlgebraKind(AlgebraTag.SL2)
+        # the sl2 lowering coefficient phi(lam, j) = -j (j + lam - 1) vanishes
+        # for some level 1 <= j <= n_max exactly when lam is in 1 - n_max .. 0
         for lam, name in ((inst.lambda1, "lambda1"), (inst.lambda2, "lambda2")):
-            for j in range(1, nm + 1):
-                _require(phi(alg, lam, j) != 0,
-                         "%s = %s makes the module reducible within the "
-                         "truncation (%s must avoid 0, -1, ..., %d)", name, lam, name, 1 - nm)
+            _require(not _integer_in(lam, 1 - nm, 0),
+                     "%s = %s makes the module reducible within the "
+                     "truncation (%s must avoid 0, -1, ..., %d)", name, lam, name, 1 - nm)
+        # so must the tensor labels l12 + 2k, 0 <= k <= n_max: l12 = 1 - j - 2k
+        # excludes the integers 1 - 3 n_max .. 0, all but -1 when n_max = 1
         l12 = inst.lambda1 + inst.lambda2
-        for k in range(0, nm + 1):
-            for j in range(1, nm + 1):
-                _require(phi(alg, l12 + 2 * k, j) != 0,
-                         "lambda1 + lambda2 = %s makes "
-                         "a tensor component reducible within the truncation", l12)
+        _require(not _integer_in(l12, 1 - 3 * nm, 0) or (nm == 1 and l12 == -1),
+                 "lambda1 + lambda2 = %s makes "
+                 "a tensor component reducible within the truncation", l12)
+
+
+def _integer_in(x: Scalar, lo: int, hi: int) -> bool:
+    """Whether x is one of the integers lo..hi."""
+    return x.denominator == 1 and lo <= x <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -563,49 +569,56 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
     return rep
 
 
+def _decay(name: str, checked_range: str, ladder: str, xs: list[Scalar],
+           values: list[Callable[..., Scalar]], target: Callable[..., Scalar],
+           points: list[dict]) -> CheckResult:
+    """The decay rule of both limit ladders: values[i] is the function at xs[i],
+    and for consecutive x1 < x2 its exact distance from target at each point,
+    d(x) = |values(x)(*point) - target(*point)|, must obey d(x2) <= d(x1) 2 x1/x2.
+    So d(x1) = 0 forces d(x2) = 0, and nothing is divided. The first violation
+    (pairs in order, then points) fails with witness {<ladder>1: x1,
+    <ladder>2: x2, **point}, d(x2) against the bound."""
+    for (x1, f1), (x2, f2) in zip(zip(xs, values), zip(xs[1:], values[1:])):
+        for at in points:
+            args = at.values()
+            want = target(*args)
+            d2, bound = abs(f2(*args) - want), abs(f1(*args) - want) * 2 * x1 / x2
+            if d2 > bound:
+                return CheckResult.fail(name, checked_range,
+                                        {f"{ladder}1": x1, f"{ladder}2": x2, **at}, d2, bound)
+    return CheckResult.ok(name, checked_range)
+
+
 def limit_hahn_to_krawtchouk(p: Scalar, z_list: list[Scalar],
                              n: int, k: int, N: int) -> Report:
     """First-order convergence of Hahn to Krawtchouk under alpha = p z,
-    beta = (1-p) z as z grows.
-
-    For consecutive z1 < z2 the exact difference d(z) = |Q_n - K_n| must obey
-    d(z2)/d(z1) <= 2 z1/z2, and the z -> infinity limits of the contiguity
-    coefficients must equal the Krawtchouk coefficient functions exactly.
-    """
+    beta = (1-p) z as z grows. A decay check fails where d(z2) > d(z1) 2 z1/z2
+    (_decay; lhs d(z2), rhs the bound): difference-decay for
+    d = |Q_n(k, N) - K_n(k, N)| (witness z1, z2), alpha1-decay .. beta2-decay
+    for each Hahn contiguity coefficient at (n, N) against the Krawtchouk one
+    (witness z1, z2, n, N). mu-equality compares the two exact mu(k, N)."""
     p = as_scalar(p)
     zs = [as_scalar(z) for z in z_list]
     if any(z2 <= z1 for z1, z2 in zip(zs, zs[1:])) or any(z <= 0 for z in zs):
         raise InvalidParameterError("z_list must be positive and increasing")
+    if not 0 <= n <= N:
+        raise InvalidParameterError("n must lie in 0..N")
     nm = max(N, 1)
     kraw = make_instance(FamilyKind.KRAWTCHOUK, p=p, n_max=nm)
-    target = poly_value(kraw, n, k, N)
+    hahns = [make_instance(FamilyKind.HAHN, alpha=p * z, beta=(1 - p) * z, n_max=nm)
+             for z in zs]
     rep = Report(suite="limit:hahn->krawtchouk",
                  params={"p": format_scalar(p), "n": n, "k": k, "N": N,
                          "z_list": ",".join(format_scalar(z) for z in zs)})
-    diffs = []
-    for z in zs:
-        hahn = make_instance(FamilyKind.HAHN, alpha=p * z, beta=(1 - p) * z, n_max=nm)
-        diffs.append(abs(poly_value(hahn, n, k, N) - target))
-    rng = f"z in {{{rep.params['z_list']}}}"
-    decay = CheckResult.ok("difference-decay", rng)
-    for (z1, d1), (z2, d2) in zip(zip(zs, diffs), zip(zs[1:], diffs[1:])):
-        ok = (d2 == 0) if d1 == 0 else (d2 / d1 <= 2 * z1 / z2)
-        if not ok:
-            decay = CheckResult.fail("difference-decay", rng,
-                                     {"z1": z1, "z2": z2}, d2 / d1, 2 * z1 / z2)
-            break
-    rep.add(decay)
-
-    kdata = contiguity(kraw)
-    limits = [
-        ("alpha1", kdata.alpha1(n, N), Fraction(1)),
-        ("alpha2", kdata.alpha2(n, N), Fraction(1)),
-        ("beta1", kdata.beta1(n, N), -p * (n + 1)),
-        ("beta2", kdata.beta2(n, N), -(1 - p) * (N - n)),
-        ("mu", kdata.mu(k, N), Fraction(k - N)),
-    ]
-    rep.add(first_mismatch("coefficient-limits", f"(n,k,N)=({n},{k},{N})",
-                           (({"coefficient": nme}, got, want) for nme, got, want in limits)))
+    rep.add(_decay("difference-decay", f"z in {{{rep.params['z_list']}}}", "z", zs,
+                   [partial(poly_value, hahn, n, k, N) for hahn in hahns],
+                   partial(poly_value, kraw, n, k, N), [{}]))
+    hdata, kdata = [contiguity(hahn) for hahn in hahns], contiguity(kraw)
+    rep.extend(_decay(f"{c}-decay", f"(n,N)=({n},{N})", "z", zs,
+                      [getattr(data, c) for data in hdata], getattr(kdata, c),
+                      [{"n": n, "N": N}]) for c in ("alpha1", "alpha2", "beta1", "beta2"))
+    rep.add(first_mismatch("mu-equality", f"(k,N)=({k},{N})",
+                           [({"k": k, "N": N}, hdata[0].mu(k, N), kdata.mu(k, N))]))
     return rep
 
 
@@ -613,8 +626,10 @@ def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
                              beta_list: list[Scalar], n_max: int = 8) -> Report:
     """First-order convergence of the Racah coefficient functions to the dual
     Hahn ones as beta grows, at shared alpha and labels (so the Racah gamma
-    equals the dual Hahn alpha + beta + 1 automatically). The mu functions
-    agree exactly, with no limit."""
+    equals the dual Hahn alpha + beta + 1 automatically). A decay check,
+    alpha1-decay .. beta2-decay, fails where d(b2) > d(b1) 2 b1/b2 (_decay;
+    lhs d(b2), rhs the bound) on 0 <= n <= N <= n_max (witness beta1, beta2,
+    n, N). The mu functions agree exactly, with no limit: mu-equality."""
     alpha = as_scalar(alpha)
     betas = [as_scalar(b) for b in beta_list]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])) or any(b <= 0 for b in betas):
@@ -622,36 +637,19 @@ def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
     dual = make_instance(FamilyKind.DUAL_HAHN, lambda1=lambda1, lambda2=lambda2,
                          alpha=alpha, n_max=n_max)
     ddata = contiguity(dual)
-    insts = [make_instance(FamilyKind.RACAH, lambda1=lambda1, lambda2=lambda2,
-                           alpha=alpha, beta=b, n_max=n_max) for b in betas]
+    rdata = [contiguity(make_instance(FamilyKind.RACAH, lambda1=lambda1, lambda2=lambda2,
+                                      alpha=alpha, beta=b, n_max=n_max))
+             for b in betas]  # one memo per beta, shared by all four decays
     rep = Report(suite="limit:racah->dual-hahn",
                  params={"alpha": format_scalar(alpha),
                          "lambda1": format_scalar(as_scalar(lambda1)),
                          "lambda2": format_scalar(as_scalar(lambda2)),
                          "beta_list": ",".join(format_scalar(b) for b in betas),
                          "n_max": n_max})
-    grid = [(n, N) for N in range(n_max + 1) for n in range(N + 1)]
-    rdata = [contiguity(i) for i in insts]  # one memo per beta, shared by all four
-    for coeff in ("alpha1", "alpha2", "beta1", "beta2"):
-        dual_fn = getattr(ddata, coeff)
-        result = CheckResult.ok(f"{coeff}-decay", f"0<=n<=N<={n_max}")
-        for (b1, r1), (b2, r2) in zip(zip(betas, rdata), zip(betas[1:], rdata[1:])):
-            d1fn = getattr(r1, coeff)
-            d2fn = getattr(r2, coeff)
-            for n, N in grid:
-                want = dual_fn(n, N)
-                d1 = abs(d1fn(n, N) - want)
-                d2 = abs(d2fn(n, N) - want)
-                ok = (d2 == 0) if d1 == 0 else (d2 / d1 <= 2 * b1 / b2)
-                if not ok:
-                    result = CheckResult.fail(
-                        f"{coeff}-decay", f"0<=n<=N<={n_max}",
-                        {"beta1": b1, "beta2": b2, "n": n, "N": N},
-                        d2, d1 * 2 * b1 / b2)
-                    break
-            if not result.passed:
-                break
-        rep.add(result)
+    grid = [{"n": n, "N": N} for N in range(n_max + 1) for n in range(N + 1)]
+    rep.extend(_decay(f"{c}-decay", f"0<=n<=N<={n_max}", "beta", betas,
+                      [getattr(data, c) for data in rdata], getattr(ddata, c), grid)
+               for c in ("alpha1", "alpha2", "beta1", "beta2"))
     rep.add(first_mismatch("mu-equality", f"0<=k<=N<={n_max}", (
         ({"k": k, "N": N}, rdata[0].mu(k, N), ddata.mu(k, N))
         for N in range(n_max + 1) for k in range(N + 1))))

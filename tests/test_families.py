@@ -201,17 +201,6 @@ def test_classical_validation_matches_the_grid_scan(n_max):
         assert str(exc.value) == want, (kind, n_max, params)
 
 
-def test_lambda_sum_minus_one_is_accepted_at_n_max_one():
-    # at n_max = 1 the tensor labels lambda1 + lambda2 + 2k, k = 0, 1, hit the
-    # zero of phi(., 1) only for lambda1 + lambda2 in {0, -2}
-    make_instance(FamilyKind.DUAL_HAHN, n_max=1, alpha=F(1, 3), lambda1=F(1, 2),
-                  lambda2=F(-3, 2))
-    for l2 in (F(-1, 2), F(-5, 2)):
-        with pytest.raises(InvalidParameterError, match="tensor component"):
-            make_instance(FamilyKind.DUAL_HAHN, n_max=1, alpha=F(1, 3),
-                          lambda1=F(1, 2), lambda2=l2)
-
-
 def test_sl2_label_restrictions():
     with pytest.raises(InvalidParameterError):
         make_instance(FamilyKind.DUAL_HAHN, lambda1=F(-1), lambda2=F(3), alpha=F(1))
@@ -648,6 +637,14 @@ def test_limit_hahn_to_krawtchouk_check_names():
 def test_limit_z_list_must_increase():
     with pytest.raises(InvalidParameterError):
         limit_hahn_to_krawtchouk(F(1, 3), [F(10 ** 6), F(1000)], 1, 1, 2)
+
+
+@pytest.mark.parametrize("n", [-499, -1, 3])
+def test_limit_n_must_lie_in_the_level(n):
+    # P_n(k, 2) is 0 on both sides for these n, and at z = 1000 the Hahn
+    # coefficients divide by 2n - N + z = 0 at n = -499
+    with pytest.raises(InvalidParameterError, match="n must lie in 0..N"):
+        limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], n, 1, 2)
 
 
 def test_limit_racah_to_dual_hahn():
