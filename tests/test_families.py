@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import askeycg.families as families
 from askeycg.algebras import AlgebraKind, AlgebraTag, phi
 from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
 from askeycg.cgverify import random_instance
@@ -599,15 +598,13 @@ def test_limit_degenerate_points_have_zero_difference():
 
 
 def test_limit_hahn_to_krawtchouk_reads_the_hahn_coefficients(monkeypatch):
-    real = families.contiguity
-
     def hahn_beta1_times_seven(inst):
-        data = real(inst)
+        data = contiguity(inst)
         if inst.kind is not FamilyKind.HAHN:
             return data
         return dataclasses.replace(data, beta1=lambda n, N: 7 * data.beta1(n, N))
 
-    monkeypatch.setattr(families, "contiguity", hahn_beta1_times_seven)
+    monkeypatch.setattr("askeycg.families.contiguity", hahn_beta1_times_seven)
     rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
     failed = [c for c in rep.checks if not c.passed]
     assert [c.name for c in failed] == ["beta1-decay"]
