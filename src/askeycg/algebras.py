@@ -23,9 +23,11 @@ Composition and apply work on the integer numerators and denominators of
 the stored Fractions: every output entry is formed as one integer pair
 (exactmath.product_sum) and reduced once, into one Fraction. Every
 composition goes through one block kernel, _block_product, where a diagonal
-block only rescales the other factor. Operator identities (the defining
-relations, the Casimir, and the coproduct identities of the other modules)
-are not composed into operators: check_identity forms the residual lhs - rhs
+block only rescales the other factor, and every image through one apply
+kernel, _apply_pairs, whose pairs the CG checks compare unreduced. Operator
+identities (the defining relations, the Casimir, and the coproduct
+identities of the other modules) are not composed into operators:
+check_identity forms the residual lhs - rhs
 of each entry as one unreduced pair, the two sides cross-multiplied, and
 reduces only the first unequal entry, for the witness.
 """
@@ -179,14 +181,9 @@ class GradedOperator:
 
     def apply(self, level: int, vec) -> tuple[Fraction, ...]:
         """Image of the level-`level` coordinate vector `vec` (Fractions or
-        ints); each coordinate is one reduced sum of integer-pair products."""
-        rows, cols = self.shape(level)
-        if len(vec) != cols:
-            raise ValueError("vector length mismatch")
-        terms = [[] for _ in range(rows)]
-        for (i, j), v in self.blocks[level].items():
-            terms[i].append((v, vec[j]))
-        return tuple(Fraction(*product_sum(t)) for t in terms)
+        ints): every pair of _apply_pairs, the one apply kernel, reduced into
+        one Fraction."""
+        return tuple(Fraction(*pair) for pair in _apply_pairs(self, level, vec))
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         """self after other: every nonzero pair of _block_product, the one
@@ -200,6 +197,19 @@ class GradedOperator:
                 out[n] = {ij: Fraction(top, bottom)
                           for ij, (top, bottom) in pairs.items() if top}
         return GradedOperator._nonzero(self.degree + other.degree, self.dims, out)
+
+
+def _apply_pairs(op: GradedOperator, level: int, vec) -> list[tuple[int, int]]:
+    """The image of the level-`level` coordinate vector `vec` (Fractions or
+    ints) under op, each coordinate one unreduced integer pair from
+    product_sum; a length mismatch is a ValueError."""
+    rows, cols = op.shape(level)
+    if len(vec) != cols:
+        raise ValueError("vector length mismatch")
+    terms = [[] for _ in range(rows)]
+    for (i, j), v in op.blocks[level].items():
+        terms[i].append((v, vec[j]))
+    return [product_sum(t) for t in terms]
 
 
 def _block_product(a: GradedOperator, b: GradedOperator, n: int):

@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import _block_product, check_identity, phi, scalar_operator
+from .algebras import _apply_pairs, _block_product, check_identity, phi, scalar_operator
 from .coproduct import Delta, build_delta
-from .exactmath import InvalidParameterError, Scalar, format_scalar
+from .exactmath import InvalidParameterError, Scalar, format_scalar, product_sum
 from .families import (FamilyInstance, FamilyKind, algebra_for, make_instance,
                        poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
@@ -103,7 +103,9 @@ def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:
 def verify_raising(inst: FamilyInstance, N: int,
                    blocks: dict[int, CGBlock] | None = None,
                    delta: Delta | None = None) -> Report:
-    """Delta(E) must map column k of block N to column k of block N+1."""
+    """Delta(E) must map column k of block N to column k of block N+1. The
+    images are unreduced pairs (algebras._apply_pairs), compared with the
+    block entries by first_mismatch; only a witness is reduced."""
     if not 0 <= N < inst.n_max:
         raise ValueError("raising check needs 0 <= N < n_max")
     delta = delta or build_delta(inst)
@@ -113,7 +115,7 @@ def verify_raising(inst: FamilyInstance, N: int,
 
     def sides():
         for k in range(N + 1):
-            image = delta.e.apply(N, here.P.column(k))
+            image = _apply_pairs(delta.e, N, here.P.column(k))
             for n in range(N + 2):
                 yield {"N": N, "n": n, "k": k}, image[n], above.P.entry(n, k)
 
@@ -126,7 +128,9 @@ def verify_lowering(inst: FamilyInstance, N: int,
                     blocks: dict[int, CGBlock] | None = None,
                     delta: Delta | None = None) -> Report:
     """Delta(F) on column k of block N gives the component lowering
-    eigenvalue times column k of block N-1; the k = N column dies."""
+    eigenvalue times column k of block N-1; the k = N column dies. Both
+    sides are unreduced pairs, the image from algebras._apply_pairs and the
+    product from product_sum; only a witness is reduced."""
     if not 1 <= N <= inst.n_max:
         raise ValueError("lowering check needs 1 <= N <= n_max")
     delta = delta or build_delta(inst)
@@ -136,10 +140,10 @@ def verify_lowering(inst: FamilyInstance, N: int,
 
     def sides():
         for k in range(N + 1):
-            image = delta.f.apply(N, here.P.column(k))
-            eig = tensor_lowering_eigenvalue(inst, k, N - k) if k < N else Fraction(0)
+            image = _apply_pairs(delta.f, N, here.P.column(k))
+            eig = tensor_lowering_eigenvalue(inst, k, N - k) if k < N else 0
             for n in range(N):
-                want = eig * below.P.entry(n, k) if k < N else Fraction(0)
+                want = product_sum([(eig, below.P.entry(n, k))]) if k < N else 0
                 yield {"N": N, "n": n, "k": k}, image[n], want
 
     rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())

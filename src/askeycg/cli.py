@@ -30,8 +30,8 @@ from .algebras import ModuleSpec, build_generators, casimir, check_relations
 from .cgverify import (DegenerateKernelError, WeightSolutionError, cg_block,
                        lowest_weight_oracle, orthogonality_weights,
                        verify_lowering, verify_raising, verify_weight_grading)
-from .coproduct import (build_delta, check_algebraic_form, check_homomorphism,
-                        check_twist_qracah_specialization, coproduct_coeffs,
+from .coproduct import (_derived_coeffs, build_delta, check_algebraic_form,
+                        check_homomorphism, check_twist_qracah_specialization,
                         krawtchouk_coassoc)
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, check_contiguity,
@@ -167,7 +167,7 @@ _CHECKS = {
     "casimir": (None, _casimir),
     "homomorphism": (None, lambda inst, art: check_homomorphism(inst, delta=art.delta)),
     "algebraic-form": (None, lambda inst, art: check_algebraic_form(
-        inst, coproduct_coeffs(inst, art.contiguity))),
+        inst, _derived_coeffs(inst, art.contiguity))),
     "grading": (None, lambda inst, art: verify_weight_grading(inst, art.delta)),
     "raising": (None, lambda inst, art: _until_failure(
         verify_raising(inst, N, art.blocks, art.delta)

@@ -21,7 +21,7 @@ the algebra is certified by check_homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable
@@ -53,6 +53,14 @@ class CoproductCoeffs:
     yp: Callable[[int, int], Scalar]
 
 
+def _reducing(coeffs: CoproductCoeffs, names=("x", "y", "xp", "yp")) -> CoproductCoeffs:
+    """coeffs with each function in `names` reducing its Unreduced value
+    into the Fraction it returns."""
+    def reduced(f):
+        return lambda n, m: f(n, m).reduce()
+    return replace(coeffs, **{a: reduced(getattr(coeffs, a)) for a in names})
+
+
 def coproduct_coeffs(inst: FamilyInstance,
                      data: ContiguityData | None = None) -> CoproductCoeffs:
     """Coefficients read off from the contiguity relations:
@@ -64,9 +72,15 @@ def coproduct_coeffs(inst: FamilyInstance,
     The contiguity values come from `data` when given, so a run that already
     holds them (the one behind its Delta) evaluates none twice; otherwise
     from contiguity(inst). The lowering factors phi are memoized per level
-    for as long as the returned object lives.
+    for as long as the returned object lives. x' and y' are the quotients
+    of _derived_coeffs, each reduced once.
     """
-    data = data or contiguity(inst)
+    return _reducing(_derived_coeffs(inst, data or contiguity(inst)), ("xp", "yp"))
+
+
+def _derived_coeffs(inst: FamilyInstance, data: ContiguityData) -> CoproductCoeffs:
+    """coproduct_coeffs with x' and y' left as unreduced quotients
+    (exactmath.Unreduced); x and y are the contiguity data's own values."""
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
     phi1 = cache(lambda j: phi(alg, l1, j))
@@ -76,13 +90,13 @@ def coproduct_coeffs(inst: FamilyInstance,
         d = phi1(n + 1)
         if d == 0:
             raise SingularParameterError(f"phi(label1, {n + 1}) = 0")
-        return data.beta1(n, n + m + 1) / d
+        return Unreduced.of(data.beta1(n, n + m + 1)) / d
 
     def yp(n, m):
         d = phi2(m + 1)
         if d == 0:
             raise SingularParameterError(f"phi(label2, {m + 1}) = 0")
-        return data.beta2(n, n + m + 1) / d
+        return Unreduced.of(data.beta2(n, n + m + 1)) / d
 
     return CoproductCoeffs(
         x=lambda n, m: data.alpha1(n, n + m - 1),
@@ -98,25 +112,32 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
     c_i = l_i classically, K_i = kappa_i q^n and c_i = 1/kappa_i for the
     q-kinds.
 
-    The parameters enter as exactmath.Unreduced pairs, and constants that
-    depend on them alone are folded once per call. The per-level eigenvalue factors
-    (l1 + 2n, kappa1 q^n, c_i kappa_i q^n) and the shared denominator are
-    Unreduced pairs memoized for as long as the returned object lives, so
-    each coefficient is one chain of integer-pair operations reduced once,
-    into the Fraction it returns. This never reads the contiguity data, so
-    the algebraic-form check compares two independent evaluations.
+    Each coefficient is the value of _closed_form, one chain of integer-pair
+    operations, reduced once into the Fraction it returns. This never reads
+    the contiguity data, so the algebraic-form check compares two
+    independent evaluations.
     """
+    return _reducing(_closed_form(inst))
+
+
+def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
+    """algebraic_form with every coefficient an unreduced exactmath.Unreduced
+    value. The parameters enter as Unreduced pairs, and constants that depend
+    on them alone are folded once per call. The per-level eigenvalue factors
+    (l1 + 2n, kappa1 q^n, c_i kappa_i q^n) and the shared denominator are
+    Unreduced pairs memoized for as long as the returned object lives."""
     kind = inst.kind
+    lift = Unreduced.of
+    one = Unreduced(1)
     if kind is FamilyKind.KRAWTCHOUK:
-        p = inst.p
+        p, p_bar = lift(inst.p), lift(1 - inst.p)
         return CoproductCoeffs(
-            x=lambda n, m: Fraction(1),
-            y=lambda n, m: Fraction(1),
+            x=lambda n, m: one,
+            y=lambda n, m: one,
             xp=lambda n, m: p,
-            yp=lambda n, m: 1 - p,
+            yp=lambda n, m: p_bar,
         )
 
-    lift = Unreduced.of
     a, b = lift(inst.alpha), lift(inst.beta)
     if not kind.is_q:
         l1, l2 = lift(inst.lambda1), lift(inst.lambda2)
@@ -125,22 +146,22 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
         a2, ab2 = 2 * a + 2, 2 * a + 2 * b + 2
         if kind is FamilyKind.DUAL_HAHN:
             return CoproductCoeffs(
-                x=lambda n, m: Fraction(1),
-                y=lambda n, m: Fraction(1),
-                xp=lambda n, m: ((h1(n) - l1 + a2) / (h1(n) + l1)).reduce(),
-                yp=lambda n, m: ((h2(m) - l2 + 2 * b + 2) / (h2(m) + l2)).reduce(),
+                x=lambda n, m: one,
+                y=lambda n, m: one,
+                xp=lambda n, m: (h1(n) - l1 + a2) / (h1(n) + l1),
+                yp=lambda n, m: (h2(m) - l2 + 2 * b + 2) / (h2(m) + l2),
             )
 
         shift = l2 - l1 + ab2  # h1 - h2 - c1 + c2 + 2a + 2b + 2 = h1 - h2 + shift
         dd = cache(lambda n, m: h1(n) - h2(m) + shift)
-        x = lambda n, m: ((h1(n) - l1 + ab2) / dd(n, m)).reduce()
-        y = lambda n, m: ((l2 - h2(m) + ab2) / dd(n, m)).reduce()
+        x = lambda n, m: (h1(n) - l1 + ab2) / dd(n, m)
+        y = lambda n, m: (l2 - h2(m) + ab2) / dd(n, m)
         if kind is FamilyKind.HAHN:
             return CoproductCoeffs(
                 x=x,
                 y=y,
-                xp=lambda n, m: ((h1(n) - l1 + a2) / dd(n, m)).reduce(),
-                yp=lambda n, m: ((l2 - h2(m) + 2 * b) / dd(n, m)).reduce(),
+                xp=lambda n, m: (h1(n) - l1 + a2) / dd(n, m),
+                yp=lambda n, m: (l2 - h2(m) + 2 * b) / dd(n, m),
             )
 
         g = lift(inst.gamma)
@@ -148,11 +169,11 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
 
         def xp(n, m):
             return ((h1(n) - l1 + a2) * (h1(n) - l1 + bg2)
-                    / ((h1(n) + l1) * dd(n, m))).reduce()
+                    / ((h1(n) + l1) * dd(n, m)))
 
         def yp(n, m):
             return ((l2 - h2(m) + 2 * b) * (h2(m) - l2 + ag2)
-                    / ((h2(m) + l2) * dd(n, m))).reduce()
+                    / ((h2(m) + l2) * dd(n, m)))
 
         return CoproductCoeffs(x=x, y=y, xp=xp, yp=yp)
 
@@ -165,10 +186,10 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
         qa, qab = q * a, q * a * b
         dd = cache(lambda n, m: 1 - qab * ck1(n) / ck2(m))
         return CoproductCoeffs(
-            x=lambda n, m: ((1 - qab * ck1(n)) / dd(n, m)).reduce(),
-            y=lambda n, m: (ck1(n) * (1 - qab / ck2(m)) / dd(n, m)).reduce(),
-            xp=lambda n, m: ((1 - qa * ck1(n)) / dd(n, m)).reduce(),
-            yp=lambda n, m: (qa * ck1(n) * (1 - b / ck2(m)) / dd(n, m)).reduce(),
+            x=lambda n, m: (1 - qab * ck1(n)) / dd(n, m),
+            y=lambda n, m: ck1(n) * (1 - qab / ck2(m)) / dd(n, m),
+            xp=lambda n, m: (1 - qa * ck1(n)) / dd(n, m),
+            yp=lambda n, m: qa * ck1(n) * (1 - b / ck2(m)) / dd(n, m),
         )
 
     # q-Racah: q^{+-lambda_i/2} enter as kappa_i^{+-1}
@@ -182,15 +203,15 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
 
     def xp(n, m):
         return ((1 - qc1a * k1(n)) * (1 - qc1bg * k1(n))
-                / ((1 - kap1 * k1(n)) * dd(n, m))).reduce()
+                / ((1 - kap1 * k1(n)) * dd(n, m)))
 
     def yp(n, m):
         return (qc1a * k1(n) * (1 - kap2 * b / k2(m)) * (1 - c2 * g * k2(m) / a)
-                / ((1 - kap2 * k2(m)) * dd(n, m))).reduce()
+                / ((1 - kap2 * k2(m)) * dd(n, m)))
 
     return CoproductCoeffs(
-        x=lambda n, m: ((1 - qc1ab * k1(n)) / dd(n, m)).reduce(),
-        y=lambda n, m: (c1 * k1(n) * (1 - qab * kap2 / k2(m)) / dd(n, m)).reduce(),
+        x=lambda n, m: (1 - qc1ab * k1(n)) / dd(n, m),
+        y=lambda n, m: c1 * k1(n) * (1 - qab * kap2 / k2(m)) / dd(n, m),
         xp=xp,
         yp=yp,
     )
@@ -246,11 +267,14 @@ def check_algebraic_form(inst: FamilyInstance,
                          derived: CoproductCoeffs | None = None) -> Report:
     """The closed operator expressions must reproduce the contiguity-derived
     coefficient functions on every tensor basis vector of the grid. The
-    derived side is `derived` when given (a verify run passes the one built
-    on its shared contiguity data), else coproduct_coeffs(inst); the closed
-    side is always evaluated afresh by algebraic_form."""
-    derived = derived or coproduct_coeffs(inst)
-    closed = algebraic_form(inst)
+    derived side is `derived` when given, whose functions may return ints,
+    Fractions or Unreduced values (a verify run passes _derived_coeffs of its
+    shared contiguity data), else _derived_coeffs(inst, contiguity(inst));
+    the closed side is always evaluated afresh, by _closed_form. The x' and
+    y' quotients and every closed form stay unreduced: first_mismatch
+    decides each point by cross-multiplying and reduces only a witness."""
+    derived = derived or _derived_coeffs(inst, contiguity(inst))
+    closed = _closed_form(inst)
     nm = inst.n_max
     rep = Report(suite=f"algebraic-form:{inst.kind.value}", params=inst.to_doc())
     raising_pts = [(n, s - n) for s in range(1, nm + 1) for n in range(s + 1)]

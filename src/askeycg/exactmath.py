@@ -26,13 +26,15 @@ q_binomial_pair is the Gaussian binomial before its reduction. The kernels
 here and families.poly_block, which builds a whole CG block from tables
 split once per block, share them, so both follow one pole and term rule.
 product_sum adds exact products as one integer pair; the graded-operator
-kernels and the contiguity check make one Fraction per entry from it.
+kernels make one Fraction per entry from it, and the pointwise checks hand
+the pair to report.first_mismatch, which reduces only a witness.
 
 Unreduced carries the same idea into closed-form expressions: an exact
 rational held as one integer pair that + - * / combine without any gcd. The
 coefficient closures of families.contiguity and coproduct.algebraic_form fold
 their parameters, powers of q (q_powers) and shared factors as Unreduced
-values and reduce each coefficient once, into one Fraction.
+values and reduce each coefficient once, into one Fraction; the
+algebraic-form check compares the closed forms before that reduction.
 """
 
 from __future__ import annotations
@@ -246,8 +248,8 @@ def product_sum(terms: Iterable[tuple[Scalar, Scalar]]) -> tuple[int, int]:
     """The sum of a * b over the (a, b) terms, Fractions or ints, as one
     unreduced integer pair; (0, 1) when there is no term. Each product is
     formed from the factors' integer numerators and denominators, and equal
-    denominators add without a product, so the caller's Fraction of the pair
-    is the only reduction."""
+    denominators add without a product, so the pair holds no reduction;
+    the caller reduces it, or compares it unreduced."""
     top, bottom = 0, 1
     for a, b in terms:
         an, ad = a.as_integer_ratio()

@@ -501,8 +501,10 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
     evaluation stays inside the validated grid. Coefficients come from
     `data` when given (a run shares one memoized table with its Delta),
     otherwise from contiguity(inst); polynomial values come from `blocks`
-    when given (see block_values). Each two-term side, alpha1 P + alpha2 P
-    and beta1 P + beta2 P, is summed from integer products and reduced once.
+    when given (see block_values). Every side is one unreduced integer pair
+    from product_sum: alpha1 P + alpha2 P, beta1 P + beta2 P, and mu P as a
+    one-term sum. first_mismatch decides each comparison by cross-multiplying,
+    so a side is never reduced unless it is the witness.
     """
     data = data or contiguity(inst)
     P = block_values(inst, blocks)
@@ -514,17 +516,17 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
             terms.append((data.alpha1(n, N), P(n - 1, k, N)))
         if 0 <= n <= N:
             terms.append((data.alpha2(n, N), P(n, k, N)))
-        return P(n, k, N + 1), Fraction(*product_sum(terms))
+        return P(n, k, N + 1), product_sum(terms)
 
     def lowering(n, k, N):
         m = data.mu(k, N)
-        lhs = m * P(n, k, N - 1) if m != 0 and N >= 1 else Fraction(0)
+        lhs = product_sum([(m, P(n, k, N - 1))]) if m != 0 and N >= 1 else 0
         terms = []
         if 0 <= n + 1 <= N:
             terms.append((data.beta1(n, N), P(n + 1, k, N)))
         if 0 <= n <= N:
             terms.append((data.beta2(n, N), P(n, k, N)))
-        return lhs, Fraction(*product_sum(terms))
+        return lhs, product_sum(terms)
 
     rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
     rng = f"0<=N<{nm}, -1<=n<=N+1, 0<=k<=N"
@@ -544,7 +546,8 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
 
     with A_n = (n+1)(n+lambda1), C_n = (N-n+1)(N-n+lambda2) and
     mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N. Polynomial
-    values come from `blocks` when given (see block_values).
+    values come from `blocks` when given (see block_values). Each side is one
+    unreduced integer pair from product_sum, as in check_contiguity.
     """
     if inst.kind is not FamilyKind.DUAL_HAHN:
         raise InvalidParameterError("three-term recurrence check needs a dual Hahn instance")
@@ -559,8 +562,9 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
     def sides(n, k, N):
         a_n = (n + 1) * (n + l1)
         c_n = (N - n + 1) * (N - n + l2)
-        return (a_n * P(n + 1, k, N) + (a_n + c_n) * P(n, k, N) + c_n * P(n - 1, k, N),
-                mu_fn(k, N) * P(n, k, N))
+        return (product_sum([(a_n, P(n + 1, k, N)), (a_n + c_n, P(n, k, N)),
+                             (c_n, P(n - 1, k, N))]),
+                product_sum([(mu_fn(k, N), P(n, k, N))]))
 
     rep = Report(suite="three-term:dual-hahn", params=inst.to_doc())
     rep.add(first_mismatch("three-term-recurrence", f"0<=n,k<=N<={nm}", (

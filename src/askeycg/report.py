@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
+
+from .exactmath import Unreduced
 
 TOOL_VERSION = "0.1.0"
 
@@ -56,13 +59,37 @@ class CheckResult:
         }
 
 
+def _pair(side) -> tuple[int, int]:
+    """A compared side as an integer pair: a (top, bottom) pair as given, the
+    top and bottom of an Unreduced value, or an int's or Fraction's own."""
+    if type(side) is tuple:
+        return side
+    if type(side) is Unreduced:
+        return side.top, side.bottom
+    return side.numerator, side.denominator
+
+
 def first_mismatch(name: str, checked_range: str,
                    sides: Iterable[tuple[dict, object, object]]) -> CheckResult:
     """Compare lazily produced (where, lhs, rhs) triples in order; the check
-    fails at the first unequal pair, and nothing after it is evaluated."""
+    fails at the first unequal pair, and nothing after it is evaluated.
+
+    Each side is an int, a Fraction, an exactmath.Unreduced value or an
+    unreduced (top, bottom) pair such as exactmath.product_sum returns. Two
+    sides are equal when ln rd == rn ld, decided over integers (equal bottoms
+    compare their tops alone), so an equal pair builds no Fraction; only the
+    witness of a failure is reduced, to the Fractions its lhs and rhs print.
+    A side with a zero bottom raises ZeroDivisionError, as its Fraction
+    would, and never passes as equal."""
     for where, lhs, rhs in sides:
-        if lhs != rhs:
-            return CheckResult.fail(name, checked_range, where, lhs, rhs)
+        ln, ld = _pair(lhs)
+        rn, rd = _pair(rhs)
+        if not (ld and rd):  # the Fraction of that side would raise
+            raise ZeroDivisionError(f"Fraction({rn if ld else ln}, 0)")
+        unequal = ln != rn if ld == rd else ln * rd != rn * ld
+        if unequal:
+            return CheckResult.fail(name, checked_range, where,
+                                    Fraction(ln, ld), Fraction(rn, rd))
     return CheckResult.ok(name, checked_range)
 
 

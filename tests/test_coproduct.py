@@ -1,17 +1,19 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
-from askeycg import coproduct
+from askeycg import coproduct, report
 
 from askeycg.algebras import check_identity, phi, scalar_operator
 from askeycg.coproduct import (CoproductCoeffs, algebraic_form, build_delta,
                                check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
                                coproduct_coeffs, krawtchouk_coassoc)
-from askeycg.exactmath import InvalidParameterError
-from askeycg.families import FamilyKind, algebra_for, contiguity, labels, make_instance
+from askeycg.exactmath import InvalidParameterError, Unreduced
+from askeycg.families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
+                              make_instance)
 from askeycg.linalg import nullspace
 
 from test_algebras import with_entry
@@ -283,6 +285,73 @@ def test_algebraic_form_negative_control():
     rep = check_algebraic_form(inst, derived=bad)
     fail = rep.first_failure()
     assert fail is not None and fail.name == "xp-agreement"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_public_coefficients_stay_reduced_fractions(kind):
+    inst = sample_instance(kind)
+    for coeffs in (algebraic_form(inst), coproduct_coeffs(inst)):
+        for name in ("x", "y", "xp", "yp"):
+            value = getattr(coeffs, name)(1, 1)
+            assert type(value) is F, (name, value)
+
+
+@pytest.mark.parametrize("kind, params, messages", [
+    (FamilyKind.HAHN, dict(alpha=F(1), beta=F(-1), lambda1=F(0), lambda2=F(0)),
+     ("Fraction(1, 0)", "Fraction(2, 0)")),
+    (FamilyKind.RACAH, dict(alpha=F(1), beta=F(-1), gamma=F(3), lambda1=F(2), lambda2=F(2)),
+     ("Fraction(1, 0)", "Fraction(2, 0)")),
+    (FamilyKind.Q_HAHN, dict(q=F(1, 4), alpha=F(2), beta=F(2), kappa1=F(1), kappa2=F(1)),
+     ("Fraction(48, 0)", "Fraction(8, 0)")),
+    (FamilyKind.Q_RACAH, dict(q=F(1, 4), alpha=F(2), beta=F(2), gamma=F(1, 9),
+                              kappa1=F(1, 3), kappa2=F(1, 5)),
+     ("Fraction(48, 0)", "Fraction(330480, 0)")),
+])
+def test_vanishing_closed_form_denominator_raises(kind, params, messages):
+    # a bare instance skips make_instance's validation, so the shared
+    # denominator dd(n, m) of the closed forms (and of the contiguity
+    # coefficients) vanishes on the grid; the messages are those of the
+    # Fractions each side used to be reduced to. With the derived side
+    # replaced by constants, the zero bottom of the closed side raises.
+    bare = FamilyInstance(kind=kind, n_max=3, **params)
+    constant = CoproductCoeffs(*(lambda n, m: F(7),) * 4)
+    for derived, message in zip((None, constant), messages):
+        with pytest.raises(ZeroDivisionError) as err:
+            check_algebraic_form(bare, derived)
+        assert str(err.value) == message
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name from now on, passing them through."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_algebraic_form_check_reduces_only_its_witness(kind, monkeypatch):
+    inst = sample_instance(kind)
+    tabled = CoproductCoeffs(*(cache(getattr(coproduct_coeffs(inst), name))
+                               for name in ("x", "y", "xp", "yp")))
+    data = contiguity(inst)
+    shared = coproduct._derived_coeffs(inst, data)  # the derived side a verify run passes
+    shifted = replace(tabled, xp=lambda n, m: tabled.xp(n, m) + 1)
+    for derived in (tabled, shared, shifted):
+        check_algebraic_form(inst, derived)  # every derived value is now memoized
+    reductions = counting(monkeypatch, Unreduced, "reduce")
+    fractions = counting(monkeypatch, report, "Fraction")
+    for derived in (tabled, shared):
+        assert check_algebraic_form(inst, derived).passed
+    assert (reductions, fractions) == ([], [])
+    rep = check_algebraic_form(inst, shifted)
+    assert [c.name for c in rep.checks if not c.passed] == ["xp-agreement"]
+    assert reductions == [] and len(fractions) == 2
 
 
 # -- q-Racah specialization and twist --------------------------------------------

@@ -379,6 +379,19 @@ def test_corrupted_alpha2_fails_with_smallest_witness():
     assert fail.witness.where == {"N": 0, "n": 0, "k": 0}
 
 
+def test_corrupted_beta1_pins_the_lowering_witness():
+    # the lowering counterpart of the acceptance contiguity control: beta1
+    # doubled on the same Hahn point; raising still passes
+    inst = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
+    data = contiguity(inst)
+    rep = check_contiguity(inst, dataclasses.replace(
+        data, beta1=lambda n, N: 2 * data.beta1(n, N)))
+    assert [(c.name, c.passed) for c in rep.checks] == [
+        ("raising-contiguity", True), ("lowering-contiguity", False)]
+    assert rep.checks[1].witness.to_dict() == {
+        "where": {"N": "1", "n": "0", "k": "0"}, "lhs": "-1", "rhs": "-9/5"}
+
+
 @pytest.mark.parametrize("coeff, name, witness", [
     ("alpha1", "raising-contiguity",
      {"where": {"N": "4", "n": "2", "k": "0"}, "lhs": "5797/4096", "rhs": "22789/8192"}),
@@ -563,6 +576,17 @@ def test_three_term_corrupted_mu_fails():
         inst, mu_fn=lambda k, N: (N - k + 1) * (N + k + l1 + l2) + 1)
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
+
+
+@pytest.mark.parametrize("bump, rhs", [(F(1, 3), "125/6"), (F(-2), "37/2")])
+def test_three_term_witness_is_reduced(bump, rhs):
+    inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(5, 2), lambda2=F(7, 3),
+                         alpha=F(3, 2), n_max=4)
+    l1, l2 = inst.lambda1, inst.lambda2
+    rep = check_three_term_dual_hahn(inst, mu_fn=lambda k, N: (
+        (N - k + 1) * (N + k + l1 + l2) + (bump if N == 2 else 0)))
+    assert rep.first_failure().witness.to_dict() == {
+        "where": {"N": "2", "n": "0", "k": "0"}, "lhs": "41/2", "rhs": rhs}
 
 
 # -- self-duality ------------------------------------------------------------
