@@ -19,20 +19,11 @@ k-th tower, and repeated application of Delta(E) fills in the higher levels.
 Entrywise agreement with the polynomial route is the central certificate.
 
 The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
-k != l. Since the CG matrix intertwines the coproduct with the sum of the
-irreducible components, column k of block N is an eigenvector of the
-tridiagonal T_N = Delta(E) Delta(F) on level N with eigenvalue the component
-lowering coefficient phi(tensor_label(k), N - k), and the diagonal that
-symmetrizes T_N is Omega. So Omega is certified by commutation, in O(N^2)
-integer operations: T_N has nonzero off-diagonal entries and distinct
-eigenvalues, T_N P = P Lambda exactly, and every norm Omega'_l is nonzero
-(_certified_weights gives the proof). When a step fails, Omega comes from
-the full solve, Bareiss elimination of all N(N+1)/2 equations, whose result
-or error is the verdict. T_N is a witness checked exactly: the weights never
-rest on Delta being right.
-
-random_instance draws seeded instances whose blocks all admit orthogonality
-weights; it lives here because that test is orthogonality_weights itself.
+k != l. Column k of block N is an eigenvector of the tridiagonal T_N =
+Delta(E) Delta(F) on level N, with eigenvalue the lowering coefficient of
+component k, and Omega is the diagonal that symmetrizes T_N. So it is
+certified by commutation alone, in O(N^2) integer operations, with no linear
+system solved (orthogonality_weights gives the steps and the proof).
 """
 
 from __future__ import annotations
@@ -46,7 +37,7 @@ from .exactmath import InvalidParameterError, Scalar, format_scalar, product_sum
 from .families import (FamilyInstance, FamilyKind, algebra_for, make_instance,
                        poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
-from .linalg import RatMat, integer_vector, nullspace, rank
+from .linalg import RatMat, integer_vector
 from .report import Report, first_mismatch
 
 __all__ = [
@@ -62,8 +53,8 @@ class DegenerateKernelError(RuntimeError):
 
 
 class WeightSolutionError(RuntimeError):
-    """The orthogonality weight system has no one-dimensional solution, or a
-    normalization or norm vanished."""
+    """A step of the weight certificate (orthogonality_weights) failed; the
+    message names the step, its block and its entry, columns or column."""
 
 
 @dataclass(frozen=True)
@@ -158,94 +149,59 @@ def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> li
     one-dimensional; the kernel vector is scaled to first entry v_0 = 1,
     which is P_0(k, k) in every family (the (q-)binomial prefactor and the
     first series term are both 1 at n = 0), then pushed up with Delta(E).
-
-    An accepted instance reaches neither DegenerateKernelError. On block k,
-    Delta(F) is the k x (k+1) upper bidiagonal matrix with Delta(F)[i][i] =
-    beta2(i, k) and Delta(F)[i][i+1] = beta1(i, k), and make_instance
-    certifies every factor of beta1(i, k) nonzero for 0 <= i < k <= n_max.
-    So v_{i+1} = -beta2(i, k) v_i / beta1(i, k): the kernel is one line, and
-    v_0 = 0 would force v = 0.
     """
     delta = delta or build_delta(inst)
     nm = inst.n_max
-    columns: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    columns = [[] for _ in range(nm + 1)]  # columns[N][k] is column k of block N
     for k in range(nm + 1):
-        basis = nullspace(delta.f.dense(k))
-        if len(basis) != 1:
-            raise DegenerateKernelError(
-                f"kernel of the lowering map on block {k} has dimension "
-                f"{len(basis)}, expected 1")
-        vec = basis[0]
-        if vec[0] == 0:
-            raise DegenerateKernelError(
-                f"kernel vector on block {k} has first entry 0, so it cannot be "
-                f"scaled to P_0({k}, {k}) = 1")
-        vec = tuple(x / vec[0] for x in vec)
-        columns[(k, k)] = vec
-        for N in range(k, nm):
-            vec = delta.e.apply(N, vec)
-            columns[(k, N + 1)] = vec
-    return [CGBlock(N, RatMat.build(N + 1, N + 1, lambda n, k, N=N: columns[k, N][n]))
-            for N in range(nm + 1)]
+        columns[k].append(_lowering_kernel(delta.f.blocks[k], k))
+        for N in range(k + 1, nm + 1):
+            columns[N].append(delta.e.apply(N - 1, columns[N - 1][k]))
+    return [CGBlock(N, RatMat(N + 1, N + 1, tuple(zip(*c)))) for N, c in enumerate(columns)]
+
+
+def _lowering_kernel(block, k: int) -> tuple[Fraction, ...]:
+    """The kernel vector of Delta(F) on block k, scaled to v_0 = 1, in O(k).
+
+    Delta(F) there is upper bidiagonal, [i][i] = beta2(i, k) and [i][i+1] =
+    beta1(i, k). With every beta1 nonzero, as make_instance certifies, the
+    kernel is the line v_{i+1} = -beta2(i, k) v_i / beta1(i, k). A zero
+    beta1(i, k) cuts off rows and columns up to i as a square triangular
+    block: singular (a zero beta2 in it) it adds a kernel dimension, else it
+    forces v_0 = 0."""
+    down = [block.get((i, i), 0) for i in range(k)]
+    up = [block.get((i, i + 1), 0) for i in range(k)]
+    if not all(up):
+        dim, singular = 1, False
+        for d, u in zip(down, up):
+            singular = singular or not d
+            if not u:
+                dim, singular = dim + singular, False
+        raise DegenerateKernelError(
+            f"kernel of the lowering map on block {k} has dimension {dim}, expected 1"
+            if dim != 1 else f"kernel vector on block {k} has first entry 0, so it "
+            f"cannot be scaled to P_0({k}, {k}) = 1")
+    vec = [Fraction(1)]
+    for d, u in zip(down, up):
+        vec.append(-d * vec[-1] / u)
+    return tuple(vec)
 
 
 def orthogonality_weights(inst: FamilyInstance, N: int,
                           block: CGBlock | None = None,
                           delta: Delta | None = None) -> WeightData:
-    """Solve for the diagonal weights Omega making the CG columns orthogonal:
+    """The weights Omega, Omega_0 = 1, making the CG columns of block N
+    orthogonal with nonzero norms, unique up to scale (signs as found):
 
         sum_n P[n][k] P[n][l] Omega_n = delta_{k,l} Omega'_l
 
-    The homogeneous off-diagonal system must have a one-dimensional solution
-    space; Omega is normalized to Omega_0 = 1 and every Omega'_l must be
-    nonzero. Signs are reported as found; no positivity is claimed.
-
-    With `delta` given, the diagonal that symmetrizes T_N = Delta(E) Delta(F)
-    is tried first and certified by commutation (_certified_weights): T_N P =
-    P Lambda with distinct eigenvalues and nonzero norms. When T_N has a zero
-    off-diagonal entry or a step fails, the full solve below runs, and its
-    result or error is the verdict.
-    """
-    P = (block or cg_block(inst, N)).P
-    if delta is not None:
-        found = _certified_weights(inst, P, N, delta)
-        if found:
-            return found
-    if rank(P) != N + 1:
-        raise WeightSolutionError(f"CG block {N} is singular")
-    if N == 0:
-        return WeightData(0, (Fraction(1),), (P.entry(0, 0) ** 2,))
-    rows = []
-    for k in range(N + 1):
-        for l in range(k + 1, N + 1):
-            rows.append([P.entry(n, k) * P.entry(n, l) for n in range(N + 1)])
-    basis = nullspace(RatMat.from_rows(rows))
-    if len(basis) != 1:
-        raise WeightSolutionError(
-            f"weight solution space at block {N} has dimension {len(basis)}, "
-            f"expected 1")
-    omega = basis[0]
-    if omega[0] == 0:
-        raise WeightSolutionError("weight normalization Omega_0 vanishes")
-    omega = tuple(x / omega[0] for x in omega)
-    omega_prime = []
-    for l in range(N + 1):
-        norm = sum((P.entry(n, l) ** 2 * omega[n] for n in range(N + 1)),
-                   Fraction(0))
-        if norm == 0:
-            raise WeightSolutionError(f"Omega' vanishes at column {l}")
-        omega_prime.append(norm)
-    return WeightData(N, omega, tuple(omega_prime))
-
-
-def _certified_weights(inst: FamilyInstance, P: RatMat, N: int,
-                       delta: Delta) -> WeightData | None:
-    """The weights of P certified by commutation with T, the tridiagonal part
-    of T_N = Delta(E) Delta(F) on level N, or None when a step fails:
+    Omega is certified by commutation with T, the tridiagonal part of T_N =
+    Delta(E) Delta(F) on level N (Delta is built when not given); a failed
+    step raises WeightSolutionError naming it:
 
     1. none of T[n][n+1], T[n+1][n] is zero;
-    2. Omega_0 = 1 and Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so
-       W T is symmetric for W = diag(Omega);
+    2. Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so W T is symmetric
+       for W = diag(Omega);
     3. Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), which is 0 at
        k = N, are pairwise distinct;
     4. T P = P Lambda exactly;
@@ -259,35 +215,51 @@ def _certified_weights(inst: FamilyInstance, P: RatMat, N: int,
     W'_n T[n][n+1], and by 1 W' = W'_0 Omega: the solution space is the line
     through Omega. T is a witness checked exactly, so the proof never rests
     on Delta being right. All checks run over integers: row i of T is t_i /
-    d_i and column l of P is a_l / c_l."""
+    d_i and column l of P is a_l / c_l.
+
+    On an instance make_instance accepts, with Delta and the blocks right, no
+    step fails. 1: validation keeps T[n][n+1] = alpha2(n, N-1) beta1(n, N) and
+    T[n+1][n] = alpha1(n+1, N-1) beta2(n, N) nonzero. 3: its label conditions
+    keep the component lowering coefficients distinct. 4 is the intertwining.
+    5: T[n+1][n] != 0 makes an eigenvector of T with v_0 = 0 zero; as P[0][l]
+    = P_0(l, N) = 1, the columns are eigenvectors of distinct eigenvalues, so
+    P, hence G, is invertible, and the norms on G's diagonal are nonzero.
+    """
+    P = (block or cg_block(inst, N)).P
+    delta = delta or build_delta(inst)
+
+    def failed(step, what):
+        return WeightSolutionError(f"block {N}, step {step}: {what}")
+
     T = {ij: Fraction(*pair)
          for ij, pair in (_block_product(delta.e, delta.f, N) or {}).items() if pair[0]}
     omega = [Fraction(1)]
     for n in range(N):
-        up, down = T.get((n, n + 1)), T.get((n + 1, n))
-        if not up or not down:
-            return None
-        omega.append(omega[-1] * up / down)
+        for i, j in ((n, n + 1), (n + 1, n)):
+            if (i, j) not in T:
+                raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
+        omega.append(omega[-1] * T[n, n + 1] / T[n + 1, n])
     lam = [tensor_lowering_eigenvalue(inst, k, N - k) for k in range(N + 1)]
-    if len(set(lam)) <= N:
-        return None
+    for l, x in enumerate(lam):
+        if x in lam[:l]:
+            raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
     rows = []
     for i in range(N + 1):
         band = [j for j in (i - 1, i, i + 1) if (i, j) in T]
         t, d = integer_vector([T[i, j] for j in band])
         rows.append((list(zip(band, t)), d))
     cols = [integer_vector(P.column(l)) for l in range(N + 1)]
-    for (a, _), x in zip(cols, lam):
+    for l, ((a, _), x) in enumerate(zip(cols, lam)):
         xn, xd = x.as_integer_ratio()
         for i, (row, d) in enumerate(rows):
             if xd * sum(t * a[j] for j, t in row) != xn * d * a[i]:
-                return None
+                raise failed(4, f"(T_N P)[{i}][{l}] != (P Lambda)[{i}][{l}]")
     w, L = integer_vector(omega)
     omega_prime = []
-    for a, c in cols:
+    for l, (a, c) in enumerate(cols):
         norm = sum(x * x * y for x, y in zip(a, w))
         if not norm:
-            return None
+            raise failed(5, f"Omega' vanishes at column {l}")
         omega_prime.append(Fraction(norm, c * c * L))
     return WeightData(N, tuple(omega), tuple(omega_prime))
 
@@ -347,19 +319,11 @@ _MAX_TRIES = 200
 
 def random_instance(kind: FamilyKind | str, rng, n_max: int = 8) -> FamilyInstance:
     """Draw a valid instance: numerators and denominators of drawn rationals
-    stay <= 20, redrawing on validation failure. A draw is also rejected when
-    orthogonality_weights fails on some block 1..n_max (a singular block, a
-    weight system without a one-dimensional solution, or a zero norm), since
-    that would defeat the basis-change and orthogonality checks the draws
-    exist to feed."""
+    stay <= 20, redrawing on validation failure."""
     kind = FamilyKind(kind)
     for _ in range(_MAX_TRIES):
         try:
-            inst = make_instance(kind, n_max=n_max, **_draw_params(kind, rng))
-            delta = build_delta(inst)
-            for N in range(1, n_max + 1):
-                orthogonality_weights(inst, N, delta=delta)
-        except (InvalidParameterError, WeightSolutionError):
+            return make_instance(kind, n_max=n_max, **_draw_params(kind, rng))
+        except InvalidParameterError:
             continue
-        return inst
     raise RuntimeError(f"no valid draw for {kind.value} after {_MAX_TRIES} tries")

@@ -26,9 +26,11 @@ Constrained parameters are computed, never supplied: beta for dual Hahn
 (alpha + beta = lambda1 + lambda2 - 2), gamma for Racah (lambda1 + lambda2
 - 1) and for q-Racah (kappa1^2 kappa2^2 / q). Validation is eager and covers
 the grid up to n_max: a classical condition is one exact test against the
-range of integers it excludes, a q condition a scan over the O(n_max) powers
-of q it excludes. So a constructed instance is a certificate that no
-denominator in the contiguity or coproduct coefficients vanishes where used.
+range of integers it excludes, a q condition one exact test for the power of
+q it excludes (_q_exponent). So a constructed instance is a certificate that
+no denominator in the contiguity or coproduct coefficients vanishes where
+used, and one from make_instance also that no off-diagonal entry of any
+T_N = Delta(E) Delta(F) vanishes (_require_irreducible).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from math import comb
+from math import comb, log
 from typing import Callable
 
 from .algebras import AlgebraKind, AlgebraTag
@@ -150,6 +152,13 @@ def make_instance(kind: FamilyKind | str, n_max: int = 8, **params) -> FamilyIns
         dual-hahn   alpha             racah       alpha, beta
         q-hahn      q, alpha, beta    q-racah     q, alpha, beta (kappas required)
     """
+    inst = _resolve(kind, n_max, params)
+    _require_irreducible(inst)
+    return inst
+
+
+def _resolve(kind: FamilyKind | str, n_max: int, params: dict) -> FamilyInstance:
+    """make_instance short of _require_irreducible: the limit ladders never build T_N."""
     kind = FamilyKind(kind)
     if n_max < 1:
         raise InvalidParameterError("n_max must be at least 1")
@@ -203,29 +212,21 @@ def _validate(inst: FamilyInstance) -> None:
     if kind.is_q:
         q = inst.q
         _require(inst.kappa1 != 0 and inst.kappa2 != 0, "kappa labels must be nonzero")
-        ab = inst.alpha * inst.beta
-        for e in range(-nm, 2 * nm + 3):
-            _require(ab * q ** e != 1,
-                     "1 - alpha*beta*q^%d vanishes (contiguity denominator)", e)
-        for e in range(1, nm + 1):
-            _require(inst.alpha * q ** e != 1,
-                     "series denominator (alpha*q; q) vanishes at q^%d", e)
+        e = _q_exponent(inst.alpha * inst.beta, q, -nm, 2 * nm + 2)
+        _require(e is None, "1 - alpha*beta*q^%d vanishes (contiguity denominator)", e)
+        e = _q_exponent(inst.alpha, q, 1, nm)
+        _require(e is None, "series denominator (alpha*q; q) vanishes at q^%d", e)
         if kind is FamilyKind.Q_RACAH:
             _require(inst.alpha != 0, "q-racah needs alpha nonzero")
-            bg = inst.beta * inst.gamma
-            for e in range(1, nm + 1):
-                _require(bg * q ** e != 1,
-                         "series denominator (beta*gamma*q; q) vanishes at q^%d", e)
+            e = _q_exponent(inst.beta * inst.gamma, q, 1, nm)
+            _require(e is None, "series denominator (beta*gamma*q; q) vanishes at q^%d", e)
             for kap, name in ((inst.kappa1, "kappa1"), (inst.kappa2, "kappa2")):
-                for e in range(0, nm + 1):
-                    _require(kap ** 2 * q ** e != 1,
-                             "%s^2 q^%d = 1: module label hits a zero of "
-                             "the lowering coefficient", name, e)
-            k12 = (inst.kappa1 * inst.kappa2) ** 2
-            for e in range(0, 3 * nm):
-                _require(k12 * q ** e != 1,
-                         "(kappa1*kappa2)^2 q^%d = 1: a tensor component label "
-                         "hits a zero of the lowering coefficient", e)
+                e = _q_exponent(kap ** 2, q, 0, nm)
+                _require(e is None, "%s^2 q^%d = 1: module label hits a zero of "
+                         "the lowering coefficient", name, e)
+            e = _q_exponent((inst.kappa1 * inst.kappa2) ** 2, q, 0, 3 * nm - 1)
+            _require(e is None, "(kappa1*kappa2)^2 q^%d = 1: a tensor component label "
+                     "hits a zero of the lowering coefficient", e)
         return
 
     if kind is FamilyKind.KRAWTCHOUK:
@@ -265,9 +266,44 @@ def _validate(inst: FamilyInstance) -> None:
                  "a tensor component reducible within the truncation", l12)
 
 
+_REDUCIBLE = "beta2 factor %s vanishes at (n=0, N=%s), so T_N is reducible"
+
+
+def _require_irreducible(inst: FamilyInstance) -> None:
+    """Reject where T_N[n+1][n] = alpha1(n+1, N-1) beta2(n, N) of T_N = Delta(E)
+    Delta(F) vanishes, 0 <= n < N <= n_max (alpha1 is kept nonzero by
+    _validate): beta = q^j or alpha = gamma q^j, beta or alpha - gamma = j,
+    beta = -(j+1) for dual Hahn, j = N - n - 1 < n_max; named at n = 0."""
+    nm, kind = inst.n_max, inst.kind
+    if kind.is_q:
+        _require(inst.alpha != 0, _REDUCIBLE, "alpha*q^(n+1)", 1)
+        e = _q_exponent(inst.beta, inst.q, 1 - nm, 0)
+        _require(e is None, _REDUCIBLE, "1 - beta*q^(n+1-N)", 1 - (e or 0))
+        if kind is FamilyKind.Q_RACAH:
+            e = _q_exponent(inst.alpha / inst.gamma, inst.q, 1 - nm, 0)
+            _require(e is None, _REDUCIBLE, "alpha*q^(n+1) - gamma*q^N", 1 - (e or 0))
+    elif kind is FamilyKind.DUAL_HAHN:
+        _require(not _integer_in(inst.beta, -nm, -1), _REDUCIBLE, "N - n + beta", -inst.beta)
+    elif kind is not FamilyKind.KRAWTCHOUK:
+        b = inst.beta
+        _require(not _integer_in(b, 0, nm - 1), _REDUCIBLE, "n - N + beta + 1", b + 1)
+        if kind is FamilyKind.RACAH:
+            x = inst.alpha - inst.gamma
+            _require(not _integer_in(x, 0, nm - 1), _REDUCIBLE, "n - N + alpha - gamma + 1",
+                     x + 1)
+
+
 def _integer_in(x: Scalar, lo: int, hi: int) -> bool:
     """Whether x is one of the integers lo..hi."""
     return x.denominator == 1 and lo <= x <= hi
+
+
+def _q_exponent(c: Scalar, q: Scalar, lo: int, hi: int) -> int | None:
+    """The e in lo..hi with c q^e = 1, or None. As q avoids 0 and +-1, its
+    height h = |numerator| * denominator is >= 2 and c's is h^|e|: one e."""
+    height = abs(c.numerator) * c.denominator
+    size = round(log(height, abs(q.numerator) * q.denominator)) if height else 0
+    return next((e for e in (size, -size) if lo <= e <= hi and c * q ** e == 1), None)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +401,8 @@ def block_values(inst: FamilyInstance,
     returned function lives. Either way the values are poly_block's."""
     rows = cache(lambda N: poly_block(inst, N)) if blocks is None else (
         lambda N: blocks[N].P.a)
-    return lambda n, k, N: rows(N)[n][k] if 0 <= n <= N else Fraction(0)
+    zero = Fraction(0)  # one for every read outside 0..N
+    return lambda n, k, N: rows(N)[n][k] if 0 <= n <= N else zero
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +645,8 @@ def limit_hahn_to_krawtchouk(p: Scalar, z_list: list[Scalar],
     if not 0 <= n <= N:
         raise InvalidParameterError("n must lie in 0..N")
     nm = max(N, 1)
-    kraw = make_instance(FamilyKind.KRAWTCHOUK, p=p, n_max=nm)
-    hahns = [make_instance(FamilyKind.HAHN, alpha=p * z, beta=(1 - p) * z, n_max=nm)
-             for z in zs]
+    kraw = _resolve(FamilyKind.KRAWTCHOUK, nm, dict(p=p))
+    hahns = [_resolve(FamilyKind.HAHN, nm, dict(alpha=p * z, beta=(1 - p) * z)) for z in zs]
     rep = Report(suite="limit:hahn->krawtchouk",
                  params={"p": format_scalar(p), "n": n, "k": k, "N": N,
                          "z_list": ",".join(format_scalar(z) for z in zs)})
@@ -638,11 +674,9 @@ def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
     betas = [as_scalar(b) for b in beta_list]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])) or any(b <= 0 for b in betas):
         raise InvalidParameterError("beta_list must be positive and increasing")
-    dual = make_instance(FamilyKind.DUAL_HAHN, lambda1=lambda1, lambda2=lambda2,
-                         alpha=alpha, n_max=n_max)
-    ddata = contiguity(dual)
-    rdata = [contiguity(make_instance(FamilyKind.RACAH, lambda1=lambda1, lambda2=lambda2,
-                                      alpha=alpha, beta=b, n_max=n_max))
+    shared = dict(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
+    ddata = contiguity(_resolve(FamilyKind.DUAL_HAHN, n_max, shared))
+    rdata = [contiguity(_resolve(FamilyKind.RACAH, n_max, {**shared, "beta": b}))
              for b in betas]  # one memo per beta, shared by all four decays
     rep = Report(suite="limit:racah->dual-hahn",
                  params={"alpha": format_scalar(alpha),

@@ -1,12 +1,10 @@
-"""Dense exact rational matrices: the CG blocks, and the nullspaces and ranks
-the block checks need. Graded operators keep their own sparse blocks
-(algebras.GradedOperator) and become dense only to enter a nullspace.
+"""Dense exact rational matrices (the CG blocks, row-major tuples of
+Fractions) and integer_vector; graded operators keep sparse blocks.
 
-Matrices are small (block sizes stay below ~20), so everything is plain
-row-major tuples of Fractions. Nullspaces are computed fraction-free: rows are
-cleared to integers and eliminated Bareiss-style, so only exact integer
-divisions occur, and back-substituted over integers with one common
-denominator per basis vector.
+nullspace and rank are fraction-free (Bareiss elimination over integers with
+exact divisions only, back-substitution over one common denominator per
+vector). No runtime path calls them: they are the tests' reference weight
+solve, and the benchmark traces them by name.
 """
 
 from __future__ import annotations

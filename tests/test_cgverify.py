@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,21 +9,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import askeycg.cgverify as cgverify
+import askeycg.linalg as linalg
 from askeycg.algebras import GradedOperator, scalar_operator
 from askeycg.cgverify import (CGBlock, DegenerateKernelError, WeightData,
                               WeightSolutionError, _draw_params,
                               cg_block, lowest_weight_oracle, orthogonality_weights,
                               random_instance, tensor_lowering_eigenvalue,
                               verify_lowering, verify_raising, verify_weight_grading)
-from askeycg.cli import run_verify_suite
+from askeycg.cli import run_verify_suite, table_doc
 from askeycg.coproduct import Delta, build_delta
 from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
-                               binomial, q_binomial)
+                               binomial, format_scalar, q_binomial)
 from askeycg.families import FamilyInstance, FamilyKind, make_instance, poly_value
-from askeycg.linalg import RatMat
+from askeycg.linalg import RatMat, nullspace, rank
 
 from test_algebras import with_entry
 from test_families import ALL_KINDS, poly_reference, sample_instance, wide_draws
+from test_golden_reports import CASES as GOLDEN_CASES
+from test_golden_reports import report as golden_report
 from test_linalg import inverse, matmul, to_lists
 
 
@@ -263,6 +267,50 @@ def test_oracle_degenerate_kernel(entries, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("zeros,message", [
+    ([(0, 0), (1, 2)], "kernel of the lowering map on block 2 has dimension 2, expected 1"),
+    ([(1, 2)], "kernel vector on block 2 has first entry 0, so it cannot be scaled to "
+               "P_0(2, 2) = 1"),
+], ids=["shared-column", "last-row-diagonal"])
+def test_oracle_kernel_dimension_counts_matched_columns(zeros, message):
+    # Delta(F) on block 2 reduced to rows (0, b1, 0) and (0, b2, 0): no row is
+    # zero, yet both sit in column 1, so the rank is 1 and the kernel a plane.
+    # Rows (b2, b1, 0) and (0, b2, 0) have rank 2: the kernel is the line
+    # through (0, 0, 1)
+    inst = sample_instance(FamilyKind.HAHN)
+    delta = build_delta(inst)
+    f = delta.f
+    for ij in zeros:
+        f = with_entry(f, 2, ij, F(0))
+    assert len(f.blocks[2]) == 4 - len(zeros)
+    with pytest.raises(DegenerateKernelError) as exc:
+        lowest_weight_oracle(inst, delta=Delta(delta.e, f, delta.hk))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_oracle_kernel_matches_the_full_solve_on_every_zero_pattern(k):
+    # every way of zeroing the 2k band entries of an upper bidiagonal block
+    # gives the verdict and the vector of nullspace on its dense form
+    band = [(i, i + d) for i in range(k) for d in (0, 1)]
+    for mask in range(1 << len(band)):
+        block = {ij: F(3 + 2 * t, 11 + t) for t, ij in enumerate(band) if mask >> t & 1}
+        basis = nullspace(RatMat.build(k, k + 1, lambda i, j: block.get((i, j), F(0))))
+        if len(basis) != 1:
+            want = (f"kernel of the lowering map on block {k} has dimension {len(basis)}, "
+                    "expected 1")
+        elif basis[0][0] == 0:
+            want = (f"kernel vector on block {k} has first entry 0, so it cannot be scaled "
+                    f"to P_0({k}, {k}) = 1")
+        else:
+            assert cgverify._lowering_kernel(block, k) == tuple(
+                x / basis[0][0] for x in basis[0])
+            continue
+        with pytest.raises(DegenerateKernelError) as exc:
+            cgverify._lowering_kernel(block, k)
+        assert str(exc.value) == want
+
+
 # -- orthogonality weights ----------------------------------------------------
 
 def test_weights_block_zero():
@@ -318,20 +366,50 @@ def test_weights_reject_singular_block():
 
 # -- orthogonality weights from T_N = Delta(E) Delta(F) ------------------------
 
-def weights_or_error(inst, N, blk, delta=None):
+def full_solve(inst, N, blk):
+    """Reference weights of blk: Bareiss elimination of all N(N+1)/2
+    off-diagonal equations (linalg.nullspace and rank), normalized to
+    Omega_0 = 1, or WeightSolutionError when the solution is not one line
+    with nonzero Omega_0 and norms. inst is unused: Omega depends on P alone."""
+    P = blk.P
+    if rank(P) != N + 1:
+        raise WeightSolutionError(f"CG block {N} is singular")
+    if N == 0:
+        return WeightData(0, (F(1),), (P.entry(0, 0) ** 2,))
+    rows = [[P.entry(n, k) * P.entry(n, l) for n in range(N + 1)]
+            for k in range(N + 1) for l in range(k + 1, N + 1)]
+    basis = nullspace(RatMat.from_rows(rows))
+    if len(basis) != 1:
+        raise WeightSolutionError(
+            f"weight solution space at block {N} has dimension {len(basis)}, expected 1")
+    omega = basis[0]
+    if omega[0] == 0:
+        raise WeightSolutionError("weight normalization Omega_0 vanishes")
+    omega = tuple(x / omega[0] for x in omega)
+    omega_prime = []
+    for l in range(N + 1):
+        norm = sum((P.entry(n, l) ** 2 * omega[n] for n in range(N + 1)), F(0))
+        if norm == 0:
+            raise WeightSolutionError(f"Omega' vanishes at column {l}")
+        omega_prime.append(norm)
+    return WeightData(N, omega, tuple(omega_prime))
+
+
+def weights_or_error(solve, *args):
     try:
-        return orthogonality_weights(inst, N, blk, delta)
+        return solve(*args)
     except WeightSolutionError as exc:
         return f"error: {exc}"
 
 
 def assert_paths_agree(inst):
-    """The certified guess from Delta gives what the full solve gives, block
-    by block, WeightData or error message."""
+    """The certified weights from Delta, given or built, are the full
+    solve's, block by block."""
     delta = build_delta(inst)
     for N in range(inst.n_max + 1):
         blk = cg_block(inst, N)
-        assert weights_or_error(inst, N, blk, delta) == weights_or_error(inst, N, blk)
+        assert orthogonality_weights(inst, N, blk, delta) \
+            == orthogonality_weights(inst, N, blk) == full_solve(inst, N, blk)
 
 
 @settings(max_examples=30, deadline=None)
@@ -347,27 +425,35 @@ def test_symmetrizer_path_equals_full_solve(kind, seed, n_max):
 
 
 def test_symmetrizer_path_on_degenerate_racah_point():
-    # T_N is reducible on blocks 2..4, which fall back and fail as in
-    # tests/golden/racah-degenerate.json: "Omega_0 vanishes"
-    inst = make_instance("racah", n_max=4, alpha=F(1, 3), beta=F(1),
-                         lambda1=F(3, 2), lambda2=F(5))
-    assert_paths_agree(inst)
+    # make_instance rejects this point, since T_N is reducible on blocks 2..4;
+    # bare, those blocks fail step 1 at the zero T_N[N-1][N-2], where the full
+    # solve fails as tests/golden/racah-degenerate.json did: "Omega_0 vanishes"
+    inst = FamilyInstance(FamilyKind.RACAH, 4, alpha=F(1, 3), beta=F(1), gamma=F(11, 2),
+                          lambda1=F(3, 2), lambda2=F(5))
     delta = build_delta(inst)
-    failed = {N: weights_or_error(inst, N, cg_block(inst, N), delta) for N in range(5)}
-    assert {N: err for N, err in failed.items() if isinstance(err, str)} == {
-        N: "error: weight normalization Omega_0 vanishes" for N in (2, 3, 4)}
+    blocks = [cg_block(inst, N) for N in range(5)]
+    got = [weights_or_error(orthogonality_weights, inst, N, blk, delta)
+           for N, blk in enumerate(blocks)]
+    want = [weights_or_error(full_solve, inst, N, blk) for N, blk in enumerate(blocks)]
+    assert got[:2] == want[:2] and all(isinstance(w, WeightData) for w in got[:2])
+    assert got[2:] == [f"error: block {N}, step 1: T_N[{N - 1}][{N - 2}] vanishes, "
+                       f"so no diagonal symmetrizes T_N" for N in (2, 3, 4)]
+    assert want[2:] == ["error: weight normalization Omega_0 vanishes"] * 3
 
 
-def spy_callers(monkeypatch, name):
-    """Record the name of the function calling askeycg.cgverify.<name>."""
+def spy_callers(monkeypatch, name, module=cgverify):
+    """Record the name of the function calling module.<name>, patched in
+    every module that binds the same function."""
     callers = []
-    original = getattr(cgverify, name)
+    original = getattr(module, name)
 
     def spy(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return original(*args)
 
-    monkeypatch.setattr(cgverify, name, spy)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__dict__", {}).get(name) is original:
+            monkeypatch.setattr(mod, name, spy)
     return callers
 
 
@@ -378,42 +464,55 @@ def with_f_entry_scaled(delta, level, ij, factor):
     return Delta(delta.e, GradedOperator(f.degree, f.dims, blocks), delta.hk)
 
 
-def test_corrupted_delta_falls_back_to_the_same_verdict(monkeypatch):
-    # one I x F entry of level 3 feeds T_3[2][1], so only block 3's guess is wrong
+def test_corrupted_delta_fails_orthogonality_at_its_block(monkeypatch):
+    # one I x F entry of level 3 feeds T_3[2][1], so only block 3's weights
+    # are wrong: T_3 P = P Lambda fails there with a witness, and a wrong
+    # Delta never makes orthogonality pass
     inst = sample_instance(FamilyKind.RACAH)
     good = build_delta(inst)
     bad = with_f_entry_scaled(good, 3, (1, 1), 2)
     blocks = [cg_block(inst, N) for N in range(inst.n_max + 1)]
-    want = [orthogonality_weights(inst, N, blk) for N, blk in enumerate(blocks)]
-    want_report = run_verify_suite(inst, ["orthogonality"]).to_dict()
-    rank_callers = spy_callers(monkeypatch, "rank")
-    assert [orthogonality_weights(inst, N, blk, bad) for N, blk in enumerate(blocks)] == want
-    assert rank_callers == ["orthogonality_weights"]  # block 3 took the full solve
+    want = [full_solve(inst, N, blk) for N, blk in enumerate(blocks)]
+    got = [weights_or_error(orthogonality_weights, inst, N, blk, bad)
+           for N, blk in enumerate(blocks)]
+    assert got == want[:3] + ["error: block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"] \
+        + want[4:]
+    assert run_verify_suite(inst, ["orthogonality"]).passed
     monkeypatch.setattr("askeycg.cli.build_delta", lambda *args, **kwargs: bad)
-    assert run_verify_suite(inst, ["orthogonality"]).to_dict() == want_report
+    fail = run_verify_suite(inst, ["orthogonality"]).first_failure()
+    assert (fail.name, fail.witness.where) == (
+        "orthogonality", {"error": "block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"})
 
 
 def test_unconstrained_weights_are_not_certified():
-    # P = I leaves every Omega a solution; the guess from a real Delta solves
-    # the system and has nonzero norms, yet it is not the only solution
+    # P = I leaves every Omega a solution of the off-diagonal system; its
+    # columns are no eigenvectors of T_2, so step 4 refuses it
     inst = sample_instance(FamilyKind.HAHN)
     delta = build_delta(inst)
     eye = CGBlock(2, RatMat.build(3, 3, lambda i, j: F(i == j)))
-    with pytest.raises(WeightSolutionError, match="has dimension 3, expected 1"):
+    with pytest.raises(WeightSolutionError,
+                       match=re.escape("block 2, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
         orthogonality_weights(inst, 2, eye, delta)
+    with pytest.raises(WeightSolutionError, match="has dimension 3, expected 1"):
+        full_solve(inst, 2, eye)
 
 
 def test_vanishing_norm_is_not_certified():
-    # T_1 = [[*, 1], [-1, *]] guesses Omega = (1, -1): it solves the one
-    # off-diagonal row of P = [[1, 1], [1, 1]] uniquely, but both norms vanish
+    # T_1 = [[-1, 1], [-1, 1]] gives Omega = (1, -1): it solves the one
+    # off-diagonal row of P = [[1, 1], [1, 1]] uniquely, but both norms
+    # vanish; the equal columns are no eigenvectors of distinct eigenvalues,
+    # so step 4 refuses P before any norm
     inst = sample_instance(FamilyKind.HAHN)
     dims = (1, 2)
     e = GradedOperator(1, dims, {0: {(0, 0): F(1), (1, 0): F(1)}})
     f = GradedOperator(-1, dims, {0: {}, 1: {(0, 0): F(-1), (0, 1): F(1)}})
     delta = Delta(e, f, scalar_operator(dims, lambda n: 1))
     bad = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
-    with pytest.raises(WeightSolutionError, match="CG block 1 is singular"):
+    with pytest.raises(WeightSolutionError,
+                       match=re.escape("block 1, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
         orthogonality_weights(inst, 1, bad, delta)
+    with pytest.raises(WeightSolutionError, match="CG block 1 is singular"):
+        full_solve(inst, 1, bad)
 
 
 def two_level_delta(e, f):
@@ -444,8 +543,12 @@ def test_eigenvectors_of_a_repeated_eigenvalue_are_not_certified(monkeypatch):
     monkeypatch.setattr(cgverify, "tensor_lowering_eigenvalue",
                         lambda inst, k, j: original(inst, 0, j + 1) if k == 1
                         else original(inst, k, j))
-    with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
+    lam = format_scalar(original(inst, 0, 3))
+    with pytest.raises(WeightSolutionError,
+                       match=re.escape(f"block 3, step 3: Lambda_0 = Lambda_1 = {lam}")):
         orthogonality_weights(inst, 3, twin, delta)
+    with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
+        full_solve(inst, 3, twin)
 
 
 def test_zero_column_is_not_certified():
@@ -454,45 +557,62 @@ def test_zero_column_is_not_certified():
     delta = build_delta(inst)
     blk = cg_block(inst, 3)
     holed = with_columns(blk, [None, None, (F(0),) * 4, None])
-    with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
+    with pytest.raises(WeightSolutionError,
+                       match=re.escape("block 3, step 5: Omega' vanishes at column 2")):
         orthogonality_weights(inst, 3, holed, delta)
+    with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
+        full_solve(inst, 3, holed)
 
 
 def test_weights_of_non_eigenvectors_are_not_certified():
     # T_1 = [[1, 2], [1, 2]] symmetrizes with Omega = (1, 2), and P's columns
     # have nonzero norms under it, but they are not eigenvectors of T_1:
-    # the weights are those of the full solve, Omega = (1, 1)
+    # step 4 refuses them, where the full solve finds Omega = (1, 1)
     inst = sample_instance(FamilyKind.HAHN)
     blk = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(-1)]]))
     delta = two_level_delta([1, 1], [1, 2])
-    assert orthogonality_weights(inst, 1, blk, delta) == orthogonality_weights(inst, 1, blk) \
-        == WeightData(1, (F(1), F(1)), (F(2), F(2)))
+    with pytest.raises(WeightSolutionError,
+                       match=re.escape("block 1, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
+        orthogonality_weights(inst, 1, blk, delta)
+    assert full_solve(inst, 1, blk) == WeightData(1, (F(1), F(1)), (F(2), F(2)))
 
 
 def test_zero_lower_entry_of_t_is_declined():
     # T_1 = [[0, c], [0, c]] with c = Lambda_0 has the eigenvectors (1, 1) and
     # (1, 0) of P, but T_1[1][0] = 0 leaves no symmetrizer; the full solve
-    # gives the verdict
+    # finds Omega_0 = 0
     inst = sample_instance(FamilyKind.HAHN)
     c = tensor_lowering_eigenvalue(inst, 0, 1)
     blk = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(0)]]))
     delta = two_level_delta([1, 1], [0, c])
-    with pytest.raises(WeightSolutionError, match="Omega_0 vanishes"):
+    with pytest.raises(WeightSolutionError, match=re.escape(
+            "block 1, step 1: T_N[1][0] vanishes, so no diagonal symmetrizes T_N")):
         orthogonality_weights(inst, 1, blk, delta)
+    with pytest.raises(WeightSolutionError, match="Omega_0 vanishes"):
+        full_solve(inst, 1, blk)
 
 
 def test_zero_upper_entry_of_t_is_declined_before_any_eigenvalue(monkeypatch):
     # T_1 = [[c, 0], [c, 0]] with c = Lambda_0 has the eigenvectors (1, 1) and
-    # (0, 1) of P, but T_1[0][1] = 0: the certificate declines at once, and
-    # the full solve finds the vanishing norm
+    # (0, 1) of P, but T_1[0][1] = 0: the certificate stops at once, where the
+    # full solve finds the vanishing norm
     inst = sample_instance(FamilyKind.HAHN)
     c = tensor_lowering_eigenvalue(inst, 0, 1)
     blk = CGBlock(1, RatMat.from_rows([[F(1), F(0)], [F(1), F(1)]]))
     delta = two_level_delta([1, 1], [c, 0])
     eigen_callers = spy_callers(monkeypatch, "tensor_lowering_eigenvalue")
-    with pytest.raises(WeightSolutionError, match="Omega' vanishes at column 1"):
+    with pytest.raises(WeightSolutionError, match=re.escape(
+            "block 1, step 1: T_N[0][1] vanishes, so no diagonal symmetrizes T_N")):
         orthogonality_weights(inst, 1, blk, delta)
     assert eigen_callers == []
+    with pytest.raises(WeightSolutionError, match="Omega' vanishes at column 1"):
+        full_solve(inst, 1, blk)
+
+
+def spy_dense_elimination(monkeypatch):
+    """Callers of linalg.rank and linalg.nullspace, wherever they are bound."""
+    return (spy_callers(monkeypatch, "rank", linalg),
+            spy_callers(monkeypatch, "nullspace", linalg))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -501,27 +621,38 @@ def test_certified_weights_equal_the_full_solve_at_nmax_10(kind, monkeypatch):
     # and the certified WeightData is the full solve's
     inst = random_instance(kind, random.Random(0), n_max=10)
     delta = build_delta(inst)
-    rank_callers = spy_callers(monkeypatch, "rank")
+    rank_callers, nullspace_callers = spy_dense_elimination(monkeypatch)
     for N in range(inst.n_max + 1):
         blk = cg_block(inst, N)
         certified = orthogonality_weights(inst, N, blk, delta)
-        assert rank_callers == []
-        assert certified == orthogonality_weights(inst, N, blk)
+        assert rank_callers == nullspace_callers == []
+        assert certified == full_solve(inst, N, blk)
         rank_callers.clear()
+        nullspace_callers.clear()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_verify_suite_certifies_weights_without_a_solve(kind, monkeypatch):
     inst = sample_instance(kind)
-    rank_callers = spy_callers(monkeypatch, "rank")
-    nullspace_callers = spy_callers(monkeypatch, "nullspace")
+    rank_callers, nullspace_callers = spy_dense_elimination(monkeypatch)
     assert run_verify_suite(inst).passed
-    assert "orthogonality_weights" not in rank_callers + nullspace_callers
-    assert "lowest_weight_oracle" in nullspace_callers  # the spy sees calls
-    rank_callers.clear()
-    nullspace_callers.clear()
-    orthogonality_weights(inst, 2)  # no Delta, no guess: the full solve
-    assert rank_callers == nullspace_callers == ["orthogonality_weights"]
+    orthogonality_weights(inst, 2)  # no Delta given: it is built, not solved for
+    assert rank_callers == nullspace_callers == []
+    full_solve(inst, 2, cg_block(inst, 2))
+    assert rank_callers == nullspace_callers == ["full_solve"]  # the spies see calls
+
+
+def test_no_runtime_path_calls_dense_elimination(monkeypatch):
+    # neither the verify suite (every golden case, every sample instance),
+    # nor the table, nor a draw at n_max = 10 eliminates densely
+    rank_callers, nullspace_callers = spy_dense_elimination(monkeypatch)
+    for name in sorted(GOLDEN_CASES):
+        golden_report(name)
+    for kind in ALL_KINDS:
+        run_verify_suite(sample_instance(kind))
+        table_doc(sample_instance(kind, n_max=4))
+        random_instance(kind, random.Random(0), n_max=10)
+    assert rank_callers == nullspace_callers == []
 
 
 # -- weight grading -----------------------------------------------------------

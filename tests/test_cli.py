@@ -193,12 +193,13 @@ def run_module(*args):
 def test_python_dash_m_runs_the_command_line():
     done = run_module("version")
     assert done.returncode == 0 and done.stdout.startswith("askeycg ")
-    # the Racah point whose orthogonality weights degenerate on block 2
+    # the Racah point whose T_N is reducible from block 2: invalid parameters
     done = run_module("verify", "--family", "racah", "--alpha", "1/3", "--beta", "1",
                       "--lambda1", "3/2", "--lambda2", "5", "--nmax", "3",
                       "--checks", "orthogonality")
-    assert done.returncode == 1
-    assert json.loads(done.stdout)["passed"] is False
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: invalid parameters: beta2 factor n - N + beta + 1 "
+                           "vanishes at (n=0, N=2), so T_N is reducible\n")
 
 
 def test_unwritable_output_exit_three(tmp_path):
@@ -315,6 +316,9 @@ def test_accepted_instance_never_raises_in_verify(inst):
     rep = run_verify_suite(inst)
     assert [c.name for c in rep.checks] == CHECK_NAMES
     assert all(c.witness is not None for c in rep.checks if not c.passed)
+    # and it passes: make_instance rejects every point where T_N is reducible,
+    # the one way an accepted instance failed (orthogonality, "Omega_0 vanishes")
+    assert rep.passed, rep.first_failure()
 
 
 def test_oracle_catches_a_rescaled_column(monkeypatch):

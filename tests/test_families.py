@@ -96,13 +96,52 @@ def test_validation_message_is_pinned(kind, n_max, params, message):
     assert str(exc.value) == message
 
 
+# each locus where a beta2 factor of T_N[n+1][n] vanishes at n_max = 4: the
+# message at both ends of its range, naming the first (n, N), and a value
+# just past each end accepted
+_RACAH = dict(lambda1=F(2), lambda2=F(5, 2))  # gamma = 7/2
+_Q_RACAH = dict(q=F(1, 4), kappa1=F(1, 2), kappa2=F(1, 3))  # gamma = 1/9
+TN_LOCI = [
+    ("hahn", dict(alpha=F(1, 3)), "beta", [F(0), F(3)], [F(-1), F(4)],
+     "n - N + beta + 1", [1, 4]),
+    ("racah", dict(alpha=F(1, 3), **_RACAH), "beta", [F(0), F(3)], [F(-1), F(4)],
+     "n - N + beta + 1", [1, 4]),
+    ("racah", dict(beta=F(1, 5), **_RACAH), "alpha", [F(7, 2), F(13, 2)], [F(5, 2), F(15, 2)],
+     "n - N + alpha - gamma + 1", [1, 4]),
+    ("dual-hahn", _RACAH, "alpha", [F(13, 2), F(7, 2)], [F(15, 2), F(5, 2)],  # beta = 5/2 - alpha
+     "N - n + beta", [4, 1]),
+    ("q-hahn", dict(q=F(1, 2), beta=F(2, 5)), "alpha", [F(0)], [F(1, 3)],
+     "alpha*q^(n+1)", [1]),
+    ("q-hahn", dict(q=F(1, 2), alpha=F(1, 3)), "beta", [F(1), F(1, 8)], [F(2), F(1, 16)],
+     "1 - beta*q^(n+1-N)", [1, 4]),
+    ("q-racah", dict(alpha=F(1, 5), **_Q_RACAH), "beta", [F(1), F(1, 64)], [F(4), F(1, 256)],
+     "1 - beta*q^(n+1-N)", [1, 4]),
+    ("q-racah", dict(beta=F(1, 7), **_Q_RACAH), "alpha", [F(1, 9), F(1, 576)],
+     [F(4, 9), F(1, 2304)], "alpha*q^(n+1) - gamma*q^N", [1, 4]),
+]
+
+
+@pytest.mark.parametrize("kind,fixed,name,ends,past,factor,levels", TN_LOCI,
+                         ids=[f"{m[0]}:{m[5]}" for m in TN_LOCI])
+def test_reducible_t_n_locus_is_rejected_at_both_ends(kind, fixed, name, ends, past, factor,
+                                                      levels):
+    for value, N in zip(ends, levels):
+        with pytest.raises(InvalidParameterError) as exc:
+            make_instance(kind, n_max=4, **fixed, **{name: value})
+        assert str(exc.value) == (
+            f"beta2 factor {factor} vanishes at (n=0, N={N}), so T_N is reducible")
+    for value in past:
+        make_instance(kind, n_max=4, **fixed, **{name: value})
+
+
 @pytest.mark.parametrize("kind", [FamilyKind.HAHN, FamilyKind.RACAH])
 @pytest.mark.parametrize("n_max", [1, 2, 4, 7])
 def test_integer_alpha_plus_beta_is_rejected_by_genericity(kind, n_max):
     # 2n + s - N = 0 has a solution with 0 <= n <= n_max + 1, 0 <= N <= n_max
     # exactly for the integers s in -2 n_max - 2 .. n_max; the first in the
     # scan order (n, then N) has the smallest n
-    labels = dict(lambda1=F(2), lambda2=F(5, 2)) if kind is FamilyKind.RACAH else {}
+    # gamma = 10/3 keeps alpha - gamma off the integers
+    labels = dict(lambda1=F(2), lambda2=F(7, 3)) if kind is FamilyKind.RACAH else {}
     for s in range(-2 * n_max - 2, n_max + 1):
         n = max(0, -(s // 2))
         with pytest.raises(InvalidParameterError) as exc:
@@ -145,6 +184,19 @@ def _scanned_rejection(kind, nm, alpha, beta, gamma, lambda1, lambda2):
                 if phi(alg, l12 + 2 * k, j) == 0:
                     return ("lambda1 + lambda2 = %s makes "
                             "a tensor component reducible within the truncation" % l12)
+    # the beta2 factors of the subdiagonal T_N[n+1][n], 0 <= n < N <= n_max
+    if kind is FamilyKind.DUAL_HAHN:
+        factors = [("N - n + beta", lambda n, N: N - n + beta)]
+    else:
+        factors = [("n - N + beta + 1", lambda n, N: n - N + beta + 1)]
+    if kind is FamilyKind.RACAH:
+        factors.append(("n - N + alpha - gamma + 1", lambda n, N: n - N + alpha - gamma + 1))
+    for factor, value in factors:
+        for N in range(1, nm + 1):
+            for n in range(N):
+                if value(n, N) == 0:
+                    return ("beta2 factor %s vanishes at (n=%d, N=%d), so T_N is reducible"
+                            % (factor, n, N))
     return None
 
 
@@ -154,10 +206,11 @@ def _halves(lo, hi):
 
 
 def _classical_sweep(nm):
-    """(kind, params) taking alpha + beta, alpha, beta + gamma, lambda1, lambda2
-    and lambda1 + lambda2 through every integer and half-integer of a window
-    around its excluded set, with the other conditions held at a value that
-    passes and at one that fails, so the order of the conditions shows too."""
+    """(kind, params) taking alpha + beta, alpha, beta + gamma, lambda1, lambda2,
+    lambda1 + lambda2, beta and alpha - gamma through every integer and
+    half-integer of a window around its excluded set, with the other
+    conditions held at a value that passes and at one that fails, so the order
+    of the conditions shows too."""
     hahn, dual, racah = FamilyKind.HAHN, FamilyKind.DUAL_HAHN, FamilyKind.RACAH
     window_a, window_s = _halves(-nm - 2, 2), _halves(-2 * nm - 4, nm + 2)
     window_l, window_l12 = _halves(-nm - 1, 2), _halves(-3 * nm - 2, 2)
@@ -182,6 +235,13 @@ def _classical_sweep(nm):
         for a in (F(1, 3), F(-1)):
             yield dual, dict(alpha=a, lambda1=l1, lambda2=l2)
             yield racah, dict(alpha=a, beta=F(1, 5), lambda1=l1, lambda2=l2)
+    for b in _halves(-nm - 2, nm + 2):
+        for a in (F(1, 3), F(-1)):
+            yield hahn, dict(alpha=a, beta=b)
+            yield racah, dict(alpha=a, beta=b, **labels)
+        for b2 in (F(1, 5), F(-5, 2)):
+            yield racah, dict(alpha=F(7, 2) + b, beta=b2, **labels)  # alpha - gamma = b
+        yield dual, dict(alpha=F(5, 2) - b, lambda1=F(2), lambda2=F(5, 2))  # beta = b
 
 
 @pytest.mark.parametrize("n_max", range(1, 9))
@@ -692,6 +752,29 @@ def test_limit_racah_to_dual_hahn_witnesses(betas, want):
     rep = limit_racah_to_dual_hahn(F(1, 2), F(2), F(3), betas, n_max=4)
     assert [(c.name, c.witness and (c.witness.where, c.witness.lhs, c.witness.rhs))
             for c in rep.checks] == want
+
+
+def test_limit_ladders_take_reducible_t_n_points():
+    # the ladders never build T_N, so make_instance's reducible-T_N loci do
+    # not narrow them: Hahn beta = 1, Racah beta = 1 and 2, and at alpha = 4
+    # both Racah alpha - gamma = 0 and dual Hahn beta = -1
+    for kind, params in [("hahn", dict(alpha=F(1, 2), beta=F(1))),
+                         ("racah", dict(alpha=F(1, 2), beta=F(2), lambda1=F(2), lambda2=F(3))),
+                         ("racah", dict(alpha=F(4), beta=F(1, 3), lambda1=F(2), lambda2=F(3))),
+                         ("dual-hahn", dict(alpha=F(4), lambda1=F(2), lambda2=F(3)))]:
+        with pytest.raises(InvalidParameterError, match="so T_N is reducible"):
+            make_instance(kind, n_max=4, **params)
+    assert limit_hahn_to_krawtchouk(F(1, 3), [F(3, 2), F(203, 2)], 2, 2, 3).checks
+    for args, failed, witness in [
+            ((F(1, 2), F(2), F(3), [F(1), F(2), F(4)]), ["alpha1-decay"],
+             ({"beta1": F(1), "beta2": F(2), "n": 0, "N": 3}, "8", "8/3")),
+            ((F(4), F(2), F(3), [F(1, 3), F(1000, 3)]),
+             ["alpha1-decay", "alpha2-decay", "beta1-decay", "beta2-decay"],
+             ({"beta1": F(1, 3), "beta2": F(1000, 3), "n": 0, "N": 0}, "3/1012", "3/6500"))]:
+        rep = limit_racah_to_dual_hahn(*args, n_max=4)
+        assert [c.name for c in rep.checks if not c.passed] == failed
+        w = rep.first_failure().witness
+        assert (w.where, w.lhs, w.rhs) == witness
 
 
 # -- random draws ------------------------------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from askeycg.cli import run_verify_suite
+from askeycg.exactmath import InvalidParameterError
 from askeycg.families import make_instance
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -36,9 +37,6 @@ CASES = {
     "q-hahn-relations-grading": ("q-hahn", {"q": F(9, 16), "alpha": F(1, 3), "beta": F(2, 5),
                                             "kappa1": F(2, 3), "kappa2": F(3, 5)},
                                  4, ["relations", "grading"]),
-    # accepted by make_instance, yet orthogonality fails: "Omega_0 vanishes"
-    "racah-degenerate": ("racah", {"alpha": F(1, 3), "beta": F(1), "lambda1": F(3, 2),
-                                   "lambda2": F(5)}, 4, None),
 }
 
 
@@ -54,11 +52,16 @@ def test_report_matches_golden(name):
     assert report(name) == golden
 
 
-def test_degenerate_racah_fails_orthogonality_only():
-    golden = json.loads((GOLDEN / "racah-degenerate.json").read_text())
-    failed = {c["name"]: c["witness"] for c in golden["checks"] if not c["passed"]}
-    assert list(failed) == ["orthogonality"]
-    assert "Omega_0 vanishes" in failed["orthogonality"]["where"]["error"]
+def test_degenerate_racah_point_is_rejected():
+    # T_N[n+1][n] vanishes on blocks 2..4 here, so make_instance refuses the
+    # point that tests/golden/racah-degenerate.json recorded as an
+    # orthogonality failure ("Omega_0 vanishes")
+    with pytest.raises(InvalidParameterError) as exc:
+        make_instance("racah", n_max=4, alpha=F(1, 3), beta=F(1), lambda1=F(3, 2),
+                      lambda2=F(5))
+    assert str(exc.value) == ("beta2 factor n - N + beta + 1 vanishes at (n=0, N=2), "
+                              "so T_N is reducible")
+    assert not (GOLDEN / "racah-degenerate.json").exists()
 
 
 if __name__ == "__main__":
