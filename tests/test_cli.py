@@ -336,6 +336,55 @@ def test_oracle_catches_a_rescaled_column(monkeypatch):
                                     "lhs": "1", "rhs": "3"}}
 
 
+def block_from_rows(N: int, rows) -> CGBlock:
+    """The level-N CG block with these rows of rationals."""
+    return CGBlock(N, RatMat.from_rows(rows))
+
+
+# block 3 gains 1 at (n, k) = (1, 2) and (2, 0): a check walking n-major (N, n,
+# k) names a point of column 2 first, one walking k-major a point of column 0
+TWO_POINT_WITNESSES = {
+    FamilyKind.HAHN: {
+        "raising-contiguity": ({"N": "2", "n": "1", "k": "2"}, "7/2", "5/2"),
+        "lowering-contiguity": ({"N": "3", "n": "0", "k": "2"}, "-1", "-5"),
+        "raising": ({"N": "2", "n": "2", "k": "0"}, "3", "4"),
+        "lowering": ({"N": "3", "n": "1", "k": "0"}, "-42/5", "-6"),
+        "cg-oracle": ({"N": "3", "n": "1", "k": "2"}, "5/2", "7/2"),
+        "orthogonality": ({"error": "block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"},
+                          "", ""),
+    },
+    FamilyKind.Q_RACAH: {
+        "raising-contiguity": ({"N": "2", "n": "1", "k": "2"}, "9643/4769", "4874/4769"),
+        "lowering-contiguity": ({"N": "3", "n": "0", "k": "2"}, "9215/12288",
+                                "590881/380928"),
+        "raising": ({"N": "2", "n": "2", "k": "0"}, "21/16", "37/16"),
+        "lowering": ({"N": "3", "n": "1", "k": "0"}, "14756365/6832128", "20125/16384"),
+        "cg-oracle": ({"N": "3", "n": "1", "k": "2"}, "4874/4769", "9643/4769"),
+        "orthogonality": ({"error": "block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"},
+                          "", ""),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(TWO_POINT_WITNESSES), ids=lambda k: k.value)
+def test_block_readers_name_the_first_failure_in_their_own_order(kind, monkeypatch):
+    # contiguity and the oracle walk n-major, raising and lowering k-major
+    # within a level; a kernel that reorders its loops names another point
+    def corrupted(inst, N):
+        P = cg_block(inst, N).P
+        return block_from_rows(N, [[P.entry(n, k) + (N == 3 and (n, k) in ((1, 2), (2, 0)))
+                                    for k in range(N + 1)] for n in range(N + 1)])
+
+    inst = sample_instance(kind, n_max=4)
+    blocks = {N: corrupted(inst, N) for N in range(inst.n_max + 1)}
+    checks = families.check_contiguity(inst, blocks=blocks).to_dict()["checks"]
+    monkeypatch.setattr("askeycg.cli.cg_block", corrupted)
+    checks += run_verify_suite(inst).to_dict()["checks"]
+    want = TWO_POINT_WITNESSES[kind]
+    assert {c["name"]: c["witness"] for c in checks if c["name"] in want} == {
+        name: {"where": where, "lhs": lhs, "rhs": rhs} for name, (where, lhs, rhs) in want.items()}
+
+
 # -- shared artifacts: each built at most once, and only when a check needs it --
 
 def count_calls(monkeypatch, module, name, replacement=None) -> list:
