@@ -3,14 +3,20 @@ orthogonality weights.
 
 A CG block at total level N is the (N+1) x (N+1) matrix P with P[n][k] =
 P_n(k, N); its column k holds the coordinates of the k-th adapted basis
-vector in the product basis (n, N-n). cg_block builds it in one integer pass
-(families.poly_block), straight from the series, never from the contiguity
-recurrence or another block; it equals poly_value entry by entry.
+vector in the product basis (n, N-n). CGBlock stores it by columns, column k
+as one integer vector over its least common denominator, (a, c) with P[n][k]
+= a[n] / c; its reduced view P (a RatMat of Fractions) is made only when
+read, for the table, block_values and the tests. cg_block builds the columns
+in one integer pass (families.poly_block), straight from the series, never
+from the contiguity recurrence or another block; they equal poly_value
+entry by entry.
 
 Column k of the level-N block must be mapped by Delta(E) onto column k of
 level N+1, and by Delta(F) onto the lowering coefficient of the component
 with label index k times column k of level N-1; the k = N column must be
-annihilated.
+annihilated. Each check splits the Delta block of a level into integer bands
+once and decides every point by cross-multiplying integers against the
+stored columns; only the first failing point is reduced, for its witness.
 
 The oracle rebuilds the same columns from Delta alone, reading no CG value
 and evaluating no polynomial: the kernel of Delta(F) on block k (which must
@@ -22,29 +28,32 @@ The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
 k != l. Column k of block N is an eigenvector of the tridiagonal T_N =
 Delta(E) Delta(F) on level N, with eigenvalue the lowering coefficient of
 component k, and Omega is the diagonal that symmetrizes T_N. So it is
-certified by commutation alone, in O(N^2) integer operations, with no linear
-system solved (orthogonality_weights gives the steps and the proof).
+certified by commutation alone, in O(N^2) integer operations on the stored
+columns, with no linear system solved (orthogonality_weights gives the steps
+and the proof).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Mapping, Sequence
 
-from .algebras import _apply_pairs, _block_product, check_identity, phi, scalar_operator
+from .algebras import GradedOperator, _block_product, phi
 from .coproduct import Delta, build_delta
-from .exactmath import InvalidParameterError, Scalar, format_scalar, product_sum
-from .families import (FamilyInstance, FamilyKind, algebra_for, make_instance,
-                       poly_block, tensor_label)
+from .exactmath import InvalidParameterError, Scalar, format_scalar
+from .families import (FamilyInstance, FamilyKind, _reduced_rows, algebra_for,
+                       make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
 from .linalg import RatMat, integer_vector
-from .report import Report, first_mismatch
+from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
     "CGBlock", "WeightData", "DegenerateKernelError", "WeightSolutionError",
     "cg_block", "verify_raising", "verify_lowering", "lowest_weight_oracle",
     "orthogonality_weights", "verify_weight_grading",
-    "tensor_lowering_eigenvalue", "random_instance",
+    "tensor_lowering_eigenvalue", "component_eigenvalues", "random_instance",
 ]
 
 
@@ -57,10 +66,35 @@ class WeightSolutionError(RuntimeError):
     message names the step, its block and its entry, columns or column."""
 
 
+Column = tuple[tuple[int, ...], int]
+
+
+def _cleared(values: Sequence[Scalar]) -> Column:
+    """A column of rationals as (a, c), a[n] / c = values[n], over the least
+    common denominator c (linalg.integer_vector)."""
+    a, c = integer_vector(values)
+    return tuple(a), c
+
+
 @dataclass(frozen=True)
 class CGBlock:
+    """The CG block at level N, stored by columns: columns[k] = (a, c) holds
+    P[n][k] = a[n] / c, with c > 0 and gcd(*a, c) = 1 for every block that
+    cg_block, from_matrix or the oracle builds. P is the reduced view, a
+    RatMat of Fractions made on first read."""
     N: int
-    P: RatMat
+    columns: tuple[Column, ...]
+
+    @classmethod
+    def from_matrix(cls, N: int, P: RatMat) -> "CGBlock":
+        """The block with the entries of P, each column over its least
+        common denominator."""
+        return cls(N, tuple(_cleared(P.column(k)) for k in range(P.cols)))
+
+    @cached_property
+    def P(self) -> RatMat:
+        rows = _reduced_rows(self.columns)
+        return RatMat(len(rows), len(self.columns), rows)
 
     def to_doc(self) -> dict:
         return {"N": self.N,
@@ -81,9 +115,10 @@ class WeightData:
 
 
 def cg_block(inst: FamilyInstance, N: int) -> CGBlock:
-    """The CG block at level N, from families.poly_block: every entry equals
-    poly_value(inst, n, k, N), and N outside 0..n_max is a ValueError."""
-    return CGBlock(N, RatMat(N + 1, N + 1, poly_block(inst, N)))
+    """The CG block at level N, its columns from families.poly_block: every
+    entry equals poly_value(inst, n, k, N), and N outside 0..n_max is a
+    ValueError."""
+    return CGBlock(N, poly_block(inst, N))
 
 
 def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:
@@ -91,54 +126,81 @@ def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:
     return phi(algebra_for(inst), tensor_label(inst, k), j)
 
 
+def component_eigenvalues(inst: FamilyInstance, N: int) -> tuple[Scalar, ...]:
+    """Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), k = 0..N, on
+    level N; Lambda_N = 0. A verify run evaluates them once per level and
+    hands them to the lowering and orthogonality checks."""
+    return tuple(tensor_lowering_eigenvalue(inst, k, N - k) for k in range(N + 1))
+
+
+def _integer_rows(block: Mapping[tuple[int, int], Scalar], rows: int):
+    """Rows 0..rows-1 of a sparse block {(i, j): Fraction} as integer bands:
+    row i is ([(j, t_ij)], d_i) with block[i, j] = t_ij / d_i."""
+    bands = [[] for _ in range(rows)]
+    for (i, j), v in block.items():
+        bands[i].append((j, v))
+    out = []
+    for band in bands:
+        t, d = integer_vector([v for _, v in band])
+        out.append(([(j, x) for (j, _), x in zip(band, t)], d))
+    return out
+
+
+def _image_mismatches(op: GradedOperator, N: int, here, targets):
+    """The points (where, image, target), k-major, where op maps column k of
+    `here`, on level N, to something other than x / xd times the column
+    (b, e), for targets[k] = (x, xd, (b, e)). The block of op is split into
+    integer bands once; with row n = t_n / d_n and column k = a / c, each
+    point is sum_j t_nj a[j] xd e == x b[n] d_n c over integers, and the
+    sides are unreduced pairs for report.first_mismatch."""
+    bands = _integer_rows(op.blocks[N], op.shape(N)[0])
+    for k, ((a, c), (x, xd, (b, e))) in enumerate(zip(here, targets)):
+        for n, (band, d) in enumerate(bands):
+            image = sum(t * a[j] for j, t in band)
+            if image * xd * e != x * b[n] * d * c:
+                yield {"N": N, "n": n, "k": k}, (image, d * c), (x * b[n], xd * e)
+
+
 def verify_raising(inst: FamilyInstance, N: int,
                    blocks: dict[int, CGBlock] | None = None,
                    delta: Delta | None = None) -> Report:
-    """Delta(E) must map column k of block N to column k of block N+1. The
-    images are unreduced pairs (algebras._apply_pairs), compared with the
-    block entries by first_mismatch; only a witness is reduced."""
+    """Delta(E) must map column k of block N to column k of block N+1,
+    walked k-major, each point decided over integers (_image_mismatches);
+    only the first failing one is reduced, into the witness."""
     if not 0 <= N < inst.n_max:
         raise ValueError("raising check needs 0 <= N < n_max")
     delta = delta or build_delta(inst)
     blocks = blocks or {}
-    here = blocks.get(N) or cg_block(inst, N)
-    above = blocks.get(N + 1) or cg_block(inst, N + 1)
-
-    def sides():
-        for k in range(N + 1):
-            image = _apply_pairs(delta.e, N, here.P.column(k))
-            for n in range(N + 2):
-                yield {"N": N, "n": n, "k": k}, image[n], above.P.entry(n, k)
-
+    here = (blocks.get(N) or cg_block(inst, N)).columns
+    above = (blocks.get(N + 1) or cg_block(inst, N + 1)).columns
+    targets = [(1, 1, column) for column in above]
     rep = Report(suite=f"raising:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}", sides()))
+    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}",
+                           _image_mismatches(delta.e, N, here, targets)))
     return rep
 
 
 def verify_lowering(inst: FamilyInstance, N: int,
                     blocks: dict[int, CGBlock] | None = None,
-                    delta: Delta | None = None) -> Report:
-    """Delta(F) on column k of block N gives the component lowering
-    eigenvalue times column k of block N-1; the k = N column dies. Both
-    sides are unreduced pairs, the image from algebras._apply_pairs and the
-    product from product_sum; only a witness is reduced."""
+                    delta: Delta | None = None,
+                    eigenvalues: Sequence[Scalar] | None = None) -> Report:
+    """Delta(F) on column k of block N gives Lambda_k times column k of block
+    N-1, walked k-major; the k = N column dies. Lambda is `eigenvalues` when
+    given, else component_eigenvalues(inst, N). Each point is decided over
+    integers (_image_mismatches); only the first failing one is reduced,
+    into the witness."""
     if not 1 <= N <= inst.n_max:
         raise ValueError("lowering check needs 1 <= N <= n_max")
     delta = delta or build_delta(inst)
     blocks = blocks or {}
-    here = blocks.get(N) or cg_block(inst, N)
-    below = blocks.get(N - 1) or cg_block(inst, N - 1)
-
-    def sides():
-        for k in range(N + 1):
-            image = _apply_pairs(delta.f, N, here.P.column(k))
-            eig = tensor_lowering_eigenvalue(inst, k, N - k) if k < N else 0
-            for n in range(N):
-                want = product_sum([(eig, below.P.entry(n, k))]) if k < N else 0
-                yield {"N": N, "n": n, "k": k}, image[n], want
-
+    here = (blocks.get(N) or cg_block(inst, N)).columns
+    below = (blocks.get(N - 1) or cg_block(inst, N - 1)).columns
+    lam = eigenvalues or component_eigenvalues(inst, N)
+    targets = [(*lam[k].as_integer_ratio(), below[k]) for k in range(N)]
+    targets.append((0, 1, ((0,) * N, 1)))
     rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}", sides()))
+    rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}",
+                           _image_mismatches(delta.f, N, here, targets)))
     return rep
 
 
@@ -149,6 +211,8 @@ def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> li
     one-dimensional; the kernel vector is scaled to first entry v_0 = 1,
     which is P_0(k, k) in every family (the (q-)binomial prefactor and the
     first series term are both 1 at n = 0), then pushed up with Delta(E).
+    Each column is then cleared to integers over its least common
+    denominator, the storage of cg_block.
     """
     delta = delta or build_delta(inst)
     nm = inst.n_max
@@ -157,7 +221,7 @@ def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> li
         columns[k].append(_lowering_kernel(delta.f.blocks[k], k))
         for N in range(k + 1, nm + 1):
             columns[N].append(delta.e.apply(N - 1, columns[N - 1][k]))
-    return [CGBlock(N, RatMat(N + 1, N + 1, tuple(zip(*c)))) for N, c in enumerate(columns)]
+    return [CGBlock(N, tuple(map(_cleared, c))) for N, c in enumerate(columns)]
 
 
 def _lowering_kernel(block, k: int) -> tuple[Fraction, ...]:
@@ -189,7 +253,8 @@ def _lowering_kernel(block, k: int) -> tuple[Fraction, ...]:
 
 def orthogonality_weights(inst: FamilyInstance, N: int,
                           block: CGBlock | None = None,
-                          delta: Delta | None = None) -> WeightData:
+                          delta: Delta | None = None,
+                          eigenvalues: Sequence[Scalar] | None = None) -> WeightData:
     """The weights Omega, Omega_0 = 1, making the CG columns of block N
     orthogonal with nonzero norms, unique up to scale (signs as found):
 
@@ -203,7 +268,8 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     2. Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so W T is symmetric
        for W = diag(Omega);
     3. Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), which is 0 at
-       k = N, are pairwise distinct;
+       k = N, are pairwise distinct (`eigenvalues` when given, else
+       component_eigenvalues(inst, N));
     4. T P = P Lambda exactly;
     5. every norm Omega'_l = sum_n P[n][l]^2 Omega_n is nonzero.
 
@@ -215,7 +281,7 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     W'_n T[n][n+1], and by 1 W' = W'_0 Omega: the solution space is the line
     through Omega. T is a witness checked exactly, so the proof never rests
     on Delta being right. All checks run over integers: row i of T is t_i /
-    d_i and column l of P is a_l / c_l.
+    d_i and column l of P is a_l / c_l, the block's own stored column.
 
     On an instance make_instance accepts, with Delta and the blocks right, no
     step fails. 1: validation keeps T[n][n+1] = alpha2(n, N-1) beta1(n, N) and
@@ -225,7 +291,7 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     = P_0(l, N) = 1, the columns are eigenvectors of distinct eigenvalues, so
     P, hence G, is invertible, and the norms on G's diagonal are nonzero.
     """
-    P = (block or cg_block(inst, N)).P
+    cols = (block or cg_block(inst, N)).columns
     delta = delta or build_delta(inst)
 
     def failed(step, what):
@@ -239,16 +305,11 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
             if (i, j) not in T:
                 raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
         omega.append(omega[-1] * T[n, n + 1] / T[n + 1, n])
-    lam = [tensor_lowering_eigenvalue(inst, k, N - k) for k in range(N + 1)]
+    lam = eigenvalues or component_eigenvalues(inst, N)
     for l, x in enumerate(lam):
         if x in lam[:l]:
             raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
-    rows = []
-    for i in range(N + 1):
-        band = [j for j in (i - 1, i, i + 1) if (i, j) in T]
-        t, d = integer_vector([T[i, j] for j in band])
-        rows.append((list(zip(band, t)), d))
-    cols = [integer_vector(P.column(l)) for l in range(N + 1)]
+    rows = _integer_rows(T, N + 1)
     for l, ((a, _), x) in enumerate(zip(cols, lam)):
         xn, xd = x.as_integer_ratio()
         for i, (row, d) in enumerate(rows):
@@ -266,12 +327,24 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
 
 def verify_weight_grading(inst: FamilyInstance, delta: Delta | None = None) -> Report:
     """Delta(H) (or Delta(K)) must act on block N as the scalar
-    tensor_label(inst, N): lambda1 + lambda2 + 2N (or kappa1 kappa2 q^N)."""
+    tensor_label(inst, N): lambda1 + lambda2 + 2N (or kappa1 kappa2 q^N).
+    Each level's block is compared with that one scalar on its diagonal and
+    with 0 everywhere else; the first failing entry in row-major order is
+    the witness {N, row, col}."""
     delta = delta or build_delta(inst)
-    expected = scalar_operator(delta.hk.dims, lambda N: tensor_label(inst, N))
+    rng = f"blocks 0..{inst.n_max}"
     rep = Report(suite=f"weight-grading:{inst.kind.value}", params=inst.to_doc())
-    rep.add(check_identity("weight-grading", f"blocks 0..{inst.n_max}", range(inst.n_max + 1),
-                           [(1, (delta.hk,))], [(1, (expected,))], delta.hk.dims, "N"))
+    for N in range(inst.n_max + 1):
+        block, value = delta.hk.blocks[N], tensor_label(inst, N)
+        bad = [(i, j) for i, j in {*block, *((i, i) for i in range(delta.hk.dims[N]))}
+               if block.get((i, j), 0) != (value if i == j else 0)]
+        if bad:
+            i, j = min(bad)
+            rep.add(CheckResult.fail("weight-grading", rng, {"N": N, "row": i, "col": j},
+                                     Fraction(block.get((i, j), 0)),
+                                     value if i == j else Fraction(0)))
+            return rep
+    rep.add(CheckResult.ok("weight-grading", rng))
     return rep
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .algebras import ModuleSpec, build_generators, casimir, check_relations
 from .cgverify import (DegenerateKernelError, WeightSolutionError, cg_block,
-                       lowest_weight_oracle, orthogonality_weights,
+                       component_eigenvalues, lowest_weight_oracle, orthogonality_weights,
                        verify_lowering, verify_raising, verify_weight_grading)
 from .coproduct import (_derived_coeffs, build_delta, check_algebraic_form,
                         check_homomorphism, check_twist_qracah_specialization,
@@ -52,7 +52,9 @@ _FORMATS = ("text", "json")
 class _Artifacts:
     """Objects shared by the checks of one verify run, each built on first
     use: each factor module with its generators (shared by `relations` and
-    `casimir`), the contiguity data, Delta and the CG blocks. The contiguity
+    `casimir`), the contiguity data, Delta, the CG blocks (integer columns)
+    and the component eigenvalues Lambda of every level (shared by
+    `lowering` and `orthogonality`). The contiguity
     data memoizes every coefficient it evaluates, so `contiguity`, Delta
     (hence `homomorphism`, `grading`, `raising`, `lowering`, `cg-oracle`,
     `orthogonality`, `twist`)
@@ -79,6 +81,10 @@ class _Artifacts:
     @cached_property
     def blocks(self):
         return {N: cg_block(self.inst, N) for N in range(self.inst.n_max + 1)}
+
+    @cached_property
+    def eigenvalues(self):
+        return [component_eigenvalues(self.inst, N) for N in range(self.inst.n_max + 1)]
 
 
 def _collapse(name: str, rep: Report) -> CheckResult:
@@ -127,16 +133,28 @@ def _oracle(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
         oracle = lowest_weight_oracle(inst, art.delta)
     except DegenerateKernelError as exc:
         return _error_result("cg-oracle", rng, exc)
-    return first_mismatch("cg-oracle", rng, (
-        ({"N": N, "n": n, "k": k}, oracle[N].P.entry(n, k), art.blocks[N].P.entry(n, k))
-        for N in range(inst.n_max + 1) for n in range(N + 1) for k in range(N + 1)))
+    return first_mismatch("cg-oracle", rng, _oracle_mismatches(oracle, art.blocks))
+
+
+def _oracle_mismatches(oracle, blocks):
+    """The points where an oracle block and the CG block disagree, N, n, k in
+    n-major order, as (where, lhs, rhs) with unreduced pairs. Columns stored
+    alike are equal outright; only the others are compared entry by entry,
+    by cross-multiplying their integer columns."""
+    for N, block in enumerate(oracle):
+        differ = [(k, mine, theirs) for k, (mine, theirs)
+                  in enumerate(zip(block.columns, blocks[N].columns)) if mine != theirs]
+        for n in range(N + 1 if differ else 0):
+            for k, (a, c), (b, e) in differ:
+                if a[n] * e != b[n] * c:
+                    yield {"N": N, "n": n, "k": k}, (a[n], c), (b[n], e)
 
 
 def _orthogonality(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
     rng = f"blocks 0..{inst.n_max}"
     for N in range(inst.n_max + 1):
         try:
-            orthogonality_weights(inst, N, art.blocks[N], art.delta)
+            orthogonality_weights(inst, N, art.blocks[N], art.delta, art.eigenvalues[N])
         except WeightSolutionError as exc:
             return _error_result("orthogonality", rng, exc)
     return CheckResult.ok("orthogonality", rng)
@@ -173,7 +191,7 @@ _CHECKS = {
         verify_raising(inst, N, art.blocks, art.delta)
         for N in range(inst.n_max))),
     "lowering": (None, lambda inst, art: _until_failure(
-        verify_lowering(inst, N, art.blocks, art.delta)
+        verify_lowering(inst, N, art.blocks, art.delta, art.eigenvalues[N])
         for N in range(1, inst.n_max + 1))),
     "cg-oracle": (None, _oracle),
     "orthogonality": (None, _orthogonality),

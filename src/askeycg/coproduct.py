@@ -124,8 +124,12 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
     """algebraic_form with every coefficient an unreduced exactmath.Unreduced
     value. The parameters enter as Unreduced pairs, and constants that depend
     on them alone are folded once per call. The per-level eigenvalue factors
-    (l1 + 2n, kappa1 q^n, c_i kappa_i q^n) and the shared denominator are
-    Unreduced pairs memoized for as long as the returned object lives."""
+    (l1 + 2n, kappa1 q^n, c_i kappa_i q^n), every factor chain that depends
+    on n alone or on m alone (h1(n) - l1 + 2a + 2b + 2, (1 - q c1 a k1(n))
+    (1 - q c1 b g k1(n)), ...) and the shared denominator are Unreduced
+    pairs memoized for as long as the returned object lives. Each
+    coefficient combines them in the order of its formula, so its pair is
+    the one the unmemoized chain gives."""
     kind = inst.kind
     lift = Unreduced.of
     one = Unreduced(1)
@@ -144,38 +148,42 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
         h1 = cache(lambda n: l1 + 2 * n)  # Cartan eigenvalues; the Casimir is l_i
         h2 = cache(lambda m: l2 + 2 * m)
         a2, ab2 = 2 * a + 2, 2 * a + 2 * b + 2
+        xp_top = cache(lambda n: h1(n) - l1 + a2)
         if kind is FamilyKind.DUAL_HAHN:
+            xp = cache(lambda n: xp_top(n) / (h1(n) + l1))
+            yp = cache(lambda m: (h2(m) - l2 + 2 * b + 2) / (h2(m) + l2))
             return CoproductCoeffs(
                 x=lambda n, m: one,
                 y=lambda n, m: one,
-                xp=lambda n, m: (h1(n) - l1 + a2) / (h1(n) + l1),
-                yp=lambda n, m: (h2(m) - l2 + 2 * b + 2) / (h2(m) + l2),
+                xp=lambda n, m: xp(n),
+                yp=lambda n, m: yp(m),
             )
 
         shift = l2 - l1 + ab2  # h1 - h2 - c1 + c2 + 2a + 2b + 2 = h1 - h2 + shift
         dd = cache(lambda n, m: h1(n) - h2(m) + shift)
-        x = lambda n, m: (h1(n) - l1 + ab2) / dd(n, m)
-        y = lambda n, m: (l2 - h2(m) + ab2) / dd(n, m)
+        x_top = cache(lambda n: h1(n) - l1 + ab2)
+        y_top = cache(lambda m: l2 - h2(m) + ab2)
+        yp_first = cache(lambda m: l2 - h2(m) + 2 * b)
+        x = lambda n, m: x_top(n) / dd(n, m)
+        y = lambda n, m: y_top(m) / dd(n, m)
         if kind is FamilyKind.HAHN:
             return CoproductCoeffs(
                 x=x,
                 y=y,
-                xp=lambda n, m: (h1(n) - l1 + a2) / dd(n, m),
-                yp=lambda n, m: (l2 - h2(m) + 2 * b) / dd(n, m),
+                xp=lambda n, m: xp_top(n) / dd(n, m),
+                yp=lambda n, m: yp_first(m) / dd(n, m),
             )
 
         g = lift(inst.gamma)
         bg2, ag2 = 2 * b + 2 * g + 2, 2 * g - 2 * a
-
-        def xp(n, m):
-            return ((h1(n) - l1 + a2) * (h1(n) - l1 + bg2)
-                    / ((h1(n) + l1) * dd(n, m)))
-
-        def yp(n, m):
-            return ((l2 - h2(m) + 2 * b) * (h2(m) - l2 + ag2)
-                    / ((h2(m) + l2) * dd(n, m)))
-
-        return CoproductCoeffs(x=x, y=y, xp=xp, yp=yp)
+        racah_xp_top = cache(lambda n: xp_top(n) * (h1(n) - l1 + bg2))
+        racah_yp_top = cache(lambda m: yp_first(m) * (h2(m) - l2 + ag2))
+        return CoproductCoeffs(
+            x=x,
+            y=y,
+            xp=lambda n, m: racah_xp_top(n) / ((h1(n) + l1) * dd(n, m)),
+            yp=lambda n, m: racah_yp_top(m) / ((h2(m) + l2) * dd(n, m)),
+        )
 
     q, qp = lift(inst.q), q_powers(inst.q)
     if kind is FamilyKind.Q_HAHN:
@@ -185,11 +193,16 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
         ck2 = cache(lambda m: c2 * (k2v * qp(m)))
         qa, qab = q * a, q * a * b
         dd = cache(lambda n, m: 1 - qab * ck1(n) / ck2(m))
+        x_top = cache(lambda n: 1 - qab * ck1(n))
+        y_second = cache(lambda m: 1 - qab / ck2(m))
+        xp_top = cache(lambda n: 1 - qa * ck1(n))
+        yp_first = cache(lambda n: qa * ck1(n))
+        yp_second = cache(lambda m: 1 - b / ck2(m))
         return CoproductCoeffs(
-            x=lambda n, m: (1 - qab * ck1(n)) / dd(n, m),
-            y=lambda n, m: ck1(n) * (1 - qab / ck2(m)) / dd(n, m),
-            xp=lambda n, m: (1 - qa * ck1(n)) / dd(n, m),
-            yp=lambda n, m: qa * ck1(n) * (1 - b / ck2(m)) / dd(n, m),
+            x=lambda n, m: x_top(n) / dd(n, m),
+            y=lambda n, m: ck1(n) * y_second(m) / dd(n, m),
+            xp=lambda n, m: xp_top(n) / dd(n, m),
+            yp=lambda n, m: yp_first(n) * yp_second(m) / dd(n, m),
         )
 
     # q-Racah: q^{+-lambda_i/2} enter as kappa_i^{+-1}
@@ -200,20 +213,19 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
     qab = q * a * b
     qc1a, qc1bg, qc1ab = q * c1 * a, q * c1 * b * g, qab * c1
     dd = cache(lambda n, m: 1 - qc1ab * kap2 * k1(n) / k2(m))
-
-    def xp(n, m):
-        return ((1 - qc1a * k1(n)) * (1 - qc1bg * k1(n))
-                / ((1 - kap1 * k1(n)) * dd(n, m)))
-
-    def yp(n, m):
-        return (qc1a * k1(n) * (1 - kap2 * b / k2(m)) * (1 - c2 * g * k2(m) / a)
-                / ((1 - kap2 * k2(m)) * dd(n, m)))
-
+    x_top = cache(lambda n: 1 - qc1ab * k1(n))
+    y_first = cache(lambda n: c1 * k1(n))
+    y_second = cache(lambda m: 1 - qab * kap2 / k2(m))
+    xp_top = cache(lambda n: (1 - qc1a * k1(n)) * (1 - qc1bg * k1(n)))
+    xp_bottom = cache(lambda n: 1 - kap1 * k1(n))
+    yp_first = cache(lambda n: qc1a * k1(n))
+    yp_second = cache(lambda m: (1 - kap2 * b / k2(m)) * (1 - c2 * g * k2(m) / a))
+    yp_bottom = cache(lambda m: 1 - kap2 * k2(m))
     return CoproductCoeffs(
-        x=lambda n, m: (1 - qc1ab * k1(n)) / dd(n, m),
-        y=lambda n, m: c1 * k1(n) * (1 - qab * kap2 / k2(m)) / dd(n, m),
-        xp=xp,
-        yp=yp,
+        x=lambda n, m: x_top(n) / dd(n, m),
+        y=lambda n, m: y_first(n) * y_second(m) / dd(n, m),
+        xp=lambda n, m: xp_top(n) / (xp_bottom(n) * dd(n, m)),
+        yp=lambda n, m: yp_first(n) * yp_second(m) / (yp_bottom(m) * dd(n, m)),
     )
 
 

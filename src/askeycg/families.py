@@ -10,7 +10,8 @@ level N:
 with the boundary convention P_{-1} = P_{N+1} = 0. Each family's series
 parameters are written once (_series): poly_value evaluates one P_n(k, N)
 through the public (q-)series kernels, and poly_block builds a whole level N
-from integer tables split once per level. The left-hand coefficient
+from integer tables split once per level, as integer columns over their
+least common denominators. The left-hand coefficient
 mu(k, N) matches the lowering coefficient of an algebra acting on a tensor
 product of two lowest-weight modules, which is what makes these families
 Clebsch-Gordan coefficients; the mapping is
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, log
+from math import comb, gcd, lcm, log
 from typing import Callable
 
 from .algebras import AlgebraKind, AlgebraTag
@@ -359,16 +360,20 @@ def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
     return prefactor * hyper_terminating(row(n) + col(k), den, z, n)
 
 
-def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[Scalar, ...], ...]:
-    """The rows n of the CG block P[n][k] = P_n(k, N), built in one pass over
-    integers.
+def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The columns k of the CG block P[n][k] = P_n(k, N), built in one pass
+    over integers, each one integer vector over its least common
+    denominator: column k is (a, c) with P[n][k] = a[n] / c, c > 0 and
+    gcd(*a, c) = 1, which is exactly linalg.integer_vector of its values.
 
     The parameters are split once per block: the row factors and prefactor
     once per n, the column factors once per k, and the term denominators and
     powers of q once for all (exactmath.parameter_factors, ratio_scales).
-    Each entry is then one exactmath.nested_sum and one Fraction. Values,
-    and errors in row-major order, are those of poly_value; nothing is read
-    from the contiguity recurrence or from another block.
+    Each entry is then one exactmath.nested_sum, an unreduced pair; a column
+    takes the lcm of its entries' bottoms and divides out the gcd of the
+    result, so no Fraction is built. Values, and errors in row-major order,
+    are those of poly_value; nothing is read from the contiguity recurrence
+    or from another block.
     """
     if not 0 <= N <= inst.n_max:
         raise ValueError(f"N must lie in 0..{inst.n_max}")
@@ -384,22 +389,33 @@ def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[Scalar, ...], ...]:
     for n, (pre_top, pre_bottom) in enumerate(prefactors):
         f, d = parameter_factors(row(n), n, q)
         f = [x * y for x, y in zip(f, tops)]
-        rows.append(tuple(
-            Fraction(pre_top * top, pre_bottom * bottom)
-            for top, bottom in (nested_sum([x * y for x, y in zip(f, cf)],
-                                           [d * y for y in cb[:n]])
-                                for cf, cb in cols)))
-    return tuple(rows)
+        rows.append([(pre_top * top, pre_bottom * bottom)
+                     for top, bottom in (nested_sum([x * y for x, y in zip(f, cf)],
+                                                    [d * y for y in cb[:n]])
+                                         for cf, cb in cols)])
+    columns = []
+    for entries in zip(*rows):
+        c = lcm(*(bottom for _, bottom in entries))
+        a = [top * (c // bottom) for top, bottom in entries]
+        g = gcd(c, *a)
+        columns.append((tuple(x // g for x in a), c // g))
+    return tuple(columns)
+
+
+def _reduced_rows(columns) -> tuple[tuple[Scalar, ...], ...]:
+    """The rows of Fractions of a block stored as integer columns (a, c)."""
+    return tuple(zip(*(tuple(Fraction(x, c) for x in a) for a, c in columns)))
 
 
 def block_values(inst: FamilyInstance,
                  blocks: dict | None = None) -> Callable[[int, int, int], Scalar]:
-    """(n, k, N) -> P_n(k, N), 0 for n outside 0..N. Values are read from
-    `blocks` (level -> CG block, as built by cgverify.cg_block) when given,
-    so one table serves every check of a run; otherwise each level N is
-    built by poly_block(inst, N) on first use and kept for as long as the
-    returned function lives. Either way the values are poly_block's."""
-    rows = cache(lambda N: poly_block(inst, N)) if blocks is None else (
+    """(n, k, N) -> P_n(k, N), 0 for n outside 0..N, as reduced Fractions.
+    Values are read from the reduced view P of `blocks` (level -> CG block,
+    as built by cgverify.cg_block) when given, so one table serves every
+    check of a run; otherwise each level N is built by poly_block(inst, N)
+    on first use, reduced, and kept for as long as the returned function
+    lives. Either way the values are poly_block's."""
+    rows = cache(lambda N: _reduced_rows(poly_block(inst, N))) if blocks is None else (
         lambda N: blocks[N].P.a)
     zero = Fraction(0)  # one for every read outside 0..N
     return lambda n, k, N: rows(N)[n][k] if 0 <= n <= N else zero
@@ -531,46 +547,69 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
 
 def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
                      blocks: dict | None = None) -> Report:
-    """Verify both contiguity relations exactly on the whole truncated grid.
+    """Verify both contiguity relations exactly on the whole truncated grid,
+    0 <= N < n_max, -1 <= n <= N+1, 0 <= k <= N, walked n-major.
 
     Boundary terms enter through the zero convention; coefficients are never
     evaluated against a vanishing polynomial factor, so every coefficient
     evaluation stays inside the validated grid. Coefficients come from
     `data` when given (a run shares one memoized table with its Delta),
-    otherwise from contiguity(inst); polynomial values come from `blocks`
-    when given (see block_values). Every side is one unreduced integer pair
-    from product_sum: alpha1 P + alpha2 P, beta1 P + beta2 P, and mu P as a
-    one-term sum. first_mismatch decides each comparison by cross-multiplying,
-    so a side is never reduced unless it is the witness.
+    otherwise from contiguity(inst); polynomial values are the integer
+    columns (a, c) of `blocks` (level -> CG block, as built by
+    cgverify.cg_block) when given, else of poly_block(inst, N), built once
+    per level. Each coefficient is split into an integer pair once per
+    (n, N), and mu once per (k, N); every point is then decided by
+    cross-multiplying integers against the columns, e.g. for the first
+    relation b[n] c d == e (w1 a[n-1] + w2 a[n]) with alpha1 = s1/d1,
+    alpha2 = s2/d2, d = d1 d2, w1 = s1 d2, w2 = s2 d1, (a, c) column k of
+    level N and (b, e) of level N+1. Only the first failing point is handed
+    to first_mismatch, which reduces it into the witness.
     """
     data = data or contiguity(inst)
-    P = block_values(inst, blocks)
+    columns = (lambda N: blocks[N].columns) if blocks is not None else cache(
+        partial(poly_block, inst))
     nm = inst.n_max
 
-    def raising(n, k, N):
-        terms = []
-        if 0 <= n - 1 <= N:
-            terms.append((data.alpha1(n, N), P(n - 1, k, N)))
-        if 0 <= n <= N:
-            terms.append((data.alpha2(n, N), P(n, k, N)))
-        return P(n, k, N + 1), product_sum(terms)
+    def weights(first, second):
+        """(w1, w2, d) for the two coefficient pairs first = s1/d1, second = s2/d2."""
+        (s1, d1), (s2, d2) = first.as_integer_ratio(), second.as_integer_ratio()
+        return s1 * d2, s2 * d1, d1 * d2
 
-    def lowering(n, k, N):
-        m = data.mu(k, N)
-        lhs = product_sum([(m, P(n, k, N - 1))]) if m != 0 and N >= 1 else 0
-        terms = []
-        if 0 <= n + 1 <= N:
-            terms.append((data.beta1(n, N), P(n + 1, k, N)))
-        if 0 <= n <= N:
-            terms.append((data.beta2(n, N), P(n, k, N)))
-        return lhs, product_sum(terms)
+    zero = Fraction(0)
+
+    def raising():
+        for N in range(nm):
+            here, above = columns(N), columns(N + 1)
+            for n in range(-1, N + 2):
+                w1, w2, d = weights(data.alpha1(n, N) if n >= 1 else zero,
+                                    data.alpha2(n, N) if 0 <= n <= N else zero)
+                for k, ((a, c), (b, e)) in enumerate(zip(here, above)):
+                    rhs = (w1 * a[n - 1] if w1 else 0) + (w2 * a[n] if w2 else 0)
+                    lhs = b[n] if n >= 0 else 0
+                    if lhs * c * d != rhs * e:
+                        yield {"N": N, "n": n, "k": k}, (lhs, e), (rhs, c * d)
+
+    def lowering():
+        for N in range(nm):
+            below, here = columns(N - 1) if N else (), columns(N)
+            mus = [data.mu(k, N).as_integer_ratio() for k in range(N + 1)]
+            for n in range(-1, N + 2):
+                w1, w2, d = weights(data.beta1(n, N) if n < N else zero,
+                                    data.beta2(n, N) if 0 <= n <= N else zero)
+                for k, ((b, e), (m, md)) in enumerate(zip(here, mus)):
+                    lhs, bottom = 0, 1
+                    if m and N and 0 <= n < N:
+                        a, c = below[k]
+                        lhs, bottom = m * a[n], md * c
+                    rhs = (w1 * b[n + 1] if w1 else 0) + (w2 * b[n] if w2 else 0)
+                    if lhs * d * e != rhs * bottom:
+                        yield {"N": N, "n": n, "k": k}, (lhs, bottom), (rhs, d * e)
 
     rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
     rng = f"0<=N<{nm}, -1<=n<=N+1, 0<=k<=N"
-    for name, sides in (("raising-contiguity", raising), ("lowering-contiguity", lowering)):
-        rep.add(first_mismatch(name, rng, (
-            ({"N": N, "n": n, "k": k}, *sides(n, k, N))
-            for N in range(nm) for n in range(-1, N + 2) for k in range(N + 1))))
+    for name, mismatches in (("raising-contiguity", raising),
+                             ("lowering-contiguity", lowering)):
+        rep.add(first_mismatch(name, rng, mismatches()))
     return rep
 
 
@@ -584,7 +623,7 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
     with A_n = (n+1)(n+lambda1), C_n = (N-n+1)(N-n+lambda2) and
     mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N. Polynomial
     values come from `blocks` when given (see block_values). Each side is one
-    unreduced integer pair from product_sum, as in check_contiguity.
+    unreduced integer pair from product_sum, compared by first_mismatch.
     """
     if inst.kind is not FamilyKind.DUAL_HAHN:
         raise InvalidParameterError("three-term recurrence check needs a dual Hahn instance")

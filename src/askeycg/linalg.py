@@ -1,5 +1,6 @@
-"""Dense exact rational matrices (the CG blocks, row-major tuples of
-Fractions) and integer_vector; graded operators keep sparse blocks.
+"""Dense exact rational matrices (row-major tuples of Fractions: the reduced
+view of a CG block, and the tests' dense operators) and integer_vector, the
+column storage of the CG blocks; graded operators keep sparse blocks.
 
 nullspace and rank are fraction-free (Bareiss elimination over integers with
 exact divisions only, back-substitution over one common denominator per

@@ -238,7 +238,7 @@ def test_criterion_11_negative_controls():
 
     # raising: binomial prefactor dropped from the blocks
     from askeycg.exactmath import binomial
-    corrupt = {N: CGBlock(N, RatMat.build(
+    corrupt = {N: CGBlock.from_matrix(N, RatMat.build(
         N + 1, N + 1, lambda n, k, N=N: poly_value(hahn, n, k, N) / binomial(N, n)))
         for N in range(5)}
     rep = verify_raising(hahn, 1, corrupt)
@@ -276,7 +276,7 @@ def test_criterion_11_negative_controls():
 
     # orthogonality: a singular block must be refused loudly
     with pytest.raises(WeightSolutionError):
-        orthogonality_weights(hahn, 1, CGBlock(1, RatMat.from_rows(
+        orthogonality_weights(hahn, 1, CGBlock.from_matrix(1, RatMat.from_rows(
             [[F(1), F(1)], [F(1), F(1)]])))
 
     _report(11, "every suite pinpoints an injected corruption with a witness",

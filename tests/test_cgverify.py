@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,13 @@ from askeycg.cli import run_verify_suite, table_doc
 from askeycg.coproduct import Delta, build_delta
 from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
                                binomial, format_scalar, q_binomial)
-from askeycg.families import FamilyInstance, FamilyKind, make_instance, poly_value
+from askeycg.families import (FamilyInstance, FamilyKind, check_contiguity, make_instance,
+                              poly_value)
 from askeycg.linalg import RatMat, nullspace, rank
 
 from test_algebras import with_entry
-from test_families import ALL_KINDS, poly_reference, sample_instance, wide_draws
+from test_families import (ALL_KINDS, poly_reference, sample_instance, wide_draws,
+                           wide_instance)
 from test_golden_reports import CASES as GOLDEN_CASES
 from test_golden_reports import report as golden_report
 from test_linalg import inverse, matmul, to_lists
@@ -89,6 +92,25 @@ def test_block_needs_neither_the_recurrence_nor_the_entry_route(kind, monkeypatc
                 patched += 1
     assert patched >= 8  # each is defined in one module and re-exported by the package
     assert [cg_block(inst, N) for N in range(inst.n_max + 1)] == want
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_max=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_columns_are_reduced_integer_vectors(kind, n_max, seed):
+    # each stored column (a, c) is the value column over its least common
+    # denominator: c > 0 and gcd(*a, c) = 1, so its storage is unique; the
+    # contiguity check reads the same columns with or without a block table
+    inst = wide_instance(kind, random.Random(seed), n_max)
+    blocks = {N: cg_block(inst, N) for N in range(n_max + 1)}
+    for N, blk in blocks.items():
+        assert len(blk.columns) == N + 1
+        for k, (a, c) in enumerate(blk.columns):
+            assert c > 0 and gcd(*a, c) == 1
+            assert [F(x, c) for x in a] == [poly_value(inst, n, k, N) for n in range(N + 1)]
+    standalone = check_contiguity(inst)
+    assert standalone.passed, standalone.first_failure()
+    assert standalone.to_dict() == check_contiguity(inst, blocks=blocks).to_dict()
 
 
 def first_entry_error(inst, N):
@@ -165,7 +187,7 @@ def test_raising_detects_missing_binomial_prefactor():
     inst = sample_instance(FamilyKind.HAHN)
 
     def corrupt(N):
-        return CGBlock(N, RatMat.build(
+        return CGBlock.from_matrix(N, RatMat.build(
             N + 1, N + 1,
             lambda n, k: poly_value(inst, n, k, N) / binomial(N, n)))
 
@@ -323,7 +345,7 @@ def test_weights_block_zero_norm_is_the_square():
     # sum_n P[n][0]^2 Omega_n = P[0][0]^2 on block 0, on both paths
     inst = sample_instance(FamilyKind.HAHN)
     delta = build_delta(inst)
-    blk = CGBlock(0, RatMat.from_rows([[F(2)]]))
+    blk = CGBlock.from_matrix(0, RatMat.from_rows([[F(2)]]))
     for d in (None, delta):
         w = orthogonality_weights(inst, 0, blk, d)
         assert (w.omega, w.omega_prime) == ((F(1),), (F(4),))
@@ -359,7 +381,7 @@ def test_krawtchouk_weights_positive():
 
 def test_weights_reject_singular_block():
     inst = sample_instance(FamilyKind.HAHN)
-    bad = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
+    bad = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
     with pytest.raises(WeightSolutionError):
         orthogonality_weights(inst, 1, bad)
 
@@ -489,7 +511,7 @@ def test_unconstrained_weights_are_not_certified():
     # columns are no eigenvectors of T_2, so step 4 refuses it
     inst = sample_instance(FamilyKind.HAHN)
     delta = build_delta(inst)
-    eye = CGBlock(2, RatMat.build(3, 3, lambda i, j: F(i == j)))
+    eye = CGBlock.from_matrix(2, RatMat.build(3, 3, lambda i, j: F(i == j)))
     with pytest.raises(WeightSolutionError,
                        match=re.escape("block 2, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
         orthogonality_weights(inst, 2, eye, delta)
@@ -507,7 +529,7 @@ def test_vanishing_norm_is_not_certified():
     e = GradedOperator(1, dims, {0: {(0, 0): F(1), (1, 0): F(1)}})
     f = GradedOperator(-1, dims, {0: {}, 1: {(0, 0): F(-1), (0, 1): F(1)}})
     delta = Delta(e, f, scalar_operator(dims, lambda n: 1))
-    bad = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
+    bad = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
     with pytest.raises(WeightSolutionError,
                        match=re.escape("block 1, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
         orthogonality_weights(inst, 1, bad, delta)
@@ -527,7 +549,7 @@ def two_level_delta(e, f):
 def with_columns(blk, cols):
     """blk with column k replaced by the column cols[k] (None keeps it)."""
     n = blk.P.rows
-    return CGBlock(blk.N, RatMat.build(n, n, lambda i, k: (
+    return CGBlock.from_matrix(blk.N, RatMat.build(n, n, lambda i, k: (
         blk.P.entry(i, k) if cols[k] is None else cols[k][i])))
 
 
@@ -569,7 +591,7 @@ def test_weights_of_non_eigenvectors_are_not_certified():
     # have nonzero norms under it, but they are not eigenvectors of T_1:
     # step 4 refuses them, where the full solve finds Omega = (1, 1)
     inst = sample_instance(FamilyKind.HAHN)
-    blk = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(-1)]]))
+    blk = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(-1)]]))
     delta = two_level_delta([1, 1], [1, 2])
     with pytest.raises(WeightSolutionError,
                        match=re.escape("block 1, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
@@ -583,7 +605,7 @@ def test_zero_lower_entry_of_t_is_declined():
     # finds Omega_0 = 0
     inst = sample_instance(FamilyKind.HAHN)
     c = tensor_lowering_eigenvalue(inst, 0, 1)
-    blk = CGBlock(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(0)]]))
+    blk = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(0)]]))
     delta = two_level_delta([1, 1], [0, c])
     with pytest.raises(WeightSolutionError, match=re.escape(
             "block 1, step 1: T_N[1][0] vanishes, so no diagonal symmetrizes T_N")):
@@ -598,7 +620,7 @@ def test_zero_upper_entry_of_t_is_declined_before_any_eigenvalue(monkeypatch):
     # full solve finds the vanishing norm
     inst = sample_instance(FamilyKind.HAHN)
     c = tensor_lowering_eigenvalue(inst, 0, 1)
-    blk = CGBlock(1, RatMat.from_rows([[F(1), F(0)], [F(1), F(1)]]))
+    blk = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(0)], [F(1), F(1)]]))
     delta = two_level_delta([1, 1], [c, 0])
     eigen_callers = spy_callers(monkeypatch, "tensor_lowering_eigenvalue")
     with pytest.raises(WeightSolutionError, match=re.escape(
@@ -685,6 +707,24 @@ def test_weight_grading_negative_control():
     rep = verify_weight_grading(inst, bad)
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
+
+
+@pytest.mark.parametrize("entries,witness", [
+    ({(2, (0, 1)): F(5), (3, (0, 0)): F(1)}, ({"N": "2", "row": "0", "col": "1"}, "5", "0")),
+    ({(2, (1, 1)): F(7), (2, (1, 0)): F(-1)}, ({"N": "2", "row": "1", "col": "0"}, "-1", "0")),
+    ({(2, (1, 1)): F(0), (2, (2, 1)): F(3)}, ({"N": "2", "row": "1", "col": "1"}, "0", "7")),
+], ids=["off-diagonal", "off-diagonal-first-in-row", "vanished-diagonal"])
+def test_weight_grading_certifies_off_diagonal_zeros(entries, witness):
+    # Delta(H) of the Hahn sample is 7 on block 2; every entry off the
+    # diagonal must be 0, and the row-major first wrong entry is the witness
+    inst = sample_instance(FamilyKind.HAHN)
+    delta = build_delta(inst)
+    hk = delta.hk
+    for (level, ij), value in entries.items():
+        hk = with_entry(hk, level, ij, value)
+    fail = verify_weight_grading(inst, Delta(delta.e, delta.f, hk)).first_failure()
+    where, lhs, rhs = witness
+    assert fail.witness.to_dict() == {"where": where, "lhs": lhs, "rhs": rhs}
 
 
 # -- basis change -------------------------------------------------------------

@@ -226,7 +226,7 @@ def test_table_json_round_trips(tmp_path):
     inst = make_instance(FamilyKind.Q_HAHN, q=F(1, 4), alpha=F(1, 3),
                          beta=F(2, 5), n_max=3)
     for rec in doc["blocks"]:
-        blk = CGBlock(int(rec["N"]), RatMat.from_rows(
+        blk = CGBlock.from_matrix(int(rec["N"]), RatMat.from_rows(
             [[parse_scalar(x) for x in row] for row in rec["P"]]))
         weights = WeightData(int(rec["N"]), tuple(parse_scalar(x) for x in rec["omega"]),
                              tuple(parse_scalar(x) for x in rec["omega_prime"]))
@@ -326,7 +326,7 @@ def test_oracle_catches_a_rescaled_column(monkeypatch):
     # only the oracle, which fixes each tower's scale from Delta, tells
     def tripled(inst, N):
         P = cg_block(inst, N).P
-        return CGBlock(N, RatMat.build(N + 1, N + 1,
+        return CGBlock.from_matrix(N, RatMat.build(N + 1, N + 1,
                                        lambda n, k: P.entry(n, k) * (3 if k == 1 else 1)))
 
     monkeypatch.setattr("askeycg.cli.cg_block", tripled)
@@ -338,7 +338,7 @@ def test_oracle_catches_a_rescaled_column(monkeypatch):
 
 def block_from_rows(N: int, rows) -> CGBlock:
     """The level-N CG block with these rows of rationals."""
-    return CGBlock(N, RatMat.from_rows(rows))
+    return CGBlock.from_matrix(N, RatMat.from_rows(rows))
 
 
 # block 3 gains 1 at (n, k) = (1, 2) and (2, 0): a check walking n-major (N, n,
