@@ -19,8 +19,8 @@ Compositions are truncation-aware: a block exists only when every
 intermediate level stays inside the truncated module, and anything below
 level 0 is the zero space.
 
-Composition and apply work on the integer numerators and denominators of
-the stored Fractions: every output entry is formed as one integer pair
+Composition works on the integer numerators and denominators of the
+stored Fractions: every output entry is formed as one integer pair
 (exactmath.product_sum) and reduced once, into one Fraction. Every
 composition goes through one block kernel, _block_product, where a diagonal
 block only rescales the other factor. Operator
@@ -177,18 +177,6 @@ class GradedOperator:
         object.__setattr__(op, "dims", dims)
         object.__setattr__(op, "blocks", blocks)
         return op
-
-    def apply(self, level: int, vec) -> tuple[Fraction, ...]:
-        """Image of the level-`level` coordinate vector `vec` (Fractions or
-        ints), each coordinate one product_sum pair reduced into one
-        Fraction; a length mismatch is a ValueError."""
-        rows, cols = self.shape(level)
-        if len(vec) != cols:
-            raise ValueError("vector length mismatch")
-        terms = [[] for _ in range(rows)]
-        for (i, j), v in self.blocks[level].items():
-            terms[i].append((v, vec[j]))
-        return tuple(Fraction(*product_sum(t)) for t in terms)
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         """self after other: every nonzero pair of _block_product, the one

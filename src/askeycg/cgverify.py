@@ -6,23 +6,25 @@ P_n(k, N); its column k holds the coordinates of the k-th adapted basis
 vector in the product basis (n, N-n). CGBlock stores it by columns, column k
 as one integer vector over its least common denominator, (a, c) with P[n][k]
 = a[n] / c; its reduced view P (a RatMat of Fractions) is made only when
-read, for the table, block_values and the tests. cg_block builds the columns
-in one integer pass (families.poly_block), straight from the series, never
-from the contiguity recurrence or another block; they equal poly_value
-entry by entry.
+read, for the table and the tests. cg_block builds the columns in one
+integer pass (families.poly_block), straight from the series, never from the
+contiguity recurrence or another block; they equal poly_value entry by
+entry.
 
 Column k of the level-N block must be mapped by Delta(E) onto column k of
 level N+1, and by Delta(F) onto the lowering coefficient of the component
 with label index k times column k of level N-1; the k = N column must be
 annihilated. Each check splits the Delta block of a level into integer bands
-once and decides every point by cross-multiplying integers against the
-stored columns; only the first failing point is reduced, for its witness.
+once and decides every point with linalg.column_mismatches, the one
+comparison of a band image of a column with a target column; only the first
+failing point is reduced, for its witness.
 
 The oracle rebuilds the same columns from Delta alone, reading no CG value
 and evaluating no polynomial: the kernel of Delta(F) on block k (which must
 be one-dimensional), scaled to first entry v_0 = 1 = P_0(k, k), seeds the
-k-th tower, and repeated application of Delta(E) fills in the higher levels.
-Entrywise agreement with the polynomial route is the central certificate.
+k-th tower, and the integer bands of Delta(E) push it up level by level, one
+gcd per column keeping the storage of cg_block. Entrywise agreement with the
+polynomial route is the central certificate.
 
 The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
 k != l. Column k of block N is an eigenvector of the tridiagonal T_N =
@@ -38,15 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
-from .algebras import GradedOperator, _block_product, phi
+from .algebras import _block_product, phi
 from .coproduct import Delta, build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar
-from .families import (FamilyInstance, FamilyKind, _reduced_rows, algebra_for,
-                       make_instance, poly_block, tensor_label)
+from .families import (FamilyInstance, FamilyKind, algebra_for, make_instance, poly_block,
+                       tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
-from .linalg import RatMat, integer_vector
+from .linalg import Column, RatMat, column_mismatches, integer_bands, integer_vector
 from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
@@ -64,9 +67,6 @@ class DegenerateKernelError(RuntimeError):
 class WeightSolutionError(RuntimeError):
     """A step of the weight certificate (orthogonality_weights) failed; the
     message names the step, its block and its entry, columns or column."""
-
-
-Column = tuple[tuple[int, ...], int]
 
 
 def _cleared(values: Sequence[Scalar]) -> Column:
@@ -93,7 +93,7 @@ class CGBlock:
 
     @cached_property
     def P(self) -> RatMat:
-        rows = _reduced_rows(self.columns)
+        rows = tuple(zip(*(tuple(Fraction(x, c) for x in a) for a, c in self.columns)))
         return RatMat(len(rows), len(self.columns), rows)
 
     def to_doc(self) -> dict:
@@ -133,40 +133,20 @@ def component_eigenvalues(inst: FamilyInstance, N: int) -> tuple[Scalar, ...]:
     return tuple(tensor_lowering_eigenvalue(inst, k, N - k) for k in range(N + 1))
 
 
-def _integer_rows(block: Mapping[tuple[int, int], Scalar], rows: int):
-    """Rows 0..rows-1 of a sparse block {(i, j): Fraction} as integer bands:
-    row i is ([(j, t_ij)], d_i) with block[i, j] = t_ij / d_i."""
-    bands = [[] for _ in range(rows)]
-    for (i, j), v in block.items():
-        bands[i].append((j, v))
-    out = []
-    for band in bands:
-        t, d = integer_vector([v for _, v in band])
-        out.append(([(j, x) for (j, _), x in zip(band, t)], d))
-    return out
-
-
-def _image_mismatches(op: GradedOperator, N: int, here, targets):
-    """The points (where, image, target), k-major, where op maps column k of
-    `here`, on level N, to something other than x / xd times the column
-    (b, e), for targets[k] = (x, xd, (b, e)). The block of op is split into
-    integer bands once; with row n = t_n / d_n and column k = a / c, each
-    point is sum_j t_nj a[j] xd e == x b[n] d_n c over integers, and the
-    sides are unreduced pairs for report.first_mismatch."""
-    bands = _integer_rows(op.blocks[N], op.shape(N)[0])
-    for k, ((a, c), (x, xd, (b, e))) in enumerate(zip(here, targets)):
-        for n, (band, d) in enumerate(bands):
-            image = sum(t * a[j] for j, t in band)
-            if image * xd * e != x * b[n] * d * c:
-                yield {"N": N, "n": n, "k": k}, (image, d * c), (x * b[n], xd * e)
+def _k_major(N: int, block, rows: int, here, targets) -> list:
+    """linalg.column_mismatches of rows 0..rows-1 of a sparse block, split
+    into integer bands once, sorted by k: the sort is stable, so the points
+    are walked k-major."""
+    return sorted(column_mismatches(N, integer_bands(block, range(rows)), here, targets),
+                  key=lambda point: point[0]["k"])
 
 
 def verify_raising(inst: FamilyInstance, N: int,
                    blocks: dict[int, CGBlock] | None = None,
                    delta: Delta | None = None) -> Report:
     """Delta(E) must map column k of block N to column k of block N+1,
-    walked k-major, each point decided over integers (_image_mismatches);
-    only the first failing one is reduced, into the witness."""
+    walked k-major, each point decided over integers (_k_major); only the
+    first failing one is reduced, into the witness."""
     if not 0 <= N < inst.n_max:
         raise ValueError("raising check needs 0 <= N < n_max")
     delta = delta or build_delta(inst)
@@ -176,7 +156,7 @@ def verify_raising(inst: FamilyInstance, N: int,
     targets = [(1, 1, column) for column in above]
     rep = Report(suite=f"raising:{inst.kind.value}", params=inst.to_doc())
     rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}",
-                           _image_mismatches(delta.e, N, here, targets)))
+                           _k_major(N, delta.e.blocks[N], delta.e.shape(N)[0], here, targets)))
     return rep
 
 
@@ -187,8 +167,8 @@ def verify_lowering(inst: FamilyInstance, N: int,
     """Delta(F) on column k of block N gives Lambda_k times column k of block
     N-1, walked k-major; the k = N column dies. Lambda is `eigenvalues` when
     given, else component_eigenvalues(inst, N). Each point is decided over
-    integers (_image_mismatches); only the first failing one is reduced,
-    into the witness."""
+    integers (_k_major); only the first failing one is reduced, into the
+    witness."""
     if not 1 <= N <= inst.n_max:
         raise ValueError("lowering check needs 1 <= N <= n_max")
     delta = delta or build_delta(inst)
@@ -197,10 +177,10 @@ def verify_lowering(inst: FamilyInstance, N: int,
     below = (blocks.get(N - 1) or cg_block(inst, N - 1)).columns
     lam = eigenvalues or component_eigenvalues(inst, N)
     targets = [(*lam[k].as_integer_ratio(), below[k]) for k in range(N)]
-    targets.append((0, 1, ((0,) * N, 1)))
+    targets.append((0, 1, ((), 1)))
     rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())
     rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}",
-                           _image_mismatches(delta.f, N, here, targets)))
+                           _k_major(N, delta.f.blocks[N], delta.f.shape(N)[0], here, targets)))
     return rep
 
 
@@ -210,18 +190,27 @@ def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> li
     For each k the kernel of Delta(F) on block k must be exactly
     one-dimensional; the kernel vector is scaled to first entry v_0 = 1,
     which is P_0(k, k) in every family (the (q-)binomial prefactor and the
-    first series term are both 1 at n = 0), then pushed up with Delta(E).
-    Each column is then cleared to integers over its least common
-    denominator, the storage of cg_block.
+    first series term are both 1 at n = 0), cleared to integers over its
+    least common denominator, then pushed up with Delta(E): each level's
+    block is split into integer bands once, scaled to one denominator L,
+    and column (a, c) maps to the band images over L c with their gcd
+    divided out, so every column is the canonical pair cg_block stores.
     """
     delta = delta or build_delta(inst)
-    nm = inst.n_max
-    columns = [[] for _ in range(nm + 1)]  # columns[N][k] is column k of block N
-    for k in range(nm + 1):
-        columns[k].append(_lowering_kernel(delta.f.blocks[k], k))
-        for N in range(k + 1, nm + 1):
-            columns[N].append(delta.e.apply(N - 1, columns[N - 1][k]))
-    return [CGBlock(N, tuple(map(_cleared, c))) for N, c in enumerate(columns)]
+    columns = []  # columns[N][k] is column k of block N
+    for N in range(inst.n_max + 1):
+        level = []
+        if N:
+            rows = range(delta.e.shape(N - 1)[0])
+            bands = integer_bands(delta.e.blocks[N - 1], rows).values()
+            L = lcm(*(d for _, d in bands))
+            for a, c in columns[-1]:
+                image = [sum(t * a[j] for j, t in band) * (L // d) for band, d in bands]
+                g = gcd(L * c, *image)
+                level.append((tuple(x // g for x in image), L * c // g))
+        level.append(_cleared(_lowering_kernel(delta.f.blocks[N], N)))
+        columns.append(level)
+    return [CGBlock(N, tuple(level)) for N, level in enumerate(columns)]
 
 
 def _lowering_kernel(block, k: int) -> tuple[Fraction, ...]:
@@ -309,12 +298,11 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     for l, x in enumerate(lam):
         if x in lam[:l]:
             raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
-    rows = _integer_rows(T, N + 1)
-    for l, ((a, _), x) in enumerate(zip(cols, lam)):
-        xn, xd = x.as_integer_ratio()
-        for i, (row, d) in enumerate(rows):
-            if xd * sum(t * a[j] for j, t in row) != xn * d * a[i]:
-                raise failed(4, f"(T_N P)[{i}][{l}] != (P Lambda)[{i}][{l}]")
+    own = [(a, 1) for a, _ in cols]  # against itself, a column's denominator drops out
+    bad = _k_major(N, T, N + 1, own, [(*x.as_integer_ratio(), a) for a, x in zip(own, lam)])
+    if bad:
+        i, l = bad[0][0]["n"], bad[0][0]["k"]
+        raise failed(4, f"(T_N P)[{i}][{l}] != (P Lambda)[{i}][{l}]")
     w, L = integer_vector(omega)
     omega_prime = []
     for l, (a, c) in enumerate(cols):

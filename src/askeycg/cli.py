@@ -36,6 +36,7 @@ from .coproduct import (_derived_coeffs, build_delta, check_algebraic_form,
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, check_contiguity,
                        check_three_term_dual_hahn, contiguity, labels, make_instance)
+from .linalg import column_mismatches
 from .report import TOOL_VERSION, CheckResult, Report, Witness, first_mismatch
 
 EXIT_OK = 0
@@ -138,16 +139,15 @@ def _oracle(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
 
 def _oracle_mismatches(oracle, blocks):
     """The points where an oracle block and the CG block disagree, N, n, k in
-    n-major order, as (where, lhs, rhs) with unreduced pairs. Columns stored
-    alike are equal outright; only the others are compared entry by entry,
-    by cross-multiplying their integer columns."""
+    n-major order, as (where, lhs, rhs) with unreduced pairs. Levels stored
+    alike are equal outright; the others go through linalg.column_mismatches
+    with the identity band."""
     for N, block in enumerate(oracle):
-        differ = [(k, mine, theirs) for k, (mine, theirs)
-                  in enumerate(zip(block.columns, blocks[N].columns)) if mine != theirs]
-        for n in range(N + 1 if differ else 0):
-            for k, (a, c), (b, e) in differ:
-                if a[n] * e != b[n] * c:
-                    yield {"N": N, "n": n, "k": k}, (a[n], c), (b[n], e)
+        theirs = blocks[N].columns
+        if block.columns != theirs:
+            identity = {n: ([(n, 1)], 1) for n in range(N + 1)}
+            yield from column_mismatches(N, identity, block.columns,
+                                         [(1, 1, column) for column in theirs])
 
 
 def _orthogonality(inst: FamilyInstance, art: _Artifacts) -> CheckResult:

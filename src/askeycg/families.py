@@ -46,15 +46,15 @@ from typing import Callable
 from .algebras import AlgebraKind, AlgebraTag
 from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
                         format_scalar, hyper_terminating, nested_sum, parameter_factors,
-                        product_sum, q_binomial_pair, q_hyper_terminating, q_powers,
-                        ratio_scales)
+                        q_binomial_pair, q_hyper_terminating, q_powers, ratio_scales)
+from .linalg import column_mismatches, integer_bands
 from .report import CheckResult, Report, first_mismatch
 
 __all__ = [
     "FamilyKind", "FamilyInstance", "ContiguityData", "make_instance",
     "poly_value", "poly_block", "contiguity", "check_contiguity",
     "check_three_term_dual_hahn", "limit_hahn_to_krawtchouk",
-    "limit_racah_to_dual_hahn", "block_values", "algebra_for", "labels",
+    "limit_racah_to_dual_hahn", "algebra_for", "labels",
 ]
 
 
@@ -402,25 +402,6 @@ def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int
     return tuple(columns)
 
 
-def _reduced_rows(columns) -> tuple[tuple[Scalar, ...], ...]:
-    """The rows of Fractions of a block stored as integer columns (a, c)."""
-    return tuple(zip(*(tuple(Fraction(x, c) for x in a) for a, c in columns)))
-
-
-def block_values(inst: FamilyInstance,
-                 blocks: dict | None = None) -> Callable[[int, int, int], Scalar]:
-    """(n, k, N) -> P_n(k, N), 0 for n outside 0..N, as reduced Fractions.
-    Values are read from the reduced view P of `blocks` (level -> CG block,
-    as built by cgverify.cg_block) when given, so one table serves every
-    check of a run; otherwise each level N is built by poly_block(inst, N)
-    on first use, reduced, and kept for as long as the returned function
-    lives. Either way the values are poly_block's."""
-    rows = cache(lambda N: _reduced_rows(poly_block(inst, N))) if blocks is None else (
-        lambda N: blocks[N].P.a)
-    zero = Fraction(0)  # one for every read outside 0..N
-    return lambda n, k, N: rows(N)[n][k] if 0 <= n <= N else zero
-
-
 # ---------------------------------------------------------------------------
 # contiguity coefficient data
 # ---------------------------------------------------------------------------
@@ -550,66 +531,57 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
     """Verify both contiguity relations exactly on the whole truncated grid,
     0 <= N < n_max, -1 <= n <= N+1, 0 <= k <= N, walked n-major.
 
-    Boundary terms enter through the zero convention; coefficients are never
-    evaluated against a vanishing polynomial factor, so every coefficient
-    evaluation stays inside the validated grid. Coefficients come from
-    `data` when given (a run shares one memoized table with its Delta),
-    otherwise from contiguity(inst); polynomial values are the integer
-    columns (a, c) of `blocks` (level -> CG block, as built by
-    cgverify.cg_block) when given, else of poly_block(inst, N), built once
-    per level. Each coefficient is split into an integer pair once per
-    (n, N), and mu once per (k, N); every point is then decided by
-    cross-multiplying integers against the columns, e.g. for the first
-    relation b[n] c d == e (w1 a[n-1] + w2 a[n]) with alpha1 = s1/d1,
-    alpha2 = s2/d2, d = d1 d2, w1 = s1 d2, w2 = s2 d1, (a, c) column k of
-    level N and (b, e) of level N+1. Only the first failing point is handed
-    to first_mismatch, which reduces it into the witness.
+    Each relation is a band identity on the integer columns of level N,
+    decided by linalg.column_mismatches: row n holds the right-hand
+    coefficients, split into integer pairs once per (n, N); the target is
+    column k of level N+1 (raising), or mu(k, N), split once per (k, N),
+    times column k of level N-1 (lowering), whose k = N column is
+    (1, 0, ..., 0) as P_0 = 1, empty at N = 0. A coefficient is evaluated
+    only next to a polynomial inside 0..N, so inside the validated grid, and
+    a row outside the target column compares with 0 (the zero convention).
+    Coefficients come from `data` when given (a run shares one memoized
+    table with its Delta), otherwise from contiguity(inst); the columns are
+    those of `blocks` (level -> CG block, as built by cgverify.cg_block)
+    when given, else of poly_block(inst, N), built once per level. The
+    contiguity side is the witness's lhs; only the first failing point is
+    reduced, by first_mismatch.
     """
     data = data or contiguity(inst)
     columns = (lambda N: blocks[N].columns) if blocks is not None else cache(
         partial(poly_block, inst))
     nm = inst.n_max
-
-    def weights(first, second):
-        """(w1, w2, d) for the two coefficient pairs first = s1/d1, second = s2/d2."""
-        (s1, d1), (s2, d2) = first.as_integer_ratio(), second.as_integer_ratio()
-        return s1 * d2, s2 * d1, d1 * d2
-
     zero = Fraction(0)
 
-    def raising():
-        for N in range(nm):
-            here, above = columns(N), columns(N + 1)
-            for n in range(-1, N + 2):
-                w1, w2, d = weights(data.alpha1(n, N) if n >= 1 else zero,
-                                    data.alpha2(n, N) if 0 <= n <= N else zero)
-                for k, ((a, c), (b, e)) in enumerate(zip(here, above)):
-                    rhs = (w1 * a[n - 1] if w1 else 0) + (w2 * a[n] if w2 else 0)
-                    lhs = b[n] if n >= 0 else 0
-                    if lhs * c * d != rhs * e:
-                        yield {"N": N, "n": n, "k": k}, (lhs, e), (rhs, c * d)
+    def band(j1, x1, j2, x2):
+        """Row x1 P_j1 + x2 P_j2 over the product of the two denominators,
+        its zero terms dropped: a coefficient outside the grid is given as 0."""
+        (s1, d1), (s2, d2) = x1.as_integer_ratio(), x2.as_integer_ratio()
+        return [(j, w) for j, w in ((j1, s1 * d2), (j2, s2 * d1)) if w], d1 * d2
 
-    def lowering():
+    def raising(N):
+        bands = {n: band(n - 1, data.alpha1(n, N) if n >= 1 else zero,
+                         n, data.alpha2(n, N) if 0 <= n <= N else zero)
+                 for n in range(-1, N + 2)}
+        return bands, [(1, 1, column) for column in columns(N + 1)]
+
+    def lowering(N):
+        bands = {n: band(n + 1, data.beta1(n, N) if n < N else zero,
+                         n, data.beta2(n, N) if 0 <= n <= N else zero)
+                 for n in range(-1, N + 2)}
+        below = [*columns(N - 1), ((1,) + (0,) * (N - 1), 1)] if N else [((), 1)]
+        return bands, [(*data.mu(k, N).as_integer_ratio(), below[k]) for k in range(N + 1)]
+
+    def mismatches(relation):
         for N in range(nm):
-            below, here = columns(N - 1) if N else (), columns(N)
-            mus = [data.mu(k, N).as_integer_ratio() for k in range(N + 1)]
-            for n in range(-1, N + 2):
-                w1, w2, d = weights(data.beta1(n, N) if n < N else zero,
-                                    data.beta2(n, N) if 0 <= n <= N else zero)
-                for k, ((b, e), (m, md)) in enumerate(zip(here, mus)):
-                    lhs, bottom = 0, 1
-                    if m and N and 0 <= n < N:
-                        a, c = below[k]
-                        lhs, bottom = m * a[n], md * c
-                    rhs = (w1 * b[n + 1] if w1 else 0) + (w2 * b[n] if w2 else 0)
-                    if lhs * d * e != rhs * bottom:
-                        yield {"N": N, "n": n, "k": k}, (lhs, bottom), (rhs, d * e)
+            bands, targets = relation(N)
+            for where, image, target in column_mismatches(N, bands, columns(N), targets):
+                yield where, target, image
 
     rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
     rng = f"0<=N<{nm}, -1<=n<=N+1, 0<=k<=N"
-    for name, mismatches in (("raising-contiguity", raising),
-                             ("lowering-contiguity", lowering)):
-        rep.add(first_mismatch(name, rng, mismatches()))
+    for name, relation in (("raising-contiguity", raising),
+                           ("lowering-contiguity", lowering)):
+        rep.add(first_mismatch(name, rng, mismatches(relation)))
     return rep
 
 
@@ -621,9 +593,10 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
         A_n P_{n+1} + (A_n + C_n) P_n + C_n P_{n-1} = mu(k) P_n
 
     with A_n = (n+1)(n+lambda1), C_n = (N-n+1)(N-n+lambda2) and
-    mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N. Polynomial
-    values come from `blocks` when given (see block_values). Each side is one
-    unreduced integer pair from product_sum, compared by first_mismatch.
+    mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N: a
+    tridiagonal band on the integer columns of level N against mu(k) times
+    the same column, walked n-major (linalg.column_mismatches). The columns
+    are those of `blocks` when given, else of poly_block(inst, N).
     """
     if inst.kind is not FamilyKind.DUAL_HAHN:
         raise InvalidParameterError("three-term recurrence check needs a dual Hahn instance")
@@ -631,21 +604,24 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
         raise InvalidParameterError("three-term recurrence check needs alpha = lambda1 - 1")
     l1, l2 = inst.lambda1, inst.lambda2
     nm = inst.n_max
-    P = block_values(inst, blocks)
     if mu_fn is None:
         mu_fn = lambda k, N: (N - k + 1) * (N + k + l1 + l2)
 
-    def sides(n, k, N):
-        a_n = (n + 1) * (n + l1)
-        c_n = (N - n + 1) * (N - n + l2)
-        return (product_sum([(a_n, P(n + 1, k, N)), (a_n + c_n, P(n, k, N)),
-                             (c_n, P(n - 1, k, N))]),
-                product_sum([(mu_fn(k, N), P(n, k, N))]))
+    def mismatches(N):
+        tridiagonal = {}
+        for n in range(N + 1):
+            a_n, c_n = (n + 1) * (n + l1), (N - n + 1) * (N - n + l2)
+            for j, v in ((n + 1, a_n), (n, a_n + c_n), (n - 1, c_n)):
+                if 0 <= j <= N:
+                    tridiagonal[n, j] = v
+        cols = blocks[N].columns if blocks is not None else poly_block(inst, N)
+        targets = [(*Fraction(mu_fn(k, N)).as_integer_ratio(), col)
+                   for k, col in enumerate(cols)]
+        return column_mismatches(N, integer_bands(tridiagonal, range(N + 1)), cols, targets)
 
     rep = Report(suite="three-term:dual-hahn", params=inst.to_doc())
     rep.add(first_mismatch("three-term-recurrence", f"0<=n,k<=N<={nm}", (
-        ({"N": N, "n": n, "k": k}, *sides(n, k, N))
-        for N in range(nm + 1) for n in range(N + 1) for k in range(N + 1))))
+        m for N in range(nm + 1) for m in mismatches(N))))
     return rep
 
 

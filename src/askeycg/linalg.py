@@ -1,6 +1,9 @@
 """Dense exact rational matrices (row-major tuples of Fractions: the reduced
-view of a CG block, and the tests' dense operators) and integer_vector, the
-column storage of the CG blocks; graded operators keep sparse blocks.
+view of a CG block, and the tests' dense operators); integer_vector, the
+column storage of the CG blocks; and the column kernel: integer_bands splits
+a sparse block into integer rows, and column_mismatches decides every CG
+column identity, a band image of a column against a scalar times a target
+column, over integers. Graded operators keep sparse blocks.
 
 nullspace and rank are fraction-free (Bareiss elimination over integers with
 exact divisions only, back-substitution over one common denominator per
@@ -13,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-__all__ = ["RatMat", "nullspace", "rank", "integer_vector"]
+__all__ = ["RatMat", "nullspace", "rank", "integer_vector", "integer_bands",
+           "column_mismatches"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,47 @@ def integer_vector(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """(a, c) with xs[i] = a[i] / c and c the least common denominator."""
     c = lcm(*(x.denominator for x in xs))
     return [x.numerator * (c // x.denominator) for x in xs], c
+
+
+Column = tuple[Sequence[int], int]
+Bands = dict[int, tuple[list[tuple[int, int]], int]]
+
+
+def integer_bands(block: Mapping[tuple[int, int], Fraction], rows: Iterable[int]) -> Bands:
+    """The rows of a sparse block {(i, j): Fraction} as integer bands keyed by
+    row id, in the order of `rows`, which must hold every row of the block:
+    row i is ([(j, t_ij)], d_i) with block[i, j] = t_ij / d_i over their least
+    common denominator d_i, and ([], 1) where it has no entry."""
+    bands = {i: [] for i in rows}
+    for (i, j), v in block.items():
+        bands[i].append((j, v))
+    out = {}
+    for i, band in bands.items():
+        t, d = integer_vector([v for _, v in band])
+        out[i] = [(j, x) for (j, _), x in zip(band, t)], d
+    return out
+
+
+def column_mismatches(N: int, bands: Bands, here: Sequence[Column],
+                      targets: Sequence[tuple[int, int, Column]]) -> Iterator:
+    """The points, n-major over the rows of `bands` and then k, where the band
+    image of column k of `here` differs from x / xd times the column (b, e),
+    for targets[k] = (x, xd, (b, e)); a row outside the target column
+    compares with 0. With row n = t_n / d_n and column k = a / c, a point is
+    sum_j t_nj a[j] xd e == x b[n] d_n c over integers. Each failing point is
+    ({N, n, k}, image, target), both sides unreduced pairs for
+    report.first_mismatch; nothing is reduced here."""
+    # per column k: a, c, x c, xd e, the target entries and their count (0 where x = 0)
+    cols = [(a, c, x * c, xd * e, b, len(b) if x else 0)
+            for (a, c), (x, xd, (b, e)) in zip(here, targets)]
+    for n, (band, d) in bands.items():
+        for k, (a, c, xc, xde, b, size) in enumerate(cols):
+            image = 0
+            for j, t in band:
+                image += t * a[j]
+            want = b[n] if 0 <= n < size else 0
+            if image * xde != want * xc * d:
+                yield {"N": N, "n": n, "k": k}, (image, d * c), (targets[k][0] * want, xde)
 
 
 def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:

@@ -288,13 +288,6 @@ def ref_scaled(a, s):
     return {n: {ij: s * v for ij, v in b.items() if s * v} for n, b in a.blocks.items()}
 
 
-def ref_apply(a, level, vec):
-    out = [F(0)] * a.shape(level)[0]
-    for (i, j), v in a.blocks[level].items():
-        out[i] += v * vec[j]
-    return tuple(out)
-
-
 def assert_entry_maps(op, degree, want):
     assert op.degree == degree and op.blocks.keys() == want.keys()
     for n, block in op.blocks.items():
@@ -379,29 +372,6 @@ def test_matmul_matches_fraction_reference(data):
           if a_diagonal or b_diagonal else nullcontext()):
         got = a @ b
     assert_entry_maps(got, a.degree + b.degree, ref_matmul(a, b))
-
-
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_apply_matches_fraction_reference(data):
-    dims = data.draw(modules())
-    a = data.draw(operators(dims, data.draw(st.sampled_from([-1, 0, 1]))))
-    assume(a.blocks)
-    level = data.draw(st.sampled_from(sorted(a.blocks)))
-    cols = a.shape(level)[1]
-    ints = st.one_of(st.integers(-9, 9), st.integers(2 ** 200, 2 ** 201))
-    vec = data.draw(st.lists(st.one_of(ints, VALUES) if data.draw(st.booleans())
-                             else ints, min_size=cols, max_size=cols))
-    # a vector that the row of two stored entries maps to zero
-    row = [(j, v) for (i, j), v in a.blocks[level].items() if i == 0]
-    if len(row) >= 2 and data.draw(st.booleans()):
-        (j1, v1), (j2, v2) = row[:2]
-        vec[j2] = -v1 * F(vec[j1]) / v2
-    got = a.apply(level, vec)
-    assert all(type(x) is F for x in got)
-    assert got == ref_apply(a, level, vec)
-    with pytest.raises(ValueError):
-        a.apply(level, vec + [1])
 
 
 # -- the operator identities against a composition-based reference -----------

@@ -2,6 +2,7 @@ import random
 import re
 import sys
 from fractions import Fraction as F
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -13,16 +14,17 @@ import askeycg.cgverify as cgverify
 import askeycg.linalg as linalg
 from askeycg.algebras import GradedOperator, scalar_operator
 from askeycg.cgverify import (CGBlock, DegenerateKernelError, WeightData,
-                              WeightSolutionError, _draw_params,
-                              cg_block, lowest_weight_oracle, orthogonality_weights,
+                              WeightSolutionError, _draw_params, cg_block,
+                              component_eigenvalues, lowest_weight_oracle,
+                              orthogonality_weights,
                               random_instance, tensor_lowering_eigenvalue,
                               verify_lowering, verify_raising, verify_weight_grading)
 from askeycg.cli import run_verify_suite, table_doc
 from askeycg.coproduct import Delta, build_delta
 from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
                                binomial, format_scalar, q_binomial)
-from askeycg.families import (FamilyInstance, FamilyKind, check_contiguity, make_instance,
-                              poly_value)
+from askeycg.families import (FamilyInstance, FamilyKind, check_contiguity, contiguity,
+                              make_instance, poly_value)
 from askeycg.linalg import RatMat, nullspace, rank
 
 from test_algebras import with_entry
@@ -224,6 +226,93 @@ def test_q_racah_lowering_eigenvalue():
             assert tensor_lowering_eigenvalue(inst, k, N - k) == want
 
 
+# -- block corruptions: each reader against a plain Fraction walk --------------
+
+def first_unequal(points):
+    """The first (where, lhs, rhs) with lhs != rhs, its sides printed as a
+    witness prints them; None when every point agrees."""
+    return next(((where, str(lhs), str(rhs)) for where, lhs, rhs in points if lhs != rhs),
+                None)
+
+
+def fraction_walk_witnesses(inst, blocks, data, delta) -> dict:
+    """The first witness of each block reader, from CGBlock.P and the dense
+    Delta blocks in plain Fractions: contiguity n-major over the grid, raising
+    and lowering k-major within a level, levels in order."""
+    nm = inst.n_max
+
+    def P(n, k, N):
+        return blocks[N].P.entry(n, k) if 0 <= n <= N else F(0)
+
+    def below(n, k, N):  # column k of level N-1; its k = N column is (1, 0, ..., 0)
+        return P(n, k, N - 1) if k < N else F(n == 0)
+
+    def image(op, n, k, N):
+        M = op.dense(N)
+        return sum((M.entry(n, j) * P(j, k, N) for j in range(N + 1)), F(0))
+
+    lam = {N: component_eigenvalues(inst, N) for N in range(nm + 1)}
+    return {
+        "raising-contiguity": first_unequal(
+            ({"N": N, "n": n, "k": k}, P(n, k, N + 1),
+             (data.alpha1(n, N) * P(n - 1, k, N) if n >= 1 else 0)
+             + (data.alpha2(n, N) * P(n, k, N) if 0 <= n <= N else 0))
+            for N in range(nm) for n in range(-1, N + 2) for k in range(N + 1)),
+        "lowering-contiguity": first_unequal(
+            ({"N": N, "n": n, "k": k}, data.mu(k, N) * below(n, k, N),
+             (data.beta1(n, N) * P(n + 1, k, N) if n < N else 0)
+             + (data.beta2(n, N) * P(n, k, N) if 0 <= n <= N else 0))
+            for N in range(nm) for n in range(-1, N + 2) for k in range(N + 1)),
+        "raising": first_unequal(
+            ({"N": N, "n": n, "k": k}, image(delta.e, n, k, N), P(n, k, N + 1))
+            for N in range(nm) for k in range(N + 1) for n in range(N + 2)),
+        "lowering": first_unequal(
+            ({"N": N, "n": n, "k": k}, image(delta.f, n, k, N),
+             lam[N][k] * P(n, k, N - 1) if k < N else F(0))
+            for N in range(1, nm + 1) for k in range(N + 1) for n in range(N)),
+    }
+
+
+def reader_witnesses(inst, blocks, data, delta) -> dict:
+    def first(checks):
+        bad = next((c for c in checks if not c.passed), None)
+        return bad and (bad.witness.where, bad.witness.lhs, bad.witness.rhs)
+
+    raising_contiguity, lowering_contiguity = check_contiguity(inst, data, blocks).checks
+    return {
+        "raising-contiguity": first([raising_contiguity]),
+        "lowering-contiguity": first([lowering_contiguity]),
+        "raising": first(c for N in range(inst.n_max)
+                         for c in verify_raising(inst, N, blocks, delta).checks),
+        "lowering": first(c for N in range(1, inst.n_max + 1)
+                          for c in verify_lowering(inst, N, blocks, delta).checks),
+    }
+
+
+@cache
+def sample_artifacts(kind):
+    inst = sample_instance(kind, n_max=4)
+    blocks = {N: cg_block(inst, N) for N in range(inst.n_max + 1)}
+    return inst, blocks, contiguity(inst), build_delta(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), data=st.data())
+def test_block_corruption_witnesses_equal_a_plain_fraction_walk(kind, data):
+    # one or two entries of one block shifted; every reader names the first
+    # failing point of its own documented order, as the plain walk does
+    inst, blocks, coefficients, delta = sample_artifacts(kind)
+    N = data.draw(st.integers(0, inst.n_max))
+    rows = [list(row) for row in blocks[N].P.a]
+    for _ in range(data.draw(st.integers(1, 2))):
+        n, k = data.draw(st.integers(0, N)), data.draw(st.integers(0, N))
+        rows[n][k] += data.draw(st.sampled_from([F(1), F(-1, 2), F(3, 7)]))
+    corrupted = {**blocks, N: CGBlock.from_matrix(N, RatMat.from_rows(rows))}
+    want = fraction_walk_witnesses(inst, corrupted, coefficients, delta)
+    assert reader_witnesses(inst, corrupted, coefficients, delta) == want
+    assert any(want.values())
+
+
 # -- lowest-weight oracle -----------------------------------------------------
 
 def test_oracle_block_one_hahn():
@@ -249,7 +338,8 @@ def test_oracle_equals_polynomial_blocks(kind):
     inst = sample_instance(kind, n_max=5)
     oracle = lowest_weight_oracle(inst)
     for N in range(6):
-        assert oracle[N].P == cg_block(inst, N).P
+        # the same canonical integer columns, hence the same entries
+        assert oracle[N].columns == cg_block(inst, N).columns
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

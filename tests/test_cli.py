@@ -344,6 +344,17 @@ def block_from_rows(N: int, rows) -> CGBlock:
 # block 3 gains 1 at (n, k) = (1, 2) and (2, 0): a check walking n-major (N, n,
 # k) names a point of column 2 first, one walking k-major a point of column 0
 TWO_POINT_WITNESSES = {
+    # the dual Hahn sample sits at alpha = lambda1 - 1, so three-term runs too
+    FamilyKind.DUAL_HAHN: {
+        "raising-contiguity": ({"N": "2", "n": "1", "k": "2"}, "-2", "-3"),
+        "lowering-contiguity": ({"N": "3", "n": "0", "k": "2"}, "-9", "-11"),
+        "three-term": ({"N": "3", "n": "0", "k": "2"}, "22", "20"),
+        "raising": ({"N": "2", "n": "2", "k": "0"}, "3", "4"),
+        "lowering": ({"N": "3", "n": "1", "k": "0"}, "-48", "-42"),
+        "cg-oracle": ({"N": "3", "n": "1", "k": "2"}, "-3", "-2"),
+        "orthogonality": ({"error": "block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"},
+                          "", ""),
+    },
     FamilyKind.HAHN: {
         "raising-contiguity": ({"N": "2", "n": "1", "k": "2"}, "7/2", "5/2"),
         "lowering-contiguity": ({"N": "3", "n": "0", "k": "2"}, "-1", "-5"),

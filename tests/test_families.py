@@ -452,6 +452,19 @@ def test_corrupted_beta1_pins_the_lowering_witness():
         "where": {"N": "1", "n": "0", "k": "0"}, "lhs": "-1", "rhs": "-9/5"}
 
 
+def test_nonzero_mu_at_k_equal_N_fails_instead_of_raising():
+    # the k = N target of the lowering relation is mu(N, N) times P_0 = 1 on
+    # level N-1; valid data has mu(N, N) = 0, so only a corrupted mu reads it
+    inst = make_instance("hahn", alpha=F(1, 2), beta=F(1, 3), n_max=4)
+    data = contiguity(inst)
+    rep = check_contiguity(inst, dataclasses.replace(
+        data, mu=lambda k, N: data.mu(k, N) + (k == N == 2)))
+    assert [(c.name, c.passed) for c in rep.checks] == [
+        ("raising-contiguity", True), ("lowering-contiguity", False)]
+    assert rep.checks[1].witness.to_dict() == {
+        "where": {"N": "2", "n": "0", "k": "2"}, "lhs": "1", "rhs": "0"}
+
+
 @pytest.mark.parametrize("coeff, name, witness", [
     ("alpha1", "raising-contiguity",
      {"where": {"N": "4", "n": "2", "k": "0"}, "lhs": "5797/4096", "rhs": "22789/8192"}),

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from askeycg.linalg import RatMat, integer_vector, nullspace, rank
+from askeycg.linalg import (RatMat, column_mismatches, integer_bands, integer_vector,
+                            nullspace, rank)
 
 
 def ref_rank(m: RatMat) -> int:
@@ -182,3 +185,61 @@ def test_inverse_rejects_singular():
 def test_integer_vector_shares_the_least_common_denominator():
     assert integer_vector([F(1, 2), F(-2, 3), F(0), F(5)]) == ([3, -4, 0, 30], 6)
     assert integer_vector([]) == ([], 1)
+
+
+# -- the column kernel against a dense Fraction reference --------------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def band_identities(draw):
+    """(N, block, rows, here, targets): a sparse block with 0-3 entries in
+    each row -1..N+1 over the columns 0..N of level N, the integer columns
+    of that level, and per column a target x / xd times (b, e), the target
+    column 0..N+2 entries long; some targets are the exact image, some have
+    x = 0."""
+    N = draw(st.integers(0, 3))
+    rows = list(range(-1, N + 2))
+    block = {}
+    for i in rows:
+        for j in draw(st.lists(st.integers(0, N), max_size=3, unique=True)):
+            block[i, j] = draw(SMALL)
+    here = [tuple(integer_vector(draw(st.lists(SMALL, min_size=N + 1, max_size=N + 1))))
+            for _ in range(N + 1)]
+    targets = []
+    for a, c in here:
+        size = draw(st.integers(0, N + 2))
+        if draw(st.booleans()):  # the image itself, maybe with one entry shifted
+            values = [sum((v * F(a[j], c) for (i, j), v in block.items() if i == n), F(0))
+                      for n in range(size)]
+            if values and draw(st.booleans()):
+                values[draw(st.integers(0, size - 1))] += 1
+        else:
+            values = draw(st.lists(SMALL, min_size=size, max_size=size))
+        b, e = integer_vector(values)
+        x = draw(st.sampled_from([F(0), F(1), draw(SMALL)]))
+        targets.append((x.numerator, x.denominator, (b, e)))
+    return N, block, rows, here, targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(band_identities())
+def test_column_kernel_matches_a_dense_fraction_reference(case):
+    N, block, rows, here, targets = case
+    bands = integer_bands(block, rows)
+    assert list(bands) == rows
+    for i, (band, d) in bands.items():
+        entries = {j: v for (r, j), v in block.items() if r == i}
+        assert d == integer_vector(list(entries.values()))[1]
+        assert {j: F(t, d) for j, t in band} == entries
+    want = []
+    for n in rows:
+        for k, ((a, c), (x, xd, (b, e))) in enumerate(zip(here, targets)):
+            image = sum((block.get((n, j), 0) * F(a[j], c) for j in range(N + 1)), F(0))
+            target = F(x, xd) * (F(b[n], e) if 0 <= n < len(b) else 0)
+            if image != target:
+                want.append(({"N": N, "n": n, "k": k}, image, target))
+    got = [(where, F(*image), F(*target))
+           for where, image, target in column_mismatches(N, bands, here, targets)]
+    assert got == want
