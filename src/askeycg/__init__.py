@@ -11,7 +11,7 @@ counterexample reported when one fails.
 from .algebras import (AlgebraKind, AlgebraTag, CasimirCheck, GradedOperator,
                        Generators, ModuleSpec, build_generators, casimir,
                        check_relations, phi)
-from .cgverify import (CGBlock, DegenerateKernelError, WeightData,
+from .cgverify import (CGBlock, DegenerateKernelError, Run, WeightData,
                        WeightSolutionError, cg_block, lowest_weight_oracle,
                        orthogonality_weights, random_instance,
                        tensor_lowering_eigenvalue, verify_lowering,

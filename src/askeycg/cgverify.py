@@ -33,6 +33,10 @@ component k, and Omega is the diagonal that symmetrizes T_N. So it is
 certified by commutation alone, in O(N^2) integer operations on the stored
 columns, with no linear system solved (orthogonality_weights gives the steps
 and the proof).
+
+Every check, here and in families and coproduct, takes a Run: the artifacts
+of one verify run (Delta, the blocks, the contiguity data, the eigenvalues),
+each built once, on first use, by the one class that knows how.
 """
 
 from __future__ import annotations
@@ -43,17 +47,18 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
-from .algebras import _block_product, phi
-from .coproduct import Delta, build_delta
+from .algebras import (ModuleSpec, _block_product, build_generators, check_identity, phi,
+                       scalar_operator)
+from .coproduct import build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar
-from .families import (FamilyInstance, FamilyKind, algebra_for, make_instance, poly_block,
-                       tensor_label)
+from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
+                       make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
 from .linalg import Column, RatMat, column_mismatches, integer_bands, integer_vector
-from .report import CheckResult, Report, first_mismatch
+from .report import Report, first_mismatch
 
 __all__ = [
-    "CGBlock", "WeightData", "DegenerateKernelError", "WeightSolutionError",
+    "Run", "CGBlock", "WeightData", "DegenerateKernelError", "WeightSolutionError",
     "cg_block", "verify_raising", "verify_lowering", "lowest_weight_oracle",
     "orthogonality_weights", "verify_weight_grading",
     "tensor_lowering_eigenvalue", "component_eigenvalues", "random_instance",
@@ -128,9 +133,48 @@ def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:
 
 def component_eigenvalues(inst: FamilyInstance, N: int) -> tuple[Scalar, ...]:
     """Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), k = 0..N, on
-    level N; Lambda_N = 0. A verify run evaluates them once per level and
-    hands them to the lowering and orthogonality checks."""
+    level N; Lambda_N = 0."""
     return tuple(tensor_lowering_eigenvalue(inst, k, N - k) for k in range(N + 1))
+
+
+class Run:
+    """The artifacts of one verify run of inst, each built on first use and
+    shared by every check that reads it: each factor module with its
+    generators (`relations`, `casimir`), the contiguity data, Delta, the CG
+    blocks (integer columns) and the component eigenvalues Lambda of every
+    level (`lowering`, `orthogonality`). The contiguity data memoizes every
+    coefficient it evaluates, so the contiguity check, Delta (hence every
+    check that reads it) and the derived side of the algebraic-form check
+    evaluate each coefficient once per run.
+
+    Every check takes the run and reads the artifacts it needs from it.
+    Assigning an attribute (run.blocks = ..., run.delta = ...) before a
+    check reads it replaces that artifact for the rest of the run."""
+
+    def __init__(self, inst: FamilyInstance):
+        self.inst = inst
+
+    @cached_property
+    def factors(self):
+        modules = [ModuleSpec(algebra_for(self.inst), label, self.inst.n_max)
+                   for label in labels(self.inst)]
+        return [(module, build_generators(module)) for module in modules]
+
+    @cached_property
+    def contiguity(self):
+        return contiguity(self.inst)
+
+    @cached_property
+    def delta(self):
+        return build_delta(self.inst, self.contiguity)
+
+    @cached_property
+    def blocks(self):
+        return {N: cg_block(self.inst, N) for N in range(self.inst.n_max + 1)}
+
+    @cached_property
+    def eigenvalues(self):
+        return [component_eigenvalues(self.inst, N) for N in range(self.inst.n_max + 1)]
 
 
 def _k_major(N: int, block, rows: int, here, targets) -> list:
@@ -141,51 +185,41 @@ def _k_major(N: int, block, rows: int, here, targets) -> list:
                   key=lambda point: point[0]["k"])
 
 
-def verify_raising(inst: FamilyInstance, N: int,
-                   blocks: dict[int, CGBlock] | None = None,
-                   delta: Delta | None = None) -> Report:
+def verify_raising(run: Run, N: int) -> Report:
     """Delta(E) must map column k of block N to column k of block N+1,
     walked k-major, each point decided over integers (_k_major); only the
     first failing one is reduced, into the witness."""
+    inst = run.inst
     if not 0 <= N < inst.n_max:
         raise ValueError("raising check needs 0 <= N < n_max")
-    delta = delta or build_delta(inst)
-    blocks = blocks or {}
-    here = (blocks.get(N) or cg_block(inst, N)).columns
-    above = (blocks.get(N + 1) or cg_block(inst, N + 1)).columns
-    targets = [(1, 1, column) for column in above]
+    e = run.delta.e
+    targets = [(1, 1, column) for column in run.blocks[N + 1].columns]
     rep = Report(suite=f"raising:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}",
-                           _k_major(N, delta.e.blocks[N], delta.e.shape(N)[0], here, targets)))
+    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}", _k_major(
+        N, e.blocks[N], e.shape(N)[0], run.blocks[N].columns, targets)))
     return rep
 
 
-def verify_lowering(inst: FamilyInstance, N: int,
-                    blocks: dict[int, CGBlock] | None = None,
-                    delta: Delta | None = None,
-                    eigenvalues: Sequence[Scalar] | None = None) -> Report:
+def verify_lowering(run: Run, N: int) -> Report:
     """Delta(F) on column k of block N gives Lambda_k times column k of block
-    N-1, walked k-major; the k = N column dies. Lambda is `eigenvalues` when
-    given, else component_eigenvalues(inst, N). Each point is decided over
+    N-1, walked k-major; the k = N column dies. Each point is decided over
     integers (_k_major); only the first failing one is reduced, into the
     witness."""
+    inst = run.inst
     if not 1 <= N <= inst.n_max:
         raise ValueError("lowering check needs 1 <= N <= n_max")
-    delta = delta or build_delta(inst)
-    blocks = blocks or {}
-    here = (blocks.get(N) or cg_block(inst, N)).columns
-    below = (blocks.get(N - 1) or cg_block(inst, N - 1)).columns
-    lam = eigenvalues or component_eigenvalues(inst, N)
+    f = run.delta.f
+    below, lam = run.blocks[N - 1].columns, run.eigenvalues[N]
     targets = [(*lam[k].as_integer_ratio(), below[k]) for k in range(N)]
     targets.append((0, 1, ((), 1)))
     rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}",
-                           _k_major(N, delta.f.blocks[N], delta.f.shape(N)[0], here, targets)))
+    rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}", _k_major(
+        N, f.blocks[N], f.shape(N)[0], run.blocks[N].columns, targets)))
     return rep
 
 
-def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> list[CGBlock]:
-    """Rebuild every CG block from the coproduct alone; no CG value is read.
+def lowest_weight_oracle(run: Run) -> list[CGBlock]:
+    """Rebuild every CG block from the run's Delta alone; no CG value is read.
 
     For each k the kernel of Delta(F) on block k must be exactly
     one-dimensional; the kernel vector is scaled to first entry v_0 = 1,
@@ -196,9 +230,9 @@ def lowest_weight_oracle(inst: FamilyInstance, delta: Delta | None = None) -> li
     and column (a, c) maps to the band images over L c with their gcd
     divided out, so every column is the canonical pair cg_block stores.
     """
-    delta = delta or build_delta(inst)
+    delta = run.delta
     columns = []  # columns[N][k] is column k of block N
-    for N in range(inst.n_max + 1):
+    for N in range(run.inst.n_max + 1):
         level = []
         if N:
             rows = range(delta.e.shape(N - 1)[0])
@@ -240,25 +274,22 @@ def _lowering_kernel(block, k: int) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def orthogonality_weights(inst: FamilyInstance, N: int,
-                          block: CGBlock | None = None,
-                          delta: Delta | None = None,
-                          eigenvalues: Sequence[Scalar] | None = None) -> WeightData:
+def orthogonality_weights(run: Run, N: int) -> WeightData:
     """The weights Omega, Omega_0 = 1, making the CG columns of block N
     orthogonal with nonzero norms, unique up to scale (signs as found):
 
         sum_n P[n][k] P[n][l] Omega_n = delta_{k,l} Omega'_l
 
     Omega is certified by commutation with T, the tridiagonal part of T_N =
-    Delta(E) Delta(F) on level N (Delta is built when not given); a failed
-    step raises WeightSolutionError naming it:
+    Delta(E) Delta(F) on level N, from the run's Delta and block N; N outside
+    0..n_max is a ValueError, and a failed step raises WeightSolutionError
+    naming it:
 
     1. none of T[n][n+1], T[n+1][n] is zero;
     2. Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so W T is symmetric
        for W = diag(Omega);
     3. Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), which is 0 at
-       k = N, are pairwise distinct (`eigenvalues` when given, else
-       component_eigenvalues(inst, N));
+       k = N, are pairwise distinct (the run's eigenvalues of level N);
     4. T P = P Lambda exactly;
     5. every norm Omega'_l = sum_n P[n][l]^2 Omega_n is nonzero.
 
@@ -280,8 +311,10 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     = P_0(l, N) = 1, the columns are eigenvectors of distinct eigenvalues, so
     P, hence G, is invertible, and the norms on G's diagonal are nonzero.
     """
-    cols = (block or cg_block(inst, N)).columns
-    delta = delta or build_delta(inst)
+    if not 0 <= N <= run.inst.n_max:
+        raise ValueError("orthogonality weights need 0 <= N <= n_max")
+    cols = run.blocks[N].columns
+    delta = run.delta
 
     def failed(step, what):
         return WeightSolutionError(f"block {N}, step {step}: {what}")
@@ -294,7 +327,7 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
             if (i, j) not in T:
                 raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
         omega.append(omega[-1] * T[n, n + 1] / T[n + 1, n])
-    lam = eigenvalues or component_eigenvalues(inst, N)
+    lam = run.eigenvalues[N]
     for l, x in enumerate(lam):
         if x in lam[:l]:
             raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
@@ -313,26 +346,17 @@ def orthogonality_weights(inst: FamilyInstance, N: int,
     return WeightData(N, tuple(omega), tuple(omega_prime))
 
 
-def verify_weight_grading(inst: FamilyInstance, delta: Delta | None = None) -> Report:
+def verify_weight_grading(run: Run) -> Report:
     """Delta(H) (or Delta(K)) must act on block N as the scalar
     tensor_label(inst, N): lambda1 + lambda2 + 2N (or kappa1 kappa2 q^N).
-    Each level's block is compared with that one scalar on its diagonal and
-    with 0 everywhere else; the first failing entry in row-major order is
+    One algebras.check_identity against that scalar operator decides every
+    level; the row-major first failing entry of the first failing level is
     the witness {N, row, col}."""
-    delta = delta or build_delta(inst)
-    rng = f"blocks 0..{inst.n_max}"
+    inst, hk = run.inst, run.delta.hk
+    label = scalar_operator(hk.dims, lambda N: tensor_label(inst, N))
     rep = Report(suite=f"weight-grading:{inst.kind.value}", params=inst.to_doc())
-    for N in range(inst.n_max + 1):
-        block, value = delta.hk.blocks[N], tensor_label(inst, N)
-        bad = [(i, j) for i, j in {*block, *((i, i) for i in range(delta.hk.dims[N]))}
-               if block.get((i, j), 0) != (value if i == j else 0)]
-        if bad:
-            i, j = min(bad)
-            rep.add(CheckResult.fail("weight-grading", rng, {"N": N, "row": i, "col": j},
-                                     Fraction(block.get((i, j), 0)),
-                                     value if i == j else Fraction(0)))
-            return rep
-    rep.add(CheckResult.ok("weight-grading", rng))
+    rep.add(check_identity("weight-grading", f"blocks 0..{inst.n_max}", range(inst.n_max + 1),
+                           [(1, (hk,))], [(1, (label,))], hk.dims, "N"))
     return rep
 
 

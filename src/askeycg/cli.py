@@ -8,9 +8,10 @@ Subcommands:
     version   print the tool version
 
 `run_verify_suite` runs the named checks from one table; each entry has an
-optional skip rule and a runner. The runners share the generators of the two
-factor modules, the contiguity data, Delta and the CG blocks of the instance,
-each built on first use within one call.
+optional skip rule and a runner. The runners share one cgverify.Run of the
+instance, which builds each artifact (the factor modules' generators, the
+contiguity data, Delta, the CG blocks, the component eigenvalues) on first
+use within one call.
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
 parameters, unknown check names, a checks value that names no check, a
@@ -24,18 +25,16 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .algebras import ModuleSpec, build_generators, casimir, check_relations
-from .cgverify import (DegenerateKernelError, WeightSolutionError, cg_block,
-                       component_eigenvalues, lowest_weight_oracle, orthogonality_weights,
-                       verify_lowering, verify_raising, verify_weight_grading)
-from .coproduct import (_derived_coeffs, build_delta, check_algebraic_form,
-                        check_homomorphism, check_twist_qracah_specialization,
-                        krawtchouk_coassoc)
+from .algebras import casimir, check_relations
+from .cgverify import (DegenerateKernelError, Run, WeightSolutionError,
+                       lowest_weight_oracle, orthogonality_weights, verify_lowering,
+                       verify_raising, verify_weight_grading)
+from .coproduct import (check_algebraic_form, check_homomorphism,
+                        check_twist_qracah_specialization, krawtchouk_coassoc)
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
-from .families import (FamilyInstance, FamilyKind, algebra_for, check_contiguity,
-                       check_three_term_dual_hahn, contiguity, labels, make_instance)
+from .families import (FamilyInstance, FamilyKind, check_contiguity,
+                       check_three_term_dual_hahn, make_instance)
 from .linalg import column_mismatches
 from .report import TOOL_VERSION, CheckResult, Report, Witness, first_mismatch
 
@@ -48,44 +47,6 @@ _PARAM_FLAGS = ("alpha", "beta", "p", "q", "kappa1", "kappa2",
                 "lambda1", "lambda2")
 _CONFIG_KEYS = ("family", "nmax", "seed", "checks", "output", "format") + _PARAM_FLAGS
 _FORMATS = ("text", "json")
-
-
-class _Artifacts:
-    """Objects shared by the checks of one verify run, each built on first
-    use: each factor module with its generators (shared by `relations` and
-    `casimir`), the contiguity data, Delta, the CG blocks (integer columns)
-    and the component eigenvalues Lambda of every level (shared by
-    `lowering` and `orthogonality`). The contiguity
-    data memoizes every coefficient it evaluates, so `contiguity`, Delta
-    (hence `homomorphism`, `grading`, `raising`, `lowering`, `cg-oracle`,
-    `orthogonality`, `twist`)
-    and the derived side of `algebraic-form` evaluate each coefficient once
-    per run. Everything belongs to the run and is dropped with it."""
-
-    def __init__(self, inst: FamilyInstance):
-        self.inst = inst
-
-    @cached_property
-    def factors(self):
-        modules = [ModuleSpec(algebra_for(self.inst), label, self.inst.n_max)
-                   for label in labels(self.inst)]
-        return [(module, build_generators(module)) for module in modules]
-
-    @cached_property
-    def contiguity(self):
-        return contiguity(self.inst)
-
-    @cached_property
-    def delta(self):
-        return build_delta(self.inst, data=self.contiguity)
-
-    @cached_property
-    def blocks(self):
-        return {N: cg_block(self.inst, N) for N in range(self.inst.n_max + 1)}
-
-    @cached_property
-    def eigenvalues(self):
-        return [component_eigenvalues(self.inst, N) for N in range(self.inst.n_max + 1)]
 
 
 def _collapse(name: str, rep: Report) -> CheckResult:
@@ -112,14 +73,14 @@ def _until_failure(reports) -> Report:
     return out
 
 
-def _relations(inst: FamilyInstance, art: _Artifacts) -> Report:
+def _relations(run: Run) -> Report:
     return Report(suite="relations", checks=[
-        c for module, gens in art.factors for c in check_relations(module, gens).checks])
+        c for module, gens in run.factors for c in check_relations(module, gens).checks])
 
 
-def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
-    rng = f"levels 0..{inst.n_max - 1}"
-    for module, gens in art.factors:
+def _casimir(run: Run) -> CheckResult:
+    rng = f"levels 0..{run.inst.n_max - 1}"
+    for module, gens in run.factors:
         hit = casimir(module, gens).result.witness
         if hit:
             return CheckResult.fail("casimir", rng, {"label": module.label,
@@ -128,13 +89,13 @@ def _casimir(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
     return CheckResult.ok("casimir", rng)
 
 
-def _oracle(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
-    rng = f"all blocks N<={inst.n_max}"
+def _oracle(run: Run) -> CheckResult:
+    rng = f"all blocks N<={run.inst.n_max}"
     try:
-        oracle = lowest_weight_oracle(inst, art.delta)
+        oracle = lowest_weight_oracle(run)
     except DegenerateKernelError as exc:
         return _error_result("cg-oracle", rng, exc)
-    return first_mismatch("cg-oracle", rng, _oracle_mismatches(oracle, art.blocks))
+    return first_mismatch("cg-oracle", rng, _oracle_mismatches(oracle, run.blocks))
 
 
 def _oracle_mismatches(oracle, blocks):
@@ -150,11 +111,11 @@ def _oracle_mismatches(oracle, blocks):
                                          [(1, 1, column) for column in theirs])
 
 
-def _orthogonality(inst: FamilyInstance, art: _Artifacts) -> CheckResult:
-    rng = f"blocks 0..{inst.n_max}"
-    for N in range(inst.n_max + 1):
+def _orthogonality(run: Run) -> CheckResult:
+    rng = f"blocks 0..{run.inst.n_max}"
+    for N in range(run.inst.n_max + 1):
         try:
-            orthogonality_weights(inst, N, art.blocks[N], art.delta, art.eigenvalues[N])
+            orthogonality_weights(run, N)
         except WeightSolutionError as exc:
             return _error_result("orthogonality", rng, exc)
     return CheckResult.ok("orthogonality", rng)
@@ -174,29 +135,26 @@ def _twist_skip(inst: FamilyInstance) -> str | None:
         return "needs beta = 0 and alpha = kappa1^2/q"
 
 
-# name -> (skip rule giving a reason or None, runner); a runner returns a
-# CheckResult, or a Report that is folded into one entry under the name
+# name -> (skip rule giving a reason or None, runner); a runner takes the
+# run and returns a CheckResult, or a Report that is folded into one entry
+# under the name. Each runner looks its check up by name when it runs, so a
+# check patched in this module (by a tracer or a test) is the one called.
 _CHECKS = {
-    "contiguity": (None, lambda inst, art: check_contiguity(inst, art.contiguity,
-                                                            art.blocks)),
-    "three-term": (_three_term_skip,
-                   lambda inst, art: check_three_term_dual_hahn(inst, blocks=art.blocks)),
+    "contiguity": (None, lambda run: check_contiguity(run)),
+    "three-term": (_three_term_skip, lambda run: check_three_term_dual_hahn(run)),
     "relations": (None, _relations),
     "casimir": (None, _casimir),
-    "homomorphism": (None, lambda inst, art: check_homomorphism(inst, delta=art.delta)),
-    "algebraic-form": (None, lambda inst, art: check_algebraic_form(
-        inst, _derived_coeffs(inst, art.contiguity))),
-    "grading": (None, lambda inst, art: verify_weight_grading(inst, art.delta)),
-    "raising": (None, lambda inst, art: _until_failure(
-        verify_raising(inst, N, art.blocks, art.delta)
-        for N in range(inst.n_max))),
-    "lowering": (None, lambda inst, art: _until_failure(
-        verify_lowering(inst, N, art.blocks, art.delta, art.eigenvalues[N])
-        for N in range(1, inst.n_max + 1))),
+    "homomorphism": (None, lambda run: check_homomorphism(run)),
+    "algebraic-form": (None, lambda run: check_algebraic_form(run)),
+    "grading": (None, lambda run: verify_weight_grading(run)),
+    "raising": (None, lambda run: _until_failure(
+        verify_raising(run, N) for N in range(run.inst.n_max))),
+    "lowering": (None, lambda run: _until_failure(
+        verify_lowering(run, N) for N in range(1, run.inst.n_max + 1))),
     "cg-oracle": (None, _oracle),
     "orthogonality": (None, _orthogonality),
-    "twist": (_twist_skip, lambda inst, art: check_twist_qracah_specialization(
-        inst.q, inst.kappa1, inst.kappa2, inst.n_max, art.delta)),
+    "twist": (_twist_skip, lambda run: check_twist_qracah_specialization(
+        run.inst.q, run.inst.kappa1, run.inst.kappa2, run.inst.n_max, run.delta)),
 }
 
 CHECK_NAMES = list(_CHECKS)
@@ -212,15 +170,15 @@ def run_verify_suite(inst: FamilyInstance, checks: list[str] | None = None,
         raise InvalidParameterError(
             f"unknown check names: {', '.join(unknown)} "
             f"(known: {', '.join(CHECK_NAMES)})")
-    art = _Artifacts(inst)
+    run = Run(inst)
     rep = Report(suite=f"verify:{inst.kind.value}",
                  params={**inst.to_doc(), "seed": str(seed)})
-    for name, (skip, run) in _CHECKS.items():
+    for name, (skip, check) in _CHECKS.items():
         reason = "not selected" if name not in selected else skip and skip(inst)
         if reason:
             rep.add(CheckResult.skip(name, reason))
             continue
-        result = run(inst, art)
+        result = check(run)
         rep.add(result if isinstance(result, CheckResult) else _collapse(name, result))
     return rep
 
@@ -371,10 +329,10 @@ def cmd_verify(args) -> int:
 
 
 def table_doc(inst: FamilyInstance) -> dict:
-    art = _Artifacts(inst)
+    run = Run(inst)
     blocks = []
-    for N, blk in art.blocks.items():
-        weights = orthogonality_weights(inst, N, blk, art.delta)
+    for N, blk in run.blocks.items():
+        weights = orthogonality_weights(run, N)
         blocks.append({**blk.to_doc(), **{k: v for k, v in weights.to_doc().items()
                                           if k != "N"}})
     return {"suite": f"table:{inst.kind.value}", "version": TOOL_VERSION,

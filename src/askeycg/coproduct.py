@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks, cartan,
                        check_identity, invert_diagonal, phi, tensor_operator)
@@ -33,6 +33,9 @@ from .exactmath import (InvalidParameterError, Scalar, SingularParameterError, U
 from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                        contiguity, labels, make_instance)
 from .report import Report, first_mismatch
+
+if TYPE_CHECKING:
+    from .cgverify import Run
 
 __all__ = [
     "CoproductCoeffs", "coproduct_coeffs", "algebraic_form", "Delta", "build_delta",
@@ -61,21 +64,19 @@ def _reducing(coeffs: CoproductCoeffs, names=("x", "y", "xp", "yp")) -> Coproduc
     return replace(coeffs, **{a: reduced(getattr(coeffs, a)) for a in names})
 
 
-def coproduct_coeffs(inst: FamilyInstance,
-                     data: ContiguityData | None = None) -> CoproductCoeffs:
+def coproduct_coeffs(inst: FamilyInstance, data: ContiguityData) -> CoproductCoeffs:
     """Coefficients read off from the contiguity relations:
 
         x(n, N+1-n) = alpha1(n, N)          y(n, N+1-n) = alpha2(n, N)
         x'(n, N-1-n) = beta1(n, N) / phi(label1, n+1)
         y'(n, N-1-n) = beta2(n, N) / phi(label2, N-n)
 
-    The contiguity values come from `data` when given, so a run that already
-    holds them (the one behind its Delta) evaluates none twice; otherwise
-    from contiguity(inst). The lowering factors phi are memoized per level
-    for as long as the returned object lives. x' and y' are the quotients
-    of _derived_coeffs, each reduced once.
+    The contiguity values are read from `data`: contiguity(inst), or the
+    table a run already holds. The lowering factors phi are memoized per
+    level for as long as the returned object lives. x' and y' are the
+    quotients of _derived_coeffs, each reduced once.
     """
-    return _reducing(_derived_coeffs(inst, data or contiguity(inst)), ("xp", "yp"))
+    return _reducing(_derived_coeffs(inst, data), ("xp", "yp"))
 
 
 def _derived_coeffs(inst: FamilyInstance, data: ContiguityData) -> CoproductCoeffs:
@@ -232,17 +233,15 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
 Delta = Generators
 
 
-def build_delta(inst: FamilyInstance, data: ContiguityData | None = None) -> Delta:
+def build_delta(inst: FamilyInstance, data: ContiguityData) -> Delta:
     """Coproduct images on the tensor module of the instance: the two factor
     modules of labels(inst) under algebra_for(inst), truncated at total
     level inst.n_max, so level N has dimension N + 1.
 
-    The shifts are weighted straight with the contiguity coefficients, which
-    involves no division at all; they come from `data` when given, else from
-    contiguity(inst). The Cartan eigenvalues are evaluated once per factor
-    and level.
+    The shifts are weighted straight with the contiguity coefficients of
+    `data`, which involves no division at all. The Cartan eigenvalues are
+    evaluated once per factor and level.
     """
-    data = data or contiguity(inst)
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
     levels = range(inst.n_max + 1)
@@ -265,27 +264,25 @@ def build_delta(inst: FamilyInstance, data: ContiguityData | None = None) -> Del
                        ((0, -1), lambda n, m: data.beta2(n, n + m))), dhk)
 
 
-def check_homomorphism(inst: FamilyInstance, delta: Delta | None = None) -> Report:
-    """The coproduct images must satisfy the defining relations of the
-    algebra on every block where the compositions stay inside the truncation.
-    An already built `delta` is used as is; otherwise build_delta(inst)."""
-    delta = delta or build_delta(inst)
+def check_homomorphism(run: Run) -> Report:
+    """The run's coproduct images must satisfy the defining relations of the
+    algebra on every block where the compositions stay inside the truncation."""
+    inst, delta = run.inst, run.delta
     rep = Report(suite=f"homomorphism:{inst.kind.value}", params=inst.to_doc())
     rep.extend(_relation_checks(algebra_for(inst), delta.e, delta.f, delta.hk))
     return rep
 
 
-def check_algebraic_form(inst: FamilyInstance,
-                         derived: CoproductCoeffs | None = None) -> Report:
+def check_algebraic_form(run: Run) -> Report:
     """The closed operator expressions must reproduce the contiguity-derived
     coefficient functions on every tensor basis vector of the grid. The
-    derived side is `derived` when given, whose functions may return ints,
-    Fractions or Unreduced values (a verify run passes _derived_coeffs of its
-    shared contiguity data), else _derived_coeffs(inst, contiguity(inst));
-    the closed side is always evaluated afresh, by _closed_form. The x' and
-    y' quotients and every closed form stay unreduced: first_mismatch
-    decides each point by cross-multiplying and reduces only a witness."""
-    derived = derived or _derived_coeffs(inst, contiguity(inst))
+    derived side is _derived_coeffs of run.contiguity, the table the run's
+    Delta shares; the closed side is always evaluated afresh, by
+    _closed_form. The x' and y' quotients and every closed form stay
+    unreduced: first_mismatch decides each point by cross-multiplying and
+    reduces only a witness."""
+    inst = run.inst
+    derived = _derived_coeffs(inst, run.contiguity)
     closed = _closed_form(inst)
     nm = inst.n_max
     rep = Report(suite=f"algebraic-form:{inst.kind.value}", params=inst.to_doc())
@@ -314,8 +311,8 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
     No coefficient here ever divides by a lowering coefficient, so module
     labels with a vanishing phi inside the truncation are acceptable; only
     q, the kappas and n_max >= 1 (below it no raising block is compared) are
-    validated. An already built `delta` of this point is used as is; otherwise
-    it is built here.
+    validated. An already built `delta` of this point (a verify run's) is
+    used as is; otherwise it is built here.
     """
     q, kappa1, kappa2 = (Fraction(v) for v in (q, kappa1, kappa2))
     if q in (0, 1, -1):
@@ -328,7 +325,8 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
                           alpha=kappa1 ** 2 / q, beta=Fraction(0),
                           gamma=kappa1 ** 2 * kappa2 ** 2 / q,
                           q=q, kappa1=kappa1, kappa2=kappa2)
-    delta = delta or build_delta(inst)
+    if delta is None:
+        delta = build_delta(inst, contiguity(inst))
     dims = delta.e.dims
     alg = algebra_for(inst)
 

@@ -41,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, gcd, lcm, log
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .algebras import AlgebraKind, AlgebraTag
 from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
@@ -49,6 +49,9 @@ from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
                         q_binomial_pair, q_hyper_terminating, q_powers, ratio_scales)
 from .linalg import column_mismatches, integer_bands
 from .report import CheckResult, Report, first_mismatch
+
+if TYPE_CHECKING:
+    from .cgverify import Run
 
 __all__ = [
     "FamilyKind", "FamilyInstance", "ContiguityData", "make_instance",
@@ -526,8 +529,7 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
 # checks
 # ---------------------------------------------------------------------------
 
-def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
-                     blocks: dict | None = None) -> Report:
+def check_contiguity(run: Run) -> Report:
     """Verify both contiguity relations exactly on the whole truncated grid,
     0 <= N < n_max, -1 <= n <= N+1, 0 <= k <= N, walked n-major.
 
@@ -539,16 +541,12 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
     (1, 0, ..., 0) as P_0 = 1, empty at N = 0. A coefficient is evaluated
     only next to a polynomial inside 0..N, so inside the validated grid, and
     a row outside the target column compares with 0 (the zero convention).
-    Coefficients come from `data` when given (a run shares one memoized
-    table with its Delta), otherwise from contiguity(inst); the columns are
-    those of `blocks` (level -> CG block, as built by cgverify.cg_block)
-    when given, else of poly_block(inst, N), built once per level. The
-    contiguity side is the witness's lhs; only the first failing point is
-    reduced, by first_mismatch.
+    Coefficients come from run.contiguity, the memoized table the run's
+    Delta shares, and the columns from run.blocks. The contiguity side is
+    the witness's lhs; only the first failing point is reduced, by
+    first_mismatch.
     """
-    data = data or contiguity(inst)
-    columns = (lambda N: blocks[N].columns) if blocks is not None else cache(
-        partial(poly_block, inst))
+    inst, data, blocks = run.inst, run.contiguity, run.blocks
     nm = inst.n_max
     zero = Fraction(0)
 
@@ -562,19 +560,19 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
         bands = {n: band(n - 1, data.alpha1(n, N) if n >= 1 else zero,
                          n, data.alpha2(n, N) if 0 <= n <= N else zero)
                  for n in range(-1, N + 2)}
-        return bands, [(1, 1, column) for column in columns(N + 1)]
+        return bands, [(1, 1, column) for column in blocks[N + 1].columns]
 
     def lowering(N):
         bands = {n: band(n + 1, data.beta1(n, N) if n < N else zero,
                          n, data.beta2(n, N) if 0 <= n <= N else zero)
                  for n in range(-1, N + 2)}
-        below = [*columns(N - 1), ((1,) + (0,) * (N - 1), 1)] if N else [((), 1)]
+        below = [*blocks[N - 1].columns, ((1,) + (0,) * (N - 1), 1)] if N else [((), 1)]
         return bands, [(*data.mu(k, N).as_integer_ratio(), below[k]) for k in range(N + 1)]
 
     def mismatches(relation):
         for N in range(nm):
             bands, targets = relation(N)
-            for where, image, target in column_mismatches(N, bands, columns(N), targets):
+            for where, image, target in column_mismatches(N, bands, blocks[N].columns, targets):
                 yield where, target, image
 
     rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
@@ -585,9 +583,8 @@ def check_contiguity(inst: FamilyInstance, data: ContiguityData | None = None,
     return rep
 
 
-def check_three_term_dual_hahn(inst: FamilyInstance,
-                               mu_fn: Callable[[int, int], Scalar] | None = None,
-                               blocks: dict | None = None) -> Report:
+def check_three_term_dual_hahn(run: Run,
+                               mu_fn: Callable[[int, int], Scalar] | None = None) -> Report:
     """Three-term recurrence of the dual Hahn family at alpha = lambda1 - 1:
 
         A_n P_{n+1} + (A_n + C_n) P_n + C_n P_{n-1} = mu(k) P_n
@@ -595,9 +592,10 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
     with A_n = (n+1)(n+lambda1), C_n = (N-n+1)(N-n+lambda2) and
     mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N: a
     tridiagonal band on the integer columns of level N against mu(k) times
-    the same column, walked n-major (linalg.column_mismatches). The columns
-    are those of `blocks` when given, else of poly_block(inst, N).
+    the same column, walked n-major (linalg.column_mismatches), on the
+    columns of run.blocks.
     """
+    inst = run.inst
     if inst.kind is not FamilyKind.DUAL_HAHN:
         raise InvalidParameterError("three-term recurrence check needs a dual Hahn instance")
     if inst.alpha != inst.lambda1 - 1:
@@ -614,7 +612,7 @@ def check_three_term_dual_hahn(inst: FamilyInstance,
             for j, v in ((n + 1, a_n), (n, a_n + c_n), (n - 1, c_n)):
                 if 0 <= j <= N:
                     tridiagonal[n, j] = v
-        cols = blocks[N].columns if blocks is not None else poly_block(inst, N)
+        cols = run.blocks[N].columns
         targets = [(*Fraction(mu_fn(k, N)).as_integer_ratio(), col)
                    for k, col in enumerate(cols)]
         return column_mismatches(N, integer_bands(tridiagonal, range(N + 1)), cols, targets)

@@ -15,20 +15,21 @@ import pytest
 
 from askeycg.algebras import (AlgebraKind, AlgebraTag, Generators, GradedOperator,
                               ModuleSpec, build_generators, casimir,
-                              check_relations, scalar_operator)
-from askeycg.cgverify import (CGBlock, WeightSolutionError, cg_block,
+                              check_relations, phi, scalar_operator)
+from askeycg.cgverify import (CGBlock, Run, WeightSolutionError, cg_block,
                               lowest_weight_oracle, orthogonality_weights,
                               random_instance, verify_lowering, verify_raising)
-from askeycg.coproduct import (CoproductCoeffs, Delta, build_delta,
-                               check_algebraic_form, check_homomorphism,
+from askeycg.coproduct import (Delta, check_algebraic_form, check_homomorphism,
                                check_twist_qracah_specialization,
                                coproduct_coeffs, krawtchouk_coassoc)
-from askeycg.families import (ContiguityData, FamilyKind, check_contiguity,
-                              check_three_term_dual_hahn, contiguity,
+from askeycg.families import (ContiguityData, FamilyKind, algebra_for, check_contiguity,
+                              check_three_term_dual_hahn, contiguity, labels,
                               limit_hahn_to_krawtchouk, limit_racah_to_dual_hahn,
                               make_instance, poly_value)
 from askeycg.cgverify import verify_weight_grading
 from askeycg.linalg import RatMat
+
+from test_families import run_with
 
 ALL_KINDS = list(FamilyKind)
 N_MAX = 8
@@ -53,7 +54,7 @@ def test_criterion_01_contiguity_suite():
     for kind in ALL_KINDS:
         t0 = time.perf_counter()
         for inst in _draws(kind):
-            rep = check_contiguity(inst)
+            rep = check_contiguity(Run(inst))
             assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
@@ -68,7 +69,7 @@ def test_criterion_02_dual_hahn_three_term():
         for l2 in values:
             inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=l1, lambda2=l2,
                                  alpha=l1 - 1, n_max=N_MAX)
-            rep = check_three_term_dual_hahn(inst)
+            rep = check_three_term_dual_hahn(Run(inst))
             assert rep.passed, (l1, l2, rep.first_failure())
     _report(2, "dual Hahn three-term recurrence, 16 label pairs, N<=8", True)
 
@@ -93,7 +94,7 @@ def test_criterion_03_representation_suite():
 def test_criterion_04_homomorphism_suite():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            rep = check_homomorphism(inst)
+            rep = check_homomorphism(Run(inst))
             assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
     _report(4, "coproduct homomorphism, 6 families x 5 draws, blocks<=7", True)
 
@@ -101,14 +102,15 @@ def test_criterion_04_homomorphism_suite():
 def test_criterion_05_cg_equivalence():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            oracle = lowest_weight_oracle(inst)
+            run = Run(inst)
+            oracle = lowest_weight_oracle(run)
             for N in range(N_MAX + 1):
                 assert oracle[N].P == cg_block(inst, N).P, \
                     (kind.value, N, inst.to_doc())
             for N in range(N_MAX):
-                assert verify_raising(inst, N).passed, (kind.value, N)
+                assert verify_raising(run, N).passed, (kind.value, N)
             for N in range(1, N_MAX + 1):
-                assert verify_lowering(inst, N).passed, (kind.value, N)
+                assert verify_lowering(run, N).passed, (kind.value, N)
     _report(5, "CG blocks equal the lowest-weight oracle; raising/lowering "
                "exact incl. top-column annihilation", True)
 
@@ -116,7 +118,7 @@ def test_criterion_05_cg_equivalence():
 def test_criterion_06_algebraic_form_agreement():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            rep = check_algebraic_form(inst)
+            rep = check_algebraic_form(Run(inst))
             assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
     _report(6, "closed coproduct expressions match contiguity-derived "
                "coefficients everywhere", True)
@@ -127,7 +129,7 @@ def test_criterion_07_specializations():
     for l1, l2 in ((F(2), F(3)), (F(5, 2), F(7, 3)), (F(4), F(3, 2))):
         inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=l1, lambda2=l2,
                              alpha=l1 - 1, n_max=6)
-        cf = coproduct_coeffs(inst)
+        cf = coproduct_coeffs(inst, contiguity(inst))
         for n in range(6):
             for m in range(6):
                 assert cf.xp(n, m) == 1 and cf.yp(n, m) == 1
@@ -191,8 +193,9 @@ def test_criterion_09_coassociativity():
 def test_criterion_10_orthogonality():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
+            run = Run(inst)
             for N in range(N_MAX + 1):
-                w = orthogonality_weights(inst, N)
+                w = orthogonality_weights(run, N)
                 assert all(x != 0 for x in w.omega_prime)
     _report(10, "one-dimensional weight solution with nonvanishing norms, "
                 "6 families x 5 draws, N<=8", True)
@@ -204,16 +207,16 @@ def test_criterion_11_negative_controls():
     # contiguity: alpha2 doubled
     inst = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
     data = contiguity(inst)
-    rep = check_contiguity(inst, ContiguityData(
+    rep = check_contiguity(run_with(inst, contiguity=ContiguityData(
         alpha1=data.alpha1, alpha2=lambda n, N: 2 * data.alpha2(n, N),
-        beta1=data.beta1, beta2=data.beta2, mu=data.mu))
+        beta1=data.beta1, beta2=data.beta2, mu=data.mu)))
     witnesses.append(("contiguity", rep.first_failure()))
 
     # three-term: mu off by one
     dh = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(2), lambda2=F(3),
                        alpha=F(1), n_max=4)
     rep = check_three_term_dual_hahn(
-        dh, mu_fn=lambda k, N: (N - k + 1) * (N + k + 5) + 1)
+        Run(dh), mu_fn=lambda k, N: (N - k + 1) * (N + k + 5) + 1)
     witnesses.append(("three-term", rep.first_failure()))
 
     # representation relations: lowering sign flipped
@@ -226,14 +229,14 @@ def test_criterion_11_negative_controls():
 
     # homomorphism: y coefficient replaced by 1
     hahn = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
-    rep = check_homomorphism(hahn, delta=build_delta(
-        hahn, data=replace(contiguity(hahn), alpha2=lambda n, N: F(1))))
+    rep = check_homomorphism(run_with(
+        hahn, contiguity=replace(contiguity(hahn), alpha2=lambda n, N: F(1))))
     witnesses.append(("homomorphism", rep.first_failure()))
 
-    # algebraic form: derived xp shifted
-    cf = coproduct_coeffs(hahn)
-    rep = check_algebraic_form(hahn, derived=CoproductCoeffs(
-        x=cf.x, y=cf.y, xp=lambda n, m: cf.xp(n, m) + 1, yp=cf.yp))
+    # algebraic form: derived xp shifted, by phi(label1, n+1) added to beta1
+    data, l1 = contiguity(hahn), labels(hahn)[0]
+    rep = check_algebraic_form(run_with(hahn, contiguity=replace(
+        data, beta1=lambda n, N: data.beta1(n, N) + phi(algebra_for(hahn), l1, n + 1))))
     witnesses.append(("algebraic-form", rep.first_failure()))
 
     # raising: binomial prefactor dropped from the blocks
@@ -241,19 +244,19 @@ def test_criterion_11_negative_controls():
     corrupt = {N: CGBlock.from_matrix(N, RatMat.build(
         N + 1, N + 1, lambda n, k, N=N: poly_value(hahn, n, k, N) / binomial(N, n)))
         for N in range(5)}
-    rep = verify_raising(hahn, 1, corrupt)
+    rep = verify_raising(run_with(hahn, blocks=corrupt), 1)
     witnesses.append(("raising", rep.first_failure()))
 
     # lowering: same corruption; N = 2 is the smallest level where a
     # binomial prefactor differs from 1
-    rep = verify_lowering(hahn, 2, corrupt)
+    rep = verify_lowering(run_with(hahn, blocks=corrupt), 2)
     witnesses.append(("lowering", rep.first_failure()))
 
     # weight grading: Delta(H) shifted by one
-    delta = build_delta(hahn)
+    delta = Run(hahn).delta
     bad_delta = Delta(delta.e, delta.f, scalar_operator(
         delta.hk.dims, lambda N: hahn.lambda1 + hahn.lambda2 + 2 * N + 1))
-    rep = verify_weight_grading(hahn, bad_delta)
+    rep = verify_weight_grading(run_with(hahn, delta=bad_delta))
     witnesses.append(("grading", rep.first_failure()))
 
     expected = {
@@ -276,8 +279,8 @@ def test_criterion_11_negative_controls():
 
     # orthogonality: a singular block must be refused loudly
     with pytest.raises(WeightSolutionError):
-        orthogonality_weights(hahn, 1, CGBlock.from_matrix(1, RatMat.from_rows(
-            [[F(1), F(1)], [F(1), F(1)]])))
+        orthogonality_weights(run_with(hahn, blocks={1: CGBlock.from_matrix(1, RatMat.from_rows(
+            [[F(1), F(1)], [F(1), F(1)]]))}), 1)
 
     _report(11, "every suite pinpoints an injected corruption with a witness",
             True, f"{len(witnesses)} suites + orthogonality guard")

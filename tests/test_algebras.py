@@ -15,10 +15,10 @@ from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generator
                               _relation_checks, _uqsl2_standard_form_check)
 from askeycg.coproduct import build_delta, check_homomorphism
 from askeycg.exactmath import InvalidParameterError
-from askeycg.families import FamilyKind, algebra_for, labels, make_instance
+from askeycg.families import FamilyKind, algebra_for, contiguity, labels, make_instance
 from askeycg.report import CheckResult
 
-from test_families import ALL_KINDS, sample_instance, wide_instance
+from test_families import ALL_KINDS, run_with, sample_instance, wide_instance
 from test_linalg import to_lists
 
 OSC = AlgebraKind(AlgebraTag.OSC)
@@ -517,7 +517,7 @@ def relation_operands(draw):
         inst = wide_instance(draw(st.sampled_from(ALL_KINDS)), rng, draw(st.integers(1, 5)))
         module = ModuleSpec(algebra_for(inst), labels(inst)[0], inst.n_max)
         try:
-            gens = build_delta(inst)
+            gens = build_delta(inst, contiguity(inst))
         except ZeroDivisionError:
             assume(False)
     ops = [gens.e, gens.f, gens.hk]
@@ -586,11 +586,11 @@ def count_compositions(monkeypatch) -> list:
     make_instance(FamilyKind.Q_RACAH, 5, q=F(1, 2), kappa1=F(1, 2), kappa2=F(1, 3),
                   alpha=F(1, 5), beta=F(1, 7))], ids=lambda inst: inst.kind.value)
 def test_relation_checks_compose_nothing(inst, monkeypatch):
-    delta = build_delta(inst)
+    run = run_with(inst, delta=build_delta(inst, contiguity(inst)))
     module = ModuleSpec(algebra_for(inst), labels(inst)[0], inst.n_max)
     gens = build_generators(module)
     calls = count_compositions(monkeypatch)
-    assert check_homomorphism(inst, delta=delta).passed
+    assert check_homomorphism(run).passed
     rep = check_relations(module, gens)
     assert rep.passed and calls == []
     assert [c.skipped for c in rep.checks] == [False] * 3 + [True] * (
@@ -609,11 +609,11 @@ def test_uqsl2_standard_form_is_the_only_composing_relation_check(monkeypatch):
 def test_relation_check_without_a_checked_block_raises_value_error(which, level):
     # without block 2 of H, H E has no block 1
     inst = sample_instance(FamilyKind.RACAH, n_max=4)
-    delta = build_delta(inst)
+    delta = build_delta(inst, contiguity(inst))
     op = getattr(delta, which)
     cut = GradedOperator(op.degree, op.dims, {n: b for n, b in op.blocks.items() if n != 2})
     with pytest.raises(ValueError, match=f"block {level} outside the checked operators"):
-        check_homomorphism(inst, delta=replace(delta, **{which: cut}))
+        check_homomorphism(run_with(inst, delta=replace(delta, **{which: cut})))
 
 
 # -- witnesses pinned on corrupted inputs --------------------------------------

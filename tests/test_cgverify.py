@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import askeycg.cgverify as cgverify
 import askeycg.linalg as linalg
 from askeycg.algebras import GradedOperator, scalar_operator
-from askeycg.cgverify import (CGBlock, DegenerateKernelError, WeightData,
+from askeycg.cgverify import (CGBlock, DegenerateKernelError, Run, WeightData,
                               WeightSolutionError, _draw_params, cg_block,
                               component_eigenvalues, lowest_weight_oracle,
                               orthogonality_weights,
@@ -28,8 +28,8 @@ from askeycg.families import (FamilyInstance, FamilyKind, check_contiguity, cont
 from askeycg.linalg import RatMat, nullspace, rank
 
 from test_algebras import with_entry
-from test_families import (ALL_KINDS, poly_reference, sample_instance, wide_draws,
-                           wide_instance)
+from test_families import (ALL_KINDS, poly_reference, run_with, sample_instance,
+                           wide_draws, wide_instance)
 from test_golden_reports import CASES as GOLDEN_CASES
 from test_golden_reports import report as golden_report
 from test_linalg import inverse, matmul, to_lists
@@ -102,7 +102,8 @@ def test_block_needs_neither_the_recurrence_nor_the_entry_route(kind, monkeypatc
 def test_block_columns_are_reduced_integer_vectors(kind, n_max, seed):
     # each stored column (a, c) is the value column over its least common
     # denominator: c > 0 and gcd(*a, c) = 1, so its storage is unique; the
-    # contiguity check reads the same columns with or without a block table
+    # contiguity check reads the same columns from a run's own blocks as
+    # from this table
     inst = wide_instance(kind, random.Random(seed), n_max)
     blocks = {N: cg_block(inst, N) for N in range(n_max + 1)}
     for N, blk in blocks.items():
@@ -110,9 +111,9 @@ def test_block_columns_are_reduced_integer_vectors(kind, n_max, seed):
         for k, (a, c) in enumerate(blk.columns):
             assert c > 0 and gcd(*a, c) == 1
             assert [F(x, c) for x in a] == [poly_value(inst, n, k, N) for n in range(N + 1)]
-    standalone = check_contiguity(inst)
+    standalone = check_contiguity(Run(inst))
     assert standalone.passed, standalone.first_failure()
-    assert standalone.to_dict() == check_contiguity(inst, blocks=blocks).to_dict()
+    assert standalone.to_dict() == check_contiguity(run_with(inst, blocks=blocks)).to_dict()
 
 
 def first_entry_error(inst, N):
@@ -170,16 +171,16 @@ def test_first_column_is_binomial_vector():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_raising_and_lowering(kind):
-    inst = sample_instance(kind)
-    for N in range(inst.n_max):
-        assert verify_raising(inst, N).passed
-    for N in range(1, inst.n_max + 1):
-        assert verify_lowering(inst, N).passed
+    run = Run(sample_instance(kind))
+    for N in range(run.inst.n_max):
+        assert verify_raising(run, N).passed
+    for N in range(1, run.inst.n_max + 1):
+        assert verify_lowering(run, N).passed
 
 
 def test_krawtchouk_pascal_row():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     image = matmul(delta.e.dense(0), cg_block(inst, 0).P)
     assert image.column(0) == (F(1), F(1))
     assert cg_block(inst, 1).P.column(0) == (F(1), F(1))
@@ -194,7 +195,7 @@ def test_raising_detects_missing_binomial_prefactor():
             lambda n, k: poly_value(inst, n, k, N) / binomial(N, n)))
 
     blocks = {N: corrupt(N) for N in range(inst.n_max + 1)}
-    rep = verify_raising(inst, 1, blocks)
+    rep = verify_raising(run_with(inst, blocks=blocks), 1)
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
 
@@ -202,7 +203,7 @@ def test_raising_detects_missing_binomial_prefactor():
 def test_lowering_annihilates_top_column():
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
-        delta = build_delta(inst)
+        delta = Run(inst).delta
         for N in range(1, 4):
             image = matmul(delta.f.dense(N), cg_block(inst, N).P)
             assert all(image.entry(n, N) == 0 for n in range(N))
@@ -278,22 +279,22 @@ def reader_witnesses(inst, blocks, data, delta) -> dict:
         bad = next((c for c in checks if not c.passed), None)
         return bad and (bad.witness.where, bad.witness.lhs, bad.witness.rhs)
 
-    raising_contiguity, lowering_contiguity = check_contiguity(inst, data, blocks).checks
+    run = run_with(inst, blocks=blocks, contiguity=data, delta=delta)
+    raising_contiguity, lowering_contiguity = check_contiguity(run).checks
     return {
         "raising-contiguity": first([raising_contiguity]),
         "lowering-contiguity": first([lowering_contiguity]),
         "raising": first(c for N in range(inst.n_max)
-                         for c in verify_raising(inst, N, blocks, delta).checks),
+                         for c in verify_raising(run, N).checks),
         "lowering": first(c for N in range(1, inst.n_max + 1)
-                          for c in verify_lowering(inst, N, blocks, delta).checks),
+                          for c in verify_lowering(run, N).checks),
     }
 
 
 @cache
 def sample_artifacts(kind):
-    inst = sample_instance(kind, n_max=4)
-    blocks = {N: cg_block(inst, N) for N in range(inst.n_max + 1)}
-    return inst, blocks, contiguity(inst), build_delta(inst)
+    run = Run(sample_instance(kind, n_max=4))
+    return run.inst, run.blocks, run.contiguity, run.delta
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,26 +318,26 @@ def test_block_corruption_witnesses_equal_a_plain_fraction_walk(kind, data):
 
 def test_oracle_block_one_hahn():
     inst = sample_instance(FamilyKind.HAHN)
-    oracle = lowest_weight_oracle(inst)
+    oracle = lowest_weight_oracle(Run(inst))
     assert oracle[1].P.column(1) == (F(1), F(-1, 4))
 
 
 def test_oracle_block_one_standard_sl2():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
-    oracle = lowest_weight_oracle(inst)
+    oracle = lowest_weight_oracle(Run(inst))
     assert oracle[1].P.column(1) == (F(1), -inst.lambda2 / inst.lambda1)
 
 
 def test_oracle_first_column_trivial_kernel():
     inst = sample_instance(FamilyKind.Q_HAHN)
-    oracle = lowest_weight_oracle(inst)
+    oracle = lowest_weight_oracle(Run(inst))
     assert to_lists(oracle[0].P) == [[F(1)]]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_oracle_equals_polynomial_blocks(kind):
     inst = sample_instance(kind, n_max=5)
-    oracle = lowest_weight_oracle(inst)
+    oracle = lowest_weight_oracle(Run(inst))
     for N in range(6):
         # the same canonical integer columns, hence the same entries
         assert oracle[N].columns == cg_block(inst, N).columns
@@ -346,7 +347,7 @@ def test_oracle_equals_polynomial_blocks(kind):
 def test_oracle_evaluates_no_polynomial(kind, monkeypatch):
     # every column, its scale included, comes from Delta alone
     inst = sample_instance(kind, n_max=5)
-    delta = build_delta(inst)
+    run = run_with(inst, delta=build_delta(inst, contiguity(inst)))
     want = [cg_block(inst, N) for N in range(inst.n_max + 1)]
 
     def forbidden(*args, **kwargs):
@@ -357,7 +358,7 @@ def test_oracle_evaluates_no_polynomial(kind, monkeypatch):
         for name in ("poly_block", "poly_value", "cg_block"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    assert lowest_weight_oracle(inst, delta=delta) == want
+    assert lowest_weight_oracle(run) == want
 
 
 @pytest.mark.parametrize("entries,message", [
@@ -369,13 +370,13 @@ def test_oracle_evaluates_no_polynomial(kind, monkeypatch):
 def test_oracle_degenerate_kernel(entries, message):
     # Delta(F) on block 1 is the row (beta2(0, 1), beta1(0, 1))
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     f = delta.f
     assert f.dense(1).entry(0, 0) != 0 and f.dense(1).entry(0, 1) != 0
     for ij, value in entries.items():
         f = with_entry(f, 1, ij, value)
     with pytest.raises(DegenerateKernelError) as exc:
-        lowest_weight_oracle(inst, delta=Delta(delta.e, f, delta.hk))
+        lowest_weight_oracle(run_with(inst, delta=Delta(delta.e, f, delta.hk)))
     assert str(exc.value) == message
 
 
@@ -390,13 +391,13 @@ def test_oracle_kernel_dimension_counts_matched_columns(zeros, message):
     # Rows (b2, b1, 0) and (0, b2, 0) have rank 2: the kernel is the line
     # through (0, 0, 1)
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     f = delta.f
     for ij in zeros:
         f = with_entry(f, 2, ij, F(0))
     assert len(f.blocks[2]) == 4 - len(zeros)
     with pytest.raises(DegenerateKernelError) as exc:
-        lowest_weight_oracle(inst, delta=Delta(delta.e, f, delta.hk))
+        lowest_weight_oracle(run_with(inst, delta=Delta(delta.e, f, delta.hk)))
     assert str(exc.value) == message
 
 
@@ -427,23 +428,23 @@ def test_oracle_kernel_matches_the_full_solve_on_every_zero_pattern(k):
 
 def test_weights_block_zero():
     inst = sample_instance(FamilyKind.HAHN)
-    w = orthogonality_weights(inst, 0)
+    w = orthogonality_weights(Run(inst), 0)
     assert w.omega == (F(1),) and w.omega_prime == (F(1),)
 
 
 def test_weights_block_zero_norm_is_the_square():
     # sum_n P[n][0]^2 Omega_n = P[0][0]^2 on block 0, on both paths
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     blk = CGBlock.from_matrix(0, RatMat.from_rows([[F(2)]]))
-    for d in (None, delta):
-        w = orthogonality_weights(inst, 0, blk, d)
+    for run in (run_with(inst, blocks={0: blk}), run_with(inst, blocks={0: blk}, delta=delta)):
+        w = orthogonality_weights(run, 0)
         assert (w.omega, w.omega_prime) == ((F(1),), (F(4),))
 
 
 def test_weights_dual_hahn_example():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
-    w = orthogonality_weights(inst, 1)
+    w = orthogonality_weights(Run(inst), 1)
     assert w.omega == (F(1), F(2, 3))
     assert w.omega_prime == (F(5, 3), F(5, 2))
 
@@ -451,9 +452,10 @@ def test_weights_dual_hahn_example():
 def test_weights_orthogonalize_exactly():
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
+        run = Run(inst)
         for N in range(5):
             P = cg_block(inst, N).P
-            w = orthogonality_weights(inst, N)
+            w = orthogonality_weights(run, N)
             for k in range(N + 1):
                 for l in range(N + 1):
                     s = sum((P.entry(n, k) * P.entry(n, l) * w.omega[n]
@@ -462,9 +464,9 @@ def test_weights_orthogonalize_exactly():
 
 
 def test_krawtchouk_weights_positive():
-    inst = sample_instance(FamilyKind.KRAWTCHOUK)
+    run = Run(sample_instance(FamilyKind.KRAWTCHOUK))
     for N in range(7):
-        w = orthogonality_weights(inst, N)
+        w = orthogonality_weights(run, N)
         assert all(x > 0 for x in w.omega)
         assert all(x > 0 for x in w.omega_prime)
 
@@ -473,7 +475,17 @@ def test_weights_reject_singular_block():
     inst = sample_instance(FamilyKind.HAHN)
     bad = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
     with pytest.raises(WeightSolutionError):
-        orthogonality_weights(inst, 1, bad)
+        orthogonality_weights(run_with(inst, blocks={1: bad}), 1)
+
+
+@pytest.mark.parametrize("N", [-1, 7])
+def test_weights_outside_the_grid_are_rejected(N):
+    # a level outside 0..n_max has no T_N to certify: it is refused, not
+    # certified vacuously (N = -1) or failed at step 1 (N = n_max + 1)
+    inst = sample_instance(FamilyKind.HAHN)
+    blk = cg_block(inst, min(max(N, 0), inst.n_max))
+    with pytest.raises(ValueError, match=r"^orthogonality weights need 0 <= N <= n_max$"):
+        orthogonality_weights(run_with(inst, blocks={N: blk}), N)
 
 
 # -- orthogonality weights from T_N = Delta(E) Delta(F) ------------------------
@@ -517,11 +529,12 @@ def weights_or_error(solve, *args):
 def assert_paths_agree(inst):
     """The certified weights from Delta, given or built, are the full
     solve's, block by block."""
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     for N in range(inst.n_max + 1):
         blk = cg_block(inst, N)
-        assert orthogonality_weights(inst, N, blk, delta) \
-            == orthogonality_weights(inst, N, blk) == full_solve(inst, N, blk)
+        assert orthogonality_weights(run_with(inst, blocks={N: blk}, delta=delta), N) \
+            == orthogonality_weights(run_with(inst, blocks={N: blk}), N) \
+            == full_solve(inst, N, blk)
 
 
 @settings(max_examples=30, deadline=None)
@@ -542,11 +555,9 @@ def test_symmetrizer_path_on_degenerate_racah_point():
     # solve fails as tests/golden/racah-degenerate.json did: "Omega_0 vanishes"
     inst = FamilyInstance(FamilyKind.RACAH, 4, alpha=F(1, 3), beta=F(1), gamma=F(11, 2),
                           lambda1=F(3, 2), lambda2=F(5))
-    delta = build_delta(inst)
-    blocks = [cg_block(inst, N) for N in range(5)]
-    got = [weights_or_error(orthogonality_weights, inst, N, blk, delta)
-           for N, blk in enumerate(blocks)]
-    want = [weights_or_error(full_solve, inst, N, blk) for N, blk in enumerate(blocks)]
+    run = Run(inst)
+    got = [weights_or_error(orthogonality_weights, run, N) for N in range(5)]
+    want = [weights_or_error(full_solve, inst, N, blk) for N, blk in run.blocks.items()]
     assert got[:2] == want[:2] and all(isinstance(w, WeightData) for w in got[:2])
     assert got[2:] == [f"error: block {N}, step 1: T_N[{N - 1}][{N - 2}] vanishes, "
                        f"so no diagonal symmetrizes T_N" for N in (2, 3, 4)]
@@ -581,16 +592,15 @@ def test_corrupted_delta_fails_orthogonality_at_its_block(monkeypatch):
     # are wrong: T_3 P = P Lambda fails there with a witness, and a wrong
     # Delta never makes orthogonality pass
     inst = sample_instance(FamilyKind.RACAH)
-    good = build_delta(inst)
+    good = Run(inst).delta
     bad = with_f_entry_scaled(good, 3, (1, 1), 2)
-    blocks = [cg_block(inst, N) for N in range(inst.n_max + 1)]
-    want = [full_solve(inst, N, blk) for N, blk in enumerate(blocks)]
-    got = [weights_or_error(orthogonality_weights, inst, N, blk, bad)
-           for N, blk in enumerate(blocks)]
+    run = run_with(inst, delta=bad)
+    want = [full_solve(inst, N, blk) for N, blk in run.blocks.items()]
+    got = [weights_or_error(orthogonality_weights, run, N) for N in run.blocks]
     assert got == want[:3] + ["error: block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"] \
         + want[4:]
     assert run_verify_suite(inst, ["orthogonality"]).passed
-    monkeypatch.setattr("askeycg.cli.build_delta", lambda *args, **kwargs: bad)
+    monkeypatch.setattr("askeycg.cgverify.build_delta", lambda *args, **kwargs: bad)
     fail = run_verify_suite(inst, ["orthogonality"]).first_failure()
     assert (fail.name, fail.witness.where) == (
         "orthogonality", {"error": "block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"})
@@ -600,11 +610,11 @@ def test_unconstrained_weights_are_not_certified():
     # P = I leaves every Omega a solution of the off-diagonal system; its
     # columns are no eigenvectors of T_2, so step 4 refuses it
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     eye = CGBlock.from_matrix(2, RatMat.build(3, 3, lambda i, j: F(i == j)))
     with pytest.raises(WeightSolutionError,
                        match=re.escape("block 2, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
-        orthogonality_weights(inst, 2, eye, delta)
+        orthogonality_weights(run_with(inst, blocks={2: eye}, delta=delta), 2)
     with pytest.raises(WeightSolutionError, match="has dimension 3, expected 1"):
         full_solve(inst, 2, eye)
 
@@ -622,7 +632,7 @@ def test_vanishing_norm_is_not_certified():
     bad = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(1)], [F(1), F(1)]]))
     with pytest.raises(WeightSolutionError,
                        match=re.escape("block 1, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
-        orthogonality_weights(inst, 1, bad, delta)
+        orthogonality_weights(run_with(inst, blocks={1: bad}, delta=delta), 1)
     with pytest.raises(WeightSolutionError, match="CG block 1 is singular"):
         full_solve(inst, 1, bad)
 
@@ -648,7 +658,7 @@ def test_eigenvectors_of_a_repeated_eigenvalue_are_not_certified(monkeypatch):
     # Lambda_0, so T P = P Lambda holds, T symmetrizes and the norms are
     # nonzero; only the distinct eigenvalues rule out the singular P
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     blk = cg_block(inst, 3)
     twin = with_columns(blk, [None, blk.P.column(0), None, None])
     original = cgverify.tensor_lowering_eigenvalue
@@ -658,7 +668,7 @@ def test_eigenvectors_of_a_repeated_eigenvalue_are_not_certified(monkeypatch):
     lam = format_scalar(original(inst, 0, 3))
     with pytest.raises(WeightSolutionError,
                        match=re.escape(f"block 3, step 3: Lambda_0 = Lambda_1 = {lam}")):
-        orthogonality_weights(inst, 3, twin, delta)
+        orthogonality_weights(run_with(inst, blocks={3: twin}, delta=delta), 3)
     with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
         full_solve(inst, 3, twin)
 
@@ -666,12 +676,12 @@ def test_eigenvectors_of_a_repeated_eigenvalue_are_not_certified(monkeypatch):
 def test_zero_column_is_not_certified():
     # a zero column is an eigenvector of anything; its norm vanishes
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     blk = cg_block(inst, 3)
     holed = with_columns(blk, [None, None, (F(0),) * 4, None])
     with pytest.raises(WeightSolutionError,
                        match=re.escape("block 3, step 5: Omega' vanishes at column 2")):
-        orthogonality_weights(inst, 3, holed, delta)
+        orthogonality_weights(run_with(inst, blocks={3: holed}, delta=delta), 3)
     with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
         full_solve(inst, 3, holed)
 
@@ -685,7 +695,7 @@ def test_weights_of_non_eigenvectors_are_not_certified():
     delta = two_level_delta([1, 1], [1, 2])
     with pytest.raises(WeightSolutionError,
                        match=re.escape("block 1, step 4: (T_N P)[0][0] != (P Lambda)[0][0]")):
-        orthogonality_weights(inst, 1, blk, delta)
+        orthogonality_weights(run_with(inst, blocks={1: blk}, delta=delta), 1)
     assert full_solve(inst, 1, blk) == WeightData(1, (F(1), F(1)), (F(2), F(2)))
 
 
@@ -699,7 +709,7 @@ def test_zero_lower_entry_of_t_is_declined():
     delta = two_level_delta([1, 1], [0, c])
     with pytest.raises(WeightSolutionError, match=re.escape(
             "block 1, step 1: T_N[1][0] vanishes, so no diagonal symmetrizes T_N")):
-        orthogonality_weights(inst, 1, blk, delta)
+        orthogonality_weights(run_with(inst, blocks={1: blk}, delta=delta), 1)
     with pytest.raises(WeightSolutionError, match="Omega_0 vanishes"):
         full_solve(inst, 1, blk)
 
@@ -715,7 +725,7 @@ def test_zero_upper_entry_of_t_is_declined_before_any_eigenvalue(monkeypatch):
     eigen_callers = spy_callers(monkeypatch, "tensor_lowering_eigenvalue")
     with pytest.raises(WeightSolutionError, match=re.escape(
             "block 1, step 1: T_N[0][1] vanishes, so no diagonal symmetrizes T_N")):
-        orthogonality_weights(inst, 1, blk, delta)
+        orthogonality_weights(run_with(inst, blocks={1: blk}, delta=delta), 1)
     assert eigen_callers == []
     with pytest.raises(WeightSolutionError, match="Omega' vanishes at column 1"):
         full_solve(inst, 1, blk)
@@ -732,11 +742,11 @@ def test_certified_weights_equal_the_full_solve_at_nmax_10(kind, monkeypatch):
     # one pinned draw per family: every block is certified without a solve,
     # and the certified WeightData is the full solve's
     inst = random_instance(kind, random.Random(0), n_max=10)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     rank_callers, nullspace_callers = spy_dense_elimination(monkeypatch)
     for N in range(inst.n_max + 1):
         blk = cg_block(inst, N)
-        certified = orthogonality_weights(inst, N, blk, delta)
+        certified = orthogonality_weights(run_with(inst, blocks={N: blk}, delta=delta), N)
         assert rank_callers == nullspace_callers == []
         assert certified == full_solve(inst, N, blk)
         rank_callers.clear()
@@ -748,7 +758,7 @@ def test_verify_suite_certifies_weights_without_a_solve(kind, monkeypatch):
     inst = sample_instance(kind)
     rank_callers, nullspace_callers = spy_dense_elimination(monkeypatch)
     assert run_verify_suite(inst).passed
-    orthogonality_weights(inst, 2)  # no Delta given: it is built, not solved for
+    orthogonality_weights(Run(inst), 2)  # the run builds Delta; nothing is solved for
     assert rank_callers == nullspace_callers == []
     full_solve(inst, 2, cg_block(inst, 2))
     assert rank_callers == nullspace_callers == ["full_solve"]  # the spies see calls
@@ -772,29 +782,29 @@ def test_no_runtime_path_calls_dense_elimination(monkeypatch):
 def test_weight_grading_all_families():
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
-        assert verify_weight_grading(inst).passed
+        assert verify_weight_grading(Run(inst)).passed
 
 
 def test_weight_grading_eigenvalues():
     inst = sample_instance(FamilyKind.DUAL_HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     assert delta.hk.dense(0).entry(0, 0) == inst.lambda1 + inst.lambda2
     assert delta.hk.dense(3).entry(1, 1) == inst.lambda1 + inst.lambda2 + 6
     qinst = sample_instance(FamilyKind.Q_RACAH)
-    qdelta = build_delta(qinst)
+    qdelta = Run(qinst).delta
     assert (qdelta.hk.dense(2).entry(0, 0)
             == qinst.kappa1 * qinst.kappa2 * qinst.q ** 2)
 
 
 def test_weight_grading_negative_control():
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     from askeycg.algebras import scalar_operator
     from askeycg.coproduct import Delta
     bad = Delta(delta.e, delta.f,
                 scalar_operator(delta.hk.dims,
                                 lambda N: inst.lambda1 + inst.lambda2 + 2 * N + 1))
-    rep = verify_weight_grading(inst, bad)
+    rep = verify_weight_grading(run_with(inst, delta=bad))
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
 
@@ -808,11 +818,11 @@ def test_weight_grading_certifies_off_diagonal_zeros(entries, witness):
     # Delta(H) of the Hahn sample is 7 on block 2; every entry off the
     # diagonal must be 0, and the row-major first wrong entry is the witness
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     hk = delta.hk
     for (level, ij), value in entries.items():
         hk = with_entry(hk, level, ij, value)
-    fail = verify_weight_grading(inst, Delta(delta.e, delta.f, hk)).first_failure()
+    fail = verify_weight_grading(run_with(inst, delta=Delta(delta.e, delta.f, hk))).first_failure()
     where, lhs, rhs = witness
     assert fail.witness.to_dict() == {"where": where, "lhs": lhs, "rhs": rhs}
 
@@ -821,7 +831,7 @@ def test_weight_grading_certifies_off_diagonal_zeros(entries, witness):
 
 def test_lowering_is_diagonalized_in_cg_basis():
     inst = sample_instance(FamilyKind.RACAH)
-    delta = build_delta(inst)
+    delta = Run(inst).delta
     for N in range(1, 5):
         u_here = cg_block(inst, N).P
         u_below = cg_block(inst, N - 1).P

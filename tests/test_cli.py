@@ -10,15 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import askeycg
-from askeycg import algebras, coproduct, families
-from askeycg.cgverify import CGBlock, WeightData, cg_block, orthogonality_weights
+from askeycg import algebras, cgverify, coproduct, families
+from askeycg.cgverify import CGBlock, Run, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite, table_doc
 from askeycg.exactmath import InvalidParameterError, parse_scalar
 from askeycg.families import FamilyKind, make_instance, poly_value
 from askeycg.linalg import RatMat
 
 from test_algebras import with_entry
-from test_families import sample_instance
+from test_families import run_with, sample_instance
 from test_golden_reports import report as golden_report
 
 
@@ -225,6 +225,7 @@ def test_table_json_round_trips(tmp_path):
     doc = json.loads(out.read_text())
     inst = make_instance(FamilyKind.Q_HAHN, q=F(1, 4), alpha=F(1, 3),
                          beta=F(2, 5), n_max=3)
+    run = Run(inst)
     for rec in doc["blocks"]:
         blk = CGBlock.from_matrix(int(rec["N"]), RatMat.from_rows(
             [[parse_scalar(x) for x in row] for row in rec["P"]]))
@@ -235,7 +236,7 @@ def test_table_json_round_trips(tmp_path):
         assert [list(row) for row in blk.P.a] == [
             [poly_value(inst, n, k, blk.N) for k in range(blk.N + 1)]
             for n in range(blk.N + 1)]
-        assert weights == orthogonality_weights(inst, blk.N)
+        assert weights == orthogonality_weights(run, blk.N)
 
 
 def test_coassoc_exit_codes(capsys):
@@ -274,7 +275,7 @@ def test_suite_failure_yields_exit_one(tmp_path, monkeypatch):
     from askeycg import families
     from askeycg.report import CheckResult
 
-    def broken(inst, data=None, blocks=None):
+    def broken(run):
         from askeycg.report import Report
         out = Report(suite="contiguity")
         out.add(CheckResult.fail("raising-contiguity", "", {"N": 0}, "1", "2"))
@@ -329,7 +330,7 @@ def test_oracle_catches_a_rescaled_column(monkeypatch):
         return CGBlock.from_matrix(N, RatMat.build(N + 1, N + 1,
                                        lambda n, k: P.entry(n, k) * (3 if k == 1 else 1)))
 
-    monkeypatch.setattr("askeycg.cli.cg_block", tripled)
+    monkeypatch.setattr("askeycg.cgverify.cg_block", tripled)
     failed = {c["name"]: c["witness"] for c in golden_report("hahn")["checks"]
               if not c["passed"]}
     assert failed == {"cg-oracle": {"where": {"N": "1", "n": "0", "k": "1"},
@@ -388,8 +389,8 @@ def test_block_readers_name_the_first_failure_in_their_own_order(kind, monkeypat
 
     inst = sample_instance(kind, n_max=4)
     blocks = {N: corrupted(inst, N) for N in range(inst.n_max + 1)}
-    checks = families.check_contiguity(inst, blocks=blocks).to_dict()["checks"]
-    monkeypatch.setattr("askeycg.cli.cg_block", corrupted)
+    checks = families.check_contiguity(run_with(inst, blocks=blocks)).to_dict()["checks"]
+    monkeypatch.setattr("askeycg.cgverify.cg_block", corrupted)
     checks += run_verify_suite(inst).to_dict()["checks"]
     want = TWO_POINT_WITNESSES[kind]
     assert {c["name"]: c["witness"] for c in checks if c["name"] in want} == {
@@ -430,12 +431,16 @@ def test_full_run_evaluates_contiguity_once(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
 def test_full_run_builds_each_factor_module_and_delta_once(kind, monkeypatch):
-    # relations and casimir share the generators of the two factor modules
+    # relations and casimir share the generators of the two factor modules;
+    # every check that reads a block or an eigenvalue shares one per level
     inst = sample_instance(kind, n_max=3)
     gens = count_calls(monkeypatch, algebras, "build_generators")
     deltas = count_calls(monkeypatch, coproduct, "build_delta")
+    blocks = count_calls(monkeypatch, cgverify, "cg_block")
+    eigenvalues = count_calls(monkeypatch, cgverify, "component_eigenvalues")
     assert run_verify_suite(inst).passed
     assert len(gens) == 2 and len(deltas) == 1
+    assert len(blocks) == len(eigenvalues) == inst.n_max + 1
 
 
 def test_twist_run_builds_one_delta(monkeypatch):
@@ -465,7 +470,7 @@ def test_relations_and_casimir_build_no_coefficients(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", list(FamilyKind))
 def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
     inst = sample_instance(kind, n_max=5)
-    derived = coproduct.coproduct_coeffs(inst)  # built before the patch
+    run = run_with(inst, contiguity=families.contiguity(inst))  # built before the patch
 
     def refuse(inst):
         raise AssertionError("algebraic_form read the contiguity data")
@@ -477,7 +482,7 @@ def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
         for n in range(inst.n_max + 1):
             for m in range(inst.n_max + 1):
                 fn(n, m)
-    assert coproduct.check_algebraic_form(inst, derived).passed
+    assert coproduct.check_algebraic_form(run).passed
 
 
 @pytest.mark.parametrize("inst,corrupt,witness", [
@@ -491,7 +496,8 @@ def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
     ids=["q-hahn", "racah"])
 def test_casimir_witness_names_the_factor_module(inst, corrupt, witness, monkeypatch):
     build = algebras.build_generators
-    monkeypatch.setattr("askeycg.cli.build_generators", lambda module: corrupt(build(module)))
+    monkeypatch.setattr("askeycg.cgverify.build_generators",
+                        lambda module: corrupt(build(module)))
     check = run_verify_suite(inst, ["casimir"]).to_dict()["checks"][CHECK_NAMES.index("casimir")]
     assert check == {"name": "casimir", "passed": False, "skipped": False, "reason": "",
                      "checked_range": "levels 0..3", "witness": witness}

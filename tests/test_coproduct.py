@@ -1,23 +1,22 @@
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import cache
 
 import pytest
 
 from askeycg import coproduct, report
 
 from askeycg.algebras import check_identity, phi, scalar_operator
-from askeycg.coproduct import (CoproductCoeffs, algebraic_form, build_delta,
-                               check_algebraic_form, check_homomorphism,
-                               check_twist_qracah_specialization,
+from askeycg.cgverify import Run
+from askeycg.coproduct import (algebraic_form, build_delta, check_algebraic_form,
+                               check_homomorphism, check_twist_qracah_specialization,
                                coproduct_coeffs, krawtchouk_coassoc)
 from askeycg.exactmath import InvalidParameterError, Unreduced
-from askeycg.families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
-                              make_instance)
+from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
+                              contiguity, labels, make_instance)
 from askeycg.linalg import nullspace
 
 from test_algebras import with_entry
-from test_families import ALL_KINDS, outcome, sample_instance, wide_draws
+from test_families import ALL_KINDS, outcome, run_with, sample_instance, wide_draws
 from test_linalg import to_lists
 
 
@@ -25,7 +24,7 @@ from test_linalg import to_lists
 
 def test_hahn_x_matches_contiguity_coefficient():
     inst = sample_instance(FamilyKind.HAHN)
-    cf = coproduct_coeffs(inst)
+    cf = coproduct_coeffs(inst, contiguity(inst))
     a, b = inst.alpha, inst.beta
     for N in range(5):
         for n in range(N + 2):
@@ -34,7 +33,7 @@ def test_hahn_x_matches_contiguity_coefficient():
 
 def test_krawtchouk_coefficients_are_constant():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
-    cf = coproduct_coeffs(inst)
+    cf = coproduct_coeffs(inst, contiguity(inst))
     for n in range(4):
         for m in range(4):
             assert cf.x(n, m + 1) == 1 and cf.y(n, m + 1) == 1
@@ -45,7 +44,7 @@ def test_dual_hahn_xp_example():
     # alpha = lambda1 - 1 collapses x' to 1
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(2), lambda2=F(3),
                          alpha=F(1), n_max=5)
-    cf = coproduct_coeffs(inst)
+    cf = coproduct_coeffs(inst, contiguity(inst))
     for n in range(4):
         for m in range(4):
             assert cf.xp(n, m) == 1
@@ -55,7 +54,7 @@ def test_dual_hahn_standard_specialization_all_ones():
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(5, 2), lambda2=F(7, 3),
                          alpha=F(3, 2), n_max=6)
     assert inst.alpha == inst.lambda1 - 1 and inst.beta == inst.lambda2 - 1
-    cf = coproduct_coeffs(inst)
+    cf = coproduct_coeffs(inst, contiguity(inst))
     for n in range(5):
         for m in range(5):
             assert cf.xp(n, m) == 1 and cf.yp(n, m) == 1
@@ -65,7 +64,7 @@ def test_dual_hahn_standard_specialization_all_ones():
 def test_coefficients_reproduce_contiguity_data():
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
-        cf = coproduct_coeffs(inst)
+        cf = coproduct_coeffs(inst, contiguity(inst))
         data = contiguity(inst)
         alg = algebra_for(inst)
         l1, l2 = labels(inst)
@@ -82,7 +81,7 @@ def test_coefficients_reproduce_contiguity_data():
 
 def test_weight_diagonal_eigenvalues():
     inst = sample_instance(FamilyKind.RACAH)
-    delta = build_delta(inst)
+    delta = build_delta(inst, contiguity(inst))
     for N in range(inst.n_max + 1):
         blk = delta.hk.dense(N)
         want = inst.lambda1 + inst.lambda2 + 2 * N
@@ -91,14 +90,14 @@ def test_weight_diagonal_eigenvalues():
 
 def test_krawtchouk_block0_raising():
     inst = sample_instance(FamilyKind.KRAWTCHOUK)
-    delta = build_delta(inst)
+    delta = build_delta(inst, contiguity(inst))
     blk = delta.e.dense(0)
     assert to_lists(blk) == [[F(1)], [F(1)]]
 
 
 def test_hahn_lowering_kernel_on_block_one():
     inst = sample_instance(FamilyKind.HAHN)  # alph=1, beta=1/2
-    delta = build_delta(inst)
+    delta = build_delta(inst, contiguity(inst))
     basis = nullspace(delta.f.dense(1))
     assert len(basis) == 1
     v = basis[0]
@@ -116,7 +115,7 @@ def test_build_delta_evaluates_cartan_and_phi_once_per_factor_level(kind, monkey
         calls[name] = []
         monkeypatch.setattr(coproduct, name, lambda *a, f=original, c=calls[name]:
                             c.append(a) or f(*a))
-    build_delta(inst)
+    build_delta(inst, contiguity(inst))
     levels = inst.n_max + 1  # per factor
     assert len(calls["cartan"]) <= 2 * levels
     assert calls["phi"] == []  # the contiguity weights need no lowering factor
@@ -127,12 +126,12 @@ def test_build_delta_evaluates_cartan_and_phi_once_per_factor_level(kind, monkey
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_homomorphism(kind):
     inst = sample_instance(kind)
-    assert check_homomorphism(inst).passed
+    assert check_homomorphism(Run(inst)).passed
 
 
 def test_hahn_delta_commutator_is_identity():
     inst = sample_instance(FamilyKind.HAHN)
-    delta = build_delta(inst)
+    delta = build_delta(inst, contiguity(inst))
     assert check_identity("commutator", "", range(inst.n_max),
                           [(1, (delta.e, delta.f)), (-1, (delta.f, delta.e))], [(1, ())],
                           delta.e.dims).passed
@@ -141,7 +140,7 @@ def test_hahn_delta_commutator_is_identity():
 def test_corrupted_y_fails_homomorphism():
     inst = sample_instance(FamilyKind.HAHN)
     bad = build_delta(inst, data=replace(contiguity(inst), alpha2=lambda n, N: F(1)))
-    rep = check_homomorphism(inst, delta=bad)
+    rep = check_homomorphism(run_with(inst, delta=bad))
     fail = rep.first_failure()
     assert fail is not None and fail.witness is not None
 
@@ -151,7 +150,7 @@ def test_corrupted_y_fails_homomorphism():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_algebraic_form_agreement(kind):
     inst = sample_instance(kind)
-    assert check_algebraic_form(inst).passed
+    assert check_algebraic_form(Run(inst)).passed
 
 
 def test_hahn_localization_denominator():
@@ -277,12 +276,16 @@ def test_algebraic_form_matches_reference_on_wide_draws(kind):
         assert_algebraic_form_matches_reference(inst)
 
 
+def xp_shifted(inst):
+    """The contiguity data of inst with phi(label1, n+1) added to beta1(n, N):
+    the derived x'(n, m) = beta1(n, n+m+1) / phi(label1, n+1) is shifted by 1."""
+    data, alg, (l1, _) = contiguity(inst), algebra_for(inst), labels(inst)
+    return replace(data, beta1=lambda n, N: data.beta1(n, N) + phi(alg, l1, n + 1))
+
+
 def test_algebraic_form_negative_control():
     inst = sample_instance(FamilyKind.RACAH)
-    cf = coproduct_coeffs(inst)
-    bad = CoproductCoeffs(x=cf.x, y=cf.y,
-                          xp=lambda n, m: cf.xp(n, m) + 1, yp=cf.yp)
-    rep = check_algebraic_form(inst, derived=bad)
+    rep = check_algebraic_form(run_with(inst, contiguity=xp_shifted(inst)))
     fail = rep.first_failure()
     assert fail is not None and fail.name == "xp-agreement"
 
@@ -290,7 +293,7 @@ def test_algebraic_form_negative_control():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_public_coefficients_stay_reduced_fractions(kind):
     inst = sample_instance(kind)
-    for coeffs in (algebraic_form(inst), coproduct_coeffs(inst)):
+    for coeffs in (algebraic_form(inst), coproduct_coeffs(inst, contiguity(inst))):
         for name in ("x", "y", "xp", "yp"):
             value = getattr(coeffs, name)(1, 1)
             assert type(value) is F, (name, value)
@@ -314,10 +317,10 @@ def test_vanishing_closed_form_denominator_raises(kind, params, messages):
     # Fractions each side used to be reduced to. With the derived side
     # replaced by constants, the zero bottom of the closed side raises.
     bare = FamilyInstance(kind=kind, n_max=3, **params)
-    constant = CoproductCoeffs(*(lambda n, m: F(7),) * 4)
-    for derived, message in zip((None, constant), messages):
+    constant = ContiguityData(*(lambda n, N: F(7),) * 5)
+    for run, message in zip((Run(bare), run_with(bare, contiguity=constant)), messages):
         with pytest.raises(ZeroDivisionError) as err:
-            check_algebraic_form(bare, derived)
+            check_algebraic_form(run)
         assert str(err.value) == message
 
 
@@ -337,19 +340,14 @@ def counting(monkeypatch, owner, name):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_algebraic_form_check_reduces_only_its_witness(kind, monkeypatch):
     inst = sample_instance(kind)
-    tabled = CoproductCoeffs(*(cache(getattr(coproduct_coeffs(inst), name))
-                               for name in ("x", "y", "xp", "yp")))
-    data = contiguity(inst)
-    shared = coproduct._derived_coeffs(inst, data)  # the derived side a verify run passes
-    shifted = replace(tabled, xp=lambda n, m: tabled.xp(n, m) + 1)
-    for derived in (tabled, shared, shifted):
-        check_algebraic_form(inst, derived)  # every derived value is now memoized
+    shared, shifted = Run(inst), run_with(inst, contiguity=xp_shifted(inst))
+    for run in (shared, shifted):
+        check_algebraic_form(run)  # every contiguity value is now memoized
     reductions = counting(monkeypatch, Unreduced, "reduce")
     fractions = counting(monkeypatch, report, "Fraction")
-    for derived in (tabled, shared):
-        assert check_algebraic_form(inst, derived).passed
+    assert check_algebraic_form(shared).passed
     assert (reductions, fractions) == ([], [])
-    rep = check_algebraic_form(inst, shifted)
+    rep = check_algebraic_form(shifted)
     assert [c.name for c in rep.checks if not c.passed] == ["xp-agreement"]
     assert reductions == [] and len(fractions) == 2
 
@@ -374,7 +372,7 @@ def test_twist_block_zero_to_one_coefficients():
     q, k1, k2 = F(1, 4), F(1, 2), F(1, 3)
     inst = make_instance(FamilyKind.Q_RACAH, q=q, kappa1=k1, kappa2=k2,
                          alpha=k1 ** 2 / q, beta=F(0), n_max=4)
-    delta = build_delta(inst)
+    delta = build_delta(inst, contiguity(inst))
     # raising block 0 -> 1: column (0,0) has entries (E x I, kappa1^{-1} K x E)
     blk = delta.e.dense(0)
     assert to_lists(blk) == [[F(1)], [q ** 0]]
@@ -384,7 +382,7 @@ def test_beta_zero_collapses_yp():
     q, k1, k2 = F(1, 4), F(1, 2), F(1, 3)
     inst = make_instance(FamilyKind.Q_RACAH, q=q, kappa1=k1, kappa2=k2,
                          alpha=k1 ** 2 / q, beta=F(0), n_max=4)
-    cf = coproduct_coeffs(inst)
+    cf = coproduct_coeffs(inst, contiguity(inst))
     for n in range(3):
         for m in range(3):
             assert cf.xp(n, m) == 1
@@ -398,8 +396,8 @@ def passed_and_witness(rep):
 def test_twist_witnesses_on_a_corrupted_delta(monkeypatch):
     build = coproduct.build_delta
 
-    def scaled_lowering(inst):
-        d = build(inst)
+    def scaled_lowering(inst, data):
+        d = build(inst, data)
         return coproduct.Delta(d.e, with_entry(d.f, 3, (1, 2), 3 * d.f.blocks[3][1, 2]), d.hk)
 
     monkeypatch.setattr(coproduct, "build_delta", scaled_lowering)
@@ -409,8 +407,8 @@ def test_twist_witnesses_on_a_corrupted_delta(monkeypatch):
         ("specialized-raising", None), ("specialized-lowering", lowering),
         ("twisted-raising", None), ("twisted-lowering", lowering)]
 
-    def planted_raising(inst):
-        d = build(inst)
+    def planted_raising(inst, data):
+        d = build(inst, data)
         return coproduct.Delta(with_entry(d.e, 2, (3, 1), F(5)), d.f, d.hk)
 
     monkeypatch.setattr(coproduct, "build_delta", planted_raising)
@@ -426,7 +424,7 @@ def test_twist_reads_a_given_delta():
     q, k1, k2 = F(1, 4), F(1, 2), F(1, 3)
     inst = make_instance(FamilyKind.Q_RACAH, q=q, kappa1=k1, kappa2=k2,
                          alpha=k1 ** 2 / q, beta=F(0), n_max=4)
-    d = build_delta(inst)
+    d = build_delta(inst, contiguity(inst))
     bad = coproduct.Delta(d.e, with_entry(d.f, 3, (1, 2), 3 * d.f.blocks[3][1, 2]), d.hk)
     lowering = {"where": {"block": "3", "row": "1", "col": "2"},
                 "lhs": "675/256", "rhs": "225/256"}
