@@ -4,9 +4,10 @@ orthogonality weights.
 A CG block at total level N is the (N+1) x (N+1) matrix P with P[n][k] =
 P_n(k, N); its column k holds the coordinates of the k-th adapted basis
 vector in the product basis (n, N-n). CGBlock stores it by columns, column k
-as one integer vector over its least common denominator, (a, c) with P[n][k]
-= a[n] / c; its reduced view P (a RatMat of Fractions) is made only when
-read, for the table and the tests. cg_block builds the columns in one
+as the canonical integer column (a, c) with P[n][k] = a[n] / c that
+linalg.integer_column makes for every route (cg_block, from_matrix, the
+oracle); its reduced view P (a RatMat of Fractions) is made only when read,
+for the table and the tests. cg_block builds the columns in one
 integer pass (families.poly_block), straight from the series, never from the
 contiguity recurrence or another block; they equal poly_value entry by
 entry.
@@ -22,9 +23,9 @@ failing point is reduced, for its witness.
 The oracle rebuilds the same columns from Delta alone, reading no CG value
 and evaluating no polynomial: the kernel of Delta(F) on block k (which must
 be one-dimensional), scaled to first entry v_0 = 1 = P_0(k, k), seeds the
-k-th tower, and the integer bands of Delta(E) push it up level by level, one
-gcd per column keeping the storage of cg_block. Entrywise agreement with the
-polynomial route is the central certificate.
+k-th tower, and the integer bands of Delta(E) push it up level by level;
+linalg.integer_column normalizes each column into the storage of cg_block.
+Entrywise agreement with the polynomial route is the central certificate.
 
 The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
 k != l. Column k of block N is an eigenvector of the tridiagonal T_N =
@@ -44,8 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from typing import Sequence
+from math import lcm
 
 from .algebras import (ModuleSpec, _block_product, build_generators, check_identity, phi,
                        scalar_operator)
@@ -54,7 +54,7 @@ from .exactmath import InvalidParameterError, Scalar, format_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
                        make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
-from .linalg import Column, RatMat, column_mismatches, integer_bands, integer_vector
+from .linalg import Column, RatMat, column_mismatches, integer_bands, integer_column
 from .report import Report, first_mismatch
 
 __all__ = [
@@ -74,27 +74,18 @@ class WeightSolutionError(RuntimeError):
     message names the step, its block and its entry, columns or column."""
 
 
-def _cleared(values: Sequence[Scalar]) -> Column:
-    """A column of rationals as (a, c), a[n] / c = values[n], over the least
-    common denominator c (linalg.integer_vector)."""
-    a, c = integer_vector(values)
-    return tuple(a), c
-
-
 @dataclass(frozen=True)
 class CGBlock:
     """The CG block at level N, stored by columns: columns[k] = (a, c) holds
-    P[n][k] = a[n] / c, with c > 0 and gcd(*a, c) = 1 for every block that
-    cg_block, from_matrix or the oracle builds. P is the reduced view, a
-    RatMat of Fractions made on first read."""
+    P[n][k] = a[n] / c, c > 0, a and c coprime (linalg.integer_column).
+    P is the reduced view, a RatMat of Fractions made on first read."""
     N: int
     columns: tuple[Column, ...]
 
     @classmethod
     def from_matrix(cls, N: int, P: RatMat) -> "CGBlock":
-        """The block with the entries of P, each column over its least
-        common denominator."""
-        return cls(N, tuple(_cleared(P.column(k)) for k in range(P.cols)))
+        """The block with the entries of P, each column its integer_column."""
+        return cls(N, tuple(integer_column(P.column(k)) for k in range(P.cols)))
 
     @cached_property
     def P(self) -> RatMat:
@@ -224,11 +215,11 @@ def lowest_weight_oracle(run: Run) -> list[CGBlock]:
     For each k the kernel of Delta(F) on block k must be exactly
     one-dimensional; the kernel vector is scaled to first entry v_0 = 1,
     which is P_0(k, k) in every family (the (q-)binomial prefactor and the
-    first series term are both 1 at n = 0), cleared to integers over its
-    least common denominator, then pushed up with Delta(E): each level's
-    block is split into integer bands once, scaled to one denominator L,
-    and column (a, c) maps to the band images over L c with their gcd
-    divided out, so every column is the canonical pair cg_block stores.
+    first series term are both 1 at n = 0), and its linalg.integer_column
+    seeds the k-th tower. Delta(E) pushes it up: each level's block is split
+    into integer bands once, scaled to one denominator L, and column (a, c)
+    maps to the integer_column of its band images over L c, the canonical
+    pair cg_block stores.
     """
     delta = run.delta
     columns = []  # columns[N][k] is column k of block N
@@ -239,10 +230,10 @@ def lowest_weight_oracle(run: Run) -> list[CGBlock]:
             bands = integer_bands(delta.e.blocks[N - 1], rows).values()
             L = lcm(*(d for _, d in bands))
             for a, c in columns[-1]:
-                image = [sum(t * a[j] for j, t in band) * (L // d) for band, d in bands]
-                g = gcd(L * c, *image)
-                level.append((tuple(x // g for x in image), L * c // g))
-        level.append(_cleared(_lowering_kernel(delta.f.blocks[N], N)))
+                Lc = L * c
+                level.append(integer_column(
+                    [(sum(t * a[j] for j, t in band) * (L // d), Lc) for band, d in bands]))
+        level.append(integer_column(_lowering_kernel(delta.f.blocks[N], N)))
         columns.append(level)
     return [CGBlock(N, tuple(level)) for N, level in enumerate(columns)]
 
@@ -336,7 +327,7 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
     if bad:
         i, l = bad[0][0]["n"], bad[0][0]["k"]
         raise failed(4, f"(T_N P)[{i}][{l}] != (P Lambda)[{i}][{l}]")
-    w, L = integer_vector(omega)
+    w, L = integer_column(omega)
     omega_prime = []
     for l, (a, c) in enumerate(cols):
         norm = sum(x * x * y for x, y in zip(a, w))

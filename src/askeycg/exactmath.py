@@ -262,17 +262,12 @@ def product_sum(terms: Iterable[tuple[Scalar, Scalar]]) -> tuple[int, int]:
     return top, bottom
 
 
-def _pair(x) -> tuple[int, int]:
-    if type(x) is Unreduced:
-        return x.top, x.bottom
-    return x.numerator, x.denominator
-
-
 class Unreduced:
     """An exact rational as an unreduced integer pair top / bottom.
 
-    + - * / combine it with ints, Fractions and other Unreduced values into a
-    new pair, with integer products only; reduce() is the one Fraction of the
+    + - * / combine it with ints, Fractions and other Unreduced values, each
+    read through as_integer_ratio(), into a new pair, with integer products
+    only; reduce() is the one Fraction of the
     pair. A zero divisor leaves a zero bottom, which every later operation
     keeps (a quotient by a value with a zero bottom gets one too), so reduce()
     raises ZeroDivisionError exactly when the same chain of Fraction
@@ -288,10 +283,10 @@ class Unreduced:
     @classmethod
     def of(cls, x) -> "Unreduced":
         """An int, a Fraction or an Unreduced value as an Unreduced."""
-        return cls(*_pair(x))
+        return cls(*x.as_integer_ratio())
 
     def __add__(self, other) -> "Unreduced":
-        n, d = _pair(other)
+        n, d = other.as_integer_ratio()
         if d == self.bottom:
             return Unreduced(self.top + n, d)
         return Unreduced(self.top * d + n * self.bottom, self.bottom * d)
@@ -299,30 +294,35 @@ class Unreduced:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Unreduced":
-        n, d = _pair(other)
+        n, d = other.as_integer_ratio()
         if d == self.bottom:
             return Unreduced(self.top - n, d)
         return Unreduced(self.top * d - n * self.bottom, self.bottom * d)
 
     def __rsub__(self, other) -> "Unreduced":
-        n, d = _pair(other)
+        n, d = other.as_integer_ratio()
         if d == self.bottom:
             return Unreduced(n - self.top, d)
         return Unreduced(n * self.bottom - self.top * d, self.bottom * d)
 
     def __mul__(self, other) -> "Unreduced":
-        n, d = _pair(other)
+        n, d = other.as_integer_ratio()
         return Unreduced(self.top * n, self.bottom * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Unreduced":
-        n, d = _pair(other)
+        n, d = other.as_integer_ratio()
         return Unreduced(self.top * d, self.bottom * n if d else 0)
 
     def __rtruediv__(self, other) -> "Unreduced":
-        n, d = _pair(other)
+        n, d = other.as_integer_ratio()
         return Unreduced(n * self.bottom, d * self.top if self.bottom else 0)
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        """(top, bottom) as held, unreduced: ints and Fractions have the
+        same method, so one call reads any exact value as an integer pair."""
+        return self.top, self.bottom
 
     def reduce(self) -> Fraction:
         """The value as one Fraction; ZeroDivisionError on a zero bottom."""

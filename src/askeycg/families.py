@@ -40,14 +40,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, gcd, lcm, log
+from math import comb, log
 from typing import TYPE_CHECKING, Callable
 
 from .algebras import AlgebraKind, AlgebraTag
 from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
                         format_scalar, hyper_terminating, nested_sum, parameter_factors,
                         q_binomial_pair, q_hyper_terminating, q_powers, ratio_scales)
-from .linalg import column_mismatches, integer_bands
+from .linalg import column_mismatches, integer_bands, integer_column
 from .report import CheckResult, Report, first_mismatch
 
 if TYPE_CHECKING:
@@ -365,18 +365,16 @@ def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
 
 def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The columns k of the CG block P[n][k] = P_n(k, N), built in one pass
-    over integers, each one integer vector over its least common
-    denominator: column k is (a, c) with P[n][k] = a[n] / c, c > 0 and
-    gcd(*a, c) = 1, which is exactly linalg.integer_vector of its values.
+    over integers: column k is linalg.integer_column of its entries, (a, c)
+    with P[n][k] = a[n] / c, c > 0, a and c coprime.
 
     The parameters are split once per block: the row factors and prefactor
     once per n, the column factors once per k, and the term denominators and
     powers of q once for all (exactmath.parameter_factors, ratio_scales).
-    Each entry is then one exactmath.nested_sum, an unreduced pair; a column
-    takes the lcm of its entries' bottoms and divides out the gcd of the
-    result, so no Fraction is built. Values, and errors in row-major order,
-    are those of poly_value; nothing is read from the contiguity recurrence
-    or from another block.
+    Each entry is then one exactmath.nested_sum, an unreduced pair, which
+    integer_column takes as it is, so no Fraction is built. Values, and
+    errors in row-major order, are those of poly_value; nothing is read from
+    the contiguity recurrence or from another block.
     """
     if not 0 <= N <= inst.n_max:
         raise ValueError(f"N must lie in 0..{inst.n_max}")
@@ -396,13 +394,7 @@ def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int
                      for top, bottom in (nested_sum([x * y for x, y in zip(f, cf)],
                                                     [d * y for y in cb[:n]])
                                          for cf, cb in cols)])
-    columns = []
-    for entries in zip(*rows):
-        c = lcm(*(bottom for _, bottom in entries))
-        a = [top * (c // bottom) for top, bottom in entries]
-        g = gcd(c, *a)
-        columns.append((tuple(x // g for x in a), c // g))
-    return tuple(columns)
+    return tuple(integer_column(entries) for entries in zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +635,16 @@ def _decay(name: str, checked_range: str, ladder: str, xs: list[Scalar],
     return CheckResult.ok(name, checked_range)
 
 
+def _ladder_points(name: str, points: list[Scalar]) -> list[Scalar]:
+    """The points of a limit ladder as Scalars; fewer than two (nothing to
+    compare), or any not positive and increasing, is an InvalidParameterError."""
+    xs = [as_scalar(x) for x in points]
+    if len(xs) < 2 or xs[0] <= 0 or any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
+        raise InvalidParameterError(
+            f"{name} must hold two or more positive, increasing points")
+    return xs
+
+
 def limit_hahn_to_krawtchouk(p: Scalar, z_list: list[Scalar],
                              n: int, k: int, N: int) -> Report:
     """First-order convergence of Hahn to Krawtchouk under alpha = p z,
@@ -652,11 +654,10 @@ def limit_hahn_to_krawtchouk(p: Scalar, z_list: list[Scalar],
     for each Hahn contiguity coefficient at (n, N) against the Krawtchouk one
     (witness z1, z2, n, N). mu-equality compares the two exact mu(k, N)."""
     p = as_scalar(p)
-    zs = [as_scalar(z) for z in z_list]
-    if any(z2 <= z1 for z1, z2 in zip(zs, zs[1:])) or any(z <= 0 for z in zs):
-        raise InvalidParameterError("z_list must be positive and increasing")
-    if not 0 <= n <= N:
-        raise InvalidParameterError("n must lie in 0..N")
+    zs = _ladder_points("z_list", z_list)
+    for name, x in (("n", n), ("k", k)):
+        if not 0 <= x <= N:
+            raise InvalidParameterError(f"{name} must lie in 0..N")
     nm = max(N, 1)
     kraw = _resolve(FamilyKind.KRAWTCHOUK, nm, dict(p=p))
     hahns = [_resolve(FamilyKind.HAHN, nm, dict(alpha=p * z, beta=(1 - p) * z)) for z in zs]
@@ -684,9 +685,7 @@ def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
     lhs d(b2), rhs the bound) on 0 <= n <= N <= n_max (witness beta1, beta2,
     n, N). The mu functions agree exactly, with no limit: mu-equality."""
     alpha = as_scalar(alpha)
-    betas = [as_scalar(b) for b in beta_list]
-    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])) or any(b <= 0 for b in betas):
-        raise InvalidParameterError("beta_list must be positive and increasing")
+    betas = _ladder_points("beta_list", beta_list)
     shared = dict(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
     ddata = contiguity(_resolve(FamilyKind.DUAL_HAHN, n_max, shared))
     rdata = [contiguity(_resolve(FamilyKind.RACAH, n_max, {**shared, "beta": b}))

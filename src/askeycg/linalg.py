@@ -1,8 +1,10 @@
 """Dense exact rational matrices (row-major tuples of Fractions: the reduced
-view of a CG block, and the tests' dense operators); integer_vector, the
-column storage of the CG blocks; and the column kernel: integer_bands splits
-a sparse block into integer rows, and column_mismatches decides every CG
-column identity, a band image of a column against a scalar times a target
+view of a CG block, and the tests' dense operators); integer_column, the one
+place in the package that clears rationals to integers, which makes the
+canonical column every CG block stores (and the band rows, the weight
+vector and the elimination rows); and the column kernel: integer_bands
+splits a sparse block into integer rows, and column_mismatches decides every
+CG column identity, a band image of a column against a scalar times a target
 column, over integers. Graded operators keep sparse blocks.
 
 nullspace and rank are fraction-free (Bareiss elimination over integers with
@@ -18,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-__all__ = ["RatMat", "nullspace", "rank", "integer_vector", "integer_bands",
+__all__ = ["RatMat", "nullspace", "rank", "integer_column", "integer_bands",
            "column_mismatches"]
 
 
@@ -65,27 +67,36 @@ class RatMat:
         return RatMat(self.rows, other.cols, tuple(out))
 
 
-def integer_vector(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(a, c) with xs[i] = a[i] / c and c the least common denominator."""
-    c = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (c // x.denominator) for x in xs], c
-
-
 Column = tuple[Sequence[int], int]
 Bands = dict[int, tuple[list[tuple[int, int]], int]]
+
+
+def integer_column(xs: Iterable) -> Column:
+    """The canonical integer column of exact rationals: (a, c) with xs[i] =
+    a[i] / c, c > 0 and gcd(*a, c) = 1; ((), 1) for no entry. Each x is an
+    int, a Fraction, an exactmath.Unreduced or a (top, bottom) pair, read as
+    report.first_mismatch reads a side: a tuple as it is, anything else
+    through as_integer_ratio(). c is the lcm of the bottoms, each top is
+    scaled to it, and the gcd is divided out, so equal vectors give equal
+    columns; a zero bottom raises ZeroDivisionError."""
+    pairs = [x if type(x) is tuple else x.as_integer_ratio() for x in xs]
+    c = lcm(*[d for _, d in pairs])
+    a = [n * (c // d) for n, d in pairs]
+    g = gcd(c, *a)
+    return tuple([x // g for x in a]), c // g
 
 
 def integer_bands(block: Mapping[tuple[int, int], Fraction], rows: Iterable[int]) -> Bands:
     """The rows of a sparse block {(i, j): Fraction} as integer bands keyed by
     row id, in the order of `rows`, which must hold every row of the block:
-    row i is ([(j, t_ij)], d_i) with block[i, j] = t_ij / d_i over their least
-    common denominator d_i, and ([], 1) where it has no entry."""
+    row i is ([(j, t_ij)], d_i) with block[i, j] = t_ij / d_i, the
+    integer_column of its entries, and ([], 1) where it has no entry."""
     bands = {i: [] for i in rows}
     for (i, j), v in block.items():
         bands[i].append((j, v))
     out = {}
     for i, band in bands.items():
-        t, d = integer_vector([v for _, v in band])
+        t, d = integer_column([v for _, v in band])
         out[i] = [(j, x) for (j, _), x in zip(band, t)], d
     return out
 
@@ -114,7 +125,7 @@ def column_mismatches(N: int, bands: Bands, here: Sequence[Column],
 
 def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form; returns (rows, pivot column list)."""
-    work = [integer_vector(row)[0] for row in m.a]
+    work = [list(integer_column(row)[0]) for row in m.a]
     piv_cols: list[int] = []
     r = 0
     prev = 1

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .exactmath import Unreduced
-
 TOOL_VERSION = "0.1.0"
 
 __all__ = ["TOOL_VERSION", "Witness", "CheckResult", "Report", "first_mismatch"]
@@ -59,31 +57,23 @@ class CheckResult:
         }
 
 
-def _pair(side) -> tuple[int, int]:
-    """A compared side as an integer pair: a (top, bottom) pair as given, the
-    top and bottom of an Unreduced value, or an int's or Fraction's own."""
-    if type(side) is tuple:
-        return side
-    if type(side) is Unreduced:
-        return side.top, side.bottom
-    return side.numerator, side.denominator
-
-
 def first_mismatch(name: str, checked_range: str,
                    sides: Iterable[tuple[dict, object, object]]) -> CheckResult:
     """Compare lazily produced (where, lhs, rhs) triples in order; the check
     fails at the first unequal pair, and nothing after it is evaluated.
 
     Each side is an int, a Fraction, an exactmath.Unreduced value or an
-    unreduced (top, bottom) pair such as exactmath.product_sum returns. Two
+    unreduced (top, bottom) pair such as exactmath.product_sum returns: a
+    tuple is used as it is, anything else gives its as_integer_ratio(), the
+    rule linalg.integer_column applies too. Two
     sides are equal when ln rd == rn ld, decided over integers (equal bottoms
     compare their tops alone), so an equal pair builds no Fraction; only the
     witness of a failure is reduced, to the Fractions its lhs and rhs print.
     A side with a zero bottom raises ZeroDivisionError, as its Fraction
     would, and never passes as equal."""
     for where, lhs, rhs in sides:
-        ln, ld = _pair(lhs)
-        rn, rd = _pair(rhs)
+        ln, ld = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
+        rn, rd = rhs if type(rhs) is tuple else rhs.as_integer_ratio()
         if not (ld and rd):  # the Fraction of that side would raise
             raise ZeroDivisionError(f"Fraction({rn if ld else ln}, 0)")
         unequal = ln != rn if ld == rd else ln * rd != rn * ld

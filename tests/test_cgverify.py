@@ -344,6 +344,17 @@ def test_oracle_equals_polynomial_blocks(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_block_route_stores_the_same_column_tuples(kind):
+    # cg_block (unreduced series pairs), the oracle (band images) and
+    # from_matrix (Fractions) all store linalg.integer_column of the values
+    inst = sample_instance(kind)
+    oracle = lowest_weight_oracle(Run(inst))
+    for N in range(inst.n_max + 1):
+        block = cg_block(inst, N)
+        assert block.columns == oracle[N].columns == CGBlock.from_matrix(N, block.P).columns
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_oracle_evaluates_no_polynomial(kind, monkeypatch):
     # every column, its scale included, comes from Delta alone
     inst = sample_instance(kind, n_max=5)

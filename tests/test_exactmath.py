@@ -322,6 +322,10 @@ def test_unreduced_reduces_to_the_fraction_value(tree):
     assert got == outcome(fraction_value, tree)
 
 
+def test_unreduced_reads_as_its_own_unreduced_pair():
+    assert Unreduced(2, 4).as_integer_ratio() == (2, 4)
+
+
 def test_unreduced_zero_divisor_survives_later_operations():
     poisoned = Unreduced(3, 2) / F(0)
     for later in (poisoned + 1, 1 - poisoned, poisoned * F(2, 3), F(1, 2) / poisoned,

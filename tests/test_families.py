@@ -750,6 +750,27 @@ def test_limit_n_must_lie_in_the_level(n):
         limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], n, 1, 2)
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_limit_k_must_lie_in_the_level(monkeypatch, k):
+    # rejected before any instance is built, like a bad n
+    def no_build(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr("askeycg.families._resolve", no_build)
+    with pytest.raises(InvalidParameterError, match="k must lie in 0..N"):
+        limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, k, 2)
+
+
+@pytest.mark.parametrize("points", [[], [F(1000)], [F(0), F(1000)], [F(-1), F(1000)],
+                                    [F(1000), F(1000)]])
+def test_limit_ladders_need_two_positive_increasing_points(points):
+    # one point compares nothing, so every decay check would pass vacuously
+    with pytest.raises(InvalidParameterError, match="two or more"):
+        limit_hahn_to_krawtchouk(F(1, 3), points, 1, 1, 2)
+    with pytest.raises(InvalidParameterError, match="two or more"):
+        limit_racah_to_dual_hahn(F(1), F(2), F(3), points, n_max=4)
+
+
 def test_limit_racah_to_dual_hahn():
     rep = limit_racah_to_dual_hahn(F(1), F(2), F(3), [F(1000), F(10 ** 6)], n_max=4)
     assert rep.passed

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askeycg.linalg import (RatMat, column_mismatches, integer_bands, integer_vector,
+from askeycg.exactmath import Unreduced
+from askeycg.linalg import (RatMat, column_mismatches, integer_bands, integer_column,
                             nullspace, rank)
 
 
@@ -182,9 +184,35 @@ def test_inverse_rejects_singular():
         inverse(m)
 
 
-def test_integer_vector_shares_the_least_common_denominator():
-    assert integer_vector([F(1, 2), F(-2, 3), F(0), F(5)]) == ([3, -4, 0, 30], 6)
-    assert integer_vector([]) == ([], 1)
+def test_integer_column_shares_the_least_common_denominator():
+    assert integer_column([F(1, 2), F(-2, 3), F(0), F(5)]) == ((3, -4, 0, 30), 6)
+    assert integer_column([]) == ((), 1)
+
+
+@st.composite
+def exact_values(draw):
+    """(xs, values): a list of exact rationals, each an int, a Fraction, an
+    Unreduced or a (top, bottom) pair scaled by a factor of either sign,
+    and the same list as Fractions."""
+    values = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                           max_size=5))
+    xs = []
+    for v in values:
+        m = draw(st.integers(-4, 4).filter(bool))
+        n, d = v.numerator * m, v.denominator * m
+        xs.append(draw(st.sampled_from([v, (n, d), Unreduced(n, d)]
+                                       + ([v.numerator] if v.denominator == 1 else []))))
+    return xs, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_values())
+def test_integer_column_is_the_canonical_column(case):
+    xs, values = case
+    a, c = integer_column(xs)
+    assert c > 0 and math.gcd(c, *a) == 1
+    assert [F(x, c) for x in a] == values
+    assert integer_column(values) == (a, c)  # equal vectors, equal columns
 
 
 # -- the column kernel against a dense Fraction reference --------------------
@@ -205,7 +233,7 @@ def band_identities(draw):
     for i in rows:
         for j in draw(st.lists(st.integers(0, N), max_size=3, unique=True)):
             block[i, j] = draw(SMALL)
-    here = [tuple(integer_vector(draw(st.lists(SMALL, min_size=N + 1, max_size=N + 1))))
+    here = [integer_column(draw(st.lists(SMALL, min_size=N + 1, max_size=N + 1)))
             for _ in range(N + 1)]
     targets = []
     for a, c in here:
@@ -217,7 +245,7 @@ def band_identities(draw):
                 values[draw(st.integers(0, size - 1))] += 1
         else:
             values = draw(st.lists(SMALL, min_size=size, max_size=size))
-        b, e = integer_vector(values)
+        b, e = integer_column(values)
         x = draw(st.sampled_from([F(0), F(1), draw(SMALL)]))
         targets.append((x.numerator, x.denominator, (b, e)))
     return N, block, rows, here, targets
@@ -231,7 +259,7 @@ def test_column_kernel_matches_a_dense_fraction_reference(case):
     assert list(bands) == rows
     for i, (band, d) in bands.items():
         entries = {j: v for (r, j), v in block.items() if r == i}
-        assert d == integer_vector(list(entries.values()))[1]
+        assert d == math.lcm(*(v.denominator for v in entries.values()))
         assert {j: F(t, d) for j, t in band} == entries
     want = []
     for n in rows:
