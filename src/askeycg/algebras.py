@@ -20,15 +20,15 @@ intermediate level stays inside the truncated module, and anything below
 level 0 is the zero space.
 
 Composition works on the integer numerators and denominators of the
-stored Fractions: every output entry is formed as one integer pair
-(exactmath.product_sum) and reduced once, into one Fraction. Every
-composition goes through one block kernel, _block_product, where a diagonal
-block only rescales the other factor. Operator
-identities (the defining relations, the Casimir, and the coproduct
-identities of the other modules) are not composed into operators:
-check_identity forms the residual lhs - rhs
-of each entry as one unreduced pair, the two sides cross-multiplied, and
-reduces only the first unequal entry, for the witness.
+stored Fractions, in one kernel, _compose: every product c v w of a term
+is accumulated straight into its entry, keyed (level, i, j), as one
+unreduced integer pair, over all the levels asked for in one pass; a
+degree-0 factor with diagonal blocks only rescales the other. @ reduces each
+entry once, into one Fraction. Operator identities (the defining
+relations, the Casimir, and the coproduct identities of the other
+modules) are not composed into operators: check_identity forms the
+residual lhs - rhs of every entry of every checked level in one _compose
+pass, and reduces only the first unequal entry, for the witness.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import takewhile
 from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .exactmath import InvalidParameterError, Scalar, format_scalar, product_sum
+from .exactmath import InvalidParameterError, Scalar, format_scalar
 from .linalg import RatMat
 from .report import CheckResult, Report
 
@@ -139,8 +140,9 @@ class GradedOperator:
     (truncation).
 
     @ reduces each output entry once, from integer products and sums, and
-    leaves out the entries that cancel to zero. A diagonal degree-0 block on
-    either side of @ only rescales the rows or columns of the other.
+    leaves out the entries that cancel to zero. A degree-0 operator with
+    diagonal blocks on either side of @ only rescales the rows or columns of
+    the other.
     """
 
     degree: int
@@ -179,58 +181,141 @@ class GradedOperator:
         return op
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
-        """self after other: every nonzero pair of _block_product, the one
-        composition kernel, reduced into one Fraction."""
+        """self after other, on every level where both have the blocks."""
         if self.dims != other.dims:
             raise ValueError("operators live on different modules")
-        out = {}
-        for n in other.blocks:
-            pairs = _block_product(self, other, n)
-            if pairs is not None:
-                out[n] = {ij: Fraction(top, bottom)
-                          for ij, (top, bottom) in pairs.items() if top}
-        return GradedOperator._nonzero(self.degree + other.degree, self.dims, out)
+        return GradedOperator._nonzero(self.degree + other.degree, self.dims,
+                                       _compose_blocks(self, other, other.blocks))
 
 
-def _block_product(a: GradedOperator, b: GradedOperator, n: int):
-    """Block n of a @ b as unreduced integer pairs {(i, j): (top, bottom)},
-    with a top of 0 where products cancel; None where a @ b has no block n
-    (b has none, or the intermediate level is truncated out of a). A
-    diagonal block on either side only rescales the rows or columns of the
-    other; any other pair of blocks sums its products with product_sum."""
-    right = b.blocks.get(n)
-    mid = n + b.degree
-    if right is None or mid >= 0 and mid not in a.blocks:
-        return None
-    left = a.blocks.get(mid, {})  # nothing below level 0
-    if b.degree == 0 and all(i == j for i, j in right):
-        scale = {k: w.as_integer_ratio() for (k, _), w in right.items()}
-        return {(i, k): (v.numerator * s[0], v.denominator * s[1])
-                for (i, k), v in left.items() if (s := scale.get(k))}
-    if a.degree == 0 and all(i == j for i, j in left):
-        scale = {k: v.as_integer_ratio() for (k, _), v in left.items()}
-        return {(k, j): (s[0] * w.numerator, s[1] * w.denominator)
-                for (k, j), w in right.items() if (s := scale.get(k))}
-    by_col = {}  # the left block's entries, keyed by the level-mid index
-    for (i, k), v in left.items():
-        by_col.setdefault(k, []).append((i, v))
-    terms = {}  # the factor pairs whose products make each output entry
-    for (k, j), w in right.items():
-        for i, v in by_col.get(k, ()):
-            terms.setdefault((i, j), []).append((v, w))
-    return {ij: product_sum(pairs) for ij, pairs in terms.items()}
+def _block_levels(factors, top: int):
+    """The levels at which the product of the factors (none: the identity)
+    has a block, on a module with levels 0..top: those where the rightmost
+    factor has its block and the left one its block at the intermediate
+    level, unless that lies below level 0, where everything is the zero
+    space."""
+    if not factors:
+        return range(top + 1)
+    b = factors[-1]
+    if len(factors) == 1:
+        return b.blocks.keys()
+    a, d = factors[0].blocks, b.degree
+    return {n for n in b.blocks if n + d < 0 or n + d in a}
+
+
+def _diagonal(op: GradedOperator) -> bool:
+    """Whether op has degree 0 and only diagonal blocks."""
+    return op.degree == 0 and all(i == j for b in op.blocks.values() for i, j in b)
+
+
+def _columns(block, cn: int, cd: int) -> dict:
+    """The entries of a block scaled by cn / cd, keyed by column: {k: [(i,
+    cn v_n, cd v_d)]}, the index a general product walks."""
+    by_col = {}
+    for (i, k), v in block.items():
+        vn, vd = v.as_integer_ratio()
+        by_col.setdefault(k, []).append((i, cn * vn, cd * vd))
+    return by_col
+
+
+def _products(c, factors, levels, dims):
+    """((n, i, j), top, bottom) of every product c v w of one term on the
+    levels, all of which the term has (_block_levels), with integer products
+    only. When one of two factors is _diagonal, its blocks only rescale the
+    other's; any other pair walks the left block by column (_columns)."""
+    cn, cd = c.as_integer_ratio()
+    if not factors:
+        for n in levels:
+            for i in range(dims[n]):
+                yield (n, i, i), cn, cd
+        return
+    if len(factors) == 1:
+        blocks = factors[0].blocks
+        for n in levels:
+            for (i, j), v in blocks[n].items():
+                vn, vd = v.as_integer_ratio()
+                yield (n, i, j), cn * vn, cd * vd
+        return
+    a, b = factors
+    if _diagonal(b):
+        for n in levels:
+            scale = {k: w.as_integer_ratio() for (k, _), w in b.blocks[n].items()}
+            for (i, k), v in a.blocks[n].items():
+                if (s := scale.get(k)) is not None:
+                    vn, vd = v.as_integer_ratio()
+                    yield (n, i, k), cn * vn * s[0], cd * vd * s[1]
+    elif _diagonal(a):
+        for n in levels:
+            scale = {k: v.as_integer_ratio()
+                     for (k, _), v in a.blocks.get(n + b.degree, {}).items()}
+            for (k, j), w in b.blocks[n].items():
+                if (s := scale.get(k)) is not None:
+                    wn, wd = w.as_integer_ratio()
+                    yield (n, k, j), cn * s[0] * wn, cd * s[1] * wd
+    else:
+        for n in levels:
+            by_col = _columns(a.blocks.get(n + b.degree, {}), cn, cd)  # nothing below level 0
+            for (k, j), w in b.blocks[n].items():
+                wn, wd = w.as_integer_ratio()
+                for i, vn, vd in by_col.get(k, ()):
+                    yield (n, i, j), vn * wn, vd * wd
+
+
+def _compose(terms, levels, dims: tuple[int, ...]) -> dict:
+    """The sum of c * (product of factors) over the (c, factors) terms on the
+    given levels, where every term has its block (_block_levels), as unreduced
+    integer pairs {(n, i, j): (top, bottom)}, a top of 0 where the products
+    cancel; an empty factor tuple is the identity. Each product is added
+    straight into its entry; equal bottoms add without a product."""
+    out = {}
+    get = out.get
+    for c, factors in terms:
+        for key, top, bottom in _products(c, factors, levels, dims):
+            old = get(key)
+            if old is None:
+                out[key] = top, bottom
+            elif old[1] == bottom:
+                out[key] = old[0] + top, bottom
+            else:
+                out[key] = old[0] * bottom + top * old[1], old[1] * bottom
+    return out
+
+
+def _compose_blocks(a: GradedOperator, b: GradedOperator, levels) -> dict:
+    """Blocks {n: {(i, j): Fraction}} of a @ b on those of the levels where it
+    has a block, each nonzero entry of _compose reduced once."""
+    present = _block_levels((a, b), a.top)
+    levels = [n for n in levels if n in present]
+    out = {n: {} for n in levels}
+    for (n, i, j), (top, bottom) in _compose([(1, (a, b))], levels, a.dims).items():
+        if top:
+            out[n][i, j] = Fraction(top, bottom)
+    return out
 
 
 @cache
 def _compositions(N: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """Ways to write N as an ordered sum of `parts` levels, lexicographic:
     the level-N basis of a `parts`-fold tensor module, empty below level 0.
-    Memoized: it depends on two small integers only, and every operator on
-    the module reads it."""
+    Memoized: it depends on two small integers only, and every shift table
+    (_shift_table) of the module reads it."""
     if parts == 1:
         return ((N,),) if N >= 0 else ()
     return tuple((n,) + rest for n in range(N + 1)
                  for rest in _compositions(N - n, parts - 1))
+
+
+@cache
+def _shift_table(N: int, shift: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(col, row, src) for every level-N basis vector src of a len(shift)-fold
+    tensor module (column col) whose image src + shift stays at or above
+    level 0 in every factor (row row of level N + sum(shift)). Memoized, as
+    _compositions: it depends on the shape alone."""
+    parts = len(shift)
+    index = {t: i for i, t in enumerate(_compositions(N + sum(shift), parts))}
+    return tuple((col, index[t], src)
+                 for col, src in enumerate(_compositions(N, parts))
+                 if (t := tuple(map(add, src, shift))) in index)
 
 
 def tensor_operator(dims: tuple[int, ...],
@@ -250,10 +335,8 @@ def tensor_operator(dims: tuple[int, ...],
     blocks = {N: {} for N in range(len(dims)) if N + degree < len(dims)}
     for shift, coeff in terms:
         for N, entries in blocks.items():
-            index = {t: i for i, t in enumerate(_compositions(N + degree, len(shift)))}
-            for col, src in enumerate(_compositions(N, len(shift))):
-                row = index.get(tuple(map(add, src, shift)))  # None below level 0
-                if row is not None and (c := coeff(src)):
+            for col, row, src in _shift_table(N, shift):
+                if c := coeff(src):
                     entries[row, col] = c if isinstance(c, Fraction) else Fraction(c)
     return GradedOperator._nonzero(degree, dims, blocks)
 
@@ -321,39 +404,6 @@ def build_generators(module: ModuleSpec) -> Generators:
         tensor_operator(dims, ((0,), lambda c: cartan(alg, label, c[0]))))
 
 
-def _combination(terms, dims: tuple[int, ...], n: int):
-    """Block n of the sum of c * (product of factors) over the (c, factors)
-    terms, as unreduced pairs; an empty factor tuple is the identity. None
-    when some term has no block n."""
-    total = None
-    for c, factors in terms:
-        if not factors:
-            pairs = {(i, i): (1, 1) for i in range(dims[n])}
-        elif len(factors) == 1:
-            block = factors[0].blocks.get(n)
-            pairs = None if block is None else {
-                ij: v.as_integer_ratio() for ij, v in block.items()}
-        else:
-            pairs = _block_product(*factors, n)
-        if pairs is None:
-            return None
-        cn, cd = c.as_integer_ratio()
-        if total is None:
-            total = pairs if cn == cd else {
-                ij: (top * cn, bottom * cd) for ij, (top, bottom) in pairs.items()}
-            continue
-        for ij, (top, bottom) in pairs.items():
-            top, bottom = top * cn, bottom * cd
-            old = total.get(ij)
-            if old is None:
-                total[ij] = top, bottom
-            elif old[1] == bottom:
-                total[ij] = old[0] + top, bottom
-            else:
-                total[ij] = old[0] * bottom + top * old[1], old[1] * bottom
-    return total
-
-
 def _relation_checks(kind: AlgebraKind, e: GradedOperator, f: GradedOperator,
                      hk: GradedOperator) -> list[CheckResult]:
     """Defining relations of the algebra, checked blockwise up to truncation.
@@ -394,29 +444,35 @@ def check_identity(name: str, checked_range: str, levels: Iterable[int], lhs, rh
                    dims: tuple[int, ...], level_key: str = "level") -> CheckResult:
     """Certify lhs == rhs on the given levels of a module with these level
     dimensions. Each side is a list of (scalar, factors) terms with at most
-    two factors; no factors means the identity. Per level, the residual
-    lhs - rhs of every entry is one unreduced integer pair (products from
-    _block_product), the two sides cross-multiplied, so an entry that agrees
-    builds no Fraction. A level passes when every residual top is 0; else
-    the row-major first nonzero residual is the witness, {level_key: level,
-    "row": i, "col": j}, the one place both sides become Fractions. Terms
-    of another module or degree, and a checked level where some term has no
-    block, raise ValueError."""
+    two factors; no factors means the identity. The residual lhs - rhs of
+    every entry of every checked level is one unreduced integer pair, from
+    one _compose pass, so an entry that agrees builds no Fraction. Levels
+    are decided in order: a level passes when every residual top is 0; the
+    first that does not gives the witness, its row-major first nonzero
+    residual {level_key: level, "row": i, "col": j}, the one place both
+    sides become Fractions. Terms of another module or degree raise
+    ValueError, and so does a checked level reached where some term has no
+    block (every level outside 0..len(dims)-1 is one)."""
     residual = lhs + [(-c, factors) for c, factors in rhs]
     if (len({sum(op.degree for op in factors) for _, factors in residual}) > 1
             or any(op.dims != dims for _, factors in residual for op in factors)):
         raise ValueError("terms of different modules or degrees")
-    for n in levels:
-        diff = _combination(residual, dims, n)
-        if diff is None:
-            raise ValueError(f"block {n} outside the checked operators")
-        if any(top for top, _ in diff.values()):
-            i, j = min(ij for ij, (top, _) in diff.items() if top)
+    levels = list(levels)
+    present = set(levels).intersection(
+        *(_block_levels(factors, len(dims) - 1) for _, factors in residual))
+    checked = list(takewhile(present.__contains__, levels))  # up to a missing block
+    diff = _compose(residual, checked, dims)
+    failing = {n for (n, _, _), (t, _) in diff.items() if t}
+    for n in checked:
+        if n in failing:
+            i, j = min((i, j) for (m, i, j), (t, _) in diff.items() if t and m == n)
             zero = (0, 1)
             return CheckResult.fail(
                 name, checked_range, {level_key: n, "row": i, "col": j},
-                Fraction(*_combination(lhs, dims, n).get((i, j), zero)),
-                Fraction(*_combination(rhs, dims, n).get((i, j), zero)))
+                Fraction(*_compose(lhs, [n], dims).get((n, i, j), zero)),
+                Fraction(*_compose(rhs, [n], dims).get((n, i, j), zero)))
+    if len(checked) < len(levels):
+        raise ValueError(f"block {levels[len(checked)]} outside the checked operators")
     return CheckResult.ok(name, checked_range)
 
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .algebras import (ModuleSpec, _block_product, build_generators, check_identity, phi,
+from .algebras import (ModuleSpec, _compose_blocks, build_generators, check_identity, phi,
                        scalar_operator)
 from .coproduct import build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar
@@ -310,8 +310,7 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
     def failed(step, what):
         return WeightSolutionError(f"block {N}, step {step}: {what}")
 
-    T = {ij: Fraction(*pair)
-         for ij, pair in (_block_product(delta.e, delta.f, N) or {}).items() if pair[0]}
+    T = _compose_blocks(delta.e, delta.f, [N]).get(N, {})
     omega = [Fraction(1)]
     for n in range(N):
         for i, j in ((n, n + 1), (n + 1, n)):

@@ -250,18 +250,16 @@ def build_delta(inst: FamilyInstance, data: ContiguityData) -> Delta:
     h1 = [cartan(alg, l1, n) for n in levels]
     h2 = [cartan(alg, l2, m) for m in levels]
 
-    def shift(*terms):
-        return tensor_operator(dims, *((s, lambda c, w=w: w(*c)) for s, w in terms))
-
     if alg.is_q:
-        dhk = shift(((0, 0), lambda n, m: h1[n] * h2[m]))      # K x K
+        dhk = tensor_operator(dims, ((0, 0), lambda c: h1[c[0]] * h2[c[1]]))  # K x K
     else:
-        dhk = shift(((0, 0), lambda n, m: h1[n] + h2[m]))      # H x I + I x H
-    # weights of E x I, I x E, F x I and I x F at the source basis vector (n, m)
-    return Delta(shift(((+1, 0), lambda n, m: data.alpha1(n + 1, n + m)),
-                       ((0, +1), lambda n, m: data.alpha2(n, n + m))),
-                 shift(((-1, 0), lambda n, m: data.beta1(n - 1, n + m)),
-                       ((0, -1), lambda n, m: data.beta2(n, n + m))), dhk)
+        dhk = tensor_operator(dims, ((0, 0), lambda c: h1[c[0]] + h2[c[1]]))  # H x I + I x H
+    # weights of E x I, I x E, F x I and I x F at the source basis vector c = (n, m)
+    return Delta(
+        tensor_operator(dims, ((+1, 0), lambda c: data.alpha1(c[0] + 1, c[0] + c[1])),
+                        ((0, +1), lambda c: data.alpha2(c[0], c[0] + c[1]))),
+        tensor_operator(dims, ((-1, 0), lambda c: data.beta1(c[0] - 1, c[0] + c[1])),
+                        ((0, -1), lambda c: data.beta2(c[0], c[0] + c[1]))), dhk)
 
 
 def check_homomorphism(run: Run) -> Report:

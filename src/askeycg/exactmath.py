@@ -25,9 +25,6 @@ term ratios, nested_sum scans them for poles and sums them, and
 q_binomial_pair is the Gaussian binomial before its reduction. The kernels
 here and families.poly_block, which builds a whole CG block from tables
 split once per block, share them, so both follow one pole and term rule.
-product_sum adds exact products as one integer pair; the graded-operator
-kernels make one Fraction per entry from it, and the pointwise checks hand
-the pair to report.first_mismatch, which reduces only a witness.
 
 Unreduced carries the same idea into closed-form expressions: an exact
 rational held as one integer pair that + - * / combine without any gcd. The
@@ -43,7 +40,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 Scalar = Fraction
 
@@ -62,7 +59,6 @@ __all__ = [
     "parameter_factors",
     "ratio_scales",
     "nested_sum",
-    "product_sum",
     "Unreduced",
     "q_powers",
     "hyper_terminating",
@@ -241,24 +237,6 @@ def nested_sum(tops: Sequence[int], bottoms: Sequence[int]) -> tuple[int, int]:
     top = bottom = 1
     for p, q in zip(reversed(tops[:m]), reversed(bottoms[:m])):
         top, bottom = q * bottom + p * top, q * bottom
-    return top, bottom
-
-
-def product_sum(terms: Iterable[tuple[Scalar, Scalar]]) -> tuple[int, int]:
-    """The sum of a * b over the (a, b) terms, Fractions or ints, as one
-    unreduced integer pair; (0, 1) when there is no term. Each product is
-    formed from the factors' integer numerators and denominators, and equal
-    denominators add without a product, so the pair holds no reduction;
-    the caller reduces it, or compares it unreduced."""
-    top, bottom = 0, 1
-    for a, b in terms:
-        an, ad = a.as_integer_ratio()
-        bn, bd = b.as_integer_ratio()
-        n, d = an * bn, ad * bd
-        if d == bottom:
-            top += n
-        else:
-            top, bottom = top * d + n * bottom, bottom * d
     return top, bottom
 
 

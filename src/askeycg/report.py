@@ -63,7 +63,7 @@ def first_mismatch(name: str, checked_range: str,
     fails at the first unequal pair, and nothing after it is evaluated.
 
     Each side is an int, a Fraction, an exactmath.Unreduced value or an
-    unreduced (top, bottom) pair such as exactmath.product_sum returns: a
+    unreduced (top, bottom) pair such as linalg.column_mismatches yields: a
     tuple is used as it is, anything else gives its as_integer_ratio(), the
     rule linalg.integer_column applies too. Two
     sides are equal when ln rd == rn ld, decided over integers (equal bottoms

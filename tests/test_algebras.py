@@ -219,6 +219,42 @@ def test_check_identity_rejects_terms_of_different_modules_or_degrees():
             check_identity("c", "", range(2), lhs, rhs, gens.e.dims)
 
 
+@pytest.mark.parametrize("levels", [[-1], [4], [4, 0], [-1, 0]])
+@pytest.mark.parametrize("sides", [([(2, ())], [(1, ())]), ([(1, ())], [(1, ()), (1, ())])])
+def test_check_identity_levels_outside_the_module_have_no_block(levels, sides):
+    # dims (1, 1, 1, 1): the sides differ on every level there is, so a level
+    # outside 0..3 read as some level (-1 as the top one) would give a witness;
+    # it has no block, for the identity term too, and is reached first
+    dims = build_generators(ModuleSpec(SL2, F(3), 3)).e.dims
+    assert dims == (1, 1, 1, 1)
+    bad = levels[0]
+    with pytest.raises(ValueError, match=f"block {bad} outside the checked operators"):
+        check_identity("x", "", levels, *sides, dims)
+
+
+def test_check_identity_decides_levels_in_order_up_to_a_missing_block():
+    dims = (1, 1, 1, 1)
+    full = {n: {(0, 0): F(n + 1)} for n in range(4)}
+
+    def cut(blocks, drop, change=None):
+        return GradedOperator(0, dims, {n: ({(0, 0): F(9)} if n == change else b)
+                                        for n, b in blocks.items() if n != drop})
+
+    ref = GradedOperator(0, dims, full)
+    # a level that fails before the missing one gives its witness
+    res = check_identity("w", "r", range(4), [(1, (cut(full, 3, change=1),))],
+                         [(1, (ref,))], dims)
+    assert res == CheckResult.fail("w", "r", {"level": 1, "row": 0, "col": 0}, F(9), F(2))
+    # a missing level reached before any failure raises, whatever fails after it
+    with pytest.raises(ValueError, match="block 2 outside the checked operators"):
+        check_identity("w", "r", range(4), [(1, (cut(full, 2, change=3),))],
+                       [(1, (ref,))], dims)
+    # levels are decided in the order given
+    res = check_identity("w", "r", [3, 1], [(1, (cut(full, None, change=1),))],
+                         [(1, (cut(full, None, change=3),))], dims)
+    assert res.witness.where == {"level": 3, "row": 0, "col": 0}
+
+
 def test_tensor_operator_on_three_fold_module():
     # level 1 basis (0,0,1), (0,1,0), (1,0,0); level 2 basis (0,0,2), (0,1,1),
     # (0,2,0), (1,0,1), (1,1,0), (2,0,0)
@@ -367,8 +403,9 @@ def test_matmul_matches_fraction_reference(data):
     (a, a_diagonal), (b, b_diagonal) = factor(data.draw, dims), factor(data.draw, dims)
     if not b_diagonal:
         b = plant_product_zeros(data.draw, a, b)
-    # a diagonal block on either side only rescales the other one
-    with (patch("askeycg.algebras.product_sum", side_effect=AssertionError)
+    # a diagonal factor on either side only rescales the other one: the
+    # general product, which indexes the left block by column, never runs
+    with (patch("askeycg.algebras._columns", side_effect=AssertionError)
           if a_diagonal or b_diagonal else nullcontext()):
         got = a @ b
     assert_entry_maps(got, a.degree + b.degree, ref_matmul(a, b))
