@@ -20,11 +20,16 @@ is accumulated in nested form, 1 + r_1 (1 + r_2 (1 + ... r_n)), as one
 integer numerator and denominator; the single reduction is the Fraction
 returned at the end.
 
-The integer cores are public: parameter_factors and ratio_scales build the
-term ratios, nested_sum scans them for poles and sums them, and
-q_binomial_pair is the Gaussian binomial before its reduction. The kernels
-here and families.poly_block, which builds a whole CG block from tables
-split once per block, share them, so both follow one pole and term rule.
+The integer cores are public: term_steps, parameter_factors and
+ratio_scales build the term ratios from parameters given as integer pairs;
+scan_poles is the pole rule (a zero term denominator is an error naming its
+term) and live_terms the term rule (the sum stops at the first vanished
+term); nested_sum sums the ratios it is given; and q_binomial_pair is the
+Gaussian binomial before its reduction. The kernels here and
+families.poly_block share them, so both follow one pole and one term rule.
+poly_block splits its tables once per level: each distinct parameter's
+factors once, poles scanned once per row, and each entry summed only up to
+its first vanished term, at most min(n, k).
 
 Unreduced carries the same idea into closed-form expressions: an exact
 rational held as one integer pair that + - * / combine without any gcd. The
@@ -56,8 +61,11 @@ __all__ = [
     "binomial",
     "q_binomial",
     "q_binomial_pair",
+    "term_steps",
     "parameter_factors",
     "ratio_scales",
+    "scan_poles",
+    "live_terms",
     "nested_sum",
     "Unreduced",
     "q_powers",
@@ -182,29 +190,39 @@ def q_binomial_pair(N: int, n: int, q: Scalar) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # terminating series over integers: the kernels below and families.poly_block
-# build their term ratios from the same three integer cores
+# build their term ratios from the same integer cores and follow the same rules
 # ---------------------------------------------------------------------------
 
-def parameter_factors(params: Sequence[Scalar], n: int,
-                      q: Scalar | None = None) -> tuple[list[int], int]:
-    """(f, d): the parameters' share of the first n term ratios of a series.
-
-    For i < n, f[i] is prod(an + i ad) classically and, with q = u/v,
-    prod(v^i ad - u^i an), over the parameters a = an/ad; d is prod(ad).
-    So prod(a + i) = f[i] / d and prod(1 - q^i a) = f[i] / (d v^{i m}) for
-    m parameters.
-    """
-    pairs = [(x.numerator, x.denominator) for x in params]
-    steps = ([(1, i) for i in range(n)] if q is None else
-             [(-q.numerator ** i, q.denominator ** i) for i in range(n)])
-    f = [math.prod(s * an + t * ad for an, ad in pairs) for s, t in steps]
-    return f, math.prod(ad for _, ad in pairs)
+def term_steps(n: int, q: Scalar | None = None) -> list[tuple[int, int]]:
+    """The steps (s, t) of the first n term ratios of a series: ratio i owes
+    a parameter a = an/ad the integer factor s an + t ad over ad, since
+    a + i = (an + i ad) / ad and, with q = u/v, 1 - q^i a = (v^i ad - u^i an)
+    / (v^i ad). So the steps are (1, i) classically and (-u^i, v^i) for q."""
+    if q is None:
+        return [(1, i) for i in range(n)]
+    u, v = q.numerator, q.denominator
+    return [(-u ** i, v ** i) for i in range(n)]
 
 
-def ratio_scales(den: Sequence[Scalar], z: Scalar, n: int, r: int,
+def parameter_factors(params: Sequence[tuple[int, int]],
+                      steps: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """(f, d): the share of the parameters a = an/ad, each an integer pair
+    with ad != 0, in the term ratios of the given term_steps: f[i] is
+    prod(s_i an + t_i ad) and d is prod(ad). So prod(a + i) = f[i] / d and
+    prod(1 - q^i a) = f[i] / (d v^{i m}) for m parameters."""
+    f, d = [1] * len(steps), 1
+    for an, ad in params:
+        f = [x * (s * an + t * ad) for x, (s, t) in zip(f, steps)]
+        d *= ad
+    return f, d
+
+
+def ratio_scales(den: Sequence[tuple[int, int]], z: tuple[int, int],
+                 steps: Sequence[tuple[int, int]], r: int,
                  q: Scalar | None = None) -> tuple[list[int], list[int]]:
-    """(tops, bottoms): what the first n term ratios of a series with r
-    numerator parameters owe to everything but those parameters.
+    """(tops, bottoms): what the term ratios of the given term_steps, of a
+    series with r numerator parameters, owe to everything but those
+    parameters; den and z are integer pairs.
 
     Term i+1 over term i is z prod(a + i) / prod(b + i), or z prod(1 - q^i a)
     / prod(1 - q^i b), with the implicit j! = (1)_j or (q; q)_j among the b.
@@ -213,30 +231,45 @@ def ratio_scales(den: Sequence[Scalar], z: Scalar, n: int, r: int,
     bottoms[i] = zd v^{max(-i e, 0)} prod(bn + i bd), or prod(v^i bd - u^i bn),
     where e is the number of b, implicit one included, less r.
     """
-    f, d = parameter_factors([*den, Fraction(1) if q is None else q], n, q)
-    top, bottom = z.numerator * d, z.denominator
+    f, d = parameter_factors([*den, (1, 1) if q is None else q.as_integer_ratio()], steps)
+    top, bottom = z[0] * d, z[1]
     if q is None:
-        return [top] * n, [bottom * x for x in f]
+        return [top] * len(f), [bottom * x for x in f]
     e, v = len(den) + 1 - r, q.denominator
-    return ([top * v ** max(i * e, 0) for i in range(n)],
+    return ([top * v ** max(i * e, 0) for i in range(len(f))],
             [bottom * v ** max(-i * e, 0) * x for i, x in enumerate(f)])
 
 
-def nested_sum(tops: Sequence[int], bottoms: Sequence[int]) -> tuple[int, int]:
-    """1 + r_1 (1 + r_2 (1 + ... (1 + r_n))) for the term ratios r_j =
-    tops[j-1] / bottoms[j-1], as an unreduced integer pair.
-
-    A zero bottom is a pole at term j, reported even past a vanished top;
-    the terms after a vanished top are zero and stay out of the sum.
-    """
+def scan_poles(bottoms: Sequence[int]) -> None:
+    """The pole rule: a zero bottoms[j-1] is a pole at term j, raised as a
+    SingularParameterError naming the first, even where a top before it has
+    vanished and the terms from there on are zero."""
     if 0 in bottoms:
         j = bottoms.index(0) + 1
         raise SingularParameterError(
             f"denominator parameter hits a pole at term k={j}", term=j)
-    m = tops.index(0) if 0 in tops else len(tops)
+
+
+def live_terms(tops: Sequence[int]) -> int:
+    """The term rule: the number of term ratios before the first zero top.
+    The terms after a vanished top are zero and stay out of the sum; a
+    product of factor lists vanishes first where its first factor does."""
+    return tops.index(0) if 0 in tops else len(tops)
+
+
+def nested_sum(f: Sequence[int], g: Sequence[int], d: int,
+               bottoms: Sequence[int], m: int) -> tuple[int, int]:
+    """1 + r_1 (1 + r_2 (1 + ... (1 + r_m))) for the term ratios r_j =
+    f[j-1] g[j-1] / (d bottoms[j-1]), as an unreduced integer pair.
+
+    No zero is tested here: the caller has applied the pole rule
+    (scan_poles) to every bottom of the series and taken m from the term
+    rule (live_terms), so the m ratios summed are finite and nonzero.
+    """
     top = bottom = 1
-    for p, q in zip(reversed(tops[:m]), reversed(bottoms[:m])):
-        top, bottom = q * bottom + p * top, q * bottom
+    for i in range(m - 1, -1, -1):
+        b = d * bottoms[i] * bottom
+        top, bottom = b + f[i] * g[i] * top, b
     return top, bottom
 
 
@@ -318,10 +351,12 @@ def q_powers(q: Scalar) -> Callable[[int], Unreduced]:
 
 def _sum(num: Sequence[Scalar], den: Sequence[Scalar], z: Scalar, n: int,
             q: Scalar | None) -> Scalar:
-    f, d = parameter_factors(num, n, q)
-    tops, bottoms = ratio_scales(den, z, n, len(num), q)
-    return Fraction(*nested_sum([x * y for x, y in zip(f, tops)],
-                                [d * y for y in bottoms]))
+    steps = term_steps(n, q)
+    f, d = parameter_factors([x.as_integer_ratio() for x in num], steps)
+    tops, bottoms = ratio_scales([x.as_integer_ratio() for x in den], z.as_integer_ratio(),
+                                 steps, len(num), q)
+    scan_poles(bottoms)
+    return Fraction(*nested_sum(f, tops, d, bottoms, min(live_terms(f), live_terms(tops))))
 
 
 def hyper_terminating(num: Sequence[Scalar], den: Sequence[Scalar],

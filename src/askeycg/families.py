@@ -8,10 +8,11 @@ level N:
     mu(k, N) P_n(k, N-1) = beta1(n, N) P_{n+1}(k, N) + beta2(n, N) P_n(k, N)
 
 with the boundary convention P_{-1} = P_{N+1} = 0. Each family's series
-parameters are written once (_series): poly_value evaluates one P_n(k, N)
-through the public (q-)series kernels, and poly_block builds a whole level N
-from integer tables split once per level, as integer columns over their
-least common denominators. The left-hand coefficient
+parameters are written once, as integer pairs (_series): poly_value
+evaluates one P_n(k, N) through the public (q-)series kernels, and
+poly_block builds a whole level N in one integer loop over tables made once
+per level, each entry summed up to its first vanished term, as integer
+columns over their least common denominators. The left-hand coefficient
 mu(k, N) matches the lowering coefficient of an algebra acting on a tensor
 product of two lowest-weight modules, which is what makes these families
 Clebsch-Gordan coefficients; the mapping is
@@ -45,8 +46,9 @@ from typing import TYPE_CHECKING, Callable
 
 from .algebras import AlgebraKind, AlgebraTag
 from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
-                        format_scalar, hyper_terminating, nested_sum, parameter_factors,
-                        q_binomial_pair, q_hyper_terminating, q_powers, ratio_scales)
+                        format_scalar, hyper_terminating, live_terms, nested_sum,
+                        parameter_factors, q_binomial_pair, q_hyper_terminating, q_powers,
+                        ratio_scales, scan_poles, term_steps)
 from .linalg import column_mismatches, integer_bands, integer_column
 from .report import CheckResult, Report, first_mismatch
 
@@ -315,31 +317,47 @@ def _q_exponent(c: Scalar, q: Scalar, lo: int, hi: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 def _series(inst: FamilyInstance, N: int):
-    """The series of P_n(k, N) on level N as (row, col, den, z): row(n) and
+    """The series of P_n(k, N) on level N as (row, col, den, z), every
+    parameter an integer pair (numerator, nonzero denominator): row(n) and
     col(k) are the numerator parameters that vary with n and with k, row(n)
-    leading with -n (or q^{-n}); den holds the denominator parameters, the
-    implicit k! (or (q; q)_k) aside, and z is the argument (q for q-kinds)."""
+    leading with -n (or q^{-n}) and col(k) with -k (or q^{-k}); den holds the
+    denominator parameters, the implicit k! (or (q; q)_k) aside, and z is the
+    argument (q for q-kinds). A row or column costs integer products only."""
     a, b, g, q = inst.alpha, inst.beta, inst.gamma, inst.q
     kind = inst.kind
-    if kind is FamilyKind.HAHN:
-        return (lambda n: [Fraction(-n), n + a + b - N + 1], lambda k: [Fraction(-k)],
-                [a + 1, Fraction(-N)], Fraction(1))
-    if kind is FamilyKind.KRAWTCHOUK:
-        return (lambda n: [Fraction(-n)], lambda k: [Fraction(-k)],
-                [Fraction(-N)], 1 / inst.p)
-    if kind is FamilyKind.DUAL_HAHN:
-        return (lambda n: [Fraction(-n)], lambda k: [Fraction(-k), k + a + b + 1],
-                [a + 1, Fraction(-N)], Fraction(1))
-    if kind is FamilyKind.RACAH:
-        return (lambda n: [Fraction(-n), n + a + b - N + 1],
-                lambda k: [Fraction(-k), k + g],
-                [a + 1, b + g + 1, Fraction(-N)], Fraction(1))
+    if not kind.is_q:
+        def plus(x, c):  # x + c
+            xn, xd = x.as_integer_ratio()
+            return xn + c * xd, xd
+
+        if kind is FamilyKind.KRAWTCHOUK:
+            return (lambda n: [(-n, 1)], lambda k: [(-k, 1)], [(-N, 1)],
+                    (1 / inst.p).as_integer_ratio())
+        s = a + b
+        if kind is FamilyKind.DUAL_HAHN:
+            return (lambda n: [(-n, 1)], lambda k: [(-k, 1), plus(s, k + 1)],
+                    [plus(a, 1), (-N, 1)], (1, 1))
+        if kind is FamilyKind.HAHN:
+            return (lambda n: [(-n, 1), plus(s, n - N + 1)], lambda k: [(-k, 1)],
+                    [plus(a, 1), (-N, 1)], (1, 1))
+        return (lambda n: [(-n, 1), plus(s, n - N + 1)], lambda k: [(-k, 1), plus(g, k)],
+                [plus(a, 1), plus(b + g, 1), (-N, 1)], (1, 1))
+
+    u, v = q.as_integer_ratio()
+
+    def power(x, e):  # x q^e
+        xn, xd = x.as_integer_ratio()
+        return (xn * u ** e, xd * v ** e) if e >= 0 else (xn * v ** -e, xd * u ** -e)
+
+    ab = a * b
+
+    def row(n):
+        return [(v ** n, u ** n), power(ab, n - N + 1)]
+
     if kind is FamilyKind.Q_HAHN:
-        return (lambda n: [q ** -n, a * b * q ** (n - N + 1)], lambda k: [q ** -k],
-                [a * q, q ** -N], q)
-    return (lambda n: [q ** -n, a * b * q ** (n - N + 1)],
-            lambda k: [q ** -k, g * q ** k],
-            [a * q, b * g * q, q ** -N], q)
+        return (row, lambda k: [(v ** k, u ** k)], [power(a, 1), (v ** N, u ** N)], (u, v))
+    return (row, lambda k: [(v ** k, u ** k), power(g, k)],
+            [power(a, 1), power(b * g, 1), (v ** N, u ** N)], (u, v))
 
 
 def _prefactor(inst: FamilyInstance, n: int, N: int) -> tuple[int, int]:
@@ -349,7 +367,8 @@ def _prefactor(inst: FamilyInstance, n: int, N: int) -> tuple[int, int]:
 
 def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
     """P_n(k, N), including the (q-)binomial prefactor; 0 for n outside 0..N.
-    The public single-entry route, through the public (q-)series kernels."""
+    The public single-entry route, through the public (q-)series kernels,
+    with _series's integer pairs turned into Fractions."""
     if not 0 <= N <= inst.n_max:
         raise ValueError(f"N must lie in 0..{inst.n_max}")
     if not 0 <= k <= N:
@@ -358,9 +377,11 @@ def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
         return Fraction(0)
     prefactor = Fraction(*_prefactor(inst, n, N))
     row, col, den, z = _series(inst, N)
+    num = [Fraction(*x) for x in row(n) + col(k)]
+    den = [Fraction(*x) for x in den]
     if inst.kind.is_q:
-        return prefactor * q_hyper_terminating(row(n) + col(k), den, inst.q, z, n)
-    return prefactor * hyper_terminating(row(n) + col(k), den, z, n)
+        return prefactor * q_hyper_terminating(num, den, inst.q, Fraction(*z), n)
+    return prefactor * hyper_terminating(num, den, Fraction(*z), n)
 
 
 def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -368,33 +389,51 @@ def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int
     over integers: column k is linalg.integer_column of its entries, (a, c)
     with P[n][k] = a[n] / c, c > 0, a and c coprime.
 
-    The parameters are split once per block: the row factors and prefactor
-    once per n, the column factors once per k, and the term denominators and
-    powers of q once for all (exactmath.parameter_factors, ratio_scales).
-    Each entry is then one exactmath.nested_sum, an unreduced pair, which
-    integer_column takes as it is, so no Fraction is built. Values, and
-    errors in row-major order, are those of poly_value; nothing is read from
-    the contiguity recurrence or from another block.
+    The level is split once into integer tables by exactmath's cores: the
+    term steps, the term denominators and the powers of q once; the factor
+    list of each distinct parameter once (-j serves row j and column j);
+    each column's factors once per k; each row's factors, prefactor and
+    pole scan (the pole rule, exactmath.scan_poles) once per n. Entry (n, k)
+    is then exactmath.nested_sum of its first m term ratios, m from the term
+    rule (exactmath.live_terms): where the row's or the column's factors
+    first vanish, so at most min(n, k), as -n (or q^{-n}) vanishes at term n
+    and -k (or q^{-k}) at term k. The unreduced pairs go to integer_column
+    as they are, so no Fraction is built. Values, and errors in row-major
+    order, are those of poly_value; nothing is read from the contiguity
+    recurrence or from another block, and no table outlives the call.
     """
     if not 0 <= N <= inst.n_max:
         raise ValueError(f"N must lie in 0..{inst.n_max}")
-    prefactors = [_prefactor(inst, n, N) for n in range(N + 1)]
     row, col, den, z = _series(inst, N)
     q = inst.q if inst.kind.is_q else None
-    tops, bottoms = ratio_scales(den, z, N, len(row(0)) + len(col(0)), q)
+    steps = term_steps(N, q)
+    tops, bottoms = ratio_scales(den, z, steps, len(row(0)) + len(col(0)), q)
+    lists = {}  # each distinct parameter's factors over the level's steps
+
+    def factors(params):  # parameter_factors(params, steps), from the lists
+        f, d = None, 1
+        for p in params:
+            if p not in lists:
+                lists[p] = parameter_factors([p], steps)[0]
+            f = lists[p] if f is None else [x * y for x, y in zip(f, lists[p])]
+            d *= p[1]
+        return f, d
+
     cols = []
     for k in range(N + 1):
-        f, d = parameter_factors(col(k), N, q)
-        cols.append((f, [d * y for y in bottoms]))
-    rows = []
-    for n, (pre_top, pre_bottom) in enumerate(prefactors):
-        f, d = parameter_factors(row(n), n, q)
+        f, d = factors(col(k))
+        cols.append((f, live_terms(f), d))
+    out = [[] for _ in range(N + 1)]
+    for n in range(N + 1):
+        pre_top, pre_bottom = _prefactor(inst, n, N)
+        scan_poles(bottoms[:n])
+        f, d = factors(row(n))
         f = [x * y for x, y in zip(f, tops)]
-        rows.append([(pre_top * top, pre_bottom * bottom)
-                     for top, bottom in (nested_sum([x * y for x, y in zip(f, cf)],
-                                                    [d * y for y in cb[:n]])
-                                         for cf, cb in cols)])
-    return tuple(integer_column(entries) for entries in zip(*rows))
+        stop = live_terms(f)
+        for column, (cf, cstop, cd) in zip(out, cols):
+            top, bottom = nested_sum(f, cf, d * cd, bottoms, min(stop, cstop))
+            column.append((pre_top * top, pre_bottom * bottom))
+    return tuple(integer_column(entries) for entries in out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,59 @@
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
+
+METRICS = {m["name"]: m["unit"]
+           for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]}
+
+
+def fake_runner(calls, values, fingerprints=None):
+    """A runner that records (checkout, workload, seed, seconds) and returns
+    the next canned metrics of that checkout, as bench/run.py prints them;
+    a metric without canned values reads 1."""
+    def run(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        i = sum(c[0] == checkout for c in calls) - 1
+        meta = {"fingerprint": (fingerprints or {}).get((checkout, i), "f00d")}
+        result = {"metrics": {name: {"value": values[checkout].get(name, [1] * 9)[i], "unit": unit}
+                              for name, unit in METRICS.items()}}
+        return meta, result
+    return run
+
+
+def test_pairs_alternate_and_one_line_per_metric(capsys):
+    values = {"old": {"ops_per_s": [70, 68, 66, 72], "setup_s": [0.5, 0.5, 0.5, 0.5]},
+              "new": {"ops_per_s": [80, 67, 75, 79], "setup_s": [0.4, 0.6, 0.5, 0.4]}}
+    calls = []
+    argv = ["old", "new", "--workload", "sweep", "--seed", "3", "--seconds", "2",
+            "--pairs", "4"]
+    assert bench_pairs.main(argv, fake_runner(calls, values)) == 0
+    # one process at a time, the parent first in odd pairs
+    assert [c[0] for c in calls] == ["old", "new", "new", "old", "old", "new", "new", "old"]
+    assert {c[1:] for c in calls} == {("sweep", 3, 2.0)}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sweep seed=3: 4 pairs of 2 s runs, parent -> change"
+    # each pair's values as it ends, then the summary
+    assert lines[1].startswith("  pair 1: setup_s 0.5 -> 0.4, ops_per_s 70 -> 80, ")
+    assert lines[4].startswith("  pair 4: setup_s 0.5 -> 0.4, ops_per_s 72 -> 79, ")
+    assert lines[5] == "median [quartiles] of the parent -> median of the change"
+    by_name = {line.split()[0]: line for line in lines[6:-1]}
+    assert list(by_name) == list(METRICS)
+    assert by_name["ops_per_s"] == ("  ops_per_s    69 [66.5, 71.5] -> 77 1/s "
+                                    "(higher is better): change better in 3 of 4")
+    assert by_name["setup_s"].endswith("0.5 [0.5, 0.5] -> 0.45 s (lower is better): "
+                                       "change better in 2 of 4")
+    assert lines[-1] == "  fingerprints match in 4 of 4 pairs"
+
+
+def test_summary_names_differing_fingerprints():
+    values = {"a": {"ops_per_s": [1, 1], "setup_s": [1, 1]},
+              "b": {"ops_per_s": [2, 2], "setup_s": [1, 1]}}
+    runs = list(bench_pairs.run_pairs("a", "b", "structure", 1, 1, 2, fake_runner(
+        [], values, {("b", 1): "beef"})))
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+    assert bench_pairs.summary(runs, metrics) == [
+        "  ops_per_s    1 [1, 1] -> 2 1/s (higher is better): change better in 2 of 2",
+        "  fingerprints match in 1 of 2 pairs: they differ"]

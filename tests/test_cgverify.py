@@ -52,10 +52,10 @@ def test_dual_hahn_block_one():
     assert to_lists(cg_block(inst, 1).P) == [[F(1), F(1)], [F(1), F(-3, 2)]]
 
 
-def assert_block_matches_entries(inst):
-    """Every entry of every block equals poly_value and the second,
-    exactmath-free implementation poly_reference."""
-    for N in range(inst.n_max + 1):
+def assert_block_matches_entries(inst, top=None):
+    """Every entry of every block, up to level top (n_max by default), equals
+    poly_value and the second, exactmath-free implementation poly_reference."""
+    for N in range((inst.n_max if top is None else top) + 1):
         P = cg_block(inst, N).P
         assert (P.rows, P.cols) == (N + 1, N + 1)
         for n in range(N + 1):
@@ -156,6 +156,47 @@ def test_block_raises_the_first_entry_error(inst, N):
         cg_block(inst, N)
     assert type(got.value) is type(want)
     assert (got.value.term, str(got.value)) == (want.term, str(want))
+
+
+# (instance, pole term or None), each built by FamilyInstance(...) without
+# validation. With no pole, a row or column factor vanishes before min(n, k):
+# n - N + i for alpha + beta = -1, k - 2 + i for gamma = -2, k - 1 + i for
+# alpha + beta = -2 (dual Hahn), 1 - q^(i+k-1) for gamma = 1/q and 1 - q^(i+n-N)
+# for alpha beta = 1/q. With one, (alpha+1)_j, (beta+gamma+1)_j or
+# (alpha q; q)_j vanishes at term 3, past min(n, k) in column 0 of row 3.
+VANISHING = [
+    (FamilyInstance(FamilyKind.HAHN, 5, alpha=F(1, 2), beta=F(-3, 2),
+                    lambda1=F(1), lambda2=F(2)), None),
+    (FamilyInstance(FamilyKind.RACAH, 5, alpha=F(1, 3), beta=F(1, 2), gamma=F(-2),
+                    lambda1=F(1), lambda2=F(1, 2)), None),
+    (FamilyInstance(FamilyKind.DUAL_HAHN, 5, alpha=F(1, 2), beta=F(-5, 2),
+                    lambda1=F(2), lambda2=F(5, 2)), None),
+    (FamilyInstance(FamilyKind.Q_RACAH, 5, q=F(1, 3), alpha=F(1, 5), beta=F(2, 5),
+                    gamma=F(3), kappa1=F(1, 2), kappa2=F(1, 3)), None),
+    (FamilyInstance(FamilyKind.Q_HAHN, 5, q=F(1, 3), alpha=F(1, 2), beta=F(6),
+                    kappa1=F(1), kappa2=F(1)), None),
+    (FamilyInstance(FamilyKind.HAHN, 5, alpha=F(-3), beta=F(1, 2),
+                    lambda1=F(1), lambda2=F(2)), 3),
+    (FamilyInstance(FamilyKind.RACAH, 5, alpha=F(1, 3), beta=F(-5, 2), gamma=F(-1, 2),
+                    lambda1=F(1), lambda2=F(1, 2)), 3),
+    (FamilyInstance(FamilyKind.Q_HAHN, 5, q=F(1, 3), alpha=F(27), beta=F(2, 5),
+                    kappa1=F(1), kappa2=F(1)), 3),
+]
+
+
+@pytest.mark.parametrize("inst, pole", VANISHING,
+                         ids=lambda x: x.kind.value if isinstance(x, FamilyInstance) else str(x))
+def test_block_sums_stop_at_the_first_vanished_term(inst, pole):
+    last = inst.n_max if pole is None else pole - 1
+    assert_block_matches_entries(inst, last)
+    for N in range(last + 1, inst.n_max + 1):
+        want = first_entry_error(inst, N)
+        with pytest.raises(SingularParameterError) as at_column_zero:
+            poly_value(inst, pole, 0, N)
+        assert (at_column_zero.value.term, str(at_column_zero.value)) == (want.term, str(want))
+        with pytest.raises(SingularParameterError) as got:
+            cg_block(inst, N)
+        assert (got.value.term, str(got.value)) == (want.term, str(want))
 
 
 def test_first_column_is_binomial_vector():
