@@ -108,13 +108,15 @@ def phi(algebra: AlgebraKind, label: Scalar, n: int) -> Scalar:
     The value is one Fraction of integers: with label = s/t and q = u/v,
     -n (n t + s - t) / t for sl2, (v^n - u^n) / v^n for the q-oscillator and
     (v^n - u^n)(v^{n-1} t^2 - u^{n-1} s^2) / (v^{2n-1} t^2) for U_q(sl2).
+    Each is homogeneous in (s, t), so the label may also be an unreduced
+    pair (exactmath.Unreduced): it is read through as_integer_ratio().
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     tag = algebra.tag
     if tag is AlgebraTag.OSC:
         return Fraction(-n)
-    s, t = label.numerator, label.denominator
+    s, t = label.as_integer_ratio()
     if tag is AlgebraTag.SL2:
         return Fraction(-n * (n * t + s - t), t)
     u, v = algebra.q.numerator, algebra.q.denominator

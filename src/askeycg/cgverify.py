@@ -15,17 +15,19 @@ entry.
 Column k of the level-N block must be mapped by Delta(E) onto column k of
 level N+1, and by Delta(F) onto the lowering coefficient of the component
 with label index k times column k of level N-1; the k = N column must be
-annihilated. Each check splits the Delta block of a level into integer bands
-once and decides every point with linalg.column_mismatches, the one
-comparison of a band image of a column with a target column; only the first
-failing point is reduced, for its witness.
+annihilated. The run splits every Delta(E) and Delta(F) level into integer
+bands once (Run.bands), and each check decides every point with
+linalg.column_mismatches, the one comparison of a band image of a column
+with a target column; only the first failing point is reduced, for its
+witness.
 
-The oracle rebuilds the same columns from Delta alone, reading no CG value
-and evaluating no polynomial: the kernel of Delta(F) on block k (which must
-be one-dimensional), scaled to first entry v_0 = 1 = P_0(k, k), seeds the
-k-th tower, and the integer bands of Delta(E) push it up level by level;
-linalg.integer_column normalizes each column into the storage of cg_block.
-Entrywise agreement with the polynomial route is the central certificate.
+The oracle rebuilds the same columns from Delta's bands alone, reading no CG
+value and evaluating no polynomial: the kernel of Delta(F) on block k (which
+must be one-dimensional), scaled to first entry v_0 = 1 = P_0(k, k), seeds
+the k-th tower, and the integer bands of Delta(E) push it up level by level,
+each column written over one denominator with its gcd divided out, the
+canonical storage of cg_block. Entrywise agreement with the polynomial
+route is the central certificate.
 
 The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
 k != l. Column k of block N is an eigenvector of the tridiagonal T_N =
@@ -33,11 +35,13 @@ Delta(E) Delta(F) on level N, with eigenvalue the lowering coefficient of
 component k, and Omega is the diagonal that symmetrizes T_N. So it is
 certified by commutation alone, in O(N^2) integer operations on the stored
 columns, with no linear system solved (orthogonality_weights gives the steps
-and the proof).
+and the proof); T_N is composed by algebras._compose straight into integer
+rows.
 
 Every check, here and in families and coproduct, takes a Run: the artifacts
-of one verify run (Delta, the blocks, the contiguity data, the eigenvalues),
-each built once, on first use, by the one class that knows how.
+of one verify run (Delta, its bands, the blocks, the contiguity data, the
+eigenvalues), each built once, on first use, by the one class that knows
+how, and dropped with the run.
 """
 
 from __future__ import annotations
@@ -45,12 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
-from .algebras import (ModuleSpec, _compose_blocks, build_generators, check_identity, phi,
-                       scalar_operator)
+from .algebras import (ModuleSpec, _block_levels, _compose, build_generators, check_identity,
+                       phi, scalar_operator)
 from .coproduct import build_delta
-from .exactmath import InvalidParameterError, Scalar, format_scalar
+from .exactmath import InvalidParameterError, Scalar, Unreduced, format_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
                        make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
@@ -124,23 +128,37 @@ def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:
 
 def component_eigenvalues(inst: FamilyInstance, N: int) -> tuple[Scalar, ...]:
     """Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), k = 0..N, on
-    level N; Lambda_N = 0."""
-    return tuple(tensor_lowering_eigenvalue(inst, k, N - k) for k in range(N + 1))
+    level N; Lambda_N = 0. The algebra is made once, and each tensor_label
+    is one unreduced pair of integer products, which phi reads: with labels
+    s1/t1, s2/t2 and q = u/v, (s1 t2 + s2 t1 + 2k t1 t2) / (t1 t2), or
+    s1 s2 u^k / (t1 t2 v^k)."""
+    algebra = algebra_for(inst)
+    (s1, t1), (s2, t2) = (x.as_integer_ratio() for x in labels(inst))
+    if inst.kind.is_q:
+        (u, v), s, t = inst.q.as_integer_ratio(), s1 * s2, t1 * t2
+        label = lambda k: Unreduced(s * u ** k, t * v ** k)
+    else:
+        s, t = s1 * t2 + s2 * t1, t1 * t2
+        label = lambda k: Unreduced(s + 2 * k * t, t)
+    return tuple(phi(algebra, label(k), N - k) for k in range(N + 1))
 
 
 class Run:
     """The artifacts of one verify run of inst, each built on first use and
     shared by every check that reads it: each factor module with its
-    generators (`relations`, `casimir`), the contiguity data, Delta, the CG
-    blocks (integer columns) and the component eigenvalues Lambda of every
-    level (`lowering`, `orthogonality`). The contiguity data memoizes every
-    coefficient it evaluates, so the contiguity check, Delta (hence every
-    check that reads it) and the derived side of the algebraic-form check
-    evaluate each coefficient once per run.
+    generators (`relations`, `casimir`), the contiguity data, Delta, its
+    integer bands (`raising`, `lowering`, `cg-oracle`; built from run.delta
+    on first read), the CG blocks (integer columns) and the component
+    eigenvalues Lambda of every level (`lowering`, `orthogonality`). The
+    contiguity data memoizes every coefficient it evaluates, so the
+    contiguity check, Delta (hence every check that reads it) and the
+    derived side of the algebraic-form check evaluate each coefficient once
+    per run. No artifact outlives its run.
 
     Every check takes the run and reads the artifacts it needs from it.
     Assigning an attribute (run.blocks = ..., run.delta = ...) before a
-    check reads it replaces that artifact for the rest of the run."""
+    check reads it replaces that artifact for the rest of the run; the bands
+    of a Delta so given are split from it."""
 
     def __init__(self, inst: FamilyInstance):
         self.inst = inst
@@ -167,13 +185,19 @@ class Run:
     def eigenvalues(self):
         return [component_eigenvalues(self.inst, N) for N in range(self.inst.n_max + 1)]
 
+    @cached_property
+    def bands(self):
+        """(e, f): the integer rows of Delta(E) and Delta(F), {N:
+        linalg.integer_bands of the block at source level N}, split once from
+        the run's Delta for raising, lowering and the oracle."""
+        return tuple({N: integer_bands(b, range(op.shape(N)[0])) for N, b in op.blocks.items()}
+                     for op in (self.delta.e, self.delta.f))
 
-def _k_major(N: int, block, rows: int, here, targets) -> list:
-    """linalg.column_mismatches of rows 0..rows-1 of a sparse block, split
-    into integer bands once, sorted by k: the sort is stable, so the points
-    are walked k-major."""
-    return sorted(column_mismatches(N, integer_bands(block, range(rows)), here, targets),
-                  key=lambda point: point[0]["k"])
+
+def _k_major(N: int, bands, here, targets) -> list:
+    """linalg.column_mismatches sorted by k: the sort is stable, so the
+    points are walked k-major."""
+    return sorted(column_mismatches(N, bands, here, targets), key=lambda point: point[0]["k"])
 
 
 def verify_raising(run: Run, N: int) -> Report:
@@ -183,11 +207,10 @@ def verify_raising(run: Run, N: int) -> Report:
     inst = run.inst
     if not 0 <= N < inst.n_max:
         raise ValueError("raising check needs 0 <= N < n_max")
-    e = run.delta.e
     targets = [(1, 1, column) for column in run.blocks[N + 1].columns]
     rep = Report(suite=f"raising:{inst.kind.value}", params=inst.to_doc())
     rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}", _k_major(
-        N, e.blocks[N], e.shape(N)[0], run.blocks[N].columns, targets)))
+        N, run.bands[0][N], run.blocks[N].columns, targets)))
     return rep
 
 
@@ -199,13 +222,12 @@ def verify_lowering(run: Run, N: int) -> Report:
     inst = run.inst
     if not 1 <= N <= inst.n_max:
         raise ValueError("lowering check needs 1 <= N <= n_max")
-    f = run.delta.f
     below, lam = run.blocks[N - 1].columns, run.eigenvalues[N]
     targets = [(*lam[k].as_integer_ratio(), below[k]) for k in range(N)]
     targets.append((0, 1, ((), 1)))
     rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())
     rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}", _k_major(
-        N, f.blocks[N], f.shape(N)[0], run.blocks[N].columns, targets)))
+        N, run.bands[1][N], run.blocks[N].columns, targets)))
     return rep
 
 
@@ -215,40 +237,48 @@ def lowest_weight_oracle(run: Run) -> list[CGBlock]:
     For each k the kernel of Delta(F) on block k must be exactly
     one-dimensional; the kernel vector is scaled to first entry v_0 = 1,
     which is P_0(k, k) in every family (the (q-)binomial prefactor and the
-    first series term are both 1 at n = 0), and its linalg.integer_column
-    seeds the k-th tower. Delta(E) pushes it up: each level's block is split
-    into integer bands once, scaled to one denominator L, and column (a, c)
-    maps to the integer_column of its band images over L c, the canonical
-    pair cg_block stores.
+    first series term are both 1 at n = 0), and its integer column seeds the
+    k-th tower (_lowering_kernel). Delta(E) pushes it up: each level's
+    integer bands (run.bands) are scaled to one denominator L, and column
+    (a, c) maps to the band images over L c with the gcd divided out, the
+    canonical linalg.integer_column that cg_block stores.
     """
-    delta = run.delta
+    e_bands, f_bands = run.bands
     columns = []  # columns[N][k] is column k of block N
     for N in range(run.inst.n_max + 1):
         level = []
         if N:
-            rows = range(delta.e.shape(N - 1)[0])
-            bands = integer_bands(delta.e.blocks[N - 1], rows).values()
+            bands = e_bands[N - 1].values()
             L = lcm(*(d for _, d in bands))
+            rows = [[(j, t * (L // d)) for j, t in band] for band, d in bands]
             for a, c in columns[-1]:
-                Lc = L * c
-                level.append(integer_column(
-                    [(sum(t * a[j] for j, t in band) * (L // d), Lc) for band, d in bands]))
-        level.append(integer_column(_lowering_kernel(delta.f.blocks[N], N)))
+                tops = []
+                for row in rows:
+                    top = 0
+                    for j, t in row:
+                        top += t * a[j]
+                    tops.append(top)
+                g = gcd(L * c, *tops)
+                level.append((tuple([x // g for x in tops]), L * c // g))
+        level.append(_lowering_kernel(f_bands[N], N))
         columns.append(level)
     return [CGBlock(N, tuple(level)) for N, level in enumerate(columns)]
 
 
-def _lowering_kernel(block, k: int) -> tuple[Fraction, ...]:
-    """The kernel vector of Delta(F) on block k, scaled to v_0 = 1, in O(k).
+def _lowering_kernel(bands, k: int) -> Column:
+    """The integer column of the kernel vector of Delta(F) on block k, given
+    as its integer bands, scaled to v_0 = 1, in O(k).
 
     Delta(F) there is upper bidiagonal, [i][i] = beta2(i, k) and [i][i+1] =
     beta1(i, k). With every beta1 nonzero, as make_instance certifies, the
-    kernel is the line v_{i+1} = -beta2(i, k) v_i / beta1(i, k). A zero
-    beta1(i, k) cuts off rows and columns up to i as a square triangular
-    block: singular (a zero beta2 in it) it adds a kernel dimension, else it
-    forces v_0 = 0."""
-    down = [block.get((i, i), 0) for i in range(k)]
-    up = [block.get((i, i + 1), 0) for i in range(k)]
+    kernel is the line v_{i+1} = -beta2(i, k) v_i / beta1(i, k), a ratio of
+    two tops of row i, so its denominator cancels; v_i is one integer pair,
+    reduced at each step. A zero beta1(i, k) cuts off rows and columns up to
+    i as a square triangular block: singular (a zero beta2 in it) it adds a
+    kernel dimension, else it forces v_0 = 0."""
+    rows = [dict(bands[i][0]) for i in range(k)]
+    down = [row.get(i, 0) for i, row in enumerate(rows)]
+    up = [row.get(i + 1, 0) for i, row in enumerate(rows)]
     if not all(up):
         dim, singular = 1, False
         for d, u in zip(down, up):
@@ -259,10 +289,13 @@ def _lowering_kernel(block, k: int) -> tuple[Fraction, ...]:
             f"kernel of the lowering map on block {k} has dimension {dim}, expected 1"
             if dim != 1 else f"kernel vector on block {k} has first entry 0, so it "
             f"cannot be scaled to P_0({k}, {k}) = 1")
-    vec = [Fraction(1)]
+    vec = [(1, 1)]
     for d, u in zip(down, up):
-        vec.append(-d * vec[-1] / u)
-    return tuple(vec)
+        top, bottom = vec[-1]
+        top, bottom = -d * top, u * bottom
+        g = gcd(top, bottom)
+        vec.append((top // g, bottom // g))
+    return integer_column(vec)
 
 
 def orthogonality_weights(run: Run, N: int) -> WeightData:
@@ -305,24 +338,26 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
     if not 0 <= N <= run.inst.n_max:
         raise ValueError("orthogonality weights need 0 <= N <= n_max")
     cols = run.blocks[N].columns
-    delta = run.delta
+    e, f = run.delta.e, run.delta.f
 
     def failed(step, what):
         return WeightSolutionError(f"block {N}, step {step}: {what}")
 
-    T = _compose_blocks(delta.e, delta.f, [N]).get(N, {})
+    pairs = _compose([(1, (e, f))], [N], e.dims) if N in _block_levels((e, f), e.top) else {}
+    T = integer_bands({(i, j): p for (_, i, j), p in pairs.items() if p[0]}, range(N + 1))
+    rows = [(dict(band), d) for band, d in T.values()]
     omega = [Fraction(1)]
-    for n in range(N):
-        for i, j in ((n, n + 1), (n + 1, n)):
-            if (i, j) not in T:
+    for n, ((row, d), (below, d1)) in enumerate(zip(rows, rows[1:])):
+        for i, j, r in ((n, n + 1, row), (n + 1, n, below)):
+            if j not in r:
                 raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
-        omega.append(omega[-1] * T[n, n + 1] / T[n + 1, n])
+        omega.append(omega[-1] * Fraction(row[n + 1] * d1, d * below[n]))
     lam = run.eigenvalues[N]
-    for l, x in enumerate(lam):
-        if x in lam[:l]:
-            raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
+    if len({x.as_integer_ratio() for x in lam}) < len(lam):
+        l, x = next((l, x) for l, x in enumerate(lam) if x in lam[:l])
+        raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
     own = [(a, 1) for a, _ in cols]  # against itself, a column's denominator drops out
-    bad = _k_major(N, T, N + 1, own, [(*x.as_integer_ratio(), a) for a, x in zip(own, lam)])
+    bad = _k_major(N, T, own, [(*x.as_integer_ratio(), a) for a, x in zip(own, lam)])
     if bad:
         i, l = bad[0][0]["n"], bad[0][0]["k"]
         raise failed(4, f"(T_N P)[{i}][{l}] != (P Lambda)[{i}][{l}]")

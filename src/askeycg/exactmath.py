@@ -114,9 +114,10 @@ def parse_scalar(text: str) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     """Render as 'num/den', omitting '/den' when the denominator is 1.
 
-    Round-trips bit-exactly through parse_scalar.
+    Round-trips bit-exactly through parse_scalar. A Fraction is printed as
+    it is, without a copy.
     """
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def pochhammer(b: Scalar, k: int) -> Scalar:

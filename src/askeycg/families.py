@@ -306,10 +306,17 @@ def _integer_in(x: Scalar, lo: int, hi: int) -> bool:
 
 def _q_exponent(c: Scalar, q: Scalar, lo: int, hi: int) -> int | None:
     """The e in lo..hi with c q^e = 1, or None. As q avoids 0 and +-1, its
-    height h = |numerator| * denominator is >= 2 and c's is h^|e|: one e."""
-    height = abs(c.numerator) * c.denominator
-    size = round(log(height, abs(q.numerator) * q.denominator)) if height else 0
-    return next((e for e in (size, -size) if lo <= e <= hi and c * q ** e == 1), None)
+    height h = |numerator| * denominator is >= 2 and c's is h^|e|: one e.
+    With c = cn / cd and q = u / v, c q^e = 1 is cn u^e == cd v^e, or
+    cn v^-e == cd u^-e for e < 0, decided over integers."""
+    (cn, cd), (u, v) = c.as_integer_ratio(), q.as_integer_ratio()
+    height = abs(cn) * cd
+    size = round(log(height, abs(u) * v)) if height else 0
+    for e in (size, -size):
+        if lo <= e <= hi and (cn * u ** e == cd * v ** e if e >= 0
+                              else cn * v ** -e == cd * u ** -e):
+            return e
+    return None
 
 
 # ---------------------------------------------------------------------------

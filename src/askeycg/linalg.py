@@ -3,9 +3,11 @@ view of a CG block, and the tests' dense operators); integer_column, the one
 place in the package that clears rationals to integers, which makes the
 canonical column every CG block stores (and the band rows, the weight
 vector and the elimination rows); and the column kernel: integer_bands
-splits a sparse block into integer rows, and column_mismatches decides every
-CG column identity, a band image of a column against a scalar times a target
-column, over integers. Graded operators keep sparse blocks.
+splits a sparse block of exact rationals into integer rows (a run splits
+each Delta level once; T_N's rows come from unreduced pairs), and
+column_mismatches decides every CG column identity, a band image of a column
+against a scalar times a target column, over integers, forming a two-entry
+row's image without a loop. Graded operators keep sparse blocks.
 
 nullspace and rank are fraction-free (Bareiss elimination over integers with
 exact divisions only, back-substitution over one common denominator per
@@ -86,11 +88,12 @@ def integer_column(xs: Iterable) -> Column:
     return tuple([x // g for x in a]), c // g
 
 
-def integer_bands(block: Mapping[tuple[int, int], Fraction], rows: Iterable[int]) -> Bands:
-    """The rows of a sparse block {(i, j): Fraction} as integer bands keyed by
-    row id, in the order of `rows`, which must hold every row of the block:
-    row i is ([(j, t_ij)], d_i) with block[i, j] = t_ij / d_i, the
-    integer_column of its entries, and ([], 1) where it has no entry."""
+def integer_bands(block: Mapping[tuple[int, int], object], rows: Iterable[int]) -> Bands:
+    """The rows of a sparse block {(i, j): x}, each x an exact rational as
+    integer_column reads it, as integer bands keyed by row id, in the order
+    of `rows`, which must hold every row of the block: row i is ([(j,
+    t_ij)], d_i) with block[i, j] = t_ij / d_i, the integer_column of its
+    entries, and ([], 1) where it has no entry."""
     bands = {i: [] for i in rows}
     for (i, j), v in block.items():
         bands[i].append((j, v))
@@ -109,15 +112,22 @@ def column_mismatches(N: int, bands: Bands, here: Sequence[Column],
     compares with 0. With row n = t_n / d_n and column k = a / c, a point is
     sum_j t_nj a[j] xd e == x b[n] d_n c over integers. Each failing point is
     ({N, n, k}, image, target), both sides unreduced pairs for
-    report.first_mismatch; nothing is reduced here."""
+    report.first_mismatch; nothing is reduced here. A two-entry band, as
+    every coproduct and contiguity row is, forms its image without a loop."""
     # per column k: a, c, x c, xd e, the target entries and their count (0 where x = 0)
     cols = [(a, c, x * c, xd * e, b, len(b) if x else 0)
             for (a, c), (x, xd, (b, e)) in zip(here, targets)]
     for n, (band, d) in bands.items():
+        two = len(band) == 2
+        if two:
+            (j0, t0), (j1, t1) = band
         for k, (a, c, xc, xde, b, size) in enumerate(cols):
-            image = 0
-            for j, t in band:
-                image += t * a[j]
+            if two:
+                image = t0 * a[j0] + t1 * a[j1]
+            else:
+                image = 0
+                for j, t in band:
+                    image += t * a[j]
             want = b[n] if 0 <= n < size else 0
             if image * xde != want * xc * d:
                 yield {"N": N, "n": n, "k": k}, (image, d * c), (targets[k][0] * want, xde)

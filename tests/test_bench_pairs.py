@@ -42,9 +42,12 @@ def test_pairs_alternate_and_one_line_per_metric(capsys):
     by_name = {line.split()[0]: line for line in lines[6:-1]}
     assert list(by_name) == list(METRICS)
     assert by_name["ops_per_s"] == ("  ops_per_s    69 [66.5, 71.5] -> 77 1/s "
-                                    "(higher is better): change better in 3 of 4")
+                                    "(higher is better): change better in 3 of 4; "
+                                    "change/parent - 1 +11.7% [+1.3%, +14.1%], bound 25%")
     assert by_name["setup_s"].endswith("0.5 [0.5, 0.5] -> 0.45 s (lower is better): "
-                                       "change better in 2 of 4")
+                                       "change better in 2 of 4; change/parent - 1 "
+                                       "-10.0% [-20.0%, +15.0%], bound 25%")
+    assert by_name["peak_rss_mb"].endswith("+0.0% [+0.0%, +0.0%], bound 10%")
     assert lines[-1] == "  fingerprints match in 4 of 4 pairs"
 
 
@@ -53,7 +56,21 @@ def test_summary_names_differing_fingerprints():
               "b": {"ops_per_s": [2, 2], "setup_s": [1, 1]}}
     runs = list(bench_pairs.run_pairs("a", "b", "structure", 1, 1, 2, fake_runner(
         [], values, {("b", 1): "beef"})))
-    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
     assert bench_pairs.summary(runs, metrics) == [
-        "  ops_per_s    1 [1, 1] -> 2 1/s (higher is better): change better in 2 of 2",
+        "  ops_per_s    1 [1, 1] -> 2 1/s (higher is better): change better in 2 of 2; "
+        "change/parent - 1 +100.0% [+100.0%, +100.0%], bound 25%",
         "  fingerprints match in 1 of 2 pairs: they differ"]
+
+
+def test_one_checkout_as_both_sides_prints_the_noise_floor():
+    # an A/A set: both sides of a pair are runs of one checkout, so the
+    # relative differences are the run-to-run noise
+    values = {"same": {"ops_per_s": [100, 90, 110, 95, 105, 100, 100, 100]}}
+    runs = list(bench_pairs.run_pairs("same", "same", "sweep", 1, 1, 4,
+                                      fake_runner([], values)))
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+    # pairs (100, 90), (95, 110), (105, 100), (100, 100): parent first in odd pairs
+    assert bench_pairs.summary(runs, metrics)[0] == (
+        "  ops_per_s    100 [96.25, 103.75] -> 100 1/s (higher is better): change better "
+        "in 1 of 4; change/parent - 1 -2.4% [-8.7%, +11.8%], bound 25%")

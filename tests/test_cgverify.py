@@ -259,6 +259,18 @@ def test_dual_hahn_lowering_eigenvalue():
             assert tensor_lowering_eigenvalue(inst, k, N - k) == want
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_component_eigenvalues_are_the_tensor_lowering_eigenvalues(kind):
+    # the integer-pair labels give the value of tensor_label on every level
+    for seed in range(3):
+        inst = random_instance(kind, random.Random(seed), n_max=6)
+        for N in range(inst.n_max + 1):
+            lam = component_eigenvalues(inst, N)
+            assert all(type(x) is F for x in lam)
+            assert lam == tuple(tensor_lowering_eigenvalue(inst, k, N - k)
+                                for k in range(N + 1))
+
+
 def test_q_racah_lowering_eigenvalue():
     inst = sample_instance(FamilyKind.Q_RACAH)
     q, k1, k2 = inst.q, inst.kappa1, inst.kappa2
@@ -353,6 +365,47 @@ def test_block_corruption_witnesses_equal_a_plain_fraction_walk(kind, data):
     want = fraction_walk_witnesses(inst, corrupted, coefficients, delta)
     assert reader_witnesses(inst, corrupted, coefficients, delta) == want
     assert any(want.values())
+
+
+# -- the run's integer bands of Delta ------------------------------------------
+
+def test_run_splits_delta_into_bands_once(monkeypatch):
+    # raising, lowering and the oracle read one split of each Delta level
+    inst = sample_instance(FamilyKind.RACAH, n_max=4)
+    run = Run(inst)
+    splits = []
+    original = linalg.integer_bands
+    monkeypatch.setattr(cgverify, "integer_bands",
+                        lambda block, rows: splits.append(1) or original(block, rows))
+    for N in range(inst.n_max):
+        assert verify_raising(run, N).passed
+    for N in range(1, inst.n_max + 1):
+        assert verify_lowering(run, N).passed
+    assert lowest_weight_oracle(run) == list(run.blocks.values())
+    assert run.bands is run.bands
+    assert len(splits) == len(run.delta.e.blocks) + len(run.delta.f.blocks)
+    e, f = run.bands
+    assert e[1] == linalg.integer_bands(run.delta.e.blocks[1], range(3))
+    assert f[2] == linalg.integer_bands(run.delta.f.blocks[2], range(2))
+
+
+def test_a_delta_given_before_the_first_read_reaches_every_band_reader():
+    # one entry each of Delta(E) and Delta(F) on level 2 tripled: raising
+    # and lowering fail at block 2 only, and the oracle's kernel on block 2
+    # moves
+    inst = sample_instance(FamilyKind.HAHN, n_max=4)
+    good = Run(inst).delta
+    scaled = with_f_entry_scaled(good, 2, (0, 1), 3)
+    e = good.e
+    bad = Delta(with_entry(e, 2, (0, 0), e.blocks[2][0, 0] * 3), scaled.f, good.hk)
+    run = run_with(inst, delta=bad)
+    assert [verify_raising(run, N).passed for N in range(inst.n_max)] == [True, True, False,
+                                                                          True]
+    assert [verify_lowering(run, N).passed for N in range(1, inst.n_max + 1)] == [
+        True, False, True, True]
+    oracle = lowest_weight_oracle(run)
+    assert oracle[:2] == [run.blocks[0], run.blocks[1]]
+    assert oracle[2].columns[2] != run.blocks[2].columns[2]
 
 
 # -- lowest-weight oracle -----------------------------------------------------
@@ -456,10 +509,12 @@ def test_oracle_kernel_dimension_counts_matched_columns(zeros, message):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_oracle_kernel_matches_the_full_solve_on_every_zero_pattern(k):
     # every way of zeroing the 2k band entries of an upper bidiagonal block
-    # gives the verdict and the vector of nullspace on its dense form
+    # gives the verdict and the integer column of the vector of nullspace on
+    # its dense form
     band = [(i, i + d) for i in range(k) for d in (0, 1)]
     for mask in range(1 << len(band)):
         block = {ij: F(3 + 2 * t, 11 + t) for t, ij in enumerate(band) if mask >> t & 1}
+        bands = linalg.integer_bands(block, range(k))
         basis = nullspace(RatMat.build(k, k + 1, lambda i, j: block.get((i, j), F(0))))
         if len(basis) != 1:
             want = (f"kernel of the lowering map on block {k} has dimension {len(basis)}, "
@@ -468,11 +523,11 @@ def test_oracle_kernel_matches_the_full_solve_on_every_zero_pattern(k):
             want = (f"kernel vector on block {k} has first entry 0, so it cannot be scaled "
                     f"to P_0({k}, {k}) = 1")
         else:
-            assert cgverify._lowering_kernel(block, k) == tuple(
+            assert cgverify._lowering_kernel(bands, k) == linalg.integer_column(
                 x / basis[0][0] for x in basis[0])
             continue
         with pytest.raises(DegenerateKernelError) as exc:
-            cgverify._lowering_kernel(block, k)
+            cgverify._lowering_kernel(bands, k)
         assert str(exc.value) == want
 
 
@@ -538,6 +593,31 @@ def test_weights_outside_the_grid_are_rejected(N):
     blk = cg_block(inst, min(max(N, 0), inst.n_max))
     with pytest.raises(ValueError, match=r"^orthogonality weights need 0 <= N <= n_max$"):
         orthogonality_weights(run_with(inst, blocks={N: blk}), N)
+
+
+def fraction_weights(run, N):
+    """Omega and Omega' of block N in plain Fractions: T_N from the dense
+    Delta blocks, Omega_{n+1} = Omega_n T[n][n+1] / T[n+1][n] and Omega'_l =
+    sum_n P[n][l]^2 Omega_n, after checking T P = P Lambda entrywise."""
+    P, lam = run.blocks[N].P, run.eigenvalues[N]
+    if N:
+        T = run.delta.e.dense(N - 1) @ run.delta.f.dense(N)
+        assert all(sum((T.entry(i, j) * P.entry(j, l) for j in range(N + 1)), F(0))
+                   == P.entry(i, l) * lam[l] for i in range(N + 1) for l in range(N + 1))
+    omega = [F(1)]
+    for n in range(N):
+        omega.append(omega[-1] * T.entry(n, n + 1) / T.entry(n + 1, n))
+    return WeightData(N, tuple(omega), tuple(
+        sum((P.entry(n, l) ** 2 * omega[n] for n in range(N + 1)), F(0))
+        for l in range(N + 1)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_weights_equal_a_fraction_reference_on_every_level(kind):
+    for seed in range(3):
+        run = Run(random_instance(kind, random.Random(seed), n_max=6))
+        for N in range(run.inst.n_max + 1):
+            assert orthogonality_weights(run, N) == fraction_weights(run, N)
 
 
 # -- orthogonality weights from T_N = Delta(E) Delta(F) ------------------------
@@ -705,22 +785,20 @@ def with_columns(blk, cols):
         blk.P.entry(i, k) if cols[k] is None else cols[k][i])))
 
 
-def test_eigenvectors_of_a_repeated_eigenvalue_are_not_certified(monkeypatch):
-    # column 1 duplicates column 0 and its eigenvalue is patched to repeat
-    # Lambda_0, so T P = P Lambda holds, T symmetrizes and the norms are
-    # nonzero; only the distinct eigenvalues rule out the singular P
+def test_eigenvectors_of_a_repeated_eigenvalue_are_not_certified():
+    # column 1 duplicates column 0 and the run's Lambda_1 repeats Lambda_0,
+    # so T P = P Lambda holds, T symmetrizes and the norms are nonzero; only
+    # the distinct eigenvalues rule out the singular P
     inst = sample_instance(FamilyKind.HAHN)
     delta = Run(inst).delta
     blk = cg_block(inst, 3)
     twin = with_columns(blk, [None, blk.P.column(0), None, None])
-    original = cgverify.tensor_lowering_eigenvalue
-    monkeypatch.setattr(cgverify, "tensor_lowering_eigenvalue",
-                        lambda inst, k, j: original(inst, 0, j + 1) if k == 1
-                        else original(inst, k, j))
-    lam = format_scalar(original(inst, 0, 3))
-    with pytest.raises(WeightSolutionError,
-                       match=re.escape(f"block 3, step 3: Lambda_0 = Lambda_1 = {lam}")):
-        orthogonality_weights(run_with(inst, blocks={3: twin}, delta=delta), 3)
+    lam = list(component_eigenvalues(inst, 3))
+    lam[1] = lam[0]
+    with pytest.raises(WeightSolutionError, match=re.escape(
+            f"block 3, step 3: Lambda_0 = Lambda_1 = {format_scalar(lam[0])}")):
+        orthogonality_weights(run_with(inst, blocks={3: twin}, delta=delta,
+                                       eigenvalues={3: tuple(lam)}), 3)
     with pytest.raises(WeightSolutionError, match="CG block 3 is singular"):
         full_solve(inst, 3, twin)
 
@@ -774,7 +852,7 @@ def test_zero_upper_entry_of_t_is_declined_before_any_eigenvalue(monkeypatch):
     c = tensor_lowering_eigenvalue(inst, 0, 1)
     blk = CGBlock.from_matrix(1, RatMat.from_rows([[F(1), F(0)], [F(1), F(1)]]))
     delta = two_level_delta([1, 1], [c, 0])
-    eigen_callers = spy_callers(monkeypatch, "tensor_lowering_eigenvalue")
+    eigen_callers = spy_callers(monkeypatch, "component_eigenvalues")
     with pytest.raises(WeightSolutionError, match=re.escape(
             "block 1, step 1: T_N[0][1] vanishes, so no diagonal symmetrizes T_N")):
         orthogonality_weights(run_with(inst, blocks={1: blk}, delta=delta), 1)

@@ -260,9 +260,11 @@ def test_scalar_round_trip(x):
 
 
 def test_format_omits_unit_denominator():
-    assert format_scalar(F(5)) == "5"
-    assert format_scalar(F(3, 2)) == "3/2"
-    assert format_scalar(F(-7, 3)) == "-7/3"
+    # a Fraction is printed as it is, an int through its Fraction
+    for x, text in [(F(5), "5"), (F(3, 2), "3/2"), (F(-7, 3), "-7/3"), (F(8, 4), "2"),
+                    (5, "5"), (-3, "-3")]:
+        assert format_scalar(x) == text
+        assert parse_scalar(text) == x
 
 
 @pytest.mark.parametrize("bad", ["1.5", "x", "1/0", "2/-3", "", "1e3"])

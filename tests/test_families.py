@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import askeycg.families as families
 from askeycg.algebras import AlgebraKind, AlgebraTag, phi
 from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
 from askeycg.cgverify import Run, random_instance
@@ -293,6 +294,23 @@ def test_krawtchouk_p_restrictions():
         make_instance(FamilyKind.KRAWTCHOUK, p=F(0))
     with pytest.raises(InvalidParameterError):
         make_instance(FamilyKind.KRAWTCHOUK, p=F(1))
+
+
+def fraction_q_exponent(c, q, lo, hi):
+    """The e in lo..hi with c q^e = 1 in Fractions, by trying each e."""
+    return next((e for e in range(lo, hi + 1) if c * q ** e == 1), None)
+
+
+@pytest.mark.parametrize("q", [F(1, 4), F(-1, 4), F(2, 3), F(-3, 2), F(4), F(-2), F(9, 16)])
+def test_q_exponent_equals_the_fraction_rule(q):
+    # c = 0, +-q^-e and twice it for every e just outside each window, and
+    # windows on both sides of 0
+    cs = {F(0), F(1), F(-1), F(2)}
+    for e in range(-6, 7):
+        cs.update({q ** -e, -(q ** -e), 2 * q ** -e, q ** -e / 3})
+    for lo, hi in [(-4, 4), (0, 0), (1, 3), (0, 5), (-5, -1), (-2, 0), (3, 2)]:
+        for c in cs:
+            assert families._q_exponent(c, q, lo, hi) == fraction_q_exponent(c, q, lo, hi)
 
 
 def test_q_racah_needs_kappas():

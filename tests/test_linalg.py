@@ -271,3 +271,44 @@ def test_column_kernel_matches_a_dense_fraction_reference(case):
     got = [(where, F(*image), F(*target))
            for where, image, target in column_mismatches(N, bands, here, targets)]
     assert got == want
+
+
+def looped_mismatches(N, bands, here, targets):
+    """column_mismatches with every band image formed by the general loop,
+    the reference for its two-entry path."""
+    for n, (band, d) in bands.items():
+        for k, ((a, c), (x, xd, (b, e))) in enumerate(zip(here, targets)):
+            image = 0
+            for j, t in band:
+                image += t * a[j]
+            want = b[n] if 0 <= n < len(b) and x else 0
+            if image * xd * e != want * x * c * d:
+                yield {"N": N, "n": n, "k": k}, (image, d * c), (x * want, xd * e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(band_identities())
+def test_two_entry_bands_give_the_points_and_pairs_of_the_general_loop(case):
+    N, block, rows, here, targets = case
+    bands = integer_bands(block, rows)
+    assert (list(column_mismatches(N, bands, here, targets))
+            == list(looped_mismatches(N, bands, here, targets)))
+
+
+def test_two_entry_band_names_the_failing_point_of_the_general_loop():
+    # rows of 0, 1, 2 and 3 entries over level 2; column 1's target is off
+    # by one at row 2, a two-entry row, so exactly that point fails
+    block = {(1, 0): F(1, 2), (2, 0): F(2, 3), (2, 2): F(-1, 5),
+             (3, 0): F(1), (3, 1): F(3, 4), (3, 2): F(-2)}
+    bands = integer_bands(block, range(4))
+    assert [len(band) for band, _ in bands.values()] == [0, 1, 2, 3]
+    here = [integer_column([F(1), F(k, 3), F(-k)]) for k in range(3)]
+    images = [[sum((block.get((n, j), 0) * F(a[j], c) for j in range(3)), F(0))
+               for n in range(4)] for a, c in here]
+    images[1][2] += 1
+    targets = [(1, 1, integer_column(image)) for image in images]
+    got = list(column_mismatches(2, bands, here, targets))
+    assert got == list(looped_mismatches(2, bands, here, targets))
+    assert [where for where, _, _ in got] == [{"N": 2, "n": 2, "k": 1}]
+    _, image, target = got[0]
+    assert F(*target) - F(*image) == 1

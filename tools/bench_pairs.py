@@ -11,8 +11,11 @@ once in each checkout, one process at a time: odd pairs run the parent
 first, even pairs the change. It prints each pair's end-to-end metrics as
 the pair ends. Then, for each end-to-end metric of BENCHMARK.json, it
 prints the parent's median [lower quartile, upper quartile], the change's
-median, and in how many pairs the change did better by the metric's
-`better`; last, whether the verdict fingerprints of each pair match. Stdlib
+median, in how many pairs the change did better by the metric's `better`,
+and the median [quartiles] of the pairwise relative differences
+change / parent - 1 next to the metric's bound; last, whether the verdict
+fingerprints of each pair match. Given one checkout as both sides (an A/A
+set), the relative differences are the noise floor of the day. Stdlib
 only; no file is written, and the children write no bytecode either.
 """
 
@@ -67,9 +70,11 @@ def summary(runs: list[dict[str, tuple[dict, dict]]], metrics: list[dict]) -> li
         after = [r["change"][1]["metrics"][name]["value"] for r in runs]
         wins = sum((b > a) if higher else (b < a) for a, b in zip(before, after))
         q1, med, q3 = quartiles(before)
+        r1, rel, r3 = quartiles([b / a - 1 for a, b in zip(before, after)])
         lines.append(f"  {name:12} {med:.6g} [{q1:.6g}, {q3:.6g}] -> "
                      f"{statistics.median(after):.6g} {m['unit']} ({m['better']} is better): "
-                     f"change better in {wins} of {len(runs)}")
+                     f"change better in {wins} of {len(runs)}; change/parent - 1 "
+                     f"{rel:+.1%} [{r1:+.1%}, {r3:+.1%}], bound {m['bound']:.0%}")
     same = sum(r["parent"][0]["fingerprint"] == r["change"][0]["fingerprint"] for r in runs)
     lines.append(f"  fingerprints match in {same} of {len(runs)} pairs"
                  + ("" if same == len(runs) else ": they differ"))

@@ -6,12 +6,13 @@
 For each (workload, seed) the instances are those of bench/run.py
 (`WORKLOADS`, `build_ops`, imported read-only, never run). One pass times,
 for every op on a fresh `cgverify.Run`, each artifact as it is first built,
-in dependency order (factors, contiguity, delta, blocks, eigenvalues), then
-each check the op selects and does not skip, on those warm artifacts; it
-sums each line over the ops. After one untimed warm-up pass, REPEATS passes
-are timed and the median CPU milliseconds of each line are printed. The
-`verify` line is the same ops through `run_verify_suite` on cold runs, which
-build only the artifacts their checks read: the end-to-end cost of a pass.
+in dependency order (factors, contiguity, delta, bands, blocks,
+eigenvalues), then each check the op selects and does not skip, on those
+warm artifacts; it sums each line over the ops. After one untimed warm-up
+pass, REPEATS passes are timed and the median CPU milliseconds of each line
+are printed. The `verify` line is the same ops through `run_verify_suite`
+on cold runs, which build only the artifacts their checks read: the
+end-to-end cost of a pass.
 Stdlib only; no file is written. Run it from the root of a checkout; the
 program is imported from `src/` next to `bench/`.
 """
@@ -32,7 +33,7 @@ from askeycg import cli  # noqa: E402
 from askeycg.cgverify import Run  # noqa: E402
 
 DEFAULT = ("structure:1", "sweep:1")
-ARTIFACTS = ("factors", "contiguity", "delta", "blocks", "eigenvalues")
+ARTIFACTS = ("factors", "contiguity", "delta", "bands", "blocks", "eigenvalues")
 REPEATS = 5
 
 
