@@ -42,9 +42,9 @@ from itertools import takewhile
 from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .exactmath import InvalidParameterError, Scalar, format_scalar
+from .exactmath import InvalidParameterError, Scalar
 from .linalg import RatMat
-from .report import CheckResult, Report
+from .report import CheckResult
 
 __all__ = [
     "AlgebraTag", "AlgebraKind", "ModuleSpec", "GradedOperator", "Generators",
@@ -494,18 +494,14 @@ def _uqsl2_standard_form_check(kind: AlgebraKind, e: GradedOperator,
                           [(c, (e, kf)), (-c, (kf, e))], [(s, (k,)), (-s, (kinv,))], e.dims)
 
 
-def check_relations(module: ModuleSpec, gens: Generators | None = None) -> Report:
-    """Certify the defining relations on the truncated module."""
+def check_relations(module: ModuleSpec, gens: Generators | None = None) -> list[CheckResult]:
+    """Certify the defining relations on the truncated module, and for
+    U_q(sl2) its standard form."""
     gens = gens or build_generators(module)
-    rep = Report(suite=f"relations:{module.algebra.tag.value}",
-                 params={"label": format_scalar(module.label),
-                         "levels": module.levels,
-                         **({"q": format_scalar(module.algebra.q)}
-                            if module.algebra.is_q else {})})
-    rep.extend(_relation_checks(module.algebra, gens.e, gens.f, gens.hk))
+    results = _relation_checks(module.algebra, gens.e, gens.f, gens.hk)
     if module.algebra.tag is AlgebraTag.UQ_SL2:
-        rep.add(_uqsl2_standard_form_check(module.algebra, gens.e, gens.f, gens.hk))
-    return rep
+        results.append(_uqsl2_standard_form_check(module.algebra, gens.e, gens.f, gens.hk))
+    return results
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ Column k of the level-N block must be mapped by Delta(E) onto column k of
 level N+1, and by Delta(F) onto the lowering coefficient of the component
 with label index k times column k of level N-1; the k = N column must be
 annihilated. The run splits every Delta(E) and Delta(F) level into integer
-bands once (Run.bands), and each check decides every point with
-linalg.column_mismatches, the one comparison of a band image of a column
-with a target column; only the first failing point is reduced, for its
-witness.
+bands once (Run.bands). verify_raising and verify_lowering walk their own
+levels, one result per level up to the first failing one, and decide every
+point with linalg.column_mismatches, the one comparison of a band image of a
+column with a target column; only the first failing point is reduced, for
+its witness.
 
 The oracle rebuilds the same columns from Delta's bands alone, reading no CG
 value and evaluating no polynomial: the kernel of Delta(F) on block k (which
@@ -38,10 +39,12 @@ columns, with no linear system solved (orthogonality_weights gives the steps
 and the proof); T_N is composed by algebras._compose straight into integer
 rows.
 
-Every check, here and in families and coproduct, takes a Run: the artifacts
-of one verify run (Delta, its bands, the blocks, the contiguity data, the
-eigenvalues), each built once, on first use, by the one class that knows
-how, and dropped with the run.
+Every check of a family instance, here and in families and coproduct, takes
+a Run: the artifacts of one verify run (Delta, its bands, the blocks, the
+contiguity data, the eigenvalues), each built once, on first use, by the one
+class that knows how, and dropped with the run. The twist check takes its
+q-Racah point and a Delta instead. The raising, lowering and grading checks
+return lists of report.CheckResult, as the other named checks do.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labe
                        make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
 from .linalg import Column, RatMat, column_mismatches, integer_bands, integer_column
-from .report import Report, first_mismatch
+from .report import CheckResult, first_mismatch
 
 __all__ = [
     "Run", "CGBlock", "WeightData", "DegenerateKernelError", "WeightSolutionError",
@@ -155,10 +158,11 @@ class Run:
     derived side of the algebraic-form check evaluate each coefficient once
     per run. No artifact outlives its run.
 
-    Every check takes the run and reads the artifacts it needs from it.
-    Assigning an attribute (run.blocks = ..., run.delta = ...) before a
-    check reads it replaces that artifact for the rest of the run; the bands
-    of a Delta so given are split from it."""
+    Every check of inst takes the run and reads the artifacts it needs from
+    it; raising and lowering read those of each level they walk. The twist
+    check takes run.delta, not the run. Assigning an attribute (run.blocks =
+    ..., run.delta = ...) before a check reads it replaces that artifact for
+    the rest of the run; the bands of a Delta so given are split from it."""
 
     def __init__(self, inst: FamilyInstance):
         self.inst = inst
@@ -200,35 +204,39 @@ def _k_major(N: int, bands, here, targets) -> list:
     return sorted(column_mismatches(N, bands, here, targets), key=lambda point: point[0]["k"])
 
 
-def verify_raising(run: Run, N: int) -> Report:
-    """Delta(E) must map column k of block N to column k of block N+1,
-    walked k-major, each point decided over integers (_k_major); only the
-    first failing one is reduced, into the witness."""
-    inst = run.inst
-    if not 0 <= N < inst.n_max:
-        raise ValueError("raising check needs 0 <= N < n_max")
-    targets = [(1, 1, column) for column in run.blocks[N + 1].columns]
-    rep = Report(suite=f"raising:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("raising", f"block {N} -> {N + 1}, 0<=k<={N}", _k_major(
-        N, run.bands[0][N], run.blocks[N].columns, targets)))
-    return rep
+def _by_level(name: str, levels: range, step: int, level) -> list[CheckResult]:
+    """One result per level N of levels, in order, for the map from block N
+    to block N + step: level(N) gives its (bands, columns, targets), walked
+    k-major (_k_major) and decided over integers; only the first failing
+    point is reduced, into the witness. The walk stops after the first
+    failing level, so the ranges read up to it."""
+    results = []
+    for N in levels:
+        results.append(first_mismatch(name, f"block {N} -> {N + step}, 0<=k<={N}",
+                                      _k_major(N, *level(N))))
+        if not results[-1].passed:
+            break
+    return results
 
 
-def verify_lowering(run: Run, N: int) -> Report:
+def verify_raising(run: Run) -> list[CheckResult]:
+    """Delta(E) must map column k of block N to column k of block N+1, for
+    N = 0..n_max-1 (_by_level)."""
+    return _by_level("raising", range(run.inst.n_max), 1, lambda N: (
+        run.bands[0][N], run.blocks[N].columns,
+        [(1, 1, column) for column in run.blocks[N + 1].columns]))
+
+
+def verify_lowering(run: Run) -> list[CheckResult]:
     """Delta(F) on column k of block N gives Lambda_k times column k of block
-    N-1, walked k-major; the k = N column dies. Each point is decided over
-    integers (_k_major); only the first failing one is reduced, into the
-    witness."""
-    inst = run.inst
-    if not 1 <= N <= inst.n_max:
-        raise ValueError("lowering check needs 1 <= N <= n_max")
-    below, lam = run.blocks[N - 1].columns, run.eigenvalues[N]
-    targets = [(*lam[k].as_integer_ratio(), below[k]) for k in range(N)]
-    targets.append((0, 1, ((), 1)))
-    rep = Report(suite=f"lowering:{inst.kind.value}", params=inst.to_doc())
-    rep.add(first_mismatch("lowering", f"block {N} -> {N - 1}, 0<=k<={N}", _k_major(
-        N, run.bands[1][N], run.blocks[N].columns, targets)))
-    return rep
+    N-1, for N = 1..n_max (_by_level); the k = N column dies."""
+    def level(N):
+        below, lam = run.blocks[N - 1].columns, run.eigenvalues[N]
+        targets = [(*lam[k].as_integer_ratio(), below[k]) for k in range(N)]
+        targets.append((0, 1, ((), 1)))
+        return run.bands[1][N], run.blocks[N].columns, targets
+
+    return _by_level("lowering", range(1, run.inst.n_max + 1), -1, level)
 
 
 def lowest_weight_oracle(run: Run) -> list[CGBlock]:
@@ -371,7 +379,7 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
     return WeightData(N, tuple(omega), tuple(omega_prime))
 
 
-def verify_weight_grading(run: Run) -> Report:
+def verify_weight_grading(run: Run) -> list[CheckResult]:
     """Delta(H) (or Delta(K)) must act on block N as the scalar
     tensor_label(inst, N): lambda1 + lambda2 + 2N (or kappa1 kappa2 q^N).
     One algebras.check_identity against that scalar operator decides every
@@ -379,10 +387,8 @@ def verify_weight_grading(run: Run) -> Report:
     the witness {N, row, col}."""
     inst, hk = run.inst, run.delta.hk
     label = scalar_operator(hk.dims, lambda N: tensor_label(inst, N))
-    rep = Report(suite=f"weight-grading:{inst.kind.value}", params=inst.to_doc())
-    rep.add(check_identity("weight-grading", f"blocks 0..{inst.n_max}", range(inst.n_max + 1),
-                           [(1, (hk,))], [(1, (label,))], hk.dims, "N"))
-    return rep
+    return [check_identity("weight-grading", f"blocks 0..{inst.n_max}", range(inst.n_max + 1),
+                           [(1, (hk,))], [(1, (label,))], hk.dims, "N")]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ Subcommands:
     version   print the tool version
 
 `run_verify_suite` runs the named checks from one table; each entry has an
-optional skip rule and a runner. The runners share one cgverify.Run of the
-instance, which builds each artifact (the factor modules' generators, the
-contiguity data, Delta, the CG blocks, the component eigenvalues) on first
-use within one call.
+optional skip rule and a runner, which returns the check's list of
+CheckResults, folded into one report entry under its name. The runners
+share one cgverify.Run of the instance, which builds each artifact (the
+factor modules' generators, the contiguity data, Delta, the CG blocks, the
+component eigenvalues) on first use within one call.
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
 parameters, unknown check names, a checks value that names no check, a
@@ -36,7 +37,7 @@ from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, check_contiguity,
                        check_three_term_dual_hahn, make_instance)
 from .linalg import column_mismatches
-from .report import TOOL_VERSION, CheckResult, Report, Witness, first_mismatch
+from .report import TOOL_VERSION, CheckResult, Report, Witness, first_failure, first_mismatch
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,10 +50,10 @@ _CONFIG_KEYS = ("family", "nmax", "seed", "checks", "output", "format") + _PARAM
 _FORMATS = ("text", "json")
 
 
-def _collapse(name: str, rep: Report) -> CheckResult:
-    """Fold a sub-report into a single suite entry, keeping the first witness."""
-    ranges = "; ".join(c.checked_range for c in rep.checks if c.checked_range)
-    bad = rep.first_failure()
+def _collapse(name: str, results: list[CheckResult]) -> CheckResult:
+    """Fold a check's results into a single suite entry, keeping the first witness."""
+    ranges = "; ".join(c.checked_range for c in results if c.checked_range)
+    bad = first_failure(results)
     if bad is None:
         return CheckResult.ok(name, ranges)
     return CheckResult(name, False, ranges, witness=bad.witness)
@@ -63,39 +64,28 @@ def _error_result(name: str, rng: str, exc: Exception) -> CheckResult:
                        witness=Witness({"error": str(exc)}, "", ""))
 
 
-def _until_failure(reports) -> Report:
-    """Per-level reports joined in order, stopping after the first failure."""
-    out = Report(suite="levels")
-    for rep in reports:
-        out.extend(rep.checks)
-        if not rep.passed:
-            break
-    return out
+def _relations(run: Run) -> list[CheckResult]:
+    return [c for module, gens in run.factors for c in check_relations(module, gens)]
 
 
-def _relations(run: Run) -> Report:
-    return Report(suite="relations", checks=[
-        c for module, gens in run.factors for c in check_relations(module, gens).checks])
-
-
-def _casimir(run: Run) -> CheckResult:
+def _casimir(run: Run) -> list[CheckResult]:
     rng = f"levels 0..{run.inst.n_max - 1}"
     for module, gens in run.factors:
         hit = casimir(module, gens).result.witness
         if hit:
-            return CheckResult.fail("casimir", rng, {"label": module.label,
-                                                     "level": hit.where["level"]},
-                                    hit.lhs, hit.rhs)
-    return CheckResult.ok("casimir", rng)
+            return [CheckResult.fail("casimir", rng, {"label": module.label,
+                                                      "level": hit.where["level"]},
+                                     hit.lhs, hit.rhs)]
+    return [CheckResult.ok("casimir", rng)]
 
 
-def _oracle(run: Run) -> CheckResult:
+def _oracle(run: Run) -> list[CheckResult]:
     rng = f"all blocks N<={run.inst.n_max}"
     try:
         oracle = lowest_weight_oracle(run)
     except DegenerateKernelError as exc:
-        return _error_result("cg-oracle", rng, exc)
-    return first_mismatch("cg-oracle", rng, _oracle_mismatches(oracle, run.blocks))
+        return [_error_result("cg-oracle", rng, exc)]
+    return [first_mismatch("cg-oracle", rng, _oracle_mismatches(oracle, run.blocks))]
 
 
 def _oracle_mismatches(oracle, blocks):
@@ -111,14 +101,14 @@ def _oracle_mismatches(oracle, blocks):
                                          [(1, 1, column) for column in theirs])
 
 
-def _orthogonality(run: Run) -> CheckResult:
+def _orthogonality(run: Run) -> list[CheckResult]:
     rng = f"blocks 0..{run.inst.n_max}"
     for N in range(run.inst.n_max + 1):
         try:
             orthogonality_weights(run, N)
         except WeightSolutionError as exc:
-            return _error_result("orthogonality", rng, exc)
-    return CheckResult.ok("orthogonality", rng)
+            return [_error_result("orthogonality", rng, exc)]
+    return [CheckResult.ok("orthogonality", rng)]
 
 
 def _three_term_skip(inst: FamilyInstance) -> str | None:
@@ -136,8 +126,8 @@ def _twist_skip(inst: FamilyInstance) -> str | None:
 
 
 # name -> (skip rule giving a reason or None, runner); a runner takes the
-# run and returns a CheckResult, or a Report that is folded into one entry
-# under the name. Each runner looks its check up by name when it runs, so a
+# run and returns a list of CheckResults, folded into one entry under the
+# name (_collapse). Each runner looks its check up by name when it runs, so a
 # check patched in this module (by a tracer or a test) is the one called.
 _CHECKS = {
     "contiguity": (None, lambda run: check_contiguity(run)),
@@ -147,10 +137,8 @@ _CHECKS = {
     "homomorphism": (None, lambda run: check_homomorphism(run)),
     "algebraic-form": (None, lambda run: check_algebraic_form(run)),
     "grading": (None, lambda run: verify_weight_grading(run)),
-    "raising": (None, lambda run: _until_failure(
-        verify_raising(run, N) for N in range(run.inst.n_max))),
-    "lowering": (None, lambda run: _until_failure(
-        verify_lowering(run, N) for N in range(1, run.inst.n_max + 1))),
+    "raising": (None, lambda run: verify_raising(run)),
+    "lowering": (None, lambda run: verify_lowering(run)),
     "cg-oracle": (None, _oracle),
     "orthogonality": (None, _orthogonality),
     "twist": (_twist_skip, lambda run: check_twist_qracah_specialization(
@@ -178,8 +166,7 @@ def run_verify_suite(inst: FamilyInstance, checks: list[str] | None = None,
         if reason:
             rep.add(CheckResult.skip(name, reason))
             continue
-        result = check(run)
-        rep.add(result if isinstance(result, CheckResult) else _collapse(name, result))
+        rep.add(_collapse(name, check(run)))
     return rep
 
 

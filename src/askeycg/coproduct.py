@@ -32,7 +32,7 @@ from .exactmath import (InvalidParameterError, Scalar, SingularParameterError, U
                         q_powers)
 from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                        contiguity, labels, make_instance)
-from .report import Report, first_mismatch
+from .report import CheckResult, first_mismatch
 
 if TYPE_CHECKING:
     from .cgverify import Run
@@ -262,16 +262,14 @@ def build_delta(inst: FamilyInstance, data: ContiguityData) -> Delta:
                         ((0, -1), lambda c: data.beta2(c[0], c[0] + c[1]))), dhk)
 
 
-def check_homomorphism(run: Run) -> Report:
+def check_homomorphism(run: Run) -> list[CheckResult]:
     """The run's coproduct images must satisfy the defining relations of the
     algebra on every block where the compositions stay inside the truncation."""
-    inst, delta = run.inst, run.delta
-    rep = Report(suite=f"homomorphism:{inst.kind.value}", params=inst.to_doc())
-    rep.extend(_relation_checks(algebra_for(inst), delta.e, delta.f, delta.hk))
-    return rep
+    delta = run.delta
+    return _relation_checks(algebra_for(run.inst), delta.e, delta.f, delta.hk)
 
 
-def check_algebraic_form(run: Run) -> Report:
+def check_algebraic_form(run: Run) -> list[CheckResult]:
     """The closed operator expressions must reproduce the contiguity-derived
     coefficient functions on every tensor basis vector of the grid. The
     derived side is _derived_coeffs of run.contiguity, the table the run's
@@ -283,21 +281,21 @@ def check_algebraic_form(run: Run) -> Report:
     derived = _derived_coeffs(inst, run.contiguity)
     closed = _closed_form(inst)
     nm = inst.n_max
-    rep = Report(suite=f"algebraic-form:{inst.kind.value}", params=inst.to_doc())
     raising_pts = [(n, s - n) for s in range(1, nm + 1) for n in range(s + 1)]
     lowering_pts = [(n, s - n) for s in range(0, nm) for n in range(s + 1)]
+    results = []
     for name, pts in (("x", raising_pts), ("y", raising_pts),
                       ("xp", lowering_pts), ("yp", lowering_pts)):
         dfn = getattr(derived, name)
         cfn = getattr(closed, name)
         rng = (f"n+m in 1..{nm}" if name in ("x", "y") else f"n+m in 0..{nm - 1}")
-        rep.add(first_mismatch(f"{name}-agreement", rng,
-                               (({"n": n, "m": m}, dfn(n, m), cfn(n, m)) for n, m in pts)))
-    return rep
+        results.append(first_mismatch(f"{name}-agreement", rng, (
+            ({"n": n, "m": m}, dfn(n, m), cfn(n, m)) for n, m in pts)))
+    return results
 
 
-def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
-                                      n_max: int = 6, delta: Delta | None = None) -> Report:
+def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar, n_max: int = 6,
+                                      delta: Delta | None = None) -> list[CheckResult]:
     """At beta = 0, alpha = kappa1^2/q the q-Racah coproduct must collapse to
 
         Delta(E) = E x I + kappa1^{-1} K x E
@@ -334,13 +332,13 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
     f_x_id = tensor_operator(dims, ((-1, 0), lambda c: phi(alg, kappa1, c[0])))
     k_x_f = tensor_operator(dims, ((0, -1), lambda c: k1(c) * phi(alg, kappa2, c[1])))
 
-    rep = Report(suite="twist:q-racah", params=inst.to_doc())
     rng_e = f"blocks 0..{n_max - 1}"
     rng_f = f"blocks 0..{n_max}"
 
     twist = tensor_operator(dims, ((0, 0), lambda c: kappa1 ** c[1]))
     tinv = invert_diagonal(twist)
-    for name, lhs, rhs, levels, rng in (
+    return [check_identity(name, rng, levels, lhs, rhs, dims, "block")
+            for name, lhs, rhs, levels, rng in (
             ("specialized-raising", [(1, (delta.e,))],
              [(1, (e_x_id,)), (1 / kappa1, (k_x_e,))], range(n_max), rng_e),
             ("specialized-lowering", [(1, (delta.f,))],
@@ -348,9 +346,7 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
             ("twisted-raising", [(1, (twist, delta.e @ tinv))],
              [(1, (e_x_id,)), (1, (k_x_e,))], range(n_max), rng_e),
             ("twisted-lowering", [(1, (twist, delta.f @ tinv))],
-             [(1, (f_x_id,)), (1, (k_x_f,))], range(n_max + 1), rng_f)):
-        rep.add(check_identity(name, rng, levels, lhs, rhs, dims, "block"))
-    return rep
+             [(1, (f_x_id,)), (1, (k_x_f,))], range(n_max + 1), rng_f))]
 
 
 # ---------------------------------------------------------------------------

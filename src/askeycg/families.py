@@ -567,7 +567,7 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
 # checks
 # ---------------------------------------------------------------------------
 
-def check_contiguity(run: Run) -> Report:
+def check_contiguity(run: Run) -> list[CheckResult]:
     """Verify both contiguity relations exactly on the whole truncated grid,
     0 <= N < n_max, -1 <= n <= N+1, 0 <= k <= N, walked n-major.
 
@@ -613,16 +613,14 @@ def check_contiguity(run: Run) -> Report:
             for where, image, target in column_mismatches(N, bands, blocks[N].columns, targets):
                 yield where, target, image
 
-    rep = Report(suite=f"contiguity:{inst.kind.value}", params=inst.to_doc())
     rng = f"0<=N<{nm}, -1<=n<=N+1, 0<=k<=N"
-    for name, relation in (("raising-contiguity", raising),
-                           ("lowering-contiguity", lowering)):
-        rep.add(first_mismatch(name, rng, mismatches(relation)))
-    return rep
+    return [first_mismatch(name, rng, mismatches(relation))
+            for name, relation in (("raising-contiguity", raising),
+                                   ("lowering-contiguity", lowering))]
 
 
-def check_three_term_dual_hahn(run: Run,
-                               mu_fn: Callable[[int, int], Scalar] | None = None) -> Report:
+def check_three_term_dual_hahn(
+        run: Run, mu_fn: Callable[[int, int], Scalar] | None = None) -> list[CheckResult]:
     """Three-term recurrence of the dual Hahn family at alpha = lambda1 - 1:
 
         A_n P_{n+1} + (A_n + C_n) P_n + C_n P_{n-1} = mu(k) P_n
@@ -655,10 +653,8 @@ def check_three_term_dual_hahn(run: Run,
                    for k, col in enumerate(cols)]
         return column_mismatches(N, integer_bands(tridiagonal, range(N + 1)), cols, targets)
 
-    rep = Report(suite="three-term:dual-hahn", params=inst.to_doc())
-    rep.add(first_mismatch("three-term-recurrence", f"0<=n,k<=N<={nm}", (
-        m for N in range(nm + 1) for m in mismatches(N))))
-    return rep
+    return [first_mismatch("three-term-recurrence", f"0<=n,k<=N<={nm}", (
+        m for N in range(nm + 1) for m in mismatches(N)))]
 
 
 def _decay(name: str, checked_range: str, ladder: str, xs: list[Scalar],

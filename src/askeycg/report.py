@@ -8,7 +8,8 @@ from typing import Iterable
 
 TOOL_VERSION = "0.1.0"
 
-__all__ = ["TOOL_VERSION", "Witness", "CheckResult", "Report", "first_mismatch"]
+__all__ = ["TOOL_VERSION", "Witness", "CheckResult", "Report", "first_failure",
+           "first_mismatch"]
 
 
 @dataclass
@@ -57,6 +58,11 @@ class CheckResult:
         }
 
 
+def first_failure(results: Iterable[CheckResult]) -> CheckResult | None:
+    """The first result that did not pass, or None."""
+    return next((c for c in results if not c.passed), None)
+
+
 def first_mismatch(name: str, checked_range: str,
                    sides: Iterable[tuple[dict, object, object]]) -> CheckResult:
     """Compare lazily produced (where, lhs, rhs) triples in order; the check
@@ -101,7 +107,7 @@ class Report:
         self.checks.extend(checks)
 
     def first_failure(self) -> CheckResult | None:
-        return next((c for c in self.checks if not c.passed), None)
+        return first_failure(self.checks)
 
     def to_dict(self) -> dict:
         return {

@@ -28,6 +28,7 @@ from askeycg.families import (ContiguityData, FamilyKind, algebra_for, check_con
                               make_instance, poly_value)
 from askeycg.cgverify import verify_weight_grading
 from askeycg.linalg import RatMat
+from askeycg.report import first_failure
 
 from test_families import run_with
 
@@ -54,8 +55,8 @@ def test_criterion_01_contiguity_suite():
     for kind in ALL_KINDS:
         t0 = time.perf_counter()
         for inst in _draws(kind):
-            rep = check_contiguity(Run(inst))
-            assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
+            bad = first_failure(check_contiguity(Run(inst)))
+            assert bad is None, (kind.value, inst.to_doc(), bad)
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
         assert elapsed < 5.0, f"{kind.value} took {elapsed:.2f}s"
@@ -69,8 +70,8 @@ def test_criterion_02_dual_hahn_three_term():
         for l2 in values:
             inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=l1, lambda2=l2,
                                  alpha=l1 - 1, n_max=N_MAX)
-            rep = check_three_term_dual_hahn(Run(inst))
-            assert rep.passed, (l1, l2, rep.first_failure())
+            bad = first_failure(check_three_term_dual_hahn(Run(inst)))
+            assert bad is None, (l1, l2, bad)
     _report(2, "dual Hahn three-term recurrence, 16 label pairs, N<=8", True)
 
 
@@ -83,9 +84,9 @@ def test_criterion_03_representation_suite():
     ]
     expected_eigenvalues = [F(5), F(3), F(3, 2), -(F(2, 5) / F(9, 16) + F(5, 2))]
     for mod, eig in zip(mods, expected_eigenvalues):
-        rep = check_relations(mod)
-        assert rep.passed and not any(c.skipped for c in rep.checks), \
-            (mod.algebra.tag, rep.first_failure())
+        results = check_relations(mod)
+        assert first_failure(results) is None and not any(c.skipped for c in results), \
+            (mod.algebra.tag, first_failure(results))
         cas = casimir(mod)
         assert cas.ok and cas.eigenvalue == eig, mod.algebra.tag
     _report(3, "defining relations and scalar Casimir, 4 algebras, levels=8", True)
@@ -94,8 +95,8 @@ def test_criterion_03_representation_suite():
 def test_criterion_04_homomorphism_suite():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            rep = check_homomorphism(Run(inst))
-            assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
+            bad = first_failure(check_homomorphism(Run(inst)))
+            assert bad is None, (kind.value, inst.to_doc(), bad)
     _report(4, "coproduct homomorphism, 6 families x 5 draws, blocks<=7", True)
 
 
@@ -107,10 +108,8 @@ def test_criterion_05_cg_equivalence():
             for N in range(N_MAX + 1):
                 assert oracle[N].P == cg_block(inst, N).P, \
                     (kind.value, N, inst.to_doc())
-            for N in range(N_MAX):
-                assert verify_raising(run, N).passed, (kind.value, N)
-            for N in range(1, N_MAX + 1):
-                assert verify_lowering(run, N).passed, (kind.value, N)
+            assert [c.passed for c in verify_raising(run)] == [True] * N_MAX, kind.value
+            assert [c.passed for c in verify_lowering(run)] == [True] * N_MAX, kind.value
     _report(5, "CG blocks equal the lowest-weight oracle; raising/lowering "
                "exact incl. top-column annihilation", True)
 
@@ -118,8 +117,8 @@ def test_criterion_05_cg_equivalence():
 def test_criterion_06_algebraic_form_agreement():
     for kind in ALL_KINDS:
         for inst in _draws(kind):
-            rep = check_algebraic_form(Run(inst))
-            assert rep.passed, (kind.value, inst.to_doc(), rep.first_failure())
+            bad = first_failure(check_algebraic_form(Run(inst)))
+            assert bad is None, (kind.value, inst.to_doc(), bad)
     _report(6, "closed coproduct expressions match contiguity-derived "
                "coefficients everywhere", True)
 
@@ -136,8 +135,8 @@ def test_criterion_07_specializations():
                 assert cf.x(n, m + 1) == 1 and cf.y(n, m + 1) == 1
     # (b) q-Racah at beta = 0, alpha = kappa1^2/q, plus the twist
     for q, k1, k2 in ((F(1, 4), F(1, 2), F(1, 3)), (F(1, 4), F(2), F(3))):
-        rep = check_twist_qracah_specialization(q, k1, k2, n_max=6)
-        assert rep.passed, (q, k1, k2, rep.first_failure())
+        bad = first_failure(check_twist_qracah_specialization(q, k1, k2, n_max=6))
+        assert bad is None, (q, k1, k2, bad)
     _report(7, "standard-coproduct specializations and the diagonal twist", True)
 
 
@@ -207,57 +206,55 @@ def test_criterion_11_negative_controls():
     # contiguity: alpha2 doubled
     inst = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
     data = contiguity(inst)
-    rep = check_contiguity(run_with(inst, contiguity=ContiguityData(
+    results = check_contiguity(run_with(inst, contiguity=ContiguityData(
         alpha1=data.alpha1, alpha2=lambda n, N: 2 * data.alpha2(n, N),
         beta1=data.beta1, beta2=data.beta2, mu=data.mu)))
-    witnesses.append(("contiguity", rep.first_failure()))
+    witnesses.append(("contiguity", first_failure(results)))
 
     # three-term: mu off by one
     dh = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(2), lambda2=F(3),
                        alpha=F(1), n_max=4)
-    rep = check_three_term_dual_hahn(
+    results = check_three_term_dual_hahn(
         Run(dh), mu_fn=lambda k, N: (N - k + 1) * (N + k + 5) + 1)
-    witnesses.append(("three-term", rep.first_failure()))
+    witnesses.append(("three-term", first_failure(results)))
 
     # representation relations: lowering sign flipped
     mod = ModuleSpec(AlgebraKind(AlgebraTag.SL2), F(3), 4)
     gens = build_generators(mod)
     bad_f = GradedOperator(-1, gens.f.dims, {n: {ij: -v for ij, v in b.items()}
                                              for n, b in gens.f.blocks.items()})
-    rep = check_relations(mod, Generators(gens.e, bad_f, gens.hk))
-    witnesses.append(("relations", rep.first_failure()))
+    results = check_relations(mod, Generators(gens.e, bad_f, gens.hk))
+    witnesses.append(("relations", first_failure(results)))
 
     # homomorphism: y coefficient replaced by 1
     hahn = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
-    rep = check_homomorphism(run_with(
+    results = check_homomorphism(run_with(
         hahn, contiguity=replace(contiguity(hahn), alpha2=lambda n, N: F(1))))
-    witnesses.append(("homomorphism", rep.first_failure()))
+    witnesses.append(("homomorphism", first_failure(results)))
 
     # algebraic form: derived xp shifted, by phi(label1, n+1) added to beta1
     data, l1 = contiguity(hahn), labels(hahn)[0]
-    rep = check_algebraic_form(run_with(hahn, contiguity=replace(
+    results = check_algebraic_form(run_with(hahn, contiguity=replace(
         data, beta1=lambda n, N: data.beta1(n, N) + phi(algebra_for(hahn), l1, n + 1))))
-    witnesses.append(("algebraic-form", rep.first_failure()))
+    witnesses.append(("algebraic-form", first_failure(results)))
 
     # raising: binomial prefactor dropped from the blocks
     from askeycg.exactmath import binomial
     corrupt = {N: CGBlock.from_matrix(N, RatMat.build(
         N + 1, N + 1, lambda n, k, N=N: poly_value(hahn, n, k, N) / binomial(N, n)))
         for N in range(5)}
-    rep = verify_raising(run_with(hahn, blocks=corrupt), 1)
-    witnesses.append(("raising", rep.first_failure()))
+    witnesses.append(("raising", first_failure(verify_raising(run_with(hahn, blocks=corrupt)))))
 
     # lowering: same corruption; N = 2 is the smallest level where a
     # binomial prefactor differs from 1
-    rep = verify_lowering(run_with(hahn, blocks=corrupt), 2)
-    witnesses.append(("lowering", rep.first_failure()))
+    witnesses.append(("lowering", first_failure(verify_lowering(run_with(hahn, blocks=corrupt)))))
 
     # weight grading: Delta(H) shifted by one
     delta = Run(hahn).delta
     bad_delta = Delta(delta.e, delta.f, scalar_operator(
         delta.hk.dims, lambda N: hahn.lambda1 + hahn.lambda2 + 2 * N + 1))
-    rep = verify_weight_grading(run_with(hahn, delta=bad_delta))
-    witnesses.append(("grading", rep.first_failure()))
+    results = verify_weight_grading(run_with(hahn, delta=bad_delta))
+    witnesses.append(("grading", first_failure(results)))
 
     expected = {
         "contiguity": ("raising-contiguity", {"N": "0", "n": "0", "k": "0"}, "1", "2"),

@@ -16,7 +16,7 @@ from askeycg.algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generator
 from askeycg.coproduct import build_delta, check_homomorphism
 from askeycg.exactmath import InvalidParameterError
 from askeycg.families import FamilyKind, algebra_for, contiguity, labels, make_instance
-from askeycg.report import CheckResult
+from askeycg.report import CheckResult, first_failure
 
 from test_families import ALL_KINDS, run_with, sample_instance, wide_instance
 from test_linalg import to_lists
@@ -128,9 +128,9 @@ def test_degree_bookkeeping():
     (oscq(F(9, 16)), F(2, 7)), (uqsl2(F(9, 16)), F(3, 5)),
 ])
 def test_check_relations_passes(algebra, label):
-    rep = check_relations(ModuleSpec(algebra, label, 8))
-    assert rep.passed
-    assert not any(c.skipped for c in rep.checks)
+    results = check_relations(ModuleSpec(algebra, label, 8))
+    assert first_failure(results) is None
+    assert not any(c.skipped for c in results)
 
 
 @pytest.mark.parametrize("algebra", [oscq(F(1, 4)), uqsl2(F(1, 4))])
@@ -149,10 +149,10 @@ def test_module_without_a_level_above_zero_rejected(algebra, levels):
 
 
 def test_uqsl2_standard_form_skipped_for_non_square_q():
-    rep = check_relations(ModuleSpec(uqsl2(F(1, 2)), F(3), 4))
-    std = next(c for c in rep.checks if c.name == "uq-sl2-standard-form")
+    results = check_relations(ModuleSpec(uqsl2(F(1, 2)), F(3), 4))
+    std = next(c for c in results if c.name == "uq-sl2-standard-form")
     assert std.skipped
-    others = [c for c in rep.checks if not c.skipped]
+    others = [c for c in results if not c.skipped]
     assert others and all(c.passed for c in others)
 
 
@@ -161,8 +161,7 @@ def test_corrupted_phi_fails_with_witness():
     gens = build_generators(mod)
     bad_f = GradedOperator(-1, gens.f.dims, {n: {ij: -v for ij, v in b.items()}
                                              for n, b in gens.f.blocks.items()})
-    rep = check_relations(mod, Generators(gens.e, bad_f, gens.hk))
-    bad = rep.first_failure()
+    bad = first_failure(check_relations(mod, Generators(gens.e, bad_f, gens.hk)))
     assert bad is not None and bad.witness is not None
     assert int(bad.witness.where["level"]) <= 1
 
@@ -627,10 +626,10 @@ def test_relation_checks_compose_nothing(inst, monkeypatch):
     module = ModuleSpec(algebra_for(inst), labels(inst)[0], inst.n_max)
     gens = build_generators(module)
     calls = count_compositions(monkeypatch)
-    assert check_homomorphism(run).passed
-    rep = check_relations(module, gens)
-    assert rep.passed and calls == []
-    assert [c.skipped for c in rep.checks] == [False] * 3 + [True] * (
+    assert first_failure(check_homomorphism(run)) is None
+    results = check_relations(module, gens)
+    assert first_failure(results) is None and calls == []
+    assert [c.skipped for c in results] == [False] * 3 + [True] * (
         algebra_for(inst).tag is AlgebraTag.UQ_SL2)
 
 
@@ -638,7 +637,7 @@ def test_uqsl2_standard_form_is_the_only_composing_relation_check(monkeypatch):
     module = ModuleSpec(uqsl2(F(9, 16)), F(3, 5), 5)
     gens = build_generators(module)
     calls = count_compositions(monkeypatch)
-    assert check_relations(module, gens).passed
+    assert first_failure(check_relations(module, gens)) is None
     assert calls == [(0, -1)]  # K^{-1} F
 
 
@@ -676,9 +675,9 @@ def test_casimir_witness_on_corrupted_lowering(algebra, label, eig, lhs):
 def test_standard_form_witnesses_on_corrupted_generators():
     module = ModuleSpec(uqsl2(F(9, 16)), F(3, 5), 5)
     gens = build_generators(module)
-    rep = check_relations(module, Generators(gens.e, with_entry(gens.f, 4, (0, 0), F(1, 2)),
-                                             gens.hk))
-    assert [(c.name, c.witness and c.witness.to_dict()) for c in rep.checks] == [
+    results = check_relations(module, Generators(gens.e, with_entry(gens.f, 4, (0, 0), F(1, 2)),
+                                                 gens.hk))
+    assert [(c.name, c.witness and c.witness.to_dict()) for c in results] == [
         ("cartan-raising", None), ("cartan-lowering", None),
         ("uq-sl2-commutator", {"where": {"level": "3", "row": "0", "col": "0"},
                                "lhs": "-37866887/419430400", "rhs": "-2902532017/6710886400"}),

@@ -26,6 +26,7 @@ from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
 from askeycg.families import (FamilyInstance, FamilyKind, check_contiguity, contiguity,
                               make_instance, poly_value)
 from askeycg.linalg import RatMat, nullspace, rank
+from askeycg.report import first_failure
 
 from test_algebras import with_entry
 from test_families import (ALL_KINDS, poly_reference, run_with, sample_instance,
@@ -112,8 +113,8 @@ def test_block_columns_are_reduced_integer_vectors(kind, n_max, seed):
             assert c > 0 and gcd(*a, c) == 1
             assert [F(x, c) for x in a] == [poly_value(inst, n, k, N) for n in range(N + 1)]
     standalone = check_contiguity(Run(inst))
-    assert standalone.passed, standalone.first_failure()
-    assert standalone.to_dict() == check_contiguity(run_with(inst, blocks=blocks)).to_dict()
+    assert first_failure(standalone) is None, first_failure(standalone)
+    assert standalone == check_contiguity(run_with(inst, blocks=blocks))
 
 
 def first_entry_error(inst, N):
@@ -213,10 +214,8 @@ def test_first_column_is_binomial_vector():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_raising_and_lowering(kind):
     run = Run(sample_instance(kind))
-    for N in range(run.inst.n_max):
-        assert verify_raising(run, N).passed
-    for N in range(1, run.inst.n_max + 1):
-        assert verify_lowering(run, N).passed
+    assert [c.passed for c in verify_raising(run)] == [True] * run.inst.n_max
+    assert [c.passed for c in verify_lowering(run)] == [True] * run.inst.n_max
 
 
 def test_krawtchouk_pascal_row():
@@ -236,8 +235,7 @@ def test_raising_detects_missing_binomial_prefactor():
             lambda n, k: poly_value(inst, n, k, N) / binomial(N, n)))
 
     blocks = {N: corrupt(N) for N in range(inst.n_max + 1)}
-    rep = verify_raising(run_with(inst, blocks=blocks), 1)
-    fail = rep.first_failure()
+    fail = first_failure(verify_raising(run_with(inst, blocks=blocks)))
     assert fail is not None and fail.witness is not None
 
 
@@ -329,18 +327,16 @@ def fraction_walk_witnesses(inst, blocks, data, delta) -> dict:
 
 def reader_witnesses(inst, blocks, data, delta) -> dict:
     def first(checks):
-        bad = next((c for c in checks if not c.passed), None)
+        bad = first_failure(checks)
         return bad and (bad.witness.where, bad.witness.lhs, bad.witness.rhs)
 
     run = run_with(inst, blocks=blocks, contiguity=data, delta=delta)
-    raising_contiguity, lowering_contiguity = check_contiguity(run).checks
+    raising_contiguity, lowering_contiguity = check_contiguity(run)
     return {
         "raising-contiguity": first([raising_contiguity]),
         "lowering-contiguity": first([lowering_contiguity]),
-        "raising": first(c for N in range(inst.n_max)
-                         for c in verify_raising(run, N).checks),
-        "lowering": first(c for N in range(1, inst.n_max + 1)
-                          for c in verify_lowering(run, N).checks),
+        "raising": first(verify_raising(run)),
+        "lowering": first(verify_lowering(run)),
     }
 
 
@@ -377,10 +373,8 @@ def test_run_splits_delta_into_bands_once(monkeypatch):
     original = linalg.integer_bands
     monkeypatch.setattr(cgverify, "integer_bands",
                         lambda block, rows: splits.append(1) or original(block, rows))
-    for N in range(inst.n_max):
-        assert verify_raising(run, N).passed
-    for N in range(1, inst.n_max + 1):
-        assert verify_lowering(run, N).passed
+    assert [c.passed for c in verify_raising(run)] == [True] * inst.n_max
+    assert [c.passed for c in verify_lowering(run)] == [True] * inst.n_max
     assert lowest_weight_oracle(run) == list(run.blocks.values())
     assert run.bands is run.bands
     assert len(splits) == len(run.delta.e.blocks) + len(run.delta.f.blocks)
@@ -389,23 +383,41 @@ def test_run_splits_delta_into_bands_once(monkeypatch):
     assert f[2] == linalg.integer_bands(run.delta.f.blocks[2], range(2))
 
 
-def test_a_delta_given_before_the_first_read_reaches_every_band_reader():
-    # one entry each of Delta(E) and Delta(F) on level 2 tripled: raising
-    # and lowering fail at block 2 only, and the oracle's kernel on block 2
-    # moves
-    inst = sample_instance(FamilyKind.HAHN, n_max=4)
+def level_two_tripled(inst) -> Delta:
+    """The Delta of inst with one entry each of Delta(E) and Delta(F) on
+    level 2 tripled."""
     good = Run(inst).delta
     scaled = with_f_entry_scaled(good, 2, (0, 1), 3)
     e = good.e
-    bad = Delta(with_entry(e, 2, (0, 0), e.blocks[2][0, 0] * 3), scaled.f, good.hk)
-    run = run_with(inst, delta=bad)
-    assert [verify_raising(run, N).passed for N in range(inst.n_max)] == [True, True, False,
-                                                                          True]
-    assert [verify_lowering(run, N).passed for N in range(1, inst.n_max + 1)] == [
-        True, False, True, True]
+    return Delta(with_entry(e, 2, (0, 0), e.blocks[2][0, 0] * 3), scaled.f, good.hk)
+
+
+def test_a_delta_given_before_the_first_read_reaches_every_band_reader():
+    # raising and lowering pass every block below 2 and stop at block 2, and
+    # the oracle's kernel on block 2 moves
+    inst = sample_instance(FamilyKind.HAHN, n_max=4)
+    run = run_with(inst, delta=level_two_tripled(inst))
+    assert [c.passed for c in verify_raising(run)] == [True, True, False]
+    assert [c.passed for c in verify_lowering(run)] == [True, False]
     oracle = lowest_weight_oracle(run)
     assert oracle[:2] == [run.blocks[0], run.blocks[1]]
     assert oracle[2].columns[2] != run.blocks[2].columns[2]
+
+
+def test_a_delta_given_to_the_suite_stops_raising_and_lowering_at_block_two(monkeypatch):
+    # the same Delta through run_verify_suite: both entries fail at block 2
+    # with their range ending at that block
+    inst = sample_instance(FamilyKind.HAHN, n_max=4)
+    bad = level_two_tripled(inst)
+    monkeypatch.setattr(cgverify, "build_delta", lambda inst, data: bad)
+    checks = run_verify_suite(inst, ["raising", "lowering"]).to_dict()["checks"]
+    got = {c["name"]: (c["passed"], c["checked_range"], c["witness"]["where"]["N"])
+           for c in checks if not c["skipped"]}
+    assert got == {
+        "raising": (False, "block 0 -> 1, 0<=k<=0; block 1 -> 2, 0<=k<=1; "
+                           "block 2 -> 3, 0<=k<=2", "2"),
+        "lowering": (False, "block 1 -> 0, 0<=k<=1; block 2 -> 1, 0<=k<=2", "2"),
+    }
 
 
 # -- lowest-weight oracle -----------------------------------------------------
@@ -912,7 +924,7 @@ def test_no_runtime_path_calls_dense_elimination(monkeypatch):
 def test_weight_grading_all_families():
     for kind in ALL_KINDS:
         inst = sample_instance(kind)
-        assert verify_weight_grading(Run(inst)).passed
+        assert first_failure(verify_weight_grading(Run(inst))) is None
 
 
 def test_weight_grading_eigenvalues():
@@ -934,8 +946,7 @@ def test_weight_grading_negative_control():
     bad = Delta(delta.e, delta.f,
                 scalar_operator(delta.hk.dims,
                                 lambda N: inst.lambda1 + inst.lambda2 + 2 * N + 1))
-    rep = verify_weight_grading(run_with(inst, delta=bad))
-    fail = rep.first_failure()
+    fail = first_failure(verify_weight_grading(run_with(inst, delta=bad)))
     assert fail is not None and fail.witness is not None
 
 
@@ -952,7 +963,7 @@ def test_weight_grading_certifies_off_diagonal_zeros(entries, witness):
     hk = delta.hk
     for (level, ij), value in entries.items():
         hk = with_entry(hk, level, ij, value)
-    fail = verify_weight_grading(run_with(inst, delta=Delta(delta.e, delta.f, hk))).first_failure()
+    fail = first_failure(verify_weight_grading(run_with(inst, delta=Delta(delta.e, delta.f, hk))))
     where, lhs, rhs = witness
     assert fail.witness.to_dict() == {"where": where, "lhs": lhs, "rhs": rhs}
 

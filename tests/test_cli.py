@@ -276,10 +276,7 @@ def test_suite_failure_yields_exit_one(tmp_path, monkeypatch):
     from askeycg.report import CheckResult
 
     def broken(run):
-        from askeycg.report import Report
-        out = Report(suite="contiguity")
-        out.add(CheckResult.fail("raising-contiguity", "", {"N": 0}, "1", "2"))
-        return out
+        return [CheckResult.fail("raising-contiguity", "", {"N": 0}, "1", "2")]
 
     monkeypatch.setattr("askeycg.cli.check_contiguity", broken)
     code = main(["verify", "--family", "krawtchouk", "--p", "1/3", "--nmax", "3",
@@ -378,6 +375,17 @@ TWO_POINT_WITNESSES = {
 }
 
 
+FIRST_FAILURE_RANGES = {
+    "raising-contiguity": "0<=N<4, -1<=n<=N+1, 0<=k<=N",
+    "lowering-contiguity": "0<=N<4, -1<=n<=N+1, 0<=k<=N",
+    "three-term": "0<=n,k<=N<=4",
+    "raising": "block 0 -> 1, 0<=k<=0; block 1 -> 2, 0<=k<=1; block 2 -> 3, 0<=k<=2",
+    "lowering": "block 1 -> 0, 0<=k<=1; block 2 -> 1, 0<=k<=2; block 3 -> 2, 0<=k<=3",
+    "cg-oracle": "all blocks N<=4",
+    "orthogonality": "blocks 0..4",
+}
+
+
 @pytest.mark.parametrize("kind", list(TWO_POINT_WITNESSES), ids=lambda k: k.value)
 def test_block_readers_name_the_first_failure_in_their_own_order(kind, monkeypatch):
     # contiguity and the oracle walk n-major, raising and lowering k-major
@@ -389,12 +397,15 @@ def test_block_readers_name_the_first_failure_in_their_own_order(kind, monkeypat
 
     inst = sample_instance(kind, n_max=4)
     blocks = {N: corrupted(inst, N) for N in range(inst.n_max + 1)}
-    checks = families.check_contiguity(run_with(inst, blocks=blocks)).to_dict()["checks"]
+    checks = [c.to_dict() for c in families.check_contiguity(run_with(inst, blocks=blocks))]
     monkeypatch.setattr("askeycg.cgverify.cg_block", corrupted)
     checks += run_verify_suite(inst).to_dict()["checks"]
     want = TWO_POINT_WITNESSES[kind]
     assert {c["name"]: c["witness"] for c in checks if c["name"] in want} == {
         name: {"where": where, "lhs": lhs, "rhs": rhs} for name, (where, lhs, rhs) in want.items()}
+    # a check that walks levels stops after the first failing one, block 3 here
+    assert {c["name"]: c["checked_range"] for c in checks if c["name"] in want} == {
+        name: FIRST_FAILURE_RANGES[name] for name in want}
 
 
 # -- shared artifacts: each built at most once, and only when a check needs it --
@@ -482,7 +493,7 @@ def test_algebraic_form_never_reads_contiguity(kind, monkeypatch):
         for n in range(inst.n_max + 1):
             for m in range(inst.n_max + 1):
                 fn(n, m)
-    assert coproduct.check_algebraic_form(run).passed
+    assert all(c.passed for c in coproduct.check_algebraic_form(run))
 
 
 @pytest.mark.parametrize("inst,corrupt,witness", [

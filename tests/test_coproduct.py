@@ -126,7 +126,7 @@ def test_build_delta_evaluates_cartan_and_phi_once_per_factor_level(kind, monkey
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_homomorphism(kind):
     inst = sample_instance(kind)
-    assert check_homomorphism(Run(inst)).passed
+    assert report.first_failure(check_homomorphism(Run(inst))) is None
 
 
 def test_hahn_delta_commutator_is_identity():
@@ -140,8 +140,7 @@ def test_hahn_delta_commutator_is_identity():
 def test_corrupted_y_fails_homomorphism():
     inst = sample_instance(FamilyKind.HAHN)
     bad = build_delta(inst, data=replace(contiguity(inst), alpha2=lambda n, N: F(1)))
-    rep = check_homomorphism(run_with(inst, delta=bad))
-    fail = rep.first_failure()
+    fail = report.first_failure(check_homomorphism(run_with(inst, delta=bad)))
     assert fail is not None and fail.witness is not None
 
 
@@ -150,7 +149,7 @@ def test_corrupted_y_fails_homomorphism():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_algebraic_form_agreement(kind):
     inst = sample_instance(kind)
-    assert check_algebraic_form(Run(inst)).passed
+    assert report.first_failure(check_algebraic_form(Run(inst))) is None
 
 
 def test_hahn_localization_denominator():
@@ -285,8 +284,7 @@ def xp_shifted(inst):
 
 def test_algebraic_form_negative_control():
     inst = sample_instance(FamilyKind.RACAH)
-    rep = check_algebraic_form(run_with(inst, contiguity=xp_shifted(inst)))
-    fail = rep.first_failure()
+    fail = report.first_failure(check_algebraic_form(run_with(inst, contiguity=xp_shifted(inst))))
     assert fail is not None and fail.name == "xp-agreement"
 
 
@@ -345,20 +343,19 @@ def test_algebraic_form_check_reduces_only_its_witness(kind, monkeypatch):
         check_algebraic_form(run)  # every contiguity value is now memoized
     reductions = counting(monkeypatch, Unreduced, "reduce")
     fractions = counting(monkeypatch, report, "Fraction")
-    assert check_algebraic_form(shared).passed
+    assert report.first_failure(check_algebraic_form(shared)) is None
     assert (reductions, fractions) == ([], [])
-    rep = check_algebraic_form(shifted)
-    assert [c.name for c in rep.checks if not c.passed] == ["xp-agreement"]
+    results = check_algebraic_form(shifted)
+    assert [c.name for c in results if not c.passed] == ["xp-agreement"]
     assert reductions == [] and len(fractions) == 2
 
 
 # -- q-Racah specialization and twist --------------------------------------------
 
 def test_twist_specialization_passes():
-    rep = check_twist_qracah_specialization(F(1, 4), F(2), F(3), n_max=6)
-    assert rep.passed
-    rep = check_twist_qracah_specialization(F(1, 4), F(1, 2), F(1, 3), n_max=6)
-    assert rep.passed
+    for k1, k2 in ((F(2), F(3)), (F(1, 2), F(1, 3))):
+        results = check_twist_qracah_specialization(F(1, 4), k1, k2, n_max=6)
+        assert report.first_failure(results) is None
 
 
 @pytest.mark.parametrize("n_max", [0, -1, -3])
@@ -389,8 +386,8 @@ def test_beta_zero_collapses_yp():
             assert cf.yp(n, m) == k1 ** 2 * q ** n
 
 
-def passed_and_witness(rep):
-    return [(c["name"], c["witness"]) for c in rep.to_dict()["checks"]]
+def passed_and_witness(results):
+    return [(c.name, c.to_dict()["witness"]) for c in results]
 
 
 def test_twist_witnesses_on_a_corrupted_delta(monkeypatch):

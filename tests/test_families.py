@@ -9,6 +9,7 @@ import askeycg.families as families
 from askeycg.algebras import AlgebraKind, AlgebraTag, phi
 from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
 from askeycg.cgverify import Run, random_instance
+from askeycg.report import first_failure
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind,
                               check_contiguity, check_three_term_dual_hahn,
                               contiguity, limit_hahn_to_krawtchouk,
@@ -443,7 +444,7 @@ def test_q_hahn_contiguity_coefficient():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_check_contiguity_passes(kind):
-    assert check_contiguity(Run(sample_instance(kind))).passed
+    assert first_failure(check_contiguity(Run(sample_instance(kind)))) is None
 
 
 def test_check_contiguity_random_draws():
@@ -451,7 +452,7 @@ def test_check_contiguity_random_draws():
     for kind in ALL_KINDS:
         for _ in range(2):
             inst = random_instance(kind, rng, n_max=6)
-            assert check_contiguity(Run(inst)).passed, inst.to_doc()
+            assert first_failure(check_contiguity(Run(inst))) is None, inst.to_doc()
 
 
 def test_corrupted_alpha2_fails_with_smallest_witness():
@@ -460,8 +461,7 @@ def test_corrupted_alpha2_fails_with_smallest_witness():
     bad = ContiguityData(alpha1=data.alpha1,
                          alpha2=lambda n, N: 2 * data.alpha2(n, N),
                          beta1=data.beta1, beta2=data.beta2, mu=data.mu)
-    rep = check_contiguity(run_with(inst, contiguity=bad))
-    fail = rep.first_failure()
+    fail = first_failure(check_contiguity(run_with(inst, contiguity=bad)))
     assert fail is not None and fail.name == "raising-contiguity"
     assert fail.witness.where == {"N": 0, "n": 0, "k": 0}
 
@@ -471,11 +471,11 @@ def test_corrupted_beta1_pins_the_lowering_witness():
     # doubled on the same Hahn point; raising still passes
     inst = make_instance(FamilyKind.HAHN, alpha=F(1), beta=F(1, 2), n_max=4)
     data = contiguity(inst)
-    rep = check_contiguity(run_with(inst, contiguity=dataclasses.replace(
+    results = check_contiguity(run_with(inst, contiguity=dataclasses.replace(
         data, beta1=lambda n, N: 2 * data.beta1(n, N))))
-    assert [(c.name, c.passed) for c in rep.checks] == [
+    assert [(c.name, c.passed) for c in results] == [
         ("raising-contiguity", True), ("lowering-contiguity", False)]
-    assert rep.checks[1].witness.to_dict() == {
+    assert results[1].witness.to_dict() == {
         "where": {"N": "1", "n": "0", "k": "0"}, "lhs": "-1", "rhs": "-9/5"}
 
 
@@ -484,11 +484,11 @@ def test_nonzero_mu_at_k_equal_N_fails_instead_of_raising():
     # level N-1; valid data has mu(N, N) = 0, so only a corrupted mu reads it
     inst = make_instance("hahn", alpha=F(1, 2), beta=F(1, 3), n_max=4)
     data = contiguity(inst)
-    rep = check_contiguity(run_with(inst, contiguity=dataclasses.replace(
+    results = check_contiguity(run_with(inst, contiguity=dataclasses.replace(
         data, mu=lambda k, N: data.mu(k, N) + (k == N == 2))))
-    assert [(c.name, c.passed) for c in rep.checks] == [
+    assert [(c.name, c.passed) for c in results] == [
         ("raising-contiguity", True), ("lowering-contiguity", False)]
-    assert rep.checks[1].witness.to_dict() == {
+    assert results[1].witness.to_dict() == {
         "where": {"N": "2", "n": "0", "k": "2"}, "lhs": "1", "rhs": "0"}
 
 
@@ -516,8 +516,8 @@ def test_corrupted_interior_coefficient_witness(coeff, name, witness):
     bad = ContiguityData(**{**{f: getattr(data, f) for f in
                                ("alpha1", "alpha2", "beta1", "beta2", "mu")},
                             coeff: lambda a, N: good(a, N) * (2 if (a, N) == (2, 4) else 1)})
-    rep = check_contiguity(run_with(inst, contiguity=bad))
-    assert [(c.name, c.witness.to_dict()) for c in rep.checks if not c.passed] == [
+    results = check_contiguity(run_with(inst, contiguity=bad))
+    assert [(c.name, c.witness.to_dict()) for c in results if not c.passed] == [
         (name, witness)]
 
 
@@ -652,13 +652,13 @@ def test_contiguity_matches_reference_on_wide_draws(kind):
 def test_three_term_passes():
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(2), lambda2=F(3),
                          alpha=F(1), n_max=6)
-    assert check_three_term_dual_hahn(Run(inst)).passed
+    assert first_failure(check_three_term_dual_hahn(Run(inst))) is None
 
 
 def test_three_term_block_zero_trivial():
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(5, 2), lambda2=F(7, 3),
                          alpha=F(3, 2), n_max=1)
-    assert check_three_term_dual_hahn(Run(inst)).passed
+    assert first_failure(check_three_term_dual_hahn(Run(inst))) is None
 
 
 def test_three_term_requires_matching_alpha():
@@ -672,9 +672,8 @@ def test_three_term_corrupted_mu_fails():
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(2), lambda2=F(3),
                          alpha=F(1), n_max=4)
     l1, l2 = inst.lambda1, inst.lambda2
-    rep = check_three_term_dual_hahn(
-        Run(inst), mu_fn=lambda k, N: (N - k + 1) * (N + k + l1 + l2) + 1)
-    fail = rep.first_failure()
+    fail = first_failure(check_three_term_dual_hahn(
+        Run(inst), mu_fn=lambda k, N: (N - k + 1) * (N + k + l1 + l2) + 1))
     assert fail is not None and fail.witness is not None
 
 
@@ -683,9 +682,9 @@ def test_three_term_witness_is_reduced(bump, rhs):
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(5, 2), lambda2=F(7, 3),
                          alpha=F(3, 2), n_max=4)
     l1, l2 = inst.lambda1, inst.lambda2
-    rep = check_three_term_dual_hahn(Run(inst), mu_fn=lambda k, N: (
+    results = check_three_term_dual_hahn(Run(inst), mu_fn=lambda k, N: (
         (N - k + 1) * (N + k + l1 + l2) + (bump if N == 2 else 0)))
-    assert rep.first_failure().witness.to_dict() == {
+    assert first_failure(results).witness.to_dict() == {
         "where": {"N": "2", "n": "0", "k": "0"}, "lhs": "41/2", "rhs": rhs}
 
 
