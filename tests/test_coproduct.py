@@ -16,7 +16,8 @@ from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind, algebr
 from askeycg.linalg import nullspace
 
 from test_algebras import with_entry
-from test_families import ALL_KINDS, outcome, run_with, sample_instance, wide_draws
+from test_coefficient_reference import assert_algebraic_form_matches_reference
+from test_families import ALL_KINDS, run_with, sample_instance, wide_draws
 from test_linalg import to_lists
 
 
@@ -182,88 +183,6 @@ def test_q_hahn_casimir_cartan_product_eigenvalue():
             assert form.x(n, m) == (1 - a * b * q ** (n + 1)) / dd
 
 
-def ref_algebraic_form(inst) -> dict:
-    """The closed forms written out term by term in the Cartan and Casimir
-    eigenvalues, with nothing folded or tabulated, as a second implementation
-    of `algebraic_form`."""
-    kind = inst.kind
-    a, b, g, q = inst.alpha, inst.beta, inst.gamma, inst.q
-    if kind is FamilyKind.KRAWTCHOUK:
-        p = inst.p
-        return {"x": lambda n, m: F(1), "y": lambda n, m: F(1),
-                "xp": lambda n, m: p, "yp": lambda n, m: 1 - p}
-    if kind is FamilyKind.HAHN:
-        l1, l2 = inst.lambda1, inst.lambda2
-
-        def dd(n, m):
-            h1, h2, c1, c2 = l1 + 2 * n, l2 + 2 * m, l1, l2
-            return h1 - h2 - c1 + c2 + 2 * a + 2 * b + 2
-
-        return {"x": lambda n, m: (l1 + 2 * n - l1 + 2 * a + 2 * b + 2) / dd(n, m),
-                "y": lambda n, m: (l2 - (l2 + 2 * m) + 2 * a + 2 * b + 2) / dd(n, m),
-                "xp": lambda n, m: (l1 + 2 * n - l1 + 2 * a + 2) / dd(n, m),
-                "yp": lambda n, m: (l2 - (l2 + 2 * m) + 2 * b) / dd(n, m)}
-    if kind is FamilyKind.DUAL_HAHN:
-        l1, l2 = inst.lambda1, inst.lambda2
-        return {"x": lambda n, m: F(1), "y": lambda n, m: F(1),
-                "xp": lambda n, m: ((l1 + 2 * n) - l1 + 2 * a + 2) / ((l1 + 2 * n) + l1),
-                "yp": lambda n, m: ((l2 + 2 * m) - l2 + 2 * b + 2) / ((l2 + 2 * m) + l2)}
-    if kind is FamilyKind.RACAH:
-        l1, l2 = inst.lambda1, inst.lambda2
-
-        def dd(n, m):
-            return (l1 + 2 * n) - (l2 + 2 * m) - l1 + l2 + 2 * a + 2 * b + 2
-
-        def xp(n, m):
-            h1 = l1 + 2 * n
-            return ((h1 - l1 + 2 * a + 2) * (h1 - l1 + 2 * b + 2 * g + 2)
-                    / ((h1 + l1) * dd(n, m)))
-
-        def yp(n, m):
-            h2 = l2 + 2 * m
-            return ((l2 - h2 + 2 * b) * (h2 - l2 - 2 * a + 2 * g)
-                    / ((h2 + l2) * dd(n, m)))
-
-        return {"x": lambda n, m: ((l1 + 2 * n) - l1 + 2 * a + 2 * b + 2) / dd(n, m),
-                "y": lambda n, m: (l2 - (l2 + 2 * m) + 2 * a + 2 * b + 2) / dd(n, m),
-                "xp": xp, "yp": yp}
-    if kind is FamilyKind.Q_HAHN:
-        k1v, k2v = inst.kappa1, inst.kappa2
-        c1, c2 = 1 / k1v, 1 / k2v
-        ck1 = lambda n: c1 * (k1v * q ** n)
-        ck2 = lambda m: c2 * (k2v * q ** m)
-        dd = lambda n, m: 1 - q * a * b * ck1(n) / ck2(m)
-        return {"x": lambda n, m: (1 - q * a * b * ck1(n)) / dd(n, m),
-                "y": lambda n, m: ck1(n) * (1 - q * a * b / ck2(m)) / dd(n, m),
-                "xp": lambda n, m: (1 - q * a * ck1(n)) / dd(n, m),
-                "yp": lambda n, m: q * a * ck1(n) * (1 - b / ck2(m)) / dd(n, m)}
-    kap1, kap2 = inst.kappa1, inst.kappa2
-    k1 = lambda n: kap1 * q ** n
-    k2 = lambda m: kap2 * q ** m
-    dd = lambda n, m: 1 - q * (1 / kap1) * kap2 * a * b * k1(n) / k2(m)
-    return {
-        "x": lambda n, m: (1 - a * b * q * (1 / kap1) * k1(n)) / dd(n, m),
-        "y": lambda n, m: (1 / kap1) * k1(n) * (1 - a * b * q * kap2 / k2(m)) / dd(n, m),
-        "xp": lambda n, m: ((1 - q * (1 / kap1) * a * k1(n))
-                            * (1 - q * (1 / kap1) * b * g * k1(n))
-                            / ((1 - kap1 * k1(n)) * dd(n, m))),
-        "yp": lambda n, m: (q * (1 / kap1) * a * k1(n)
-                            * (1 - kap2 * b / k2(m)) * (1 - (1 / kap2) * g * k2(m) / a)
-                            / ((1 - kap2 * k2(m)) * dd(n, m))),
-    }
-
-
-def assert_algebraic_form_matches_reference(inst) -> None:
-    # every (n, m) with n and m up to n_max
-    form, ref = algebraic_form(inst), ref_algebraic_form(inst)
-    for name, want in ref.items():
-        got = getattr(form, name)
-        for n in range(inst.n_max + 1):
-            for m in range(inst.n_max + 1):
-                assert outcome(got, n, m) == outcome(want, n, m), (
-                    name, n, m, inst.to_doc())
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_algebraic_form_matches_reference_on_sample(kind):
     assert_algebraic_form_matches_reference(sample_instance(kind))
@@ -282,10 +201,20 @@ def xp_shifted(inst):
     return replace(data, beta1=lambda n, N: data.beta1(n, N) + phi(alg, l1, n + 1))
 
 
-def test_algebraic_form_negative_control():
-    inst = sample_instance(FamilyKind.RACAH)
+@pytest.mark.parametrize("kind, lhs, rhs", [
+    (FamilyKind.HAHN, "9/5", "4/5"),
+    (FamilyKind.KRAWTCHOUK, "4/3", "1/3"),
+    (FamilyKind.DUAL_HAHN, "2", "1"),
+    (FamilyKind.RACAH, "70/23", "47/23"),
+    (FamilyKind.Q_HAHN, "113/58", "55/58"),
+    (FamilyKind.Q_RACAH, "8522/3753", "4769/3753"),
+])
+def test_algebraic_form_negative_control(kind, lhs, rhs):
+    # the derived x' shifted by 1 fails first at the origin: derived side lhs
+    inst = sample_instance(kind)
     fail = report.first_failure(check_algebraic_form(run_with(inst, contiguity=xp_shifted(inst))))
-    assert fail is not None and fail.name == "xp-agreement"
+    assert fail.name == "xp-agreement"
+    assert fail.witness.to_dict() == {"where": {"n": "0", "m": "0"}, "lhs": lhs, "rhs": rhs}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -16,6 +16,8 @@ from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind,
                               limit_racah_to_dual_hahn, make_instance,
                               poly_value)
 
+from test_coefficient_reference import assert_contiguity_matches_reference
+
 ALL_KINDS = list(FamilyKind)
 
 
@@ -553,87 +555,6 @@ def wide_draws(kind: FamilyKind, seed: str, count: int = 12) -> list[FamilyInsta
         assert {(d.q > 0, abs(d.q) > 1) for d in draws} == {
             (s, b) for s in (True, False) for b in (True, False)}
     return draws
-
-
-def outcome(fn, *args):
-    """The value of fn(*args), or ZeroDivisionError when it divides by zero."""
-    try:
-        return fn(*args)
-    except ZeroDivisionError:
-        return ZeroDivisionError
-
-
-def ref_contiguity(inst: FamilyInstance) -> dict:
-    """The contiguity coefficients written out term by term, with nothing
-    folded or memoized, as a second implementation of `contiguity`."""
-    kind = inst.kind
-    a, b, g, q = inst.alpha, inst.beta, inst.gamma, inst.q
-    if kind is FamilyKind.HAHN:
-        return {
-            "alpha1": lambda n, N: (n + a + b + 1) / (2 * n + a + b - N),
-            "alpha2": lambda n, N: (n + a + b - N) / (2 * n + a + b - N),
-            "beta1": lambda n, N: -(n + 1 + a) * (n + 1) / (2 * n + 2 + a + b - N),
-            "beta2": lambda n, N: -(n + 1 + b - N) * (N - n) / (2 * n + 2 + a + b - N),
-            "mu": lambda k, N: F(k - N),
-        }
-    if kind is FamilyKind.KRAWTCHOUK:
-        p = inst.p
-        return {
-            "alpha1": lambda n, N: F(1),
-            "alpha2": lambda n, N: F(1),
-            "beta1": lambda n, N: -p * (n + 1),
-            "beta2": lambda n, N: -(1 - p) * (N - n),
-            "mu": lambda k, N: F(k - N),
-        }
-    if kind is FamilyKind.DUAL_HAHN:
-        return {
-            "alpha1": lambda n, N: F(1),
-            "alpha2": lambda n, N: F(1),
-            "beta1": lambda n, N: -(n + 1 + a) * (n + 1),
-            "beta2": lambda n, N: (N - n + b) * (n - N),
-            "mu": lambda k, N: (k - N) * (N + k + a + b + 1),
-        }
-    if kind is FamilyKind.RACAH:
-        return {
-            "alpha1": lambda n, N: (n + a + b + 1) / (2 * n + a + b - N),
-            "alpha2": lambda n, N: (n + a + b - N) / (2 * n + a + b - N),
-            "beta1": lambda n, N: -(n + b + g + 1) * (n + a + 1) * (n + 1)
-                                  / (2 * n + 2 + a + b - N),
-            "beta2": lambda n, N: (n + 1 + b - N) * (n + 1 + a - g - N) * (N - n)
-                                  / (2 * n + 2 + a + b - N),
-            "mu": lambda k, N: (k - N) * (N + k + g),
-        }
-    shared = {
-        "alpha1": lambda n, N: (1 - a * b * q ** (n + 1)) / (1 - a * b * q ** (2 * n - N)),
-        "alpha2": lambda n, N: q ** n * (1 - a * b * q ** (n - N))
-                               / (1 - a * b * q ** (2 * n - N)),
-    }
-    if kind is FamilyKind.Q_HAHN:
-        return shared | {
-            "beta1": lambda n, N: (1 - a * q ** (n + 1)) * (1 - q ** (n + 1))
-                                  / (1 - a * b * q ** (2 * n + 2 - N)),
-            "beta2": lambda n, N: a * q ** (n + 1) * (1 - b * q ** (n + 1 - N))
-                                  * (1 - q ** (N - n)) / (1 - a * b * q ** (2 * n + 2 - N)),
-            "mu": lambda k, N: 1 - q ** (N - k),
-        }
-    return shared | {
-        "beta1": lambda n, N: (1 - b * g * q ** (n + 1)) * (1 - a * q ** (n + 1))
-                              * (1 - q ** (n + 1)) / (1 - a * b * q ** (2 * n + 2 - N)),
-        "beta2": lambda n, N: (1 - b * q ** (n + 1 - N)) * (a * q ** (n + 1) - g * q ** N)
-                              * (1 - q ** (N - n)) / (1 - a * b * q ** (2 * n + 2 - N)),
-        "mu": lambda k, N: (1 - q ** (N - k)) * (1 - g * q ** (N + k)),
-    }
-
-
-def assert_contiguity_matches_reference(inst: FamilyInstance) -> None:
-    # every (n, N) and (k, N) with N up to n_max and n, k one past each end
-    data, ref = contiguity(inst), ref_contiguity(inst)
-    for name, want in ref.items():
-        got = getattr(data, name)
-        for N in range(inst.n_max + 1):
-            for n in range(-1, N + 2):
-                assert outcome(got, n, N) == outcome(want, n, N), (
-                    name, n, N, inst.to_doc())
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
