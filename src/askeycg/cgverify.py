@@ -54,10 +54,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .algebras import (ModuleSpec, _block_levels, _compose, build_generators, check_identity,
-                       phi, scalar_operator)
+from .algebras import (ModuleSpec, _block_levels, _compose, _phi, build_generators,
+                       check_identity, phi, scalar_operator)
 from .coproduct import build_delta
-from .exactmath import InvalidParameterError, Scalar, Unreduced, format_scalar
+from .exactmath import InvalidParameterError, Scalar, format_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
                        make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
@@ -132,18 +132,18 @@ def tensor_lowering_eigenvalue(inst: FamilyInstance, k: int, j: int) -> Scalar:
 def component_eigenvalues(inst: FamilyInstance, N: int) -> tuple[Scalar, ...]:
     """Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), k = 0..N, on
     level N; Lambda_N = 0. The algebra is made once, and each tensor_label
-    is one unreduced pair of integer products, which phi reads: with labels
-    s1/t1, s2/t2 and q = u/v, (s1 t2 + s2 t1 + 2k t1 t2) / (t1 t2), or
-    s1 s2 u^k / (t1 t2 v^k)."""
+    goes to phi as one unreduced integer pair (algebras._phi): with labels
+    s1/t1, s2/t2 and q = u/v, (s1 t2 + s2 t1 + 2k t1 t2, t1 t2), or
+    (s1 s2 u^k, t1 t2 v^k)."""
     algebra = algebra_for(inst)
     (s1, t1), (s2, t2) = (x.as_integer_ratio() for x in labels(inst))
     if inst.kind.is_q:
         (u, v), s, t = inst.q.as_integer_ratio(), s1 * s2, t1 * t2
-        label = lambda k: Unreduced(s * u ** k, t * v ** k)
+        label = lambda k: (s * u ** k, t * v ** k)
     else:
         s, t = s1 * t2 + s2 * t1, t1 * t2
-        label = lambda k: Unreduced(s + 2 * k * t, t)
-    return tuple(phi(algebra, label(k), N - k) for k in range(N + 1))
+        label = lambda k: (s + 2 * k * t, t)
+    return tuple(_phi(algebra, *label(k), N - k) for k in range(N + 1))
 
 
 class Run:

@@ -21,15 +21,14 @@ the algebra is certified by check_homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from .algebras import (AlgebraKind, AlgebraTag, Generators, _relation_checks, cartan,
                        check_identity, invert_diagonal, phi, tensor_operator)
-from .exactmath import (InvalidParameterError, Scalar, SingularParameterError, Unreduced,
-                        q_powers)
+from .exactmath import InvalidParameterError, Scalar, SingularParameterError, power_pairs
 from .families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                        contiguity, labels, make_instance)
 from .report import CheckResult, first_mismatch
@@ -49,19 +48,47 @@ class CoproductCoeffs:
     """Diagonal coefficient functions on the product basis, arguments (n, m):
     read off from the contiguity relations (coproduct_coeffs), or the closed
     operator expressions in the eigenvalues of the commuting diagonal
-    elements, Cartan and Casimir on each factor (algebraic_form)."""
+    elements, Cartan and Casimir on each factor (algebraic_form). Those two
+    return reduced Fractions; _derived_coeffs and _closed_form, which the
+    algebraic-form check compares, return unreduced (top, bottom) pairs."""
     x: Callable[[int, int], Scalar]
     y: Callable[[int, int], Scalar]
     xp: Callable[[int, int], Scalar]
     yp: Callable[[int, int], Scalar]
 
 
-def _reducing(coeffs: CoproductCoeffs, names=("x", "y", "xp", "yp")) -> CoproductCoeffs:
-    """coeffs with each function in `names` reducing its Unreduced value
-    into the Fraction it returns."""
+# integer-pair arithmetic of the closed forms: a rational as (top, bottom)
+Pair = tuple[int, int]
+
+
+def _add(x: Pair, y: Pair) -> Pair:
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _sub(x: Pair, y: Pair) -> Pair:
+    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
+
+
+def _mul(x: Pair, y: Pair) -> Pair:
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _div(x: Pair, y: Pair) -> Pair:
+    """x / y. No divisor of a closed form has a zero bottom, so a zero
+    bottom marks a division by zero, and every later product keeps it."""
+    return x[0] * y[1], x[1] * y[0]
+
+
+def _one_minus(x: Pair) -> Pair:
+    return x[1] - x[0], x[1]
+
+
+def _reducing(coeffs: CoproductCoeffs) -> CoproductCoeffs:
+    """coeffs with each (top, bottom) pair reduced into the Fraction it
+    returns; a zero bottom raises ZeroDivisionError."""
     def reduced(f):
-        return lambda n, m: f(n, m).reduce()
-    return replace(coeffs, **{a: reduced(getattr(coeffs, a)) for a in names})
+        return lambda n, m: Fraction(*f(n, m))
+    return CoproductCoeffs(*(reduced(getattr(coeffs, a)) for a in ("x", "y", "xp", "yp")))
 
 
 def coproduct_coeffs(inst: FamilyInstance, data: ContiguityData) -> CoproductCoeffs:
@@ -73,35 +100,39 @@ def coproduct_coeffs(inst: FamilyInstance, data: ContiguityData) -> CoproductCoe
 
     The contiguity values are read from `data`: contiguity(inst), or the
     table a run already holds. The lowering factors phi are memoized per
-    level for as long as the returned object lives. x' and y' are the
-    quotients of _derived_coeffs, each reduced once.
+    level for as long as the returned object lives. Each coefficient is the
+    pair of _derived_coeffs, reduced once.
     """
-    return _reducing(_derived_coeffs(inst, data), ("xp", "yp"))
+    return _reducing(_derived_coeffs(inst, data))
 
 
 def _derived_coeffs(inst: FamilyInstance, data: ContiguityData) -> CoproductCoeffs:
-    """coproduct_coeffs with x' and y' left as unreduced quotients
-    (exactmath.Unreduced); x and y are the contiguity data's own values."""
+    """coproduct_coeffs with every coefficient an unreduced (top, bottom)
+    pair: x and y are the integer pairs of the contiguity data's own values,
+    and x' = beta1 / phi is (beta1_top phi_bottom, beta1_bottom phi_top), y'
+    likewise; a zero phi is a SingularParameterError."""
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
-    phi1 = cache(lambda j: phi(alg, l1, j))
-    phi2 = cache(lambda j: phi(alg, l2, j))
+    phi1 = cache(lambda j: phi(alg, l1, j).as_integer_ratio())
+    phi2 = cache(lambda j: phi(alg, l2, j).as_integer_ratio())
 
     def xp(n, m):
-        d = phi1(n + 1)
-        if d == 0:
+        pn, pd = phi1(n + 1)
+        if pn == 0:
             raise SingularParameterError(f"phi(label1, {n + 1}) = 0")
-        return Unreduced.of(data.beta1(n, n + m + 1)) / d
+        bn, bd = data.beta1(n, n + m + 1).as_integer_ratio()
+        return bn * pd, bd * pn
 
     def yp(n, m):
-        d = phi2(m + 1)
-        if d == 0:
+        pn, pd = phi2(m + 1)
+        if pn == 0:
             raise SingularParameterError(f"phi(label2, {m + 1}) = 0")
-        return Unreduced.of(data.beta2(n, n + m + 1)) / d
+        bn, bd = data.beta2(n, n + m + 1).as_integer_ratio()
+        return bn * pd, bd * pn
 
     return CoproductCoeffs(
-        x=lambda n, m: data.alpha1(n, n + m - 1),
-        y=lambda n, m: data.alpha2(n, n + m - 1),
+        x=lambda n, m: data.alpha1(n, n + m - 1).as_integer_ratio(),
+        y=lambda n, m: data.alpha2(n, n + m - 1).as_integer_ratio(),
         xp=xp,
         yp=yp,
     )
@@ -113,29 +144,29 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
     c_i = l_i classically, K_i = kappa_i q^n and c_i = 1/kappa_i for the
     q-kinds.
 
-    Each coefficient is the value of _closed_form, one chain of integer-pair
-    operations, reduced once into the Fraction it returns. This never reads
-    the contiguity data, so the algebraic-form check compares two
-    independent evaluations.
+    Each coefficient is the (top, bottom) pair of _closed_form, reduced once
+    into the Fraction it returns. This never reads the contiguity data, so
+    the algebraic-form check compares two independent evaluations.
     """
     return _reducing(_closed_form(inst))
 
 
 def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
-    """algebraic_form with every coefficient an unreduced exactmath.Unreduced
-    value. The parameters enter as Unreduced pairs, and constants that depend
-    on them alone are folded once per call. The per-level eigenvalue factors
-    (l1 + 2n, kappa1 q^n, c_i kappa_i q^n), every factor chain that depends
-    on n alone or on m alone (h1(n) - l1 + 2a + 2b + 2, (1 - q c1 a k1(n))
-    (1 - q c1 b g k1(n)), ...) and the shared denominator are Unreduced
-    pairs memoized for as long as the returned object lives. Each
-    coefficient combines them in the order of its formula, so its pair is
-    the one the unmemoized chain gives."""
+    """algebraic_form with every coefficient an unreduced (top, bottom)
+    integer pair. Each parameter is read once as its integer pair, and the
+    constants that depend on the parameters alone are folded once per call.
+    The per-level eigenvalue factors (l1 + 2n, kappa1 q^n, c_i kappa_i q^n),
+    every factor chain that depends on n alone or on m alone (h1(n) - l1 +
+    2a + 2b + 2, (1 - q c1 a k1(n)) (1 - q c1 b g k1(n)), ...) and the shared
+    denominator are pairs memoized for as long as the returned object lives.
+    Each coefficient combines them with integer-pair sums, products and
+    quotients in the order of its formula, with no algebraic
+    simplification; a zero divisor leaves a zero bottom."""
     kind = inst.kind
-    lift = Unreduced.of
-    one = Unreduced(1)
+    one = (1, 1)
     if kind is FamilyKind.KRAWTCHOUK:
-        p, p_bar = lift(inst.p), lift(1 - inst.p)
+        p = inst.p.as_integer_ratio()
+        p_bar = _sub(one, p)
         return CoproductCoeffs(
             x=lambda n, m: one,
             y=lambda n, m: one,
@@ -143,16 +174,20 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
             yp=lambda n, m: p_bar,
         )
 
-    a, b = lift(inst.alpha), lift(inst.beta)
+    a, b = inst.alpha.as_integer_ratio(), inst.beta.as_integer_ratio()
     if not kind.is_q:
-        l1, l2 = lift(inst.lambda1), lift(inst.lambda2)
-        h1 = cache(lambda n: l1 + 2 * n)  # Cartan eigenvalues; the Casimir is l_i
-        h2 = cache(lambda m: l2 + 2 * m)
-        a2, ab2 = 2 * a + 2, 2 * a + 2 * b + 2
-        xp_top = cache(lambda n: h1(n) - l1 + a2)
+        l1, l2 = inst.lambda1.as_integer_ratio(), inst.lambda2.as_integer_ratio()
+        # Cartan eigenvalues; the Casimir is l_i
+        h1 = cache(lambda n: (l1[0] + 2 * n * l1[1], l1[1]))
+        h2 = cache(lambda m: (l2[0] + 2 * m * l2[1], l2[1]))
+        two = (2, 1)
+        a2 = _add(_mul(two, a), two)
+        ab2 = _add(_add(_mul(two, a), _mul(two, b)), two)
+        xp_top = cache(lambda n: _add(_sub(h1(n), l1), a2))
         if kind is FamilyKind.DUAL_HAHN:
-            xp = cache(lambda n: xp_top(n) / (h1(n) + l1))
-            yp = cache(lambda m: (h2(m) - l2 + 2 * b + 2) / (h2(m) + l2))
+            b2 = _add(_mul(two, b), two)
+            xp = cache(lambda n: _div(xp_top(n), _add(h1(n), l1)))
+            yp = cache(lambda m: _div(_add(_sub(h2(m), l2), b2), _add(h2(m), l2)))
             return CoproductCoeffs(
                 x=lambda n, m: one,
                 y=lambda n, m: one,
@@ -160,73 +195,77 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
                 yp=lambda n, m: yp(m),
             )
 
-        shift = l2 - l1 + ab2  # h1 - h2 - c1 + c2 + 2a + 2b + 2 = h1 - h2 + shift
-        dd = cache(lambda n, m: h1(n) - h2(m) + shift)
-        x_top = cache(lambda n: h1(n) - l1 + ab2)
-        y_top = cache(lambda m: l2 - h2(m) + ab2)
-        yp_first = cache(lambda m: l2 - h2(m) + 2 * b)
-        x = lambda n, m: x_top(n) / dd(n, m)
-        y = lambda n, m: y_top(m) / dd(n, m)
+        shift = _add(_sub(l2, l1), ab2)  # h1 - h2 - c1 + c2 + 2a + 2b + 2 = h1 - h2 + shift
+        dd = cache(lambda n, m: _add(_sub(h1(n), h2(m)), shift))
+        x_top = cache(lambda n: _add(_sub(h1(n), l1), ab2))
+        y_top = cache(lambda m: _add(_sub(l2, h2(m)), ab2))
+        yp_first = cache(lambda m: _add(_sub(l2, h2(m)), _mul(two, b)))
+        x = lambda n, m: _div(x_top(n), dd(n, m))
+        y = lambda n, m: _div(y_top(m), dd(n, m))
         if kind is FamilyKind.HAHN:
             return CoproductCoeffs(
                 x=x,
                 y=y,
-                xp=lambda n, m: xp_top(n) / dd(n, m),
-                yp=lambda n, m: yp_first(m) / dd(n, m),
+                xp=lambda n, m: _div(xp_top(n), dd(n, m)),
+                yp=lambda n, m: _div(yp_first(m), dd(n, m)),
             )
 
-        g = lift(inst.gamma)
-        bg2, ag2 = 2 * b + 2 * g + 2, 2 * g - 2 * a
-        racah_xp_top = cache(lambda n: xp_top(n) * (h1(n) - l1 + bg2))
-        racah_yp_top = cache(lambda m: yp_first(m) * (h2(m) - l2 + ag2))
+        g = inst.gamma.as_integer_ratio()
+        bg2 = _add(_add(_mul(two, b), _mul(two, g)), two)
+        ag2 = _sub(_mul(two, g), _mul(two, a))
+        racah_xp_top = cache(lambda n: _mul(xp_top(n), _add(_sub(h1(n), l1), bg2)))
+        racah_yp_top = cache(lambda m: _mul(yp_first(m), _add(_sub(h2(m), l2), ag2)))
         return CoproductCoeffs(
             x=x,
             y=y,
-            xp=lambda n, m: racah_xp_top(n) / ((h1(n) + l1) * dd(n, m)),
-            yp=lambda n, m: racah_yp_top(m) / ((h2(m) + l2) * dd(n, m)),
+            xp=lambda n, m: _div(racah_xp_top(n), _mul(_add(h1(n), l1), dd(n, m))),
+            yp=lambda n, m: _div(racah_yp_top(m), _mul(_add(h2(m), l2), dd(n, m))),
         )
 
-    q, qp = lift(inst.q), q_powers(inst.q)
+    q, qp = inst.q.as_integer_ratio(), power_pairs(inst.q)
     if kind is FamilyKind.Q_HAHN:
-        k1v, k2v = lift(inst.kappa1), lift(inst.kappa2)
-        c1, c2 = 1 / k1v, 1 / k2v  # Casimir eigenvalues q^{-lambda_i/2}
-        ck1 = cache(lambda n: c1 * (k1v * qp(n)))
-        ck2 = cache(lambda m: c2 * (k2v * qp(m)))
-        qa, qab = q * a, q * a * b
-        dd = cache(lambda n, m: 1 - qab * ck1(n) / ck2(m))
-        x_top = cache(lambda n: 1 - qab * ck1(n))
-        y_second = cache(lambda m: 1 - qab / ck2(m))
-        xp_top = cache(lambda n: 1 - qa * ck1(n))
-        yp_first = cache(lambda n: qa * ck1(n))
-        yp_second = cache(lambda m: 1 - b / ck2(m))
+        k1v, k2v = inst.kappa1.as_integer_ratio(), inst.kappa2.as_integer_ratio()
+        c1, c2 = _div(one, k1v), _div(one, k2v)  # Casimir eigenvalues q^{-lambda_i/2}
+        ck1 = cache(lambda n: _mul(c1, _mul(k1v, qp(n))))
+        ck2 = cache(lambda m: _mul(c2, _mul(k2v, qp(m))))
+        qa = _mul(q, a)
+        qab = _mul(qa, b)
+        dd = cache(lambda n, m: _one_minus(_div(_mul(qab, ck1(n)), ck2(m))))
+        x_top = cache(lambda n: _one_minus(_mul(qab, ck1(n))))
+        y_second = cache(lambda m: _one_minus(_div(qab, ck2(m))))
+        xp_top = cache(lambda n: _one_minus(_mul(qa, ck1(n))))
+        yp_first = cache(lambda n: _mul(qa, ck1(n)))
+        yp_second = cache(lambda m: _one_minus(_div(b, ck2(m))))
         return CoproductCoeffs(
-            x=lambda n, m: x_top(n) / dd(n, m),
-            y=lambda n, m: ck1(n) * y_second(m) / dd(n, m),
-            xp=lambda n, m: xp_top(n) / dd(n, m),
-            yp=lambda n, m: yp_first(n) * yp_second(m) / dd(n, m),
+            x=lambda n, m: _div(x_top(n), dd(n, m)),
+            y=lambda n, m: _div(_mul(ck1(n), y_second(m)), dd(n, m)),
+            xp=lambda n, m: _div(xp_top(n), dd(n, m)),
+            yp=lambda n, m: _div(_mul(yp_first(n), yp_second(m)), dd(n, m)),
         )
 
     # q-Racah: q^{+-lambda_i/2} enter as kappa_i^{+-1}
-    kap1, kap2, g = lift(inst.kappa1), lift(inst.kappa2), lift(inst.gamma)
-    c1, c2 = 1 / kap1, 1 / kap2
-    k1 = cache(lambda n: kap1 * qp(n))
-    k2 = cache(lambda m: kap2 * qp(m))
-    qab = q * a * b
-    qc1a, qc1bg, qc1ab = q * c1 * a, q * c1 * b * g, qab * c1
-    dd = cache(lambda n, m: 1 - qc1ab * kap2 * k1(n) / k2(m))
-    x_top = cache(lambda n: 1 - qc1ab * k1(n))
-    y_first = cache(lambda n: c1 * k1(n))
-    y_second = cache(lambda m: 1 - qab * kap2 / k2(m))
-    xp_top = cache(lambda n: (1 - qc1a * k1(n)) * (1 - qc1bg * k1(n)))
-    xp_bottom = cache(lambda n: 1 - kap1 * k1(n))
-    yp_first = cache(lambda n: qc1a * k1(n))
-    yp_second = cache(lambda m: (1 - kap2 * b / k2(m)) * (1 - c2 * g * k2(m) / a))
-    yp_bottom = cache(lambda m: 1 - kap2 * k2(m))
+    kap1, kap2 = inst.kappa1.as_integer_ratio(), inst.kappa2.as_integer_ratio()
+    g = inst.gamma.as_integer_ratio()
+    c1, c2 = _div(one, kap1), _div(one, kap2)
+    k1 = cache(lambda n: _mul(kap1, qp(n)))
+    k2 = cache(lambda m: _mul(kap2, qp(m)))
+    qab = _mul(_mul(q, a), b)
+    qc1a, qc1bg, qc1ab = _mul(_mul(q, c1), a), _mul(_mul(_mul(q, c1), b), g), _mul(qab, c1)
+    dd = cache(lambda n, m: _one_minus(_div(_mul(_mul(qc1ab, kap2), k1(n)), k2(m))))
+    x_top = cache(lambda n: _one_minus(_mul(qc1ab, k1(n))))
+    y_first = cache(lambda n: _mul(c1, k1(n)))
+    y_second = cache(lambda m: _one_minus(_div(_mul(qab, kap2), k2(m))))
+    xp_top = cache(lambda n: _mul(_one_minus(_mul(qc1a, k1(n))), _one_minus(_mul(qc1bg, k1(n)))))
+    xp_bottom = cache(lambda n: _one_minus(_mul(kap1, k1(n))))
+    yp_first = cache(lambda n: _mul(qc1a, k1(n)))
+    yp_second = cache(lambda m: _mul(_one_minus(_div(_mul(kap2, b), k2(m))),
+                                      _one_minus(_div(_mul(_mul(c2, g), k2(m)), a))))
+    yp_bottom = cache(lambda m: _one_minus(_mul(kap2, k2(m))))
     return CoproductCoeffs(
-        x=lambda n, m: x_top(n) / dd(n, m),
-        y=lambda n, m: y_first(n) * y_second(m) / dd(n, m),
-        xp=lambda n, m: xp_top(n) / (xp_bottom(n) * dd(n, m)),
-        yp=lambda n, m: yp_first(n) * yp_second(m) / (yp_bottom(m) * dd(n, m)),
+        x=lambda n, m: _div(x_top(n), dd(n, m)),
+        y=lambda n, m: _div(_mul(y_first(n), y_second(m)), dd(n, m)),
+        xp=lambda n, m: _div(xp_top(n), _mul(xp_bottom(n), dd(n, m))),
+        yp=lambda n, m: _div(_mul(yp_first(n), yp_second(m)), _mul(yp_bottom(m), dd(n, m))),
     )
 
 
@@ -240,20 +279,22 @@ def build_delta(inst: FamilyInstance, data: ContiguityData) -> Delta:
 
     The shifts are weighted straight with the contiguity coefficients of
     `data`, which involves no division at all. The Cartan eigenvalues are
-    evaluated once per factor and level.
+    evaluated once per factor and level, as integer pairs, and each entry
+    of Delta(H) or Delta(K) is one Fraction of their products.
     """
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
     levels = range(inst.n_max + 1)
     dims = tuple(n + 1 for n in levels)
-    # Cartan eigenvalues of each factor, one per level
-    h1 = [cartan(alg, l1, n) for n in levels]
-    h2 = [cartan(alg, l2, m) for m in levels]
+    # Cartan eigenvalues of each factor as integer pairs, one per level
+    h1 = [cartan(alg, l1, n).as_integer_ratio() for n in levels]
+    h2 = [cartan(alg, l2, m).as_integer_ratio() for m in levels]
 
-    if alg.is_q:
-        dhk = tensor_operator(dims, ((0, 0), lambda c: h1[c[0]] * h2[c[1]]))  # K x K
-    else:
-        dhk = tensor_operator(dims, ((0, 0), lambda c: h1[c[0]] + h2[c[1]]))  # H x I + I x H
+    def diagonal(c):  # K x K, or H x I + I x H, as one Fraction
+        (s1, t1), (s2, t2) = h1[c[0]], h2[c[1]]
+        return Fraction(s1 * s2 if alg.is_q else s1 * t2 + s2 * t1, t1 * t2)
+
+    dhk = tensor_operator(dims, ((0, 0), diagonal))
     # weights of E x I, I x E, F x I and I x F at the source basis vector c = (n, m)
     return Delta(
         tensor_operator(dims, ((+1, 0), lambda c: data.alpha1(c[0] + 1, c[0] + c[1])),
@@ -274,9 +315,8 @@ def check_algebraic_form(run: Run) -> list[CheckResult]:
     coefficient functions on every tensor basis vector of the grid. The
     derived side is _derived_coeffs of run.contiguity, the table the run's
     Delta shares; the closed side is always evaluated afresh, by
-    _closed_form. The x' and y' quotients and every closed form stay
-    unreduced: first_mismatch decides each point by cross-multiplying and
-    reduces only a witness."""
+    _closed_form. Both sides are unreduced integer pairs: first_mismatch
+    decides each point by cross-multiplying and reduces only a witness."""
     inst = run.inst
     derived = _derived_coeffs(inst, run.contiguity)
     closed = _closed_form(inst)

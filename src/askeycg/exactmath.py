@@ -31,12 +31,14 @@ poly_block splits its tables once per level: each distinct parameter's
 factors once, poles scanned once per row, and each entry summed only up to
 its first vanished term, at most min(n, k).
 
-Unreduced carries the same idea into closed-form expressions: an exact
-rational held as one integer pair that + - * / combine without any gcd. The
-coefficient closures of families.contiguity and coproduct.algebraic_form fold
-their parameters, powers of q (q_powers) and shared factors as Unreduced
-values and reduce each coefficient once, into one Fraction; the
-algebraic-form check compares the closed forms before that reduction.
+The coefficient layer carries the same idea into closed-form expressions:
+families.contiguity and the closed forms of coproduct.algebraic_form read
+each parameter once as its integer pair, hold the powers of q (power_pairs)
+and the factors several coefficients share as memoized integer pairs, and
+write each coefficient as one expression of integer products giving (top,
+bottom); a zero bottom stands for a division by zero. The contiguity data
+reduces each pair once, into the Fraction it returns; the algebraic-form
+check compares the closed forms before any reduction.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ __all__ = [
     "scan_poles",
     "live_terms",
     "nested_sum",
-    "Unreduced",
-    "q_powers",
+    "power_pairs",
     "hyper_terminating",
     "q_hyper_terminating",
 ]
@@ -274,80 +275,12 @@ def nested_sum(f: Sequence[int], g: Sequence[int], d: int,
     return top, bottom
 
 
-class Unreduced:
-    """An exact rational as an unreduced integer pair top / bottom.
-
-    + - * / combine it with ints, Fractions and other Unreduced values, each
-    read through as_integer_ratio(), into a new pair, with integer products
-    only; reduce() is the one Fraction of the
-    pair. A zero divisor leaves a zero bottom, which every later operation
-    keeps (a quotient by a value with a zero bottom gets one too), so reduce()
-    raises ZeroDivisionError exactly when the same chain of Fraction
-    operations would have raised it. Values are never changed in place.
-    """
-
-    __slots__ = ("top", "bottom")
-
-    def __init__(self, top: int, bottom: int = 1):
-        self.top = top
-        self.bottom = bottom
-
-    @classmethod
-    def of(cls, x) -> "Unreduced":
-        """An int, a Fraction or an Unreduced value as an Unreduced."""
-        return cls(*x.as_integer_ratio())
-
-    def __add__(self, other) -> "Unreduced":
-        n, d = other.as_integer_ratio()
-        if d == self.bottom:
-            return Unreduced(self.top + n, d)
-        return Unreduced(self.top * d + n * self.bottom, self.bottom * d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Unreduced":
-        n, d = other.as_integer_ratio()
-        if d == self.bottom:
-            return Unreduced(self.top - n, d)
-        return Unreduced(self.top * d - n * self.bottom, self.bottom * d)
-
-    def __rsub__(self, other) -> "Unreduced":
-        n, d = other.as_integer_ratio()
-        if d == self.bottom:
-            return Unreduced(n - self.top, d)
-        return Unreduced(n * self.bottom - self.top * d, self.bottom * d)
-
-    def __mul__(self, other) -> "Unreduced":
-        n, d = other.as_integer_ratio()
-        return Unreduced(self.top * n, self.bottom * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Unreduced":
-        n, d = other.as_integer_ratio()
-        return Unreduced(self.top * d, self.bottom * n if d else 0)
-
-    def __rtruediv__(self, other) -> "Unreduced":
-        n, d = other.as_integer_ratio()
-        return Unreduced(n * self.bottom, d * self.top if self.bottom else 0)
-
-    def as_integer_ratio(self) -> tuple[int, int]:
-        """(top, bottom) as held, unreduced: ints and Fractions have the
-        same method, so one call reads any exact value as an integer pair."""
-        return self.top, self.bottom
-
-    def reduce(self) -> Fraction:
-        """The value as one Fraction; ZeroDivisionError on a zero bottom."""
-        return Fraction(self.top, self.bottom)
-
-
-def q_powers(q: Scalar) -> Callable[[int], Unreduced]:
-    """e -> q^e, for every integer e, as an Unreduced pair of powers of the
-    numerator and denominator of q (nonzero); memoized for as long as the
+def power_pairs(x: Scalar) -> Callable[[int], tuple[int, int]]:
+    """e -> x^e, for every integer e, as the integer pair (u^e, v^e) of x =
+    u/v != 0, or (v^-e, u^-e) for e < 0; memoized for as long as the
     returned function lives."""
-    u, v = q.numerator, q.denominator
-    return cache(lambda e: Unreduced(u ** e, v ** e) if e >= 0 else
-                 Unreduced(v ** -e, u ** -e))
+    u, v = x.as_integer_ratio()
+    return cache(lambda e: (u ** e, v ** e) if e >= 0 else (v ** -e, u ** -e))
 
 
 def _sum(num: Sequence[Scalar], den: Sequence[Scalar], z: Scalar, n: int,

@@ -45,10 +45,10 @@ from math import comb, log
 from typing import TYPE_CHECKING, Callable
 
 from .algebras import AlgebraKind, AlgebraTag
-from .exactmath import (InvalidParameterError, Scalar, Unreduced, as_scalar,
-                        format_scalar, hyper_terminating, live_terms, nested_sum,
-                        parameter_factors, q_binomial_pair, q_hyper_terminating, q_powers,
-                        ratio_scales, scan_poles, term_steps)
+from .exactmath import (InvalidParameterError, Scalar, as_scalar, format_scalar,
+                        hyper_terminating, live_terms, nested_sum, parameter_factors,
+                        power_pairs, q_binomial_pair, q_hyper_terminating, ratio_scales,
+                        scan_poles, term_steps)
 from .linalg import column_mismatches, integer_bands, integer_column
 from .report import CheckResult, Report, first_mismatch
 
@@ -467,100 +467,129 @@ def _memoized(alpha1, alpha2, beta1, beta2, mu) -> ContiguityData:
 def contiguity(inst: FamilyInstance) -> ContiguityData:
     """Coefficient functions of the two contiguity relations.
 
-    The parameters enter as exactmath.Unreduced pairs, and their sums and
-    products alone (a+b, a*b, b*g, a-g, ...) are folded once per call. The
-    powers of q and the factors 1 - c q^e that several coefficients share
-    are Unreduced pairs memoized on their integer arguments, so each
-    coefficient is one chain of integer-pair operations and one reduction,
-    into the Fraction it returns; a zero divisor raises ZeroDivisionError as
-    a chain of Fractions would. The five functions are memoized on their
-    integer arguments too. All memos live in closures owned by the returned
-    object: they last exactly as long as that object, and nothing is cached
-    on the instance or at module level.
+    Each parameter is read once as its integer pair, and each coefficient is
+    one expression of integer products giving (top, bottom), reduced once
+    into the Fraction it returns; a zero bottom raises ZeroDivisionError, as
+    the Fraction quotient would. The powers of q (exactmath.power_pairs) and
+    the factors 1 - c q^e that several coefficients share are integer pairs
+    memoized on their integer arguments. The five functions are memoized on
+    their integer arguments too. All memos live in closures owned by the
+    returned object: they last exactly as long as that object, and nothing
+    is cached on the instance or at module level.
     """
     kind = inst.kind
-    lift = Unreduced.of
     if kind is FamilyKind.KRAWTCHOUK:
-        minus_p, p_minus_1 = lift(-inst.p), lift(inst.p - 1)
+        pn, pd = inst.p.as_integer_ratio()
         return _memoized(
             alpha1=lambda n, N: Fraction(1),
             alpha2=lambda n, N: Fraction(1),
-            beta1=lambda n, N: (minus_p * (n + 1)).reduce(),
-            beta2=lambda n, N: (p_minus_1 * (N - n)).reduce(),
+            beta1=lambda n, N: Fraction(-pn * (n + 1), pd),
+            beta2=lambda n, N: Fraction((pn - pd) * (N - n), pd),
             mu=lambda k, N: Fraction(k - N),
         )
-    a, b = lift(inst.alpha), lift(inst.beta)
+    (an, ad), (bn, bd) = inst.alpha.as_integer_ratio(), inst.beta.as_integer_ratio()
     if kind is FamilyKind.DUAL_HAHN:
-        a1, ab1 = a + 1, a + b + 1
+        sn, sd = an * bd + bn * ad + ad * bd, ad * bd  # a + b + 1
+        # beta1 = (n + a + 1)(-n - 1), beta2 = (N - n + b)(n - N),
+        # mu = (k - N)(N + k + a + b + 1)
         return _memoized(
             alpha1=lambda n, N: Fraction(1),
             alpha2=lambda n, N: Fraction(1),
-            beta1=lambda n, N: ((n + a1) * (-n - 1)).reduce(),
-            beta2=lambda n, N: ((N - n + b) * (n - N)).reduce(),
-            mu=lambda k, N: ((k - N) * (N + k + ab1)).reduce(),
+            beta1=lambda n, N: Fraction((an + (n + 1) * ad) * (-n - 1), ad),
+            beta2=lambda n, N: Fraction((bn + (N - n) * bd) * (n - N), bd),
+            mu=lambda k, N: Fraction((k - N) * (sn + (N + k) * sd), sd),
         )
     if kind in (FamilyKind.HAHN, FamilyKind.RACAH):
-        s = a + b
-        s1, a1, b1 = s + 1, a + 1, b + 1
+        sn, sd = an * bd + bn * ad, ad * bd  # a + b
 
-        def alpha1(n, N):
-            return ((n + s1) / (2 * n - N + s)).reduce()
+        def alpha1(n, N):  # (n + a + b + 1) / (2n - N + a + b)
+            return Fraction((n + 1) * sd + sn, (2 * n - N) * sd + sn)
 
-        def alpha2(n, N):
-            return ((n - N + s) / (2 * n - N + s)).reduce()
+        def alpha2(n, N):  # (n - N + a + b) / (2n - N + a + b)
+            return Fraction((n - N) * sd + sn, (2 * n - N) * sd + sn)
+
+        def lowered(n, N):  # bottom of beta1 and beta2 over sd: 2n + 2 - N + a + b
+            return (2 * n + 2 - N) * sd + sn
 
         if kind is FamilyKind.HAHN:
-            # second relation rescaled by -1 so mu matches the oscillator lowering
+            # second relation rescaled by -1 so mu matches the oscillator lowering:
+            # beta1 = (n + a + 1)(-n - 1) / lowered, beta2 = (n - N + b + 1)(n - N) / lowered
             return _memoized(
                 alpha1, alpha2,
-                beta1=lambda n, N: ((n + a1) * (-n - 1) / (2 * n + 2 - N + s)).reduce(),
-                beta2=lambda n, N: ((n - N + b1) * (n - N) / (2 * n + 2 - N + s)).reduce(),
+                beta1=lambda n, N: Fraction((an + (n + 1) * ad) * (-n - 1) * sd,
+                                            ad * lowered(n, N)),
+                beta2=lambda n, N: Fraction((bn + (n - N + 1) * bd) * (n - N) * sd,
+                                            bd * lowered(n, N)),
                 mu=lambda k, N: Fraction(k - N),
             )
-        g = lift(inst.gamma)
-        bg1, ag1 = b + g + 1, a - g + 1
+        gn, gd = inst.gamma.as_integer_ratio()
+        tn, td = bn * gd + gn * bd, bd * gd  # b + g
+        wn, wd = an * gd - gn * ad, ad * gd  # a - g
+        # beta1 = (n + b + g + 1)(n + a + 1)(-n - 1) / lowered,
+        # beta2 = (n - N + b + 1)(n - N + a - g + 1)(N - n) / lowered,
+        # mu = (k - N)(N + k + g)
         return _memoized(
             alpha1, alpha2,
-            beta1=lambda n, N: ((n + bg1) * (n + a1) * (-n - 1)
-                                / (2 * n + 2 - N + s)).reduce(),
-            beta2=lambda n, N: ((n - N + b1) * (n - N + ag1) * (N - n)
-                                / (2 * n + 2 - N + s)).reduce(),
-            mu=lambda k, N: ((k - N) * (N + k + g)).reduce(),
+            beta1=lambda n, N: Fraction(
+                (tn + (n + 1) * td) * (an + (n + 1) * ad) * (-n - 1) * sd,
+                td * ad * lowered(n, N)),
+            beta2=lambda n, N: Fraction(
+                (bn + (n - N + 1) * bd) * (wn + (n - N + 1) * wd) * (N - n) * sd,
+                bd * wd * lowered(n, N)),
+            mu=lambda k, N: Fraction((k - N) * (gn + (N + k) * gd), gd),
         )
 
-    qp = q_powers(inst.q)
+    qp = power_pairs(inst.q)
 
-    def one_minus(c):
-        """e -> 1 - c q^e, memoized."""
-        return cache(lambda e: 1 - c * qp(e))
+    def one_minus(cn, cd):
+        """e -> 1 - c q^e for c = cn / cd, memoized."""
+        def pair(e):
+            u, v = qp(e)
+            return cd * v - cn * u, cd * v
+        return cache(pair)
 
-    one_minus_ab, one_minus_a, one_minus_q = one_minus(a * b), one_minus(a), one_minus(1)
+    om_ab, om_a = one_minus(an * bn, ad * bd), one_minus(an, ad)
+    om_b, om_q = one_minus(bn, bd), one_minus(1, 1)
 
-    def alpha1(n, N):
-        return (one_minus_ab(n + 1) / one_minus_ab(2 * n - N)).reduce()
+    def alpha1(n, N):  # (1 - ab q^(n+1)) / (1 - ab q^(2n-N))
+        (t, b), (tt, bb) = om_ab(n + 1), om_ab(2 * n - N)
+        return Fraction(t * bb, b * tt)
 
-    def alpha2(n, N):
-        return (qp(n) * one_minus_ab(n - N) / one_minus_ab(2 * n - N)).reduce()
+    def alpha2(n, N):  # q^n (1 - ab q^(n-N)) / (1 - ab q^(2n-N))
+        (u, v), (t, b), (tt, bb) = qp(n), om_ab(n - N), om_ab(2 * n - N)
+        return Fraction(u * t * bb, v * b * tt)
 
     if kind is FamilyKind.Q_HAHN:
-        return _memoized(
-            alpha1, alpha2,
-            beta1=lambda n, N: (one_minus_a(n + 1) * one_minus_q(n + 1)
-                                / one_minus_ab(2 * n + 2 - N)).reduce(),
-            beta2=lambda n, N: (a * qp(n + 1) * (1 - b * qp(n + 1 - N)) * one_minus_q(N - n)
-                                / one_minus_ab(2 * n + 2 - N)).reduce(),
-            mu=lambda k, N: one_minus_q(N - k).reduce(),
-        )
-    g = lift(inst.gamma)
-    bg = b * g
-    return _memoized(
-        alpha1, alpha2,
-        beta1=lambda n, N: ((1 - bg * qp(n + 1)) * one_minus_a(n + 1) * one_minus_q(n + 1)
-                            / one_minus_ab(2 * n + 2 - N)).reduce(),
-        beta2=lambda n, N: ((1 - b * qp(n + 1 - N)) * (a * qp(n + 1) - g * qp(N))
-                            * one_minus_q(N - n) / one_minus_ab(2 * n + 2 - N)).reduce(),
-        mu=lambda k, N: (one_minus_q(N - k) * (1 - g * qp(N + k))).reduce(),
-    )
+        def beta1(n, N):  # (1 - a q^(n+1)) (1 - q^(n+1)) / (1 - ab q^(2n+2-N))
+            (t1, b1), (t2, b2), (tt, bb) = om_a(n + 1), om_q(n + 1), om_ab(2 * n + 2 - N)
+            return Fraction(t1 * t2 * bb, b1 * b2 * tt)
+
+        def beta2(n, N):  # a q^(n+1) (1 - b q^(n+1-N)) (1 - q^(N-n)) / (1 - ab q^(2n+2-N))
+            (u, v), (t1, b1), (t2, b2) = qp(n + 1), om_b(n + 1 - N), om_q(N - n)
+            tt, bb = om_ab(2 * n + 2 - N)
+            return Fraction(an * u * t1 * t2 * bb, ad * v * b1 * b2 * tt)
+
+        return _memoized(alpha1, alpha2, beta1, beta2,
+                         mu=lambda k, N: Fraction(*om_q(N - k)))
+    gn, gd = inst.gamma.as_integer_ratio()
+    om_bg, om_g = one_minus(bn * gn, bd * gd), one_minus(gn, gd)
+
+    def beta1(n, N):  # (1 - bg q^(n+1)) (1 - a q^(n+1)) (1 - q^(n+1)) / (1 - ab q^(2n+2-N))
+        (t1, b1), (t2, b2), (t3, b3) = om_bg(n + 1), om_a(n + 1), om_q(n + 1)
+        tt, bb = om_ab(2 * n + 2 - N)
+        return Fraction(t1 * t2 * t3 * bb, b1 * b2 * b3 * tt)
+
+    def beta2(n, N):  # (1 - b q^(n+1-N)) (a q^(n+1) - g q^N) (1 - q^(N-n)) / (same)
+        (t1, b1), (t3, b3), (tt, bb) = om_b(n + 1 - N), om_q(N - n), om_ab(2 * n + 2 - N)
+        (u1, v1), (u2, v2) = qp(n + 1), qp(N)
+        t2, b2 = an * u1 * gd * v2 - gn * u2 * ad * v1, ad * v1 * gd * v2
+        return Fraction(t1 * t2 * t3 * bb, b1 * b2 * b3 * tt)
+
+    def mu(k, N):  # (1 - q^(N-k)) (1 - g q^(N+k))
+        (t1, b1), (t2, b2) = om_q(N - k), om_g(N + k)
+        return Fraction(t1 * t2, b1 * b2)
+
+    return _memoized(alpha1, alpha2, beta1, beta2, mu)
 
 
 # ---------------------------------------------------------------------------

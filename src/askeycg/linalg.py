@@ -76,11 +76,11 @@ Bands = dict[int, tuple[list[tuple[int, int]], int]]
 def integer_column(xs: Iterable) -> Column:
     """The canonical integer column of exact rationals: (a, c) with xs[i] =
     a[i] / c, c > 0 and gcd(*a, c) = 1; ((), 1) for no entry. Each x is an
-    int, a Fraction, an exactmath.Unreduced or a (top, bottom) pair, read as
-    report.first_mismatch reads a side: a tuple as it is, anything else
-    through as_integer_ratio(). c is the lcm of the bottoms, each top is
-    scaled to it, and the gcd is divided out, so equal vectors give equal
-    columns; a zero bottom raises ZeroDivisionError."""
+    int, a Fraction or a (top, bottom) pair, read as report.first_mismatch
+    reads a side: a tuple as it is, anything else through
+    as_integer_ratio(). c is the lcm of the bottoms, each top is scaled to
+    it, and the gcd is divided out, so equal vectors give equal columns; a
+    zero bottom raises ZeroDivisionError."""
     pairs = [x if type(x) is tuple else x.as_integer_ratio() for x in xs]
     c = lcm(*[d for _, d in pairs])
     a = [n * (c // d) for n, d in pairs]

@@ -68,15 +68,15 @@ def first_mismatch(name: str, checked_range: str,
     """Compare lazily produced (where, lhs, rhs) triples in order; the check
     fails at the first unequal pair, and nothing after it is evaluated.
 
-    Each side is an int, a Fraction, an exactmath.Unreduced value or an
-    unreduced (top, bottom) pair such as linalg.column_mismatches yields: a
+    Each side is an int, a Fraction or an unreduced (top, bottom) pair, such
+    as linalg.column_mismatches and the coproduct coefficients yield: a
     tuple is used as it is, anything else gives its as_integer_ratio(), the
-    rule linalg.integer_column applies too. Two
-    sides are equal when ln rd == rn ld, decided over integers (equal bottoms
-    compare their tops alone), so an equal pair builds no Fraction; only the
-    witness of a failure is reduced, to the Fractions its lhs and rhs print.
-    A side with a zero bottom raises ZeroDivisionError, as its Fraction
-    would, and never passes as equal."""
+    rule linalg.integer_column applies too. Two sides are equal when ln rd
+    == rn ld, decided over integers (equal bottoms compare their tops
+    alone), so an equal pair builds no Fraction; only the witness of a
+    failure is reduced, to the Fractions its lhs and rhs print. A side with
+    a zero bottom raises ZeroDivisionError, as its Fraction would, and never
+    passes as equal."""
     for where, lhs, rhs in sides:
         ln, ld = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
         rn, rd = rhs if type(rhs) is tuple else rhs.as_integer_ratio()

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askeycg.exactmath import (InvalidParameterError, SingularParameterError, Unreduced,
-                               binomial, format_scalar, hyper_terminating,
-                               parse_scalar, pochhammer, q_binomial,
-                               q_hyper_terminating, q_pochhammer, q_powers)
+from askeycg.exactmath import (InvalidParameterError, SingularParameterError, binomial,
+                               format_scalar, hyper_terminating, parse_scalar, pochhammer,
+                               power_pairs, q_binomial, q_hyper_terminating, q_pochhammer)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 small_q = st.fractions(min_value=F(1, 9), max_value=F(9, 10), max_denominator=10)
@@ -273,73 +272,10 @@ def test_parse_rejects_non_rationals(bad):
         parse_scalar(bad)
 
 
-# -- unreduced integer pairs ----------------------------------------------------
-
-OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
-       "*": lambda x, y: x * y, "/": lambda x, y: x / y}
-
-# a leaf is (value, lifted): an int or Fraction, zero included, that the
-# Unreduced evaluation lifts to an Unreduced pair when `lifted` is set
-leaves = st.tuples(st.one_of(st.just(0), st.integers(-4, 4),
-                             st.fractions(min_value=-3, max_value=3, max_denominator=5)),
-                   st.booleans())
-trees = st.recursive(leaves, lambda sub: st.tuples(st.sampled_from(sorted(OPS)), sub, sub),
-                     max_leaves=12)
-
-
-def fraction_value(tree):
-    """The tree over Fractions; ZeroDivisionError at the first zero divisor."""
-    if len(tree) == 2:
-        return F(tree[0])
-    op, left, right = tree
-    return OPS[op](fraction_value(left), fraction_value(right))
-
-
-def unreduced_value(tree):
-    """The tree with every lifted leaf an Unreduced pair. A node whose two
-    sides are plain ints or Fractions lifts its left side, so every operation
-    has an Unreduced operand on one side or the other."""
-    if len(tree) == 2:
-        value, lifted = tree
-        return Unreduced.of(value) if lifted else value
-    op, left, right = tree
-    x, y = unreduced_value(left), unreduced_value(right)
-    if not isinstance(x, Unreduced) and not isinstance(y, Unreduced):
-        x = Unreduced.of(x)
-    return OPS[op](x, y)
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ZeroDivisionError:
-        return ZeroDivisionError
-
-
-@settings(max_examples=300)
-@given(trees)
-def test_unreduced_reduces_to_the_fraction_value(tree):
-    got = unreduced_value(tree)
-    got = outcome(got.reduce) if isinstance(got, Unreduced) else F(got)
-    assert got == outcome(fraction_value, tree)
-
-
-def test_unreduced_reads_as_its_own_unreduced_pair():
-    assert Unreduced(2, 4).as_integer_ratio() == (2, 4)
-
-
-def test_unreduced_zero_divisor_survives_later_operations():
-    poisoned = Unreduced(3, 2) / F(0)
-    for later in (poisoned + 1, 1 - poisoned, poisoned * F(2, 3), F(1, 2) / poisoned,
-                  Unreduced(1) / poisoned,
-                  poisoned / Unreduced(0, 7), Unreduced(5) / (poisoned * 0)):
-        with pytest.raises(ZeroDivisionError):
-            later.reduce()
-    assert (Unreduced(6, 4) - F(1, 2)).reduce() == 1
-
+# -- powers as integer pairs ------------------------------------------------------
 
 @given(any_q)
-def test_q_powers_match_fraction_powers(q):
-    qp = q_powers(q)
+def test_power_pairs_match_fraction_powers(q):
+    qp = power_pairs(q)
     for e in range(-6, 7):
-        assert qp(e).reduce() == q ** e
+        assert F(*qp(e)) == q ** e

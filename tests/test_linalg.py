@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askeycg.exactmath import Unreduced
 from askeycg.linalg import (RatMat, column_mismatches, integer_bands, integer_column,
                             nullspace, rank)
 
@@ -191,16 +190,16 @@ def test_integer_column_shares_the_least_common_denominator():
 
 @st.composite
 def exact_values(draw):
-    """(xs, values): a list of exact rationals, each an int, a Fraction, an
-    Unreduced or a (top, bottom) pair scaled by a factor of either sign,
-    and the same list as Fractions."""
+    """(xs, values): a list of exact rationals, each an int, a Fraction or a
+    (top, bottom) pair scaled by a factor of either sign, and the same list
+    as Fractions."""
     values = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
                            max_size=5))
     xs = []
     for v in values:
         m = draw(st.integers(-4, 4).filter(bool))
         n, d = v.numerator * m, v.denominator * m
-        xs.append(draw(st.sampled_from([v, (n, d), Unreduced(n, d)]
+        xs.append(draw(st.sampled_from([v, (n, d)]
                                        + ([v.numerator] if v.denominator == 1 else []))))
     return xs, values
 
