@@ -79,10 +79,6 @@ def _div(x: Pair, y: Pair) -> Pair:
     return x[0] * y[1], x[1] * y[0]
 
 
-def _one_minus(x: Pair) -> Pair:
-    return x[1] - x[0], x[1]
-
-
 def _reducing(coeffs: CoproductCoeffs) -> CoproductCoeffs:
     """coeffs with each (top, bottom) pair reduced into the Fraction it
     returns; a zero bottom raises ZeroDivisionError."""
@@ -230,12 +226,12 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
         ck2 = cache(lambda m: _mul(c2, _mul(k2v, qp(m))))
         qa = _mul(q, a)
         qab = _mul(qa, b)
-        dd = cache(lambda n, m: _one_minus(_div(_mul(qab, ck1(n)), ck2(m))))
-        x_top = cache(lambda n: _one_minus(_mul(qab, ck1(n))))
-        y_second = cache(lambda m: _one_minus(_div(qab, ck2(m))))
-        xp_top = cache(lambda n: _one_minus(_mul(qa, ck1(n))))
+        dd = cache(lambda n, m: _sub(one, _div(_mul(qab, ck1(n)), ck2(m))))
+        x_top = cache(lambda n: _sub(one, _mul(qab, ck1(n))))
+        y_second = cache(lambda m: _sub(one, _div(qab, ck2(m))))
+        xp_top = cache(lambda n: _sub(one, _mul(qa, ck1(n))))
         yp_first = cache(lambda n: _mul(qa, ck1(n)))
-        yp_second = cache(lambda m: _one_minus(_div(b, ck2(m))))
+        yp_second = cache(lambda m: _sub(one, _div(b, ck2(m))))
         return CoproductCoeffs(
             x=lambda n, m: _div(x_top(n), dd(n, m)),
             y=lambda n, m: _div(_mul(ck1(n), y_second(m)), dd(n, m)),
@@ -251,16 +247,16 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
     k2 = cache(lambda m: _mul(kap2, qp(m)))
     qab = _mul(_mul(q, a), b)
     qc1a, qc1bg, qc1ab = _mul(_mul(q, c1), a), _mul(_mul(_mul(q, c1), b), g), _mul(qab, c1)
-    dd = cache(lambda n, m: _one_minus(_div(_mul(_mul(qc1ab, kap2), k1(n)), k2(m))))
-    x_top = cache(lambda n: _one_minus(_mul(qc1ab, k1(n))))
+    dd = cache(lambda n, m: _sub(one, _div(_mul(_mul(qc1ab, kap2), k1(n)), k2(m))))
+    x_top = cache(lambda n: _sub(one, _mul(qc1ab, k1(n))))
     y_first = cache(lambda n: _mul(c1, k1(n)))
-    y_second = cache(lambda m: _one_minus(_div(_mul(qab, kap2), k2(m))))
-    xp_top = cache(lambda n: _mul(_one_minus(_mul(qc1a, k1(n))), _one_minus(_mul(qc1bg, k1(n)))))
-    xp_bottom = cache(lambda n: _one_minus(_mul(kap1, k1(n))))
+    y_second = cache(lambda m: _sub(one, _div(_mul(qab, kap2), k2(m))))
+    xp_top = cache(lambda n: _mul(_sub(one, _mul(qc1a, k1(n))), _sub(one, _mul(qc1bg, k1(n)))))
+    xp_bottom = cache(lambda n: _sub(one, _mul(kap1, k1(n))))
     yp_first = cache(lambda n: _mul(qc1a, k1(n)))
-    yp_second = cache(lambda m: _mul(_one_minus(_div(_mul(kap2, b), k2(m))),
-                                      _one_minus(_div(_mul(_mul(c2, g), k2(m)), a))))
-    yp_bottom = cache(lambda m: _one_minus(_mul(kap2, k2(m))))
+    yp_second = cache(lambda m: _mul(_sub(one, _div(_mul(kap2, b), k2(m))),
+                                      _sub(one, _div(_mul(_mul(c2, g), k2(m)), a))))
+    yp_bottom = cache(lambda m: _sub(one, _mul(kap2, k2(m))))
     return CoproductCoeffs(
         x=lambda n, m: _div(x_top(n), dd(n, m)),
         y=lambda n, m: _div(_mul(y_first(n), y_second(m)), dd(n, m)),
