@@ -74,8 +74,9 @@ def _mul(x: Pair, y: Pair) -> Pair:
 
 
 def _div(x: Pair, y: Pair) -> Pair:
-    """x / y. No divisor of a closed form has a zero bottom, so a zero
-    bottom marks a division by zero, and every later product keeps it."""
+    """x / y. With nonzero labels kappa_i, no divisor of a closed form has
+    a zero bottom, so a zero bottom marks a division by zero, and every
+    later product keeps it."""
     return x[0] * y[1], x[1] * y[0]
 
 
