@@ -251,6 +251,26 @@ def test_coassoc_exit_codes(capsys):
     assert not doc["constraint_holds"] and not doc["operators_equal"]
 
 
+def _coassoc_doc(p, q, p2, q2, holds, witness):
+    return {"suite": "coassoc:krawtchouk", "version": "0.1.0",
+            "params": {"p": p, "q": q, "p2": p2, "q2": q2, "n_max": "4"},
+            "constraint_holds": holds, "operators_equal": holds, "witness": witness}
+
+
+@pytest.mark.parametrize("doc", [
+    _coassoc_doc("1/2", "1/3", "1/6", "2/5", True, None),
+    _coassoc_doc("1/2", "1/2", "1/2", "1/2", False,
+                 {"block": 1, "row": 0, "col": 0, "lhs": "-1/2", "rhs": "-1/4"}),
+    _coassoc_doc("1/2", "1/3", "1/6", "1/2", False,
+                 {"block": 1, "row": 0, "col": 0, "lhs": "-1/2", "rhs": "-5/12"}),
+])
+def test_coassoc_document(capsys, doc):
+    # the whole stdout document, byte for byte, of test_coassoc_exit_codes' quadruples
+    params = doc["params"]
+    assert main(["coassoc", params["p"], params["q"], params["p2"], params["q2"]]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_coassoc_out_of_range_exit_two(capsys):
     assert main(["coassoc", "1/2", "1", "1/2", "1/2"]) == 2
     assert main(["coassoc", "3/2", "1/3", "1/2", "1/2"]) == 2

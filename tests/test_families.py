@@ -735,6 +735,41 @@ def test_limit_racah_to_dual_hahn_witnesses(betas, want):
             for c in rep.checks] == want
 
 
+def _result_doc(name, checked_range, where=None, lhs=None, rhs=None):
+    """CheckResult.to_dict() of a result that passed, or failed at where."""
+    witness = where and {"where": where, "lhs": lhs, "rhs": rhs}
+    return {"name": name, "passed": witness is None, "skipped": False, "reason": "",
+            "checked_range": checked_range, "witness": witness}
+
+
+def test_limit_hahn_to_krawtchouk_readme_point_results():
+    rng, where = "(n,N)=(2,3)", {"z1": "3/2", "z2": "203/2", "n": "2", "N": "3"}
+    rep = limit_hahn_to_krawtchouk(F(1, 3), [F(3, 2), F(203, 2)], 2, 2, 3)
+    assert [c.to_dict() for c in rep.checks] == [
+        _result_doc("difference-decay", "z in {3/2,203/2}",
+                    {"z1": "3/2", "z2": "203/2"}, "2880/8987", "0"),
+        _result_doc("alpha1-decay", rng),
+        _result_doc("alpha2-decay", rng),
+        _result_doc("beta1-decay", rng, where, "12/209", "8/203"),
+        _result_doc("beta2-decay", rng, where, "4/209", "8/609"),
+        _result_doc("mu-equality", "(k,N)=(2,3)")]
+
+
+def test_limit_racah_to_dual_hahn_failing_results():
+    rng = "0<=n<=N<=4"
+
+    def where(n, N):
+        return {"beta1": "1/3", "beta2": "2/3", "n": n, "N": N}
+
+    rep = limit_racah_to_dual_hahn(F(1, 2), F(2), F(3), [F(1, 3), F(2, 3)], n_max=4)
+    assert [c.to_dict() for c in rep.checks] == [
+        _result_doc("alpha1-decay", rng, where("0", "2"), "18/5", "18/7"),
+        _result_doc("alpha2-decay", rng, where("1", "4"), "6/5", "6/7"),
+        _result_doc("beta1-decay", rng, where("0", "4"), "117/10", "117/14"),
+        _result_doc("beta2-decay", rng, where("0", "4"), "234/5", "234/7"),
+        _result_doc("mu-equality", "0<=k<=N<=4")]
+
+
 def test_limit_ladders_take_reducible_t_n_points():
     # the ladders never build T_N, so make_instance's reducible-T_N loci do
     # not narrow them: Hahn beta = 1, Racah beta = 1 and 2, and at alpha = 4
