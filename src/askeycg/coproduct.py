@@ -149,6 +149,23 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
 
 
 def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
+    """_closed_pairs with each pole named: a coefficient whose bottom
+    vanishes at (n, m) raises SingularParameterError naming it and (n, m)."""
+    pairs = _closed_pairs(inst)
+
+    def guarded(name):
+        f = getattr(pairs, name)
+
+        def pair(n, m):
+            top, bottom = f(n, m)
+            if not bottom:
+                raise SingularParameterError(f"the closed form of {name}({n}, {m}) divides by zero")
+            return top, bottom
+        return pair
+    return CoproductCoeffs(*(guarded(name) for name in ("x", "y", "xp", "yp")))
+
+
+def _closed_pairs(inst: FamilyInstance) -> CoproductCoeffs:
     """algebraic_form with every coefficient an unreduced (top, bottom)
     integer pair. Each parameter is read once as its integer pair, and the
     constants that depend on the parameters alone are folded once per call.

@@ -9,8 +9,9 @@ ref_derived the coefficients read off the contiguity relations
 grid, for all six families, over hypothesis draws at n_max <= 6: valid
 instances whose parameters and q take either sign, with q below and above 1
 in size, and bare FamilyInstance points, which skip validation, where some
-bottom vanishes on the grid. There both implementations must raise
-ZeroDivisionError, and at the same points.
+bottom vanishes on the grid. There both implementations must raise, and at
+the same points: the reference a ZeroDivisionError, the closed forms a
+SingularParameterError that names the pole.
 """
 
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from askeycg.algebras import phi
 from askeycg.coproduct import algebraic_form, coproduct_coeffs
-from askeycg.exactmath import InvalidParameterError
+from askeycg.exactmath import InvalidParameterError, SingularParameterError
 from askeycg.families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
                               make_instance)
 
@@ -29,10 +30,12 @@ COEFFICIENTS = ("x", "y", "xp", "yp")
 
 
 def outcome(fn, *args):
-    """The value of fn(*args), or ZeroDivisionError when it divides by zero."""
+    """The value of fn(*args), or ZeroDivisionError when it divides by zero:
+    it raises ZeroDivisionError, or SingularParameterError at a closed
+    form's pole."""
     try:
         return fn(*args)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, SingularParameterError):
         return ZeroDivisionError
 
 
