@@ -8,18 +8,18 @@ orthogonality weights. Every identity is certified exactly, with the first
 counterexample reported when one fails.
 """
 
-from .algebras import (AlgebraKind, AlgebraTag, CasimirCheck, GradedOperator,
-                       Generators, ModuleSpec, build_generators, casimir,
+from .algebras import (AlgebraKind, AlgebraTag, GradedOperator, Generators,
+                       ModuleSpec, build_generators, casimir, casimir_eigenvalue,
                        check_relations, phi)
 from .cgverify import (CGBlock, DegenerateKernelError, Run, WeightData,
                        WeightSolutionError, cg_block, lowest_weight_oracle,
                        orthogonality_weights, random_instance,
                        tensor_lowering_eigenvalue, verify_lowering,
                        verify_raising, verify_weight_grading)
-from .coproduct import (CoassocResult, CoproductCoeffs, Delta, algebraic_form,
-                        build_delta, check_algebraic_form, check_homomorphism,
-                        check_twist_qracah_specialization, coproduct_coeffs,
-                        krawtchouk_coassoc)
+from .coproduct import (CoproductCoeffs, Delta, algebraic_form, build_delta,
+                        check_algebraic_form, check_homomorphism,
+                        check_twist_qracah_specialization, coassoc_constraint,
+                        coproduct_coeffs, krawtchouk_coassoc)
 from .exactmath import (InvalidParameterError, Scalar, SingularParameterError,
                         as_scalar, binomial, format_scalar, hyper_terminating,
                         parse_scalar, pochhammer, q_binomial, q_hyper_terminating,

@@ -48,7 +48,7 @@ from .report import CheckResult
 
 __all__ = [
     "AlgebraTag", "AlgebraKind", "ModuleSpec", "GradedOperator", "Generators",
-    "phi", "cartan", "build_generators", "check_relations", "casimir", "CasimirCheck",
+    "phi", "cartan", "build_generators", "check_relations", "casimir", "casimir_eigenvalue",
     "tensor_operator", "scalar_operator", "invert_diagonal", "check_identity",
     "rational_sqrt",
 ]
@@ -507,42 +507,46 @@ def check_relations(module: ModuleSpec, gens: Generators | None = None) -> list[
     return results
 
 
-@dataclass(frozen=True)
-class CasimirCheck:
-    eigenvalue: Scalar
-    result: CheckResult  # "casimir" on levels 0..levels-1, witness key "level"
+def _casimir_form(module: ModuleSpec) -> tuple[Scalar, Callable[..., list]]:
+    """The Casimir of the module's algebra, as (its eigenvalue on the
+    module, its left side: a function of E, F and H, or K, giving the
+    check_identity terms)."""
+    tag, lam = module.algebra.tag, module.label
+    if tag is AlgebraTag.OSC:
+        return lam, lambda e, f, h: [(2, (e, f)), (1, (h,))]
+    if tag is AlgebraTag.SL2:
+        return lam * (lam - 2), lambda e, f, h: [(4, (e, f)), (1, (h, h)), (-2, (h,))]
+    if tag is AlgebraTag.OSC_Q:
+        def lhs(e, f, k):
+            kinv = invert_diagonal(k)
+            return [(1, (kinv,)), (-1, (e, f @ kinv))]
+        return 1 / lam, lhs
+    q = module.algebra.q
 
-    @property
-    def ok(self) -> bool:
-        return self.result.passed
+    def lhs(e, f, k):
+        kinv = invert_diagonal(k)
+        return [(1, (e, f @ kinv)), (-1 / q, (k,)), (-1, (kinv,))]
+    return -(lam / q + 1 / lam), lhs
 
 
-def casimir(module: ModuleSpec, gens: Generators | None = None) -> CasimirCheck:
-    """Test that the Casimir element acts as the expected scalar.
+def casimir_eigenvalue(module: ModuleSpec) -> Scalar:
+    """The scalar by which the Casimir acts on the module (see casimir)."""
+    return _casimir_form(module)[0]
+
+
+def casimir(module: ModuleSpec, gens: Generators | None = None) -> list[CheckResult]:
+    """Test that the Casimir element acts as the expected scalar:
 
     osc:      2EF + H            eigenvalue lambda
     sl2:      4EF + H^2 - 2H     eigenvalue lambda(lambda - 2)
     osc_q:    (1 - EF) K^{-1}    eigenvalue 1/kappa
     U_q(sl2): EF K^{-1} - K/q - K^{-1}   eigenvalue -(kappa/q + 1/kappa)
 
-    Each is one check_identity against the scalar; only F K^{-1} is composed.
+    One result, "casimir" on levels 0..levels-1 with witness key "level",
+    from one check_identity against the scalar; only F K^{-1} is composed.
     """
     gens = gens or build_generators(module)
-    e, f, hk = gens.e, gens.f, gens.hk
-    tag = module.algebra.tag
-    lam = module.label
-    if tag is AlgebraTag.OSC:
-        lhs, eig = [(2, (e, f)), (1, (hk,))], lam
-    elif tag is AlgebraTag.SL2:
-        lhs, eig = [(4, (e, f)), (1, (hk, hk)), (-2, (hk,))], lam * (lam - 2)
-    elif tag is AlgebraTag.OSC_Q:
-        kinv = invert_diagonal(hk)
-        lhs, eig = [(1, (kinv,)), (-1, (e, f @ kinv))], 1 / lam
-    else:
-        q = module.algebra.q
-        kinv = invert_diagonal(hk)
-        lhs = [(1, (e, f @ kinv)), (-1 / q, (hk,)), (-1, (kinv,))]
-        eig = -(lam / q + 1 / lam)
+    eig, lhs = _casimir_form(module)
     levels = module.levels
-    return CasimirCheck(eig, check_identity("casimir", f"levels 0..{levels - 1}",
-                                            range(levels), lhs, [(eig, ())], hk.dims))
+    return [check_identity("casimir", f"levels 0..{levels - 1}", range(levels),
+                           lhs(gens.e, gens.f, gens.hk), [(eig, ())], gens.hk.dims)]

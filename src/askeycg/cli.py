@@ -32,7 +32,8 @@ from .cgverify import (DegenerateKernelError, Run, WeightSolutionError,
                        lowest_weight_oracle, orthogonality_weights, verify_lowering,
                        verify_raising, verify_weight_grading)
 from .coproduct import (check_algebraic_form, check_homomorphism,
-                        check_twist_qracah_specialization, krawtchouk_coassoc)
+                        check_twist_qracah_specialization, coassoc_constraint,
+                        krawtchouk_coassoc)
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, check_contiguity,
                        check_three_term_dual_hahn, make_instance)
@@ -71,11 +72,11 @@ def _relations(run: Run) -> list[CheckResult]:
 def _casimir(run: Run) -> list[CheckResult]:
     rng = f"levels 0..{run.inst.n_max - 1}"
     for module, gens in run.factors:
-        hit = casimir(module, gens).result.witness
+        hit = first_failure(casimir(module, gens))
         if hit:
-            return [CheckResult.fail("casimir", rng, {"label": module.label,
-                                                      "level": hit.where["level"]},
-                                     hit.lhs, hit.rhs)]
+            return [CheckResult.fail(
+                "casimir", rng, {"label": module.label, "level": hit.witness.where["level"]},
+                hit.witness.lhs, hit.witness.rhs)]
     return [CheckResult.ok("casimir", rng)]
 
 
@@ -159,15 +160,13 @@ def run_verify_suite(inst: FamilyInstance, checks: list[str] | None = None,
             f"unknown check names: {', '.join(unknown)} "
             f"(known: {', '.join(CHECK_NAMES)})")
     run = Run(inst)
-    rep = Report(suite=f"verify:{inst.kind.value}",
-                 params={**inst.to_doc(), "seed": str(seed)})
+    checks = []
     for name, (skip, check) in _CHECKS.items():
         reason = "not selected" if name not in selected else skip and skip(inst)
-        if reason:
-            rep.add(CheckResult.skip(name, reason))
-            continue
-        rep.add(_collapse(name, check(run)))
-    return rep
+        checks.append(CheckResult.skip(name, reason) if reason
+                      else _collapse(name, check(run)))
+    return Report(suite=f"verify:{inst.kind.value}",
+                  params={**inst.to_doc(), "seed": str(seed)}, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +352,25 @@ def cmd_table(args) -> int:
 def cmd_coassoc(args) -> int:
     try:
         p, q, p2, q2 = (parse_scalar(v) for v in (args.p, args.q, args.p2, args.q2))
-        result = krawtchouk_coassoc(p, q, p2, q2, n_max=args.nmax)
+        bad = first_failure(krawtchouk_coassoc(p, q, p2, q2, n_max=args.nmax))
     except InvalidParameterError as exc:
         return _fail(EXIT_INVALID, f"invalid parameters: {exc}")
+    holds = coassoc_constraint(p, q, p2, q2)
     doc = {
         "suite": "coassoc:krawtchouk", "version": TOOL_VERSION,
         "params": {"p": format_scalar(p), "q": format_scalar(q),
                    "p2": format_scalar(p2), "q2": format_scalar(q2),
                    "n_max": str(args.nmax)},
-        "constraint_holds": result.constraint_holds,
-        "operators_equal": result.lhs_equals_rhs,
-        "witness": result.witness,
+        "constraint_holds": holds,
+        "operators_equal": bad is None,
+        "witness": bad and {**bad.witness.where, "lhs": bad.witness.lhs,
+                            "rhs": bad.witness.rhs},
     }
     try:
         _emit(json.dumps(doc, indent=2), args.output)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write report: {exc}")
-    confirmed = result.constraint_holds == result.lhs_equals_rhs
-    return EXIT_OK if confirmed else EXIT_CHECK_FAILED
+    return EXIT_OK if holds == (bad is None) else EXIT_CHECK_FAILED
 
 
 def _add_instance_flags(sp) -> None:

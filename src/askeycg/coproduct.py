@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CoproductCoeffs", "coproduct_coeffs", "algebraic_form", "Delta", "build_delta",
     "check_homomorphism", "check_algebraic_form",
-    "check_twist_qracah_specialization", "CoassocResult", "krawtchouk_coassoc",
+    "check_twist_qracah_specialization", "coassoc_constraint", "krawtchouk_coassoc",
 ]
 
 
@@ -151,18 +151,15 @@ def algebraic_form(inst: FamilyInstance) -> CoproductCoeffs:
 def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
     """_closed_pairs with each pole named: a coefficient whose bottom
     vanishes at (n, m) raises SingularParameterError naming it and (n, m)."""
-    pairs = _closed_pairs(inst)
-
-    def guarded(name):
-        f = getattr(pairs, name)
-
+    def guarded(name, f):
         def pair(n, m):
             top, bottom = f(n, m)
             if not bottom:
                 raise SingularParameterError(f"the closed form of {name}({n}, {m}) divides by zero")
             return top, bottom
         return pair
-    return CoproductCoeffs(*(guarded(name) for name in ("x", "y", "xp", "yp")))
+    pairs = _closed_pairs(inst)
+    return CoproductCoeffs(*(guarded(a, getattr(pairs, a)) for a in ("x", "y", "xp", "yp")))
 
 
 def _closed_pairs(inst: FamilyInstance) -> CoproductCoeffs:
@@ -407,13 +404,6 @@ def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar,
 # Krawtchouk triple products and coassociativity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoassocResult:
-    lhs_equals_rhs: bool
-    constraint_holds: bool
-    witness: dict | None = None
-
-
 def _recoupled_weight(outer: CoproductCoeffs, inner: CoproductCoeffs,
                       inner_left: bool, names: tuple[str, str], slot: int,
                       t: tuple[int, int, int]) -> Scalar:
@@ -458,21 +448,26 @@ def _recoupling(dims: tuple[int, ...], lam: tuple[Scalar, Scalar, Scalar],
                       image(-1, ("xp", "yp"), lambda label, n: phi(osc, label, n)), hk)
 
 
+def coassoc_constraint(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar) -> bool:
+    """Whether p2 = p q and 1 - p = (1 - p2)(1 - q2): the condition under
+    which the two recouplings of krawtchouk_coassoc must be equal."""
+    return p2 == p * q and 1 - p == (1 - p2) * (1 - q2)
+
+
 def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
                        module_labels: tuple[Scalar, Scalar, Scalar] = (0, 0, 0),
-                       n_max: int = 4) -> CoassocResult:
+                       n_max: int = 4) -> list[CheckResult]:
     """Compare the two recouplings of a triple tensor product under the
     Krawtchouk oscillator coproduct Delta_p(F) = p F x I + (1-p) I x F.
 
     Each side is built from the two-factor Krawtchouk coefficients
     (algebraic_form) of its own coproducts: (Delta_q x 1) Delta_p on the left,
-    (1 x Delta_q2) Delta_p2 on the right. Their E, F and H images are compared
-    on every block up to n_max, which must be at least 1: below that no block
-    has an entry to compare, and any quadruple would pass. The lowering
-    weights are (pq, p(1-q), 1-p) on the left and (p2, (1-p2)q2, (1-p2)(1-q2))
-    on the right, so equality must follow whenever
-
-        p2 = p q   and   1 - p = (1 - p2)(1 - q2).
+    (1 x Delta_q2) Delta_p2 on the right. Their F, E and H images are compared,
+    in that order, on every block up to n_max, which must be at least 1 (below
+    that any quadruple would pass), as one "recoupling" result each (witness
+    block, row, col), up to the first failing one. The lowering weights are
+    (pq, p(1-q), 1-p) and (p2, (1-p2)q2, (1-p2)(1-q2)), so the images must be
+    equal when coassoc_constraint holds; a failure there is a RuntimeError.
     """
     p, q, p2, q2 = (Fraction(v) for v in (p, q, p2, q2))
     for name, v in (("p", p), ("q", q), ("p2", p2), ("q2", q2)):
@@ -486,17 +481,14 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
                  for v in (p, q, p2, q2)}
     lhs = _recoupling(dims, lam, coproduct[p], coproduct[q], inner_left=True)
     rhs = _recoupling(dims, lam, coproduct[p2], coproduct[q2], inner_left=False)
-
-    checks = (check_identity("recoupling", "", range(top), [(1, (a,))], [(1, (b,))],
-                             dims, "block")
-              for a, b, top in ((lhs.f, rhs.f, n_max + 1), (lhs.e, rhs.e, n_max),
-                                (lhs.hk, rhs.hk, n_max + 1)))
-    witness = next(({**c.witness.where, "lhs": c.witness.lhs, "rhs": c.witness.rhs}
-                    for c in checks if not c.passed), None)
-    equal = witness is None
-    constraint = (p2 == p * q) and (1 - p == (1 - p2) * (1 - q2))
-    if constraint and not equal:
+    results = []
+    for a, b, top in ((lhs.f, rhs.f, n_max + 1), (lhs.e, rhs.e, n_max),
+                      (lhs.hk, rhs.hk, n_max + 1)):
+        results.append(check_identity("recoupling", "", range(top), [(1, (a,))],
+                                      [(1, (b,))], dims, "block"))
+        if not results[-1].passed:
+            break
+    if coassoc_constraint(p, q, p2, q2) and not results[-1].passed:
         raise RuntimeError("internal error: constraint satisfied but the "
                            "recoupling compositions differ")
-    return CoassocResult(lhs_equals_rhs=equal, constraint_holds=constraint,
-                         witness=witness)
+    return results

@@ -50,7 +50,7 @@ from .exactmath import (InvalidParameterError, Scalar, as_scalar, format_scalar,
                         power_pairs, q_binomial_pair, q_hyper_terminating, ratio_scales,
                         scan_poles, term_steps)
 from .linalg import column_mismatches, integer_bands, integer_column
-from .report import CheckResult, Report, first_mismatch
+from .report import CheckResult, first_mismatch
 
 if TYPE_CHECKING:
     from .cgverify import Run
@@ -717,13 +717,13 @@ def _ladder_points(name: str, points: list[Scalar]) -> list[Scalar]:
 
 
 def limit_hahn_to_krawtchouk(p: Scalar, z_list: list[Scalar],
-                             n: int, k: int, N: int) -> Report:
+                             n: int, k: int, N: int) -> list[CheckResult]:
     """First-order convergence of Hahn to Krawtchouk under alpha = p z,
-    beta = (1-p) z as z grows. A decay check fails where d(z2) > d(z1) 2 z1/z2
-    (_decay; lhs d(z2), rhs the bound): difference-decay for
-    d = |Q_n(k, N) - K_n(k, N)| (witness z1, z2), alpha1-decay .. beta2-decay
+    beta = (1-p) z as z grows, one result per check. A decay check fails where
+    d(z2) > d(z1) 2 z1/z2 (_decay; lhs d(z2), rhs the bound): difference-decay
+    for d = |Q_n(k, N) - K_n(k, N)| (witness z1, z2), alpha1-decay .. beta2-decay
     for each Hahn contiguity coefficient at (n, N) against the Krawtchouk one
-    (witness z1, z2, n, N). mu-equality compares the two exact mu(k, N)."""
+    (witness z1, z2, n, N); then mu-equality of the two exact mu(k, N)."""
     p = as_scalar(p)
     zs = _ladder_points("z_list", z_list)
     for name, x in (("n", n), ("k", k)):
@@ -732,46 +732,36 @@ def limit_hahn_to_krawtchouk(p: Scalar, z_list: list[Scalar],
     nm = max(N, 1)
     kraw = _resolve(FamilyKind.KRAWTCHOUK, nm, dict(p=p))
     hahns = [_resolve(FamilyKind.HAHN, nm, dict(alpha=p * z, beta=(1 - p) * z)) for z in zs]
-    rep = Report(suite="limit:hahn->krawtchouk",
-                 params={"p": format_scalar(p), "n": n, "k": k, "N": N,
-                         "z_list": ",".join(format_scalar(z) for z in zs)})
-    rep.add(_decay("difference-decay", f"z in {{{rep.params['z_list']}}}", "z", zs,
-                   [partial(poly_value, hahn, n, k, N) for hahn in hahns],
-                   partial(poly_value, kraw, n, k, N), [{}]))
+    z_range = ",".join(format_scalar(z) for z in zs)
     hdata, kdata = [contiguity(hahn) for hahn in hahns], contiguity(kraw)
-    rep.extend(_decay(f"{c}-decay", f"(n,N)=({n},{N})", "z", zs,
-                      [getattr(data, c) for data in hdata], getattr(kdata, c),
-                      [{"n": n, "N": N}]) for c in ("alpha1", "alpha2", "beta1", "beta2"))
-    rep.add(first_mismatch("mu-equality", f"(k,N)=({k},{N})",
-                           [({"k": k, "N": N}, hdata[0].mu(k, N), kdata.mu(k, N))]))
-    return rep
+    return [_decay("difference-decay", f"z in {{{z_range}}}", "z", zs,
+                   [partial(poly_value, hahn, n, k, N) for hahn in hahns],
+                   partial(poly_value, kraw, n, k, N), [{}]),
+            *(_decay(f"{c}-decay", f"(n,N)=({n},{N})", "z", zs,
+                     [getattr(data, c) for data in hdata], getattr(kdata, c),
+                     [{"n": n, "N": N}]) for c in ("alpha1", "alpha2", "beta1", "beta2")),
+            first_mismatch("mu-equality", f"(k,N)=({k},{N})",
+                           [({"k": k, "N": N}, hdata[0].mu(k, N), kdata.mu(k, N))])]
 
 
 def limit_racah_to_dual_hahn(alpha: Scalar, lambda1: Scalar, lambda2: Scalar,
-                             beta_list: list[Scalar], n_max: int = 8) -> Report:
+                             beta_list: list[Scalar], n_max: int = 8) -> list[CheckResult]:
     """First-order convergence of the Racah coefficient functions to the dual
     Hahn ones as beta grows, at shared alpha and labels (so the Racah gamma
-    equals the dual Hahn alpha + beta + 1 automatically). A decay check,
-    alpha1-decay .. beta2-decay, fails where d(b2) > d(b1) 2 b1/b2 (_decay;
-    lhs d(b2), rhs the bound) on 0 <= n <= N <= n_max (witness beta1, beta2,
-    n, N). The mu functions agree exactly, with no limit: mu-equality."""
+    equals the dual Hahn alpha + beta + 1 automatically), one result per check.
+    A decay check, alpha1-decay .. beta2-decay, fails where d(b2) > d(b1) 2 b1/b2
+    (_decay; lhs d(b2), rhs the bound) on 0 <= n <= N <= n_max (witness beta1,
+    beta2, n, N); then mu-equality, since the mu functions agree exactly."""
     alpha = as_scalar(alpha)
     betas = _ladder_points("beta_list", beta_list)
     shared = dict(lambda1=lambda1, lambda2=lambda2, alpha=alpha)
     ddata = contiguity(_resolve(FamilyKind.DUAL_HAHN, n_max, shared))
     rdata = [contiguity(_resolve(FamilyKind.RACAH, n_max, {**shared, "beta": b}))
              for b in betas]  # one memo per beta, shared by all four decays
-    rep = Report(suite="limit:racah->dual-hahn",
-                 params={"alpha": format_scalar(alpha),
-                         "lambda1": format_scalar(as_scalar(lambda1)),
-                         "lambda2": format_scalar(as_scalar(lambda2)),
-                         "beta_list": ",".join(format_scalar(b) for b in betas),
-                         "n_max": n_max})
     grid = [{"n": n, "N": N} for N in range(n_max + 1) for n in range(N + 1)]
-    rep.extend(_decay(f"{c}-decay", f"0<=n<=N<={n_max}", "beta", betas,
-                      [getattr(data, c) for data in rdata], getattr(ddata, c), grid)
-               for c in ("alpha1", "alpha2", "beta1", "beta2"))
-    rep.add(first_mismatch("mu-equality", f"0<=k<=N<={n_max}", (
-        ({"k": k, "N": N}, rdata[0].mu(k, N), ddata.mu(k, N))
-        for N in range(n_max + 1) for k in range(N + 1))))
-    return rep
+    return [*(_decay(f"{c}-decay", f"0<=n<=N<={n_max}", "beta", betas,
+                     [getattr(data, c) for data in rdata], getattr(ddata, c), grid)
+              for c in ("alpha1", "alpha2", "beta1", "beta2")),
+            first_mismatch("mu-equality", f"0<=k<=N<={n_max}", (
+                ({"k": k, "N": N}, rdata[0].mu(k, N), ddata.mu(k, N))
+                for N in range(n_max + 1) for k in range(N + 1)))]

@@ -91,6 +91,8 @@ def first_mismatch(name: str, checked_range: str,
 
 @dataclass
 class Report:
+    """The report of one verify run, one entry per named check; only
+    cli.run_verify_suite builds one. Every certificate returns list[CheckResult]."""
     suite: str
     params: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
@@ -99,12 +101,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
 
     def first_failure(self) -> CheckResult | None:
         return first_failure(self.checks)

@@ -10,12 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import askeycg
-from askeycg import algebras, cgverify, coproduct, families
+from askeycg import algebras, cgverify, cli, coproduct, families
+from askeycg.algebras import (AlgebraKind, AlgebraTag, Generators, ModuleSpec,
+                              build_generators, casimir, check_relations)
 from askeycg.cgverify import CGBlock, Run, WeightData, cg_block, orthogonality_weights
 from askeycg.cli import CHECK_NAMES, main, run_verify_suite, table_doc
+from askeycg.coproduct import check_twist_qracah_specialization, krawtchouk_coassoc
 from askeycg.exactmath import InvalidParameterError, parse_scalar
-from askeycg.families import FamilyKind, make_instance, poly_value
+from askeycg.families import (FamilyKind, limit_hahn_to_krawtchouk, limit_racah_to_dual_hahn,
+                              make_instance, poly_value)
 from askeycg.linalg import RatMat
+from askeycg.report import CheckResult, first_failure
 
 from test_algebras import with_entry
 from test_families import run_with, sample_instance
@@ -269,6 +274,15 @@ def test_coassoc_document(capsys, doc):
     params = doc["params"]
     assert main(["coassoc", params["p"], params["q"], params["p2"], params["q2"]]) == 0
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_coassoc_exit_one_when_the_constraint_holds_but_the_recouplings_differ(
+        capsys, monkeypatch):
+    # the command reads the constraint from coassoc_constraint alone
+    monkeypatch.setattr(cli, "coassoc_constraint", lambda *args: True)
+    assert main(["coassoc", "1/2", "1/2", "1/2", "1/2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["constraint_holds"] and not doc["operators_equal"]
 
 
 def test_coassoc_out_of_range_exit_two(capsys):
@@ -577,3 +591,54 @@ def test_every_public_name_resolves():
         for alias in node.names:
             assert hasattr(module, alias.name), (node.module, alias.name)
             assert getattr(askeycg, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def _runner(name):
+    """cli._CHECKS' runner of the named check on a small instance it applies to:
+    the dual Hahn sample sits at alpha = lambda1 - 1, so three-term runs."""
+    inst = (make_instance(FamilyKind.Q_RACAH, q=F(1, 4), kappa1=F(1, 2), kappa2=F(1, 3),
+                          alpha=F(1), beta=F(0), n_max=3) if name == "twist"
+            else sample_instance(FamilyKind.DUAL_HAHN, n_max=3))
+    return lambda: cli._CHECKS[name][1](Run(inst))
+
+
+def _casimir_on_corrupted_lowering():
+    # test_casimir_witness_on_corrupted_lowering's oscillator case
+    module = ModuleSpec(AlgebraKind(AlgebraTag.OSC), F(5), 5)
+    gens = build_generators(module)
+    f = with_entry(gens.f, 3, (0, 0), gens.f.blocks[3][0, 0] + 1)
+    return casimir(module, Generators(gens.e, f, gens.hk))
+
+
+SL2_MODULE = ModuleSpec(AlgebraKind(AlgebraTag.SL2), F(3), 4)
+
+# name -> (certificate call, whether it fails); each failing input has a
+# witness pinned elsewhere
+CERTIFICATES = {
+    **{f"runner:{name}": (_runner(name), False) for name in CHECK_NAMES},
+    "check_relations": (lambda: check_relations(SL2_MODULE), False),
+    "casimir": (lambda: casimir(SL2_MODULE), False),
+    "casimir:failing": (_casimir_on_corrupted_lowering, True),
+    "limit_hahn_to_krawtchouk": (lambda: limit_hahn_to_krawtchouk(
+        F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2), False),
+    "limit_hahn_to_krawtchouk:failing": (lambda: limit_hahn_to_krawtchouk(
+        F(1, 3), [F(3, 2), F(203, 2)], 2, 2, 3), True),
+    "limit_racah_to_dual_hahn": (lambda: limit_racah_to_dual_hahn(
+        F(1), F(2), F(3), [F(1000), F(10 ** 6)], n_max=4), False),
+    "limit_racah_to_dual_hahn:failing": (lambda: limit_racah_to_dual_hahn(
+        F(1, 2), F(2), F(3), [F(1, 3), F(2, 3)], n_max=4), True),
+    "krawtchouk_coassoc": (lambda: krawtchouk_coassoc(F(1, 2), F(1, 3), F(1, 6), F(2, 5)), False),
+    "krawtchouk_coassoc:failing": (lambda: krawtchouk_coassoc(
+        F(1, 2), F(1, 2), F(1, 2), F(1, 2)), True),
+    "check_twist_qracah_specialization": (lambda: check_twist_qracah_specialization(
+        F(1, 4), F(1, 2), F(1, 3), 3), False),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATES))
+def test_every_certificate_returns_a_list_of_check_results(name):
+    certify, fails = CERTIFICATES[name]
+    results = certify()
+    assert type(results) is list and results
+    assert all(type(c) is CheckResult for c in results)
+    assert (first_failure(results) is not None) == fails

@@ -9,7 +9,7 @@ from askeycg.algebras import check_identity, phi, scalar_operator
 from askeycg.cgverify import Run
 from askeycg.coproduct import (algebraic_form, build_delta, check_algebraic_form,
                                check_homomorphism, check_twist_qracah_specialization,
-                               coproduct_coeffs, krawtchouk_coassoc)
+                               coassoc_constraint, coproduct_coeffs, krawtchouk_coassoc)
 from askeycg.exactmath import InvalidParameterError, SingularParameterError
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                               contiguity, labels, make_instance)
@@ -370,20 +370,30 @@ def test_twist_reads_a_given_delta():
 # -- Krawtchouk coassociativity ---------------------------------------------------
 
 def test_coassoc_central_charge_quadruple():
-    res = krawtchouk_coassoc(F(1, 2), F(1, 3), F(1, 6), F(2, 5), n_max=4)
-    assert res.constraint_holds and res.lhs_equals_rhs
+    args = (F(1, 2), F(1, 3), F(1, 6), F(2, 5))
+    assert coassoc_constraint(*args)
+    assert report.first_failure(krawtchouk_coassoc(*args, n_max=4)) is None
 
 
 def test_coassoc_all_half_fails_both():
-    res = krawtchouk_coassoc(F(1, 2), F(1, 2), F(1, 2), F(1, 2), n_max=4)
-    assert not res.constraint_holds and not res.lhs_equals_rhs
-    assert res.witness is not None
+    args = (F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+    bad = report.first_failure(krawtchouk_coassoc(*args, n_max=4))
+    assert not coassoc_constraint(*args) and bad is not None
+    assert bad.witness is not None
 
 
 def test_coassoc_partial_constraint_not_enough():
     # p2 = p q holds but the second condition fails
-    res = krawtchouk_coassoc(F(1, 2), F(1, 3), F(1, 6), F(1, 2), n_max=4)
-    assert not res.constraint_holds and not res.lhs_equals_rhs
+    args = (F(1, 2), F(1, 3), F(1, 6), F(1, 2))
+    assert not coassoc_constraint(*args)
+    assert report.first_failure(krawtchouk_coassoc(*args, n_max=4)) is not None
+
+
+def test_coassoc_guards_the_constraint_with_its_predicate(monkeypatch):
+    # unequal recouplings where coassoc_constraint holds are an internal error
+    monkeypatch.setattr(coproduct, "coassoc_constraint", lambda *args: True)
+    with pytest.raises(RuntimeError, match="constraint satisfied"):
+        krawtchouk_coassoc(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
 
 
 def test_coassoc_rejects_degenerate_probabilities():
@@ -404,10 +414,11 @@ def test_coassoc_rejects_vacuous_truncation(n_max):
     ((F(1, 2), F(1, 3), F(1, 4), F(1, 3)), (F(1), F(2, 3), F(-1, 2)), 3, (1, "-1/3", "-1/4")),
     ((F(1, 3), F(3, 4), F(1, 5), F(2, 7)), (F(4), F(0), F(5, 2)), 2, (0, "-2/3", "-4/7"))])
 def test_coassoc_witnesses(args, labels, n_max, witness):
-    res = krawtchouk_coassoc(*args, module_labels=labels, n_max=n_max)
+    bad = report.first_failure(krawtchouk_coassoc(*args, module_labels=labels, n_max=n_max))
     col, lhs, rhs = witness
-    assert (res.lhs_equals_rhs, res.constraint_holds) == (False, False)
-    assert res.witness == {"block": 1, "row": 0, "col": col, "lhs": lhs, "rhs": rhs}
+    assert (bad is None, coassoc_constraint(*args)) == (False, False)
+    assert ({**bad.witness.where, "lhs": bad.witness.lhs, "rhs": bad.witness.rhs}
+            == {"block": 1, "row": 0, "col": col, "lhs": lhs, "rhs": rhs})
 
 
 @pytest.mark.parametrize("inner_left", [True, False])

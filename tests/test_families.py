@@ -630,15 +630,15 @@ def test_hahn_dual_hahn_transpose_relation():
 # -- limits ------------------------------------------------------------------
 
 def test_limit_hahn_to_krawtchouk():
-    rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
-    assert rep.passed
+    results = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
+    assert first_failure(results) is None
 
 
 def test_limit_degenerate_points_have_zero_difference():
     # n = 0 and k = 0 reduce both families to the binomial prefactor
     for (n, k) in ((0, 2), (2, 0)):
-        rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], n, k, 2)
-        assert rep.passed
+        results = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], n, k, 2)
+        assert first_failure(results) is None
 
 
 def test_limit_hahn_to_krawtchouk_reads_the_hahn_coefficients(monkeypatch):
@@ -649,8 +649,8 @@ def test_limit_hahn_to_krawtchouk_reads_the_hahn_coefficients(monkeypatch):
         return dataclasses.replace(data, beta1=lambda n, N: 7 * data.beta1(n, N))
 
     monkeypatch.setattr("askeycg.families.contiguity", hahn_beta1_times_seven)
-    rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
-    failed = [c for c in rep.checks if not c.passed]
+    results = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
+    failed = [c for c in results if not c.passed]
     assert [c.name for c in failed] == ["beta1-decay"]
     assert failed[0].witness.where == {"z1": F(1000), "z2": F(10 ** 6), "n": 1, "N": 2}
 
@@ -662,15 +662,15 @@ def test_limit_hahn_to_krawtchouk_reads_the_hahn_coefficients(monkeypatch):
     ([F(1, 2), F(3, 2)], 1, 1, 2, {"z1": F(1, 2), "z2": F(3, 2)}, "2", "12/7"),
 ])
 def test_limit_hahn_difference_decay_witness(zs, n, k, N, where, lhs, rhs):
-    rep = limit_hahn_to_krawtchouk(F(1, 3), zs, n, k, N)
-    decay = rep.checks[0]
+    results = limit_hahn_to_krawtchouk(F(1, 3), zs, n, k, N)
+    decay = results[0]
     assert decay.name == "difference-decay" and not decay.passed
     assert (decay.witness.where, decay.witness.lhs, decay.witness.rhs) == (where, lhs, rhs)
 
 
 def test_limit_hahn_to_krawtchouk_check_names():
-    rep = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
-    assert [c.name for c in rep.checks] == [
+    results = limit_hahn_to_krawtchouk(F(1, 3), [F(1000), F(10 ** 6)], 1, 1, 2)
+    assert [c.name for c in results] == [
         "difference-decay", "alpha1-decay", "alpha2-decay", "beta1-decay",
         "beta2-decay", "mu-equality"]
 
@@ -710,8 +710,8 @@ def test_limit_ladders_need_two_positive_increasing_points(points):
 
 
 def test_limit_racah_to_dual_hahn():
-    rep = limit_racah_to_dual_hahn(F(1), F(2), F(3), [F(1000), F(10 ** 6)], n_max=4)
-    assert rep.passed
+    results = limit_racah_to_dual_hahn(F(1), F(2), F(3), [F(1000), F(10 ** 6)], n_max=4)
+    assert first_failure(results) is None
 
 
 @pytest.mark.parametrize("betas, want", [
@@ -730,9 +730,9 @@ def test_limit_racah_to_dual_hahn():
         ("mu-equality", None)]),
 ])
 def test_limit_racah_to_dual_hahn_witnesses(betas, want):
-    rep = limit_racah_to_dual_hahn(F(1, 2), F(2), F(3), betas, n_max=4)
+    results = limit_racah_to_dual_hahn(F(1, 2), F(2), F(3), betas, n_max=4)
     assert [(c.name, c.witness and (c.witness.where, c.witness.lhs, c.witness.rhs))
-            for c in rep.checks] == want
+            for c in results] == want
 
 
 def _result_doc(name, checked_range, where=None, lhs=None, rhs=None):
@@ -744,8 +744,8 @@ def _result_doc(name, checked_range, where=None, lhs=None, rhs=None):
 
 def test_limit_hahn_to_krawtchouk_readme_point_results():
     rng, where = "(n,N)=(2,3)", {"z1": "3/2", "z2": "203/2", "n": "2", "N": "3"}
-    rep = limit_hahn_to_krawtchouk(F(1, 3), [F(3, 2), F(203, 2)], 2, 2, 3)
-    assert [c.to_dict() for c in rep.checks] == [
+    results = limit_hahn_to_krawtchouk(F(1, 3), [F(3, 2), F(203, 2)], 2, 2, 3)
+    assert [c.to_dict() for c in results] == [
         _result_doc("difference-decay", "z in {3/2,203/2}",
                     {"z1": "3/2", "z2": "203/2"}, "2880/8987", "0"),
         _result_doc("alpha1-decay", rng),
@@ -761,8 +761,8 @@ def test_limit_racah_to_dual_hahn_failing_results():
     def where(n, N):
         return {"beta1": "1/3", "beta2": "2/3", "n": n, "N": N}
 
-    rep = limit_racah_to_dual_hahn(F(1, 2), F(2), F(3), [F(1, 3), F(2, 3)], n_max=4)
-    assert [c.to_dict() for c in rep.checks] == [
+    results = limit_racah_to_dual_hahn(F(1, 2), F(2), F(3), [F(1, 3), F(2, 3)], n_max=4)
+    assert [c.to_dict() for c in results] == [
         _result_doc("alpha1-decay", rng, where("0", "2"), "18/5", "18/7"),
         _result_doc("alpha2-decay", rng, where("1", "4"), "6/5", "6/7"),
         _result_doc("beta1-decay", rng, where("0", "4"), "117/10", "117/14"),
@@ -780,16 +780,16 @@ def test_limit_ladders_take_reducible_t_n_points():
                          ("dual-hahn", dict(alpha=F(4), lambda1=F(2), lambda2=F(3)))]:
         with pytest.raises(InvalidParameterError, match="so T_N is reducible"):
             make_instance(kind, n_max=4, **params)
-    assert limit_hahn_to_krawtchouk(F(1, 3), [F(3, 2), F(203, 2)], 2, 2, 3).checks
+    assert limit_hahn_to_krawtchouk(F(1, 3), [F(3, 2), F(203, 2)], 2, 2, 3)
     for args, failed, witness in [
             ((F(1, 2), F(2), F(3), [F(1), F(2), F(4)]), ["alpha1-decay"],
              ({"beta1": F(1), "beta2": F(2), "n": 0, "N": 3}, "8", "8/3")),
             ((F(4), F(2), F(3), [F(1, 3), F(1000, 3)]),
              ["alpha1-decay", "alpha2-decay", "beta1-decay", "beta2-decay"],
              ({"beta1": F(1, 3), "beta2": F(1000, 3), "n": 0, "N": 0}, "3/1012", "3/6500"))]:
-        rep = limit_racah_to_dual_hahn(*args, n_max=4)
-        assert [c.name for c in rep.checks if not c.passed] == failed
-        w = rep.first_failure().witness
+        results = limit_racah_to_dual_hahn(*args, n_max=4)
+        assert [c.name for c in results if not c.passed] == failed
+        w = first_failure(results).witness
         assert (w.where, w.lhs, w.rhs) == witness
 
 
