@@ -153,10 +153,10 @@ def _closed_form(inst: FamilyInstance) -> CoproductCoeffs:
     vanishes at (n, m) raises SingularParameterError naming it and (n, m)."""
     def guarded(name, f):
         def pair(n, m):
-            top, bottom = f(n, m)
-            if not bottom:
-                raise SingularParameterError(f"the closed form of {name}({n}, {m}) divides by zero")
-            return top, bottom
+            top_bottom = f(n, m)
+            if top_bottom[1]:
+                return top_bottom
+            raise SingularParameterError(f"the closed form of {name}({n}, {m}) divides by zero")
         return pair
     pairs = _closed_pairs(inst)
     return CoproductCoeffs(*(guarded(a, getattr(pairs, a)) for a in ("x", "y", "xp", "yp")))

@@ -596,10 +596,12 @@ def test_every_public_name_resolves():
 def _runner(name):
     """cli._CHECKS' runner of the named check on a small instance it applies to:
     the dual Hahn sample sits at alpha = lambda1 - 1, so three-term runs."""
-    inst = (make_instance(FamilyKind.Q_RACAH, q=F(1, 4), kappa1=F(1, 2), kappa2=F(1, 3),
-                          alpha=F(1), beta=F(0), n_max=3) if name == "twist"
-            else sample_instance(FamilyKind.DUAL_HAHN, n_max=3))
-    return lambda: cli._CHECKS[name][1](Run(inst))
+    def run():
+        inst = (make_instance(FamilyKind.Q_RACAH, q=F(1, 4), kappa1=F(1, 2), kappa2=F(1, 3),
+                              alpha=F(1), beta=F(0), n_max=3) if name == "twist"
+                else sample_instance(FamilyKind.DUAL_HAHN, n_max=3))
+        return cli._CHECKS[name][1](Run(inst))
+    return run
 
 
 def _casimir_on_corrupted_lowering():
