@@ -22,9 +22,9 @@ level 0 is the zero space.
 Composition works on the integer numerators and denominators of the
 stored Fractions, in one kernel, _compose: every product c v w of a term
 is accumulated straight into its entry, keyed (level, i, j), as one
-unreduced integer pair, over all the levels asked for in one pass; a
-degree-0 factor with diagonal blocks only rescales the other. @ reduces each
-entry once, into one Fraction. Operator identities (the defining
+unreduced integer pair, over all the levels asked for in one pass; a product
+of two factors walks the left block by column, whatever the factors' shape.
+@ reduces each entry once, into one Fraction. Operator identities (the defining
 relations, the Casimir, and the coproduct identities of the other
 modules) are not composed into operators: check_identity forms the
 residual lhs - rhs of every entry of every checked level in one _compose
@@ -145,9 +145,7 @@ class GradedOperator:
     (truncation).
 
     @ reduces each output entry once, from integer products and sums, and
-    leaves out the entries that cancel to zero. A degree-0 operator with
-    diagonal blocks on either side of @ only rescales the rows or columns of
-    the other.
+    leaves out the entries that cancel to zero.
     """
 
     degree: int
@@ -208,14 +206,9 @@ def _block_levels(factors, top: int):
     return {n for n in b.blocks if n + d < 0 or n + d in a}
 
 
-def _diagonal(op: GradedOperator) -> bool:
-    """Whether op has degree 0 and only diagonal blocks."""
-    return op.degree == 0 and all(i == j for b in op.blocks.values() for i, j in b)
-
-
 def _columns(block, cn: int, cd: int) -> dict:
     """The entries of a block scaled by cn / cd, keyed by column: {k: [(i,
-    cn v_n, cd v_d)]}, the index a general product walks."""
+    cn v_n, cd v_d)]}, the index every two-factor product walks."""
     by_col = {}
     for (i, k), v in block.items():
         vn, vd = v.as_integer_ratio()
@@ -226,8 +219,7 @@ def _columns(block, cn: int, cd: int) -> dict:
 def _products(c, factors, levels, dims):
     """((n, i, j), top, bottom) of every product c v w of one term on the
     levels, all of which the term has (_block_levels), with integer products
-    only. When one of two factors is _diagonal, its blocks only rescale the
-    other's; any other pair walks the left block by column (_columns)."""
+    only. A pair of factors walks the left block by column (_columns)."""
     cn, cd = c.as_integer_ratio()
     if not factors:
         for n in levels:
@@ -242,28 +234,12 @@ def _products(c, factors, levels, dims):
                 yield (n, i, j), cn * vn, cd * vd
         return
     a, b = factors
-    if _diagonal(b):
-        for n in levels:
-            scale = {k: w.as_integer_ratio() for (k, _), w in b.blocks[n].items()}
-            for (i, k), v in a.blocks[n].items():
-                if (s := scale.get(k)) is not None:
-                    vn, vd = v.as_integer_ratio()
-                    yield (n, i, k), cn * vn * s[0], cd * vd * s[1]
-    elif _diagonal(a):
-        for n in levels:
-            scale = {k: v.as_integer_ratio()
-                     for (k, _), v in a.blocks.get(n + b.degree, {}).items()}
-            for (k, j), w in b.blocks[n].items():
-                if (s := scale.get(k)) is not None:
-                    wn, wd = w.as_integer_ratio()
-                    yield (n, k, j), cn * s[0] * wn, cd * s[1] * wd
-    else:
-        for n in levels:
-            by_col = _columns(a.blocks.get(n + b.degree, {}), cn, cd)  # nothing below level 0
-            for (k, j), w in b.blocks[n].items():
-                wn, wd = w.as_integer_ratio()
-                for i, vn, vd in by_col.get(k, ()):
-                    yield (n, i, j), vn * wn, vd * wd
+    for n in levels:
+        by_col = _columns(a.blocks.get(n + b.degree, {}), cn, cd)  # nothing below level 0
+        for (k, j), w in b.blocks[n].items():
+            wn, wd = w.as_integer_ratio()
+            for i, vn, vd in by_col.get(k, ()):
+                yield (n, i, j), vn * wn, vd * wd
 
 
 def _compose(terms, levels, dims: tuple[int, ...]) -> dict:

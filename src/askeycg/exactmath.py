@@ -27,7 +27,7 @@ term) and live_terms the term rule (the sum stops at the first vanished
 term); nested_sum sums the ratios it is given; and q_binomial_pair is the
 Gaussian binomial before its reduction. The kernels here and
 families.poly_block share them, so both follow one pole and one term rule.
-poly_block splits its tables once per level: each distinct parameter's
+poly_block splits its tables once per level: each row's and each column's
 factors once, poles scanned once per row, and each entry summed only up to
 its first vanished term, at most min(n, k).
 

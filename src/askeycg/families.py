@@ -397,10 +397,10 @@ def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int
     with P[n][k] = a[n] / c, c > 0, a and c coprime.
 
     The level is split once into integer tables by exactmath's cores: the
-    term steps, the term denominators and the powers of q once; the factor
-    list of each distinct parameter once (-j serves row j and column j);
-    each column's factors once per k; each row's factors, prefactor and
-    pole scan (the pole rule, exactmath.scan_poles) once per n. Entry (n, k)
+    term steps, the term denominators and the powers of q once; each
+    column's factors (exactmath.parameter_factors) once per k; each row's
+    factors, prefactor and pole scan (the pole rule, exactmath.scan_poles)
+    once per n. Entry (n, k)
     is then exactmath.nested_sum of its first m term ratios, m from the term
     rule (exactmath.live_terms): where the row's or the column's factors
     first vanish, so at most min(n, k), as -n (or q^{-n}) vanishes at term n
@@ -415,26 +415,15 @@ def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int
     q = inst.q if inst.kind.is_q else None
     steps = term_steps(N, q)
     tops, bottoms = ratio_scales(den, z, steps, len(row(0)) + len(col(0)), q)
-    lists = {}  # each distinct parameter's factors over the level's steps
-
-    def factors(params):  # parameter_factors(params, steps), from the lists
-        f, d = None, 1
-        for p in params:
-            if p not in lists:
-                lists[p] = parameter_factors([p], steps)[0]
-            f = lists[p] if f is None else [x * y for x, y in zip(f, lists[p])]
-            d *= p[1]
-        return f, d
-
     cols = []
     for k in range(N + 1):
-        f, d = factors(col(k))
+        f, d = parameter_factors(col(k), steps)
         cols.append((f, live_terms(f), d))
     out = [[] for _ in range(N + 1)]
     for n in range(N + 1):
         pre_top, pre_bottom = _prefactor(inst, n, N)
         scan_poles(bottoms[:n])
-        f, d = factors(row(n))
+        f, d = parameter_factors(row(n), steps)
         f = [x * y for x, y in zip(f, tops)]
         stop = live_terms(f)
         for column, (cf, cstop, cd) in zip(out, cols):

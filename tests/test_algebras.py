@@ -1,8 +1,6 @@
 import random
-from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction as F
-from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -399,15 +397,10 @@ def factor(draw, dims):
 @given(data=st.data())
 def test_matmul_matches_fraction_reference(data):
     dims = data.draw(modules())
-    (a, a_diagonal), (b, b_diagonal) = factor(data.draw, dims), factor(data.draw, dims)
+    (a, _), (b, b_diagonal) = factor(data.draw, dims), factor(data.draw, dims)
     if not b_diagonal:
         b = plant_product_zeros(data.draw, a, b)
-    # a diagonal factor on either side only rescales the other one: the
-    # general product, which indexes the left block by column, never runs
-    with (patch("askeycg.algebras._columns", side_effect=AssertionError)
-          if a_diagonal or b_diagonal else nullcontext()):
-        got = a @ b
-    assert_entry_maps(got, a.degree + b.degree, ref_matmul(a, b))
+    assert_entry_maps(a @ b, a.degree + b.degree, ref_matmul(a, b))
 
 
 # -- the operator identities against a composition-based reference -----------
