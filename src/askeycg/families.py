@@ -45,10 +45,10 @@ from math import comb, log
 from typing import TYPE_CHECKING, Callable
 
 from .algebras import AlgebraKind, AlgebraTag
-from .exactmath import (InvalidParameterError, Scalar, as_scalar, format_scalar,
-                        hyper_terminating, live_terms, nested_sum, parameter_factors,
-                        power_pairs, q_binomial_pair, q_hyper_terminating, ratio_scales,
-                        scan_poles, term_steps)
+from .exactmath import (InvalidParameterError, Scalar, SingularParameterError, as_scalar,
+                        format_scalar, hyper_terminating, live_terms, nested_sum,
+                        parameter_factors, power_pairs, q_binomial_pair, q_hyper_terminating,
+                        ratio_scales, scan_poles, term_steps)
 from .linalg import column_mismatches, integer_bands, integer_column
 from .report import CheckResult, first_mismatch
 
@@ -449,8 +449,19 @@ class ContiguityData:
 
 
 def _memoized(alpha1, alpha2, beta1, beta2, mu) -> ContiguityData:
-    return ContiguityData(cache(alpha1), cache(alpha2), cache(beta1), cache(beta2),
-                          cache(mu))
+    """The five functions, each memoized; a division by zero inside one is
+    raised, on a cache miss only, as a SingularParameterError naming the
+    coefficient and its arguments."""
+    def named(name, f):
+        def value(n, N):
+            try:
+                return f(n, N)
+            except ZeroDivisionError:
+                raise SingularParameterError(
+                    f"the contiguity coefficient {name}({n}, {N}) divides by zero") from None
+        return cache(value)
+    return ContiguityData(named("alpha1", alpha1), named("alpha2", alpha2),
+                          named("beta1", beta1), named("beta2", beta2), named("mu", mu))
 
 
 def contiguity(inst: FamilyInstance) -> ContiguityData:
@@ -458,8 +469,8 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
 
     Each parameter is read once as its integer pair, and each coefficient is
     one expression of integer products giving (top, bottom), reduced once
-    into the Fraction it returns; a zero bottom raises ZeroDivisionError, as
-    the Fraction quotient would. The powers of q (exactmath.power_pairs) and
+    into the Fraction it returns; a zero bottom raises SingularParameterError
+    naming the coefficient and (n, N), or (k, N) for mu. The powers of q (exactmath.power_pairs) and
     the factors 1 - c q^e that several coefficients share are integer pairs
     memoized on their integer arguments. The five functions are memoized on
     their integer arguments too. All memos live in closures owned by the

@@ -7,7 +7,7 @@ import pytest
 
 import askeycg.families as families
 from askeycg.algebras import AlgebraKind, AlgebraTag, phi
-from askeycg.exactmath import InvalidParameterError, binomial, q_binomial
+from askeycg.exactmath import InvalidParameterError, SingularParameterError, binomial, q_binomial
 from askeycg.cgverify import Run, random_instance
 from askeycg.report import first_failure
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind,
@@ -566,6 +566,31 @@ def test_contiguity_matches_reference_on_sample(kind):
 def test_contiguity_matches_reference_on_wide_draws(kind):
     for inst in wide_draws(kind, "contiguity"):
         assert_contiguity_matches_reference(inst)
+
+
+_BARE_HAHN = dict(kind=FamilyKind.HAHN, alpha=F(1), beta=F(-1), lambda1=F(0), lambda2=F(0))
+_BARE_Q_HAHN = dict(kind=FamilyKind.Q_HAHN, q=F(1, 4), alpha=F(2), beta=F(2),
+                    kappa1=F(1), kappa2=F(1))
+
+
+@pytest.mark.parametrize("params, name, args", [
+    (_BARE_HAHN, "alpha1", (0, 0)),
+    (_BARE_Q_HAHN, "alpha1", (1, 1)),
+    (_BARE_Q_HAHN, "alpha2", (1, 1)),
+    (_BARE_Q_HAHN, "beta1", (0, 1)),
+    (_BARE_Q_HAHN, "beta2", (0, 1)),
+])
+def test_contiguity_names_its_pole(params, name, args):
+    # a bare instance skips make_instance's validation, so a contiguity
+    # bottom (2n - N + a + b, or 1 - ab q^(2n-N) and 1 - ab q^(2n+2-N))
+    # vanishes on the grid; the error names the coefficient and (n, N), on
+    # every call, as no failure is memoized
+    coefficient = getattr(contiguity(FamilyInstance(n_max=3, **params)), name)
+    message = f"the contiguity coefficient {name}{args} divides by zero"
+    for _ in range(2):
+        with pytest.raises(SingularParameterError) as err:
+            coefficient(*args)
+        assert str(err.value) == message
 
 
 # -- dual Hahn three-term recurrence ----------------------------------------
