@@ -363,8 +363,8 @@ def cmd_coassoc(args) -> int:
                    "n_max": str(args.nmax)},
         "constraint_holds": holds,
         "operators_equal": bad is None,
-        "witness": bad and {**bad.witness.where, "lhs": bad.witness.lhs,
-                            "rhs": bad.witness.rhs},
+        "witness": bad and {"name": bad.name, **bad.witness.where,
+                            "lhs": bad.witness.lhs, "rhs": bad.witness.rhs},
     }
     try:
         _emit(json.dumps(doc, indent=2), args.output)

@@ -463,9 +463,10 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
     Each side is built from the two-factor Krawtchouk coefficients
     (algebraic_form) of its own coproducts: (Delta_q x 1) Delta_p on the left,
     (1 x Delta_q2) Delta_p2 on the right. Their F, E and H images are compared,
-    in that order, on every block up to n_max, which must be at least 1 (below
-    that any quadruple would pass), as one "recoupling" result each (witness
-    block, row, col), up to the first failing one. The lowering weights are
+    in that order, on every block up to n_max (up to n_max - 1 for E), which
+    must be at least 1 (below that any quadruple would pass), as one result
+    each, "recoupling-F", "recoupling-E" and "recoupling-H" with its block
+    range (witness block, row, col), up to the first failing one. The lowering weights are
     (pq, p(1-q), 1-p) and (p2, (1-p2)q2, (1-p2)(1-q2)), so the images must be
     equal when coassoc_constraint holds; a failure there is a RuntimeError.
     """
@@ -482,10 +483,10 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
     lhs = _recoupling(dims, lam, coproduct[p], coproduct[q], inner_left=True)
     rhs = _recoupling(dims, lam, coproduct[p2], coproduct[q2], inner_left=False)
     results = []
-    for a, b, top in ((lhs.f, rhs.f, n_max + 1), (lhs.e, rhs.e, n_max),
-                      (lhs.hk, rhs.hk, n_max + 1)):
-        results.append(check_identity("recoupling", "", range(top), [(1, (a,))],
-                                      [(1, (b,))], dims, "block"))
+    for generator, a, b, top in (("F", lhs.f, rhs.f, n_max + 1), ("E", lhs.e, rhs.e, n_max),
+                                 ("H", lhs.hk, rhs.hk, n_max + 1)):
+        results.append(check_identity(f"recoupling-{generator}", f"blocks 0..{top - 1}",
+                                      range(top), [(1, (a,))], [(1, (b,))], dims, "block"))
         if not results[-1].passed:
             break
     if coassoc_constraint(p, q, p2, q2) and not results[-1].passed:

@@ -265,9 +265,11 @@ def _coassoc_doc(p, q, p2, q2, holds, witness):
 @pytest.mark.parametrize("doc", [
     _coassoc_doc("1/2", "1/3", "1/6", "2/5", True, None),
     _coassoc_doc("1/2", "1/2", "1/2", "1/2", False,
-                 {"block": 1, "row": 0, "col": 0, "lhs": "-1/2", "rhs": "-1/4"}),
+                 {"name": "recoupling-F", "block": 1, "row": 0, "col": 0,
+                  "lhs": "-1/2", "rhs": "-1/4"}),
     _coassoc_doc("1/2", "1/3", "1/6", "1/2", False,
-                 {"block": 1, "row": 0, "col": 0, "lhs": "-1/2", "rhs": "-5/12"}),
+                 {"name": "recoupling-F", "block": 1, "row": 0, "col": 0,
+                  "lhs": "-1/2", "rhs": "-5/12"}),
 ])
 def test_coassoc_document(capsys, doc):
     # the whole stdout document, byte for byte, of test_coassoc_exit_codes' quadruples

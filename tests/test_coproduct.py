@@ -408,6 +408,17 @@ def test_coassoc_rejects_vacuous_truncation(n_max):
         krawtchouk_coassoc(F(1, 2), F(1, 3), F(1, 5), F(2, 5), n_max=n_max)
 
 
+@pytest.mark.parametrize("args, passed", [
+    ((F(1, 2), F(1, 3), F(1, 6), F(2, 5)), [True, True, True]),
+    ((F(1, 2), F(1, 2), F(1, 2), F(1, 2)), [False])])
+def test_coassoc_results_name_their_generator_and_blocks(args, passed):
+    # F, E and H in that order, up to the first failure; E has no block n_max
+    results = krawtchouk_coassoc(*args, n_max=3)
+    assert [(c.name, c.checked_range, c.passed) for c in results] == list(zip(
+        ("recoupling-F", "recoupling-E", "recoupling-H"),
+        ("blocks 0..3", "blocks 0..2", "blocks 0..3"), passed))
+
+
 @pytest.mark.parametrize("args,labels,n_max,witness", [
     ((F(1, 2), F(1, 2), F(1, 2), F(1, 2)), (0, 0, 0), 4, (0, "-1/2", "-1/4")),
     ((F(1, 2), F(1, 3), F(1, 6), F(1, 2)), (0, 0, 0), 4, (0, "-1/2", "-5/12")),
