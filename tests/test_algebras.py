@@ -41,6 +41,35 @@ def test_phi_values():
         assert phi(alg, label, 0) == 0
 
 
+@pytest.mark.parametrize("tag, q, message", [
+    (AlgebraTag.OSC_Q, None, "osc-q needs q"),
+    (AlgebraTag.UQ_SL2, F(-1), "q must avoid {0, 1, -1}"),
+    (AlgebraTag.SL2, F(1, 2), "sl2 takes no q")])
+def test_algebra_kind_rejects_a_q_off_its_tag(tag, q, message):
+    with pytest.raises(InvalidParameterError) as err:
+        AlgebraKind(tag, q)
+    assert str(err.value) == message
+
+
+def test_operator_misuse_raises():
+    dims = (1, 2, 3)  # a two-fold tensor module up to level 2
+    e = tensor_operator(dims, ((+1, 0), lambda c: 1))
+    h = scalar_operator(dims, lambda n: n + 1)
+    cases = [
+        (lambda: e.shape(2), "no block at level 2"),
+        (lambda: e.shape(-1), "no block at level -1"),
+        (lambda: e @ scalar_operator((1, 2), lambda n: 1), "operators live on different modules"),
+        (lambda: invert_diagonal(e), "only degree-0 operators can be inverted blockwise"),
+        (lambda: invert_diagonal(tensor_operator(dims, ((+1, -1), lambda c: 1))),
+         "block is not diagonal"),
+    ]
+    assert h.shape(2) == (3, 3)
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def ref_phi(alg, label, n):
     """phi written out over Fractions, one factor at a time."""
     if alg.tag is AlgebraTag.OSC:

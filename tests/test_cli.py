@@ -207,6 +207,47 @@ def test_python_dash_m_runs_the_command_line():
                            "vanishes at (n=0, N=2), so T_N is reducible\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "krawtchouk", "--p", "1/3", "--nmax", "0"], "n_max must be at least 1"),
+    (["--family", "hahn", "--alpha", "1"], "hahn needs parameters: beta"),
+    (["--family", "nope"], "unknown family 'nope' (options: hahn, krawtchouk, dual-hahn, "
+                           "racah, q-hahn, q-racah)"),
+])
+def test_verify_rejects_the_instance_exit_two(flags, message, capsys):
+    assert main(["verify", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: invalid parameters: {message}\n"
+
+
+def test_degenerate_lowering_kernel_fails_the_oracle_entry_and_the_table(
+        tmp_path, capsys, monkeypatch):
+    # Delta(F) with its [0][1] entry on block 2 zeroed: the oracle's kernel
+    # there cannot be scaled to 1, which verify reports as a failing
+    # cg-oracle entry while every other check still runs; table stops at
+    # the same block's weights with exit 1
+    build_delta = cgverify.build_delta
+
+    def cut(inst, data):
+        delta = build_delta(inst, data)
+        return Generators(delta.e, with_entry(delta.f, 2, (0, 1), F(0)), delta.hk)
+
+    monkeypatch.setattr(cgverify, "build_delta", cut)
+    flags = ["--family", "krawtchouk", "--p", "1/3", "--nmax", "3"]
+    out = tmp_path / "r.json"
+    assert main(["verify", *flags, "--output", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["cg-oracle"]["witness"] == {
+        "where": {"error": "kernel vector on block 2 has first entry 0, so it cannot be "
+                           "scaled to P_0(2, 2) = 1"}, "lhs": "", "rhs": ""}
+    assert [name for name, c in checks.items() if not c["skipped"]] == [
+        name for name in CHECK_NAMES if name not in ("three-term", "twist")]
+    assert checks["contiguity"]["passed"] and checks["raising"]["passed"]
+    capsys.readouterr()
+    assert main(["table", *flags]) == 1
+    assert capsys.readouterr() == (
+        "", "error: block 2, step 1: T_N[0][1] vanishes, so no diagonal symmetrizes T_N\n")
+
+
 def test_unwritable_output_exit_three(tmp_path):
     code = main(["verify", "--family", "krawtchouk", "--p", "1/3", "--nmax", "2",
                  "--output", str(tmp_path / "no" / "way.json")])
@@ -296,6 +337,11 @@ def test_coassoc_out_of_range_exit_two(capsys):
 def test_coassoc_vacuous_nmax_exit_two(capsys, nmax):
     assert main(["coassoc", "1/2", "1/3", "1/5", "2/5", "--nmax", nmax]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_coassoc_unwritable_output_exit_three(tmp_path, capsys):
+    assert main(["coassoc", "1/2", "1/3", "1/6", "2/5", "--output", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write report: ")
 
 
 def test_version(capsys):

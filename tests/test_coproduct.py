@@ -217,6 +217,18 @@ def test_algebraic_form_negative_control(kind, lhs, rhs):
     assert fail.witness.to_dict() == {"where": {"n": "0", "m": "0"}, "lhs": lhs, "rhs": rhs}
 
 
+@pytest.mark.parametrize("name, message", [
+    ("xp", "phi(label1, 1) = 0"), ("yp", "phi(label2, 1) = 0")])
+def test_derived_lowering_coefficient_names_a_vanishing_phi(name, message):
+    # a bare dual Hahn instance with lambda1 = lambda2 = 0: the sl2
+    # lowering coefficient phi(0, 1) = 0 is the divisor of x'(0, m) and y'(n, 0)
+    bare = FamilyInstance(kind=FamilyKind.DUAL_HAHN, n_max=3, alpha=F(1), beta=F(-3),
+                          lambda1=F(0), lambda2=F(0))
+    with pytest.raises(SingularParameterError) as err:
+        getattr(coproduct_coeffs(bare, contiguity(bare)), name)(0, 0)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_public_coefficients_stay_reduced_fractions(kind):
     inst = sample_instance(kind)
@@ -300,6 +312,16 @@ def test_twist_rejects_vacuous_truncation(n_max):
     # below n_max = 1 the raising checks would compare no block at all
     with pytest.raises(InvalidParameterError, match="n_max"):
         check_twist_qracah_specialization(F(1, 4), F(1, 2), F(1, 3), n_max=n_max)
+
+
+@pytest.mark.parametrize("q, kappa1, kappa2, message", [
+    (F(1), F(1, 2), F(1, 3), "q must avoid {0, 1, -1}"),
+    (F(1, 4), F(0), F(1, 3), "kappa labels must be nonzero"),
+    (F(1, 4), F(1, 2), F(0), "kappa labels must be nonzero")])
+def test_twist_rejects_q_and_kappa_off_their_domain(q, kappa1, kappa2, message):
+    with pytest.raises(InvalidParameterError) as err:
+        check_twist_qracah_specialization(q, kappa1, kappa2, n_max=2)
+    assert str(err.value) == message
 
 
 def test_twist_block_zero_to_one_coefficients():

@@ -45,6 +45,12 @@ def sample_instance(kind: FamilyKind, n_max: int = 6) -> FamilyInstance:
 
 # -- parameter resolution and validation ------------------------------------
 
+def test_a_parameter_given_as_none_is_left_out():
+    with_none = make_instance(FamilyKind.HAHN, alpha=F(1, 2), beta=F(1, 3), lambda1=None)
+    assert with_none == make_instance(FamilyKind.HAHN, alpha=F(1, 2), beta=F(1, 3))
+    assert with_none.lambda1 == 0
+
+
 def test_constrained_parameters_are_computed():
     dh = sample_instance(FamilyKind.DUAL_HAHN)
     assert dh.beta == dh.lambda1 + dh.lambda2 - 2 - dh.alpha
@@ -337,6 +343,15 @@ def test_k_zero_column_is_binomial():
                 assert poly_value(inst, n, 0, N) == want
 
 
+@pytest.mark.parametrize("k, N, message", [
+    (0, -1, "N must lie in 0..6"), (0, 7, "N must lie in 0..6"),
+    (-1, 2, "k must lie in 0..N"), (3, 2, "k must lie in 0..N")])
+def test_poly_value_rejects_a_level_or_point_off_the_grid(k, N, message):
+    with pytest.raises(ValueError) as err:
+        poly_value(sample_instance(FamilyKind.HAHN), 0, k, N)
+    assert str(err.value) == message
+
+
 def test_out_of_range_n_is_zero():
     inst = sample_instance(FamilyKind.RACAH)
     assert poly_value(inst, -1, 0, 2) == 0
@@ -605,6 +620,12 @@ def test_three_term_block_zero_trivial():
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(5, 2), lambda2=F(7, 3),
                          alpha=F(3, 2), n_max=1)
     assert first_failure(check_three_term_dual_hahn(Run(inst))) is None
+
+
+def test_three_term_requires_dual_hahn():
+    with pytest.raises(InvalidParameterError) as err:
+        check_three_term_dual_hahn(Run(sample_instance(FamilyKind.RACAH, n_max=3)))
+    assert str(err.value) == "three-term recurrence check needs a dual Hahn instance"
 
 
 def test_three_term_requires_matching_alpha():
