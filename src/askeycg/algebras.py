@@ -22,13 +22,14 @@ level 0 is the zero space.
 Composition works on the integer numerators and denominators of the
 stored Fractions, in one kernel, _compose: every product c v w of a term
 is accumulated straight into its entry, keyed (level, i, j), as one
-unreduced integer pair, over all the levels asked for in one pass; a product
-of two factors walks the left block by column, whatever the factors' shape.
-@ reduces each entry once, into one Fraction. Operator identities (the defining
-relations, the Casimir, and the coproduct identities of the other
-modules) are not composed into operators: check_identity forms the
-residual lhs - rhs of every entry of every checked level in one _compose
-pass, and reduces only the first unequal entry, for the witness.
+unreduced integer pair, over all the levels asked for in one pass; a
+product of two factors walks the left block by column, whatever the
+factors' shape. @ reduces each entry once, into one Fraction. Operator
+identities (the defining relations, the Casimir, and the coproduct
+identities of the other modules) are not composed into operators:
+check_identity forms the residual lhs - rhs of every entry of every checked
+level in one _compose pass, and reduces only the first unequal entry, for
+the witness.
 """
 
 from __future__ import annotations

@@ -466,9 +466,10 @@ def krawtchouk_coassoc(p: Scalar, q: Scalar, p2: Scalar, q2: Scalar,
     in that order, on every block up to n_max (up to n_max - 1 for E), which
     must be at least 1 (below that any quadruple would pass), as one result
     each, "recoupling-F", "recoupling-E" and "recoupling-H" with its block
-    range (witness block, row, col), up to the first failing one. The lowering weights are
-    (pq, p(1-q), 1-p) and (p2, (1-p2)q2, (1-p2)(1-q2)), so the images must be
-    equal when coassoc_constraint holds; a failure there is a RuntimeError.
+    range (witness block, row, col), up to the first failing one. The
+    lowering weights are (pq, p(1-q), 1-p) and (p2, (1-p2)q2, (1-p2)(1-q2)),
+    so the images must be equal when coassoc_constraint holds; a failure
+    there is a RuntimeError.
     """
     p, q, p2, q2 = (Fraction(v) for v in (p, q, p2, q2))
     for name, v in (("p", p), ("q", q), ("p2", p2), ("q2", q2)):

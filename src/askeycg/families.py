@@ -400,11 +400,10 @@ def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int
     term steps, the term denominators and the powers of q once; each
     column's factors (exactmath.parameter_factors) once per k; each row's
     factors, prefactor and pole scan (the pole rule, exactmath.scan_poles)
-    once per n. Entry (n, k)
-    is then exactmath.nested_sum of its first m term ratios, m from the term
-    rule (exactmath.live_terms): where the row's or the column's factors
-    first vanish, so at most min(n, k), as -n (or q^{-n}) vanishes at term n
-    and -k (or q^{-k}) at term k. The unreduced pairs go to integer_column
+    once per n. Entry (n, k) is then exactmath.nested_sum of its first m
+    term ratios, m from the term rule (exactmath.live_terms): where the
+    row's or the column's factors first vanish, so at most min(n, k), as -n
+    (or q^{-n}) vanishes at term n and -k (or q^{-k}) at term k. The unreduced pairs go to integer_column
     as they are, so no Fraction is built. Values, and errors in row-major
     order, are those of poly_value; nothing is read from the contiguity
     recurrence or from another block, and no table outlives the call.
@@ -470,10 +469,11 @@ def contiguity(inst: FamilyInstance) -> ContiguityData:
     Each parameter is read once as its integer pair, and each coefficient is
     one expression of integer products giving (top, bottom), reduced once
     into the Fraction it returns; a zero bottom raises SingularParameterError
-    naming the coefficient and (n, N), or (k, N) for mu. The powers of q (exactmath.power_pairs) and
-    the factors 1 - c q^e that several coefficients share are integer pairs
-    memoized on their integer arguments. The five functions are memoized on
-    their integer arguments too. All memos live in closures owned by the
+    naming the coefficient and (n, N), or (k, N) for mu. The powers of q
+    (exactmath.power_pairs) and the factors 1 - c q^e that several
+    coefficients share are integer pairs memoized on their integer
+    arguments. The five functions are memoized on their integer arguments
+    too (_memoized). All memos live in closures owned by the
     returned object: they last exactly as long as that object, and nothing
     is cached on the instance or at module level.
     """

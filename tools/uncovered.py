@@ -30,7 +30,7 @@ PACKAGE = ROOT / "src" / "askeycg"
 def _own_lines(node: ast.stmt) -> range:
     """The lines of a statement that belong to it and not to a nested one."""
     body = getattr(node, "body", None)
-    if not body or not isinstance(body, list) or not isinstance(body[0], ast.stmt):
+    if not body:
         return range(node.lineno, node.end_lineno + 1)
     first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
     return range(first, max(body[0].lineno, node.lineno + 1))
