@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import askeycg.families as families
 from askeycg.algebras import AlgebraKind, AlgebraTag, phi
@@ -277,6 +279,163 @@ def test_classical_validation_matches_the_grid_scan(n_max):
         with pytest.raises(InvalidParameterError) as exc:
             make_instance(kind, n_max=n_max, **params)
         assert str(exc.value) == want, (kind, n_max, params)
+
+
+def fraction_rejection(kind, nm, params):
+    """make_instance's verdict on the free parameters `params` in plain
+    Fractions: the message of the first condition it violates, in the order
+    it tests them, or None. Constrained parameters are computed as Fractions,
+    each classical condition is scanned over its grid (_scanned_rejection),
+    and each q condition by trying every exponent of its window."""
+    if kind is FamilyKind.KRAWTCHOUK:
+        p = params["p"]
+        return ("p must be nonzero" if p == 0 else
+                "p = 1 degenerates the orthogonality weights" if p == 1 else None)
+    if not kind.is_q:
+        l1, l2 = params.get("lambda1", F(0)), params.get("lambda2", F(0))
+        a = params["alpha"]
+        b = l1 + l2 - 2 - a if kind is FamilyKind.DUAL_HAHN else params["beta"]
+        g = l1 + l2 - 1 if kind is FamilyKind.RACAH else None
+        return _scanned_rejection(kind, nm, a, b, g, l1, l2)
+    q, a, b = params["q"], params["alpha"], params["beta"]
+    if q in (0, 1, -1):
+        return "q must avoid {0, 1, -1}"
+    k1, k2 = params.get("kappa1", F(1)), params.get("kappa2", F(1))
+    racah = kind is FamilyKind.Q_RACAH
+    g = k1 ** 2 * k2 ** 2 / q if racah else None
+
+    def hit(c, lo, hi):
+        return next((e for e in range(lo, hi + 1) if c * q ** e == 1), None)
+
+    if k1 == 0 or k2 == 0:
+        return "kappa labels must be nonzero"
+    if (e := hit(a * b, -nm, 2 * nm + 2)) is not None:
+        return f"1 - alpha*beta*q^{e} vanishes (contiguity denominator)"
+    if (e := hit(a, 1, nm)) is not None:
+        return f"series denominator (alpha*q; q) vanishes at q^{e}"
+    if racah:
+        if a == 0:
+            return "q-racah needs alpha nonzero"
+        if (e := hit(b * g, 1, nm)) is not None:
+            return f"series denominator (beta*gamma*q; q) vanishes at q^{e}"
+        for kap, name in ((k1, "kappa1"), (k2, "kappa2")):
+            if (e := hit(kap ** 2, 0, nm)) is not None:
+                return (f"{name}^2 q^{e} = 1: module label hits a zero of the lowering "
+                        "coefficient")
+        if (e := hit((k1 * k2) ** 2, 0, 3 * nm - 1)) is not None:
+            return (f"(kappa1*kappa2)^2 q^{e} = 1: a tensor component label hits a zero of "
+                    "the lowering coefficient")
+    # the beta2 factors of the subdiagonal T_N[n+1][n], first at n = 0
+    factors = [("alpha*q^(n+1)", lambda N: a * q)]
+    factors.append(("1 - beta*q^(n+1-N)", lambda N: 1 - b * q ** (1 - N)))
+    if racah:
+        factors.append(("alpha*q^(n+1) - gamma*q^N", lambda N: a * q - g * q ** N))
+    for factor, value in factors:
+        for N in range(1, nm + 1):
+            if value(N) == 0:
+                return f"beta2 factor {factor} vanishes at (n=0, N={N}), so T_N is reducible"
+    return None
+
+
+_Q_BASES = [F(1, 2), F(-1, 2), F(2, 3), F(-3, 2), F(3), F(1, 3)]
+_SMALL = [F(1, 3), F(2, 5), F(-1, 2), F(3), F(-5, 4), F(1)]
+
+
+@st.composite
+def q_validation_point(draw, kind, locus):
+    """(n_max, free parameters) of a q-kind, each parameter a small rational
+    or a signed power of the base of q times one, then one parameter set on
+    or near `locus`: the exponent that hits it is drawn from a window one
+    wider than the range make_instance excludes, on both sides."""
+    nm = draw(st.integers(1, 5))
+    base = draw(st.sampled_from(_Q_BASES))
+    q = base ** 2 if draw(st.booleans()) else base
+
+    def atom():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(_SMALL))
+        return draw(st.sampled_from([1, -1])) * base ** draw(st.integers(-6, 6)) \
+            * draw(st.sampled_from([F(1), F(1, 2), F(3)]))
+
+    p = {"q": q, "alpha": atom(), "beta": atom(), "kappa1": atom(), "kappa2": atom()}
+
+    def exponent(lo, hi):
+        return draw(st.integers(lo - 1, hi + 1))
+
+    def gamma():
+        return p["kappa1"] ** 2 * p["kappa2"] ** 2 / q
+
+    if locus == "q":
+        p["q"] = draw(st.sampled_from([F(0), F(1), F(-1)]))
+    elif locus == "zero":
+        p[draw(st.sampled_from(["alpha", "beta", "kappa1", "kappa2"]))] = F(0)
+    elif locus == "alpha*beta" and p["alpha"]:
+        p["beta"] = q ** -exponent(-nm, 2 * nm + 2) / p["alpha"]
+    elif locus == "alpha":
+        p["alpha"] = q ** -exponent(1, nm)
+    elif locus == "beta*gamma" and gamma():
+        p["beta"] = q ** -exponent(1, nm) / gamma()
+    elif locus in ("kappa1", "kappa2"):
+        p[locus] = draw(st.sampled_from([1, -1])) * base ** -exponent(0, nm)
+    elif locus == "kappa1*kappa2" and p["kappa1"]:
+        p["kappa2"] = draw(st.sampled_from([1, -1])) * base ** -exponent(0, 3 * nm - 1) \
+            / p["kappa1"]
+    elif locus == "beta":
+        p["beta"] = q ** -exponent(1 - nm, 0)
+    elif locus == "alpha/gamma":
+        p["alpha"] = gamma() * q ** -exponent(1 - nm, 0)
+    if kind is FamilyKind.Q_HAHN and draw(st.booleans()):
+        del p["kappa1"], p["kappa2"]  # the q-Hahn labels default to 1
+    return nm, p
+
+
+_Q_LOCI = ["q", "zero", "alpha*beta", "alpha", "beta*gamma", "kappa1", "kappa2",
+           "kappa1*kappa2", "beta", "alpha/gamma"]
+
+
+@st.composite
+def classical_validation_point(draw, kind):
+    """(n_max, free parameters) of a classical kind, each parameter an
+    integer, a half or a third in a window around the integers make_instance
+    excludes, so every condition is hit on its range and just past it."""
+    nm = draw(st.integers(1, 5))
+
+    def near():
+        return F(draw(st.integers(-3 * nm - 3, nm + 3)), draw(st.sampled_from([1, 1, 2, 3])))
+
+    if kind is FamilyKind.KRAWTCHOUK:
+        return nm, {"p": draw(st.sampled_from([F(0), F(1), F(1, 3), F(2), F(-1, 2)]))}
+    p = {"alpha": near(), "lambda1": near(), "lambda2": near()}
+    if kind is not FamilyKind.DUAL_HAHN:
+        p["beta"] = near()
+    return nm, p
+
+
+def assert_validation_equals_the_reference(kind, nm, params):
+    want = fraction_rejection(kind, nm, params)
+    if want is None:
+        make_instance(kind, n_max=nm, **params)
+        return
+    with pytest.raises(InvalidParameterError) as exc:
+        make_instance(kind, n_max=nm, **params)
+    assert str(exc.value) == want, (kind, nm, params)
+
+
+@pytest.mark.parametrize("locus", _Q_LOCI)
+@pytest.mark.parametrize("kind", [FamilyKind.Q_HAHN, FamilyKind.Q_RACAH])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_validation_equals_the_fraction_reference(kind, locus, data):
+    nm, params = data.draw(q_validation_point(kind, locus))
+    assert_validation_equals_the_reference(kind, nm, params)
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if not k.is_q])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_classical_validation_equals_the_fraction_reference(kind, data):
+    nm, params = data.draw(classical_validation_point(kind))
+    assert_validation_equals_the_reference(kind, nm, params)
 
 
 def test_sl2_label_restrictions():
