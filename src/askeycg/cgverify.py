@@ -36,8 +36,10 @@ Delta(E) Delta(F) on level N, with eigenvalue the lowering coefficient of
 component k, and Omega is the diagonal that symmetrizes T_N. So it is
 certified by commutation alone, in O(N^2) integer operations on the stored
 columns, with no linear system solved (orthogonality_weights gives the steps
-and the proof); T_N is composed by algebras._compose straight into integer
-rows.
+and the proof). Each row of T_N is one row of the run's Delta(E) bands times
+the two rows of its Delta(F) bands it reads, in integers, and Omega and the
+norms stay integer pairs; the verify suite reads that certificate alone, and
+orthogonality_weights reduces it into Fractions for the table and the tests.
 
 Every check of a family instance, here and in families and coproduct, takes
 a Run: the artifacts of one verify run (Delta, its bands, the blocks, the
@@ -54,8 +56,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .algebras import (ModuleSpec, _block_levels, _compose, _phi, build_generators,
-                       check_identity, phi, scalar_operator)
+from .algebras import (ModuleSpec, _phi, build_generators, check_identity, phi,
+                       scalar_operator)
 from .coproduct import build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar
 from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
@@ -150,8 +152,8 @@ class Run:
     """The artifacts of one verify run of inst, each built on first use and
     shared by every check that reads it: each factor module with its
     generators (`relations`, `casimir`), the contiguity data, Delta, its
-    integer bands (`raising`, `lowering`, `cg-oracle`; built from run.delta
-    on first read), the CG blocks (integer columns) and the component
+    integer bands (`raising`, `lowering`, `cg-oracle`, `orthogonality`; built
+    from run.delta on first read), the CG blocks (integer columns) and the component
     eigenvalues Lambda of every level (`lowering`, `orthogonality`). The
     contiguity data memoizes every coefficient it evaluates, so the
     contiguity check, Delta (hence every check that reads it) and the
@@ -193,7 +195,7 @@ class Run:
     def bands(self):
         """(e, f): the integer rows of Delta(E) and Delta(F), {N:
         linalg.integer_bands of the block at source level N}, split once from
-        the run's Delta for raising, lowering and the oracle."""
+        the run's Delta for raising, lowering, the oracle and T_N."""
         return tuple({N: integer_bands(b, range(op.shape(N)[0])) for N, b in op.blocks.items()}
                      for op in (self.delta.e, self.delta.f))
 
@@ -313,9 +315,9 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
         sum_n P[n][k] P[n][l] Omega_n = delta_{k,l} Omega'_l
 
     Omega is certified by commutation with T, the tridiagonal part of T_N =
-    Delta(E) Delta(F) on level N, from the run's Delta and block N; N outside
-    0..n_max is a ValueError, and a failed step raises WeightSolutionError
-    naming it:
+    Delta(E) Delta(F) on level N, built from the run's bands of Delta
+    (_t_rows), and block N; N outside 0..n_max is a ValueError, and a failed
+    step raises WeightSolutionError naming it:
 
     1. none of T[n][n+1], T[n+1][n] is zero;
     2. Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so W T is symmetric
@@ -333,7 +335,9 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
     W'_n T[n][n+1], and by 1 W' = W'_0 Omega: the solution space is the line
     through Omega. T is a witness checked exactly, so the proof never rests
     on Delta being right. All checks run over integers: row i of T is t_i /
-    d_i and column l of P is a_l / c_l, the block's own stored column.
+    d_i and column l of P is a_l / c_l, the block's own stored column; Omega
+    and the norms are integer pairs (_weight_certificate, which the verify
+    suite calls), reduced into this WeightData only here.
 
     On an instance make_instance accepts, with Delta and the blocks right, no
     step fails. 1: validation keeps T[n][n+1] = alpha2(n, N-1) beta1(n, N) and
@@ -343,40 +347,83 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
     = P_0(l, N) = 1, the columns are eigenvectors of distinct eigenvalues, so
     P, hence G, is invertible, and the norms on G's diagonal are nonzero.
     """
+    w, L, norms = _weight_certificate(run, N)
+    return WeightData(N, tuple([Fraction(x, L) for x in w]),
+                      tuple([Fraction(*norm) for norm in norms]))
+
+
+def _weight_certificate(run: Run, N: int) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
+    """The certificate of orthogonality_weights over integers: (w, L, norms)
+    with Omega_n = w[n] / L, the integer_column of Omega, and Omega'_l the
+    unreduced pair norms[l] = (sum_n a[n]^2 w[n], c^2 L) of column l = (a,
+    c). Omega is a prefix product of the integer ratios of step 2, each
+    reduced once; T comes from the run's bands (_t_rows)."""
     if not 0 <= N <= run.inst.n_max:
         raise ValueError("orthogonality weights need 0 <= N <= n_max")
     cols = run.blocks[N].columns
-    e, f = run.delta.e, run.delta.f
 
     def failed(step, what):
         return WeightSolutionError(f"block {N}, step {step}: {what}")
 
-    pairs = _compose([(1, (e, f))], [N], e.dims) if N in _block_levels((e, f), e.top) else {}
-    T = integer_bands({(i, j): p for (_, i, j), p in pairs.items() if p[0]}, range(N + 1))
-    rows = [(dict(band), d) for band, d in T.values()]
-    omega = [Fraction(1)]
-    for n, ((row, d), (below, d1)) in enumerate(zip(rows, rows[1:])):
-        for i, j, r in ((n, n + 1, row), (n + 1, n, below)):
-            if j not in r:
-                raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
-        omega.append(omega[-1] * Fraction(row[n + 1] * d1, d * below[n]))
+    rows = _t_rows(run, N)
+    omega = [(1, 1)]
+    top = bottom = 1
+    for n in range(N):
+        (row, d), (below, d1) = rows[n], rows[n + 1]
+        up, down = row.get(n + 1), below.get(n)
+        if up is None or down is None:
+            i, j = (n, n + 1) if up is None else (n + 1, n)
+            raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
+        top, bottom = top * up * d1, bottom * d * down
+        g = gcd(top, bottom)
+        top, bottom = top // g, bottom // g
+        omega.append((top, bottom))
     lam = run.eigenvalues[N]
     if len({x.as_integer_ratio() for x in lam}) < len(lam):
         l, x = next((l, x) for l, x in enumerate(lam) if x in lam[:l])
         raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
     own = [(a, 1) for a, _ in cols]  # against itself, a column's denominator drops out
+    T = {i: (list(row.items()), d) for i, (row, d) in enumerate(rows)}
     bad = _k_major(N, T, own, [(*x.as_integer_ratio(), a) for a, x in zip(own, lam)])
     if bad:
         i, l = bad[0][0]["n"], bad[0][0]["k"]
         raise failed(4, f"(T_N P)[{i}][{l}] != (P Lambda)[{i}][{l}]")
     w, L = integer_column(omega)
-    omega_prime = []
+    norms = []
     for l, (a, c) in enumerate(cols):
-        norm = sum(x * x * y for x, y in zip(a, w))
+        norm = sum([x * x * y for x, y in zip(a, w)])
         if not norm:
             raise failed(5, f"Omega' vanishes at column {l}")
-        omega_prime.append(Fraction(norm, c * c * L))
-    return WeightData(N, tuple(omega), tuple(omega_prime))
+        norms.append((norm, c * c * L))
+    return w, L, norms
+
+
+def _t_rows(run: Run, N: int) -> list[tuple[dict[int, int], int]]:
+    """Rows 0..N of T_N = Delta(E) Delta(F) on level N, row i as ({j: t_ij},
+    d_i) with T[i][j] = t_ij / d_i, from the run's bands: row i of Delta(E)
+    at level N-1, over d, times the rows m of Delta(F) at level N it reads,
+    u_m / d_m, is sum_m t_m u_m prod_{m' != m} d_m' over d prod_m d_m, with
+    its gcd divided out and no zero entry. Without both levels (N = 0: F
+    maps to the zero space) the rows are empty."""
+    e, f = run.bands[0].get(N - 1), run.bands[1].get(N)
+    if e is None or f is None:
+        return [({}, 1)] * (N + 1)
+    rows = []
+    for i in range(N + 1):
+        band, d = e[i]
+        acc, b = {}, 1  # sum_m t_m (row m of F) = acc / b
+        for m, t in band:
+            fband, fd = f[m]
+            if fd != 1:
+                for j in acc:
+                    acc[j] *= fd
+            for j, u in fband:
+                acc[j] = acc.get(j, 0) + t * u * b
+            b *= fd
+        d *= b
+        g = gcd(d, *acc.values())
+        rows.append(({j: x // g for j, x in acc.items() if x}, d // g))
+    return rows
 
 
 def verify_weight_grading(run: Run) -> list[CheckResult]:

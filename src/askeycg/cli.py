@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .algebras import casimir, check_relations
-from .cgverify import (DegenerateKernelError, Run, WeightSolutionError,
+from .cgverify import (DegenerateKernelError, Run, WeightSolutionError, _weight_certificate,
                        lowest_weight_oracle, orthogonality_weights, verify_lowering,
                        verify_raising, verify_weight_grading)
 from .coproduct import (check_algebraic_form, check_homomorphism,
@@ -106,7 +106,7 @@ def _orthogonality(run: Run) -> list[CheckResult]:
     rng = f"blocks 0..{run.inst.n_max}"
     for N in range(run.inst.n_max + 1):
         try:
-            orthogonality_weights(run, N)
+            _weight_certificate(run, N)
         except WeightSolutionError as exc:
             return [_error_result("orthogonality", rng, exc)]
     return [CheckResult.ok("orthogonality", rng)]

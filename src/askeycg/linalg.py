@@ -4,7 +4,7 @@ place in the package that clears rationals to integers, which makes the
 canonical column every CG block stores (and the band rows, the weight
 vector and the elimination rows); and the column kernel: integer_bands
 splits a sparse block of exact rationals into integer rows (a run splits
-each Delta level once; T_N's rows come from unreduced pairs), and
+each Delta level once, and multiplies those bands into T_N's rows), and
 column_mismatches decides every CG column identity, a band image of a column
 against a scalar times a target column, over integers, forming a two-entry
 row's image without a loop. Graded operators keep sparse blocks.

@@ -750,6 +750,68 @@ def test_corrupted_delta_fails_orthogonality_at_its_block(monkeypatch):
         "orthogonality", {"error": "block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"})
 
 
+def t_rows_as_values(run, N):
+    """T_N of the certificate (cgverify._t_rows) as {(i, j): Fraction}, after
+    checking each row is reduced: d > 0 and gcd(d, *row) = 1."""
+    rows = cgverify._t_rows(run, N)
+    assert len(rows) == N + 1
+    assert all(d > 0 and gcd(d, *row.values()) == 1 for row, d in rows)
+    return {(i, j): F(x, d) for i, (row, d) in enumerate(rows) for j, x in row.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 10 ** 6),
+       n_max=st.integers(1, 6))
+def test_t_rows_from_the_bands_equal_the_composed_operator(kind, seed, n_max):
+    # the rows the certificate builds from the run's bands are the blocks of
+    # Delta(E) @ Delta(F), entry by entry, as values
+    try:
+        inst = make_instance(kind, n_max=n_max, **_draw_params(kind, random.Random(seed)))
+    except InvalidParameterError:
+        assume(False)
+    run = Run(inst)
+    t = run.delta.e @ run.delta.f
+    for N in range(n_max + 1):
+        assert t_rows_as_values(run, N) == t.blocks.get(N, {})
+
+
+def test_a_delta_given_before_the_first_read_reaches_the_bands_and_t_n():
+    # Delta(F) tripled at level 2 moves T_2, Delta(E) tripled at level 2
+    # moves T_3: both reach the certificate through the run's bands
+    inst = sample_instance(FamilyKind.HAHN, n_max=4)
+    bad = level_two_tripled(inst)
+    run, good = run_with(inst, delta=bad), Run(inst)
+    t, t_good = bad.e @ bad.f, good.delta.e @ good.delta.f
+    assert run.bands[0][2] == linalg.integer_bands(bad.e.blocks[2], range(4))
+    for N in range(inst.n_max + 1):
+        assert t_rows_as_values(run, N) == t.blocks.get(N, {})
+        assert (t.blocks.get(N) == t_good.blocks.get(N)) == (N not in (2, 3))
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.RACAH, FamilyKind.Q_HAHN])
+@pytest.mark.parametrize("side,level,ij,factor,N,message", [
+    ("e", 2, (1, 1), 2, 3, "step 4: (T_N P)[1][0] != (P Lambda)[1][0]"),
+    ("e", 2, (1, 0), 0, 3, "step 1: T_N[1][0] vanishes, so no diagonal symmetrizes T_N"),
+    ("e", 3, (0, 0), 0, 4, "step 1: T_N[0][1] vanishes, so no diagonal symmetrizes T_N"),
+    ("f", 3, (1, 2), 0, 3, "step 1: T_N[1][2] vanishes, so no diagonal symmetrizes T_N"),
+    ("f", 2, (0, 0), 0, 2, "step 1: T_N[1][0] vanishes, so no diagonal symmetrizes T_N"),
+])
+def test_a_corrupted_delta_entry_fails_its_block_at_its_step(kind, side, level, ij, factor,
+                                                            N, message):
+    # one entry of Delta(E) at level N-1 or of Delta(F) at level N, scaled or
+    # zeroed, fails block N alone, with the step and message of the
+    # certificate that composed T_N from the dense operators
+    inst = sample_instance(kind)
+    good = Run(inst).delta
+    op = getattr(good, side)
+    bad = with_entry(op, level, ij, op.blocks[level][ij] * factor)
+    delta = Delta(bad, good.f, good.hk) if side == "e" else Delta(good.e, bad, good.hk)
+    run = run_with(inst, delta=delta)
+    got = [weights_or_error(orthogonality_weights, run, M) for M in run.blocks]
+    assert got == [f"error: block {N}, {message}" if M == N
+                   else orthogonality_weights(Run(inst), M) for M in run.blocks]
+
+
 def test_unconstrained_weights_are_not_certified():
     # P = I leaves every Omega a solution of the off-diagonal system; its
     # columns are no eigenvectors of T_2, so step 4 refuses it
