@@ -71,9 +71,8 @@ class FamilyKind(str, Enum):
     Q_HAHN = "q-hahn"
     Q_RACAH = "q-racah"
 
-    @property
-    def is_q(self) -> bool:
-        return self in (FamilyKind.Q_HAHN, FamilyKind.Q_RACAH)
+    def __init__(self, value: str):
+        self.is_q = value.startswith("q-")  # a plain attribute: read on every hot path
 
 
 _ALGEBRA_OF = {
@@ -94,6 +93,12 @@ _FREE_PARAMS = {
     FamilyKind.Q_HAHN: ("q", "alpha", "beta"),
     FamilyKind.Q_RACAH: ("q", "alpha", "beta"),
 }
+# every parameter name make_instance accepts per kind, and each kind by itself
+# and by its value
+_ALLOWED = {kind: free + (("kappa1", "kappa2") if kind.is_q else ("lambda1", "lambda2"))
+            for kind, free in _FREE_PARAMS.items()}
+_KINDS = {**{kind: kind for kind in FamilyKind}, **{kind.value: kind for kind in FamilyKind}}
+_ZERO, _ONE = Fraction(0), Fraction(1)  # the label defaults, made once
 
 
 @dataclass(frozen=True)
@@ -165,15 +170,14 @@ def make_instance(kind: FamilyKind | str, n_max: int = 8, **params) -> FamilyIns
 
 def _resolve(kind: FamilyKind | str, n_max: int, params: dict) -> FamilyInstance:
     """make_instance short of _require_irreducible: the limit ladders never build T_N."""
-    kind = FamilyKind(kind)
+    kind = _KINDS.get(kind) or FamilyKind(kind)
     if n_max < 1:
         raise InvalidParameterError("n_max must be at least 1")
     vals = {}
+    allowed = _ALLOWED[kind]
     for name, raw in params.items():
         if raw is None:
             continue
-        allowed = _FREE_PARAMS[kind] + (
-            ("kappa1", "kappa2") if kind.is_q else ("lambda1", "lambda2"))
         if name not in allowed:
             raise InvalidParameterError(
                 f"{kind.value} does not take a parameter {name!r}")
@@ -188,18 +192,25 @@ def _resolve(kind: FamilyKind | str, n_max: int, params: dict) -> FamilyInstance
         _require(vals["q"] not in (0, 1, -1), "q must avoid {0, 1, -1}")
         if kind is FamilyKind.Q_RACAH and not {"kappa1", "kappa2"} <= vals.keys():
             raise InvalidParameterError("q-racah needs kappa1 and kappa2")
-        vals.setdefault("kappa1", Fraction(1))
-        vals.setdefault("kappa2", Fraction(1))
+        vals.setdefault("kappa1", _ONE)
+        vals.setdefault("kappa2", _ONE)
     else:
-        vals.setdefault("lambda1", Fraction(0))
-        vals.setdefault("lambda2", Fraction(0))
+        vals.setdefault("lambda1", _ZERO)
+        vals.setdefault("lambda2", _ZERO)
 
-    if kind is FamilyKind.DUAL_HAHN:
-        vals["beta"] = vals["lambda1"] + vals["lambda2"] - 2 - vals["alpha"]
-    elif kind is FamilyKind.RACAH:
-        vals["gamma"] = vals["lambda1"] + vals["lambda2"] - 1
+    # the constrained parameter from integer pairs, one Fraction reduced once
+    if kind is FamilyKind.DUAL_HAHN or kind is FamilyKind.RACAH:
+        (s1, t1), (s2, t2) = vals["lambda1"].as_integer_ratio(), vals["lambda2"].as_integer_ratio()
+        s, t = s1 * t2 + s2 * t1, t1 * t2  # lambda1 + lambda2 = s / t
+        if kind is FamilyKind.RACAH:
+            vals["gamma"] = Fraction(s - t, t)
+        else:
+            an, ad = vals["alpha"].as_integer_ratio()
+            vals["beta"] = Fraction((s - 2 * t) * ad - an * t, t * ad)
     elif kind is FamilyKind.Q_RACAH:
-        vals["gamma"] = vals["kappa1"] ** 2 * vals["kappa2"] ** 2 / vals["q"]
+        (k1, d1), (k2, d2) = vals["kappa1"].as_integer_ratio(), vals["kappa2"].as_integer_ratio()
+        u, v = vals["q"].as_integer_ratio()
+        vals["gamma"] = Fraction((k1 * k2) ** 2 * v, (d1 * d2) ** 2 * u)
 
     inst = FamilyInstance(kind=kind, n_max=n_max, **vals)
     _validate(inst)
@@ -216,21 +227,25 @@ def _validate(inst: FamilyInstance) -> None:
     nm = inst.n_max
     kind = inst.kind
     if kind.is_q:
-        q = inst.q
-        _require(inst.kappa1 != 0 and inst.kappa2 != 0, "kappa labels must be nonzero")
-        e = _q_exponent(inst.alpha * inst.beta, q, -nm, 2 * nm + 2)
+        # every condition on integer pairs: q = u / v, alpha = an / ad, ...
+        q = inst.q.as_integer_ratio()
+        (an, ad), (bn, bd) = inst.alpha.as_integer_ratio(), inst.beta.as_integer_ratio()
+        (k1, d1), (k2, d2) = inst.kappa1.as_integer_ratio(), inst.kappa2.as_integer_ratio()
+        _require(k1 != 0 and k2 != 0, "kappa labels must be nonzero")
+        e = _q_exponent((an * bn, ad * bd), q, -nm, 2 * nm + 2)
         _require(e is None, "1 - alpha*beta*q^%d vanishes (contiguity denominator)", e)
-        e = _q_exponent(inst.alpha, q, 1, nm)
+        e = _q_exponent((an, ad), q, 1, nm)
         _require(e is None, "series denominator (alpha*q; q) vanishes at q^%d", e)
         if kind is FamilyKind.Q_RACAH:
-            _require(inst.alpha != 0, "q-racah needs alpha nonzero")
-            e = _q_exponent(inst.beta * inst.gamma, q, 1, nm)
+            _require(an != 0, "q-racah needs alpha nonzero")
+            gn, gd = inst.gamma.as_integer_ratio()
+            e = _q_exponent((bn * gn, bd * gd), q, 1, nm)
             _require(e is None, "series denominator (beta*gamma*q; q) vanishes at q^%d", e)
-            for kap, name in ((inst.kappa1, "kappa1"), (inst.kappa2, "kappa2")):
-                e = _q_exponent(kap ** 2, q, 0, nm)
+            for kn, kd, name in ((k1, d1, "kappa1"), (k2, d2, "kappa2")):
+                e = _q_exponent((kn * kn, kd * kd), q, 0, nm)
                 _require(e is None, "%s^2 q^%d = 1: module label hits a zero of "
                          "the lowering coefficient", name, e)
-            e = _q_exponent((inst.kappa1 * inst.kappa2) ** 2, q, 0, 3 * nm - 1)
+            e = _q_exponent(((k1 * k2) ** 2, (d1 * d2) ** 2), q, 0, 3 * nm - 1)
             _require(e is None, "(kappa1*kappa2)^2 q^%d = 1: a tensor component label "
                      "hits a zero of the lowering coefficient", e)
         return
@@ -282,11 +297,13 @@ def _require_irreducible(inst: FamilyInstance) -> None:
     beta = -(j+1) for dual Hahn, j = N - n - 1 < n_max; named at n = 0."""
     nm, kind = inst.n_max, inst.kind
     if kind.is_q:
-        _require(inst.alpha != 0, _REDUCIBLE, "alpha*q^(n+1)", 1)
-        e = _q_exponent(inst.beta, inst.q, 1 - nm, 0)
+        q, (an, ad) = inst.q.as_integer_ratio(), inst.alpha.as_integer_ratio()
+        _require(an != 0, _REDUCIBLE, "alpha*q^(n+1)", 1)
+        e = _q_exponent(inst.beta.as_integer_ratio(), q, 1 - nm, 0)
         _require(e is None, _REDUCIBLE, "1 - beta*q^(n+1-N)", 1 - (e or 0))
         if kind is FamilyKind.Q_RACAH:
-            e = _q_exponent(inst.alpha / inst.gamma, inst.q, 1 - nm, 0)
+            gn, gd = inst.gamma.as_integer_ratio()
+            e = _q_exponent((an * gd, ad * gn), q, 1 - nm, 0)
             _require(e is None, _REDUCIBLE, "alpha*q^(n+1) - gamma*q^N", 1 - (e or 0))
     elif kind is FamilyKind.DUAL_HAHN:
         _require(not _integer_in(inst.beta, -nm, -1), _REDUCIBLE, "N - n + beta", -inst.beta)
@@ -301,21 +318,25 @@ def _require_irreducible(inst: FamilyInstance) -> None:
 
 def _integer_in(x: Scalar, lo: int, hi: int) -> bool:
     """Whether x is one of the integers lo..hi."""
-    return x.denominator == 1 and lo <= x <= hi
+    return x.denominator == 1 and lo <= x.numerator <= hi
 
 
-def _q_exponent(c: Scalar, q: Scalar, lo: int, hi: int) -> int | None:
-    """The e in lo..hi with c q^e = 1, or None. As q avoids 0 and +-1, its
-    height h = |numerator| * denominator is >= 2 and c's is h^|e|: one e.
-    With c = cn / cd and q = u / v, c q^e = 1 is cn u^e == cd v^e, or
-    cn v^-e == cd u^-e for e < 0, decided over integers."""
-    (cn, cd), (u, v) = c.as_integer_ratio(), q.as_integer_ratio()
-    height = abs(cn) * cd
-    size = round(log(height, abs(u) * v)) if height else 0
-    for e in (size, -size):
-        if lo <= e <= hi and (cn * u ** e == cd * v ** e if e >= 0
-                              else cn * v ** -e == cd * u ** -e):
-            return e
+def _q_exponent(c, q, lo: int, hi: int) -> int | None:
+    """The e in lo..hi with c q^e = 1, or None. c and q are exact rationals,
+    each a Fraction or an integer pair (top, nonzero bottom), unreduced
+    allowed; q avoids 0 and +-1, so |q|^e takes each value once and e =
+    -log|c| / log|q|, rounded, is the one candidate, sized from logs of the
+    tops and bottoms, which no common factor moves. With c = cn / cd and q =
+    u / v, c q^e = 1 is cn u^e == cd v^e, or cn v^-e == cd u^-e for e < 0,
+    decided over integers."""
+    cn, cd = c if type(c) is tuple else c.as_integer_ratio()
+    u, v = q if type(q) is tuple else q.as_integer_ratio()
+    if not cn:
+        return None
+    e = round((log(abs(cd)) - log(abs(cn))) / (log(abs(u)) - log(abs(v))))
+    if lo <= e <= hi and (cn * u ** e == cd * v ** e if e >= 0
+                          else cn * v ** -e == cd * u ** -e):
+        return e
     return None
 
 
