@@ -9,6 +9,7 @@ import layer_times  # noqa: E402
 CHECKS = ["relations", "casimir", "homomorphism", "algebraic-form", "grading", "twist"]
 LINES = ([("artifact", name) for name in layer_times.ARTIFACTS]
          + [("check", name) for name in CHECKS] + [("pass", "verify")])
+SETUP_LINES = [("setup", "build_ops"), ("setup", "make_instance")]
 
 
 def tiny_workload(monkeypatch):
@@ -31,8 +32,26 @@ def test_main_prints_a_header_then_one_line_per_layer(monkeypatch, capsys):
     assert layer_times.main(["tiny:4"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"tiny seed=4: \d+ ops, median CPU ms per pass of 5", lines[0])
-    assert [tuple(line.split()[:2]) for line in lines[1:]] == LINES
-    assert all(re.fullmatch(r"\d+\.\d", line.split()[2]) for line in lines[1:])
+    layers, setup = lines[1:len(LINES) + 1], lines[len(LINES) + 1:]
+    assert [tuple(line.split()[:2]) for line in layers] == LINES
+    assert all(re.fullmatch(r"\d+\.\d", line.split()[2]) for line in layers)
+    assert [tuple(line.split()[:2]) for line in setup] == SETUP_LINES
+    assert all(re.fullmatch(r"\d+\.\d{3}", line.split()[2]) for line in setup)
+
+
+def test_setup_lines_time_whole_builds_and_each_make_instance_call(monkeypatch):
+    # with a clock that ticks once per reading, a timed build is 1 and each
+    # make_instance call inside a build adds 1, rejected draws included; the
+    # wrapper is gone afterwards
+    tiny = tiny_workload(monkeypatch)
+    ops, rejected = layer_times.bench.build_ops(tiny, 4)
+    original = layer_times.bench.families.make_instance
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(layer_times, "process_time", lambda: next(ticks))
+    times = layer_times.setup_times(tiny, 4, repeats=3)
+    assert times == {("setup", "build_ops"): 1000.0,
+                     ("setup", "make_instance"): 1000.0 * (len(ops) + rejected)}
+    assert layer_times.bench.families.make_instance is original
 
 
 def test_a_check_and_an_artifact_of_one_name_are_timed_apart(monkeypatch):

@@ -12,7 +12,11 @@ warm artifacts; it sums each line over the ops. After one untimed warm-up
 pass, REPEATS passes are timed and the median CPU milliseconds of each line
 are printed. The `verify` line is the same ops through `run_verify_suite`
 on cold runs, which build only the artifacts their checks read: the
-end-to-end cost of a pass.
+end-to-end cost of a pass. Two `setup` lines follow, each the median CPU
+milliseconds of bench.SETUP_REPEATS in-process builds of the workload
+(`build_ops`, what the benchmark's setup_s times): the whole build, then the
+`families.make_instance` calls inside it, timed on builds of their own so
+that the timing wrapper's cost reaches neither line.
 Stdlib only; no file is written. Run it from the root of a checkout; the
 program is imported from `src/` next to `bench/`.
 """
@@ -69,6 +73,36 @@ def layer_times(ops, repeats: int = REPEATS) -> dict[tuple[str, str], float]:
     return {key: 1000 * statistics.median(p[key] for p in passes) for key in passes[0]}
 
 
+def setup_times(wl, seed: int, repeats: int = bench.SETUP_REPEATS) -> dict[tuple[str, str], float]:
+    """Median CPU milliseconds of `repeats` builds of the workload's ops
+    (bench.build_ops), and of the make_instance calls of each of `repeats`
+    more builds, summed per build."""
+    builds, instances, spent = [], [], [0.0]
+    for _ in range(repeats):
+        t0 = process_time()
+        bench.build_ops(wl, seed)
+        builds.append(process_time() - t0)
+    original = bench.families.make_instance
+
+    def timed(*args, **kwargs):
+        t0 = process_time()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            spent[0] += process_time() - t0
+
+    bench.families.make_instance = timed
+    try:
+        for _ in range(repeats):
+            spent[0] = 0.0
+            bench.build_ops(wl, seed)
+            instances.append(spent[0])
+    finally:
+        bench.families.make_instance = original
+    return {("setup", "build_ops"): 1000 * statistics.median(builds),
+            ("setup", "make_instance"): 1000 * statistics.median(instances)}
+
+
 def main(argv=None) -> int:
     for pair in (argv if argv is not None else sys.argv[1:]) or DEFAULT:
         name, _, seed = pair.partition(":")
@@ -77,6 +111,8 @@ def main(argv=None) -> int:
         print(f"{name} seed={seed}: {len(ops)} ops, median CPU ms per pass of {REPEATS}")
         for (kind, layer), ms in layer_times(ops).items():
             print(f"  {kind:8} {layer:16} {ms:9.1f}", flush=True)
+        for (kind, layer), ms in setup_times(bench.WORKLOADS[name], seed).items():
+            print(f"  {kind:8} {layer:16} {ms:9.3f}", flush=True)
     return 0
 
 
