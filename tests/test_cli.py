@@ -1,7 +1,9 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -205,6 +207,18 @@ def test_python_dash_m_runs_the_command_line():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == ("error: invalid parameters: beta2 factor n - N + beta + 1 "
                            "vanishes at (n=0, N=2), so T_N is reducible\n")
+
+
+@pytest.mark.parametrize("module", ["askeycg", "askeycg.cli"])
+def test_each_entry_point_runs_the_command_line_as_main(module, monkeypatch, capsys):
+    # runpy runs the module under __main__ as `python -m` does, but in this
+    # process, where a line trace sees its guarded call run
+    monkeypatch.setattr(sys, "argv", [module, "--help"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("ignore", RuntimeWarning)  # askeycg.cli is imported already
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 @pytest.mark.parametrize("flags, message", [

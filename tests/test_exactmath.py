@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askeycg.exactmath import (InvalidParameterError, SingularParameterError, binomial,
-                               format_scalar, hyper_terminating, parse_scalar, pochhammer,
-                               power_pairs, q_binomial, q_hyper_terminating, q_pochhammer)
+from askeycg.exactmath import (InvalidParameterError, SingularParameterError, as_scalar,
+                               binomial, format_scalar, hyper_terminating, parse_scalar,
+                               pochhammer, power_pairs, q_binomial, q_hyper_terminating,
+                               q_pochhammer)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 small_q = st.fractions(min_value=F(1, 9), max_value=F(9, 10), max_denominator=10)
@@ -183,6 +184,33 @@ def assert_matches_reference(kernel, reference, *args):
 def test_hyper_matches_reversed_reference(n, extra, den, z):
     assert_matches_reference(hyper_terminating, ref_hyper,
                              [F(-n)] + extra, den, z, n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pochhammer(F(1), -1), "pochhammer needs k >= 0"),
+    (lambda: q_pochhammer(F(1), F(1, 2), -1), "q_pochhammer needs k >= 0"),
+    (lambda: binomial(-1, 0), "binomial needs N >= 0"),
+    (lambda: q_binomial(-1, 0, F(1, 2)), "q_binomial needs N >= 0"),
+    (lambda: hyper_terminating([F(1)], [], F(1), -1), "termination order n must be >= 0"),
+    (lambda: q_hyper_terminating([F(1)], [], F(1, 2), F(1), -1),
+     "termination order n must be >= 0"),
+], ids=["pochhammer", "q_pochhammer", "binomial", "q_binomial", "hyper", "q_hyper"])
+def test_a_negative_order_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_q_hyper_refuses_q_zero():
+    with pytest.raises(InvalidParameterError, match=r"^q must be nonzero$"):
+        q_hyper_terminating([F(1)], [], F(0), F(1), 0)
+
+
+@pytest.mark.parametrize("value", [1.5, None, [1]])
+def test_as_scalar_refuses_what_is_no_exact_rational(value):
+    with pytest.raises(InvalidParameterError) as exc:
+        as_scalar(value)
+    assert str(exc.value) == f"cannot interpret {value!r} as an exact rational"
 
 
 def test_hyper_requires_leading_minus_n():

@@ -1000,6 +1000,19 @@ def test_limit_ladders_take_reducible_t_n_points():
 
 # -- random draws ------------------------------------------------------------
 
+class LowestDraw:
+    """An rng stub whose every randint is its lower bound."""
+
+    def randint(self, a, b):
+        return a
+
+
+def test_random_instance_gives_up_after_its_tries():
+    # every Hahn draw is alpha = beta = 1, which genericity rejects
+    with pytest.raises(RuntimeError, match=r"^no valid draw for hahn after 200 tries$"):
+        random_instance(FamilyKind.HAHN, LowestDraw())
+
+
 def test_random_instance_deterministic():
     a = random_instance(FamilyKind.RACAH, random.Random(3), n_max=4)
     b = random_instance(FamilyKind.RACAH, random.Random(3), n_max=4)

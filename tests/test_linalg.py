@@ -75,6 +75,17 @@ def test_matmul_identity():
     assert identity(2) @ m == m
 
 
+def test_ragged_rows_are_refused():
+    with pytest.raises(ValueError, match=r"^ragged rows$"):
+        RatMat.from_rows([[F(1), F(2)], [F(3)]])
+
+
+def test_mismatched_shapes_do_not_compose():
+    m = RatMat.from_rows([[F(1), F(2)]])
+    with pytest.raises(ValueError, match=r"^shape mismatch 1x2 @ 1x2$"):
+        m @ m
+
+
 def test_empty_shapes_compose_to_zero():
     a = RatMat.build(2, 0, lambda i, j: F(0))
     b = RatMat(0, 3, ())
