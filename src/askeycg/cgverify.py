@@ -36,10 +36,11 @@ Delta(E) Delta(F) on level N, with eigenvalue the lowering coefficient of
 component k, and Omega is the diagonal that symmetrizes T_N. So it is
 certified by commutation alone, in O(N^2) integer operations on the stored
 columns, with no linear system solved (orthogonality_weights gives the steps
-and the proof). Each row of T_N is one row of the run's Delta(E) bands times
-the two rows of its Delta(F) bands it reads, in integers, and Omega and the
-norms stay integer pairs; the verify suite reads that certificate alone, and
-orthogonality_weights reduces it into Fractions for the table and the tests.
+and the proof). Each row of T_N is one row of the run's Delta(E) bands
+times the (at most two) rows of its Delta(F) bands it reads, in integers.
+Omega and the norms stay integer pairs: the verify suite reads that
+certificate alone, and orthogonality_weights reduces it into Fractions for
+the table and the tests.
 
 Every check of a family instance, here and in families and coproduct, takes
 a Run: the artifacts of one verify run (Delta, its bands, the blocks, the
@@ -152,13 +153,13 @@ class Run:
     """The artifacts of one verify run of inst, each built on first use and
     shared by every check that reads it: each factor module with its
     generators (`relations`, `casimir`), the contiguity data, Delta, its
-    integer bands (`raising`, `lowering`, `cg-oracle`, `orthogonality`; built
-    from run.delta on first read), the CG blocks (integer columns) and the component
-    eigenvalues Lambda of every level (`lowering`, `orthogonality`). The
-    contiguity data memoizes every coefficient it evaluates, so the
-    contiguity check, Delta (hence every check that reads it) and the
-    derived side of the algebraic-form check evaluate each coefficient once
-    per run. No artifact outlives its run.
+    integer bands (`raising`, `lowering`, `cg-oracle`, `orthogonality`;
+    built from run.delta on first read), the CG blocks (integer columns) and
+    the component eigenvalues Lambda of every level (`lowering`,
+    `orthogonality`). The contiguity data memoizes every coefficient it
+    evaluates, so the contiguity check, Delta (hence every check that reads
+    it) and the derived side of the algebraic-form check evaluate each
+    coefficient once per run. No artifact outlives its run.
 
     Every check of inst takes the run and reads the artifacts it needs from
     it; raising and lowering read those of each level they walk. The twist
@@ -391,7 +392,7 @@ def _weight_certificate(run: Run, N: int) -> tuple[tuple[int, ...], int, list[tu
     w, L = integer_column(omega)
     norms = []
     for l, (a, c) in enumerate(cols):
-        norm = sum([x * x * y for x, y in zip(a, w)])
+        norm = sum(x * x * y for x, y in zip(a, w))
         if not norm:
             raise failed(5, f"Omega' vanishes at column {l}")
         norms.append((norm, c * c * L))
