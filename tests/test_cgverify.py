@@ -799,8 +799,8 @@ def test_a_delta_given_before_the_first_read_reaches_the_bands_and_t_n():
 def test_a_corrupted_delta_entry_fails_its_block_at_its_step(kind, side, level, ij, factor,
                                                             N, message):
     # one entry of Delta(E) at level N-1 or of Delta(F) at level N, scaled or
-    # zeroed, fails block N alone, with the step and message of the
-    # certificate that composed T_N from the dense operators
+    # zeroed, moves T_N alone: block N fails at its step, with its message,
+    # and every other block keeps the weights of the uncorrupted run
     inst = sample_instance(kind)
     good = Run(inst).delta
     op = getattr(good, side)
