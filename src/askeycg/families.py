@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, log
+from math import comb, gcd, log
 from typing import TYPE_CHECKING, Callable
 
 from .algebras import AlgebraKind, AlgebraTag
@@ -321,22 +321,21 @@ def _integer_in(x: Scalar, lo: int, hi: int) -> bool:
     return x.denominator == 1 and lo <= x.numerator <= hi
 
 
-def _q_exponent(c, q, lo: int, hi: int) -> int | None:
-    """The e in lo..hi with c q^e = 1, or None. c and q are exact rationals,
-    each a Fraction or an integer pair (top, nonzero bottom), unreduced
-    allowed; q avoids 0 and +-1, so |q|^e takes each value once and e =
-    -log|c| / log|q|, rounded, is the one candidate, sized from logs of the
-    tops and bottoms, which no common factor moves. With c = cn / cd and q =
-    u / v, c q^e = 1 is cn u^e == cd v^e, or cn v^-e == cd u^-e for e < 0,
-    decided over integers."""
-    cn, cd = c if type(c) is tuple else c.as_integer_ratio()
-    u, v = q if type(q) is tuple else q.as_integer_ratio()
-    if not cn:
-        return None
-    e = round((log(abs(cd)) - log(abs(cn))) / (log(abs(u)) - log(abs(v))))
-    if lo <= e <= hi and (cn * u ** e == cd * v ** e if e >= 0
-                          else cn * v ** -e == cd * u ** -e):
-        return e
+def _q_exponent(c: tuple[int, int], q: tuple[int, int], lo: int, hi: int) -> int | None:
+    """The e in lo..hi with c q^e = 1, or None, for integer pairs c = cn / cd
+    (unreduced allowed, cd != 0) and q = u / v (reduced, v > 0). As q avoids
+    0 and +-1, its height h = |u| v is >= 2, and reduced c = +-q^-e has height
+    h^|e|: one size |e|, from a logarithm to base h, which stays well apart
+    from 1 however close q is to 1. c q^e = 1 is cn u^e == cd v^e, or
+    cn v^-e == cd u^-e for e < 0, decided over integers."""
+    (cn, cd), (u, v) = c, q
+    g = gcd(cn, cd)
+    height = abs(cn // g * (cd // g))
+    size = round(log(height, abs(u) * v)) if cn else 0
+    for e in (size, -size):
+        if lo <= e <= hi and (cn * u ** e == cd * v ** e if e >= 0
+                              else cn * v ** -e == cd * u ** -e):
+            return e
     return None
 
 

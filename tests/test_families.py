@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -469,16 +470,36 @@ def fraction_q_exponent(c, q, lo, hi):
     return next((e for e in range(lo, hi + 1) if c * q ** e == 1), None)
 
 
-@pytest.mark.parametrize("q", [F(1, 4), F(-1, 4), F(2, 3), F(-3, 2), F(4), F(-2), F(9, 16)])
+NEAR_ONE = F(10 ** 16 + 1, 10 ** 16)  # one double: log cannot tell its top from its bottom
+
+
+@pytest.mark.parametrize("q", [F(1, 4), F(-1, 4), F(2, 3), F(-3, 2), F(4), F(-2), F(9, 16),
+                               NEAR_ONE, -NEAR_ONE])
 def test_q_exponent_equals_the_fraction_rule(q):
-    # c = 0, +-q^-e and twice it for every e just outside each window, and
-    # windows on both sides of 0
+    # c = 0, +-q^-e and twice it for every e just outside each window, each
+    # as a reduced pair and as one with a common factor and negative bottom,
+    # and windows on both sides of 0
     cs = {F(0), F(1), F(-1), F(2)}
     for e in range(-6, 7):
         cs.update({q ** -e, -(q ** -e), 2 * q ** -e, q ** -e / 3})
     for lo, hi in [(-4, 4), (0, 0), (1, 3), (0, 5), (-5, -1), (-2, 0), (3, 2)]:
         for c in cs:
-            assert families._q_exponent(c, q, lo, hi) == fraction_q_exponent(c, q, lo, hi)
+            cn, cd = c.as_integer_ratio()
+            want = fraction_q_exponent(c, q, lo, hi)
+            for pair in ((cn, cd), (-6 * cn, -6 * cd)):
+                assert families._q_exponent(pair, q.as_integer_ratio(), lo, hi) == want
+
+
+def test_q_near_one_is_validated_exactly():
+    # q - 1 = 1e-16: both a q-Hahn point with no excluded power and one with
+    # alpha = q^-2 are decided as over Fractions, with the same message
+    make_instance(FamilyKind.Q_HAHN, q=NEAR_ONE, alpha=F(1, 3), beta=F(1, 15))
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("series denominator (alpha*q; q) vanishes at q^2")):
+        make_instance(FamilyKind.Q_HAHN, q=NEAR_ONE, alpha=NEAR_ONE ** -2, beta=F(1, 15))
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("1 - alpha*beta*q^4 vanishes (contiguity denominator)")):
+        make_instance(FamilyKind.Q_HAHN, q=NEAR_ONE, alpha=F(1, 3), beta=3 * NEAR_ONE ** -4)
 
 
 def test_q_racah_needs_kappas():
