@@ -17,8 +17,9 @@ milliseconds of bench.SETUP_REPEATS in-process builds of the workload
 (`build_ops`, what the benchmark's setup_s times): the whole build, then the
 `families.make_instance` calls inside it, timed on builds of their own so
 that the timing wrapper's cost reaches neither line.
-Stdlib only; no file is written. Run it from the root of a checkout; the
-program is imported from `src/` next to `bench/`.
+Stdlib only; no file is written. The program is imported from the `src/`
+of the checkout that holds this file, whatever the working directory: to
+time another checkout, run that checkout's own copy of the tool.
 """
 
 from __future__ import annotations
