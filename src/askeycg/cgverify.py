@@ -10,7 +10,8 @@ oracle); its reduced view P (a RatMat of Fractions) is made only when read,
 for the table and the tests. cg_block builds the columns in one
 integer pass (families.poly_block), straight from the series, never from the
 contiguity recurrence or another block; they equal poly_value entry by
-entry.
+entry. A run's levels share one families.SeriesTable, the integer tables of
+the series made once, on the first level read (Run.blocks).
 
 Column k of the level-N block must be mapped by Delta(E) onto column k of
 level N+1, and by Delta(F) onto the lowering coefficient of the component
@@ -61,8 +62,8 @@ from .algebras import (ModuleSpec, _phi, build_generators, check_identity, phi,
                        scalar_operator)
 from .coproduct import build_delta
 from .exactmath import InvalidParameterError, Scalar, format_scalar
-from .families import (FamilyInstance, FamilyKind, algebra_for, contiguity, labels,
-                       make_instance, poly_block, tensor_label)
+from .families import (FamilyInstance, FamilyKind, SeriesTable, algebra_for, contiguity,
+                       labels, make_instance, poly_block, tensor_label)
 from .families import poly_value  # noqa: F401  bench/test_bench.py reads cgverify.poly_value
 from .linalg import Column, RatMat, column_mismatches, integer_bands, integer_column
 from .report import CheckResult, first_mismatch
@@ -120,10 +121,10 @@ class WeightData:
                 "normalization": "omega0=1"}
 
 
-def cg_block(inst: FamilyInstance, N: int) -> CGBlock:
-    """The CG block at level N, its columns from families.poly_block: every
-    entry equals poly_value(inst, n, k, N), and N outside 0..n_max is a
-    ValueError."""
+def cg_block(inst: FamilyInstance | SeriesTable, N: int) -> CGBlock:
+    """The CG block at level N, its columns from families.poly_block of inst,
+    the instance or a SeriesTable of it: every entry equals poly_value(inst,
+    n, k, N), and N outside 0..n_max is a ValueError."""
     return CGBlock(N, poly_block(inst, N))
 
 
@@ -154,7 +155,8 @@ class Run:
     shared by every check that reads it: each factor module with its
     generators (`relations`, `casimir`), the contiguity data, Delta, its
     integer bands (`raising`, `lowering`, `cg-oracle`, `orthogonality`;
-    built from run.delta on first read), the CG blocks (integer columns) and
+    built from run.delta on first read), the CG blocks (integer columns,
+    every level from one SeriesTable) and
     the component eigenvalues Lambda of every level (`lowering`,
     `orthogonality`). The contiguity data memoizes every coefficient it
     evaluates, so the contiguity check, Delta (hence every check that reads
@@ -186,7 +188,8 @@ class Run:
 
     @cached_property
     def blocks(self):
-        return {N: cg_block(self.inst, N) for N in range(self.inst.n_max + 1)}
+        table = SeriesTable(self.inst)  # its tables are made by the first level read
+        return {N: cg_block(table, N) for N in range(self.inst.n_max + 1)}
 
     @cached_property
     def eigenvalues(self):

@@ -291,7 +291,9 @@ def build_delta(inst: FamilyInstance, data: ContiguityData) -> Delta:
     The shifts are weighted straight with the contiguity coefficients of
     `data`, which involves no division at all. The Cartan eigenvalues are
     evaluated once per factor and level, as integer pairs, and each entry
-    of Delta(H) or Delta(K) is one Fraction of their products.
+    of Delta(H) or Delta(K) is the integer pair of their products, computed
+    entry by entry; each distinct pair is reduced into one Fraction, shared
+    by every entry that has it through a dict local to this call.
     """
     alg = algebra_for(inst)
     l1, l2 = labels(inst)
@@ -301,9 +303,15 @@ def build_delta(inst: FamilyInstance, data: ContiguityData) -> Delta:
     h1 = [cartan(alg, l1, n).as_integer_ratio() for n in levels]
     h2 = [cartan(alg, l2, m).as_integer_ratio() for m in levels]
 
-    def diagonal(c):  # K x K, or H x I + I x H, as one Fraction
+    reduced = {}  # integer pair -> its Fraction
+
+    def diagonal(c):  # K x K, or H x I + I x H, as one Fraction per distinct pair
         (s1, t1), (s2, t2) = h1[c[0]], h2[c[1]]
-        return Fraction(s1 * s2 if alg.is_q else s1 * t2 + s2 * t1, t1 * t2)
+        pair = (s1 * s2 if alg.is_q else s1 * t2 + s2 * t1, t1 * t2)
+        x = reduced.get(pair)
+        if x is None:
+            x = reduced[pair] = Fraction(*pair)
+        return x
 
     dhk = tensor_operator(dims, ((0, 0), diagonal))
     # weights of E x I, I x E, F x I and I x F at the source basis vector c = (n, m)

@@ -20,16 +20,20 @@ is accumulated in nested form, 1 + r_1 (1 + r_2 (1 + ... r_n)), as one
 integer numerator and denominator; the single reduction is the Fraction
 returned at the end.
 
-The integer cores are public: term_steps, parameter_factors and
-ratio_scales build the term ratios from parameters given as integer pairs;
-scan_poles is the pole rule (a zero term denominator is an error naming its
-term) and live_terms the term rule (the sum stops at the first vanished
-term); nested_sum sums the ratios it is given; and q_binomial_pair is the
-Gaussian binomial before its reduction. The kernels here and
-families.poly_block share them, so both follow one pole and one term rule.
-poly_block splits its tables once per level: each row's and each column's
-factors once, poles scanned once per row, and each entry summed only up to
-its first vanished term, at most min(n, k).
+The integer cores are public: term_steps, parameter_factors,
+denominator_factors and ratio_scales build the term ratios from parameters
+given as integer pairs; scan_poles is the pole rule (a zero term
+denominator is an error naming its term) and live_terms the term rule (the
+sum stops at the first vanished term); nested_sum sums the ratios it is
+given; and q_binomial_pair is the Gaussian binomial before its reduction,
+from the factors v^i - u^i of q_factors, made by the call or shared. The
+kernels here and families.poly_block share them, so both follow one pole
+and one term rule. poly_block slices tables made once per instance
+(families.SeriesTable): the steps and every row's, column's and fixed
+denominator's factors once, then per level the ratio scales, each column's
+factors reduced against the level's term denominators, poles scanned once
+per row, and each entry summed only up to its first vanished term, at most
+min(n, k).
 
 The coefficient layer carries the same idea into closed-form expressions:
 families.contiguity and the closed forms of coproduct.algebraic_form read
@@ -63,8 +67,10 @@ __all__ = [
     "binomial",
     "q_binomial",
     "q_binomial_pair",
+    "q_factors",
     "term_steps",
     "parameter_factors",
+    "denominator_factors",
     "ratio_scales",
     "scan_poles",
     "live_terms",
@@ -159,35 +165,41 @@ def q_binomial(N: int, n: int, q: Scalar) -> Scalar:
     return Fraction(*q_binomial_pair(N, n, q))
 
 
-def q_binomial_pair(N: int, n: int, q: Scalar) -> tuple[int, int]:
-    """The Gaussian binomial as an unreduced integer pair (top, bottom);
-    (0, 1) outside 0 <= n <= N.
+def q_binomial_pair(N: int, n: int, q: Scalar,
+                    factors: Sequence[int] | None = None) -> tuple[int, int]:
+    """The Gaussian binomial as an integer pair (top, v^{n(N-n)}), not
+    reduced further; (0, 1) outside 0 <= n <= N.
 
     With q = u/v, 1 - q^i = (v^i - u^i) / v^i, and the powers of v cancel to
     v^{-n(N-n)}. The integer factors v^i - u^i for i up to the larger of n
     and N-n cancel against (q;q)_N, so only they are checked for zero; the
-    ones above it form the numerator and those up to the smaller one the
-    denominator.
+    product of the ones above it, divided exactly by that of the ones up to
+    the smaller one, is top: the Gaussian binomial is a polynomial in q of
+    degree n(N-n), so top is its homogeneous form in u and v, an integer.
+    factors, when given, is q_factors(M, q) for some M >= N, shared by the
+    calls of one table; else the factors are made here.
     """
     if q == 0 or q == 1:
         raise InvalidParameterError("q_binomial undefined at q in {0, 1}")
     if n < 0 or n > N:
         return 0, 1
-    u, v = q.numerator, q.denominator
+    if factors is None:
+        factors = q_factors(N, q)
     low, high = sorted((n, N - n))
-    top = bottom = 1
-    u_i = v_i = 1
-    for i in range(1, N + 1):
+    if 0 in factors[:high]:
+        raise SingularParameterError(f"(q;q) factor vanishes for q={q}")
+    return math.prod(factors[high:N]) // math.prod(factors[:low]), q.denominator ** (n * (N - n))
+
+
+def q_factors(n: int, q: Scalar) -> list[int]:
+    """The integer factors v^i - u^i of (q; q)_n, i = 1..n, for q = u/v."""
+    u, v = q.numerator, q.denominator
+    out, u_i, v_i = [], 1, 1
+    for _ in range(n):
         u_i *= u
         v_i *= v
-        factor = v_i - u_i
-        if i > high:
-            top *= factor
-        elif factor == 0:
-            raise SingularParameterError(f"(q;q) factor vanishes for q={q}")
-        elif i <= low:
-            bottom *= factor
-    return top, bottom * v ** (n * (N - n))
+        out.append(v_i - u_i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +231,33 @@ def parameter_factors(params: Sequence[tuple[int, int]],
     return f, d
 
 
-def ratio_scales(den: Sequence[tuple[int, int]], z: tuple[int, int],
-                 steps: Sequence[tuple[int, int]], r: int,
+def denominator_factors(den: Sequence[tuple[int, int]], steps: Sequence[tuple[int, int]],
+                        q: Scalar | None = None) -> tuple[list[int], int]:
+    """parameter_factors of the denominator parameters den, integer pairs,
+    with the implicit j! = (1)_j, or (q; q)_j, among them."""
+    return parameter_factors([*den, (1, 1) if q is None else q.as_integer_ratio()], steps)
+
+
+def ratio_scales(den: tuple[Sequence[int], int], z: tuple[int, int], e: int,
                  q: Scalar | None = None) -> tuple[list[int], list[int]]:
-    """(tops, bottoms): what the term ratios of the given term_steps, of a
-    series with r numerator parameters, owe to everything but those
-    parameters; den and z are integer pairs.
+    """(tops, bottoms): what the term ratios of a series owe to everything but
+    its numerator parameters, given den = (f, d) from denominator_factors, the
+    argument z as an integer pair and e, the number of denominator
+    parameters, the implicit one included, less the number r of numerator
+    ones.
 
     Term i+1 over term i is z prod(a + i) / prod(b + i), or z prod(1 - q^i a)
     / prod(1 - q^i b), with the implicit j! = (1)_j or (q; q)_j among the b.
-    Given the numerators' (f, d) from parameter_factors, that ratio is
-    f[i] tops[i] / (d bottoms[i]): tops[i] = zn prod(bd) v^{max(i e, 0)} and
-    bottoms[i] = zd v^{max(-i e, 0)} prod(bn + i bd), or prod(v^i bd - u^i bn),
-    where e is the number of b, implicit one included, less r.
+    Given the numerators' (f', d') from parameter_factors, that ratio is
+    f'[i] tops[i] / (d' bottoms[i]): tops[i] = zn d v^{max(i e, 0)} and
+    bottoms[i] = zd v^{max(-i e, 0)} f[i], as f[i] is prod(bn + i bd), or
+    prod(v^i bd - u^i bn), and d is prod(bd).
     """
-    f, d = parameter_factors([*den, (1, 1) if q is None else q.as_integer_ratio()], steps)
+    f, d = den
     top, bottom = z[0] * d, z[1]
     if q is None:
         return [top] * len(f), [bottom * x for x in f]
-    e, v = len(den) + 1 - r, q.denominator
+    v = q.denominator
     return ([top * v ** max(i * e, 0) for i in range(len(f))],
             [bottom * v ** max(-i * e, 0) * x for i, x in enumerate(f)])
 
@@ -287,8 +307,9 @@ def _sum(num: Sequence[Scalar], den: Sequence[Scalar], z: Scalar, n: int,
             q: Scalar | None) -> Scalar:
     steps = term_steps(n, q)
     f, d = parameter_factors([x.as_integer_ratio() for x in num], steps)
-    tops, bottoms = ratio_scales([x.as_integer_ratio() for x in den], z.as_integer_ratio(),
-                                 steps, len(num), q)
+    tops, bottoms = ratio_scales(
+        denominator_factors([x.as_integer_ratio() for x in den], steps, q),
+        z.as_integer_ratio(), len(den) + 1 - len(num), q)
     scan_poles(bottoms)
     return Fraction(*nested_sum(f, tops, d, bottoms, min(live_terms(f), live_terms(tops))))
 

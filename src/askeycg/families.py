@@ -8,11 +8,14 @@ level N:
     mu(k, N) P_n(k, N-1) = beta1(n, N) P_{n+1}(k, N) + beta2(n, N) P_n(k, N)
 
 with the boundary convention P_{-1} = P_{N+1} = 0. Each family's series
-parameters are written once, as integer pairs (_series): poly_value
-evaluates one P_n(k, N) through the public (q-)series kernels, and
-poly_block builds a whole level N in one integer loop over tables made once
-per level, each entry summed up to its first vanished term, as integer
-columns over their least common denominators. The left-hand coefficient
+parameters are written once, as integer pairs in pieces that do not depend
+on the level (_parameters): poly_value evaluates one P_n(k, N) through the
+public (q-)series kernels, and poly_block builds a whole level N in one
+integer loop over a SeriesTable, integer tables made once per instance (a
+verify run makes one for all its levels), with each column's factors
+reduced against the level's term denominators and each entry summed up to
+its first vanished term, as integer columns over their least common
+denominators. The left-hand coefficient
 mu(k, N) matches the lowering coefficient of an algebra acting on a tensor
 product of two lowest-weight modules, which is what makes these families
 Clebsch-Gordan coefficients; the mapping is
@@ -40,15 +43,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import comb, gcd, log
 from typing import TYPE_CHECKING, Callable
 
 from .algebras import AlgebraKind, AlgebraTag
 from .exactmath import (InvalidParameterError, Scalar, SingularParameterError, as_scalar,
-                        format_scalar, hyper_terminating, live_terms, nested_sum,
-                        parameter_factors, power_pairs, q_binomial_pair, q_hyper_terminating,
-                        ratio_scales, scan_poles, term_steps)
+                        denominator_factors, format_scalar, hyper_terminating, live_terms,
+                        nested_sum, parameter_factors, power_pairs, q_binomial_pair, q_factors,
+                        q_hyper_terminating, ratio_scales, scan_poles, term_steps)
 from .linalg import column_mismatches, integer_bands, integer_column
 from .report import CheckResult, first_mismatch
 
@@ -57,7 +60,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FamilyKind", "FamilyInstance", "ContiguityData", "make_instance",
-    "poly_value", "poly_block", "contiguity", "check_contiguity",
+    "poly_value", "poly_block", "SeriesTable", "contiguity", "check_contiguity",
     "check_three_term_dual_hahn", "limit_hahn_to_krawtchouk",
     "limit_racah_to_dual_hahn", "algebra_for", "labels",
 ]
@@ -343,13 +346,14 @@ def _q_exponent(c: tuple[int, int], q: tuple[int, int], lo: int, hi: int) -> int
 # polynomial values
 # ---------------------------------------------------------------------------
 
-def _series(inst: FamilyInstance, N: int):
-    """The series of P_n(k, N) on level N as (row, col, den, z), every
-    parameter an integer pair (numerator, nonzero denominator): row(n) and
-    col(k) are the numerator parameters that vary with n and with k, row(n)
-    leading with -n (or q^{-n}) and col(k) with -k (or q^{-k}); den holds the
-    denominator parameters, the implicit k! (or (q; q)_k) aside, and z is the
-    argument (q for q-kinds). A row or column costs integer products only."""
+def _parameters(inst: FamilyInstance):
+    """The one parameter table of the series of every level: (lead, col,
+    shifted, fixed, z), each parameter an integer pair (numerator, nonzero
+    denominator), in pieces that do not depend on the level. P_n(k, N) has
+    the numerator parameters lead(n), shifted(n - N) and col(k), where
+    lead(m) is -m (or q^{-m}) and col(k) leads with lead(k); its denominator
+    parameters are fixed and lead(N), the implicit k! (or (q; q)_k) aside;
+    z is the argument (q for q-kinds). A piece costs integer products only."""
     a, b, g, q = inst.alpha, inst.beta, inst.gamma, inst.q
     kind = inst.kind
     if not kind.is_q:
@@ -357,18 +361,20 @@ def _series(inst: FamilyInstance, N: int):
             xn, xd = x.as_integer_ratio()
             return xn + c * xd, xd
 
+        def lead(m):
+            return -m, 1
+
         if kind is FamilyKind.KRAWTCHOUK:
-            return (lambda n: [(-n, 1)], lambda k: [(-k, 1)], [(-N, 1)],
-                    (1 / inst.p).as_integer_ratio())
+            return lead, lambda k: [lead(k)], lambda j: [], [], (1 / inst.p).as_integer_ratio()
         s = a + b
         if kind is FamilyKind.DUAL_HAHN:
-            return (lambda n: [(-n, 1)], lambda k: [(-k, 1), plus(s, k + 1)],
-                    [plus(a, 1), (-N, 1)], (1, 1))
+            return (lead, lambda k: [lead(k), plus(s, k + 1)], lambda j: [], [plus(a, 1)],
+                    (1, 1))
         if kind is FamilyKind.HAHN:
-            return (lambda n: [(-n, 1), plus(s, n - N + 1)], lambda k: [(-k, 1)],
-                    [plus(a, 1), (-N, 1)], (1, 1))
-        return (lambda n: [(-n, 1), plus(s, n - N + 1)], lambda k: [(-k, 1), plus(g, k)],
-                [plus(a, 1), plus(b + g, 1), (-N, 1)], (1, 1))
+            return (lead, lambda k: [lead(k)], lambda j: [plus(s, j + 1)], [plus(a, 1)],
+                    (1, 1))
+        return (lead, lambda k: [lead(k), plus(g, k)], lambda j: [plus(s, j + 1)],
+                [plus(a, 1), plus(b + g, 1)], (1, 1))
 
     u, v = q.as_integer_ratio()
 
@@ -376,26 +382,31 @@ def _series(inst: FamilyInstance, N: int):
         xn, xd = x.as_integer_ratio()
         return (xn * u ** e, xd * v ** e) if e >= 0 else (xn * v ** -e, xd * u ** -e)
 
+    def lead(m):
+        return v ** m, u ** m
+
     ab = a * b
 
-    def row(n):
-        return [(v ** n, u ** n), power(ab, n - N + 1)]
+    def shifted(j):
+        return [power(ab, j + 1)]
 
     if kind is FamilyKind.Q_HAHN:
-        return (row, lambda k: [(v ** k, u ** k)], [power(a, 1), (v ** N, u ** N)], (u, v))
-    return (row, lambda k: [(v ** k, u ** k), power(g, k)],
-            [power(a, 1), power(b * g, 1), (v ** N, u ** N)], (u, v))
+        return lead, lambda k: [lead(k)], shifted, [power(a, 1)], (u, v)
+    return (lead, lambda k: [lead(k), power(g, k)], shifted,
+            [power(a, 1), power(b * g, 1)], (u, v))
 
 
-def _prefactor(inst: FamilyInstance, n: int, N: int) -> tuple[int, int]:
-    """The (q-)binomial prefactor of P_n(k, N) as an integer pair."""
-    return q_binomial_pair(N, n, inst.q) if inst.kind.is_q else (comb(N, n), 1)
+def _prefactor(inst: FamilyInstance, n: int, N: int,
+               factors: list[int] | None = None) -> tuple[int, int]:
+    """The (q-)binomial prefactor of P_n(k, N) as an integer pair; factors
+    as exactmath.q_binomial_pair takes them."""
+    return q_binomial_pair(N, n, inst.q, factors) if inst.kind.is_q else (comb(N, n), 1)
 
 
 def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
     """P_n(k, N), including the (q-)binomial prefactor; 0 for n outside 0..N.
     The public single-entry route, through the public (q-)series kernels,
-    with _series's integer pairs turned into Fractions."""
+    with _parameters's integer pairs turned into Fractions."""
     if not 0 <= N <= inst.n_max:
         raise ValueError(f"N must lie in 0..{inst.n_max}")
     if not 0 <= k <= N:
@@ -403,52 +414,116 @@ def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
     if n < 0 or n > N:
         return Fraction(0)
     prefactor = Fraction(*_prefactor(inst, n, N))
-    row, col, den, z = _series(inst, N)
-    num = [Fraction(*x) for x in row(n) + col(k)]
-    den = [Fraction(*x) for x in den]
+    lead, col, shifted, fixed, z = _parameters(inst)
+    num = [Fraction(*x) for x in (lead(n), *shifted(n - N), *col(k))]
+    den = [Fraction(*x) for x in (*fixed, lead(N))]
     if inst.kind.is_q:
         return prefactor * q_hyper_terminating(num, den, inst.q, Fraction(*z), n)
     return prefactor * hyper_terminating(num, den, Fraction(*z), n)
 
 
-def poly_block(inst: FamilyInstance, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+class SeriesTable:
+    """The integer tables of inst's series for the levels 0..n_max (inst's
+    own n_max by default), which every level of poly_block slices: made from
+    _parameters on the first level read, and kept for as long as this object
+    lives. A verify run makes one (Run.blocks) and builds each level from it.
+
+    Per instance: the term steps up to n_max (exactmath.term_steps); each
+    column's factors (exactmath.parameter_factors) up to its first vanished
+    one (exactmath.live_terms), so at most k; the factors of lead(m) for
+    every m, which serve row m and the denominator of level m; those of
+    shifted(j) for every j = n - N; the fixed denominator factors with the
+    implicit k! or (q; q)_k (exactmath.denominator_factors); and for
+    q-kinds the Gaussian-binomial factors v^i - u^i (exactmath.q_factors).
+    """
+
+    def __init__(self, inst: FamilyInstance, n_max: int | None = None):
+        self.inst = inst
+        self.n_max = inst.n_max if n_max is None else n_max
+
+    @cached_property
+    def _tables(self):
+        """(cols, leads, shifted, fixed, e, z, gauss): each column's (f, d)
+        up to its first zero, lead(m)'s (f, d) by m, shifted(j)'s by j, the
+        fixed denominators' (f, d), e and z for exactmath.ratio_scales, and
+        the Gaussian-binomial factors (None classically)."""
+        inst, nm = self.inst, self.n_max
+        lead, col, shifted, fixed, z = _parameters(inst)
+        q = inst.q if inst.kind.is_q else None
+        steps = term_steps(nm, q)
+        cols = []
+        for k in range(nm + 1):
+            f, d = parameter_factors(col(k), steps[:k])
+            cols.append((f[:live_terms(f)], d))
+        r = 1 + len(shifted(0)) + len(col(0))  # numerator parameters per entry
+        return (cols, [parameter_factors([lead(m)], steps[:m]) for m in range(nm + 1)],
+                {j: parameter_factors(shifted(j), steps[:nm + j]) for j in range(-nm, 1)},
+                denominator_factors(fixed, steps, q), len(fixed) + 2 - r, z,
+                None if q is None else q_factors(nm, q))
+
+    def level(self, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The columns of level N (poly_block); N outside 0..inst.n_max, or
+        above the table's n_max, is a ValueError."""
+        inst = self.inst
+        if not 0 <= N <= inst.n_max:
+            raise ValueError(f"N must lie in 0..{inst.n_max}")
+        if N > self.n_max:
+            raise ValueError(f"the table holds the levels 0..{self.n_max}")
+        cols, leads, shifted, (fixed, fd), e, z, gauss = self._tables
+        q = inst.q if inst.kind.is_q else None
+        f, d = leads[N]
+        tops, bottoms = ratio_scales(([x * y for x, y in zip(fixed, f)], fd * d), z, e, q)
+        reduced = []  # each column's factors over its term denominators, in lowest terms
+        for f, d in cols[:N + 1]:
+            cf, cb = [], []
+            for x, y in zip(f, bottoms):
+                y *= d
+                g = gcd(x, y)  # x != 0: the column's factors stop before a zero
+                cf.append(x // g)
+                cb.append(y // g)
+            reduced.append((cf, cb, len(cf)))
+        out = [[] for _ in range(N + 1)]
+        for n in range(N + 1):
+            pre_top, pre_bottom = _prefactor(inst, n, N, gauss)
+            scan_poles(bottoms[:n])
+            (f, d), (f2, d2) = leads[n], shifted[n - N]
+            d *= d2
+            g = gcd(d, *tops[:1])  # tops[0] divides every top
+            f, d = [x * y * (t // g) for x, y, t in zip(f, f2, tops)], d // g
+            stop = live_terms(f)
+            for column, (cf, cb, live) in zip(out, reduced):
+                top, bottom = nested_sum(f, cf, d, cb, stop if stop < live else live)
+                column.append((pre_top * top, pre_bottom * bottom))
+        return tuple(integer_column(entries) for entries in out)
+
+
+def poly_block(inst: FamilyInstance | SeriesTable,
+               N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The columns k of the CG block P[n][k] = P_n(k, N), built in one pass
     over integers: column k is linalg.integer_column of its entries, (a, c)
-    with P[n][k] = a[n] / c, c > 0, a and c coprime.
+    with P[n][k] = a[n] / c, c > 0, a and c coprime. inst is the instance,
+    whose levels up to N get a SeriesTable of their own, or a SeriesTable
+    shared by every level of a run.
 
-    The level is split once into integer tables by exactmath's cores: the
-    term steps, the term denominators and the powers of q once; each
-    column's factors (exactmath.parameter_factors) once per k; each row's
-    factors, prefactor and pole scan (the pole rule, exactmath.scan_poles)
-    once per n. Entry (n, k) is then exactmath.nested_sum of its first m
-    term ratios, m from the term rule (exactmath.live_terms): where the
-    row's or the column's factors first vanish, so at most min(n, k), as -n
-    (or q^{-n}) vanishes at term n and -k (or q^{-k}) at term k. The unreduced pairs go to integer_column
-    as they are, so no Fraction is built. Values, and errors in row-major
-    order, are those of poly_value; nothing is read from the contiguity
-    recurrence or from another block, and no table outlives the call.
+    The level slices the table and builds only what depends on N: the
+    ratio scales (exactmath.ratio_scales) over the denominator factors of
+    level N; each column's factors, reduced against the level's term
+    denominators times the column's own denominator, one gcd per term; and
+    per row n the prefactor, the pole scan (the pole rule,
+    exactmath.scan_poles), and the row's factors times the scales over the
+    row's denominator, reduced by the gcd of that denominator and the first
+    scale, which divides every scale. Entry (n, k) is then
+    exactmath.nested_sum of its first m term ratios, m from the term rule
+    (exactmath.live_terms): where the row's or the column's factors first
+    vanish, so at most min(n, k), as -n (or q^{-n}) vanishes at term n and
+    -k (or q^{-k}) at term k. The unreduced pairs go to integer_column as
+    they are, so no Fraction is built. Values, and errors in row-major
+    order, are those of poly_value; nothing is read from the
+    contiguity recurrence or from another block.
     """
-    if not 0 <= N <= inst.n_max:
-        raise ValueError(f"N must lie in 0..{inst.n_max}")
-    row, col, den, z = _series(inst, N)
-    q = inst.q if inst.kind.is_q else None
-    steps = term_steps(N, q)
-    tops, bottoms = ratio_scales(den, z, steps, len(row(0)) + len(col(0)), q)
-    cols = []
-    for k in range(N + 1):
-        f, d = parameter_factors(col(k), steps)
-        cols.append((f, live_terms(f), d))
-    out = [[] for _ in range(N + 1)]
-    for n in range(N + 1):
-        pre_top, pre_bottom = _prefactor(inst, n, N)
-        scan_poles(bottoms[:n])
-        f, d = parameter_factors(row(n), steps)
-        f = [x * y for x, y in zip(f, tops)]
-        stop = live_terms(f)
-        for column, (cf, cstop, cd) in zip(out, cols):
-            top, bottom = nested_sum(f, cf, d * cd, bottoms, min(stop, cstop))
-            column.append((pre_top * top, pre_bottom * bottom))
-    return tuple(integer_column(entries) for entries in out)
+    if isinstance(inst, FamilyInstance):
+        inst = SeriesTable(inst, max(N, 0))
+    return inst.level(N)
 
 
 # ---------------------------------------------------------------------------

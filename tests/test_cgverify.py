@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import askeycg.cgverify as cgverify
+import askeycg.families as families
 import askeycg.linalg as linalg
 from askeycg.algebras import GradedOperator, scalar_operator
 from askeycg.cgverify import (CGBlock, DegenerateKernelError, Run, WeightData,
@@ -23,8 +24,8 @@ from askeycg.cli import run_verify_suite, table_doc
 from askeycg.coproduct import Delta, build_delta
 from askeycg.exactmath import (InvalidParameterError, SingularParameterError,
                                binomial, format_scalar, q_binomial)
-from askeycg.families import (FamilyInstance, FamilyKind, check_contiguity, contiguity,
-                              make_instance, poly_value)
+from askeycg.families import (FamilyInstance, FamilyKind, SeriesTable, check_contiguity,
+                              contiguity, make_instance, poly_block, poly_value)
 from askeycg.linalg import RatMat, nullspace, rank
 from askeycg.report import first_failure
 
@@ -198,6 +199,128 @@ def test_block_sums_stop_at_the_first_vanished_term(inst, pole):
         with pytest.raises(SingularParameterError) as got:
             cg_block(inst, N)
         assert (got.value.term, str(got.value)) == (want.term, str(want))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(n_max=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_blocks_equal_blocks_built_alone(kind, n_max, seed):
+    # the run's levels slice one SeriesTable; each level built alone makes
+    # its own table for the levels up to it
+    inst = wide_instance(kind, random.Random(seed), n_max)
+    assert Run(inst).blocks == {N: cg_block(inst, N) for N in range(n_max + 1)}
+
+
+def test_run_blocks_make_one_table_on_the_first_level_read(monkeypatch):
+    # cg_block is still called once per level, each time with the same table,
+    # and the parameter table is written once, inside the first call
+    inst = sample_instance(FamilyKind.Q_RACAH, n_max=4)
+    made, sources = [], []
+    original_parameters, original_block = families._parameters, cgverify.cg_block
+
+    def parameters(inst):
+        made.append(len(sources))
+        return original_parameters(inst)
+
+    def block(source, N):
+        sources.append(source)
+        return original_block(source, N)
+
+    monkeypatch.setattr(families, "_parameters", parameters)
+    monkeypatch.setattr(cgverify, "cg_block", block)
+    blocks = Run(inst).blocks
+    assert len(sources) == inst.n_max + 1 and made == [1]
+    assert all(type(s) is SeriesTable and s is sources[0] for s in sources)
+    assert blocks == {N: original_block(inst, N) for N in blocks}
+
+
+def test_a_table_builds_no_level_above_its_own_n_max():
+    inst = sample_instance(FamilyKind.HAHN, n_max=4)
+    assert poly_block(SeriesTable(inst, 2), 2) == poly_block(inst, 2)
+    with pytest.raises(ValueError, match=re.escape("the table holds the levels 0..2")):
+        poly_block(SeriesTable(inst, 2), 3)
+    with pytest.raises(ValueError, match=re.escape("N must lie in 0..4")):
+        poly_block(SeriesTable(inst, 2), 5)
+
+
+def level_or_error(source, N):
+    """poly_block(source, N), or its error as (type, message, term)."""
+    try:
+        return poly_block(source, N)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "term", None)
+
+
+def entries_or_first_error(inst, N):
+    """The columns of level N from poly_value, each integer_column of its
+    entries, or the first error of a poly_value call in row-major order."""
+    values = [[None] * (N + 1) for _ in range(N + 1)]
+    for n in range(N + 1):
+        for k in range(N + 1):
+            try:
+                values[k][n] = poly_value(inst, n, k, N)
+            except Exception as exc:
+                return type(exc), str(exc), getattr(exc, "term", None)
+    return tuple(linalg.integer_column(column) for column in values)
+
+
+@st.composite
+def unvalidated_instance(draw, kind):
+    """A FamilyInstance(...) of kind built without validation: integer alpha,
+    beta, gamma or small fractions, and q from {0, +-1, +-2} or a small
+    fraction, so poles, vanished terms and degenerate q all occur."""
+    integer = st.integers(-4, 4).map(F)
+    value = st.one_of(integer, st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+    params = {name: draw(value) for name in ("alpha", "beta", "gamma", "lambda1", "lambda2")}
+    if kind is FamilyKind.KRAWTCHOUK:
+        params["p"] = draw(value)
+    if kind.is_q:
+        params["q"] = draw(st.one_of(st.sampled_from([F(0), F(1), F(-1), F(2), F(-2)]),
+                                     st.builds(F, st.integers(-5, 5), st.integers(1, 5))))
+        params["kappa1"], params["kappa2"] = draw(value), draw(value)
+    return FamilyInstance(kind, draw(st.integers(1, 7)), **params)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_equals_the_entry_route_or_raises_its_first_error(kind, data):
+    # every level, alone and from a run-wide table, equals poly_value entry by
+    # entry or raises poly_value's first error in row-major order, with the
+    # same type, message and term
+    inst = data.draw(unvalidated_instance(kind))
+    table = SeriesTable(inst)
+    for N in range(inst.n_max + 1):
+        want = entries_or_first_error(inst, N)
+        assert level_or_error(inst, N) == want
+        assert level_or_error(table, N) == want
+
+
+@pytest.mark.parametrize("q", [F(0), F(1)])
+def test_block_at_degenerate_q_raises_the_binomial_error_first(q):
+    # q in {0, 1}: the table is built without an error, and each level raises
+    # q_binomial's InvalidParameterError before any series term is read
+    inst = FamilyInstance(FamilyKind.Q_RACAH, 3, q=q, alpha=F(1, 5), beta=F(2),
+                          gamma=F(-1), kappa1=F(1, 2), kappa2=F(1, 3))
+    table = SeriesTable(inst)
+    for N in range(4):
+        want = (InvalidParameterError, "q_binomial undefined at q in {0, 1}", None)
+        assert entries_or_first_error(inst, N) == want
+        assert level_or_error(inst, N) == level_or_error(table, N) == want
+
+
+def test_a_pole_meets_a_vanished_column_factor_and_a_live_one():
+    # alpha = -2: (alpha + 1)_j vanishes at term 2, where the factor -k + 1
+    # of column 1 vanishes too and column 3 is still live; the zero bottom is
+    # reduced against the live factor and never against the vanished one, so
+    # the pole rule still names term 2
+    inst = FamilyInstance(FamilyKind.HAHN, 4, alpha=F(-2), beta=F(1, 2),
+                          lambda1=F(1), lambda2=F(2))
+    want = (SingularParameterError, "denominator parameter hits a pole at term k=2", 2)
+    for N in (3, 4):
+        assert entries_or_first_error(inst, N) == want
+        assert level_or_error(inst, N) == level_or_error(SeriesTable(inst), N) == want
+    assert_block_matches_entries(inst, 1)
 
 
 def test_first_column_is_binomial_vector():

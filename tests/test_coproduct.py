@@ -6,7 +6,7 @@ import pytest
 from askeycg import coproduct, report
 
 from askeycg.algebras import check_identity, phi, scalar_operator
-from askeycg.cgverify import Run
+from askeycg.cgverify import Run, verify_weight_grading
 from askeycg.coproduct import (algebraic_form, build_delta, check_algebraic_form,
                                check_homomorphism, check_twist_qracah_specialization,
                                coassoc_constraint, coproduct_coeffs, krawtchouk_coassoc)
@@ -14,6 +14,7 @@ from askeycg.exactmath import InvalidParameterError, SingularParameterError
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                               contiguity, labels, make_instance)
 from askeycg.linalg import nullspace
+from askeycg.report import first_failure
 
 from test_algebras import with_entry
 from test_coefficient_reference import assert_algebraic_form_matches_reference
@@ -120,6 +121,23 @@ def test_build_delta_evaluates_cartan_and_phi_once_per_factor_level(kind, monkey
     levels = inst.n_max + 1  # per factor
     assert len(calls["cartan"]) <= 2 * levels
     assert calls["phi"] == []  # the contiguity weights need no lowering factor
+
+
+@pytest.mark.parametrize("kind, factor, row, lhs, rhs", [
+    (FamilyKind.HAHN, 0, "2", "8", "7"), (FamilyKind.HAHN, 1, "0", "8", "7"),
+    (FamilyKind.Q_RACAH, 0, "2", "11/32", "1/96"), (FamilyKind.Q_RACAH, 1, "0", "49/96", "1/96")])
+def test_delta_hk_reads_each_entrys_own_cartan_pairs(kind, factor, row, lhs, rhs, monkeypatch):
+    # one factor's eigenvalue shifted at its level 2 reaches exactly the
+    # entries that read it: grading fails at the first of them, with the
+    # witness the per-entry Fractions gave; Delta(H) or Delta(K) shares one
+    # Fraction per distinct integer pair, never one per level
+    inst = sample_instance(kind, n_max=4)
+    label, original = labels(inst)[factor], coproduct.cartan
+    monkeypatch.setattr(coproduct, "cartan", lambda alg, x, n: original(alg, x, n)
+                        + (x == label and n == 2))
+    failed = first_failure(verify_weight_grading(Run(inst)))
+    assert failed.to_dict()["witness"] == {"where": {"N": "2", "row": row, "col": row},
+                                           "lhs": lhs, "rhs": rhs}
 
 
 # -- homomorphism ---------------------------------------------------------------

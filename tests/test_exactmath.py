@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from askeycg.exactmath import (InvalidParameterError, SingularParameterError, as_scalar,
                                binomial, format_scalar, hyper_terminating, parse_scalar,
-                               pochhammer, power_pairs, q_binomial, q_hyper_terminating,
-                               q_pochhammer)
+                               pochhammer, power_pairs, q_binomial, q_binomial_pair,
+                               q_factors, q_hyper_terminating, q_pochhammer)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 small_q = st.fractions(min_value=F(1, 9), max_value=F(9, 10), max_denominator=10)
@@ -132,6 +133,24 @@ def test_q_binomial_at_minus_one():
         q_binomial(3, 1, F(-1))
     assert q_binomial(2, 1, F(-1)) == 0
     assert q_binomial(1, 0, F(-1)) == 1
+
+
+@given(M=st.integers(min_value=0, max_value=10), N=st.integers(min_value=0, max_value=10),
+       n=st.integers(min_value=-1, max_value=11), q=st.one_of(any_q, st.just(F(-1))))
+def test_q_binomial_pair_from_a_shared_factor_table(M, N, n, q):
+    # a table of v^i - u^i made for M >= N gives the pair made alone, the
+    # vanishing-factor error included; the bottom is v^{n(N-n)}, as the
+    # Gaussian binomial is a polynomial in q of that degree
+    factors = q_factors(max(M, N), q)
+    assert factors == [q.denominator ** i - q.numerator ** i for i in range(1, max(M, N) + 1)]
+    try:
+        want = q_binomial_pair(N, n, q)
+    except SingularParameterError as exc:
+        with pytest.raises(SingularParameterError, match=re.escape(str(exc))):
+            q_binomial_pair(N, n, q, factors)
+    else:
+        assert q_binomial_pair(N, n, q, factors) == want
+        assert want[1] == (q.denominator ** (n * (N - n)) if 0 <= n <= N else 1)
 
 
 def test_q_binomial_rejects_degenerate_q():

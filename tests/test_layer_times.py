@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 import sys
 from pathlib import Path
@@ -65,3 +66,48 @@ def test_a_check_and_an_artifact_of_one_name_are_timed_apart(monkeypatch):
     times = layer_times.one_pass(ops)
     assert times["artifact", "contiguity"] == times["check", "contiguity"] == len(ops)
     assert times["pass", "verify"] == 1
+
+
+def test_a_draw_spec_times_one_random_instance_like_a_workload(capsys):
+    # KIND@NMAX[:SEED] is cgverify.random_instance(KIND, Random(SEED), NMAX),
+    # seed 0 by default, with every check; its lines are a workload's, with
+    # the largest stored block integer in bits before the setup lines
+    draw, seed = layer_times.parse("hahn@3")
+    assert (draw, seed) == (layer_times.Draw("hahn", 3), 0)
+    assert layer_times.parse("q-racah@48:7") == (layer_times.Draw("q-racah", 48), 7)
+    assert layer_times.parse("sweep") == (layer_times.bench.WORKLOADS["sweep"], 1)
+    (op,), rejected = layer_times.build(draw, seed)
+    assert (op.inst, op.checks, rejected) == (
+        layer_times.cgverify.random_instance("hahn", random.Random(0), 3), None, 0)
+    bits = max(x.bit_length() for N in range(4)
+               for a, c in layer_times.cgverify.cg_block(op.inst, N).columns for x in (*a, c))
+    assert layer_times.block_bits([op]) == bits
+
+    assert layer_times.main(["hahn@3", "--repeats", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "hahn@3 seed=0: 1 ops, median CPU ms per pass of 2"
+    checks = ["contiguity", "relations", "casimir", "homomorphism", "algebraic-form",
+              "grading", "raising", "lowering", "cg-oracle", "orthogonality"]
+    want = ([("artifact", name) for name in layer_times.ARTIFACTS]
+            + [("check", name) for name in checks] + [("pass", "verify")])
+    layers = lines[1:len(want) + 1]
+    assert [tuple(line.split()[:2]) for line in layers] == want
+    assert lines[len(want) + 1].split() == ["blocks", "max-bits", str(bits)]
+    assert [tuple(line.split()[:2]) for line in lines[len(want) + 2:]] == SETUP_LINES
+
+
+def test_a_draws_setup_lines_time_its_make_instance_calls(monkeypatch):
+    # random_instance calls cgverify.make_instance: with a clock that ticks
+    # once per reading each build is 1, and so is its one accepted draw
+    draw = layer_times.Draw("q-hahn", 2)
+    original = layer_times.cgverify.make_instance
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(layer_times, "process_time", lambda: next(ticks))
+    times = layer_times.setup_times(draw, 0, repeats=3)
+    assert layer_times.cgverify.make_instance is original
+    tries = []
+    monkeypatch.setattr(layer_times.cgverify, "make_instance",
+                        lambda *a, **k: tries.append(a) or original(*a, **k))
+    layer_times.build(draw, 0)
+    assert times == {("setup", "build_ops"): 1000.0,
+                     ("setup", "make_instance"): 1000.0 * len(tries)}
