@@ -8,11 +8,13 @@ Subcommands:
     version   print the tool version
 
 `run_verify_suite` runs the named checks from one table; each entry has an
-optional skip rule and a runner, which returns the check's list of
+optional skip rule, kept beside its check (families.three_term_skip,
+coproduct.twist_skip), and a runner, which returns the check's list of
 CheckResults, folded into one report entry under its name. The runners
 share one cgverify.Run of the instance, which builds each artifact (the
 factor modules' generators, the contiguity data, Delta, the CG blocks, the
-component eigenvalues) on first use within one call.
+component eigenvalues) on first use within one call. verify and table read
+the merged, validated settings as one dict (_settings).
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 invalid
 parameters, unknown check names, a checks value that names no check, a
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .algebras import casimir, check_relations
 from .cgverify import (DegenerateKernelError, Run, WeightSolutionError, _weight_certificate,
@@ -33,10 +34,10 @@ from .cgverify import (DegenerateKernelError, Run, WeightSolutionError, _weight_
                        verify_raising, verify_weight_grading)
 from .coproduct import (check_algebraic_form, check_homomorphism,
                         check_twist_qracah_specialization, coassoc_constraint,
-                        krawtchouk_coassoc)
+                        krawtchouk_coassoc, twist_skip)
 from .exactmath import InvalidParameterError, format_scalar, parse_scalar
 from .families import (FamilyInstance, FamilyKind, check_contiguity,
-                       check_three_term_dual_hahn, make_instance)
+                       check_three_term_dual_hahn, make_instance, three_term_skip)
 from .linalg import column_mismatches
 from .report import TOOL_VERSION, CheckResult, Report, Witness, first_failure, first_mismatch
 
@@ -112,27 +113,13 @@ def _orthogonality(run: Run) -> list[CheckResult]:
     return [CheckResult.ok("orthogonality", rng)]
 
 
-def _three_term_skip(inst: FamilyInstance) -> str | None:
-    if inst.kind is not FamilyKind.DUAL_HAHN:
-        return "only defined for dual-hahn"
-    if inst.alpha != inst.lambda1 - 1:
-        return "needs alpha = lambda1 - 1"
-
-
-def _twist_skip(inst: FamilyInstance) -> str | None:
-    if inst.kind is not FamilyKind.Q_RACAH:
-        return "only defined for q-racah"
-    if inst.beta != 0 or inst.alpha != inst.kappa1 ** 2 / inst.q:
-        return "needs beta = 0 and alpha = kappa1^2/q"
-
-
 # name -> (skip rule giving a reason or None, runner); a runner takes the
 # run and returns a list of CheckResults, folded into one entry under the
 # name (_collapse). Each runner looks its check up by name when it runs, so a
 # check patched in this module (by a tracer or a test) is the one called.
 _CHECKS = {
     "contiguity": (None, lambda run: check_contiguity(run)),
-    "three-term": (_three_term_skip, lambda run: check_three_term_dual_hahn(run)),
+    "three-term": (three_term_skip, lambda run: check_three_term_dual_hahn(run)),
     "relations": (None, _relations),
     "casimir": (None, _casimir),
     "homomorphism": (None, lambda run: check_homomorphism(run)),
@@ -142,7 +129,7 @@ _CHECKS = {
     "lowering": (None, lambda run: verify_lowering(run)),
     "cg-oracle": (None, _oracle),
     "orthogonality": (None, _orthogonality),
-    "twist": (_twist_skip, lambda run: check_twist_qracah_specialization(
+    "twist": (twist_skip, lambda run: check_twist_qracah_specialization(
         run.inst.q, run.inst.kappa1, run.inst.kappa2, run.inst.n_max, run.delta)),
 }
 
@@ -173,30 +160,6 @@ def run_verify_suite(inst: FamilyInstance, checks: list[str] | None = None,
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Merged run settings; flags override the config file."""
-
-    family: str | None = None
-    parameters: dict = field(default_factory=dict)
-    n_max: int = 8
-    seed: int = 0
-    checks: list | None = None
-    output: str | None = None
-    format: str = "text"
-
-    def instance(self) -> FamilyInstance:
-        if not self.family:
-            raise InvalidParameterError("a family must be given (--family or config)")
-        try:
-            kind = FamilyKind(self.family)
-        except ValueError:
-            options = ", ".join(k.value for k in FamilyKind)
-            raise InvalidParameterError(
-                f"unknown family {self.family!r} (options: {options})") from None
-        return make_instance(kind, n_max=self.n_max, **self.parameters)
-
-
 def _read_config(path: str) -> dict:
     """The file's key = value lines; a key set twice is invalid, not overwritten."""
     values, lines = {}, {}
@@ -217,7 +180,9 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _settings(args) -> RunConfig:
+def _settings(args) -> dict:
+    """The run settings by _CONFIG_KEYS, flags over the config file, validated:
+    nmax (8 by default) and seed (0) as ints, checks when given as a list."""
     settings = {}
     if getattr(args, "config", None):
         settings.update(_read_config(args.config))
@@ -232,30 +197,35 @@ def _settings(args) -> RunConfig:
     if settings.get("format", "text") not in _FORMATS:
         raise InvalidParameterError(
             f"format must be one of {', '.join(_FORMATS)}, got {settings['format']!r}")
-    checks = None
     if "checks" in settings:
         checks = [c.strip() for c in str(settings["checks"]).split(",") if c.strip()]
         if not checks:
             raise InvalidParameterError(
                 f"checks {settings['checks']!r} names no check "
                 f"(known: {', '.join(CHECK_NAMES)})")
-    return RunConfig(
-        family=settings.get("family"),
-        parameters={k: v for k, v in settings.items() if k in _PARAM_FLAGS},
-        n_max=_integer(settings, "nmax", 8),
-        seed=_integer(settings, "seed", 0),
-        checks=checks,
-        output=settings.get("output"),
-        format=settings.get("format", "text"),
-    )
+        settings["checks"] = checks
+    for key, default in (("nmax", 8), ("seed", 0)):
+        try:
+            settings[key] = int(settings.get(key, default))
+        except ValueError:
+            raise InvalidParameterError(
+                f"{key} must be an integer, got {settings[key]!r}") from None
+    return settings
 
 
-def _integer(settings: dict, key: str, default: int) -> int:
+def _instance(settings: dict) -> FamilyInstance:
+    """The instance of the settings' family, nmax and parameters."""
+    family = settings.get("family")
+    if not family:
+        raise InvalidParameterError("a family must be given (--family or config)")
     try:
-        return int(settings.get(key, default))
+        kind = FamilyKind(family)
     except ValueError:
+        options = ", ".join(k.value for k in FamilyKind)
         raise InvalidParameterError(
-            f"{key} must be an integer, got {settings[key]!r}") from None
+            f"unknown family {family!r} (options: {options})") from None
+    return make_instance(kind, n_max=settings["nmax"],
+                         **{k: v for k, v in settings.items() if k in _PARAM_FLAGS})
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -273,10 +243,10 @@ def _fail(code: int, message: str) -> int:
 
 def _instance_command(args, work) -> int:
     """Shared plumbing of verify and table: merge the config file and flags,
-    build the instance, let work(config, inst) return (text, exit code), and
-    write the text. Errors map to the documented exit codes."""
+    build the instance, let work(settings, inst) return (text, exit code),
+    and write the text. Errors map to the documented exit codes."""
     try:
-        config = _settings(args)
+        settings = _settings(args)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read config: {exc}")
     except InvalidParameterError as exc:  # before ValueError, its base class
@@ -284,13 +254,13 @@ def _instance_command(args, work) -> int:
     except ValueError as exc:
         return _fail(EXIT_IO, str(exc))
     try:
-        text, code = work(config, config.instance())
+        text, code = work(settings, _instance(settings))
     except InvalidParameterError as exc:
         return _fail(EXIT_INVALID, f"invalid parameters: {exc}")
     except (WeightSolutionError, DegenerateKernelError) as exc:
         return _fail(EXIT_CHECK_FAILED, str(exc))
     try:
-        _emit(text, config.output)
+        _emit(text, settings.get("output"))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write output: {exc}")
     return code
@@ -300,11 +270,11 @@ def _instance_command(args, work) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _verify(config: RunConfig, inst: FamilyInstance) -> tuple[str, int]:
-    rep = run_verify_suite(inst, config.checks, config.seed)
+def _verify(settings: dict, inst: FamilyInstance) -> tuple[str, int]:
+    rep = run_verify_suite(inst, settings.get("checks"), settings["seed"])
     code = EXIT_OK if rep.passed else EXIT_CHECK_FAILED
     if all(c.skipped for c in rep.checks):
-        selected = config.checks or CHECK_NAMES
+        selected = settings.get("checks") or CHECK_NAMES
         reasons = "; ".join(f"{c.name}: {c.reason}" for c in rep.checks if c.name in selected)
         code = _fail(EXIT_INVALID, f"every selected check was skipped ({reasons})")
     return json.dumps(rep.to_dict(), indent=2), code
@@ -339,9 +309,10 @@ def _format_table_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _table(config: RunConfig, inst: FamilyInstance) -> tuple[str, int]:
+def _table(settings: dict, inst: FamilyInstance) -> tuple[str, int]:
     doc = table_doc(inst)
-    text = json.dumps(doc, indent=2) if config.format == "json" else _format_table_text(doc)
+    text = (json.dumps(doc, indent=2) if settings.get("format") == "json"
+            else _format_table_text(doc))
     return text, EXIT_OK
 
 

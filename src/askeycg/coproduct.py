@@ -16,7 +16,8 @@ coefficients, with no division anywhere. The coefficient functions x, y,
 x', y' read off from the same data are compared, at every grid point, with
 the closed operator expressions in the Cartan and Casimir eigenvalues
 (check_algebraic_form); that the images satisfy the defining relations of
-the algebra is certified by check_homomorphism.
+the algebra is certified by check_homomorphism. twist_skip recognises the
+q-Racah point that check_twist_qracah_specialization builds.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CoproductCoeffs", "coproduct_coeffs", "algebraic_form", "Delta", "build_delta",
-    "check_homomorphism", "check_algebraic_form",
+    "check_homomorphism", "check_algebraic_form", "twist_skip",
     "check_twist_qracah_specialization", "coassoc_constraint", "krawtchouk_coassoc",
 ]
 
@@ -351,6 +352,14 @@ def check_algebraic_form(run: Run) -> list[CheckResult]:
         results.append(first_mismatch(f"{name}-agreement", rng, (
             ({"n": n, "m": m}, dfn(n, m), cfn(n, m)) for n, m in pts)))
     return results
+
+
+def twist_skip(inst: FamilyInstance) -> str | None:
+    """Why inst is not the point check_twist_qracah_specialization builds, or None."""
+    if inst.kind is not FamilyKind.Q_RACAH:
+        return "only defined for q-racah"
+    if inst.beta != 0 or inst.alpha != inst.kappa1 ** 2 / inst.q:
+        return "needs beta = 0 and alpha = kappa1^2/q"
 
 
 def check_twist_qracah_specialization(q: Scalar, kappa1: Scalar, kappa2: Scalar, n_max: int = 6,

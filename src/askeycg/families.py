@@ -35,7 +35,8 @@ range of integers it excludes, a q condition one exact test for the power of
 q it excludes (_q_exponent). So a constructed instance is a certificate that
 no denominator in the contiguity or coproduct coefficients vanishes where
 used, and one from make_instance also that no off-diagonal entry of any
-T_N = Delta(E) Delta(F) vanishes (_require_irreducible).
+T_N = Delta(E) Delta(F) vanishes (_require_irreducible). three_term_skip
+says why the three-term check does not apply; the check raises with it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FamilyKind", "FamilyInstance", "ContiguityData", "make_instance",
     "poly_value", "poly_block", "SeriesTable", "contiguity", "check_contiguity",
-    "check_three_term_dual_hahn", "limit_hahn_to_krawtchouk",
+    "three_term_skip", "check_three_term_dual_hahn", "limit_hahn_to_krawtchouk",
     "limit_racah_to_dual_hahn", "algebra_for", "labels",
 ]
 
@@ -423,10 +424,10 @@ def poly_value(inst: FamilyInstance, n: int, k: int, N: int) -> Scalar:
 
 
 class SeriesTable:
-    """The integer tables of inst's series for the levels 0..n_max (inst's
-    own n_max by default), which every level of poly_block slices: made from
-    _parameters on the first level read, and kept for as long as this object
-    lives. A verify run makes one (Run.blocks) and builds each level from it.
+    """The integer tables of inst's series for the levels 0..inst.n_max,
+    which every level of poly_block slices: made from _parameters on the
+    first level read, and kept for as long as this object lives. A verify
+    run makes one (Run.blocks) and builds each level from it.
 
     Per instance: the term steps up to n_max (exactmath.term_steps); each
     column's factors (exactmath.parameter_factors) up to its first vanished
@@ -437,9 +438,8 @@ class SeriesTable:
     q-kinds the Gaussian-binomial factors v^i - u^i (exactmath.q_factors).
     """
 
-    def __init__(self, inst: FamilyInstance, n_max: int | None = None):
+    def __init__(self, inst: FamilyInstance):
         self.inst = inst
-        self.n_max = inst.n_max if n_max is None else n_max
 
     @cached_property
     def _tables(self):
@@ -447,7 +447,7 @@ class SeriesTable:
         up to its first zero, lead(m)'s (f, d) by m, shifted(j)'s by j, the
         fixed denominators' (f, d), e and z for exactmath.ratio_scales, and
         the Gaussian-binomial factors (None classically)."""
-        inst, nm = self.inst, self.n_max
+        inst, nm = self.inst, self.inst.n_max
         lead, col, shifted, fixed, z = _parameters(inst)
         q = inst.q if inst.kind.is_q else None
         steps = term_steps(nm, q)
@@ -462,13 +462,11 @@ class SeriesTable:
                 None if q is None else q_factors(nm, q))
 
     def level(self, N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The columns of level N (poly_block); N outside 0..inst.n_max, or
-        above the table's n_max, is a ValueError."""
+        """The columns of level N (poly_block); N outside 0..inst.n_max is a
+        ValueError."""
         inst = self.inst
         if not 0 <= N <= inst.n_max:
             raise ValueError(f"N must lie in 0..{inst.n_max}")
-        if N > self.n_max:
-            raise ValueError(f"the table holds the levels 0..{self.n_max}")
         cols, leads, shifted, (fixed, fd), e, z, gauss = self._tables
         q = inst.q if inst.kind.is_q else None
         f, d = leads[N]
@@ -502,8 +500,8 @@ def poly_block(inst: FamilyInstance | SeriesTable,
     """The columns k of the CG block P[n][k] = P_n(k, N), built in one pass
     over integers: column k is linalg.integer_column of its entries, (a, c)
     with P[n][k] = a[n] / c, c > 0, a and c coprime. inst is the instance,
-    whose levels up to N get a SeriesTable of their own, or a SeriesTable
-    shared by every level of a run.
+    which gets a SeriesTable of its own, or a SeriesTable shared by every
+    level of a run.
 
     The level slices the table and builds only what depends on N: the
     ratio scales (exactmath.ratio_scales) over the denominator factors of
@@ -522,7 +520,7 @@ def poly_block(inst: FamilyInstance | SeriesTable,
     contiguity recurrence or from another block.
     """
     if isinstance(inst, FamilyInstance):
-        inst = SeriesTable(inst, max(N, 0))
+        inst = SeriesTable(inst)
     return inst.level(N)
 
 
@@ -743,6 +741,14 @@ def check_contiguity(run: Run) -> list[CheckResult]:
                                    ("lowering-contiguity", lowering))]
 
 
+def three_term_skip(inst: FamilyInstance) -> str | None:
+    """Why check_three_term_dual_hahn does not apply to inst, or None."""
+    if inst.kind is not FamilyKind.DUAL_HAHN:
+        return "only defined for dual-hahn"
+    if inst.alpha != inst.lambda1 - 1:
+        return "needs alpha = lambda1 - 1"
+
+
 def check_three_term_dual_hahn(
         run: Run, mu_fn: Callable[[int, int], Scalar] | None = None) -> list[CheckResult]:
     """Three-term recurrence of the dual Hahn family at alpha = lambda1 - 1:
@@ -753,13 +759,12 @@ def check_three_term_dual_hahn(
     mu(k) = (N-k+1)(N+k+lambda1+lambda2), all at fixed level N: a
     tridiagonal band on the integer columns of level N against mu(k) times
     the same column, walked n-major (linalg.column_mismatches), on the
-    columns of run.blocks.
+    columns of run.blocks. An instance it does not apply to raises
+    InvalidParameterError with the reason of three_term_skip.
     """
     inst = run.inst
-    if inst.kind is not FamilyKind.DUAL_HAHN:
-        raise InvalidParameterError("three-term recurrence check needs a dual Hahn instance")
-    if inst.alpha != inst.lambda1 - 1:
-        raise InvalidParameterError("three-term recurrence check needs alpha = lambda1 - 1")
+    if reason := three_term_skip(inst):
+        raise InvalidParameterError(f"three-term recurrence check: {reason}")
     l1, l2 = inst.lambda1, inst.lambda2
     nm = inst.n_max
     if mu_fn is None:

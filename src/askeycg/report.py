@@ -102,9 +102,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def first_failure(self) -> CheckResult | None:
-        return first_failure(self.checks)
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,

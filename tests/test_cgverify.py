@@ -206,7 +206,7 @@ def test_block_sums_stop_at_the_first_vanished_term(inst, pole):
 @given(n_max=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
 def test_run_blocks_equal_blocks_built_alone(kind, n_max, seed):
     # the run's levels slice one SeriesTable; each level built alone makes
-    # its own table for the levels up to it
+    # a table of its own
     inst = wide_instance(kind, random.Random(seed), n_max)
     assert Run(inst).blocks == {N: cg_block(inst, N) for N in range(n_max + 1)}
 
@@ -234,13 +234,12 @@ def test_run_blocks_make_one_table_on_the_first_level_read(monkeypatch):
     assert blocks == {N: original_block(inst, N) for N in blocks}
 
 
-def test_a_table_builds_no_level_above_its_own_n_max():
+@pytest.mark.parametrize("N", [-1, 5])
+def test_a_level_outside_the_instance_range_is_a_value_error(N):
     inst = sample_instance(FamilyKind.HAHN, n_max=4)
-    assert poly_block(SeriesTable(inst, 2), 2) == poly_block(inst, 2)
-    with pytest.raises(ValueError, match=re.escape("the table holds the levels 0..2")):
-        poly_block(SeriesTable(inst, 2), 3)
-    with pytest.raises(ValueError, match=re.escape("N must lie in 0..4")):
-        poly_block(SeriesTable(inst, 2), 5)
+    for source in (inst, SeriesTable(inst)):
+        with pytest.raises(ValueError, match=re.escape("N must lie in 0..4")):
+            poly_block(source, N)
 
 
 def level_or_error(source, N):
@@ -868,7 +867,7 @@ def test_corrupted_delta_fails_orthogonality_at_its_block(monkeypatch):
         + want[4:]
     assert run_verify_suite(inst, ["orthogonality"]).passed
     monkeypatch.setattr("askeycg.cgverify.build_delta", lambda *args, **kwargs: bad)
-    fail = run_verify_suite(inst, ["orthogonality"]).first_failure()
+    fail = first_failure(run_verify_suite(inst, ["orthogonality"]).checks)
     assert (fail.name, fail.witness.where) == (
         "orthogonality", {"error": "block 3, step 4: (T_N P)[1][0] != (P Lambda)[1][0]"})
 

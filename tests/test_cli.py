@@ -226,6 +226,7 @@ def test_each_entry_point_runs_the_command_line_as_main(module, monkeypatch, cap
     (["--family", "hahn", "--alpha", "1"], "hahn needs parameters: beta"),
     (["--family", "nope"], "unknown family 'nope' (options: hahn, krawtchouk, dual-hahn, "
                            "racah, q-hahn, q-racah)"),
+    ([], "a family must be given (--family or config)"),
 ])
 def test_verify_rejects_the_instance_exit_two(flags, message, capsys):
     assert main(["verify", *flags]) == 2
@@ -412,7 +413,7 @@ def test_accepted_instance_never_raises_in_verify(inst):
     assert all(c.witness is not None for c in rep.checks if not c.passed)
     # and it passes: make_instance rejects every point where T_N is reducible,
     # the one way an accepted instance failed (orthogonality, "Omega_0 vanishes")
-    assert rep.passed, rep.first_failure()
+    assert rep.passed, first_failure(rep.checks)
 
 
 def test_oracle_catches_a_rescaled_column(monkeypatch):

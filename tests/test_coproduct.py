@@ -9,7 +9,8 @@ from askeycg.algebras import check_identity, phi, scalar_operator
 from askeycg.cgverify import Run, verify_weight_grading
 from askeycg.coproduct import (algebraic_form, build_delta, check_algebraic_form,
                                check_homomorphism, check_twist_qracah_specialization,
-                               coassoc_constraint, coproduct_coeffs, krawtchouk_coassoc)
+                               coassoc_constraint, coproduct_coeffs, krawtchouk_coassoc,
+                               twist_skip)
 from askeycg.exactmath import InvalidParameterError, SingularParameterError
 from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind, algebra_for,
                               contiguity, labels, make_instance)
@@ -323,6 +324,35 @@ def test_twist_specialization_passes():
     for k1, k2 in ((F(2), F(3)), (F(1, 2), F(1, 3))):
         results = check_twist_qracah_specialization(F(1, 4), k1, k2, n_max=6)
         assert report.first_failure(results) is None
+
+
+@pytest.mark.parametrize("q, k1, k2", [(F(1, 4), F(2), F(3)), (F(1, 4), F(1, 2), F(1, 3)),
+                                       (F(-3, 2), F(-2, 5), F(7))])
+def test_twist_skip_recognises_the_point_the_check_builds(monkeypatch, q, k1, k2):
+    # the check builds its q-Racah point unvalidated; off it in alpha or in
+    # beta the rule gives its reason
+    built = []
+    original = coproduct.build_delta
+    monkeypatch.setattr(coproduct, "build_delta",
+                        lambda inst, data: built.append(inst) or original(inst, data))
+    check_twist_qracah_specialization(q, k1, k2, n_max=2)
+    assert [twist_skip(inst) for inst in built] == [None]
+    for alpha, beta in ((built[0].alpha + 1, F(0)), (built[0].alpha, F(1, 5))):
+        assert twist_skip(replace(built[0], alpha=alpha, beta=beta)) == \
+            "needs beta = 0 and alpha = kappa1^2/q"
+
+
+def test_twist_skip_on_wide_draws_and_a_validated_twist_point():
+    for inst in (inst for kind in ALL_KINDS for inst in wide_draws(kind, "twist-skip")):
+        if inst.kind is not FamilyKind.Q_RACAH:
+            assert twist_skip(inst) == "only defined for q-racah"
+        elif inst.beta == 0 and inst.alpha == inst.kappa1 ** 2 / inst.q:
+            assert twist_skip(inst) is None
+        else:
+            assert twist_skip(inst) == "needs beta = 0 and alpha = kappa1^2/q"
+    point = make_instance(FamilyKind.Q_RACAH, n_max=3, q=F(1, 4), kappa1=F(1, 2),
+                          kappa2=F(1, 3), alpha=F(1), beta=F(0))
+    assert twist_skip(point) is None
 
 
 @pytest.mark.parametrize("n_max", [0, -1, -3])

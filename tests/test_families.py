@@ -5,7 +5,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import askeycg.families as families
@@ -17,7 +17,7 @@ from askeycg.families import (ContiguityData, FamilyInstance, FamilyKind,
                               check_contiguity, check_three_term_dual_hahn,
                               contiguity, limit_hahn_to_krawtchouk,
                               limit_racah_to_dual_hahn, make_instance,
-                              poly_value)
+                              poly_value, three_term_skip)
 
 from test_coefficient_reference import assert_contiguity_matches_reference
 
@@ -805,14 +805,38 @@ def test_three_term_block_zero_trivial():
 def test_three_term_requires_dual_hahn():
     with pytest.raises(InvalidParameterError) as err:
         check_three_term_dual_hahn(Run(sample_instance(FamilyKind.RACAH, n_max=3)))
-    assert str(err.value) == "three-term recurrence check needs a dual Hahn instance"
+    assert str(err.value) == "three-term recurrence check: only defined for dual-hahn"
 
 
 def test_three_term_requires_matching_alpha():
     inst = make_instance(FamilyKind.DUAL_HAHN, lambda1=F(2), lambda2=F(3),
                          alpha=F(1, 2), n_max=3)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError) as err:
         check_three_term_dual_hahn(Run(inst))
+    assert str(err.value) == "three-term recurrence check: needs alpha = lambda1 - 1"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2 ** 32 - 1),
+       standard=st.booleans())
+def test_three_term_skip_is_none_exactly_where_the_check_runs(kind, seed, standard):
+    # wide draws of every family, and for dual Hahn also the standard point
+    # alpha = lambda1 - 1; where the rule gives a reason the check raises it
+    rng = random.Random(seed)
+    inst = wide_instance(kind, rng, rng.randint(1, 3))
+    if kind is FamilyKind.DUAL_HAHN and standard:
+        try:
+            inst = make_instance(kind, n_max=inst.n_max, lambda1=inst.lambda1,
+                                 lambda2=inst.lambda2, alpha=inst.lambda1 - 1)
+        except InvalidParameterError:
+            assume(False)
+    reason = three_term_skip(inst)
+    try:
+        results = check_three_term_dual_hahn(Run(inst))
+    except InvalidParameterError as exc:
+        assert reason and str(exc) == f"three-term recurrence check: {reason}"
+    else:
+        assert reason is None and results
 
 
 def test_three_term_corrupted_mu_fails():

@@ -11,6 +11,7 @@ CHECKS = ["relations", "casimir", "homomorphism", "algebraic-form", "grading", "
 LINES = ([("artifact", name) for name in layer_times.ARTIFACTS]
          + [("check", name) for name in CHECKS] + [("pass", "verify")])
 SETUP_LINES = [("setup", "build_ops"), ("setup", "make_instance")]
+HOST_LINE = ("host", "reference-chunk")
 
 
 def tiny_workload(monkeypatch):
@@ -36,8 +37,19 @@ def test_main_prints_a_header_then_one_line_per_layer(monkeypatch, capsys):
     layers, setup = lines[1:len(LINES) + 1], lines[len(LINES) + 1:]
     assert [tuple(line.split()[:2]) for line in layers] == LINES
     assert all(re.fullmatch(r"\d+\.\d", line.split()[2]) for line in layers)
-    assert [tuple(line.split()[:2]) for line in setup] == SETUP_LINES
+    assert [tuple(line.split()[:2]) for line in setup] == SETUP_LINES + [HOST_LINE]
     assert all(re.fullmatch(r"\d+\.\d{3}", line.split()[2]) for line in setup)
+
+
+def test_host_line_is_the_median_of_the_reference_chunks(monkeypatch):
+    # chunks of 1..31 ms in shuffled order: the median is 16 ms, after
+    # exactly HOST_CHUNKS calls
+    chunks = [ms / 1000 for ms in range(1, layer_times.HOST_CHUNKS + 1)]
+    random.Random(5).shuffle(chunks)
+    calls = iter(chunks)
+    monkeypatch.setattr(layer_times.bench, "reference_chunk", lambda: next(calls))
+    assert layer_times.host_reference() == 16.0
+    assert next(calls, None) is None
 
 
 def test_setup_lines_time_whole_builds_and_each_make_instance_call(monkeypatch):
@@ -93,7 +105,8 @@ def test_a_draw_spec_times_one_random_instance_like_a_workload(capsys):
     layers = lines[1:len(want) + 1]
     assert [tuple(line.split()[:2]) for line in layers] == want
     assert lines[len(want) + 1].split() == ["blocks", "max-bits", str(bits)]
-    assert [tuple(line.split()[:2]) for line in lines[len(want) + 2:]] == SETUP_LINES
+    assert [tuple(line.split()[:2]) for line in lines[len(want) + 2:]] == \
+        SETUP_LINES + [HOST_LINE]
 
 
 def test_a_draws_setup_lines_time_its_make_instance_calls(monkeypatch):

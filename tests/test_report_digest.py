@@ -12,6 +12,11 @@ import report_digest  # noqa: E402
 from askeycg.cli import run_verify_suite  # noqa: E402
 from askeycg.families import make_instance  # noqa: E402
 
+# the combined digest lines that tools/report_digest.py prints for the
+# benchmark's sweep and structure ops at seed 1; a change that alters
+# reports on purpose rewrites this file and says so
+PINNED = Path(__file__).resolve().parent / "golden" / "report_digests.txt"
+
 
 def test_digest_is_the_sha256_of_the_sorted_report_json():
     kraw = make_instance("krawtchouk", n_max=2, p=F(1, 3))
@@ -42,3 +47,14 @@ def test_main_prints_one_line_per_op_then_the_combined_digest(monkeypatch, capsy
     digests = [line.split()[-1] for line in lines[:-1]]
     assert lines[0] == f"tiny seed=4 op=0 {ops[0].family} {digests[0]}"
     assert lines[-1] == f"tiny seed=4 combined {report_digest.combined(digests)}"
+
+
+def test_benchmark_reports_match_the_pinned_digests():
+    pinned = PINNED.read_text().splitlines()
+    assert [line.split()[:2] for line in pinned] == [["sweep", "seed=1"], ["structure", "seed=1"]]
+    for line in pinned:
+        name, seed = line.split()[:2]
+        ops, _ = report_digest.bench.build_ops(report_digest.bench.WORKLOADS[name],
+                                               int(seed.removeprefix("seed=")))
+        digests = [report_digest.report_digest(op.inst, op.checks) for op in ops]
+        assert line == f"{name} {seed} combined {report_digest.combined(digests)}"

@@ -23,7 +23,10 @@ each the median CPU milliseconds of bench.SETUP_REPEATS in-process builds
 of the ops (`build_ops`, what the benchmark's setup_s times, or the draw):
 the whole build, then the `families.make_instance` calls inside it, timed
 on builds of their own so that the timing wrapper's cost reaches neither
-line.
+line. A last `host reference-chunk` line gives the median wall milliseconds
+of HOST_CHUNKS calls of bench.reference_chunk(), arithmetic that does not
+touch the program: the host's speed at the time, so that lines measured in
+different sessions compare as ratios to it.
 Stdlib only; no file is written. The program is imported from the `src/`
 of the checkout that holds this file, whatever the working directory: to
 time another checkout, run that checkout's own copy of the tool.
@@ -50,6 +53,7 @@ from askeycg.cgverify import Run  # noqa: E402
 DEFAULT = ("structure:1", "sweep:1")
 ARTIFACTS = ("factors", "contiguity", "delta", "bands", "blocks", "eigenvalues")
 REPEATS = 5
+HOST_CHUNKS = 31
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,11 @@ def setup_times(wl, seed: int, repeats: int = bench.SETUP_REPEATS) -> dict[tuple
             ("setup", "make_instance"): 1000 * statistics.median(instances)}
 
 
+def host_reference() -> float:
+    """Median wall milliseconds of HOST_CHUNKS calls of bench.reference_chunk()."""
+    return 1000 * statistics.median(bench.reference_chunk() for _ in range(HOST_CHUNKS))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="CPU time of each verify-run layer.")
     parser.add_argument("specs", nargs="*", default=list(DEFAULT),
@@ -167,6 +176,7 @@ def main(argv=None) -> int:
             print(f"  {'blocks':8} {'max-bits':16} {block_bits(ops):9d}", flush=True)
         for (kind, layer), ms in setup_times(wl, seed).items():
             print(f"  {kind:8} {layer:16} {ms:9.3f}", flush=True)
+        print(f"  {'host':8} {'reference-chunk':16} {host_reference():9.3f}", flush=True)
     return 0
 
 
