@@ -188,8 +188,13 @@ class GradedOperator:
         """self after other, on every level where both have the blocks."""
         if self.dims != other.dims:
             raise ValueError("operators live on different modules")
-        return GradedOperator._nonzero(self.degree + other.degree, self.dims,
-                                       _compose_blocks(self, other, other.blocks))
+        present = _block_levels((self, other), self.top)
+        levels = [n for n in other.blocks if n in present]
+        blocks = {n: {} for n in levels}
+        for (n, i, j), (top, bottom) in _compose([(1, (self, other))], levels, self.dims).items():
+            if top:
+                blocks[n][i, j] = Fraction(top, bottom)
+        return GradedOperator._nonzero(self.degree + other.degree, self.dims, blocks)
 
 
 def _block_levels(factors, top: int):
@@ -260,18 +265,6 @@ def _compose(terms, levels, dims: tuple[int, ...]) -> dict:
                 out[key] = old[0] + top, bottom
             else:
                 out[key] = old[0] * bottom + top * old[1], old[1] * bottom
-    return out
-
-
-def _compose_blocks(a: GradedOperator, b: GradedOperator, levels) -> dict:
-    """Blocks {n: {(i, j): Fraction}} of a @ b on those of the levels where it
-    has a block, each nonzero entry of _compose reduced once."""
-    present = _block_levels((a, b), a.top)
-    levels = [n for n in levels if n in present]
-    out = {n: {} for n in levels}
-    for (n, i, j), (top, bottom) in _compose([(1, (a, b))], levels, a.dims).items():
-        if top:
-            out[n][i, j] = Fraction(top, bottom)
     return out
 
 

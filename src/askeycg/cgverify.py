@@ -103,22 +103,12 @@ class CGBlock:
         rows = tuple(zip(*(tuple(Fraction(x, c) for x in a) for a, c in self.columns)))
         return RatMat(len(rows), len(self.columns), rows)
 
-    def to_doc(self) -> dict:
-        return {"N": self.N,
-                "P": [[format_scalar(x) for x in row] for row in self.P.a]}
-
 
 @dataclass(frozen=True)
 class WeightData:
     N: int
     omega: tuple[Scalar, ...]
     omega_prime: tuple[Scalar, ...]
-
-    def to_doc(self) -> dict:
-        return {"N": self.N,
-                "omega": [format_scalar(x) for x in self.omega],
-                "omega_prime": [format_scalar(x) for x in self.omega_prime],
-                "normalization": "omega0=1"}
 
 
 def cg_block(inst: FamilyInstance | SeriesTable, N: int) -> CGBlock:
@@ -486,8 +476,10 @@ _MAX_TRIES = 200
 
 def random_instance(kind: FamilyKind | str, rng, n_max: int = 8) -> FamilyInstance:
     """Draw a valid instance: numerators and denominators of drawn rationals
-    stay <= 20, redrawing on validation failure."""
+    stay <= 20, redrawing on validation failure; n_max < 1 raises before any draw."""
     kind = FamilyKind(kind)
+    if n_max < 1:
+        raise InvalidParameterError("n_max must be at least 1")
     for _ in range(_MAX_TRIES):
         try:
             return make_instance(kind, n_max=n_max, **_draw_params(kind, rng))

@@ -289,8 +289,10 @@ def table_doc(inst: FamilyInstance) -> dict:
     blocks = []
     for N, blk in run.blocks.items():
         weights = orthogonality_weights(run, N)
-        blocks.append({**blk.to_doc(), **{k: v for k, v in weights.to_doc().items()
-                                          if k != "N"}})
+        blocks.append({"N": N, "P": [[format_scalar(x) for x in row] for row in blk.P.a],
+                       "omega": [format_scalar(x) for x in weights.omega],
+                       "omega_prime": [format_scalar(x) for x in weights.omega_prime],
+                       "normalization": "omega0=1"})
     return {"suite": f"table:{inst.kind.value}", "version": TOOL_VERSION,
             "params": inst.to_doc(), "blocks": blocks}
 

@@ -1,18 +1,18 @@
 """Dense exact rational matrices (row-major tuples of Fractions: the reduced
 view of a CG block, and the tests' dense operators); integer_column, the one
 place in the package that clears rationals to integers, which makes the
-canonical column every CG block stores (and the band rows, the weight
-vector and the elimination rows); and the column kernel: integer_bands
-splits a sparse block of exact rationals into integer rows (a run splits
-each Delta level once, and multiplies those bands into T_N's rows), and
-column_mismatches decides every CG column identity, a band image of a column
-against a scalar times a target column, over integers, forming a two-entry
-row's image without a loop. Graded operators keep sparse blocks.
+canonical column every CG block stores (and the band rows and the weight
+vector); and the column kernel: integer_bands splits a sparse block of exact
+rationals into integer rows (a run splits each Delta level once, and
+multiplies those bands into T_N's rows), and column_mismatches decides every
+CG column identity, a band image of a column against a scalar times a target
+column, over integers, forming a two-entry row's image without a loop.
+Graded operators keep sparse blocks.
 
-nullspace and rank are fraction-free (Bareiss elimination over integers with
-exact divisions only, back-substitution over one common denominator per
-vector). No runtime path calls them: they are the tests' reference weight
-solve, and the benchmark traces them by name.
+nullspace and rank are plain Gauss-Jordan elimination over Fractions. No
+runtime path calls them: the weights are certified from T_N without a
+solve, so they serve only as the tests' reference weight solve, and the
+benchmark traces them by name.
 """
 
 from __future__ import annotations
@@ -133,64 +133,40 @@ def column_mismatches(N: int, bands: Bands, here: Sequence[Column],
                 yield {"N": N, "n": n, "k": k}, (image, d * c), (targets[k][0] * want, xde)
 
 
-def _integer_echelon(m: RatMat) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (rows, pivot column list)."""
-    work = [list(integer_column(row)[0]) for row in m.a]
-    piv_cols: list[int] = []
-    r = 0
-    prev = 1
+def _reduced_echelon(m: RatMat) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions:
+    (rows, pivot columns), each pivot 1 and alone in its column."""
+    rows = [list(row) for row in m.a]
+    pivots: list[int] = []
     for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pr is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        for i in range(r + 1, m.rows):
-            head = work[i][c]
-            for j in range(c + 1, m.cols):
-                val = work[r][c] * work[i][j] - head * work[r][j]
-                quot, rem = divmod(val, prev)
-                if rem:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                work[i][j] = quot
-            work[i][c] = 0
-        prev = work[r][c]
-        piv_cols.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return work, piv_cols
+        rows[r], rows[pr] = rows[pr], rows[r]
+        head = rows[r][c]
+        rows[r] = [x / head for x in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
 
 
 def rank(m: RatMat) -> int:
-    return len(_integer_echelon(m)[1])
+    return len(_reduced_echelon(m)[1])
 
 
 def nullspace(m: RatMat) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel {v : m v = 0}, one vector per free column:
-    1 at that column, 0 at the other free columns.
-
-    Back-substitution stays in integers: each vector is kept as integer
-    numerators over one common denominator, rescaled by the part of a pivot
-    that does not divide its row sum, and one Fraction per entry is built
-    at the end."""
-    work, piv_cols = _integer_echelon(m)
-    pivset = set(piv_cols)
+    1 at that column, 0 at the other free columns, and minus that column of
+    the reduced form at each pivot column. That basis is unique."""
+    rows, pivots = _reduced_echelon(m)
     basis = []
-    for free in range(m.cols):
-        if free in pivset:
-            continue
-        num = [0] * m.cols
-        num[free] = den = 1
-        for i in reversed(range(len(piv_cols))):
-            pc, row = piv_cols[i], work[i]
-            s = sum(row[j] * num[j] for j in range(pc + 1, m.cols))
-            # v[pc] = -s / (den * row[pc]); multiply through by row[pc] / g
-            g = gcd(s, row[pc])
-            scale = row[pc] // g
-            if scale != 1:
-                num = [x * scale for x in num]
-                den *= scale
-            num[pc] = -s // g
-        basis.append(tuple(Fraction(x, den) for x in num))
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(j == free) for j in range(m.cols)]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[free]
+        basis.append(tuple(v))
     return basis
-

@@ -1,8 +1,11 @@
-"""Structured pass/fail reporting shared by every verification suite."""
+"""Structured pass/fail reporting shared by every verification suite: each
+certificate returns a list of CheckResult, a failure with its first
+counterexample as the Witness. A Report holds one verify run's results and
+is built only by cli.run_verify_suite; its document carries TOOL_VERSION."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -91,12 +94,10 @@ def first_mismatch(name: str, checked_range: str,
 
 @dataclass
 class Report:
-    """The report of one verify run, one entry per named check; only
-    cli.run_verify_suite builds one. Every certificate returns list[CheckResult]."""
+    """The report of one verify run, one entry per named check."""
     suite: str
-    params: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    version: str = TOOL_VERSION
+    params: dict
+    checks: list
 
     @property
     def passed(self) -> bool:
@@ -105,7 +106,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
-            "version": self.version,
+            "version": TOOL_VERSION,
             "params": {k: str(v) for k, v in self.params.items()},
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],

@@ -17,8 +17,9 @@ def fake_runner(calls, values, fingerprints=None):
         calls.append((checkout, workload, seed, seconds))
         i = sum(c[0] == checkout for c in calls) - 1
         meta = {"fingerprint": (fingerprints or {}).get((checkout, i), "f00d")}
-        result = {"metrics": {name: {"value": values[checkout].get(name, [1] * 9)[i], "unit": unit}
-                              for name, unit in METRICS.items()}}
+        canned = values[checkout]
+        result = {"metrics": {name: {"value": canned[name][i] if name in canned else 1,
+                                     "unit": unit} for name, unit in METRICS.items()}}
         return meta, result
     return run
 
@@ -43,11 +44,13 @@ def test_pairs_alternate_and_one_line_per_metric(capsys):
     assert list(by_name) == list(METRICS)
     assert by_name["ops_per_s"] == ("  ops_per_s    69 [66.5, 71.5] -> 77 1/s "
                                     "(higher is better): change better in 3 of 4; "
-                                    "change/parent - 1 +11.7% [+1.3%, +14.1%], bound 25%")
+                                    "change/parent - 1 +11.7% [+1.3%, +14.1%], bound 25%; "
+                                    "gain rule not met")
     assert by_name["setup_s"].endswith("0.5 [0.5, 0.5] -> 0.45 s (lower is better): "
                                        "change better in 2 of 4; change/parent - 1 "
-                                       "-10.0% [-20.0%, +15.0%], bound 25%")
-    assert by_name["peak_rss_mb"].endswith("+0.0% [+0.0%, +0.0%], bound 10%")
+                                       "-10.0% [-20.0%, +15.0%], bound 25%; "
+                                       "gain rule not met")
+    assert by_name["peak_rss_mb"].endswith("+0.0% [+0.0%, +0.0%], bound 10%; gain rule not met")
     assert lines[-1] == "  fingerprints match in 4 of 4 pairs"
 
 
@@ -59,7 +62,7 @@ def test_summary_names_differing_fingerprints():
     metrics = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
     assert bench_pairs.summary(runs, metrics) == [
         "  ops_per_s    1 [1, 1] -> 2 1/s (higher is better): change better in 2 of 2; "
-        "change/parent - 1 +100.0% [+100.0%, +100.0%], bound 25%",
+        "change/parent - 1 +100.0% [+100.0%, +100.0%], bound 25%; gain rule met",
         "  fingerprints match in 1 of 2 pairs: they differ"]
 
 
@@ -73,4 +76,26 @@ def test_one_checkout_as_both_sides_prints_the_noise_floor():
     # pairs (100, 90), (95, 110), (105, 100), (100, 100): parent first in odd pairs
     assert bench_pairs.summary(runs, metrics)[0] == (
         "  ops_per_s    100 [96.25, 103.75] -> 100 1/s (higher is better): change better "
-        "in 1 of 4; change/parent - 1 -2.4% [-8.7%, +11.8%], bound 25%")
+        "in 1 of 4; change/parent - 1 -2.4% [-8.7%, +11.8%], bound 25%; gain rule not met")
+
+
+def gain_verdict(before, after, better="higher"):
+    values = {"old": {"ops_per_s": before}, "new": {"ops_per_s": after}}
+    runs = list(bench_pairs.run_pairs("old", "new", "sweep", 1, 1, len(before),
+                                      fake_runner([], values)))
+    metrics = [{"name": "ops_per_s", "unit": "1/s", "better": better, "bound": 0.25}]
+    return bench_pairs.summary(runs, metrics)[0].rsplit("; ", 1)[1]
+
+
+def test_gain_rule_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_iqr():
+    parent = [100, 90, 110, 95, 105, 100, 92, 108, 97, 103]  # median 100, IQR 11.5
+    # better in 9 of 10 pairs, but the median moves 1.5, inside the IQR
+    assert gain_verdict(parent, [x + 3 for x in parent[:9]] + [99]) == "gain rule not met"
+    assert gain_verdict(parent, [x + 20 for x in parent[:9]] + [99]) == "gain rule met"
+    # a tie counts for neither side: 8 wins and 2 ties of 10 fall short
+    assert gain_verdict(parent, [x + 20 for x in parent[:8]] + parent[8:]) \
+        == "gain rule not met"
+    # lower is better: the same margins, mirrored
+    assert gain_verdict(parent, [x - 20 for x in parent[:9]] + [104], "lower") == "gain rule met"
+    assert gain_verdict(parent, [x - 3 for x in parent[:9]] + [104], "lower") \
+        == "gain rule not met"

@@ -757,7 +757,7 @@ def test_weights_equal_a_fraction_reference_on_every_level(kind):
 # -- orthogonality weights from T_N = Delta(E) Delta(F) ------------------------
 
 def full_solve(inst, N, blk):
-    """Reference weights of blk: Bareiss elimination of all N(N+1)/2
+    """Reference weights of blk: Gauss-Jordan elimination of all N(N+1)/2
     off-diagonal equations (linalg.nullspace and rank), normalized to
     Omega_0 = 1, or WeightSolutionError when the solution is not one line
     with nonzero Omega_0 and norms. inst is unused: Omega depends on P alone."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import runpy
@@ -275,6 +276,20 @@ def test_table_text_contains_expected_row(capsys):
     out = capsys.readouterr().out
     assert "N = 1" in out
     assert "-2" in out
+
+
+# the SHA-256 of `askeycg table ARGS` stdout, one "DIGEST  ARGS" line per
+# table; a change that alters tables on purpose rewrites this file and says so
+TABLE_DIGESTS = Path(__file__).resolve().parent / "golden" / "table_digests.txt"
+
+
+def test_table_output_matches_the_pinned_digests(capsys):
+    pinned = [line.split(maxsplit=1) for line in TABLE_DIGESTS.read_text().splitlines()]
+    assert len(pinned) == 3
+    for digest, args in pinned:
+        assert main(["table", *args.split()]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_table_json_round_trips(tmp_path):

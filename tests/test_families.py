@@ -1058,6 +1058,17 @@ def test_random_instance_gives_up_after_its_tries():
         random_instance(FamilyKind.HAHN, LowestDraw())
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_random_instance_refuses_a_bad_n_max_before_any_draw(kind, n_max):
+    # no draw can fix n_max, so the refusal names it and takes nothing from rng
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InvalidParameterError, match=r"^n_max must be at least 1$"):
+        random_instance(kind, rng, n_max)
+    assert rng.getstate() == state
+
+
 def test_random_instance_deterministic():
     a = random_instance(FamilyKind.RACAH, random.Random(3), n_max=4)
     b = random_instance(FamilyKind.RACAH, random.Random(3), n_max=4)

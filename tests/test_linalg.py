@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,20 +11,13 @@ from askeycg.linalg import (RatMat, column_mismatches, integer_bands, integer_co
                             nullspace, rank)
 
 
+def sympy_matrix(m: RatMat) -> sympy.Matrix:
+    return sympy.Matrix(m.rows, m.cols, [x for row in m.a for x in row])
+
+
 def ref_rank(m: RatMat) -> int:
-    """Plain Fraction Gaussian elimination, as an independent oracle."""
-    rows = [list(r) for r in m.a]
-    rnk = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(rnk, m.rows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rnk], rows[piv] = rows[piv], rows[rnk]
-        for i in range(rnk + 1, m.rows):
-            f = rows[i][c] / rows[rnk][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rnk])]
-        rnk += 1
-    return rnk
+    """sympy's rank, an oracle that shares no code with linalg."""
+    return sympy_matrix(m).rank()
 
 
 def identity(n: int) -> RatMat:
@@ -117,30 +111,9 @@ def test_nullspace_random(seed):
 
 
 def ref_nullspace(m: RatMat) -> list[tuple]:
-    """Kernel basis by plain Fraction Gauss-Jordan elimination: one vector per
-    free column, 1 at that column, 0 at the other free columns."""
-    rows = [list(r) for r in m.a]
-    pivots = []
-    for c in range(m.cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    basis = []
-    for free in (c for c in range(m.cols) if c not in pivots):
-        v = [F(0)] * m.cols
-        v[free] = F(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
-        basis.append(tuple(v))
-    return basis
+    """sympy's kernel basis: one vector per free column of the reduced row
+    echelon form, 1 at that column, 0 at the other free columns."""
+    return [tuple(F(x.p, x.q) for x in v) for v in sympy_matrix(m).nullspace()]
 
 
 def random_matrix(rng) -> RatMat:

@@ -13,8 +13,11 @@ the pair ends. Then, for each end-to-end metric of BENCHMARK.json, it
 prints the parent's median [lower quartile, upper quartile], the change's
 median, in how many pairs the change did better by the metric's `better`,
 and the median [quartiles] of the pairwise relative differences
-change / parent - 1 next to the metric's bound; last, whether the verdict
-fingerprints of each pair match. Given one checkout as both sides (an A/A
+change / parent - 1 next to the metric's bound, and whether the gain rule
+is met: the change did better in at least nine tenths of the pairs (a tie
+counts for neither side), and its median beats the parent's by more than
+the parent's interquartile range. Last, whether the verdict fingerprints
+of each pair match. Given one checkout as both sides (an A/A
 set), the relative differences are the noise floor of the day. Stdlib
 only; no file is written, and the children write no bytecode either.
 """
@@ -71,10 +74,14 @@ def summary(runs: list[dict[str, tuple[dict, dict]]], metrics: list[dict]) -> li
         wins = sum((b > a) if higher else (b < a) for a, b in zip(before, after))
         q1, med, q3 = quartiles(before)
         r1, rel, r3 = quartiles([b / a - 1 for a, b in zip(before, after)])
+        after_med = statistics.median(after)
+        margin = after_med - med if higher else med - after_med
+        met = 10 * wins >= 9 * len(runs) and margin > q3 - q1
         lines.append(f"  {name:12} {med:.6g} [{q1:.6g}, {q3:.6g}] -> "
-                     f"{statistics.median(after):.6g} {m['unit']} ({m['better']} is better): "
+                     f"{after_med:.6g} {m['unit']} ({m['better']} is better): "
                      f"change better in {wins} of {len(runs)}; change/parent - 1 "
-                     f"{rel:+.1%} [{r1:+.1%}, {r3:+.1%}], bound {m['bound']:.0%}")
+                     f"{rel:+.1%} [{r1:+.1%}, {r3:+.1%}], bound {m['bound']:.0%}; "
+                     f"gain rule {'met' if met else 'not met'}")
     same = sum(r["parent"][0]["fingerprint"] == r["change"][0]["fingerprint"] for r in runs)
     lines.append(f"  fingerprints match in {same} of {len(runs)} pairs"
                  + ("" if same == len(runs) else ": they differ"))
