@@ -34,14 +34,14 @@ route is the central certificate.
 The orthogonality weights Omega solve sum_n P[n][k] P[n][l] Omega_n = 0 for
 k != l. Column k of block N is an eigenvector of the tridiagonal T_N =
 Delta(E) Delta(F) on level N, with eigenvalue the lowering coefficient of
-component k, and Omega is the diagonal that symmetrizes T_N. So it is
-certified by commutation alone, in O(N^2) integer operations on the stored
-columns, with no linear system solved (orthogonality_weights gives the steps
-and the proof). Each row of T_N is one row of the run's Delta(E) bands
-times the (at most two) rows of its Delta(F) bands it reads, in integers.
-Omega and the norms stay integer pairs: the verify suite reads that
-certificate alone, and orthogonality_weights reduces it into Fractions for
-the table and the tests.
+component k, and Omega is the diagonal that symmetrizes T_N. So
+orthogonality is certified by commutation alone, in O(N^2) integer
+operations on the stored columns, with no linear system solved and no
+weight or norm formed (orthogonality_weights gives the steps and the
+proof). Each row of T_N is one row of the run's Delta(E) bands times the
+(at most two) rows of its Delta(F) bands it reads, in integers. The verify
+suite reads that certificate alone; orthogonality_weights forms Omega and
+the norms, for the table and the tests.
 
 Every check of a family instance, here and in families and coproduct, takes
 a Run: the artifacts of one verify run (Delta, its bands, the blocks, the
@@ -77,7 +77,8 @@ __all__ = [
 
 
 class DegenerateKernelError(RuntimeError):
-    """The lowering kernel on some block is not a line with nonzero first entry."""
+    """Delta(F) on some block is not upper bidiagonal, or its kernel there is
+    not a line with nonzero first entry."""
 
 
 class WeightSolutionError(RuntimeError):
@@ -273,14 +274,20 @@ def _lowering_kernel(bands, k: int) -> Column:
     """The integer column of the kernel vector of Delta(F) on block k, given
     as its integer bands, scaled to v_0 = 1, in O(k).
 
-    Delta(F) there is upper bidiagonal, [i][i] = beta2(i, k) and [i][i+1] =
-    beta1(i, k). With every beta1 nonzero, as make_instance certifies, the
-    kernel is the line v_{i+1} = -beta2(i, k) v_i / beta1(i, k), a ratio of
-    two tops of row i, so its denominator cancels; v_i is one integer pair,
-    reduced at each step. A zero beta1(i, k) cuts off rows and columns up to
-    i as a square triangular block: singular (a zero beta2 in it) it adds a
-    kernel dimension, else it forces v_0 = 0."""
+    Delta(F) there must be upper bidiagonal, [i][i] = beta2(i, k) and
+    [i][i+1] = beta1(i, k); an entry off that band is refused. With every
+    beta1 nonzero, as make_instance certifies, the kernel is the line
+    v_{i+1} = -beta2(i, k) v_i / beta1(i, k), a ratio of two tops of row i,
+    so its denominator cancels; v_i is one integer pair, reduced at each
+    step. A zero beta1(i, k) cuts off rows and columns up to i as a square
+    triangular block: singular (a zero beta2 in it) it adds a kernel
+    dimension, else it forces v_0 = 0."""
     rows = [dict(bands[i][0]) for i in range(k)]
+    for i, row in enumerate(rows):
+        far = [j for j in row if j - i not in (0, 1)]
+        if far:
+            raise DegenerateKernelError(
+                f"Delta(F) on block {k} has entry [{i}][{min(far)}] off its upper bidiagonal")
     down = [row.get(i, 0) for i, row in enumerate(rows)]
     up = [row.get(i + 1, 0) for i, row in enumerate(rows)]
     if not all(up):
@@ -308,88 +315,81 @@ def orthogonality_weights(run: Run, N: int) -> WeightData:
 
         sum_n P[n][k] P[n][l] Omega_n = delta_{k,l} Omega'_l
 
-    Omega is certified by commutation with T, the tridiagonal part of T_N =
-    Delta(E) Delta(F) on level N, built from the run's bands of Delta
-    (_t_rows), and block N; N outside 0..n_max is a ValueError, and a failed
-    step raises WeightSolutionError naming it:
+    Omega is certified by commutation with T = T_N = Delta(E) Delta(F) on
+    level N, built from the run's bands of Delta (_t_rows), and block N; N
+    outside 0..n_max is a ValueError, and a failed step raises
+    WeightSolutionError naming it:
 
-    1. none of T[n][n+1], T[n+1][n] is zero;
-    2. Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so W T is symmetric
-       for W = diag(Omega);
+    1. T is tridiagonal, and none of T[n][n+1], T[n+1][n] is zero;
+    2. Omega_{n+1} / Omega_n = T[n][n+1] / T[n+1][n], so W = diag(Omega) is
+       invertible and, as T is tridiagonal, W T is symmetric;
     3. Lambda_k = tensor_lowering_eigenvalue(inst, k, N - k), which is 0 at
        k = N, are pairwise distinct (the run's eigenvalues of level N);
     4. T P = P Lambda exactly;
-    5. every norm Omega'_l = sum_n P[n][l]^2 Omega_n is nonzero.
+    5. no column of P is zero.
 
-    Proof. G = P^T W P satisfies Lambda G = P^T T^T W P = P^T W T P = G Lambda
-    by 4 and 2, so by 3 G is diagonal: Omega solves every off-diagonal
-    equation, and G's diagonal holds the norms. By 5 G is nonsingular, hence
-    so is P. Any diagonal W' with P^T W' P = D' diagonal gives
-    W' T = P^-T D' Lambda P^-1, which is symmetric, so W'_{n+1} T[n+1][n] =
-    W'_n T[n][n+1], and by 1 W' = W'_0 Omega: the solution space is the line
-    through Omega. T is a witness checked exactly, so the proof never rests
-    on Delta being right. All checks run over integers: row i of T is t_i /
-    d_i and column l of P is a_l / c_l, the block's own stored column; Omega
-    and the norms are integer pairs (_weight_certificate, which the verify
-    suite calls), reduced into this WeightData only here.
+    Proof. By 3, 4 and 5 the columns of P are nonzero eigenvectors of
+    distinct eigenvalues, so P is invertible, and by 2 so is G = P^T W P. G
+    satisfies Lambda G = P^T T^T W P = P^T W T P = G Lambda by 4 and 2, so
+    by 3 G is diagonal: Omega solves every off-diagonal equation, and G's
+    diagonal holds the norms, none zero as G is invertible. Any diagonal W'
+    with P^T W' P = D' diagonal gives W' T = P^-T D' Lambda P^-1, which is
+    symmetric, so W'_{n+1} T[n+1][n] = W'_n T[n][n+1], and by 1 W' = W'_0
+    Omega: the solution space is the line through Omega. T is a witness
+    checked exactly, so the proof never rests on Delta being right. The
+    verify suite decides steps 1, 3, 4 and 5 alone (_weight_certificate),
+    and forms no weight and no norm; Omega and the norms are formed here.
 
     On an instance make_instance accepts, with Delta and the blocks right, no
-    step fails. 1: validation keeps T[n][n+1] = alpha2(n, N-1) beta1(n, N) and
-    T[n+1][n] = alpha1(n+1, N-1) beta2(n, N) nonzero. 3: its label conditions
-    keep the component lowering coefficients distinct. 4 is the intertwining.
-    5: T[n+1][n] != 0 makes an eigenvector of T with v_0 = 0 zero; as P[0][l]
-    = P_0(l, N) = 1, the columns are eigenvectors of distinct eigenvalues, so
-    P, hence G, is invertible, and the norms on G's diagonal are nonzero.
+    step fails. 1: Delta(E) has entries [n][n-1] and [n][n] and Delta(F)
+    [m][m] and [m][m+1], so T is tridiagonal, and validation keeps T[n][n+1]
+    = alpha2(n, N-1) beta1(n, N) and T[n+1][n] = alpha1(n+1, N-1) beta2(n,
+    N) nonzero. 3: its label conditions keep the component lowering
+    coefficients distinct. 4 is the intertwining. 5: P[0][l] = P_0(l, N) = 1.
     """
-    w, L, norms = _weight_certificate(run, N)
-    return WeightData(N, tuple([Fraction(x, L) for x in w]),
-                      tuple([Fraction(*norm) for norm in norms]))
+    rows = _weight_certificate(run, N)
+    omega = [Fraction(1)]
+    for n in range(N):
+        (row, d), (below, d1) = rows[n], rows[n + 1]
+        omega.append(omega[-1] * Fraction(row[n + 1] * d1, d * below[n]))
+    w, L = integer_column(omega)
+    norms = (Fraction(sum(x * x * y for x, y in zip(a, w)), c * c * L)
+             for a, c in run.blocks[N].columns)
+    return WeightData(N, tuple(omega), tuple(norms))
 
 
-def _weight_certificate(run: Run, N: int) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
-    """The certificate of orthogonality_weights over integers: (w, L, norms)
-    with Omega_n = w[n] / L, the integer_column of Omega, and Omega'_l the
-    unreduced pair norms[l] = (sum_n a[n]^2 w[n], c^2 L) of column l = (a,
-    c). Omega is a prefix product of the integer ratios of step 2, each
-    reduced once; T comes from the run's bands (_t_rows)."""
+def _weight_certificate(run: Run, N: int) -> list[tuple[dict[int, int], int]]:
+    """Steps 1, 3, 4 and 5 of orthogonality_weights over integers, with no
+    weight or norm formed; returns the rows of T_N (_t_rows)."""
     if not 0 <= N <= run.inst.n_max:
         raise ValueError("orthogonality weights need 0 <= N <= n_max")
-    cols = run.blocks[N].columns
 
     def failed(step, what):
         return WeightSolutionError(f"block {N}, step {step}: {what}")
 
     rows = _t_rows(run, N)
-    omega = [(1, 1)]
-    top = bottom = 1
-    for n in range(N):
-        (row, d), (below, d1) = rows[n], rows[n + 1]
-        up, down = row.get(n + 1), below.get(n)
-        if up is None or down is None:
-            i, j = (n, n + 1) if up is None else (n + 1, n)
-            raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
-        top, bottom = top * up * d1, bottom * d * down
-        g = gcd(top, bottom)
-        top, bottom = top // g, bottom // g
-        omega.append((top, bottom))
+    for i, (row, _) in enumerate(rows):
+        far = [j for j in row if abs(i - j) > 1]
+        if far:
+            raise failed(1, f"T_N[{i}][{min(far)}] lies off the tridiagonal band")
+        for j in (i - 1, i + 1):
+            if 0 <= j <= N and j not in row:
+                raise failed(1, f"T_N[{i}][{j}] vanishes, so no diagonal symmetrizes T_N")
     lam = run.eigenvalues[N]
     if len({x.as_integer_ratio() for x in lam}) < len(lam):
         l, x = next((l, x) for l, x in enumerate(lam) if x in lam[:l])
         raise failed(3, f"Lambda_{lam.index(x)} = Lambda_{l} = {format_scalar(x)}")
-    own = [(a, 1) for a, _ in cols]  # against itself, a column's denominator drops out
+    # against itself, a column's denominator drops out
+    own = [(a, 1) for a, _ in run.blocks[N].columns]
     T = {i: (list(row.items()), d) for i, (row, d) in enumerate(rows)}
     bad = _k_major(N, T, own, [(*x.as_integer_ratio(), a) for a, x in zip(own, lam)])
     if bad:
         i, l = bad[0][0]["n"], bad[0][0]["k"]
         raise failed(4, f"(T_N P)[{i}][{l}] != (P Lambda)[{i}][{l}]")
-    w, L = integer_column(omega)
-    norms = []
-    for l, (a, c) in enumerate(cols):
-        norm = sum(x * x * y for x, y in zip(a, w))
-        if not norm:
+    for l, (a, _) in enumerate(own):
+        if not any(a):
             raise failed(5, f"Omega' vanishes at column {l}")
-        norms.append((norm, c * c * L))
-    return w, L, norms
+    return rows
 
 
 def _t_rows(run: Run, N: int) -> list[tuple[dict[int, int], int]]:

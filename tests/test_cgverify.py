@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import askeycg.cgverify as cgverify
+import askeycg.cli as cli
 import askeycg.families as families
 import askeycg.linalg as linalg
 from askeycg.algebras import GradedOperator, scalar_operator
@@ -640,6 +641,26 @@ def test_oracle_kernel_dimension_counts_matched_columns(zeros, message):
     assert str(exc.value) == message
 
 
+def test_lowering_entry_off_the_upper_bidiagonal_fails_the_oracle():
+    # with 7 added at [0][3] of Delta(F) on block 3, the kernel there is
+    # spanned by (-8603/243, -875/6, -50, 1), not by the bidiagonal
+    # recurrence's vector: the oracle refuses the block, and cg-oracle fails
+    # with that error as its witness
+    inst = make_instance("hahn", alpha=F(1, 3), beta=F(1, 5), lambda1=F(1, 2),
+                         lambda2=F(2, 3), n_max=4)
+    delta = Run(inst).delta
+    assert (0, 3) not in delta.f.blocks[3]
+    f = with_entry(delta.f, 3, (0, 3), F(7))
+    kernel = nullspace(f.dense(3))
+    assert [[x / v[-1] for x in v] for v in kernel] == [[F(-8603, 243), F(-875, 6), F(-50), 1]]
+    message = "Delta(F) on block 3 has entry [0][3] off its upper bidiagonal"
+    run = run_with(inst, delta=Delta(delta.e, f, delta.hk))
+    with pytest.raises(DegenerateKernelError, match=re.escape(message)):
+        lowest_weight_oracle(run)
+    [result] = cli._oracle(run)
+    assert not result.passed and result.witness.where == {"error": message}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_oracle_kernel_matches_the_full_solve_on_every_zero_pattern(k):
     # every way of zeroing the 2k band entries of an upper bidiagonal block
@@ -1055,6 +1076,30 @@ def test_zero_upper_entry_of_t_is_declined_before_any_eigenvalue(monkeypatch):
     assert eigen_callers == []
     with pytest.raises(WeightSolutionError, match="Omega' vanishes at column 1"):
         full_solve(inst, 1, blk)
+
+
+def test_t_off_its_tridiagonal_band_is_declined():
+    # T_2 = E F = [[-5, 5, 6], [3, -3, 6], [-3, 3, 2]] has the eigenvectors
+    # of P with the distinct Lambda = (-8, 2, 0), nonzero off-diagonals and
+    # nonzero columns; the ratios give Omega = (1, 5/3, 10/3), yet W T is not
+    # symmetric and (P^T W P)[0][1] = -2/3: its [0][2] entry is refused
+    inst = make_instance("hahn", alpha=F(1, 3), beta=F(1, 5), lambda1=F(1, 2),
+                         lambda2=F(2, 3), n_max=2)
+    dims = (1, 2, 3)
+    e = [[-1, -3], [3, -3], [-1, -1]]
+    f = [[2, -2, 0], [1, -1, -2]]
+    sparse = lambda rows: {(i, j): F(x) for i, r in enumerate(rows) for j, x in enumerate(r) if x}
+    delta = Delta(GradedOperator(1, dims, {0: sparse([[1], [1]]), 1: sparse(e)}),
+                  GradedOperator(-1, dims, {0: {}, 1: sparse([[1, 1]]), 2: sparse(f)}),
+                  scalar_operator(dims, lambda n: 1))
+    cols = [(F(1), F(-3, 2), F(3, 4)), (F(1), F(1), F(1, 3)), (F(1), F(1), F(0))]
+    blk = CGBlock.from_matrix(2, RatMat.build(3, 3, lambda i, k: cols[k][i]))
+    P, W = blk.P, (F(1), F(5, 3), F(10, 3))
+    assert sum((P.entry(n, 0) * P.entry(n, 1) * W[n] for n in range(3)), F(0)) == F(-2, 3)
+    run = run_with(inst, blocks={2: blk}, delta=delta, eigenvalues={2: (F(-8), F(2), F(0))})
+    with pytest.raises(WeightSolutionError, match=re.escape(
+            "block 2, step 1: T_N[0][2] lies off the tridiagonal band")):
+        orthogonality_weights(run, 2)
 
 
 def spy_dense_elimination(monkeypatch):
